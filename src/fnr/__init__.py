@@ -9,7 +9,7 @@ from .data import (CorpusError, CorpusSplit, Example, QaRecord, collate, corpus_
                    load_corpus, make_example, preprocess, split)
 from .embeddings import (EmbeddingMatrix, SgnsConfig, embed_sequence, load_embeddings,
                          random_embeddings, save_embeddings, train_skipgram)
-from .lstm import BlstmParams, LstmParams, blstm_forward, lstm_step
+from .lstm import BlstmParams, LstmParams, blstm_forward, lstm_scan
 from .metrics import Metrics, score_predictions
 from .model import (CheckpointError, FunctionSpan, SanConfig, SanParams, batch_loss,
                     extract_spans, forward, forward_batch, load_model, predict_tags,

@@ -1,8 +1,9 @@
 """Dense tensors with taped reverse-mode differentiation on numpy arrays.
 
 Every value the tagger computes flows through the small op set in this
-module, so each op carries its own backward rule and every op output is
-finite-checked (NaN/Inf is a hard error).  Arrays are float64 by default;
+module or the fused ``lstm.lstm_scan``, so each op carries its own
+backward rule and every op output is finite-checked (NaN/Inf is a hard
+error).  Arrays are float64 by default;
 float32 exists behind an explicit fast-mode switch and is not suitable for
 finite-difference verification.
 
@@ -53,6 +54,12 @@ def set_finite_checks(enabled: bool) -> bool:
     return old
 
 
+def check_finite(arr: np.ndarray, what: str = "tensor") -> None:
+    """Raise NonFiniteError if ``arr`` holds NaN/Inf and checks are on."""
+    if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
+        raise NonFiniteError(f"{what} holds non-finite values")
+
+
 class Tensor:
     """A dense array treated as an immutable value inside the op graph.
 
@@ -65,8 +72,7 @@ class Tensor:
 
     def __init__(self, data, const: bool = False):
         arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
-        if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
-            raise NonFiniteError("tensor holds non-finite values")
+        check_finite(arr)
         self.data = arr
         self.const = const
 
@@ -291,16 +297,20 @@ def tanh(a) -> Tensor:
     return out
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: exp only ever sees -|x|.
+
+    Bit-identical to the piecewise 1/(1+exp(-x)) for x >= 0 and
+    exp(x)/(1+exp(x)) for x < 0, without gathering either half.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(a) -> Tensor:
     a = astensor(a)
-    x = a.data
-    # Stable piecewise form avoids exp overflow on large negatives.
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
-    out = Tensor(out_data)
+    out = Tensor(sigmoid_array(a.data))
     tape = _tape()
     if tape is not None:
         od = out.data

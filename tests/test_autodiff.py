@@ -60,6 +60,18 @@ class TestTanh:
         assert abs(tanh(Tensor([0.5])).data[0] - math.tanh(0.5)) < 1e-15
 
 
+class TestSigmoid:
+    def test_dense_form_bit_identical_to_piecewise(self):
+        x = np.concatenate([[0.0, -0.0, 1e-320, -1e-320, 800.0, -800.0],
+                            np.random.default_rng(0).normal(scale=20.0, size=200)])
+        ref = np.empty_like(x)
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        assert np.array_equal(sigmoid(Tensor(x)).data, ref)
+
+
 class TestSoftmaxMasked:
     def test_uniform(self):
         out = softmax_masked(Tensor([0.0, 0.0, 0.0]), [True, True, True])

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from fnr.autodiff import Tensor, reduce_sum
-from fnr.lstm import BlstmParams, blstm_forward, init_blstm, init_lstm, lstm_step
+from fnr.autodiff import NonFiniteError, Tensor, reduce_sum
+from fnr.lstm import BlstmParams, blstm_forward, init_blstm, init_lstm, lstm_scan
 from fnr.optim import ParamGroup, grad_check
 
 
@@ -31,39 +33,101 @@ def reference_lstm_step(x, h, c, p):
     return o * np.tanh(c_new), c_new
 
 
-class TestLstmStep:
+def reference_scan(x, lengths, p, reverse=False):
+    """Row by row, step by step over each row's valid prefix from zero
+    state; padded positions stay zero."""
+    batch, steps, _ = x.shape
+    hidden = p.hidden_size
+    out = np.zeros((batch, steps, hidden))
+    for b in range(batch):
+        h, c = np.zeros(hidden), np.zeros(hidden)
+        times = range(lengths[b])
+        for t in (reversed(times) if reverse else times):
+            h, c = reference_lstm_step(x[b, t], h, c, p)
+            out[b, t] = h
+    return out
+
+
+def prefix_mask(lengths, steps):
+    return (np.arange(steps)[None, :] < np.asarray(lengths)[:, None]).astype(float)
+
+
+class TestLstmScan:
     def test_all_zero_parameters(self):
+        # At zero parameters o = 1/2, so h = tanh(c)/2 is zero at a step
+        # exactly when the cell is: zero outputs mean zero cells too.
         p = zero_lstm(3, 2)
-        h, c = lstm_step(Tensor([1.0, -1.0, 2.0]), Tensor(np.zeros(2)), Tensor(np.zeros(2)), p)
-        assert np.array_equal(h.data, np.zeros(2))
-        assert np.array_equal(c.data, np.zeros(2))
+        x = np.random.default_rng(0).normal(size=(1, 4, 3))
+        for reverse in (False, True):
+            h = lstm_scan(Tensor(x), np.ones((1, 4)), p, reverse=reverse)
+            assert np.array_equal(h.data, np.zeros((1, 4, 2)))
 
     def test_saturated_forget_gate_preserves_cell(self):
+        # Step 0 writes c_prev into the cell (i saturated at 1, g = c_prev);
+        # later inputs are zero, so g = 0 and only the forget gate acts.
+        # With o = 1/2 throughout, h_t = tanh(c_t)/2 reads the cell back.
         p = zero_lstm(3, 2, forget_bias=50.0)
         c_prev = np.array([0.7, -0.3])
-        h, c = lstm_step(Tensor([1.0, 0.0, 0.0]), Tensor(np.zeros(2)), Tensor(c_prev), p)
-        assert np.allclose(c.data, c_prev, atol=1e-12)
+        p.w_xi.data[:, 0] = 50.0
+        p.w_xg.data[:, 0] = np.arctanh(c_prev)
+        x = np.zeros((1, 5, 3))
+        x[0, 0, 0] = 1.0
+        h = lstm_scan(Tensor(x), np.ones((1, 5)), p)
+        for t in range(5):
+            assert np.allclose(h.data[0, t], 0.5 * np.tanh(c_prev), atol=1e-12)
 
     def test_matches_reference_recurrence(self):
         _, p = rand_lstm(3, 3, seed=42)
-        rng = np.random.default_rng(1)
-        x, h0, c0 = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-        h, c = lstm_step(Tensor(x), Tensor(h0), Tensor(c0), p)
-        h_ref, c_ref = reference_lstm_step(x, h0, c0, p)
-        assert np.allclose(h.data, h_ref, atol=1e-12)
-        assert np.allclose(c.data, c_ref, atol=1e-12)
+        x = np.random.default_rng(1).normal(size=(3, 5, 3))
+        lengths = [5, 3, 1]
+        for reverse in (False, True):
+            h = lstm_scan(Tensor(x), prefix_mask(lengths, 5), p, reverse=reverse)
+            assert np.allclose(h.data, reference_scan(x, lengths, p, reverse), atol=1e-12)
 
     def test_batched_matches_single(self):
         _, p = rand_lstm(3, 4, seed=5)
-        rng = np.random.default_rng(2)
-        xs = rng.normal(size=(2, 3))
-        h0 = rng.normal(size=(2, 4))
-        c0 = rng.normal(size=(2, 4))
-        hb, cb = lstm_step(Tensor(xs), Tensor(h0), Tensor(c0), p)
+        xs = np.random.default_rng(2).normal(size=(2, 3, 3))
+        hb = lstm_scan(Tensor(xs), np.ones((2, 3)), p)
         for b in range(2):
-            hs, cs = lstm_step(Tensor(xs[b]), Tensor(h0[b]), Tensor(c0[b]), p)
-            assert np.allclose(hb.data[b], hs.data, atol=1e-12, rtol=0)
-            assert np.allclose(cb.data[b], cs.data, atol=1e-12, rtol=0)
+            hs = lstm_scan(Tensor(xs[b:b + 1]), np.ones((1, 3)), p)
+            assert np.allclose(hb.data[b], hs.data[0], atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_batch_equals_each_row_scanned_alone(self, reverse):
+        _, p = rand_lstm(3, 4, seed=6)
+        steps = 6
+        lengths = [0, 1, steps - 1, steps, 3, 1]
+        x = np.random.default_rng(3).normal(size=(len(lengths), steps, 3))
+        batched = lstm_scan(Tensor(x), prefix_mask(lengths, steps), p, reverse=reverse)
+        for b, n in enumerate(lengths):
+            alone = lstm_scan(Tensor(x[b:b + 1, :n]), np.ones((1, n)), p, reverse=reverse)
+            assert np.allclose(batched.data[b, :n], alone.data[0], atol=1e-12, rtol=0)
+            assert np.array_equal(batched.data[b, n:], np.zeros((steps - n, 4)))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("x_const", [True, False])
+    def test_gradcheck_mixed_lengths(self, reverse, x_const):
+        group, p = rand_lstm(2, 3, seed=7)
+        steps = 4
+        rng = np.random.default_rng(8)
+        x_data = rng.normal(size=(4, steps, 2))
+        x = Tensor(x_data, const=True) if x_const else group.add("x", x_data)
+        mask = prefix_mask([0, 1, steps - 1, steps], steps)
+        weights = Tensor(rng.normal(size=(4, steps, 3)), const=True)
+
+        def loss(g):
+            return reduce_sum(lstm_scan(x, mask, p, reverse=reverse) * weights)
+
+        assert grad_check(loss, group, h=1e-5) < 1e-5
+
+    def test_overflow_raises_nonfinite_without_warning(self):
+        p = zero_lstm(3, 2)
+        p.w_xi.data[...] = 1e300
+        x = Tensor(np.full((1, 2, 3), 1e10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                lstm_scan(x, np.ones((1, 2)), p)
 
 
 def rand_blstm(din, hidden, seed):
@@ -147,3 +211,20 @@ class TestBlstmForward:
         _, p = rand_blstm(2, 2, seed=15)
         with pytest.raises(ValueError):
             blstm_forward(Tensor(np.zeros((3, 2))), np.ones(4), p)
+
+    def test_non_prefix_mask_rejected(self):
+        _, p = rand_blstm(2, 2, seed=16)
+        mask = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="prefix"):
+            blstm_forward(Tensor(np.zeros((2, 3, 2))), mask, p)
+
+    def test_non_binary_mask_rejected(self):
+        _, p = rand_blstm(2, 2, seed=17)
+        with pytest.raises(ValueError, match="0 or 1"):
+            blstm_forward(Tensor(np.zeros((3, 2))), np.array([1.0, 0.5, 0.0]), p)
+
+    def test_empty_rows_allowed(self):
+        _, p = rand_blstm(2, 2, seed=18)
+        mask = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        out = blstm_forward(Tensor(np.ones((2, 3, 2))), mask, p)
+        assert np.array_equal(out.data[1], np.zeros((3, 4)))

@@ -108,6 +108,23 @@ class TestForward:
                        rng=np.random.default_rng(42))
         assert np.array_equal(a, b)
 
+    def test_tape_length_independent_of_max_len(self, tiny_vocab):
+        rec = QaRecord("p1", "laptop", ["works", "with", "iphone", "?"],
+                       tags=["F", "F", "F", "O"])
+        bank = [QaRecord("p2", "laptop", ["does", "it", "video", "calls", "?"])]
+        lengths = []
+        for max_len in (6, 12):
+            cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4,
+                            max_len=max_len, bank_size=2, dropout=0.0, variant="san",
+                            seed=1)
+            batch = collate([make_example(rec, bank, tiny_vocab, max_len=max_len,
+                                          bank_size=2)])
+            with Tape() as tape:
+                probs, _ = forward_batch(batch, build(cfg, tiny_vocab), cfg)
+                batch_loss(probs, batch.gold, batch.mask)
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
+
 
 class TestLoss:
     def test_perfect_predictions_zero_loss(self):
