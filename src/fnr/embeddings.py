@@ -92,6 +92,19 @@ def _negative_table(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(weights / total)
 
 
+def _pair_count(length: int, window: int) -> int:
+    """(center, context) pairs in a sentence of ``length`` tokens: each
+    offset d = 1..min(window, length - 1) pairs ``length - d`` tokens, in
+    both directions."""
+    m = max(0, min(window, length - 1))
+    return m * (2 * length - m - 1)
+
+
+def _learning_rate(lr: float, seen: int, total_pairs: int) -> float:
+    """Linear decay from ``lr`` to the ``lr * 1e-4`` floor at the last pair."""
+    return max(lr * (1.0 - seen / total_pairs), lr * 1e-4)
+
+
 def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
                    rng: np.random.Generator) -> EmbeddingMatrix:
     """Pretrain embeddings with skip-gram negative sampling.
@@ -118,7 +131,7 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
     w_in = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
     w_out = np.zeros((len(vocab), cfg.dim))
 
-    total_pairs = sum(max(0, len(ids)) * 2 * cfg.window for ids in encoded) * cfg.epochs
+    total_pairs = sum(_pair_count(len(ids), cfg.window) for ids in encoded) * cfg.epochs
     total_pairs = max(total_pairs, 1)
     seen = 0
     history: list[float] = []
@@ -135,7 +148,7 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
                     if j == i:
                         continue
                     seen += 1
-                    alpha = max(cfg.lr * (1.0 - seen / total_pairs), cfg.lr * 1e-4)
+                    alpha = _learning_rate(cfg.lr, seen, total_pairs)
                     context = ids[j]
                     negs = np.searchsorted(cum, rng.random(cfg.negatives))
                     negs = negs[negs != context]

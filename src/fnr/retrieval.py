@@ -3,17 +3,28 @@
 Stands in for a search-engine dependency: banks are built once, offline,
 by scoring the labeled question's tokens against every unlabeled question
 in the same category (k1=1.2, b=0.75, idf floored at 0) and keeping the
-top matches.  Scoring is deterministic; ties break on the stable document
-order of the pool.
+top matches.
+
+Each category is indexed as postings lists in CSR form: for every term,
+the ascending indices of the documents holding it and its frequency in
+each, plus one array of per-document length norms.  Scoring walks the
+query's terms in query order, repeats included, and adds each term's
+contribution to the documents of its posting with numpy.  A document
+therefore sums its terms in the same order, from the same 0.0 start and
+with the same per-term arithmetic as a loop over every document would, so
+scores are bit-identical to that loop; documents outside every posting
+keep 0.0.  Ranking is a stable argsort of the negated scores, so ties
+break on the document order of the pool.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .data import QaRecord
 from .vocab import EOS_TOKEN
@@ -26,33 +37,52 @@ def _match_tokens(tokens: Iterable[str]) -> list[str]:
 
 @dataclass
 class _CategoryIndex:
+    """Postings of one category: term ``terms[t]``'s documents are
+    ``post_docs[offsets[t]:offsets[t + 1]]`` (ascending) with frequencies
+    ``post_tfs`` at the same positions."""
     docs: list[QaRecord]
-    doc_terms: list[Counter]
-    doc_lens: list[int]
-    df: Counter
-    avgdl: float
+    terms: dict[str, int]
+    offsets: np.ndarray
+    post_docs: np.ndarray
+    post_tfs: np.ndarray
+    norm: np.ndarray
+
+
+def _index_category(docs: list[QaRecord], k1: float, b: float) -> _CategoryIndex:
+    terms: dict[str, int] = {}
+    token_ids: list[int] = []
+    lens: list[int] = []
+    for rec in docs:
+        tokens = _match_tokens(rec.question_tokens)
+        token_ids.extend([terms.setdefault(t, len(terms)) for t in tokens])
+        lens.append(len(tokens))
+    n = len(docs)
+    dl = np.asarray(lens, dtype=np.int64)
+    # One key per (term, document) occurrence; unique keys sort by term,
+    # then document, and their counts are the term frequencies.
+    keys = np.asarray(token_ids, dtype=np.int64) * n + np.repeat(np.arange(n), dl)
+    keys, tfs = np.unique(keys, return_counts=True)
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=len(terms)), out=offsets[1:])
+    avgdl = sum(lens) / n
+    # Written as the scalar formula k1 * (1 - b + b * dl / avgdl), in the
+    # same operation order, so each element is the same double.
+    norm = k1 * (1.0 - b + b * dl / avgdl) if avgdl else np.full(n, k1 * (1.0 - b))
+    return _CategoryIndex(docs, terms, offsets, keys % n, tfs, norm)
 
 
 class Bm25Index:
-    """Per-category inverted statistics over an unlabeled question pool."""
+    """Per-category postings lists over an unlabeled question pool."""
 
     def __init__(self, pool: Sequence[QaRecord], k1: float = 1.2, b: float = 0.75):
         self.k1 = k1
         self.b = b
-        self._categories: dict[str, _CategoryIndex] = {}
+        by_category: dict[str, list[QaRecord]] = {}
         for rec in pool:
-            if rec.labeled:
-                continue
-            cat = self._categories.setdefault(
-                rec.category, _CategoryIndex([], [], [], Counter(), 0.0))
-            terms = Counter(_match_tokens(rec.question_tokens))
-            cat.docs.append(rec)
-            cat.doc_terms.append(terms)
-            cat.doc_lens.append(sum(terms.values()))
-            for term in terms:
-                cat.df[term] += 1
-        for cat in self._categories.values():
-            cat.avgdl = sum(cat.doc_lens) / len(cat.docs)
+            if not rec.labeled:
+                by_category.setdefault(rec.category, []).append(rec)
+        self._categories = {cat: _index_category(docs, k1, b)
+                            for cat, docs in by_category.items()}
 
     def pool_size(self, category: str) -> int:
         cat = self._categories.get(category)
@@ -64,20 +94,19 @@ class Bm25Index:
         cat = self._categories.get(category)
         if cat is None:
             return []
-        query = _match_tokens(query_tokens)
         n_docs = len(cat.docs)
-        scores = []
-        for terms, dl in zip(cat.doc_terms, cat.doc_lens):
-            norm = self.k1 * (1.0 - self.b + self.b * dl / cat.avgdl)
-            s = 0.0
-            for term in query:
-                f = terms.get(term, 0)
-                if f == 0:
-                    continue
-                idf = max(0.0, math.log((n_docs - cat.df[term] + 0.5) / (cat.df[term] + 0.5)))
-                s += idf * f * (self.k1 + 1.0) / (f + norm)
-            scores.append(s)
-        return scores
+        scores = np.zeros(n_docs)
+        for term in _match_tokens(query_tokens):
+            t = cat.terms.get(term)
+            if t is None:
+                continue
+            lo, hi = cat.offsets[t], cat.offsets[t + 1]
+            rows, tf = cat.post_docs[lo:hi], cat.post_tfs[lo:hi]
+            df = int(hi - lo)
+            idf = max(0.0, math.log((n_docs - df + 0.5) / (df + 0.5)))
+            # Rows within one posting are distinct, so += adds once per row.
+            scores[rows] += idf * tf * (self.k1 + 1.0) / (tf + cat.norm[rows])
+        return scores.tolist()
 
     def query(self, query_tokens: Sequence[str], category: str, top_k: int) -> list[QaRecord]:
         """Top-k pool questions by score (ties by pool order), excluding any
@@ -86,10 +115,9 @@ class Bm25Index:
         if cat is None:
             return []
         query_norm = _match_tokens(query_tokens)
-        scores = self.score(query_tokens, category)
-        ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        scores = np.asarray(self.score(query_tokens, category))
         out = []
-        for i in ranked:
+        for i in np.argsort(-scores, kind="stable"):
             if _match_tokens(cat.docs[i].question_tokens) == query_norm:
                 continue
             out.append(cat.docs[i])

@@ -113,10 +113,15 @@ def train(cfg: SanConfig, tcfg: TrainConfig, split: CorpusSplit, vocab: Vocabula
 
     The per-batch objective is the summed cross entropy over the batch's
     examples; one Adam step runs per batch and the last partial batch is
-    kept.  Divergence aborts with the epoch/batch location.
+    kept.  Divergence aborts with the epoch/batch location.  Both the
+    training and the validation split must be non-empty: with no
+    validation examples span-F1 would stay 0 and the epoch-1 weights
+    would be kept.
     """
     if not split.train:
         raise ValueError("training split is empty")
+    if not split.validation:
+        raise ValueError("validation split is empty")
     run_cfg = dataclasses.replace(cfg, dropout=tcfg.dropout)
     params = SanParams.build(run_cfg, len(vocab), np.random.default_rng(run_cfg.seed),
                              pretrained)

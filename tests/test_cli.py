@@ -184,6 +184,14 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
 
+    def test_empty_validation_split_exit_3(self, tmp_path):
+        # split() cuts 3 records 3/0/0.
+        corpus = tmp_path / "three.jsonl"
+        save_corpus(corpus, labeled_records()[:3])
+        ckpt = tmp_path / "model.json"
+        assert main(train_args(corpus, ckpt)) == 3
+        assert not ckpt.exists()
+
     def test_divergence_exit_4(self, tmp_path, corpus_path):
         ckpt = tmp_path / "model.json"
         code = main(train_args(corpus_path, ckpt, lr="1e200"))

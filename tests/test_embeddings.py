@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from fnr import embeddings
 from fnr.autodiff import Tape, Tensor, reduce_sum
 from fnr.embeddings import (EmbeddingMatrix, SgnsConfig, embed_sequence,
                             load_embeddings, random_embeddings, save_embeddings,
@@ -96,6 +97,35 @@ class TestTrainSkipgram:
         rng = np.random.default_rng(4)
         m = train_skipgram(toy_corpus(rng, 600), SgnsConfig(dim=8, epochs=1), rng)
         assert np.array_equal(m.vectors[PAD_ID], np.zeros(8))
+
+    def test_pair_count_matches_enumeration(self):
+        for window in (1, 2, 5):
+            for length in range(14):
+                pairs = [(i, j) for i in range(length) for j in range(length)
+                         if i != j and abs(i - j) <= window]
+                assert embeddings._pair_count(length, window) == len(pairs)
+
+    def test_learning_rate_reaches_floor_at_last_pair(self, monkeypatch):
+        # Sentences of 1..10 tokens: most are shorter than 2 * window + 1,
+        # so edges cut many windows.
+        rng = np.random.default_rng(5)
+        corpus = [[f"t{j}" for j in rng.integers(0, 20, size=n)]
+                  for n in rng.integers(1, 11, size=40)]
+        cfg = SgnsConfig(dim=4, window=3, negatives=2, epochs=2, lr=0.05)
+        schedule = embeddings._learning_rate
+        alphas = []
+
+        def recording(lr, seen, total_pairs):
+            alphas.append(schedule(lr, seen, total_pairs))
+            return alphas[-1]
+
+        monkeypatch.setattr(embeddings, "_learning_rate", recording)
+        train_skipgram(corpus, cfg, rng)
+        pairs = sum(1 for s in corpus for i in range(len(s)) for j in range(len(s))
+                    if i != j and abs(i - j) <= cfg.window)
+        assert len(alphas) == pairs * cfg.epochs
+        assert alphas[-1] == cfg.lr * 1e-4
+        assert alphas[-2] > cfg.lr * 1e-4
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fnr.data import QaRecord
 from fnr.retrieval import Bm25Index, build_bank, load_bank_cache, save_bank_cache
+from fnr.vocab import EOS_TOKEN
 
 
 def rec(tokens, category="c", labeled=False, line_no=None):
@@ -122,12 +124,86 @@ class TestQueryAndBuildBank:
         index = Bm25Index([rec(["EOS", "word"])])
         assert index.score(["EOS"], "c") == [0.0]
 
+    def test_pool_of_eos_only_questions(self):
+        # Every document has length 0, so avgdl is 0.
+        index = Bm25Index([rec(["EOS"]), rec(["EOS", "EOS"])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert index.score(["word", "EOS"], "c") == [0.0, 0.0]
+            assert len(build_bank(rec(["word"], labeled=True), index)) == 2
+
     def test_deterministic(self):
         docs = [rec(["video", "calls"], line_no=1), rec(["video"], line_no=2)]
         labeled = rec(["video"], labeled=True)
         a = build_bank(labeled, Bm25Index(docs), u_max=2)
         b = build_bank(labeled, Bm25Index(docs), u_max=2)
         assert [x.line_no for x in a] == [x.line_no for x in b]
+
+
+def random_pool():
+    """Seeded two-category pool over a small vocabulary: mixed case, EOS
+    separators, exact duplicates, and one term ("the") in every document."""
+    rng = np.random.default_rng(11)
+    words = ["video", "Video", "calls", "games", "Mac", "mac", "battery",
+             "screen", "iphone", "fast", "quiet", "keyboard", "usb", "?"]
+    pool = []
+    for i in range(300):
+        n = int(rng.integers(1, 9))
+        toks = ["the"] + [words[j] for j in rng.integers(0, len(words), size=n)]
+        if rng.random() < 0.3:
+            toks.insert(int(rng.integers(1, len(toks) + 1)), EOS_TOKEN)
+        category = "laptop" if i % 3 else "phone"
+        pool.append(rec(toks, category=category, line_no=len(pool) + 1))
+        if rng.random() < 0.1:
+            pool.append(rec(toks, category=category, line_no=len(pool) + 1))
+    return pool
+
+
+def match_terms(tokens):
+    return [t.lower() for t in tokens if t != EOS_TOKEN]
+
+
+class TestExactBm25:
+    """Scores and banks must equal the reference formula exactly, not
+    within a tolerance: banks are rankings, and a last-bit change in a
+    score can reorder ties."""
+
+    QUERIES = [["video", "calls", "?"],
+               ["Video", "video", "VIDEO", "mac"],
+               ["the", "battery", "the", EOS_TOKEN, "screen"],
+               ["the"],
+               ["nothing", "matches", "here"],
+               [EOS_TOKEN],
+               []]
+
+    def cases(self):
+        pool = random_pool()
+        for category in ("laptop", "phone"):
+            members = [r for r in pool if r.category == category]
+            docs = [match_terms(r.question_tokens) for r in members]
+            queries = self.QUERIES + [members[i].question_tokens for i in (0, 7, 42)]
+            for query in queries:
+                yield category, members, docs, query
+
+    def test_scores_equal_reference(self):
+        index = Bm25Index(random_pool())
+        for category, _, docs, query in self.cases():
+            got = index.score(query, category)
+            assert type(got) is list
+            assert all(type(s) is float for s in got)
+            assert got == reference_bm25(match_terms(query), docs)
+
+    def test_banks_equal_reference_ranking(self):
+        index = Bm25Index(random_pool())
+        for category, members, docs, query in self.cases():
+            ref = reference_bm25(match_terms(query), docs)
+            ranked = sorted(range(len(docs)), key=lambda i: (-ref[i], i))
+            ranked = [i for i in ranked if docs[i] != match_terms(query)]
+            labeled = rec(query, category=category, labeled=True)
+            for u_max in (1, 5, len(docs)):
+                bank = build_bank(labeled, index, u_max=u_max)
+                assert [b.line_no for b in bank] == [members[i].line_no
+                                                     for i in ranked[:u_max]]
 
 
 class TestBankCache:

@@ -94,6 +94,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             train(tiny_cfg(), TrainConfig(max_epochs=2, patience=1), split, vocab)
 
+    def test_empty_validation_rejected(self):
+        # Without validation examples span-F1 stays 0 and early stopping
+        # would silently keep the epoch-1 weights.
+        vocab, examples = tiny_dataset()
+        split = CorpusSplit(train=examples, validation=[], test=[], seed=0)
+        with pytest.raises(ValueError, match="validation split is empty"):
+            train(tiny_cfg(), TrainConfig(max_epochs=2, patience=1), split, vocab)
+
     def test_best_checkpoint_restored(self):
         # The returned parameters must reproduce the best epoch's val score.
         vocab, examples = tiny_dataset(n=10)
