@@ -2,18 +2,17 @@
 labels product-question tokens as function-expression (F) or other (O),
 letting each token attend over a bank of similar unlabeled questions."""
 
-from .attention import AttentionParams, AttentionTrace, bank_attend, level1_attend, level2_attend, transform_query
-from .autodiff import (EmptySupportError, Gradients, NonFiniteError, Tape, Tensor,
-                       affine, concat, dropout, softmax_masked, tanh)
+from .attention import AttentionParams, AttentionTrace, bank_attend_batch, transform_query
+from .autodiff import (Gradients, NonFiniteError, Tape, Tensor, concat, dropout,
+                       masked_softmax, tanh)
 from .data import (CorpusError, CorpusSplit, Example, QaRecord, collate, corpus_stats,
                    load_corpus, make_example, preprocess, split)
-from .embeddings import (EmbeddingMatrix, SgnsConfig, embed_sequence, load_embeddings,
-                         random_embeddings, save_embeddings, train_skipgram)
+from .embeddings import (EmbeddingMatrix, SgnsConfig, load_embeddings, save_embeddings,
+                         train_skipgram)
 from .lstm import BlstmParams, LstmParams, blstm_forward, lstm_scan
 from .metrics import Metrics, score_predictions
 from .model import (CheckpointError, FunctionSpan, SanConfig, SanParams, batch_loss,
-                    extract_spans, forward, forward_batch, load_model, predict_tags,
-                    save_model, sequence_loss)
+                    extract_spans, forward_batch, load_model, predict_tags, save_model)
 from .optim import ParamGroup, adam_step, grad_check
 from .retrieval import Bm25Index, build_bank
 from .training import (CRF_REFERENCE, DivergenceError, EpochLog, TrainConfig,

@@ -1,10 +1,12 @@
 """Two-level attention of labeled-question tokens over the unlabeled bank.
 
-Level 1: every token of the labeled question attends over the words of one
-unlabeled question (dot products of tanh-transformed vectors, masked
+Level 1: every token of the labeled question attends over the words of
+each unlabeled question (dot products of tanh-transformed vectors, masked
 softmax, weighted sum of the transformed bank words).  Level 2: the same
 token then attends over the per-question summaries, producing its side
 vector, which is concatenated onto the token's BLSTM representation.
+``bank_attend_batch`` computes both levels for a whole batch of questions
+and their padded banks at once.
 
 Scores are plain unscaled dot products.  PAD positions inside bank
 questions are excluded from the level-1 softmax; banks that are entirely
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Tensor, concat, linear, masked_softmax, matmul, mul,
-                       reduce_sum, reshape, softmax_masked, swap_last, tanh)
+                       reduce_sum, reshape, swap_last, tanh)
 from .lstm import glorot
 from .optim import ParamGroup
 
@@ -84,84 +86,6 @@ def transform_bank(bank_h: Tensor, p: AttentionParams) -> Tensor:
     return tanh(linear(bank_h, p.w_k, p.b_k))
 
 
-def level1_attend(query: Tensor, bank_k: Tensor, bank_mask) -> tuple[Tensor, Tensor]:
-    """One query vector against one transformed bank question.
-
-    Returns the softmax weights over bank words and their weighted sum.
-    Raises EmptySupportError when the mask leaves no valid bank word.
-    """
-    scores = reshape(matmul(bank_k, reshape(query, (query.shape[0], 1))),
-                     (bank_k.shape[0],))
-    weights = softmax_masked(scores, np.asarray(bank_mask, dtype=bool))
-    attended = reshape(matmul(reshape(weights, (1, weights.shape[0])), bank_k),
-                       (bank_k.shape[1],))
-    return weights, attended
-
-
-def level2_attend(query: Tensor, level1_attended: Tensor, bank_valid,
-                  p: AttentionParams) -> tuple[Tensor, Tensor]:
-    """One query vector against the (U, A) stack of level-1 summaries.
-
-    Banks flagged invalid are excluded from the softmax; with no valid bank
-    at all the side vector degenerates to zero.
-    """
-    valid = np.asarray(bank_valid, dtype=bool)
-    n_banks = level1_attended.shape[0]
-    if valid.shape != (n_banks,):
-        raise ValueError(f"bank_valid shape {valid.shape} != ({n_banks},)")
-    if n_banks == 0:
-        return Tensor(np.zeros(0), const=True), Tensor(np.zeros(p.dim), const=True)
-    transformed = tanh(linear(level1_attended, p.w_k2, p.b_k2))
-    scores = reduce_sum(mul(transformed, reshape(query, (1, query.shape[0]))), axis=-1)
-    weights = masked_softmax(scores, valid.astype(float), axis=-1, allow_empty=True)
-    side = reduce_sum(mul(reshape(weights, (n_banks, 1)), transformed), axis=0)
-    return weights, side
-
-
-def bank_attend(hq1: Tensor, banks: list[tuple[Tensor, np.ndarray]],
-                p: AttentionParams, want_trace: bool = True,
-                pad_to: int | None = None) -> tuple[Tensor, AttentionTrace | None]:
-    """Attend one labeled question (T_q, 2H) over its list of bank
-    questions [(T_u, 2H), mask], producing (T_q, 2H + A) plus the trace.
-
-    Bank questions may have different lengths; they are padded to a common
-    length (at least ``pad_to``, when given) with masked slots, which is
-    exact: masked softmax gives padded slots precisely zero weight.  At a
-    fixed padded width, appending PAD positions to a bank question leaves
-    the output bit-for-bit unchanged.
-    """
-    t_q = hq1.shape[0]
-    n_banks = len(banks)
-    if n_banks == 0:
-        bank_h = Tensor(np.zeros((1, 0, 1, hq1.shape[1])))
-        token_mask = np.zeros((1, 0, 1))
-        bank_valid = np.zeros((1, 0))
-    else:
-        t_u = max(b.shape[0] for b, _ in banks)
-        if pad_to is not None:
-            if pad_to < t_u:
-                raise ValueError(f"pad_to {pad_to} shorter than longest bank {t_u}")
-            t_u = pad_to
-        padded = []
-        token_mask = np.zeros((1, n_banks, t_u))
-        for n, (b, m) in enumerate(banks):
-            m = np.asarray(m, dtype=float)
-            if m.shape != (b.shape[0],):
-                raise ValueError(f"bank {n} mask shape {m.shape} != ({b.shape[0]},)")
-            pad_rows = t_u - b.shape[0]
-            if pad_rows:
-                b = concat(b, Tensor(np.zeros((pad_rows, b.shape[1])), const=True), axis=0)
-            padded.append(reshape(b, (1, 1, t_u, b.shape[1])))
-            token_mask[0, n, :m.shape[0]] = m
-        bank_h = padded[0]
-        for extra in padded[1:]:
-            bank_h = concat(bank_h, extra, axis=1)
-        bank_valid = token_mask.any(axis=2).astype(float)
-    hq2, traces = bank_attend_batch(reshape(hq1, (1,) + hq1.shape), bank_h,
-                                    token_mask, bank_valid, p, want_trace=want_trace)
-    return reshape(hq2, (t_q, hq2.shape[-1])), (traces[0] if want_trace else None)
-
-
 def bank_attend_batch(hq1: Tensor, bank_h: Tensor, token_mask: np.ndarray,
                       bank_valid: np.ndarray, p: AttentionParams,
                       want_trace: bool = False) -> tuple[Tensor, list[AttentionTrace] | None]:
@@ -170,6 +94,9 @@ def bank_attend_batch(hq1: Tensor, bank_h: Tensor, token_mask: np.ndarray,
     hq1: (B, T_q, 2H); bank_h: (B, U, T_u, 2H); token_mask: (B, U, T_u)
     0/1; bank_valid: (B, U) 0/1.  Returns (B, T_q, 2H + A) and, when asked,
     one AttentionTrace per batch element.
+
+    Masked softmax gives PAD slots exactly zero weight, so at a fixed T_u
+    the contents of PAD positions leave the output bit-for-bit unchanged.
     """
     b_sz, t_q, _ = hq1.shape
     n_banks = bank_h.shape[1]
@@ -191,14 +118,12 @@ def bank_attend_batch(hq1: Tensor, bank_h: Tensor, token_mask: np.ndarray,
     bank_k = transform_bank(bank_h, p)                        # (B, U, T_u, A)
     query_4d = reshape(query, (b_sz, 1, t_q, attn_dim))
     scores1 = matmul(query_4d, swap_last(bank_k))             # (B, U, T_q, T_u)
-    weights1 = masked_softmax(scores1, token_mask[:, :, None, :], axis=-1,
-                              allow_empty=True)
+    weights1 = masked_softmax(scores1, token_mask[:, :, None, :], axis=-1)
     attended = matmul(weights1, bank_k)                       # (B, U, T_q, A)
 
     summary = tanh(linear(attended, p.w_k2, p.b_k2))          # (B, U, T_q, A)
     scores2 = reduce_sum(mul(summary, query_4d), axis=-1)     # (B, U, T_q)
-    weights2 = masked_softmax(scores2, bank_valid[:, :, None], axis=1,
-                              allow_empty=True)
+    weights2 = masked_softmax(scores2, bank_valid[:, :, None], axis=1)
     side = reduce_sum(mul(reshape(weights2, (b_sz, n_banks, t_q, 1)), summary),
                       axis=1)                                 # (B, T_q, A)
 

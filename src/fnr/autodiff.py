@@ -13,7 +13,7 @@ just compute, which is the cheap inference path.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,12 +22,7 @@ class NonFiniteError(FloatingPointError):
     """An op produced NaN or Inf, or a parameter update did."""
 
 
-class EmptySupportError(ValueError):
-    """Masked softmax was asked to normalize over zero valid entries."""
-
-
 _DEFAULT_DTYPE = np.dtype(np.float64)
-_FINITE_CHECKS = True
 _ACTIVE_TAPES: list["Tape"] = []
 
 
@@ -46,17 +41,9 @@ def set_default_dtype(dtype) -> np.dtype:
     return old
 
 
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle per-op NaN/Inf checking. Returns the previous setting."""
-    global _FINITE_CHECKS
-    old = _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-    return old
-
-
 def check_finite(arr: np.ndarray, what: str = "tensor") -> None:
-    """Raise NonFiniteError if ``arr`` holds NaN/Inf and checks are on."""
-    if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
+    """Raise NonFiniteError if ``arr`` holds NaN/Inf."""
+    if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{what} holds non-finite values")
 
 
@@ -132,10 +119,6 @@ def astensor(x) -> Tensor:
 
 def constant(data) -> Tensor:
     return Tensor(data, const=True)
-
-
-def zeros(shape, const: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), const=const)
 
 
 Backward = Callable[[np.ndarray], tuple]
@@ -308,18 +291,6 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def sigmoid(a) -> Tensor:
-    a = astensor(a)
-    out = Tensor(sigmoid_array(a.data))
-    tape = _tape()
-    if tape is not None:
-        od = out.data
-        def backward(g):
-            return (None if a.const else g * od * (1.0 - od),)
-        tape._nodes.append((out, (a,), backward))
-    return out
-
-
 def exp(a) -> Tensor:
     a = astensor(a)
     with np.errstate(over="raise"):
@@ -390,7 +361,7 @@ def linear(x, w, b=None) -> Tensor:
     """
     x, w = astensor(x), astensor(w)
     if x.ndim < 2:
-        raise ValueError("linear expects x with ndim >= 2; use affine for vectors")
+        raise ValueError("linear expects x with ndim >= 2; reshape a vector to (1, d)")
     dout, din = w.data.shape
     if x.data.shape[-1] != din:
         raise ValueError(f"linear shape mismatch: x last dim {x.data.shape[-1]} != {din}")
@@ -415,15 +386,6 @@ def linear(x, w, b=None) -> Tensor:
             return (gx, gw, gb)
         tape._nodes.append((out, inputs, backward))
     return out
-
-
-def affine(x, w, b) -> Tensor:
-    """w @ x + b for a single vector x, or batched over leading axes."""
-    x = astensor(x)
-    if x.ndim == 1:
-        lifted = linear(reshape(x, (1, x.shape[0])), w, b)
-        return reshape(lifted, (lifted.shape[-1],))
-    return linear(x, w, b)
 
 
 def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -483,36 +445,6 @@ def concat(a, b, axis: int = -1) -> Tensor:
     return out
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = [astensor(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in ts], axis=axis))
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            return tuple(None if t.const else np.take(g, i, axis=axis)
-                         for i, t in enumerate(ts))
-        tape._nodes.append((out, tuple(ts), backward))
-    return out
-
-
-def select(x, index: int, axis: int) -> Tensor:
-    """Take one slice along ``axis``, dropping that axis."""
-    x = astensor(x)
-    out = Tensor(np.take(x.data, index, axis=axis))
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            if x.const:
-                return (None,)
-            gx = np.zeros_like(x.data)
-            sl = [slice(None)] * x.data.ndim
-            sl[axis] = index
-            gx[tuple(sl)] = g
-            return (gx,)
-        tape._nodes.append((out, (x,), backward))
-    return out
-
-
 def gather_rows(table, ids) -> Tensor:
     """Row lookup ``table[ids]``; backward scatter-adds into the picked rows
     only, which is what lets looked-up embeddings fine-tune."""
@@ -551,29 +483,24 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = No
     return mul(x, constant(keep / (1.0 - rate)))
 
 
-def masked_softmax(scores, mask: np.ndarray, axis: int = -1, allow_empty: bool = False) -> Tensor:
+def masked_softmax(scores, mask: np.ndarray, axis: int = -1) -> Tensor:
     """Exp-normalize ``scores`` along ``axis`` over positions where ``mask``
     is nonzero.  Masked slots get exactly zero weight (they behave as score
     -inf, not as a large negative constant), and the max of the valid scores
-    is subtracted before exponentiation for stability.
-
-    With ``allow_empty`` a slice with no valid entries yields all-zero
-    weights instead of raising; callers own the degenerate semantics.
+    is subtracted before exponentiation for stability.  A slice with no
+    valid entries yields all-zero weights.
     """
     scores = astensor(scores)
     m = np.asarray(mask, dtype=scores.data.dtype)
     valid = np.broadcast_to(m, scores.data.shape) > 0
     any_valid = valid.any(axis=axis, keepdims=True)
-    if not any_valid.all() and not allow_empty:
-        raise EmptySupportError("softmax support is empty under the mask")
     with np.errstate(invalid="ignore"):
         shifted_max = np.where(valid, scores.data, -np.inf).max(axis=axis, keepdims=True)
     shifted_max = np.where(any_valid, shifted_max, 0.0)
     e = mul(exp(sub(scores, constant(shifted_max))), constant(m))
-    z = reduce_sum(e, axis=axis, keepdims=True)
-    if allow_empty:
-        # Empty slices divide 0 by 1 instead of 0 by 0.
-        z = add(z, constant(np.where(any_valid, 0.0, 1.0)))
+    # Empty slices divide 0 by 1 instead of 0 by 0.
+    z = add(reduce_sum(e, axis=axis, keepdims=True),
+            constant(np.where(any_valid, 0.0, 1.0)))
     return div(e, z)
 
 
@@ -583,16 +510,3 @@ def softmax(x, axis: int = -1) -> Tensor:
     shifted_max = x.data.max(axis=axis, keepdims=True)
     e = exp(sub(x, constant(shifted_max)))
     return div(e, reduce_sum(e, axis=axis, keepdims=True))
-
-
-def softmax_masked(scores, valid) -> Tensor:
-    """Masked softmax over a score vector; errors if nothing is valid."""
-    scores = astensor(scores)
-    if scores.ndim != 1:
-        raise ValueError("softmax_masked expects a score vector")
-    v = np.asarray(valid, dtype=bool)
-    if v.shape != scores.shape:
-        raise ValueError(f"mask shape {v.shape} != scores shape {scores.shape}")
-    if not v.any():
-        raise EmptySupportError("softmax support is empty under the mask")
-    return masked_softmax(scores, v.astype(scores.data.dtype), axis=-1, allow_empty=False)

@@ -18,15 +18,15 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import NonFiniteError
-from .data import (CorpusError, QaRecord, corpus_stats, format_stats,
+from .data import (CorpusError, QaRecord, collate, corpus_stats, format_stats,
                    load_corpus, make_example, split)
 from .embeddings import SgnsConfig, load_embeddings, save_embeddings, train_skipgram
-from .model import (CheckpointError, SanConfig, extract_spans, forward,
+from .model import (CheckpointError, SanConfig, extract_spans, forward_batch,
                     load_model, predict_tags, save_model)
 from .retrieval import Bm25Index, build_bank, load_bank_cache, save_bank_cache
 from .training import DivergenceError, TrainConfig, evaluate, train
@@ -41,36 +41,28 @@ class ConfigError(ValueError):
     """Bad run configuration: unknown key, bad value, or missing setting."""
 
 
+_MODEL_KEYS = {f.name for f in dataclasses.fields(SanConfig)} - {"labels"}
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
+
+
 @dataclass
 class RunConfig:
-    """Merged settings from a config file plus command-line overrides."""
-    # model
-    variant: str = "san"
-    embedding_dim: int = 100
-    hidden_size: int = 100
-    attention_dim: int = 100
-    max_len: int = 40
-    bank_size: int = 5
-    dropout: float = 0.2
-    share_bank_encoder: bool = False
-    seed: int | None = None
-    # training
-    lr: float = 0.001
-    batch_size: int = 256
-    max_epochs: int = 50
-    patience: int = 5
-    # paths
+    """Merged settings from a config file plus command-line overrides.
+
+    ``settings`` holds the SanConfig and TrainConfig fields that were set,
+    by name; the two classes' own defaults fill in the rest.  The other
+    fields are paths."""
+    settings: dict = field(default_factory=dict)
     corpus: str | None = None
     pool: str | None = None
     bank_cache: str | None = None
     embeddings: str | None = None
     checkpoint: str | None = None
     epoch_log: str | None = None
-    report: str | None = None
 
     def resolved_seed(self) -> int:
-        if self.seed is not None:
-            return self.seed
+        if self.settings.get("seed") is not None:
+            return self.settings["seed"]
         env = os.environ.get("SAN_SEED")
         if env is not None:
             try:
@@ -80,26 +72,25 @@ class RunConfig:
         return DEFAULT_SEED
 
     def san_config(self) -> SanConfig:
+        values = {k: v for k, v in self.settings.items() if k in _MODEL_KEYS}
+        if "variant" in values:
+            values["variant"] = _canonical_variant(values["variant"])
+        values["seed"] = self.resolved_seed()
         try:
-            return SanConfig(embedding_dim=self.embedding_dim, hidden_size=self.hidden_size,
-                             attention_dim=self.attention_dim, max_len=self.max_len,
-                             bank_size=self.bank_size, dropout=self.dropout,
-                             variant=_canonical_variant(self.variant),
-                             share_bank_encoder=self.share_bank_encoder,
-                             seed=self.resolved_seed())
+            return SanConfig(**values)
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
     def train_config(self) -> TrainConfig:
         try:
-            return TrainConfig(lr=self.lr, batch_size=self.batch_size,
-                               max_epochs=self.max_epochs, patience=self.patience,
-                               dropout=self.dropout, seed=self.resolved_seed())
+            return TrainConfig(**{k: v for k, v in self.settings.items() if k in _TRAIN_KEYS})
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_FIELD_TYPES = {f.name: f.type
+                for cls in (SanConfig, TrainConfig, RunConfig) for f in dataclasses.fields(cls)
+                if f.name not in ("labels", "settings")}
 
 
 def _coerce(key: str, value) -> object:
@@ -127,7 +118,10 @@ def _apply(cfg: RunConfig, updates: dict) -> None:
     for key, value in updates.items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, value))
+        if key in _MODEL_KEYS or key in _TRAIN_KEYS:
+            cfg.settings[key] = _coerce(key, value)
+        else:
+            setattr(cfg, key, _coerce(key, value))
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
@@ -210,23 +204,24 @@ def cmd_build_bank(args) -> int:
     return 0
 
 
-def _resolve_banks(labeled, cfg: RunConfig, san_cfg: SanConfig) -> dict[int, list[QaRecord]]:
+def _resolve_banks(labeled, pool_path: str | None, cache_path: str | None,
+                   san_cfg: SanConfig) -> dict[int, list[QaRecord]]:
     """Bank records per labeled-record line number, from the cache when
     present, via BM25 over the pool otherwise, empty as a last resort."""
     banks: dict[int, list[QaRecord]] = {rec.line_no: [] for rec in labeled}
     if not san_cfg.has_bank or san_cfg.bank_size == 0:
         return banks
-    pool = load_corpus(cfg.pool) if cfg.pool else []
-    if cfg.bank_cache:
+    pool = load_corpus(pool_path) if pool_path else []
+    if cache_path:
         pool_by_line = {rec.line_no: rec for rec in pool}
-        cache = load_bank_cache(cfg.bank_cache)
+        cache = load_bank_cache(cache_path)
         for rec in labeled:
             lines = cache.get(rec.line_no, [])
             try:
                 banks[rec.line_no] = [pool_by_line[i] for i in lines][: san_cfg.bank_size]
             except KeyError as err:
                 raise ConfigError(
-                    f"bank cache references pool line {err.args[0]} not present in {cfg.pool}") from err
+                    f"bank cache references pool line {err.args[0]} not present in {pool_path}") from err
     elif pool:
         index = Bm25Index(pool)
         for rec in labeled:
@@ -260,7 +255,7 @@ def cmd_train(args) -> int:
     if len(labeled) < len(records):
         log.info("ignoring %d unlabeled records in %s", len(records) - len(labeled), cfg.corpus)
 
-    banks = _resolve_banks(labeled, cfg, san_cfg)
+    banks = _resolve_banks(labeled, cfg.pool, cfg.bank_cache, san_cfg)
     if cfg.embeddings:
         pretrained = load_embeddings(cfg.embeddings)
         vocab = pretrained.vocab
@@ -279,7 +274,7 @@ def cmd_train(args) -> int:
     examples = [make_example(rec, banks[rec.line_no], vocab,
                              max_len=san_cfg.max_len, bank_size=san_cfg.bank_size)
                 for rec in labeled]
-    data_split = split(examples, seed=tcfg.seed)
+    data_split = split(examples, seed=san_cfg.seed)
     log.info("split sizes: train=%d validation=%d test=%d",
              len(data_split.train), len(data_split.validation), len(data_split.test))
 
@@ -310,8 +305,7 @@ def cmd_train(args) -> int:
 
 
 def _examples_for_model(records, vocab, san_cfg: SanConfig, pool_path, cache_path):
-    cfg = RunConfig(pool=pool_path, bank_cache=cache_path)
-    banks = _resolve_banks(records, cfg, san_cfg)
+    banks = _resolve_banks(records, pool_path, cache_path, san_cfg)
     return [make_example(rec, banks[rec.line_no], vocab,
                          max_len=san_cfg.max_len, bank_size=san_cfg.bank_size)
             for rec in records]
@@ -370,17 +364,17 @@ def cmd_extract(args) -> int:
     record = QaRecord(product_id="query", category=category, question_tokens=tokens)
     example = make_example(record, bank_records, vocab,
                            max_len=san_cfg.max_len, bank_size=san_cfg.bank_size)
-    probs, trace = forward(example, params, san_cfg, mode="eval",
-                           want_trace=args.trace is not None)
-    tags = predict_tags(probs, example.mask)
+    probs, traces = forward_batch(collate([example]), params, san_cfg,
+                                  want_trace=args.trace is not None)
+    tags = predict_tags(probs.data[0], example.mask)
     for span in extract_spans(tags, example.tokens):
         print(span.text)
     if args.trace:
         payload = {"question_tokens": example.tokens,
                    "tags": tags,
                    "bank_questions": [b.question_tokens for b in bank_records]}
-        if trace is not None:
-            payload.update(trace.to_dict())
+        if traces is not None:
+            payload.update(traces[0].to_dict())
         with open(args.trace, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")

@@ -1,9 +1,9 @@
-"""Word embeddings: lookup, skip-gram pretraining, and text-format I/O.
+"""Word embeddings: skip-gram pretraining and text-format I/O.
 
 The embedding matrix doubles as a trainable tensor inside the tagger
-(shared by the labeled question and the bank branch) and as a standalone
-artifact pretrained with skip-gram negative sampling on a raw question
-corpus.
+(shared by the labeled question and the bank branch, looked up with
+``autodiff.gather_rows``) and as a standalone artifact pretrained with
+skip-gram negative sampling on a raw question corpus.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, gather_rows
 from .vocab import PAD_ID, RESERVED, Vocabulary, build_vocab
 
 log = logging.getLogger(__name__)
@@ -64,22 +63,6 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-
-def random_embeddings(vocab: Vocabulary, dim: int, rng: np.random.Generator) -> EmbeddingMatrix:
-    """Word2vec-style uniform init in (-0.5/dim, 0.5/dim); PAD row zero."""
-    vecs = (rng.random((len(vocab), dim)) - 0.5) / dim
-    return EmbeddingMatrix(vocab, vecs)
-
-
-def embed_sequence(ids, table: Tensor) -> Tensor:
-    """Look up embedding rows for an id sequence (or any id array).
-
-    Gradient accumulates only into the selected rows, so embeddings of
-    tokens that occur -- in labeled questions or anywhere in the bank --
-    get fine-tuned while the rest stay put.
-    """
-    return gather_rows(table, np.asarray(ids))
 
 
 def _negative_table(counts: np.ndarray) -> np.ndarray:

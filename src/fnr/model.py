@@ -26,7 +26,7 @@ from .attention import (AttentionParams, AttentionTrace, bank_attend_batch,
                         init_attention)
 from .autodiff import (NonFiniteError, Tensor, constant, gather_rows, linear,
                        log, mul, neg, reduce_sum, reshape, softmax)
-from .data import Batch, Example, LABELS, F_INDEX, O_INDEX, collate
+from .data import Batch, LABELS, F_INDEX, O_INDEX
 from .embeddings import EmbeddingMatrix
 from .lstm import BlstmParams, blstm_forward, glorot, init_blstm
 from .optim import ParamGroup
@@ -203,18 +203,6 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
     return probs, traces
 
 
-def forward(example: Example, params: SanParams, cfg: SanConfig, mode: str = "eval",
-            rng: np.random.Generator | None = None,
-            want_trace: bool = True) -> tuple[np.ndarray, AttentionTrace | None]:
-    """Single-example forward; returns detached (T, |L|) probabilities."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    probs, traces = forward_batch(collate([example]), params, cfg,
-                                  training=(mode == "train"), rng=rng,
-                                  want_trace=want_trace)
-    return probs.data[0], (traces[0] if traces else None)
-
-
 def _check_one_hot(gold: np.ndarray, valid: np.ndarray) -> None:
     rows = gold[valid > 0]
     ok = np.all((rows == 0.0) | (rows == 1.0)) and np.all(rows.sum(axis=-1) == 1.0)
@@ -233,12 +221,6 @@ def batch_loss(probs: Tensor, gold: np.ndarray, valid: np.ndarray) -> Tensor:
     _check_one_hot(gold, valid)
     picked = gold * valid[..., None]
     return neg(reduce_sum(mul(log(probs, floor=1e-12), constant(picked))))
-
-
-def sequence_loss(probs, gold: np.ndarray, valid: np.ndarray) -> Tensor:
-    """Cross entropy of one (T, |L|) distribution sequence."""
-    probs = probs if isinstance(probs, Tensor) else Tensor(probs, const=False)
-    return batch_loss(probs, gold, valid)
 
 
 def predict_tags(probs: np.ndarray, valid) -> list[str]:

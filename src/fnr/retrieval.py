@@ -110,9 +110,12 @@ class Bm25Index:
 
     def query(self, query_tokens: Sequence[str], category: str, top_k: int) -> list[QaRecord]:
         """Top-k pool questions by score (ties by pool order), excluding any
-        candidate whose token sequence equals the query's."""
+        candidate whose token sequence equals the query's.  A ``top_k`` of 0
+        gives no candidates; a negative one is an error."""
+        if top_k < 0:
+            raise ValueError(f"top_k must be >= 0, got {top_k}")
         cat = self._categories.get(category)
-        if cat is None:
+        if cat is None or top_k == 0:
             return []
         query_norm = _match_tokens(query_tokens)
         scores = np.asarray(self.score(query_tokens, category))

@@ -1,7 +1,7 @@
 """Mini-batch training with Adam and validation-based early stopping,
 plus evaluation and the multi-method comparison report.
 
-Everything is deterministic given the seeds: epoch shuffles and dropout
+Everything is deterministic given the seed: epoch shuffles and dropout
 masks come from one generator, batches run sequentially, and gradient
 accumulation is an ordered sum, so two runs with the same configuration
 produce bit-identical checkpoints and epoch logs.
@@ -48,8 +48,6 @@ class TrainConfig:
     batch_size: int = 256
     max_epochs: int = 50
     patience: int = 5
-    dropout: float = 0.2
-    seed: int = 13
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -113,7 +111,9 @@ def train(cfg: SanConfig, tcfg: TrainConfig, split: CorpusSplit, vocab: Vocabula
 
     The per-batch objective is the summed cross entropy over the batch's
     examples; one Adam step runs per batch and the last partial batch is
-    kept.  Divergence aborts with the epoch/batch location.  Both the
+    kept.  ``cfg.seed`` seeds both the initial weights and the generator
+    of epoch shuffles and dropout masks; ``cfg.dropout`` is the rate.
+    Divergence aborts with the epoch/batch location.  Both the
     training and the validation split must be non-empty: with no
     validation examples span-F1 would stay 0 and the epoch-1 weights
     would be kept.
@@ -122,10 +122,8 @@ def train(cfg: SanConfig, tcfg: TrainConfig, split: CorpusSplit, vocab: Vocabula
         raise ValueError("training split is empty")
     if not split.validation:
         raise ValueError("validation split is empty")
-    run_cfg = dataclasses.replace(cfg, dropout=tcfg.dropout)
-    params = SanParams.build(run_cfg, len(vocab), np.random.default_rng(run_cfg.seed),
-                             pretrained)
-    rng = np.random.default_rng(tcfg.seed)
+    params = SanParams.build(cfg, len(vocab), np.random.default_rng(cfg.seed), pretrained)
+    rng = np.random.default_rng(cfg.seed)
     best_values = params.group.copy_values()
     best_f1: float | None = None
     stale = 0
@@ -139,7 +137,7 @@ def train(cfg: SanConfig, tcfg: TrainConfig, split: CorpusSplit, vocab: Vocabula
             batch = collate(members)
             try:
                 with Tape() as tape:
-                    probs, _ = forward_batch(batch, params, run_cfg, training=True, rng=rng)
+                    probs, _ = forward_batch(batch, params, cfg, training=True, rng=rng)
                     loss = batch_loss(probs, batch.gold, batch.mask)
                 grads = tape.gradients(loss)
                 adam_step(params.group, grads, lr=tcfg.lr)
@@ -147,7 +145,7 @@ def train(cfg: SanConfig, tcfg: TrainConfig, split: CorpusSplit, vocab: Vocabula
                 raise DivergenceError(
                     f"training diverged at epoch {epoch}, batch {batch_idx}: {err}") from err
             epoch_loss += loss.item()
-        val_metrics = evaluate(params, run_cfg, split.validation)
+        val_metrics = evaluate(params, cfg, split.validation)
         entry = EpochLog(epoch, epoch_loss, val_metrics, time.monotonic() - started)
         logs.append(entry)
         if epoch_sink is not None:

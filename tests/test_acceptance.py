@@ -10,17 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from fnr.attention import bank_attend, init_attention
+from fnr.attention import init_attention
 from fnr.autodiff import Tensor
 from fnr.cli import main
 from fnr.data import CorpusSplit, QaRecord, collate, corpus_stats, load_corpus, make_example, save_corpus, split
 from fnr.embeddings import EmbeddingMatrix, SgnsConfig, train_skipgram
-from fnr.model import (SanConfig, SanParams, batch_loss, forward, forward_batch,
-                       sequence_loss)
+from fnr.model import SanConfig, SanParams, batch_loss, forward_batch
 from fnr.optim import ParamGroup, grad_check
 from fnr.retrieval import Bm25Index, build_bank
 from fnr.training import TrainConfig, evaluate, train
 from fnr.vocab import build_vocab
+from test_attention import attend_one
 
 
 def test_c1_gradient_correctness(tiny_vocab, fig_example):
@@ -59,8 +59,7 @@ def test_c2_attention_invariants():
             valid = int(rng.integers(1, t_u + 1))
             banks.append(rng.normal(size=(t_u, 6)))
             masks.append(np.array([1.0] * valid + [0.0] * (t_u - valid)))
-        args = [(Tensor(b), m) for b, m in zip(banks, masks)]
-        hq2, trace = bank_attend(Tensor(hq1), args, p)
+        hq2, trace = attend_one(hq1, banks, masks, p)
 
         assert np.all(trace.level1_weights >= 0.0)
         assert np.all(trace.level2_weights >= 0.0)
@@ -72,19 +71,19 @@ def test_c2_attention_invariants():
         assert np.allclose(trace.level2_weights.sum(axis=-1), 1.0, atol=1e-9)
 
         perm = list(rng.permutation(n_banks))
-        permuted, _ = bank_attend(Tensor(hq1), [args[i] for i in perm], p)
-        assert np.allclose(hq2.data, permuted.data, atol=1e-12, rtol=0)
+        permuted, _ = attend_one(hq1, [banks[i] for i in perm], [masks[i] for i in perm], p)
+        assert np.allclose(hq2, permuted, atol=1e-12, rtol=0)
 
         # PAD extension at the model's fixed padded width is bit-for-bit.
         width = 8
-        base_fixed, _ = bank_attend(Tensor(hq1), args, p, pad_to=width)
-        extended = []
+        base_fixed, _ = attend_one(hq1, banks, masks, p, width=width)
+        ext_banks, ext_masks = [], []
         for b, m in zip(banks, masks):
             extra = int(rng.integers(1, 3))
-            padded = np.vstack([b, rng.normal(size=(extra, 6))])
-            extended.append((Tensor(padded), np.concatenate([m, np.zeros(extra)])))
-        hq2_ext, _ = bank_attend(Tensor(hq1), extended, p, pad_to=width)
-        assert np.array_equal(base_fixed.data, hq2_ext.data)
+            ext_banks.append(np.vstack([b, rng.normal(size=(extra, 6))]))
+            ext_masks.append(np.concatenate([m, np.zeros(extra)]))
+        hq2_ext, _ = attend_one(hq1, ext_banks, ext_masks, p, width=width)
+        assert np.array_equal(base_fixed, hq2_ext)
 
 
 def test_c3_ablation_wiring(tmp_path, tiny_vocab):
@@ -98,9 +97,9 @@ def test_c3_ablation_wiring(tmp_path, tiny_vocab):
     bank_b = [QaRecord("b", "c", ["does", "it", "does"])]
     ex_a = make_example(rec, bank_a, tiny_vocab, max_len=6, bank_size=2)
     ex_b = make_example(rec, bank_b, tiny_vocab, max_len=6, bank_size=2)
-    pa, _ = forward(ex_a, params, cfg)
-    pb, _ = forward(ex_b, params, cfg)
-    assert np.array_equal(pa, pb)
+    pa, _ = forward_batch(collate([ex_a]), params, cfg)
+    pb, _ = forward_batch(collate([ex_b]), params, cfg)
+    assert np.array_equal(pa.data, pb.data)
 
     nob_cfg = dataclasses.replace(cfg, variant="san-noblstm2")
     nob_params = SanParams.build(nob_cfg, len(tiny_vocab), np.random.default_rng(3))
@@ -149,8 +148,7 @@ def test_c4_overfit_and_extract(tmp_path):
     examples = [make_example(r, build_bank(r, index, u_max=3), vocab,
                              max_len=10, bank_size=3) for r in records]
     data = CorpusSplit(train=examples, validation=examples, test=[], seed=0)
-    tcfg = TrainConfig(lr=0.01, batch_size=20, max_epochs=200, patience=199,
-                       dropout=0.1, seed=11)
+    tcfg = TrainConfig(lr=0.01, batch_size=20, max_epochs=200, patience=199)
     started = time.monotonic()
     params, logs = train(cfg, tcfg, data, vocab)
     elapsed = time.monotonic() - started
@@ -186,8 +184,8 @@ def test_c5_loss_sanity(tiny_vocab, fig_example, tiny_cfg):
     n_valid = int(batch.mask.sum())
     assert abs(loss.item() / n_valid - math.log(2)) < 1e-9
 
-    perfect = Tensor(batch.gold[0])
-    assert sequence_loss(perfect, batch.gold[0], batch.mask[0]).item() < 1e-6
+    perfect = Tensor(batch.gold)
+    assert batch_loss(perfect, batch.gold, batch.mask).item() < 1e-6
 
 
 def _bank_task_corpus(rng, n_questions=25, train_reps=8, test_reps=4,
@@ -251,8 +249,7 @@ def _run_bank_task(variant, seed):
     cfg = SanConfig(embedding_dim=hid, hidden_size=hid, attention_dim=hid,
                     max_len=max_len, bank_size=u, dropout=0.0, variant=variant,
                     seed=seed, share_bank_encoder=True)
-    tcfg = TrainConfig(lr=0.02, batch_size=32, max_epochs=300, patience=50,
-                       dropout=0.0, seed=seed)
+    tcfg = TrainConfig(lr=0.02, batch_size=32, max_epochs=300, patience=50)
     params, _ = train(cfg, tcfg, data, vocab, pretrained)
     return evaluate(params, cfg, test_ex).span_f1
 
@@ -335,8 +332,7 @@ def test_c8_official_corpus(tmp_path):
         cfg = SanConfig(embedding_dim=64, hidden_size=64, attention_dim=64,
                         max_len=40, bank_size=5, dropout=0.2, variant=variant,
                         seed=13)
-        tcfg = TrainConfig(lr=0.001, batch_size=256, max_epochs=15, patience=4,
-                           dropout=0.2, seed=13)
+        tcfg = TrainConfig(lr=0.001, batch_size=256, max_epochs=15, patience=4)
         params, _ = train(cfg, tcfg, data, vocab, pretrained)
         results[variant] = evaluate(params, cfg, data.test)
     san, sblstm = results["san"], results["sblstm"]

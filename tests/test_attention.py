@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from fnr.attention import (bank_attend, bank_attend_batch, init_attention,
-                           level1_attend, level2_attend, transform_query)
-from fnr.autodiff import EmptySupportError, Tensor, reduce_sum
+from fnr.attention import bank_attend_batch, init_attention, transform_query
+from fnr.autodiff import Tensor, reduce_sum
 from fnr.optim import ParamGroup, grad_check
 
 
@@ -16,6 +15,28 @@ def make_params(encoder_width=4, attn_dim=3, seed=0, zero=False):
         for _, t in g.items():
             t.data[...] = 0.0
     return g, p
+
+
+def pad_banks(banks, masks, encoder_width, width=None):
+    """Lay one question's list of (T_u, 2H) bank questions and 0/1 masks out
+    as batched inputs: bank_h (1, U, T_u, 2H), token_mask (1, U, T_u) and
+    bank_valid (1, U), padded with zeros to ``width`` or the longest bank."""
+    if width is None:
+        width = max([b.shape[0] for b in banks], default=1)
+    bank_h = np.zeros((1, len(banks), width, encoder_width))
+    token_mask = np.zeros((1, len(banks), width))
+    for n, (b, m) in enumerate(zip(banks, masks)):
+        bank_h[0, n, :b.shape[0]] = b
+        token_mask[0, n, :len(m)] = m
+    return bank_h, token_mask, token_mask.any(axis=2).astype(float)
+
+
+def attend_one(hq1, banks, masks, p, width=None):
+    """bank_attend_batch on one (T_q, 2H) question: (T_q, 2H + A) and its trace."""
+    bank_h, token_mask, bank_valid = pad_banks(banks, masks, hq1.shape[1], width)
+    hq2, traces = bank_attend_batch(Tensor(hq1[None]), Tensor(bank_h), token_mask,
+                                    bank_valid, p, want_trace=True)
+    return hq2.data[0], traces[0]
 
 
 def reference_bank_attention(hq1, banks, masks, p):
@@ -78,64 +99,77 @@ class TestTransformQuery:
 
 class TestLevel1Attend:
     def test_single_valid_word(self):
-        bank_k = Tensor(np.array([[0.3, -0.2, 0.5]]))
-        weights, attended = level1_attend(Tensor([1.0, 0.0, 0.0]), bank_k, [True])
-        assert np.allclose(weights.data, [1.0])
-        assert np.allclose(attended.data, bank_k.data[0])
+        _, p = make_params(encoder_width=3, attn_dim=3, seed=16)
+        bank = np.array([[0.3, -0.2, 0.5]])
+        _, trace = attend_one(np.array([[1.0, 0.0, 0.0]]), [bank], [[1.0]], p)
+        assert np.allclose(trace.level1_weights[0, 0], [1.0])
+        bank_k = np.tanh(bank @ p.w_k.data.T + p.b_k.data)
+        assert np.allclose(trace.level1_attended[0, 0], bank_k[0])
 
     def test_orthogonal_query_uniform(self):
-        bank_k = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-        weights, _ = level1_attend(Tensor([0.0, 0.0]), bank_k, [True, True, True])
-        assert np.allclose(weights.data, [1 / 3] * 3)
+        # A zero query transform makes every score 0.
+        _, p = make_params(encoder_width=2, attn_dim=2, seed=17)
+        p.w_r.data[...] = 0.0
+        p.b_r.data[...] = 0.0
+        bank = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        _, trace = attend_one(np.array([[0.5, -0.5]]), [bank], [[1.0, 1.0, 1.0]], p)
+        assert np.allclose(trace.level1_weights[0, 0], [1 / 3] * 3)
 
     def test_two_word_hand_oracle(self):
-        q = np.array([0.5, -0.5])
+        _, p = make_params(encoder_width=2, attn_dim=2, seed=18)
+        h = np.array([0.5, -0.5])
         bank = np.array([[1.0, 0.0], [0.0, 1.0]])
-        weights, attended = level1_attend(Tensor(q), Tensor(bank), [True, True])
-        scores = bank @ q
+        _, trace = attend_one(h[None], [bank], [[1.0, 1.0]], p)
+        q = np.tanh(p.w_r.data @ h + p.b_r.data)
+        bank_k = np.tanh(bank @ p.w_k.data.T + p.b_k.data)
+        scores = bank_k @ q
         e = np.exp(scores - scores.max())
         w_ref = e / e.sum()
-        assert np.allclose(weights.data, w_ref, atol=1e-12)
-        assert np.allclose(attended.data, w_ref @ bank, atol=1e-12)
-
-    def test_empty_support_errors(self):
-        with pytest.raises(EmptySupportError):
-            level1_attend(Tensor([1.0]), Tensor(np.ones((2, 1))), [False, False])
+        assert np.allclose(trace.level1_weights[0, 0], w_ref, atol=1e-12)
+        assert np.allclose(trace.level1_attended[0, 0], w_ref @ bank_k, atol=1e-12)
 
 
 class TestLevel2Attend:
     def test_single_bank(self):
         _, p = make_params(encoder_width=4, attn_dim=3, seed=3)
-        summary = np.random.default_rng(3).normal(size=(1, 3))
-        weights, side = level2_attend(Tensor(np.ones(3)), Tensor(summary), [True], p)
-        assert np.allclose(weights.data, [1.0])
-        expected = np.tanh(summary[0] @ p.w_k2.data.T + p.b_k2.data)
-        assert np.allclose(side.data, expected, atol=1e-12)
+        rng = np.random.default_rng(3)
+        hq1, bank = rng.normal(size=(2, 4)), rng.normal(size=(3, 4))
+        hq2, trace = attend_one(hq1, [bank], [np.ones(3)], p)
+        assert np.allclose(trace.level2_weights, [[1.0], [1.0]])
+        expected = np.tanh(trace.level1_attended[:, 0] @ p.w_k2.data.T + p.b_k2.data)
+        assert np.allclose(trace.side, expected, atol=1e-12)
+        assert np.array_equal(hq2[:, 4:], trace.side)
 
     def test_empty_bank_degenerates_to_zero(self):
         _, p = make_params(attn_dim=3)
-        weights, side = level2_attend(Tensor(np.ones(3)), Tensor(np.zeros((0, 3))), [], p)
-        assert weights.data.shape == (0,)
-        assert np.array_equal(side.data, np.zeros(3))
+        hq2, trace = attend_one(np.ones((2, 4)), [], [], p)
+        assert trace.level2_weights.shape == (2, 0)
+        assert np.array_equal(trace.side, np.zeros((2, 3)))
+        assert np.array_equal(hq2[:, 4:], np.zeros((2, 3)))
 
     def test_all_masked_degenerates_to_zero(self):
         _, p = make_params(attn_dim=3)
-        summary = np.random.default_rng(4).normal(size=(2, 3))
-        weights, side = level2_attend(Tensor(np.ones(3)), Tensor(summary), [False, False], p)
-        assert np.array_equal(weights.data, [0.0, 0.0])
-        assert np.array_equal(side.data, np.zeros(3))
+        rng = np.random.default_rng(4)
+        banks = [rng.normal(size=(2, 4)), rng.normal(size=(3, 4))]
+        hq2, trace = attend_one(np.ones((1, 4)), banks, [np.zeros(2), np.zeros(3)], p)
+        assert np.array_equal(trace.level2_weights, [[0.0, 0.0]])
+        assert np.array_equal(trace.side, np.zeros((1, 3)))
+        assert np.array_equal(hq2[:, 4:], np.zeros((1, 3)))
 
     def test_two_bank_hand_oracle(self):
         _, p = make_params(encoder_width=4, attn_dim=2, seed=5)
-        q = np.array([0.4, -0.6])
-        summary = np.array([[0.2, 0.1], [-0.3, 0.7]])
-        weights, side = level2_attend(Tensor(q), Tensor(summary), [True, True], p)
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=4)
+        banks = [rng.normal(size=(2, 4)), rng.normal(size=(3, 4))]
+        _, trace = attend_one(h[None], banks, [np.ones(2), np.ones(3)], p)
+        q = np.tanh(p.w_r.data @ h + p.b_r.data)
+        summary = trace.level1_attended[0]
         k2 = np.tanh(summary @ p.w_k2.data.T + p.b_k2.data)
         scores = k2 @ q
         e = np.exp(scores - scores.max())
         w_ref = e / e.sum()
-        assert np.allclose(weights.data, w_ref, atol=1e-12)
-        assert np.allclose(side.data, w_ref @ k2, atol=1e-12)
+        assert np.allclose(trace.level2_weights[0], w_ref, atol=1e-12)
+        assert np.allclose(trace.side[0], w_ref @ k2, atol=1e-12)
 
 
 def random_instance(rng, t_q=3, encoder_width=4, attn_dim=3, n_banks=2, zero_pad=0):
@@ -154,16 +188,16 @@ class TestBankAttend:
         _, p = make_params(encoder_width=4, attn_dim=3, seed=6)
         rng = np.random.default_rng(6)
         hq1, banks, masks = random_instance(rng)
-        hq2, trace = bank_attend(Tensor(hq1), [(Tensor(b), m) for b, m in zip(banks, masks)], p)
+        hq2, trace = attend_one(hq1, banks, masks, p)
         assert hq2.shape == (3, 4 + 3)
 
     def test_matches_bruteforce_oracle(self):
         _, p = make_params(encoder_width=4, attn_dim=3, seed=7)
         rng = np.random.default_rng(7)
         hq1, banks, masks = random_instance(rng, t_q=2)
-        hq2, trace = bank_attend(Tensor(hq1), [(Tensor(b), m) for b, m in zip(banks, masks)], p)
+        hq2, trace = attend_one(hq1, banks, masks, p)
         ref_hq2, ref_w1, ref_a1, ref_w2 = reference_bank_attention(hq1, banks, masks, p)
-        assert np.allclose(hq2.data, ref_hq2, atol=1e-12)
+        assert np.allclose(hq2, ref_hq2, atol=1e-12)
         assert np.allclose(trace.level2_weights, ref_w2, atol=1e-12)
         assert np.allclose(trace.level1_attended, ref_a1, atol=1e-12)
         t_u_max = max(b.shape[0] for b in banks)
@@ -178,10 +212,10 @@ class TestBankAttend:
         _, p = make_params(encoder_width=4, attn_dim=3, seed=8)
         rng = np.random.default_rng(8)
         hq1, banks, masks = random_instance(rng, n_banks=3)
-        args = [(Tensor(b), m) for b, m in zip(banks, masks)]
-        base, _ = bank_attend(Tensor(hq1), args, p)
-        perm, _ = bank_attend(Tensor(hq1), [args[2], args[0], args[1]], p)
-        assert np.allclose(base.data, perm.data, atol=1e-12)
+        base, _ = attend_one(hq1, banks, masks, p)
+        perm, _ = attend_one(hq1, [banks[2], banks[0], banks[1]],
+                             [masks[2], masks[0], masks[1]], p)
+        assert np.allclose(base, perm, atol=1e-12)
 
     def test_pad_extension_bit_for_bit(self):
         # At a fixed padded width (the model always runs banks at width T),
@@ -189,14 +223,11 @@ class TestBankAttend:
         _, p = make_params(encoder_width=4, attn_dim=3, seed=9)
         rng = np.random.default_rng(9)
         hq1, banks, masks = random_instance(rng)
-        base, _ = bank_attend(Tensor(hq1), [(Tensor(b), m) for b, m in zip(banks, masks)],
-                              p, pad_to=8)
-        extended = []
-        for b, m in zip(banks, masks):
-            pad = rng.normal(size=(2, 4))
-            extended.append((Tensor(np.vstack([b, pad])), np.concatenate([m, [0.0, 0.0]])))
-        out, _ = bank_attend(Tensor(hq1), extended, p, pad_to=8)
-        assert np.array_equal(base.data, out.data)
+        base, _ = attend_one(hq1, banks, masks, p, width=8)
+        ext_banks = [np.vstack([b, rng.normal(size=(2, 4))]) for b in banks]
+        ext_masks = [np.concatenate([m, [0.0, 0.0]]) for m in masks]
+        out, _ = attend_one(hq1, ext_banks, ext_masks, p, width=8)
+        assert np.array_equal(base, out)
 
     def test_pad_extension_close_across_widths(self):
         # Without a fixed width the padded shapes differ, so equality is
@@ -204,20 +235,18 @@ class TestBankAttend:
         _, p = make_params(encoder_width=4, attn_dim=3, seed=9)
         rng = np.random.default_rng(9)
         hq1, banks, masks = random_instance(rng)
-        base, _ = bank_attend(Tensor(hq1), [(Tensor(b), m) for b, m in zip(banks, masks)], p)
-        extended = []
-        for b, m in zip(banks, masks):
-            pad = rng.normal(size=(2, 4))
-            extended.append((Tensor(np.vstack([b, pad])), np.concatenate([m, [0.0, 0.0]])))
-        out, _ = bank_attend(Tensor(hq1), extended, p)
-        assert np.allclose(base.data, out.data, atol=1e-12, rtol=0)
+        base, _ = attend_one(hq1, banks, masks, p)
+        ext_banks = [np.vstack([b, rng.normal(size=(2, 4))]) for b in banks]
+        ext_masks = [np.concatenate([m, [0.0, 0.0]]) for m in masks]
+        out, _ = attend_one(hq1, ext_banks, ext_masks, p)
+        assert np.allclose(base, out, atol=1e-12, rtol=0)
 
     def test_empty_bank_list_concats_zero_side(self):
         _, p = make_params(encoder_width=4, attn_dim=3, seed=10)
         hq1 = np.random.default_rng(10).normal(size=(3, 4))
-        hq2, trace = bank_attend(Tensor(hq1), [], p)
-        assert np.array_equal(hq2.data[:, :4], hq1)
-        assert np.array_equal(hq2.data[:, 4:], np.zeros((3, 3)))
+        hq2, trace = attend_one(hq1, [], [], p)
+        assert np.array_equal(hq2[:, :4], hq1)
+        assert np.array_equal(hq2[:, 4:], np.zeros((3, 3)))
 
     def test_side_vector_inside_unit_cube(self):
         # Convex combination of tanh outputs: every component in (-1, 1).
@@ -225,20 +254,20 @@ class TestBankAttend:
         rng = np.random.default_rng(11)
         for _ in range(10):
             hq1, banks, masks = random_instance(rng, n_banks=3)
-            _, trace = bank_attend(Tensor(hq1),
-                                   [(Tensor(b), m) for b, m in zip(banks, masks)], p)
+            _, trace = attend_one(hq1, banks, masks, p)
             assert np.all(np.abs(trace.side) < 1.0)
 
     def test_gradcheck_attention_parameters(self):
         group, p = make_params(encoder_width=4, attn_dim=3, seed=12)
         rng = np.random.default_rng(12)
         hq1, banks, masks = random_instance(rng, t_q=2)
-        weights = rng.normal(size=(2, 7))
+        weights = rng.normal(size=(1, 2, 7))
+        bank_h, token_mask, bank_valid = pad_banks(banks, masks, 4)
 
         def loss(g):
-            hq2, _ = bank_attend(Tensor(hq1, const=True),
-                                 [(Tensor(b, const=True), m) for b, m in zip(banks, masks)],
-                                 p, want_trace=False)
+            hq2, _ = bank_attend_batch(Tensor(hq1[None], const=True),
+                                       Tensor(bank_h, const=True), token_mask,
+                                       bank_valid, p)
             return reduce_sum(hq2 * Tensor(weights, const=True))
 
         assert grad_check(loss, group, h=1e-5) < 1e-5
@@ -255,16 +284,14 @@ class TestBankAttend:
         batched, _ = bank_attend_batch(Tensor(hq1), Tensor(bank_h), token_mask,
                                        bank_valid, p)
         for i in range(b_sz):
-            single, _ = bank_attend(
-                Tensor(hq1[i]),
-                [(Tensor(bank_h[i, n]), token_mask[i, n]) for n in range(n_banks)], p)
-            assert np.allclose(batched.data[i], single.data, atol=1e-12, rtol=0)
+            single, _ = attend_one(hq1[i], list(bank_h[i]), list(token_mask[i]), p)
+            assert np.allclose(batched.data[i], single, atol=1e-12, rtol=0)
 
     def test_trace_serializes_to_json(self):
         _, p = make_params(encoder_width=4, attn_dim=3, seed=14)
         rng = np.random.default_rng(14)
         hq1, banks, masks = random_instance(rng)
-        _, trace = bank_attend(Tensor(hq1), [(Tensor(b), m) for b, m in zip(banks, masks)], p)
+        _, trace = attend_one(hq1, banks, masks, p)
         payload = json.dumps(trace.to_dict())
         parsed = json.loads(payload)
         assert set(parsed) == {"level1_weights", "level1_attended",
@@ -282,8 +309,7 @@ class TestBankAttend:
                     m[rng.integers(0, m.shape[0])] = 0.0
                 if not m.any():
                     m[0] = 1.0
-            _, trace = bank_attend(Tensor(hq1),
-                                   [(Tensor(b), m) for b, m in zip(banks, masks)], p)
+            _, trace = attend_one(hq1, banks, masks, p)
             assert np.all(trace.level1_weights >= 0)
             assert np.all(trace.level2_weights >= 0)
             for n, m in enumerate(masks):

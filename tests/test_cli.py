@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from fnr.cli import main
+from fnr import cli
+from fnr.cli import ConfigError, load_run_config, main
 from fnr.data import QaRecord, save_corpus
 from fnr.model import SanConfig, SanParams, load_model, save_model
+from fnr.training import TrainConfig
 from fnr.vocab import RESERVED, Vocabulary
 
 
@@ -109,6 +112,22 @@ class TestBuildBank:
         assert code == 0
         assert "empty banks" in caplog.text
 
+    def test_top_k_zero_writes_empty_banks(self, tmp_path, corpus_path, pool_path):
+        out = tmp_path / "bank.jsonl"
+        code = main(["build-bank", "--labeled", str(corpus_path),
+                     "--pool", str(pool_path), "--out", str(out), "--top-k", "0"])
+        assert code == 0
+        entries = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(entries) == 8
+        assert all(e["bank_lines"] == [] for e in entries)
+
+    def test_negative_top_k_exit_3(self, tmp_path, corpus_path, pool_path):
+        out = tmp_path / "bank.jsonl"
+        code = main(["build-bank", "--labeled", str(corpus_path),
+                     "--pool", str(pool_path), "--out", str(out), "--top-k", "-1"])
+        assert code == 3
+        assert not out.exists()
+
     def test_deterministic(self, tmp_path, corpus_path, pool_path):
         blobs = []
         for name in ("x.jsonl", "y.jsonl"):
@@ -117,6 +136,31 @@ class TestBuildBank:
                   "--pool", str(pool_path), "--out", str(out), "--top-k", "3"])
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestRunConfig:
+    PATH_KEYS = {"corpus", "pool", "bank_cache", "embeddings", "checkpoint", "epoch_log"}
+
+    def test_keys_are_model_train_and_path_fields(self):
+        model = {f.name: getattr(SanConfig(), f.name)
+                 for f in dataclasses.fields(SanConfig) if f.name != "labels"}
+        training = {f.name: getattr(TrainConfig(), f.name)
+                    for f in dataclasses.fields(TrainConfig)}
+        keys = set(model) | set(training) | self.PATH_KEYS
+        assert set(cli._FIELD_TYPES) == keys
+        assert len(keys) == 19
+        for key in keys:
+            value = {**model, **training}.get(key, "path")
+            load_run_config(None, {key: str(value)})
+        for key in ("labels", "report", "settings", "bogus"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                load_run_config(None, {key: "x"})
+
+    def test_defaults_are_the_config_classes_defaults(self, monkeypatch):
+        monkeypatch.delenv("SAN_SEED", raising=False)
+        cfg = load_run_config(None, {})
+        assert cfg.san_config() == SanConfig()
+        assert cfg.train_config() == TrainConfig()
 
 
 class TestTrain:
@@ -178,6 +222,10 @@ class TestTrain:
         ckpt = tmp_path / "model.json"
         code = main(train_args(corpus_path, ckpt) + ["--set", "bogus=1"])
         assert code == 3
+
+    def test_report_key_exit_3(self, tmp_path, corpus_path):
+        ckpt = tmp_path / "model.json"
+        assert main(train_args(corpus_path, ckpt) + ["--set", "report=x"]) == 3
 
     def test_missing_corpus_exit_2(self, tmp_path):
         code = main(["train", "--corpus", str(tmp_path / "nope.jsonl"),

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from fnr import embeddings
-from fnr.autodiff import Tape, Tensor, reduce_sum
-from fnr.embeddings import (EmbeddingMatrix, SgnsConfig, embed_sequence,
-                            load_embeddings, random_embeddings, save_embeddings,
-                            train_skipgram)
+from fnr.autodiff import Tape, Tensor, gather_rows, reduce_sum
+from fnr.embeddings import (EmbeddingMatrix, SgnsConfig, load_embeddings,
+                            save_embeddings, train_skipgram)
 from fnr.vocab import PAD_ID, PAD_TOKEN, RESERVED, Vocabulary, build_vocab
 
 
@@ -20,19 +19,19 @@ def small_matrix():
 class TestEmbedSequence:
     def test_all_pad_rows_zero(self):
         m = small_matrix()
-        out = embed_sequence(np.array([PAD_ID, PAD_ID]), Tensor(m.vectors))
+        out = gather_rows(Tensor(m.vectors), np.array([PAD_ID, PAD_ID]))
         assert np.array_equal(out.data, np.zeros((2, 2)))
 
     def test_repeated_id_identical_rows(self):
         m = small_matrix()
-        out = embed_sequence(np.array([3, 3]), Tensor(m.vectors))
+        out = gather_rows(Tensor(m.vectors), np.array([3, 3]))
         assert np.array_equal(out.data[0], out.data[1])
 
     def test_gradient_accumulates_per_use(self):
         m = small_matrix()
         table = Tensor(m.vectors)
         with Tape() as tape:
-            out = reduce_sum(embed_sequence(np.array([3, 3]), table))
+            out = reduce_sum(gather_rows(table, np.array([3, 3])))
         g = tape.gradients(out)[table]
         assert np.array_equal(g[3], [2.0, 2.0])
         assert np.array_equal(g[4], [0.0, 0.0])
@@ -40,7 +39,7 @@ class TestEmbedSequence:
     def test_out_of_range_id(self):
         m = small_matrix()
         with pytest.raises(IndexError):
-            embed_sequence(np.array([99]), Tensor(m.vectors))
+            gather_rows(Tensor(m.vectors), np.array([99]))
 
 
 def toy_corpus(rng, n_tokens=3000):
@@ -175,5 +174,5 @@ class TestEmbeddingIO:
 
     def test_random_embeddings_pad_zero(self):
         vocab = build_vocab([["a", "b"]])
-        m = random_embeddings(vocab, 4, np.random.default_rng(0))
+        m = EmbeddingMatrix(vocab, np.random.default_rng(0).random((len(vocab), 4)))
         assert np.array_equal(m.vectors[PAD_ID], np.zeros(4))

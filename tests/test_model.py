@@ -7,8 +7,8 @@ import pytest
 from fnr.autodiff import Tape, Tensor
 from fnr.data import QaRecord, collate, make_example
 from fnr.model import (CheckpointError, SanConfig, SanParams, batch_loss,
-                       extract_spans, forward, forward_batch, load_model,
-                       predict_tags, save_model, sequence_loss)
+                       extract_spans, forward_batch, load_model, predict_tags,
+                       save_model)
 from fnr.optim import adam_step, grad_check
 from fnr.vocab import EOS_TOKEN, PAD_ID
 
@@ -17,17 +17,23 @@ def build(cfg, vocab, seed=0):
     return SanParams.build(cfg, len(vocab), np.random.default_rng(seed))
 
 
+def probs_of(example, params, cfg, **kwargs):
+    """(T, |L|) probabilities of one example through forward_batch."""
+    probs, _ = forward_batch(collate([example]), params, cfg, **kwargs)
+    return probs.data[0]
+
+
 class TestForward:
     def test_valid_rows_sum_to_one(self, tiny_cfg, tiny_vocab, fig_example):
         params = build(tiny_cfg, tiny_vocab)
-        probs, _ = forward(fig_example, params, tiny_cfg)
+        probs = probs_of(fig_example, params, tiny_cfg)
         assert np.allclose(probs[:4].sum(axis=-1), 1.0, atol=1e-9)
 
     def test_zero_projection_gives_uniform(self, tiny_cfg, tiny_vocab, fig_example):
         params = build(tiny_cfg, tiny_vocab)
         params.proj_w.data[...] = 0.0
         params.proj_b.data[...] = 0.0
-        probs, _ = forward(fig_example, params, tiny_cfg)
+        probs = probs_of(fig_example, params, tiny_cfg)
         assert np.allclose(probs[:4], 0.5, atol=1e-12)
 
     def test_unpreprocessed_length_rejected(self, tiny_cfg, tiny_vocab, fig_example):
@@ -35,14 +41,14 @@ class TestForward:
         import dataclasses
         bad_cfg = dataclasses.replace(tiny_cfg, max_len=9)
         with pytest.raises(ValueError, match="max_len"):
-            forward(fig_example, params, bad_cfg)
+            probs_of(fig_example, params, bad_cfg)
 
     def test_train_mode_needs_rng(self, tiny_vocab, fig_example):
         cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
                         bank_size=2, dropout=0.2, variant="san", seed=1)
         params = build(cfg, tiny_vocab)
         with pytest.raises(ValueError, match="rng"):
-            forward(fig_example, params, cfg, mode="train")
+            probs_of(fig_example, params, cfg, training=True)
 
     def test_sblstm_independent_of_bank_contents(self, tiny_vocab):
         cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
@@ -54,8 +60,8 @@ class TestForward:
                   QaRecord("b2", "c", ["?"])]
         ex_a = make_example(rec, bank_a, tiny_vocab, max_len=6, bank_size=2)
         ex_b = make_example(rec, bank_b, tiny_vocab, max_len=6, bank_size=2)
-        pa, _ = forward(ex_a, params, cfg)
-        pb, _ = forward(ex_b, params, cfg)
+        pa = probs_of(ex_a, params, cfg)
+        pb = probs_of(ex_b, params, cfg)
         assert np.array_equal(pa, pb)
 
     def test_zero_attention_params_match_empty_bank(self, tiny_vocab, fig_example):
@@ -65,9 +71,9 @@ class TestForward:
         for name in params.group.names():
             if name.startswith("attention."):
                 params.group[name].data[...] = 0.0
-        with_banks, _ = forward(fig_example, params, cfg)
+        with_banks = probs_of(fig_example, params, cfg)
         empty = make_example(fig_example.record, [], tiny_vocab, max_len=6, bank_size=2)
-        without, _ = forward(empty, params, cfg)
+        without = probs_of(empty, params, cfg)
         assert np.allclose(with_banks, without, atol=1e-12)
 
     def test_variant_wiring_widths(self, tiny_vocab):
@@ -102,10 +108,10 @@ class TestForward:
         cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
                         bank_size=2, dropout=0.3, variant="san", seed=7)
         params = build(cfg, tiny_vocab)
-        a, _ = forward(fig_example, params, cfg, mode="train",
-                       rng=np.random.default_rng(42))
-        b, _ = forward(fig_example, params, cfg, mode="train",
-                       rng=np.random.default_rng(42))
+        a = probs_of(fig_example, params, cfg, training=True,
+                     rng=np.random.default_rng(42))
+        b = probs_of(fig_example, params, cfg, training=True,
+                     rng=np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_tape_length_independent_of_max_len(self, tiny_vocab):
@@ -127,37 +133,38 @@ class TestForward:
 
 
 class TestLoss:
+    # One (T, |L|) sequence as a batch of one.
     def test_perfect_predictions_zero_loss(self):
-        probs = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        gold = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss = sequence_loss(probs, gold, np.ones(2))
+        probs = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+        gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        loss = batch_loss(probs, gold, np.ones((1, 2)))
         assert loss.item() < 1e-6
 
     def test_uniform_probs_ln2_per_token(self):
         n = 5
-        probs = Tensor(np.full((n, 2), 0.5))
-        gold = np.zeros((n, 2))
-        gold[:, 0] = 1.0
-        loss = sequence_loss(probs, gold, np.ones(n))
+        probs = Tensor(np.full((1, n, 2), 0.5))
+        gold = np.zeros((1, n, 2))
+        gold[..., 0] = 1.0
+        loss = batch_loss(probs, gold, np.ones((1, n)))
         assert abs(loss.item() - n * math.log(2)) < 1e-9
 
     def test_hand_case(self):
-        probs = Tensor(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        gold = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss = sequence_loss(probs, gold, np.ones(2))
+        probs = Tensor(np.array([[[0.9, 0.1], [0.2, 0.8]]]))
+        gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        loss = batch_loss(probs, gold, np.ones((1, 2)))
         assert abs(loss.item() - (-(math.log(0.9) + math.log(0.8)))) < 1e-12
 
     def test_padding_excluded(self):
-        probs = Tensor(np.array([[0.9, 0.1], [0.5, 0.5]]))
-        gold = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss = sequence_loss(probs, gold, np.array([1.0, 0.0]))
+        probs = Tensor(np.array([[[0.9, 0.1], [0.5, 0.5]]]))
+        gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        loss = batch_loss(probs, gold, np.array([[1.0, 0.0]]))
         assert abs(loss.item() - (-math.log(0.9))) < 1e-12
 
     def test_gold_not_one_hot_rejected(self):
-        probs = Tensor(np.full((2, 2), 0.5))
-        gold = np.array([[1.0, 1.0], [0.0, 1.0]])
+        probs = Tensor(np.full((1, 2, 2), 0.5))
+        gold = np.array([[[1.0, 1.0], [0.0, 1.0]]])
         with pytest.raises(ValueError, match="one-hot"):
-            sequence_loss(probs, gold, np.ones(2))
+            batch_loss(probs, gold, np.ones((1, 2)))
 
     def test_batch_loss_sums_over_examples(self):
         probs = Tensor(np.full((3, 2, 2), 0.5))
@@ -221,11 +228,11 @@ class TestExtractSpans:
 class TestCheckpoint:
     def test_round_trip_bit_identical_forward(self, tmp_path, tiny_cfg, tiny_vocab, fig_example):
         params = build(tiny_cfg, tiny_vocab, seed=8)
-        before, _ = forward(fig_example, params, tiny_cfg)
+        before = probs_of(fig_example, params, tiny_cfg)
         path = tmp_path / "model.json"
         save_model(path, params, tiny_cfg, tiny_vocab)
         loaded, cfg2, vocab2 = load_model(path)
-        after, _ = forward(fig_example, loaded, cfg2)
+        after = probs_of(fig_example, loaded, cfg2)
         assert np.array_equal(before, after)
         assert vocab2.id_to_token == tiny_vocab.id_to_token
 

@@ -132,6 +132,15 @@ class TestQueryAndBuildBank:
             assert index.score(["word", "EOS"], "c") == [0.0, 0.0]
             assert len(build_bank(rec(["word"], labeled=True), index)) == 2
 
+    def test_u_max_zero_gives_empty_bank(self):
+        index = Bm25Index([rec(["video", f"w{i}"], line_no=i + 1) for i in range(6)])
+        assert build_bank(rec(["video"], labeled=True), index, u_max=0) == []
+
+    def test_negative_u_max_rejected(self):
+        index = Bm25Index([rec(["video", f"w{i}"], line_no=i + 1) for i in range(6)])
+        with pytest.raises(ValueError, match="top_k"):
+            build_bank(rec(["video"], labeled=True), index, u_max=-1)
+
     def test_deterministic(self):
         docs = [rec(["video", "calls"], line_no=1), rec(["video"], line_no=2)]
         labeled = rec(["video"], labeled=True)

@@ -38,11 +38,10 @@ class TestTrain:
     def test_two_runs_identical_logs_and_params(self):
         vocab, examples = tiny_dataset()
         split = CorpusSplit(train=examples[:6], validation=examples[6:], test=[], seed=0)
-        tcfg = TrainConfig(lr=0.01, batch_size=4, max_epochs=4, patience=3,
-                           dropout=0.1, seed=5)
+        tcfg = TrainConfig(lr=0.01, batch_size=4, max_epochs=4, patience=3)
         runs = []
         for _ in range(2):
-            params, logs = train(tiny_cfg(), tcfg, split, vocab)
+            params, logs = train(tiny_cfg(seed=5, dropout=0.1), tcfg, split, vocab)
             runs.append(([e.to_json() for e in logs], params.group.copy_values()))
         assert runs[0][0] == runs[1][0]
         for name in runs[0][1]:
@@ -53,8 +52,7 @@ class TestTrain:
         # after epoch 1, so patience=5 stops the run at epoch 6.
         vocab, examples = tiny_dataset()
         split = CorpusSplit(train=examples[:6], validation=examples[6:], test=[], seed=0)
-        tcfg = TrainConfig(lr=1e-12, batch_size=8, max_epochs=50, patience=5,
-                           dropout=0.0, seed=1)
+        tcfg = TrainConfig(lr=1e-12, batch_size=8, max_epochs=50, patience=5)
         _, logs = train(tiny_cfg(), tcfg, split, vocab)
         assert len(logs) == 6
 
@@ -83,8 +81,7 @@ class TestTrain:
     def test_divergence_aborts_with_location(self):
         vocab, examples = tiny_dataset()
         split = CorpusSplit(train=examples[:6], validation=examples[6:], test=[], seed=0)
-        tcfg = TrainConfig(lr=1e200, batch_size=3, max_epochs=5, patience=2,
-                           dropout=0.0, seed=1)
+        tcfg = TrainConfig(lr=1e200, batch_size=3, max_epochs=5, patience=2)
         with pytest.raises(DivergenceError, match=r"epoch \d+, batch \d+"):
             train(tiny_cfg(), tcfg, split, vocab)
 
@@ -106,8 +103,7 @@ class TestTrain:
         # The returned parameters must reproduce the best epoch's val score.
         vocab, examples = tiny_dataset(n=10)
         split = CorpusSplit(train=examples[:7], validation=examples[7:], test=[], seed=0)
-        tcfg = TrainConfig(lr=0.05, batch_size=4, max_epochs=8, patience=7,
-                           dropout=0.0, seed=2)
+        tcfg = TrainConfig(lr=0.05, batch_size=4, max_epochs=8, patience=7)
         cfg = tiny_cfg(seed=3)
         params, logs = train(cfg, tcfg, split, vocab)
         best = max(e.val_metrics.span_f1 for e in logs)
@@ -149,8 +145,7 @@ class TestCompareMethods:
         vocab, examples = tiny_dataset(n=10)
         split = CorpusSplit(train=examples[:7], validation=examples[7:9],
                             test=examples[9:], seed=0)
-        tcfg = TrainConfig(lr=0.01, batch_size=4, max_epochs=2, patience=1,
-                           dropout=0.0, seed=1)
+        tcfg = TrainConfig(lr=0.01, batch_size=4, max_epochs=2, patience=1)
         report = compare_methods(tiny_cfg(), tcfg, split, vocab, ["san", "sblstm"])
         assert list(report["methods"]) == ["san", "sblstm"]
         for row in report["methods"].values():
@@ -167,8 +162,7 @@ class TestCompareMethods:
         vocab, examples = tiny_dataset(n=10)
         split = CorpusSplit(train=examples[:7], validation=examples[7:9],
                             test=examples[9:], seed=0)
-        tcfg = TrainConfig(lr=0.01, batch_size=8, max_epochs=2, patience=1,
-                           dropout=0.0, seed=1)
+        tcfg = TrainConfig(lr=0.01, batch_size=8, max_epochs=2, patience=1)
         report = compare_methods(tiny_cfg(), tcfg, split, vocab, ["sblstm"])
         parsed = json.loads(json.dumps(report))
         assert parsed["methods"]["sblstm"]["span"]["f1"] == \
@@ -180,7 +174,7 @@ class TestTrainConfig:
         tcfg = TrainConfig()
         assert tcfg.lr == 0.001
         assert tcfg.batch_size == 256
-        assert tcfg.dropout == 0.2
+        assert SanConfig().dropout == 0.2
 
     def test_patience_must_be_less_than_epochs(self):
         with pytest.raises(ValueError):
