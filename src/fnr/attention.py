@@ -88,12 +88,14 @@ def transform_bank(bank_h: Tensor, p: AttentionParams) -> Tensor:
 
 def bank_attend_batch(hq1: Tensor, bank_h: Tensor, token_mask: np.ndarray,
                       bank_valid: np.ndarray, p: AttentionParams,
-                      want_trace: bool = False) -> tuple[Tensor, list[AttentionTrace] | None]:
+                      want_trace: bool = False,
+                      transformed: bool = False) -> tuple[Tensor, list[AttentionTrace] | None]:
     """Batched bank attention.
 
     hq1: (B, T_q, 2H); bank_h: (B, U, T_u, 2H); token_mask: (B, U, T_u)
     0/1; bank_valid: (B, U) 0/1.  Returns (B, T_q, 2H + A) and, when asked,
-    one AttentionTrace per batch element.
+    one AttentionTrace per batch element.  With ``transformed`` bank_h
+    already holds the words tanh(W_k h + b_k), shape (B, U, T_u, A).
 
     Masked softmax gives PAD slots exactly zero weight, so at a fixed T_u
     the contents of PAD positions leave the output bit-for-bit unchanged.
@@ -115,7 +117,7 @@ def bank_attend_batch(hq1: Tensor, bank_h: Tensor, token_mask: np.ndarray,
     token_mask = np.asarray(token_mask, dtype=float)
     bank_valid = np.asarray(bank_valid, dtype=float)
 
-    bank_k = transform_bank(bank_h, p)                        # (B, U, T_u, A)
+    bank_k = bank_h if transformed else transform_bank(bank_h, p)   # (B, U, T_u, A)
     query_4d = reshape(query, (b_sz, 1, t_q, attn_dim))
     scores1 = matmul(query_4d, swap_last(bank_k))             # (B, U, T_q, T_u)
     weights1 = masked_softmax(scores1, token_mask[:, :, None, :], axis=-1)

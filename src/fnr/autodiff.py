@@ -8,11 +8,15 @@ float32 exists behind an explicit fast-mode switch and is not suitable for
 finite-difference verification.
 
 Ops record onto the innermost active ``Tape``.  With no tape active they
-just compute, which is the cheap inference path.
+just compute, which is the cheap inference path.  The stack of active tapes
+and the default dtype are context variables, so each thread (and each
+asyncio task) has its own: a thread running inference never records onto
+another thread's tape.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable
 
 import numpy as np
@@ -22,22 +26,23 @@ class NonFiniteError(FloatingPointError):
     """An op produced NaN or Inf, or a parameter update did."""
 
 
-_DEFAULT_DTYPE = np.dtype(np.float64)
-_ACTIVE_TAPES: list["Tape"] = []
+_DEFAULT_DTYPE: ContextVar[np.dtype] = ContextVar("fnr_default_dtype",
+                                                  default=np.dtype(np.float64))
+_ACTIVE_TAPES: ContextVar[tuple["Tape", ...]] = ContextVar("fnr_active_tapes", default=())
 
 
 def default_dtype() -> np.dtype:
-    return _DEFAULT_DTYPE
+    return _DEFAULT_DTYPE.get()
 
 
 def set_default_dtype(dtype) -> np.dtype:
-    """Switch the value dtype; float32 is the fast mode. Returns the old dtype."""
-    global _DEFAULT_DTYPE
+    """Switch the current context's value dtype; float32 is the fast mode.
+    Returns the old dtype."""
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"unsupported dtype {dt}; use float32 or float64")
-    old = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = dt
+    old = _DEFAULT_DTYPE.get()
+    _DEFAULT_DTYPE.set(dt)
     return old
 
 
@@ -58,7 +63,7 @@ class Tensor:
     __slots__ = ("data", "const")
 
     def __init__(self, data, const: bool = False):
-        arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        arr = np.asarray(data, dtype=_DEFAULT_DTYPE.get())
         check_finite(arr)
         self.data = arr
         self.const = const
@@ -136,12 +141,13 @@ class Tape:
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Backward]] = []
 
     def __enter__(self) -> "Tape":
-        _ACTIVE_TAPES.append(self)
+        _ACTIVE_TAPES.set(_ACTIVE_TAPES.get() + (self,))
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _ACTIVE_TAPES.pop()
-        assert popped is self, "tapes must unwind in LIFO order"
+        tapes = _ACTIVE_TAPES.get()
+        assert tapes[-1] is self, "tapes must unwind in LIFO order"
+        _ACTIVE_TAPES.set(tapes[:-1])
         return False
 
     def __len__(self) -> int:
@@ -191,7 +197,8 @@ class Gradients:
 
 
 def _tape() -> Tape | None:
-    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
+    tapes = _ACTIVE_TAPES.get()
+    return tapes[-1] if tapes else None
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -26,6 +26,7 @@ from .autodiff import NonFiniteError
 from .data import (CorpusError, QaRecord, collate, corpus_stats, format_stats,
                    load_corpus, make_example, split)
 from .embeddings import SgnsConfig, load_embeddings, save_embeddings, train_skipgram
+from .metrics import truncated_gold_spans
 from .model import (CheckpointError, SanConfig, extract_spans, forward_batch,
                     load_model, predict_tags, save_model)
 from .retrieval import Bm25Index, build_bank, load_bank_cache, save_bank_cache
@@ -93,24 +94,32 @@ _FIELD_TYPES = {f.name: f.type
                 if f.name not in ("labels", "settings")}
 
 
+# Non-text values a field accepts as they are; a bool is never a number.
+_VALUE_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+                "str | None": (str, type(None))}
+
+
 def _coerce(key: str, value) -> object:
+    """Parse text for the field's type; check any other value's type."""
     kind = _FIELD_TYPES[key]
     if isinstance(value, str):
         text = value.strip()
-        if kind.startswith("bool"):
+        if kind == "bool":
             if text.lower() in ("true", "1", "yes"):
                 return True
             if text.lower() in ("false", "0", "no"):
                 return False
             raise ConfigError(f"{key}: expected a boolean, got {text!r}")
         try:
-            if kind.startswith("int"):
+            if kind == "int":
                 return int(text)
-            if kind.startswith("float"):
+            if kind == "float":
                 return float(text)
         except ValueError as err:
             raise ConfigError(f"{key}: cannot parse {text!r}") from err
         return text
+    if not isinstance(value, _VALUE_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+        raise ConfigError(f"{key}: expected {kind}, got {value!r}")
     return value
 
 
@@ -321,7 +330,8 @@ def cmd_evaluate(args) -> int:
         examples = _examples_for_model(records, vocab, san_cfg, args.pool, args.bank_cache)
         metrics = evaluate(params, san_cfg, examples)
         rows.append({"path": path, "variant": san_cfg.variant,
-                     "metrics": metrics.to_dict()})
+                     "metrics": metrics.to_dict(),
+                     "truncated_gold_spans": truncated_gold_spans(records, san_cfg.max_len)})
     report = {"data": args.data, "models": rows}
     width = max(len(r["variant"]) for r in rows) + 2
     print(f"{'Method':<{width}}  {'P':>6}  {'R':>6}  {'F1':>6}")

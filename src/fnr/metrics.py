@@ -2,7 +2,9 @@
 
 A predicted span counts as a true positive only when its (start, end)
 boundaries exactly match a gold span.  Token-level counts are per-token
-over the F class.  Both run over valid positions only.
+over the F class.  Both run over valid positions only, so gold spans past
+a question's ``max_len`` cut are not scored; ``truncated_gold_spans``
+counts them.
 """
 
 from __future__ import annotations
@@ -84,3 +86,10 @@ def score_predictions(items: Sequence[tuple[Sequence[str], Sequence[str], Sequen
             elif g == F_TAG:
                 token_fn += 1
     return Metrics.from_counts(span_tp, span_fp, span_fn, token_tp, token_fp, token_fn)
+
+
+def truncated_gold_spans(records, max_len: int) -> int:
+    """Gold F spans of full labeled records that truncation to ``max_len``
+    cuts short or drops."""
+    return sum(end >= max_len for rec in records
+               for _, end in span_boundaries(rec.tags, rec.question_tokens))

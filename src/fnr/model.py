@@ -11,6 +11,19 @@ Variants:
 Loss and decoding exclude PAD positions.  Checkpoints are a versioned JSON
 container with base64 little-endian float64 tensors; round trips are
 bit-exact.
+
+Bank memo: in eval (no tape active) the same pool questions recur in bank
+after bank, so each ``SanParams`` keeps a ``BankMemo`` of transformed bank
+words, tanh(W_k h + b_k) at a bank question's valid positions, keyed on
+its valid token-id prefix (its length is part of the key, so a literal
+``<PAD>`` token never looks like padding).  A tape-free forward encodes
+only the rows the memo lacks.  Before each one the memo compares exact
+copies of everything its entries depend on (the embedding rows they read,
+the bank BLSTM, ``w_k``, ``b_k``, the default dtype) with the live values
+and drops every entry on any difference, so in-place edits cost a
+recompute, never a stale answer.  An entry takes len * A * 8 bytes at
+float64 and lives as long as the weights do.  A forward under a tape never
+reads or fills the memo.
 """
 
 from __future__ import annotations
@@ -18,14 +31,16 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import (AttentionParams, AttentionTrace, bank_attend_batch,
-                        init_attention)
-from .autodiff import (NonFiniteError, Tensor, constant, gather_rows, linear,
-                       log, mul, neg, reduce_sum, reshape, softmax)
+                        init_attention, transform_bank)
+from .autodiff import (NonFiniteError, Tensor, _tape, constant, default_dtype,
+                       gather_rows, linear, log, mul, neg, reduce_sum, reshape,
+                       softmax)
 from .data import Batch, LABELS, F_INDEX, O_INDEX
 from .embeddings import EmbeddingMatrix
 from .lstm import BlstmParams, blstm_forward, glorot, init_blstm
@@ -108,8 +123,86 @@ class SanConfig:
         return cls(**obj)
 
 
+class BankMemo:
+    """Transformed words of each distinct bank question, for tape-free
+    forwards; see the module docstring.
+
+    ``encoded`` counts rows run through the bank encoder and ``served``
+    rows answered by an existing entry, over the memo's lifetime; every
+    non-empty bank row of a memoised forward adds one to either.
+    """
+
+    def __init__(self):
+        self.encoded = 0
+        self.served = 0
+        self._lock = threading.Lock()
+        self._words: dict[bytes, np.ndarray] = {}
+        self._dtype: np.dtype | None = None
+        self._tensors: list[np.ndarray] = []   # copies of _sources(params)
+        self._ids = np.zeros(0, dtype=np.int64)  # embedding rows the entries read
+        self._rows = np.zeros((0, 0))            # copies of embedding[_ids]
+
+    @staticmethod
+    def _sources(params: "SanParams") -> list[Tensor]:
+        """The tensors bank words depend on, besides the embedding."""
+        lstm = [getattr(d, f.name) for d in (params.bank_blstm.fwd, params.bank_blstm.bwd)
+                for f in dataclasses.fields(d)]
+        return lstm + [params.attention.w_k, params.attention.b_k]
+
+    def _matches(self, params: "SanParams") -> bool:
+        return (self._dtype == default_dtype()
+                and all(np.array_equal(t.data, c)
+                        for t, c in zip(self._sources(params), self._tensors))
+                and np.array_equal(params.embedding.data[self._ids], self._rows))
+
+    def _reset(self, params: "SanParams") -> None:
+        self._words = {}
+        self._dtype = default_dtype()
+        self._tensors = [t.data.copy() for t in self._sources(params)]
+        self._ids = np.zeros(0, dtype=np.int64)
+        self._rows = params.embedding.data[self._ids]
+
+    def bank_words(self, bank_ids: np.ndarray, bank_mask: np.ndarray,
+                   params: "SanParams") -> np.ndarray:
+        """(B, U, T_u, A) transformed words, zero at padded positions."""
+        b_sz, n_banks, t_len = bank_ids.shape
+        attn_dim = params.attention.dim
+        ids = np.asarray(bank_ids, dtype=np.int64).reshape(-1, t_len)
+        mask = np.asarray(bank_mask).reshape(-1, t_len)
+        lengths = mask.sum(axis=1).astype(np.intp)
+        keys = [ids[r, :n].tobytes() if n else None for r, n in enumerate(lengths)]
+        out = np.zeros((len(ids), t_len, attn_dim), dtype=default_dtype())
+        with self._lock:
+            if not self._matches(params):
+                self._reset(params)
+            fresh: dict[bytes, int] = {}   # key -> first row holding it
+            for r, key in enumerate(keys):
+                if key is not None and key not in self._words:
+                    fresh.setdefault(key, r)
+            if fresh:
+                rows = list(fresh.values())
+                self._encode(ids[rows], mask[rows], list(fresh), params)
+            for r, key in enumerate(keys):
+                if key is not None:
+                    out[r, :lengths[r]] = self._words[key]
+            self.encoded += len(fresh)
+            self.served += sum(k is not None for k in keys) - len(fresh)
+        return out.reshape(b_sz, n_banks, t_len, attn_dim)
+
+    def _encode(self, ids: np.ndarray, mask: np.ndarray, keys: list[bytes],
+                params: "SanParams") -> None:
+        enc = blstm_forward(gather_rows(params.embedding, ids), mask, params.bank_blstm)
+        valid = mask > 0
+        words = transform_bank(Tensor(enc.data[valid], const=True), params.attention).data
+        lengths = valid.sum(axis=1)
+        self._words.update(zip(keys, np.split(words, np.cumsum(lengths)[:-1])))
+        self._ids = np.union1d(self._ids, ids[valid])
+        self._rows = params.embedding.data[self._ids]
+
+
 class SanParams:
-    """All trainable tensors, registered by name in one ParamGroup.
+    """All trainable tensors, registered by name in one ParamGroup, plus
+    the eval-time ``BankMemo`` of the bank encoder's outputs.
 
     Exactly one bank encoder exists regardless of how many bank questions
     an example carries; with ``share_bank_encoder`` it is the same object
@@ -127,6 +220,7 @@ class SanParams:
         self.blstm2 = blstm2
         self.proj_w = proj_w
         self.proj_b = proj_b
+        self.bank_memo = BankMemo()
 
     @classmethod
     def build(cls, cfg: SanConfig, vocab_size: int, rng: np.random.Generator,
@@ -166,7 +260,8 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
     """Per-token label distributions for a batch: (B, T, |L|) plus traces.
 
     Valid rows sum to one; padded rows are computed but must be excluded
-    by every consumer (the loss and the decoder both do).
+    by every consumer (the loss and the decoder both do).  With no tape
+    active, bank words come from ``params.bank_memo``.
     """
     if batch.ids.shape[1] != cfg.max_len:
         raise ValueError(
@@ -181,16 +276,20 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
     traces = None
     if cfg.has_bank:
         b_sz, n_banks, t_len = batch.bank_ids.shape
-        if n_banks > 0:
+        transformed = n_banks > 0 and _tape() is None
+        if transformed:
+            bank = Tensor(params.bank_memo.bank_words(batch.bank_ids, batch.bank_mask, params),
+                          const=True)
+        elif n_banks > 0:
             bank_emb = gather_rows(params.embedding, batch.bank_ids.reshape(-1, t_len))
-            bank_enc = blstm_forward(bank_emb, batch.bank_mask.reshape(-1, t_len),
-                                     params.bank_blstm)
-            bank_enc = reshape(bank_enc, (b_sz, n_banks, t_len, cfg.encoder_width))
+            bank = blstm_forward(bank_emb, batch.bank_mask.reshape(-1, t_len),
+                                 params.bank_blstm)
+            bank = reshape(bank, (b_sz, n_banks, t_len, cfg.encoder_width))
         else:
-            bank_enc = Tensor(np.zeros((b_sz, 0, 1, cfg.encoder_width)), const=True)
-        hq2, traces = bank_attend_batch(hq1, bank_enc, batch.bank_mask,
+            bank = Tensor(np.zeros((b_sz, 0, 1, cfg.encoder_width)), const=True)
+        hq2, traces = bank_attend_batch(hq1, bank, batch.bank_mask,
                                         batch.bank_valid, params.attention,
-                                        want_trace=want_trace)
+                                        want_trace=want_trace, transformed=transformed)
     else:
         hq2 = hq1
     if cfg.has_layer2:

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from fnr import autodiff
 from fnr.data import QaRecord, make_example
 from fnr.model import SanConfig
 from fnr.vocab import RESERVED, Vocabulary
@@ -10,6 +12,22 @@ def pytest_runtest_logreport(report):
     if report.when == "call" and "test_acceptance" in report.nodeid:
         name = report.nodeid.split("::")[-1]
         print(f"\n[{name}] {report.outcome.upper()}")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_autodiff_state():
+    """Fail a test that ends with a tape still active or the default dtype
+    switched away from float64, then restore both for the next test.  A
+    leaked tape would silently turn off the eval bank memo; a leaked
+    float32 would break determinism checks."""
+    yield
+    tapes, dtype = autodiff._ACTIVE_TAPES.get(), autodiff.default_dtype()
+    autodiff._ACTIVE_TAPES.set(())
+    autodiff.set_default_dtype(np.float64)
+    if tapes:
+        pytest.fail(f"test left {len(tapes)} tape(s) active")
+    if dtype != np.float64:
+        pytest.fail(f"test left the default dtype at {dtype}")
 
 
 @pytest.fixture

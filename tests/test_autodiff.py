@@ -288,6 +288,30 @@ class TestFastMode:
         finally:
             set_default_dtype(old)
 
+    def test_dtype_and_tapes_are_per_thread(self):
+        import threading
+        from fnr.autodiff import _tape, default_dtype, set_default_dtype
+
+        seen = []
+
+        def worker():
+            seen.append((default_dtype(), _tape()))
+            set_default_dtype(np.float32)
+            tanh(Tensor([0.5]))
+
+        with Tape() as tape:
+            old = set_default_dtype(np.float32)
+            try:
+                thread = threading.Thread(target=worker)
+                thread.start()
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+                assert default_dtype() == np.float32
+            finally:
+                set_default_dtype(old)
+        assert seen == [(np.dtype(np.float64), None)]
+        assert len(tape) == 0
+
     def test_unsupported_dtype_rejected(self):
         from fnr.autodiff import set_default_dtype
         with pytest.raises(ValueError):

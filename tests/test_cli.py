@@ -156,6 +156,28 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match="unknown config key"):
                 load_run_config(None, {key: "x"})
 
+    @pytest.mark.parametrize("key, value", [("hidden_size", 6.5), ("variant", 3),
+                                            ("dropout", True)])
+    def test_json_value_of_wrong_type_rejected(self, tmp_path, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=key):
+            load_run_config(str(path), {})
+
+    def test_json_value_types(self, tmp_path):
+        def load(values):
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(values))
+            return load_run_config(str(path), {})
+
+        cfg = load({"lr": 1, "dropout": 0.5, "max_len": 7, "share_bank_encoder": True,
+                    "variant": "sblstm", "pool": None, "corpus": "c.jsonl"})
+        assert cfg.settings["lr"] == 1 and cfg.pool is None and cfg.corpus == "c.jsonl"
+        for bad in ({"max_len": True}, {"share_bank_encoder": 1}, {"seed": None},
+                    {"variant": None}, {"corpus": 5}, {"lr": "fast"}):
+            with pytest.raises(ConfigError):
+                load(bad)
+
     def test_defaults_are_the_config_classes_defaults(self, monkeypatch):
         monkeypatch.delenv("SAN_SEED", raising=False)
         cfg = load_run_config(None, {})
@@ -222,6 +244,15 @@ class TestTrain:
         ckpt = tmp_path / "model.json"
         code = main(train_args(corpus_path, ckpt) + ["--set", "bogus=1"])
         assert code == 3
+
+    @pytest.mark.parametrize("key, value", [("hidden_size", 6.5), ("variant", 3)])
+    def test_json_value_of_wrong_type_exit_3(self, tmp_path, corpus_path, key, value):
+        ckpt = tmp_path / "model.json"
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({key: value, "corpus": str(corpus_path),
+                                        "checkpoint": str(ckpt)}))
+        assert main(["train", "--config", str(cfg_file)]) == 3
+        assert not ckpt.exists()
 
     def test_report_key_exit_3(self, tmp_path, corpus_path):
         ckpt = tmp_path / "model.json"
@@ -296,10 +327,25 @@ class TestEvaluate:
         payload = json.loads(report.read_text())
         assert set(payload) == {"data", "models"}
         row = payload["models"][0]
-        assert set(row) == {"path", "variant", "metrics"}
+        assert set(row) == {"path", "variant", "metrics", "truncated_gold_spans"}
+        assert row["truncated_gold_spans"] == 0
         for level in ("span", "token"):
             assert set(row["metrics"][level]) == {"precision", "recall", "f1",
                                                   "tp", "fp", "fn"}
+
+    def test_truncated_gold_spans_reported(self, tmp_path, overfit_ckpt):
+        # max_len is 8: the span at 6..8 is cut short and the one at 10 dropped.
+        _, ckpt = overfit_ckpt
+        long = QaRecord("long", "laptop", WORDS[:11],
+                        tags=["F", "O", "O", "F", "F", "O", "F", "F", "F", "O", "F"])
+        data = tmp_path / "long.jsonl"
+        save_corpus(data, labeled_records() + [long])
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--model", str(ckpt), "--data", str(data),
+                     "--report", str(report)]) == 0
+        row = json.loads(report.read_text())["models"][0]
+        assert row["truncated_gold_spans"] == 2
+        assert "truncated_gold_spans" not in json.dumps(row["metrics"])
 
     def test_multi_model_table(self, tmp_path, overfit_ckpt, capsys):
         corpus, ckpt = overfit_ckpt

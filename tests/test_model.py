@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fnr.model import (CheckpointError, SanConfig, SanParams, batch_loss,
                        extract_spans, forward_batch, load_model, predict_tags,
                        save_model)
 from fnr.optim import adam_step, grad_check
-from fnr.vocab import EOS_TOKEN, PAD_ID
+from fnr.vocab import EOS_TOKEN, PAD_ID, PAD_TOKEN, RESERVED, Vocabulary
 
 
 def build(cfg, vocab, seed=0):
@@ -355,3 +356,140 @@ class TestConfig:
 
     def test_round_trip(self, tiny_cfg):
         assert SanConfig.from_dict(tiny_cfg.to_dict()) == tiny_cfg
+
+
+def memo_cfg(**kwargs):
+    return SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
+                     bank_size=3, dropout=0.0, variant="san", seed=1, **kwargs)
+
+
+@pytest.fixture
+def memo_vocab():
+    # Case-sensitive, so the literal "<PAD>" text encodes as PAD_ID.
+    tokens = ["works", "with", "iphone", "?", "does", "it", "video", "calls", "good"]
+    return Vocabulary(list(RESERVED) + tokens, lowercase=False)
+
+
+@pytest.fixture
+def memo_batch(memo_vocab):
+    """Three questions whose banks hold a row twice, a row ending in the
+    "<PAD>" text next to its unpadded prefix, and empty slots."""
+    shared = QaRecord("u1", "c", ["does", "it", "video", "calls", "?"])
+    with_pad = QaRecord("u2", "c", ["works", PAD_TOKEN])
+    prefix = QaRecord("u3", "c", ["works"])
+    other = QaRecord("u4", "c", ["good", "video", "calls"])
+    rows = [(["works", "with", "iphone", "?"], [shared, with_pad, prefix]),
+            (["good", "with", "iphone"], [shared, other]),
+            (["it", "works"], [])]
+    examples = [make_example(QaRecord(f"p{i}", "c", toks, tags=["O"] * len(toks)),
+                             bank, memo_vocab, max_len=6, bank_size=3)
+                for i, (toks, bank) in enumerate(rows)]
+    return collate(examples)
+
+
+class TestBankMemo:
+    """Tape-free forwards read bank words from the memo on SanParams."""
+
+    @pytest.mark.parametrize("share", [False, True])
+    def test_in_place_edits_recompute(self, share, memo_vocab, memo_batch):
+        cfg = memo_cfg(share_bank_encoder=share)
+        params = build(cfg, memo_vocab)
+        video = memo_vocab.lookup("video")  # a token only bank questions hold
+        edits = [lambda p: (p.bank_blstm.fwd.w_xi, (0, 0)),
+                 lambda p: (p.embedding, (video,)),
+                 lambda p: (p.attention.b_k, (slice(None),))]
+        before, _ = forward_batch(memo_batch, params, cfg)
+        for edit in edits:
+            tensor, where = edit(params)
+            tensor.data[where] += 0.5
+            got, _ = forward_batch(memo_batch, params, cfg)
+            fresh = build(cfg, memo_vocab, seed=99)
+            fresh.group.load_values(params.group.copy_values())
+            want, _ = forward_batch(memo_batch, fresh, cfg)
+            assert np.array_equal(got.data, want.data)
+            assert not np.array_equal(got.data, before.data)
+            before = got
+
+    def test_memoised_equals_unmemoised(self, memo_vocab, memo_batch):
+        cfg = memo_cfg()
+        params = build(cfg, memo_vocab)
+        with Tape():
+            want, want_traces = forward_batch(memo_batch, params, cfg, want_trace=True)
+        assert params.bank_memo.encoded == 0
+        first, traces = forward_batch(memo_batch, params, cfg, want_trace=True)
+        second, _ = forward_batch(memo_batch, params, cfg)
+        diff = max(np.abs(first.data - want.data).max(),
+                   np.abs(second.data - want.data).max())
+        print(f"max |memoised - unmemoised| probability difference: {diff:.3g}")
+        assert diff <= 1e-12
+        assert np.array_equal(first.data, second.data)
+        for got, ref in zip(traces, want_traces):
+            assert got.level1_weights.shape == ref.level1_weights.shape
+            assert np.allclose(got.level1_weights, ref.level1_weights, rtol=0, atol=1e-12)
+            assert np.allclose(got.side, ref.side, rtol=0, atol=1e-12)
+
+    def test_counts_encoded_and_served_rows(self, memo_vocab, memo_batch):
+        cfg = memo_cfg()
+        params = build(cfg, memo_vocab)
+        memo = params.bank_memo
+        # Non-empty bank rows: shared, with_pad, prefix, shared, other.
+        forward_batch(memo_batch, params, cfg)
+        assert (memo.encoded, memo.served) == (4, 1)
+        forward_batch(memo_batch, params, cfg)
+        assert (memo.encoded, memo.served) == (4, 6)
+        with Tape():
+            forward_batch(memo_batch, params, cfg)
+        assert (memo.encoded, memo.served) == (4, 6)
+
+    def test_dtype_switch_drops_entries(self, memo_vocab, memo_batch):
+        from fnr.autodiff import set_default_dtype
+        cfg = memo_cfg()
+        params = build(cfg, memo_vocab)
+        forward_batch(memo_batch, params, cfg)
+        old = set_default_dtype(np.float32)
+        try:
+            probs, _ = forward_batch(memo_batch, params, cfg)
+        finally:
+            set_default_dtype(old)
+        assert probs.data.dtype == np.float32
+        assert params.bank_memo.encoded == 8
+
+    def test_eval_thread_ignores_another_threads_tape(self, memo_vocab, memo_batch):
+        cfg = memo_cfg()
+        params = build(cfg, memo_vocab)
+        recorded, errors = [], []
+        taped = threading.Event()
+        evaluated = threading.Event()
+
+        def trainer():
+            try:
+                with Tape() as tape:
+                    probs, _ = forward_batch(memo_batch, params, cfg)
+                    batch_loss(probs, memo_batch.gold, memo_batch.mask)
+                    recorded.append(len(tape))
+                    taped.set()
+                    assert evaluated.wait(timeout=60)
+                    recorded.append(len(tape))
+            except Exception as err:  # reported by the main thread
+                errors.append(err)
+                taped.set()
+
+        def evaluator():
+            try:
+                assert taped.wait(timeout=60)
+                for _ in range(2):
+                    forward_batch(memo_batch, params, cfg)
+            except Exception as err:
+                errors.append(err)
+            finally:
+                evaluated.set()
+
+        threads = [threading.Thread(target=trainer), threading.Thread(target=evaluator)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert not errors
+        assert len(recorded) == 2 and recorded[0] == recorded[1] > 0
+        assert (params.bank_memo.encoded, params.bank_memo.served) == (4, 6)
