@@ -1,11 +1,14 @@
 """Dense tensors with taped reverse-mode differentiation on numpy arrays.
 
-Every value the tagger computes flows through the small op set in this
-module or the fused ``lstm.lstm_scan``, so each op carries its own
-backward rule and every op output is finite-checked (NaN/Inf is a hard
-error).  Arrays are float64 by default;
-float32 exists behind an explicit fast-mode switch and is not suitable for
-finite-difference verification.
+The op set is small: elementwise ``add``/``mul``/``tanh``, ``linear``,
+``reduce_sum``, ``reshape``, ``concat``, ``gather_rows``, ``dropout`` and
+a fused ``softmax``.  The model's larger layers are fused ops of the same
+kind, each one tape node with a hand-written backward (``lstm.lstm_scan``,
+``attention.bank_attend_batch``, ``model.batch_loss``); they build on the
+plain-array helpers here (``sigmoid_array``, ``softmax_parts``,
+``softmax_grad``).  Every op output is finite-checked (NaN/Inf is a hard
+error).  Arrays are float64 by default; float32 exists behind an explicit
+fast-mode switch and is not suitable for finite-difference verification.
 
 Ops record onto the innermost active ``Tape``.  With no tape active they
 just compute, which is the cheap inference path.  The stack of active tapes
@@ -86,33 +89,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", const" if self.const else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def astensor(x) -> Tensor:
@@ -227,18 +203,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    out = Tensor(a.data - b.data)
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            return (None if a.const else _unbroadcast(g, a.data.shape),
-                    None if b.const else _unbroadcast(-g, b.data.shape))
-        tape._nodes.append((out, (a, b), backward))
-    return out
-
-
 def mul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -249,29 +213,6 @@ def mul(a, b) -> Tensor:
             return (None if a.const else _unbroadcast(g * b.data, a.data.shape),
                     None if b.const else _unbroadcast(g * a.data, b.data.shape))
         tape._nodes.append((out, (a, b), backward))
-    return out
-
-
-def div(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    out = Tensor(a.data / b.data)
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            return (None if a.const else _unbroadcast(g / b.data, a.data.shape),
-                    None if b.const else _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-        tape._nodes.append((out, (a, b), backward))
-    return out
-
-
-def neg(a) -> Tensor:
-    a = astensor(a)
-    out = Tensor(-a.data)
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            return (None if a.const else -g,)
-        tape._nodes.append((out, (a,), backward))
     return out
 
 
@@ -296,68 +237,6 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def exp(a) -> Tensor:
-    a = astensor(a)
-    with np.errstate(over="raise"):
-        try:
-            out = Tensor(np.exp(a.data))
-        except FloatingPointError as err:
-            raise NonFiniteError("exp overflow") from err
-    tape = _tape()
-    if tape is not None:
-        od = out.data
-        def backward(g):
-            return (None if a.const else g * od,)
-        tape._nodes.append((out, (a,), backward))
-    return out
-
-
-def log(a, floor: float | None = None) -> Tensor:
-    """Natural log; with ``floor`` set, inputs are clamped below at floor
-    and the gradient is zero wherever the clamp engaged."""
-    a = astensor(a)
-    if floor is None:
-        out = Tensor(np.log(a.data))
-        clamped = a.data
-        active = None
-    else:
-        clamped = np.maximum(a.data, floor)
-        out = Tensor(np.log(clamped))
-        active = a.data > floor
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            if a.const:
-                return (None,)
-            ga = g / clamped
-            if active is not None:
-                ga = ga * active
-            return (ga,)
-        tape._nodes.append((out, (a,), backward))
-    return out
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product with numpy's leading-axis broadcasting; both operands
-    must have ndim >= 2."""
-    a, b = astensor(a), astensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul operands need at least 2 dimensions")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = Tensor(a.data @ b.data)
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            ga = gb = None
-            if not a.const:
-                ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-            if not b.const:
-                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-            return (ga, gb)
-        tape._nodes.append((out, (a, b), backward))
-    return out
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -426,18 +305,6 @@ def reshape(x, shape) -> Tensor:
     return out
 
 
-def swap_last(x) -> Tensor:
-    """Transpose the trailing two axes."""
-    x = astensor(x)
-    out = Tensor(np.swapaxes(x.data, -1, -2))
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            return (None if x.const else np.swapaxes(g, -1, -2),)
-        tape._nodes.append((out, (x,), backward))
-    return out
-
-
 def concat(a, b, axis: int = -1) -> Tensor:
     """a followed by b along ``axis``; gradients split back."""
     a, b = astensor(a), astensor(b)
@@ -490,30 +357,46 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = No
     return mul(x, constant(keep / (1.0 - rate)))
 
 
-def masked_softmax(scores, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Exp-normalize ``scores`` along ``axis`` over positions where ``mask``
-    is nonzero.  Masked slots get exactly zero weight (they behave as score
-    -inf, not as a large negative constant), and the max of the valid scores
-    is subtracted before exponentiation for stability.  A slice with no
-    valid entries yields all-zero weights.
+
+
+def softmax_parts(x: np.ndarray, axis: int = -1,
+                  valid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-shifted softmax of a plain array along ``axis``, for fused ops.
+
+    Returns ``(weights, e, z)`` with ``weights = e / z``; ``softmax_grad``
+    takes ``e`` and ``z``.  With ``valid`` (booleans broadcastable to
+    ``x``) only valid entries count: the rest get exactly zero weight, as
+    if their score were -inf, the max of the valid scores is the shift, and
+    a slice with no valid entry gets all-zero weights (0 / 1, not 0 / 0).
     """
-    scores = astensor(scores)
-    m = np.asarray(mask, dtype=scores.data.dtype)
-    valid = np.broadcast_to(m, scores.data.shape) > 0
+    if valid is None:
+        valid = np.ones(x.shape, dtype=bool)
     any_valid = valid.any(axis=axis, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        shifted_max = np.where(valid, scores.data, -np.inf).max(axis=axis, keepdims=True)
-    shifted_max = np.where(any_valid, shifted_max, 0.0)
-    e = mul(exp(sub(scores, constant(shifted_max))), constant(m))
-    # Empty slices divide 0 by 1 instead of 0 by 0.
-    z = add(reduce_sum(e, axis=axis, keepdims=True),
-            constant(np.where(any_valid, 0.0, 1.0)))
-    return div(e, z)
+    top = np.where(valid, x, -np.inf).max(axis=axis, keepdims=True, initial=-np.inf)
+    e = np.exp(np.where(valid, x - np.where(any_valid, top, 0.0), -np.inf))
+    z = e.sum(axis=axis, keepdims=True) + ~any_valid
+    return e / z, e, z
+
+
+def softmax_grad(g: np.ndarray, e: np.ndarray, z: np.ndarray, axis: int) -> np.ndarray:
+    """Gradient of ``e / z`` (from ``softmax_parts``) back to the scores.
+
+    The arithmetic and summation order are those of the composite
+    exp -> sum -> divide chain, so fused ops reproduce its gradients bit
+    for bit; the textbook ``w * (g - sum(g * w))`` differs in the last ulp.
+    """
+    gz = _unbroadcast(-g * e / (z * z), z.shape)
+    return (g / z + gz) * e
 
 
 def softmax(x, axis: int = -1) -> Tensor:
-    """Plain max-shifted softmax along ``axis``."""
+    """Max-shifted softmax along ``axis`` as one node."""
     x = astensor(x)
-    shifted_max = x.data.max(axis=axis, keepdims=True)
-    e = exp(sub(x, constant(shifted_max)))
-    return div(e, reduce_sum(e, axis=axis, keepdims=True))
+    weights, e, z = softmax_parts(x.data, axis)
+    out = Tensor(weights)
+    tape = _tape()
+    if tape is not None:
+        def backward(g):
+            return (None if x.const else softmax_grad(g, e, z, axis),)
+        tape._nodes.append((out, (x,), backward))
+    return out

@@ -188,8 +188,14 @@ def load_embeddings(path) -> EmbeddingMatrix:
             if len(parts) != dim + 1:
                 raise ValueError(
                     f"{path}:{line_no}: expected {dim} values, found {len(parts) - 1}")
+            try:
+                row = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
+            except ValueError as err:
+                raise ValueError(f"{path}:{line_no}: {err}") from err
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"{path}:{line_no}: embedding values must be finite")
             tokens.append(parts[0])
-            vectors.append(np.asarray([float(v) for v in parts[1:]], dtype=np.float64))
+            vectors.append(row)
     if len(tokens) != n_rows:
         raise ValueError(f"{path}: header promises {n_rows} rows, file holds {len(tokens)}")
     if len(set(tokens)) != len(tokens):

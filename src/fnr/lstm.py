@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, _tape, check_finite, concat, constant, dropout,
-                       mul, reshape, sigmoid_array)
+from .autodiff import Tensor, _tape, check_finite, concat, dropout, sigmoid_array
 from .optim import ParamGroup
 
 GATES = ("i", "f", "o", "g")
@@ -230,22 +229,14 @@ def lstm_scan(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False)
 def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
                   dropout_rate: float = 0.0, training: bool = False,
                   rng: np.random.Generator | None = None) -> Tensor:
-    """Bidirectional scan over (T, din) or batched (B, T, din) input.
+    """Bidirectional scan over batched (B, T, din) input.
 
-    Output row t is forward_h_t concatenated with backward_h_t; masked rows
-    come out exactly zero.  Dropout, when requested, applies to the output
-    rows only (never inside the recurrence).
+    Output position t is forward_h_t concatenated with backward_h_t;
+    padded positions come out exactly zero, since ``lstm_scan`` never
+    computes them.  Dropout, when requested, applies to the output rows
+    only (never inside the recurrence).
     """
-    single = x.ndim == 2
-    if single:
-        x = reshape(x, (1,) + x.shape)
-    mask = np.asarray(mask, dtype=x.data.dtype)
-    if mask.ndim == 1:
-        mask = mask[None, :]
     out = concat(lstm_scan(x, mask, p.fwd), lstm_scan(x, mask, p.bwd, reverse=True), axis=-1)
-    out = mul(out, constant(mask[:, :, None]))
     if training and dropout_rate > 0.0:
         out = dropout(out, dropout_rate, training=True, rng=rng)
-    if single:
-        return reshape(out, out.shape[1:])
     return out

@@ -8,9 +8,12 @@ Variants:
   san-noblstm2  bank attention but no second BLSTM; the projection reads
                 the concatenated representation directly
 
-Loss and decoding exclude PAD positions.  Checkpoints are a versioned JSON
-container with base64 little-endian float64 tensors; round trips are
-bit-exact.
+Loss and decoding exclude PAD positions.  Under a tape a training step
+records 20 nodes for ``san`` with dropout: the embedding lookups, six
+``lstm_scan``s with their concats and dropout, ``transform_bank``, one
+``bank_attend_batch``, the projection, one ``softmax`` and one
+``batch_loss`` node.  Checkpoints are a versioned JSON container with
+base64 little-endian float64 tensors; round trips are bit-exact.
 
 Bank memo: in eval (no tape active) the same pool questions recur in bank
 after bank, so each ``SanParams`` keeps a ``BankMemo`` of transformed bank
@@ -38,9 +41,8 @@ import numpy as np
 
 from .attention import (AttentionParams, AttentionTrace, bank_attend_batch,
                         init_attention, transform_bank)
-from .autodiff import (NonFiniteError, Tensor, _tape, constant, default_dtype,
-                       gather_rows, linear, log, mul, neg, reduce_sum, reshape,
-                       softmax)
+from .autodiff import (NonFiniteError, Tensor, _tape, astensor, default_dtype,
+                       gather_rows, linear, reshape, softmax)
 from .data import Batch, LABELS, F_INDEX, O_INDEX
 from .embeddings import EmbeddingMatrix
 from .lstm import BlstmParams, blstm_forward, glorot, init_blstm
@@ -260,8 +262,9 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
     """Per-token label distributions for a batch: (B, T, |L|) plus traces.
 
     Valid rows sum to one; padded rows are computed but must be excluded
-    by every consumer (the loss and the decoder both do).  With no tape
-    active, bank words come from ``params.bank_memo``.
+    by every consumer (the loss and the decoder both do).  Bank words
+    come from ``params.bank_memo`` with no tape active, and from the bank
+    BLSTM and ``transform_bank`` under one.
     """
     if batch.ids.shape[1] != cfg.max_len:
         raise ValueError(
@@ -276,20 +279,19 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
     traces = None
     if cfg.has_bank:
         b_sz, n_banks, t_len = batch.bank_ids.shape
-        transformed = n_banks > 0 and _tape() is None
-        if transformed:
-            bank = Tensor(params.bank_memo.bank_words(batch.bank_ids, batch.bank_mask, params),
-                          const=True)
-        elif n_banks > 0:
+        if n_banks == 0:
+            words = Tensor(np.zeros((b_sz, 0, t_len, cfg.attention_dim)), const=True)
+        elif _tape() is None:
+            words = Tensor(params.bank_memo.bank_words(batch.bank_ids, batch.bank_mask, params),
+                           const=True)
+        else:
             bank_emb = gather_rows(params.embedding, batch.bank_ids.reshape(-1, t_len))
             bank = blstm_forward(bank_emb, batch.bank_mask.reshape(-1, t_len),
                                  params.bank_blstm)
-            bank = reshape(bank, (b_sz, n_banks, t_len, cfg.encoder_width))
-        else:
-            bank = Tensor(np.zeros((b_sz, 0, 1, cfg.encoder_width)), const=True)
-        hq2, traces = bank_attend_batch(hq1, bank, batch.bank_mask,
-                                        batch.bank_valid, params.attention,
-                                        want_trace=want_trace, transformed=transformed)
+            words = transform_bank(reshape(bank, (b_sz, n_banks, t_len, cfg.encoder_width)),
+                                   params.attention)
+        hq2, traces = bank_attend_batch(hq1, words, batch.bank_mask, batch.bank_valid,
+                                        params.attention, want_trace=want_trace)
     else:
         hq2 = hq1
     if cfg.has_layer2:
@@ -310,16 +312,31 @@ def _check_one_hot(gold: np.ndarray, valid: np.ndarray) -> None:
 
 
 def batch_loss(probs: Tensor, gold: np.ndarray, valid: np.ndarray) -> Tensor:
-    """Summed cross entropy over examples and their valid positions.
+    """Summed cross entropy over examples and their valid positions, as
+    one node: -sum log p at the gold labels, with gradient -y / p.
 
     Padding never contributes; teaching the model the pad label would
-    distort the class balance.  log is clamped at 1e-12 for stability.
+    distort the class balance.  There is no clamp: a confidently wrong
+    token costs its full -log p and keeps its gradient (through the
+    softmax node that is p - y).  A gold probability that underflows to
+    exactly 0 gives an infinite loss, which is a NonFiniteError.
     """
+    probs = astensor(probs)
     gold = np.asarray(gold, dtype=float)
     valid = np.asarray(valid, dtype=float)
     _check_one_hot(gold, valid)
-    picked = gold * valid[..., None]
-    return neg(reduce_sum(mul(log(probs, floor=1e-12), constant(picked))))
+    picked = np.asarray(gold * valid[..., None], dtype=probs.data.dtype)
+    hit = picked > 0
+    with np.errstate(divide="ignore"):
+        log_p = np.log(probs.data, out=np.zeros_like(probs.data), where=hit)
+    out = Tensor(-(log_p * picked).sum())
+    tape = _tape()
+    if tape is not None:
+        def backward(g):
+            return (None if probs.const else
+                    np.divide(-g * picked, probs.data, out=np.zeros_like(probs.data), where=hit),)
+        tape._nodes.append((out, (probs,), backward))
+    return out
 
 
 def predict_tags(probs: np.ndarray, valid) -> list[str]:

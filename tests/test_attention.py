@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from fnr.attention import bank_attend_batch, init_attention, transform_query
-from fnr.autodiff import Tensor, reduce_sum
+from fnr.attention import bank_attend_batch, init_attention, transform_bank
+from fnr.autodiff import Tape, Tensor, mul, reduce_sum
 from fnr.optim import ParamGroup, grad_check
 
 
@@ -32,11 +32,25 @@ def pad_banks(banks, masks, encoder_width, width=None):
 
 
 def attend_one(hq1, banks, masks, p, width=None):
-    """bank_attend_batch on one (T_q, 2H) question: (T_q, 2H + A) and its trace."""
+    """transform_bank, then bank_attend_batch, on one (T_q, 2H) question and
+    its (T_u, 2H) bank questions: (T_q, 2H + A) and its trace."""
     bank_h, token_mask, bank_valid = pad_banks(banks, masks, hq1.shape[1], width)
-    hq2, traces = bank_attend_batch(Tensor(hq1[None]), Tensor(bank_h), token_mask,
-                                    bank_valid, p, want_trace=True)
+    hq2, traces = bank_attend_batch(Tensor(hq1[None]), transform_bank(Tensor(bank_h), p),
+                                    token_mask, bank_valid, p, want_trace=True)
     return hq2.data[0], traces[0]
+
+
+def observed_query(hq1, p):
+    """The query transform tanh(W_r h + b_r) of a (T_q, 2H) question as
+    bank_attend_batch applies it, read back from level 1: against the bank
+    words [0, e_1, ..., e_A] a token's weights are proportional to
+    [1, exp(q_1), ..., exp(q_A)]."""
+    attn = p.dim
+    words = np.vstack([np.zeros(attn), np.eye(attn)])[None, None]
+    _, traces = bank_attend_batch(Tensor(hq1[None]), Tensor(words), np.ones((1, 1, attn + 1)),
+                                  np.ones((1, 1)), p, want_trace=True)
+    w = traces[0].level1_weights[:, 0]
+    return np.log(w[:, 1:] / w[:, :1])
 
 
 def reference_bank_attention(hq1, banks, masks, p):
@@ -81,20 +95,20 @@ def reference_bank_attention(hq1, banks, masks, p):
 class TestTransformQuery:
     def test_zero_params_zero_output(self):
         _, p = make_params(zero=True)
-        out = transform_query(Tensor(np.random.default_rng(0).normal(size=(3, 4))), p)
-        assert np.array_equal(out.data, np.zeros((3, 3)))
+        out = observed_query(np.random.default_rng(0).normal(size=(3, 4)), p)
+        assert np.array_equal(out, np.zeros((3, 3)))
 
     def test_range_open_interval(self):
         _, p = make_params(seed=1)
-        out = transform_query(Tensor(np.random.default_rng(1).normal(size=(5, 4)) * 10), p)
-        assert np.all(np.abs(out.data) < 1.0)
+        out = observed_query(np.random.default_rng(1).normal(size=(5, 4)) * 10, p)
+        assert np.all(np.abs(out) < 1.0)
 
     def test_hand_case(self):
         g, p = make_params(encoder_width=2, attn_dim=2, seed=2)
         h = np.array([[0.5, -1.0], [2.0, 0.25]])
-        out = transform_query(Tensor(h), p)
+        out = observed_query(h, p)
         expected = np.tanh(h @ p.w_r.data.T + p.b_r.data)
-        assert np.allclose(out.data, expected, atol=1e-12)
+        assert np.allclose(out, expected, atol=1e-12)
 
 
 class TestLevel1Attend:
@@ -265,12 +279,34 @@ class TestBankAttend:
         bank_h, token_mask, bank_valid = pad_banks(banks, masks, 4)
 
         def loss(g):
-            hq2, _ = bank_attend_batch(Tensor(hq1[None], const=True),
-                                       Tensor(bank_h, const=True), token_mask,
+            words = transform_bank(Tensor(bank_h, const=True), p)
+            hq2, _ = bank_attend_batch(Tensor(hq1[None], const=True), words, token_mask,
                                        bank_valid, p)
-            return reduce_sum(hq2 * Tensor(weights, const=True))
+            return reduce_sum(mul(hq2, Tensor(weights, const=True)))
 
         assert grad_check(loss, group, h=1e-5) < 1e-5
+
+    def test_gradcheck_all_inputs_empty_slots_and_banks(self):
+        # Example 0 has PAD positions and an empty middle slot; example 1's
+        # whole bank is empty, so its side vector is zero.
+        group, p = make_params(encoder_width=4, attn_dim=3, seed=19)
+        rng = np.random.default_rng(19)
+        hq1 = group.add("hq1", rng.normal(size=(2, 3, 4)))
+        words = group.add("words", np.tanh(rng.normal(size=(2, 3, 4, 3))))
+        token_mask = np.zeros((2, 3, 4))
+        token_mask[0, 0, :2] = 1.0
+        token_mask[0, 2, :] = 1.0
+        bank_valid = token_mask.any(axis=2).astype(float)
+        weights = Tensor(rng.normal(size=(2, 3, 7)), const=True)
+
+        def loss(g):
+            hq2, _ = bank_attend_batch(hq1, words, token_mask, bank_valid, p)
+            return reduce_sum(mul(hq2, weights))
+
+        with Tape() as tape:
+            loss(group)
+        assert len(tape) == 3  # bank_attend_batch, mul, reduce_sum
+        assert grad_check(loss, group, h=1e-6) < 1e-6
 
     def test_batch_matches_single(self):
         _, p = make_params(encoder_width=4, attn_dim=3, seed=13)
@@ -281,8 +317,8 @@ class TestBankAttend:
         token_mask = (rng.random((b_sz, n_banks, t_u)) > 0.3).astype(float)
         token_mask[:, :, 0] = 1.0
         bank_valid = token_mask.any(axis=2).astype(float)
-        batched, _ = bank_attend_batch(Tensor(hq1), Tensor(bank_h), token_mask,
-                                       bank_valid, p)
+        batched, _ = bank_attend_batch(Tensor(hq1), transform_bank(Tensor(bank_h), p),
+                                       token_mask, bank_valid, p)
         for i in range(b_sz):
             single, _ = attend_one(hq1[i], list(bank_h[i]), list(token_mask[i]), p)
             assert np.allclose(batched.data[i], single, atol=1e-12, rtol=0)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fnr.autodiff import (NonFiniteError, Tape, Tensor, add, concat, div, dropout,
-                          exp, gather_rows, linear, log, masked_softmax, matmul, mul,
-                          reduce_sum, reshape, sigmoid_array, softmax, sub,
-                          swap_last, tanh)
+from fnr.autodiff import (NonFiniteError, Tape, Tensor, add, concat, dropout, gather_rows,
+                          linear, mul, reduce_sum, reshape, sigmoid_array, softmax,
+                          softmax_grad, softmax_parts, tanh)
 from fnr.optim import ParamGroup, grad_check
 
 
@@ -73,35 +72,40 @@ class TestSigmoid:
         assert np.array_equal(sigmoid_array(x), ref)
 
 
+def masked_softmax(scores, mask):
+    """softmax_parts' weights over the entries where ``mask`` is nonzero."""
+    return softmax_parts(np.asarray(scores, dtype=float), valid=np.asarray(mask) > 0)[0]
+
+
 class TestSoftmaxMasked:
     def test_uniform(self):
-        out = masked_softmax(Tensor([0.0, 0.0, 0.0]), [1.0, 1.0, 1.0])
-        assert np.allclose(out.data, [1 / 3] * 3)
+        out = masked_softmax([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        assert np.allclose(out, [1 / 3] * 3)
 
     def test_singleton(self):
-        out = masked_softmax(Tensor([5.0]), [1.0])
-        assert np.allclose(out.data, [1.0])
+        out = masked_softmax([5.0], [1.0])
+        assert np.allclose(out, [1.0])
 
     def test_reference_value(self):
-        out = masked_softmax(Tensor([1.0, 2.0, 3.0]), [1.0, 1.0, 1.0])
-        assert np.allclose(out.data, [0.09003, 0.24473, 0.66524], atol=1e-5)
+        out = masked_softmax([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        assert np.allclose(out, [0.09003, 0.24473, 0.66524], atol=1e-5)
 
     def test_masked_slots_exactly_zero(self):
-        out = masked_softmax(Tensor([1.0, 99.0, 2.0]), [1.0, 0.0, 1.0])
-        assert out.data[1] == 0.0
-        assert abs(out.data.sum() - 1.0) < 1e-9
+        out = masked_softmax([1.0, 99.0, 2.0], [1.0, 0.0, 1.0])
+        assert out[1] == 0.0
+        assert abs(out.sum() - 1.0) < 1e-9
 
     def test_large_scores_stable(self):
-        out = masked_softmax(Tensor([1000.0, 1000.0]), [1.0, 1.0])
-        assert np.allclose(out.data, [0.5, 0.5])
+        out = masked_softmax([1000.0, 1000.0], [1.0, 1.0])
+        assert np.allclose(out, [0.5, 0.5])
 
     @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8),
            st.floats(-10, 10))
     @settings(max_examples=60, deadline=None)
     def test_shift_invariance_and_simplex(self, scores, shift):
         valid = np.ones(len(scores))
-        a = masked_softmax(Tensor(scores), valid).data
-        b = masked_softmax(Tensor([s + shift for s in scores]), valid).data
+        a = masked_softmax(scores, valid)
+        b = masked_softmax([s + shift for s in scores], valid)
         assert np.all(a >= 0)
         assert abs(a.sum() - 1.0) < 1e-9
         assert np.allclose(a, b, atol=1e-9)
@@ -186,7 +190,7 @@ class TestTapeMechanics:
 
     def test_non_finite_output_is_hard_error(self):
         with pytest.raises(NonFiniteError):
-            exp(Tensor([1000.0]))
+            mul(Tensor([1e300]), Tensor([1e300]))
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
 
@@ -203,18 +207,12 @@ class TestPerOpGradients:
 
     CASES = {
         "add": lambda a, b: reduce_sum(add(a, b)),
-        "sub": lambda a, b: reduce_sum(sub(a, b)),
         "mul": lambda a, b: reduce_sum(mul(a, b)),
-        "div": lambda a, b: reduce_sum(div(a, mul(b, b) + 2.0)),
-        "matmul": lambda a, b: reduce_sum(matmul(a, swap_last(b))),
         "linear": lambda a, b: reduce_sum(linear(a, b)),
         "tanh": lambda a, b: reduce_sum(tanh(mul(a, b))),
-        "exp": lambda a, b: reduce_sum(exp(sub(a, b))),
-        "log": lambda a, b: reduce_sum(log(add(mul(a, a), mul(b, b)) + 1.0)),
         "softmax": lambda a, b: reduce_sum(mul(softmax(a, axis=-1), b)),
         "concat": lambda a, b: reduce_sum(tanh(concat(a, b, axis=-1))),
         "reshape": lambda a, b: reduce_sum(mul(reshape(a, (8,)), reshape(b, (8,)))),
-        "swap_last": lambda a, b: reduce_sum(matmul(swap_last(a), b)),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -227,17 +225,34 @@ class TestPerOpGradients:
         err = grad_check(lambda g: fn(g["a"], g["b"]), group, h=1e-6)
         assert err < 1e-6, f"{name}: rel err {err}"
 
-    def test_masked_softmax_gradcheck(self):
-        rng = np.random.default_rng(11)
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_softmax_node_gradcheck(self, axis):
         group = ParamGroup()
-        group.add("s", rng.normal(size=(3, 5)))
-        mask = (rng.random((3, 5)) > 0.3).astype(float)
-        mask[:, 0] = 1.0
-        weights = rng.normal(size=(3, 5))
-        err = grad_check(
-            lambda g: reduce_sum(mul(masked_softmax(g["s"], mask, axis=-1), weights)),
-            group, h=1e-6)
+        group.add("x", np.random.default_rng(10).normal(scale=3.0, size=(2, 3, 4)))
+        weights = Tensor(np.random.default_rng(13).normal(size=(2, 3, 4)), const=True)
+        err = grad_check(lambda g: reduce_sum(mul(softmax(g["x"], axis=axis), weights)),
+                         group, h=1e-6)
         assert err < 1e-6
+
+    def test_masked_softmax_gradcheck(self):
+        # softmax_grad against central differences of softmax_parts, with
+        # grad_check's step and error measure.
+        rng = np.random.default_rng(11)
+        s = rng.normal(size=(3, 5))
+        valid = rng.random((3, 5)) > 0.3
+        valid[:, 0] = True
+        weights = rng.normal(size=(3, 5))
+        _, e, z = softmax_parts(s, valid=valid)
+        grad = softmax_grad(weights, e, z, axis=-1)
+        h, worst = 1e-6, 0.0
+        for i in np.ndindex(s.shape):
+            step = np.zeros_like(s)
+            step[i] = h
+            lp, lm = ((softmax_parts(s + d, valid=valid)[0] * weights).sum()
+                      for d in (step, -step))
+            fd = (lp - lm) / (2.0 * h)
+            worst = max(worst, abs(grad[i] - fd) / max(1.0, abs(grad[i]), abs(fd)))
+        assert worst < 1e-6
 
     def test_gather_rows_gradcheck(self):
         rng = np.random.default_rng(12)

@@ -198,6 +198,17 @@ class TestTrain:
         assert main(train_args(corpus_path, ckpt)) == 0
         assert "random initialization" in caplog.text
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_embedding_value_exit_3(self, tmp_path, corpus_path, caplog, bad):
+        emb = tmp_path / "emb.txt"
+        rows = [f"{w} " + " ".join(["0.25"] * 8) for w in WORDS[:3]]
+        rows[1] = rows[1].rsplit(" ", 1)[0] + f" {bad}"
+        emb.write_text("3 8\n" + "\n".join(rows) + "\n")
+        code = main(train_args(corpus_path, tmp_path / "model.json")
+                    + ["--embeddings", str(emb)])
+        assert code == 3
+        assert f"{emb}:3:" in caplog.text
+
     def test_deterministic_checkpoints_and_logs(self, tmp_path, corpus_path, pool_path):
         blobs = []
         for tag in ("a", "b"):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fnr.autodiff import NonFiniteError, Tensor, reduce_sum
+from fnr.autodiff import NonFiniteError, Tensor, mul, reduce_sum
 from fnr.lstm import BlstmParams, blstm_forward, init_blstm, init_lstm, lstm_scan
 from fnr.optim import ParamGroup, grad_check
 
@@ -116,7 +116,7 @@ class TestLstmScan:
         weights = Tensor(rng.normal(size=(4, steps, 3)), const=True)
 
         def loss(g):
-            return reduce_sum(lstm_scan(x, mask, p, reverse=reverse) * weights)
+            return reduce_sum(mul(lstm_scan(x, mask, p, reverse=reverse), weights))
 
         assert grad_check(loss, group, h=1e-5) < 1e-5
 
@@ -138,16 +138,16 @@ def rand_blstm(din, hidden, seed):
 class TestBlstmForward:
     def test_output_shape(self):
         _, p = rand_blstm(3, 8, seed=0)
-        out = blstm_forward(Tensor(np.random.default_rng(0).normal(size=(5, 3))),
-                            np.ones(5), p)
-        assert out.shape == (5, 16)
+        out = blstm_forward(Tensor(np.random.default_rng(0).normal(size=(1, 5, 3))),
+                            np.ones((1, 5)), p)
+        assert out.shape == (1, 5, 16)
 
     def test_masked_rows_exactly_zero(self):
         _, p = rand_blstm(3, 4, seed=1)
-        x = np.random.default_rng(1).normal(size=(5, 3))
-        mask = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+        x = np.random.default_rng(1).normal(size=(1, 5, 3))
+        mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
         out = blstm_forward(Tensor(x), mask, p)
-        assert np.array_equal(out.data[3:], np.zeros((2, 8)))
+        assert np.array_equal(out.data[0, 3:], np.zeros((2, 8)))
 
     def test_reversal_oracle(self):
         # Backward-direction outputs on s equal forward-direction outputs on
@@ -156,44 +156,45 @@ class TestBlstmForward:
         fwd = init_lstm(g, "only", 3, 4, np.random.default_rng(3))
         p = BlstmParams(fwd=fwd, bwd=fwd)
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(6, 3))
-        out = blstm_forward(Tensor(x), np.ones(6), p)
-        out_rev = blstm_forward(Tensor(x[::-1].copy()), np.ones(6), p)
-        fwd_half, bwd_half = out.data[:, :4], out.data[:, 4:]
-        fwd_half_rev = out_rev.data[:, :4]
+        x = rng.normal(size=(1, 6, 3))
+        out = blstm_forward(Tensor(x), np.ones((1, 6)), p)
+        out_rev = blstm_forward(Tensor(x[:, ::-1].copy()), np.ones((1, 6)), p)
+        fwd_half, bwd_half = out.data[0, :, :4], out.data[0, :, 4:]
+        fwd_half_rev = out_rev.data[0, :, :4]
         assert np.allclose(bwd_half, fwd_half_rev[::-1], atol=1e-12)
 
     def test_pad_extension_bit_for_bit(self):
         _, p = rand_blstm(3, 4, seed=5)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 3))
-        base = blstm_forward(Tensor(x), np.ones(4), p)
+        base = blstm_forward(Tensor(x[None]), np.ones((1, 4)), p)
         extended = np.vstack([x, rng.normal(size=(3, 3))])
-        mask = np.array([1.0] * 4 + [0.0] * 3)
-        out = blstm_forward(Tensor(extended), mask, p)
-        assert np.array_equal(out.data[:4], base.data)
-        assert np.array_equal(out.data[4:], np.zeros((3, 8)))
+        mask = np.array([[1.0] * 4 + [0.0] * 3])
+        out = blstm_forward(Tensor(extended[None]), mask, p)
+        assert np.array_equal(out.data[0, :4], base.data[0])
+        assert np.array_equal(out.data[0, 4:], np.zeros((3, 8)))
 
     def test_gradcheck_small_instance(self):
         group = ParamGroup()
         p = init_blstm(group, "b", 2, 3, np.random.default_rng(7))
-        x = np.random.default_rng(8).normal(size=(4, 2))
-        mask = np.array([1.0, 1.0, 1.0, 0.0])
-        weights = np.random.default_rng(9).normal(size=(4, 6))
+        x = np.random.default_rng(8).normal(size=(1, 4, 2))
+        mask = np.array([[1.0, 1.0, 1.0, 0.0]])
+        weights = np.random.default_rng(9).normal(size=(1, 4, 6))
 
         def loss(g):
             out = blstm_forward(Tensor(x, const=True), mask, p)
-            return reduce_sum(out * Tensor(weights, const=True))
+            return reduce_sum(mul(out, Tensor(weights, const=True)))
 
         assert grad_check(loss, group, h=1e-5) < 1e-5
 
     def test_dropout_training_only(self):
         _, p = rand_blstm(2, 3, seed=10)
-        x = Tensor(np.random.default_rng(11).normal(size=(4, 2)))
-        eval_out = blstm_forward(x, np.ones(4), p, dropout_rate=0.5, training=False)
-        ref = blstm_forward(x, np.ones(4), p)
+        x = Tensor(np.random.default_rng(11).normal(size=(1, 4, 2)))
+        mask = np.ones((1, 4))
+        eval_out = blstm_forward(x, mask, p, dropout_rate=0.5, training=False)
+        ref = blstm_forward(x, mask, p)
         assert np.array_equal(eval_out.data, ref.data)
-        train_out = blstm_forward(x, np.ones(4), p, dropout_rate=0.5, training=True,
+        train_out = blstm_forward(x, mask, p, dropout_rate=0.5, training=True,
                                   rng=np.random.default_rng(12))
         assert (train_out.data == 0.0).sum() > (ref.data == 0.0).sum()
 
@@ -204,13 +205,13 @@ class TestBlstmForward:
         mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=float)
         batched = blstm_forward(Tensor(x), mask, p)
         for b in range(3):
-            single = blstm_forward(Tensor(x[b]), mask[b], p)
-            assert np.allclose(batched.data[b], single.data, atol=1e-12, rtol=0)
+            single = blstm_forward(Tensor(x[b:b + 1]), mask[b:b + 1], p)
+            assert np.allclose(batched.data[b], single.data[0], atol=1e-12, rtol=0)
 
     def test_mask_must_be_prefix_shaped(self):
         _, p = rand_blstm(2, 2, seed=15)
         with pytest.raises(ValueError):
-            blstm_forward(Tensor(np.zeros((3, 2))), np.ones(4), p)
+            blstm_forward(Tensor(np.zeros((1, 3, 2))), np.ones((1, 4)), p)
 
     def test_non_prefix_mask_rejected(self):
         _, p = rand_blstm(2, 2, seed=16)
@@ -221,7 +222,7 @@ class TestBlstmForward:
     def test_non_binary_mask_rejected(self):
         _, p = rand_blstm(2, 2, seed=17)
         with pytest.raises(ValueError, match="0 or 1"):
-            blstm_forward(Tensor(np.zeros((3, 2))), np.array([1.0, 0.5, 0.0]), p)
+            blstm_forward(Tensor(np.zeros((1, 3, 2))), np.array([[1.0, 0.5, 0.0]]), p)
 
     def test_empty_rows_allowed(self):
         _, p = rand_blstm(2, 2, seed=18)

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import threading
@@ -9,8 +10,8 @@ from fnr.autodiff import Tape, Tensor
 from fnr.data import QaRecord, collate, make_example
 from fnr.model import (CheckpointError, SanConfig, SanParams, batch_loss,
                        extract_spans, forward_batch, load_model, predict_tags,
-                       save_model)
-from fnr.optim import adam_step, grad_check
+                       save_model, softmax)
+from fnr.optim import ParamGroup, adam_step, grad_check
 from fnr.vocab import EOS_TOKEN, PAD_ID, PAD_TOKEN, RESERVED, Vocabulary
 
 
@@ -133,6 +134,30 @@ class TestForward:
         assert lengths[0] == lengths[1]
 
 
+def tape_mix(tape):
+    """Nodes per op, named by the function whose backward each node holds."""
+    return collections.Counter(backward.__qualname__.split(".")[0]
+                               for _, _, backward in tape._nodes)
+
+
+class TestTapeMix:
+    def test_san_training_step(self, tiny_vocab, fig_example):
+        cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
+                        bank_size=2, dropout=0.2, variant="san", seed=1)
+        batch = collate([fig_example])
+        with Tape() as tape:
+            probs, _ = forward_batch(batch, build(cfg, tiny_vocab), cfg, training=True,
+                                     rng=np.random.default_rng(0))
+            batch_loss(probs, batch.gold, batch.mask)
+        # Embedding lookups for questions and banks, three BLSTMs, dropout
+        # after blstm1 and blstm2, the bank reshape and transform_bank, the
+        # projection, then one node each for attention, softmax and loss.
+        assert tape_mix(tape) == {"gather_rows": 2, "lstm_scan": 6, "concat": 3, "mul": 2,
+                                  "reshape": 1, "linear": 2, "tanh": 1,
+                                  "bank_attend_batch": 1, "softmax": 1, "batch_loss": 1}
+        assert len(tape) == 20
+
+
 class TestLoss:
     # One (T, |L|) sequence as a batch of one.
     def test_perfect_predictions_zero_loss(self):
@@ -160,6 +185,39 @@ class TestLoss:
         gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         loss = batch_loss(probs, gold, np.array([[1.0, 0.0]]))
         assert abs(loss.item() - (-math.log(0.9))) < 1e-12
+
+    def test_saturated_wrong_token_keeps_loss_and_gradient(self):
+        # Logits [30, 0] with gold O: p(O) = e^-30 / (1 + e^-30) is below
+        # 1e-12, yet the loss must be the full -log p(O) and the logit
+        # gradient p - y, not a clamped constant with zero gradient.
+        logits = Tensor(np.array([[[30.0, 0.0]]]))
+        gold = np.array([[[0.0, 1.0]]])
+        with Tape() as tape:
+            probs = softmax(logits)
+            loss = batch_loss(probs, gold, np.ones((1, 1)))
+        grad = tape.gradients(loss)[logits]
+        assert abs(loss.item() - 30.0) <= 1e-12 * 30.0
+        assert np.allclose(grad, probs.data - gold, rtol=1e-12, atol=0)
+
+    def test_gradcheck_through_softmax(self):
+        # One token per regime: saturated wrong, saturated right, ordinary,
+        # and a padded position that must not contribute.
+        group = ParamGroup()
+        group.add("logits", np.array([[[30.0, 0.0], [0.0, 25.0], [0.3, -0.2], [4.0, 1.0]]]))
+        gold = np.array([[[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]])
+        valid = np.array([[1.0, 1.0, 1.0, 0.0]])
+        err = grad_check(lambda g: batch_loss(softmax(g["logits"]), gold, valid),
+                         group, h=1e-6)
+        assert err < 1e-6
+
+    def test_gradcheck_probabilities(self):
+        group = ParamGroup()
+        group.add("probs", np.random.default_rng(3).uniform(0.05, 1.0, size=(2, 3, 2)))
+        gold = np.zeros((2, 3, 2))
+        gold[0, :, 0] = gold[1, :, 1] = 1.0
+        valid = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        err = grad_check(lambda g: batch_loss(g["probs"], gold, valid), group, h=1e-6)
+        assert err < 1e-6
 
     def test_gold_not_one_hot_rejected(self):
         probs = Tensor(np.full((1, 2, 2), 0.5))

@@ -113,7 +113,7 @@ class TestGradCheck:
 
         def loss(group):
             p = group["p"]
-            return reduce_sum(mul(p, p)) * 0.5
+            return mul(reduce_sum(mul(p, p)), 0.5)
 
         assert grad_check(loss, g, h=1e-5) < 1e-8
 
@@ -131,8 +131,7 @@ class TestGradCheck:
         g.add("p", np.array([800.0]))
 
         def loss(group):
-            from fnr.autodiff import exp
-            return reduce_sum(exp(group["p"]))
+            return reduce_sum(mul(group["p"], Tensor([1e307])))
 
         with pytest.raises(NonFiniteError):
             grad_check(loss, g, h=1e-5)
@@ -144,7 +143,7 @@ class TestGradCheck:
 
         def loss(group):
             p = group["p"]
-            return reduce_sum(mul(p, p)) * 0.5
+            return mul(reduce_sum(mul(p, p)), 0.5)
 
         err = grad_check(loss, g, h=1e-5, max_coords_per_tensor=16,
                          rng=np.random.default_rng(1))
