@@ -1,14 +1,16 @@
 """Dense tensors with taped reverse-mode differentiation on numpy arrays.
 
-The op set is small: elementwise ``add``/``mul``/``tanh``, ``linear``,
-``reduce_sum``, ``reshape``, ``concat``, ``gather_rows``, ``dropout`` and
-a fused ``softmax``.  The model's larger layers are fused ops of the same
-kind, each one tape node with a hand-written backward (``lstm.lstm_scan``,
-``attention.bank_attend_batch``, ``model.batch_loss``); they build on the
-plain-array helpers here (``sigmoid_array``, ``softmax_parts``,
-``softmax_grad``).  Every op output is finite-checked (NaN/Inf is a hard
-error).  Arrays are float64 by default; float32 exists behind an explicit
-fast-mode switch and is not suitable for finite-difference verification.
+The op set is small: ``linear``, ``tanh``, ``gather_rows`` and a fused
+``softmax`` serve the model; ``add``, ``mul`` and ``reduce_sum`` serve
+only the tests, which build scalar losses for ``grad_check`` from them
+and use them to exercise tape accumulation.  The model's larger layers
+are fused ops of the same kind, each one tape node with a hand-written
+backward (``lstm.blstm_forward``, ``attention.bank_attend_batch``,
+``model.batch_loss``); they build on the plain-array helpers here
+(``sigmoid_array``, ``softmax_parts``, ``softmax_grad``).  Every op
+output is finite-checked (NaN/Inf is a hard error).  Arrays are float64
+by default; float32 exists behind an explicit fast-mode switch and is not
+suitable for finite-difference verification.
 
 Ops record onto the innermost active ``Tape``.  With no tape active they
 just compute, which is the cheap inference path.  The stack of active tapes
@@ -98,10 +100,6 @@ def astensor(x) -> Tensor:
     return Tensor(x, const=True)
 
 
-def constant(data) -> Tensor:
-    return Tensor(data, const=True)
-
-
 Backward = Callable[[np.ndarray], tuple]
 
 
@@ -167,9 +165,6 @@ class Gradients:
         if entry is None:
             return np.zeros_like(tensor.data)
         return entry[1]
-
-    def get(self, tensor: Tensor) -> np.ndarray:
-        return self[tensor]
 
 
 def _tape() -> Tape | None:
@@ -293,32 +288,6 @@ def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def reshape(x, shape) -> Tensor:
-    x = astensor(x)
-    out = Tensor(x.data.reshape(shape))
-    tape = _tape()
-    if tape is not None:
-        orig = x.data.shape
-        def backward(g):
-            return (None if x.const else g.reshape(orig),)
-        tape._nodes.append((out, (x,), backward))
-    return out
-
-
-def concat(a, b, axis: int = -1) -> Tensor:
-    """a followed by b along ``axis``; gradients split back."""
-    a, b = astensor(a), astensor(b)
-    out = Tensor(np.concatenate([a.data, b.data], axis=axis))
-    tape = _tape()
-    if tape is not None:
-        k = a.data.shape[axis]
-        def backward(g):
-            ga, gb = np.split(g, [k], axis=axis)
-            return (None if a.const else ga, None if b.const else gb)
-        tape._nodes.append((out, (a, b), backward))
-    return out
-
-
 def gather_rows(table, ids) -> Tensor:
     """Row lookup ``table[ids]``; backward scatter-adds into the picked rows
     only, which is what lets looked-up embeddings fine-tune."""
@@ -341,22 +310,6 @@ def gather_rows(table, ids) -> Tensor:
             return (gt,)
         tape._nodes.append((out, (table,), backward))
     return out
-
-
-def dropout(x, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero with probability ``rate`` and scale survivors
-    by 1/(1-rate) in training mode; eval mode is the identity."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    x = astensor(x)
-    if not training or rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs a seeded generator")
-    keep = rng.random(x.shape) >= rate
-    return mul(x, constant(keep / (1.0 - rate)))
-
-
 
 
 def softmax_parts(x: np.ndarray, axis: int = -1,

@@ -28,7 +28,7 @@ from .data import (CorpusError, QaRecord, collate, corpus_stats, format_stats,
 from .embeddings import SgnsConfig, load_embeddings, save_embeddings, train_skipgram
 from .metrics import truncated_gold_spans
 from .model import (CheckpointError, SanConfig, extract_spans, forward_batch,
-                    load_model, predict_tags, save_model)
+                    json_type_ok, load_model, predict_tags, save_model)
 from .retrieval import Bm25Index, build_bank, load_bank_cache, save_bank_cache
 from .training import DivergenceError, TrainConfig, evaluate, train
 from .vocab import build_vocab, join_sentences, tokenize
@@ -94,11 +94,6 @@ _FIELD_TYPES = {f.name: f.type
                 if f.name not in ("labels", "settings")}
 
 
-# Non-text values a field accepts as they are; a bool is never a number.
-_VALUE_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-                "str | None": (str, type(None))}
-
-
 def _coerce(key: str, value) -> object:
     """Parse text for the field's type; check any other value's type."""
     kind = _FIELD_TYPES[key]
@@ -118,7 +113,7 @@ def _coerce(key: str, value) -> object:
         except ValueError as err:
             raise ConfigError(f"{key}: cannot parse {text!r}") from err
         return text
-    if not isinstance(value, _VALUE_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+    if not json_type_ok(kind, value):
         raise ConfigError(f"{key}: expected {kind}, got {value!r}")
     return value
 
@@ -217,6 +212,8 @@ def _resolve_banks(labeled, pool_path: str | None, cache_path: str | None,
                    san_cfg: SanConfig) -> dict[int, list[QaRecord]]:
     """Bank records per labeled-record line number, from the cache when
     present, via BM25 over the pool otherwise, empty as a last resort."""
+    if cache_path and not pool_path:
+        raise ConfigError("bank_cache needs pool: the cache names pool lines by number")
     banks: dict[int, list[QaRecord]] = {rec.line_no: [] for rec in labeled}
     if not san_cfg.has_bank or san_cfg.bank_size == 0:
         return banks

@@ -1,14 +1,15 @@
-"""LSTM scan and bidirectional layer with exact padding masking.
+"""Bidirectional LSTM layer with exact padding masking, as one tape node.
 
-One direction of a BLSTM is a single autodiff primitive, ``lstm_scan``: it
-runs the whole recurrence in numpy and records one tape node, whose
-backward is a hand-written backpropagation through time.  The per-gate
-tensors (input i, forget f, output o, cell candidate g) are stacked into
-``Wx (4H, din)``, ``Wh (4H, H)`` and ``b (4H)`` at call time, and their
-gradients are split back per gate.  Parameters stay stored per gate, so
-their names and the checkpoint format (version 1) are unchanged.
+``blstm_forward`` runs both scan directions, their concat and inverted
+dropout in numpy and records a single tape node; its hand-written
+backward applies the dropout scale, splits the gradient and runs each
+direction's backpropagation through time.  The per-gate tensors (input
+i, forget f, output o, cell candidate g) are stacked into ``Wx (4H,
+din)``, ``Wh (4H, H)`` and ``b (4H)`` at call time, and their gradients
+are split back per gate.  Parameters stay stored per gate, so their
+names and the checkpoint format (version 1) are unchanged.
 
-Padding is suffix-only (masks are prefixes of ones), which the scan
+Padding is suffix-only (masks are prefixes of ones), which the layer
 checks.  Rows are sorted by length once, so step t runs only on the
 prefix of rows still inside their sequence: padded positions are never
 computed and come out exactly zero.  The reverse direction therefore
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _tape, check_finite, concat, dropout, sigmoid_array
+from .autodiff import Tensor, _tape, check_finite, sigmoid_array
 from .optim import ParamGroup
 
 GATES = ("i", "f", "o", "g")
@@ -90,31 +91,18 @@ def init_blstm(group: ParamGroup, prefix: str, input_size: int, hidden: int,
                        bwd=init_lstm(group, f"{prefix}.bwd", input_size, hidden, rng))
 
 
-def _sequence_lengths(mask: np.ndarray) -> np.ndarray:
-    """Row lengths of a (B, T) mask, which must be 0/1 with each row a
-    prefix of ones (all-zero rows, such as empty bank slots, are fine)."""
-    mask = np.asarray(mask)
-    if not np.all((mask == 0) | (mask == 1)):
-        raise ValueError("mask entries must be 0 or 1")
-    if np.any(mask[:, 1:] > mask[:, :-1]):
-        raise ValueError("mask rows must be a prefix of ones followed by padding")
-    return mask.sum(axis=1).astype(np.intp)
+def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
+          taped: bool, need_dx: bool):
+    """One LSTM direction over plain (N, T, din) input from zero state.
 
-
-def lstm_scan(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False) -> Tensor:
-    """One LSTM direction over batched (B, T, din) input from zero state.
-
-    Returns the hidden states (B, T, H), exactly zero at padded positions.
-    With ``reverse`` the scan runs from each row's last valid token back
-    to its first.  Records a single tape node covering x and all 12 gate
-    tensors.
+    Returns the hidden states (N, T, H), exactly zero at padded positions,
+    and with ``taped`` a backpropagation-through-time closure mapping the
+    output gradient to ``(d_x, [d_w_x, d_w_h, d_b per gate])``; ``d_x`` is
+    None unless ``need_dx``.  With ``reverse`` the scan runs from each
+    row's last valid token back to its first.
     """
-    batch, steps, _ = x.shape
+    batch, steps, _ = xs.shape
     hidden = p.hidden_size
-    mask = np.asarray(mask)
-    if mask.shape != (batch, steps):
-        raise ValueError(f"mask shape {mask.shape} != {(batch, steps)}")
-    lengths = _sequence_lengths(mask)
 
     # Packed layout: processing step s covers the rows still inside their
     # sequence, longest first, as rows offs[s]:offs[s+1] of each buffer.
@@ -135,12 +123,11 @@ def lstm_scan(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False)
     w_x = np.concatenate([t.data for t in tensors[0::3]])
     w_h = np.concatenate([t.data for t in tensors[1::3]])
     bias = np.concatenate([t.data for t in tensors[2::3]])
-    dtype = np.result_type(x.data, w_x)
-    xs = x.data[row_idx, t_idx]
+    dtype = np.result_type(xs, w_x)
+    x_rows = xs[row_idx, t_idx]
     hs = np.empty((n, hidden), dtype=dtype)
     cs = np.empty((n, hidden), dtype=dtype)
-    tape = _tape()
-    if tape is not None:
+    if taped:
         gates = np.empty((n, 4 * hidden), dtype=dtype)
         tanh_cs = np.empty((n, hidden), dtype=dtype)
 
@@ -151,31 +138,30 @@ def lstm_scan(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False)
             if lo == hi:
                 continue
             prev = offs[s - 1] if s else 0
-            pre = xs[lo:hi] @ w_x.T
+            pre = x_rows[lo:hi] @ w_x.T
             if k:
                 pre[:k] += hs[prev:prev + k] @ w_h.T
             pre += bias
             check_finite(pre, "LSTM pre-activation")
-            act = pre if tape is None else gates[lo:hi]
+            act = gates[lo:hi] if taped else pre
             act[:, :h3] = sigmoid_array(pre[:, :h3])
             act[:, h3:] = np.tanh(pre[:, h3:])
             c = act[:, :hidden] * act[:, h3:]
             if k:
                 c[:k] += act[:k, hidden:2 * hidden] * cs[prev:prev + k]
             cs[lo:hi] = c
-            tanh_c = np.tanh(c) if tape is None else np.tanh(c, out=tanh_cs[lo:hi])
+            tanh_c = np.tanh(c, out=tanh_cs[lo:hi]) if taped else np.tanh(c)
             np.multiply(act[:, 2 * hidden:h3], tanh_c, out=hs[lo:hi])
 
-    out_data = np.zeros((batch, steps, hidden), dtype=dtype)
-    out_data[row_idx, t_idx] = hs
-    out = Tensor(out_data)
-    if tape is None:
-        return out
+    out = np.zeros((batch, steps, hidden), dtype=dtype)
+    out[row_idx, t_idx] = hs
+    if not taped:
+        return out, None
 
     # Packed index of each position's previous state; n is a zero row.
     prev_idx = np.where(slot_idx < carried[step_idx], offs[step_idx - 1] + slot_idx, n)
 
-    def backward(g_out):
+    def bptt(g_out):
         zero_row = np.zeros((1, hidden), dtype=dtype)
         i, f, o, g = np.split(gates, 4, axis=1)
         # Each gate's pre-activation gradient is d_c (d_h for o) times a
@@ -209,34 +195,75 @@ def lstm_scan(x: Tensor, mask: np.ndarray, p: LstmParams, reverse: bool = False)
                 d_h_next = d_pre[lo:lo + k] @ w_h
                 d_c_next = d_c[:k] * f[lo:lo + k]
             h_prev = np.concatenate([hs, zero_row])[prev_idx]
-            d_wx = d_pre.T @ xs
+            d_wx = d_pre.T @ x_rows
             d_wh = d_pre.T @ h_prev
             d_b = d_pre.sum(axis=0)
             d_x = None
-            if not x.const:
-                d_x = np.zeros_like(x.data)
+            if need_dx:
+                d_x = np.zeros_like(xs)
                 d_x[row_idx, t_idx] = d_pre @ w_x
-        grads = [d_x]
-        for gate in range(4):
-            rows = slice(gate * hidden, (gate + 1) * hidden)
-            grads += [d_wx[rows], d_wh[rows], d_b[rows]]
-        return tuple(None if t.const else gr for t, gr in zip((x,) + tensors, grads))
+        return d_x, [d[gate * hidden:(gate + 1) * hidden]
+                     for gate in range(4) for d in (d_wx, d_wh, d_b)]
 
-    tape._nodes.append((out, (x,) + tensors, backward))
-    return out
+    return out, bptt
 
 
 def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
                   dropout_rate: float = 0.0, training: bool = False,
                   rng: np.random.Generator | None = None) -> Tensor:
-    """Bidirectional scan over batched (B, T, din) input.
+    """Bidirectional scan over (..., T, din) input, as one tape node.
 
-    Output position t is forward_h_t concatenated with backward_h_t;
-    padded positions come out exactly zero, since ``lstm_scan`` never
-    computes them.  Dropout, when requested, applies to the output rows
-    only (never inside the recurrence).
+    Output position t is forward_h_t concatenated with backward_h_t, shape
+    (..., T, 2H); leading axes are batch axes, flattened inside.  Padded
+    positions come out exactly zero, since neither scan computes them.
+    Dropout, when requested, is inverted dropout on the output rows only
+    (never inside the recurrence): one ``rng.random`` draw over the output
+    shape after both scans.  The node's inputs are x and the 24 gate
+    tensors, forward direction first.
     """
-    out = concat(lstm_scan(x, mask, p.fwd), lstm_scan(x, mask, p.bwd, reverse=True), axis=-1)
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
+    *lead, steps, din = x.shape
+    mask = np.asarray(mask)
+    if mask.shape != x.shape[:-1]:
+        raise ValueError(f"mask shape {mask.shape} != {x.shape[:-1]}")
+    n_rows = np.prod(lead, dtype=int)
+    rows = mask.reshape(n_rows, steps)
+    # Mask rows are 0/1 prefixes of ones; all-zero rows (empty bank slots) are fine.
+    if not np.all((rows == 0) | (rows == 1)):
+        raise ValueError("mask entries must be 0 or 1")
+    if np.any(rows[:, 1:] > rows[:, :-1]):
+        raise ValueError("mask rows must be a prefix of ones followed by padding")
+    lengths = rows.sum(axis=1).astype(np.intp)
+    xs = x.data.reshape(n_rows, steps, din)
+    tape = _tape()
+    out_f, bptt_f = _scan(xs, lengths, p.fwd, False, tape is not None, not x.const)
+    out_b, bptt_b = _scan(xs, lengths, p.bwd, True, tape is not None, not x.const)
+    hidden = p.hidden_size
+    out_data = np.concatenate([out_f, out_b], axis=-1).reshape(*lead, steps, 2 * hidden)
+    scale = None
     if training and dropout_rate > 0.0:
-        out = dropout(out, dropout_rate, training=True, rng=rng)
+        if rng is None:
+            raise ValueError("training-mode dropout needs a seeded generator")
+        keep = rng.random(out_data.shape) >= dropout_rate
+        scale = (keep / (1.0 - dropout_rate)).astype(out_data.dtype, copy=False)
+        out_data = out_data * scale
+    out = Tensor(out_data)
+    if tape is None:
+        return out
+
+    inputs = (x,) + tuple(getattr(d, f.name) for d in (p.fwd, p.bwd)
+                          for f in dataclasses.fields(d))
+
+    def backward(g):
+        if scale is not None:
+            g = g * scale
+        g_f, g_b = np.split(g.reshape(n_rows, steps, 2 * hidden), [hidden], axis=-1)
+        # Summation order (reverse, then forward) is fixed: checkpoints depend on it bit for bit.
+        d_x_b, grads_b = bptt_b(g_b)
+        d_x_f, grads_f = bptt_f(g_f)
+        d_x = None if x.const else (d_x_b + d_x_f).reshape(x.shape)
+        return tuple(None if t.const else gr for t, gr in zip(inputs, [d_x] + grads_f + grads_b))
+
+    tape._nodes.append((out, inputs, backward))
     return out

@@ -9,8 +9,9 @@ Variants:
                 the concatenated representation directly
 
 Loss and decoding exclude PAD positions.  Under a tape a training step
-records 20 nodes for ``san`` with dropout: the embedding lookups, six
-``lstm_scan``s with their concats and dropout, ``transform_bank``, one
+records 11 nodes for ``san`` with dropout: two embedding lookups (the
+bank's on its (B, U, T) ids), one ``blstm_forward`` per BLSTM (dropout
+included), ``transform_bank`` (a ``linear`` and a ``tanh``), one
 ``bank_attend_batch``, the projection, one ``softmax`` and one
 ``batch_loss`` node.  Checkpoints are a versioned JSON container with
 base64 little-endian float64 tensors; round trips are bit-exact.
@@ -42,7 +43,7 @@ import numpy as np
 from .attention import (AttentionParams, AttentionTrace, bank_attend_batch,
                         init_attention, transform_bank)
 from .autodiff import (NonFiniteError, Tensor, _tape, astensor, default_dtype,
-                       gather_rows, linear, reshape, softmax)
+                       gather_rows, linear, softmax)
 from .data import Batch, LABELS, F_INDEX, O_INDEX
 from .embeddings import EmbeddingMatrix
 from .lstm import BlstmParams, blstm_forward, glorot, init_blstm
@@ -56,6 +57,16 @@ CHECKPOINT_VERSION = 1
 
 class CheckpointError(ValueError):
     """Checkpoint container is malformed or incompatible."""
+
+
+# The JSON value types a config field of each annotation accepts; a bool
+# is never a number.  Checkpoint configs and CLI run configs share it.
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "str | None": (str, type(None))}
+
+
+def json_type_ok(kind: str, value) -> bool:
+    return isinstance(value, _JSON_TYPES[kind]) and (kind == "bool" or not isinstance(value, bool))
 
 
 @dataclass
@@ -285,11 +296,9 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
             words = Tensor(params.bank_memo.bank_words(batch.bank_ids, batch.bank_mask, params),
                            const=True)
         else:
-            bank_emb = gather_rows(params.embedding, batch.bank_ids.reshape(-1, t_len))
-            bank = blstm_forward(bank_emb, batch.bank_mask.reshape(-1, t_len),
-                                 params.bank_blstm)
-            words = transform_bank(reshape(bank, (b_sz, n_banks, t_len, cfg.encoder_width)),
-                                   params.attention)
+            bank = blstm_forward(gather_rows(params.embedding, batch.bank_ids),
+                                 batch.bank_mask, params.bank_blstm)
+            words = transform_bank(bank, params.attention)
         hq2, traces = bank_attend_batch(hq1, words, batch.bank_mask, batch.bank_valid,
                                         params.attention, want_trace=want_trace)
     else:
@@ -402,6 +411,8 @@ def load_model(path, expected: SanConfig | None = None) -> tuple[SanParams, SanC
             payload = json.load(fh)
         except json.JSONDecodeError as err:
             raise CheckpointError(f"{path}: not a JSON checkpoint") from err
+    if not isinstance(payload, dict) or not isinstance(payload.get("config", {}), dict):
+        raise CheckpointError(f"{path}: checkpoint or its config is not a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format_version {version!r}")
@@ -409,6 +420,10 @@ def load_model(path, expected: SanConfig | None = None) -> tuple[SanParams, SanC
     vocab_tokens = config_dict.pop("vocab", None)
     if not vocab_tokens:
         raise CheckpointError("checkpoint lacks the vocabulary")
+    for f in dataclasses.fields(SanConfig):
+        value = config_dict.get(f.name)
+        if f.name in config_dict and f.type in _JSON_TYPES and not json_type_ok(f.type, value):
+            raise CheckpointError(f"checkpoint config {f.name!r}: expected {f.type}, got {value!r}")
     cfg = SanConfig.from_dict(config_dict)
     vocab = Vocabulary(vocab_tokens)
     if expected is not None and expected.variant != cfg.variant:
@@ -426,13 +441,14 @@ def load_model(path, expected: SanConfig | None = None) -> tuple[SanParams, SanC
     if extra:
         raise CheckpointError(f"checkpoint has unexpected tensor {sorted(extra)[0]!r}")
     for name, t in params.group.items():
-        entry = stored[name]
-        shape = tuple(entry["shape"])
+        try:
+            shape = tuple(stored[name]["shape"])
+            arr = np.frombuffer(base64.b64decode(stored[name]["data"]), dtype="<f8")
+        except (KeyError, TypeError, ValueError) as err:
+            raise CheckpointError(f"tensor {name!r} has a malformed entry: {err!r}") from err
         if shape != t.shape:
             raise CheckpointError(
                 f"tensor {name!r} has shape {list(shape)}, expected {list(t.shape)}")
-        raw = base64.b64decode(entry["data"])
-        arr = np.frombuffer(raw, dtype="<f8")
         if arr.size != t.size:
             raise CheckpointError(f"tensor {name!r} payload size mismatch")
         t.data[...] = arr.reshape(shape)

@@ -103,6 +103,18 @@ def evaluate(params: SanParams, cfg: SanConfig, examples: Sequence[Example],
     return score_predictions(items)
 
 
+def _train_step(batch, params: SanParams, cfg: SanConfig, lr: float,
+                rng: np.random.Generator) -> float:
+    """One Adam step on the batch's summed loss, which it returns.  The
+    step's tape, probabilities and gradients live only in this scope, so
+    they are freed before the next step's forward starts."""
+    with Tape() as tape:
+        probs, _ = forward_batch(batch, params, cfg, training=True, rng=rng)
+        loss = batch_loss(probs, batch.gold, batch.mask)
+    adam_step(params.group, tape.gradients(loss), lr=lr)
+    return loss.item()
+
+
 def train(cfg: SanConfig, tcfg: TrainConfig, split: CorpusSplit, vocab: Vocabulary,
           pretrained: EmbeddingMatrix | None = None,
           epoch_sink: Callable[[EpochLog], None] | None = None) -> tuple[SanParams, list[EpochLog]]:
@@ -134,17 +146,11 @@ def train(cfg: SanConfig, tcfg: TrainConfig, split: CorpusSplit, vocab: Vocabula
         epoch_loss = 0.0
         for batch_idx, lo in enumerate(range(0, len(order), tcfg.batch_size)):
             members = [split.train[i] for i in order[lo:lo + tcfg.batch_size]]
-            batch = collate(members)
             try:
-                with Tape() as tape:
-                    probs, _ = forward_batch(batch, params, cfg, training=True, rng=rng)
-                    loss = batch_loss(probs, batch.gold, batch.mask)
-                grads = tape.gradients(loss)
-                adam_step(params.group, grads, lr=tcfg.lr)
+                epoch_loss += _train_step(collate(members), params, cfg, tcfg.lr, rng)
             except NonFiniteError as err:
                 raise DivergenceError(
                     f"training diverged at epoch {epoch}, batch {batch_idx}: {err}") from err
-            epoch_loss += loss.item()
         val_metrics = evaluate(params, cfg, split.validation)
         entry = EpochLog(epoch, epoch_loss, val_metrics, time.monotonic() - started)
         logs.append(entry)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fnr.autodiff import (NonFiniteError, Tape, Tensor, add, concat, dropout, gather_rows,
-                          linear, mul, reduce_sum, reshape, sigmoid_array, softmax,
-                          softmax_grad, softmax_parts, tanh)
+from fnr.autodiff import (NonFiniteError, Tape, Tensor, add, gather_rows, linear, mul,
+                          reduce_sum, sigmoid_array, softmax, softmax_grad, softmax_parts,
+                          tanh)
+from fnr.lstm import blstm_forward, init_blstm
 from fnr.optim import ParamGroup, grad_check
 
 
@@ -111,46 +112,56 @@ class TestSoftmaxMasked:
         assert np.allclose(a, b, atol=1e-9)
 
 
-class TestConcat:
-    def test_basic(self):
-        out = concat(Tensor([1.0]), Tensor([2.0]))
-        assert np.array_equal(out.data, [1.0, 2.0])
+def constant_blstm(hidden):
+    """A BLSTM over 1-wide input whose output is H0 at every valid
+    position: the forget gate is shut, the input gate open and the cell
+    candidate fixed at tanh(1), with o = 1/2."""
+    group = ParamGroup()
+    p = init_blstm(group, "c", 1, hidden, np.random.default_rng(0))
+    for _, t in group.items():
+        t.data[...] = 0.0
+    for d in (p.fwd, p.bwd):
+        d.b_i.data[...], d.b_f.data[...], d.b_g.data[...] = 50.0, -50.0, 1.0
+    return p
 
-    def test_empty_left(self):
-        out = concat(Tensor(np.zeros(0)), Tensor([7.0]))
-        assert np.array_equal(out.data, [7.0])
 
-    def test_grad_splits_back(self):
-        a = Tensor([1.0, 2.0])
-        b = Tensor([3.0])
-        ga, gb = tape_grad(lambda a, b: reduce_sum(concat(a, b)), a, b)
-        assert np.array_equal(ga, [1.0, 1.0])
-        assert np.array_equal(gb, [1.0])
+H0 = 0.5 * math.tanh(math.tanh(1.0))
 
 
 class TestDropout:
+    """Inverted dropout inside ``blstm_forward``, on a BLSTM whose output
+    is the constant H0 before dropout."""
+
+    def run(self, rate, training, rng=None, shape=(2, 3), hidden=2):
+        x = Tensor(np.ones(shape + (1,)))
+        return blstm_forward(x, np.ones(shape), constant_blstm(hidden),
+                             dropout_rate=rate, training=training, rng=rng)
+
     def test_rate_zero_identity(self):
-        x = Tensor([1.0, 2.0])
-        assert dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
+        out = self.run(0.0, training=True, rng=np.random.default_rng(0))
+        assert np.array_equal(out.data, self.run(0.0, training=False).data)
+        assert np.allclose(out.data, H0, rtol=1e-15, atol=0)
 
     def test_eval_mode_identity(self):
-        x = Tensor([1.0, 2.0])
-        assert dropout(x, 0.2, training=False) is x
+        out = self.run(0.2, training=False)
+        assert np.array_equal(out.data, self.run(0.0, training=False).data)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
-            dropout(Tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
+            self.run(1.0, training=True, rng=np.random.default_rng(0))
 
     def test_large_sample_mean_preserved(self):
-        x = Tensor(np.ones(100_000))
-        out = dropout(x, 0.2, training=True, rng=np.random.default_rng(7))
-        assert abs(out.data.mean() - 1.0) < 0.02
+        out = self.run(0.2, training=True, rng=np.random.default_rng(7),
+                       shape=(100, 50), hidden=10)
+        assert out.size == 100_000
+        assert abs(out.data.mean() / H0 - 1.0) < 0.02
 
     def test_survivors_scaled(self):
-        out = dropout(Tensor(np.ones(1000)), 0.2, training=True,
-                      rng=np.random.default_rng(3))
+        out = self.run(0.2, training=True, rng=np.random.default_rng(3),
+                       shape=(10, 10), hidden=5)
         survivors = out.data[out.data != 0.0]
-        assert np.allclose(survivors, 1.0 / 0.8)
+        assert 0 < survivors.size < out.size
+        assert np.allclose(survivors, H0 / 0.8)
 
 
 class TestTapeMechanics:
@@ -211,8 +222,6 @@ class TestPerOpGradients:
         "linear": lambda a, b: reduce_sum(linear(a, b)),
         "tanh": lambda a, b: reduce_sum(tanh(mul(a, b))),
         "softmax": lambda a, b: reduce_sum(mul(softmax(a, axis=-1), b)),
-        "concat": lambda a, b: reduce_sum(tanh(concat(a, b, axis=-1))),
-        "reshape": lambda a, b: reduce_sum(mul(reshape(a, (8,)), reshape(b, (8,)))),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -266,12 +275,15 @@ class TestPerOpGradients:
         assert err < 1e-6
 
     def test_dropout_gradcheck_with_fixed_mask(self):
+        # Dropout inside blstm_forward, over x and every gate tensor.
         group = ParamGroup()
+        p = init_blstm(group, "b", 4, 2, np.random.default_rng(5))
         group.add("x", np.random.default_rng(4).normal(size=(3, 4)))
 
         def loss(g):
             rng = np.random.default_rng(99)  # same mask every evaluation
-            return reduce_sum(tanh(dropout(g["x"], 0.4, training=True, rng=rng)))
+            out = blstm_forward(g["x"], np.ones(3), p, dropout_rate=0.4, training=True, rng=rng)
+            return reduce_sum(tanh(out))
 
         assert grad_check(loss, group, h=1e-6) < 1e-6
 

@@ -209,6 +209,15 @@ class TestTrain:
         assert code == 3
         assert f"{emb}:3:" in caplog.text
 
+    def test_bank_cache_without_pool_rejected(self, tmp_path, corpus_path, pool_path, caplog):
+        cache = tmp_path / "bank.jsonl"
+        assert main(["build-bank", "--labeled", str(corpus_path), "--pool", str(pool_path),
+                     "--out", str(cache)]) == 0
+        code = main(train_args(corpus_path, tmp_path / "model.json")
+                    + ["--bank-cache", str(cache)])
+        assert code == 3
+        assert "bank_cache needs pool" in caplog.text
+
     def test_deterministic_checkpoints_and_logs(self, tmp_path, corpus_path, pool_path):
         blobs = []
         for tag in ("a", "b"):
@@ -357,6 +366,30 @@ class TestEvaluate:
         row = json.loads(report.read_text())["models"][0]
         assert row["truncated_gold_spans"] == 2
         assert "truncated_gold_spans" not in json.dumps(row["metrics"])
+
+    @pytest.mark.parametrize("case, named", [
+        ("config_value_of_wrong_type", "hidden_size"),
+        ("bool_config_as_text", "share_bank_encoder"),
+        ("top_level_array", "not a JSON object"),
+        ("config_array", "not a JSON object"),
+        ("tensor_without_shape", "shape")])
+    def test_malformed_checkpoint_exit_3(self, tmp_path, overfit_ckpt, caplog, case, named):
+        corpus, ckpt = overfit_ckpt
+        payload = json.loads(ckpt.read_text())
+        if case == "config_value_of_wrong_type":
+            payload["config"]["hidden_size"] = "10"
+        elif case == "bool_config_as_text":
+            payload["config"]["share_bank_encoder"] = "no"
+        elif case == "top_level_array":
+            payload = [payload]
+        elif case == "config_array":
+            payload["config"] = [payload["config"]]
+        else:
+            del payload["tensors"]["proj.w"]["shape"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["evaluate", "--model", str(bad), "--data", str(corpus)]) == 3
+        assert named in caplog.text
 
     def test_multi_model_table(self, tmp_path, overfit_ckpt, capsys):
         corpus, ckpt = overfit_ckpt

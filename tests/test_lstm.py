@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fnr.autodiff import NonFiniteError, Tensor, mul, reduce_sum
-from fnr.lstm import BlstmParams, blstm_forward, init_blstm, init_lstm, lstm_scan
+from fnr.autodiff import NonFiniteError, Tape, Tensor, mul, reduce_sum
+from fnr.lstm import BlstmParams, blstm_forward, init_blstm, init_lstm
 from fnr.optim import ParamGroup, grad_check
 
 
@@ -52,7 +52,18 @@ def prefix_mask(lengths, steps):
     return (np.arange(steps)[None, :] < np.asarray(lengths)[:, None]).astype(float)
 
 
+def lstm_scan(x, mask, p, reverse=False):
+    """One LSTM direction: its half of the ``blstm_forward`` output when
+    both directions share ``p``."""
+    out = blstm_forward(x, mask, BlstmParams(fwd=p, bwd=p))
+    hidden = p.hidden_size
+    return Tensor(out.data[..., hidden:] if reverse else out.data[..., :hidden])
+
+
 class TestLstmScan:
+    """Each scan direction of ``blstm_forward``, read off its half of the
+    output."""
+
     def test_all_zero_parameters(self):
         # At zero parameters o = 1/2, so h = tanh(c)/2 is zero at a step
         # exactly when the cell is: zero outputs mean zero cells too.
@@ -113,10 +124,15 @@ class TestLstmScan:
         x_data = rng.normal(size=(4, steps, 2))
         x = Tensor(x_data, const=True) if x_const else group.add("x", x_data)
         mask = prefix_mask([0, 1, steps - 1, steps], steps)
-        weights = Tensor(rng.normal(size=(4, steps, 3)), const=True)
+        # Weights on the tested direction's half only; both halves share p.
+        weights = np.zeros((4, steps, 6))
+        half = slice(3, 6) if reverse else slice(0, 3)
+        weights[..., half] = rng.normal(size=(4, steps, 3))
+        weights = Tensor(weights, const=True)
+        p2 = BlstmParams(fwd=p, bwd=p)
 
         def loss(g):
-            return reduce_sum(mul(lstm_scan(x, mask, p, reverse=reverse), weights))
+            return reduce_sum(mul(blstm_forward(x, mask, p2), weights))
 
         assert grad_check(loss, group, h=1e-5) < 1e-5
 
@@ -229,3 +245,50 @@ class TestBlstmForward:
         mask = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         out = blstm_forward(Tensor(np.ones((2, 3, 2))), mask, p)
         assert np.array_equal(out.data[1], np.zeros((3, 4)))
+
+    def test_one_tape_node(self):
+        _, p = rand_blstm(2, 3, seed=19)
+        x = Tensor(np.ones((2, 3, 2)))
+        with Tape() as tape:
+            blstm_forward(x, prefix_mask([3, 1], 3), p, dropout_rate=0.5, training=True,
+                          rng=np.random.default_rng(20))
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("x_const", [True, False])
+    def test_gradcheck_fused_node(self, x_const):
+        # Bank-shaped (B, U, T, din) input with dropout, rows of length
+        # 0, 1, T-1 and T, and a slot whose rows are all empty.
+        group = ParamGroup()
+        p = init_blstm(group, "b", 2, 3, np.random.default_rng(21))
+        rng = np.random.default_rng(22)
+        steps = 4
+        x_data = rng.normal(size=(2, 3, steps, 2))
+        x = Tensor(x_data, const=True) if x_const else group.add("x", x_data)
+        mask = prefix_mask([4, 1, 0, 3, 0, 0], steps).reshape(2, 3, steps)
+        weights = Tensor(rng.normal(size=(2, 3, steps, 6)), const=True)
+
+        def loss(g):
+            out = blstm_forward(x, mask, p, dropout_rate=0.3, training=True,
+                                rng=np.random.default_rng(23))  # same mask every evaluation
+            return reduce_sum(mul(out, weights))
+
+        assert grad_check(loss, group, h=1e-5) < 1e-5
+
+    def test_bank_shaped_matches_flattened(self):
+        group = ParamGroup()
+        p = init_blstm(group, "b", 2, 3, np.random.default_rng(24))
+        rng = np.random.default_rng(25)
+        x4 = Tensor(rng.normal(size=(2, 3, 5, 2)))
+        mask4 = prefix_mask([5, 2, 0, 4, 0, 1], 5).reshape(2, 3, 5)
+        weights = rng.normal(size=(2, 3, 5, 6))
+        results = []
+        for x, mask in ((x4, mask4), (Tensor(x4.data.reshape(6, 5, 2)), mask4.reshape(6, 5))):
+            with Tape() as tape:
+                out = blstm_forward(x, mask, p, dropout_rate=0.4, training=True,
+                                    rng=np.random.default_rng(26))
+                loss = reduce_sum(mul(out, Tensor(weights.reshape(out.shape), const=True)))
+            grads = tape.gradients(loss)
+            results.append([out.data.reshape(-1), grads[x].reshape(-1)]
+                           + [grads[t] for _, t in group.items()])
+        for a, b in zip(*results):
+            assert np.array_equal(a, b)

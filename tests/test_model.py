@@ -149,13 +149,25 @@ class TestTapeMix:
             probs, _ = forward_batch(batch, build(cfg, tiny_vocab), cfg, training=True,
                                      rng=np.random.default_rng(0))
             batch_loss(probs, batch.gold, batch.mask)
-        # Embedding lookups for questions and banks, three BLSTMs, dropout
-        # after blstm1 and blstm2, the bank reshape and transform_bank, the
-        # projection, then one node each for attention, softmax and loss.
-        assert tape_mix(tape) == {"gather_rows": 2, "lstm_scan": 6, "concat": 3, "mul": 2,
-                                  "reshape": 1, "linear": 2, "tanh": 1,
+        # Embedding lookups for questions and banks, one node per BLSTM
+        # (dropout included), transform_bank, the projection, then one node
+        # each for attention, softmax and loss.
+        assert tape_mix(tape) == {"gather_rows": 2, "blstm_forward": 3, "linear": 2, "tanh": 1,
                                   "bank_attend_batch": 1, "softmax": 1, "batch_loss": 1}
-        assert len(tape) == 20
+        assert len(tape) == 11
+
+    @pytest.mark.parametrize("variant, bank_size, nodes", [
+        ("san", 2, 11), ("san-noblstm2", 2, 10), ("sblstm", 2, 6), ("san", 0, 7)])
+    def test_training_step_node_count(self, tiny_vocab, fig_example, variant, bank_size, nodes):
+        cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
+                        bank_size=bank_size, dropout=0.2, variant=variant, seed=1)
+        batch = collate([make_example(fig_example.record, fig_example.bank, tiny_vocab,
+                                      max_len=6, bank_size=bank_size)])
+        with Tape() as tape:
+            probs, _ = forward_batch(batch, build(cfg, tiny_vocab), cfg, training=True,
+                                     rng=np.random.default_rng(0))
+            batch_loss(probs, batch.gold, batch.mask)
+        assert len(tape) == nodes
 
 
 class TestLoss:

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from fnr import autodiff, training
 from fnr.data import CorpusSplit, QaRecord, collate, make_example
 from fnr.model import SanConfig, SanParams, batch_loss, forward_batch
 from fnr.training import (CRF_REFERENCE, DivergenceError, EpochLog, Metrics,
@@ -108,6 +110,34 @@ class TestTrain:
         params, logs = train(cfg, tcfg, split, vocab)
         best = max(e.val_metrics.span_f1 for e in logs)
         assert evaluate(params, cfg, split.validation).span_f1 == best
+
+    def test_previous_step_graph_freed_before_next_forward(self, monkeypatch):
+        # Each training forward counts what is still alive of earlier steps'
+        # tapes, output probabilities and gradient tables.
+        vocab, examples = tiny_dataset()
+        split = CorpusSplit(train=examples[:6], validation=examples[6:], test=[], seed=0)
+        refs, live_at_forward = [], []
+        gradients = autodiff.Tape.gradients
+
+        def watched_forward(batch, params, cfg, training=False, **kwargs):
+            if training:
+                live_at_forward.append(sum(ref() is not None for ref in refs))
+            probs, traces = forward_batch(batch, params, cfg, training=training, **kwargs)
+            if training:
+                refs.extend([weakref.ref(autodiff._tape()), weakref.ref(probs.data)])
+            return probs, traces
+
+        def watched_gradients(tape, output, seed=None):
+            grads = gradients(tape, output, seed)
+            refs.append(weakref.ref(grads))
+            return grads
+
+        monkeypatch.setattr(training, "forward_batch", watched_forward)
+        monkeypatch.setattr(autodiff.Tape, "gradients", watched_gradients)
+        tcfg = TrainConfig(lr=0.01, batch_size=2, max_epochs=2, patience=1)
+        train(tiny_cfg(dropout=0.1), tcfg, split, vocab)
+        assert len(refs) == 18
+        assert live_at_forward == [0] * 6
 
     def test_epoch_log_json_excludes_wall_time(self):
         entry = EpochLog(1, 2.5, Metrics.from_counts(1, 0, 0, 2, 0, 0), wall_time=0.123)
