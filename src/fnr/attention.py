@@ -9,8 +9,12 @@ vector, which is concatenated onto the token's BLSTM representation.
 The bank words come in already transformed (``transform_bank``: taped
 ops in training, the eval bank memo otherwise).  ``bank_attend_batch``
 then computes the query transform, both levels and the concat for a whole
-batch as one tape node with a hand-written backward, over the padded
-(B, U, T_q, T_u) layout.
+batch as one tape node with a hand-written backward.  It works only at
+valid query positions, packed along each example's query axis: level 1
+runs per example on its valid query rows against its bank cut to its
+longest valid bank question, and the summary transform and level 2 run
+once on the packed rows of the whole batch.  Padded query rows get an
+exactly zero side vector, as BLSTM outputs are zero at padding.
 
 Scores are plain unscaled dot products.  PAD positions inside bank
 questions are excluded from the level-1 softmax; banks that are entirely
@@ -24,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, _tape, _unbroadcast, astensor, linear, softmax_grad,
-                       softmax_parts, tanh)
-from .lstm import glorot
+from .autodiff import Tensor, _tape, astensor, linear, softmax_grad, softmax_parts, tanh
+from .lstm import glorot, prefix_lengths
 from .optim import ParamGroup
 
 
@@ -64,7 +67,8 @@ class AttentionTrace:
     """Detached per-example attention record for inspection and tests.
 
     level1_weights: (T_q, U, T_u); level1_attended: (T_q, U, A);
-    level2_weights: (T_q, U); side: (T_q, A).
+    level2_weights: (T_q, U); side: (T_q, A).  Rows past the question's
+    length are zero.
     """
     level1_weights: np.ndarray
     level1_attended: np.ndarray
@@ -85,68 +89,96 @@ def transform_bank(bank_h: Tensor, p: AttentionParams) -> Tensor:
     return tanh(linear(bank_h, p.w_k, p.b_k))
 
 
-def bank_attend_batch(hq1: Tensor, words: Tensor, token_mask: np.ndarray,
-                      bank_valid: np.ndarray, p: AttentionParams,
+def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
+                      token_mask: np.ndarray, bank_valid: np.ndarray, p: AttentionParams,
                       want_trace: bool = False) -> tuple[Tensor, list[AttentionTrace] | None]:
     """Both attention levels and the final concat, as one tape node.
 
-    hq1: (B, T_q, 2H); words: (B, U, T_u, A), bank words already through
-    ``transform_bank``; token_mask: (B, U, T_u) 0/1; bank_valid: (B, U)
-    0/1.  Returns (B, T_q, 2H + A) and, when asked, one AttentionTrace
-    per batch element.  The node's inputs are hq1, words, w_r, b_r, w_k2
-    and b_k2; its backward repeats, step by step, the arithmetic of the
-    chain of elementary ops this node replaces.
+    hq1: (B, T_q, 2H); query_mask: (B, T_q) 0/1; words: (B, U, T_u, A),
+    bank words already through ``transform_bank``; token_mask: (B, U, T_u)
+    0/1; bank_valid: (B, U) 0/1.  Both masks must be prefixes of ones.
+    Returns (B, T_q, 2H + A) and, when asked, one AttentionTrace per batch
+    element.  The node's inputs are hq1, words, w_r, b_r, w_k2 and b_k2.
 
-    Masked slots get exactly zero weight, so at a fixed T_u the contents
-    of PAD positions leave the output bit-for-bit unchanged.
+    Only the N valid query rows are computed, packed along the query axis
+    in batch order: the query transform, the summary transform and level 2
+    run on (N, A) / (U, N, A) arrays, and level 1 runs per example on its
+    (U, n, t) scores, t being its longest valid bank question.  Padded
+    query rows get an exactly zero side vector and zero trace rows, so
+    the contents of hq1 there reach only the passed-through 2H columns.
+    Masked bank slots get exactly zero weight, so PAD positions of bank
+    questions leave the output bit-for-bit unchanged.
     """
     hq1, words = astensor(hq1), astensor(words)
     b_sz, t_q, width = hq1.shape
-    n_banks, attn_dim = words.shape[1], p.dim
+    n_banks, t_u, attn_dim = words.shape[1], words.shape[2], p.dim
+    q_len = prefix_lengths(query_mask, hq1.shape[:2], "query_mask")
+    bank_len = prefix_lengths(token_mask, words.shape[:3], "token_mask")
+    token_mask = np.asarray(token_mask)
     inputs = (hq1, words, p.w_r, p.b_r, p.w_k2, p.b_k2)
     h, k, w_r, b_r, w_k2, b_k2 = (t.data for t in inputs)
+    at_query = np.arange(t_q) < q_len[:, None]                           # (B, T_q)
+    ends = np.cumsum(q_len)
+    t_bank = bank_len.max(axis=1, initial=0)  # each example's longest valid bank question
+    # (example, its packed rows, t_bank); examples without query rows or
+    # bank words keep zero level-1 weights.
+    spans = [(i, slice(ends[i] - q_len[i], ends[i]), int(t_bank[i]))
+             for i in range(b_sz) if q_len[i] and t_bank[i]]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        query = np.tanh(h @ w_r.T + b_r)                                  # (B, T_q, A)
-        q4 = query.reshape(b_sz, 1, t_q, attn_dim)
-        weights1, e1, z1 = softmax_parts(q4 @ np.swapaxes(k, -1, -2), axis=-1,
-                                         valid=np.asarray(token_mask)[:, :, None, :] > 0)
-        attended = weights1 @ k                                           # (B, U, T_q, A)
-        summary = np.tanh(attended @ w_k2.T + b_k2)                       # (B, U, T_q, A)
-        weights2, e2, z2 = softmax_parts((summary * q4).sum(axis=-1), axis=1,
-                                         valid=np.asarray(bank_valid)[:, :, None] > 0)
-        weights2_4 = weights2.reshape(b_sz, n_banks, t_q, 1)
-        side = (weights2_4 * summary).sum(axis=1)                         # (B, T_q, A)
-    out = Tensor(np.concatenate([h, side], axis=-1))
+        h_p = h[at_query]                                                 # (N, 2H)
+        query = np.tanh(h_p @ w_r.T + b_r)                                # (N, A)
+        attended = np.zeros((n_banks, len(query), attn_dim), dtype=query.dtype)
+        level1 = []
+        for i, rows, t_b in spans:
+            k_i = k[i, :, :t_b]                                           # (U, t, A)
+            parts = softmax_parts(query[rows] @ np.swapaxes(k_i, -1, -2), axis=-1,
+                                  valid=token_mask[i, :, None, :t_b] > 0)
+            attended[:, rows] = parts[0] @ k_i                            # (U, n, A)
+            level1.append(parts)
+        summary = np.tanh((attended.reshape(-1, attn_dim) @ w_k2.T + b_k2)
+                          .reshape(attended.shape))                       # (U, N, A)
+        row_valid = np.asarray(bank_valid)[np.repeat(np.arange(b_sz), q_len)].T > 0
+        weights2, e2, z2 = softmax_parts((summary * query).sum(axis=-1), axis=0,
+                                         valid=row_valid)                 # (U, N)
+        side = (weights2[..., None] * summary).sum(axis=0)                # (N, A)
+    side_full = np.zeros((b_sz, t_q, attn_dim), dtype=side.dtype)
+    side_full[at_query] = side
+    out = Tensor(np.concatenate([h, side_full], axis=-1))
 
     tape = _tape()
     if tape is not None:
         def backward(g):
-            g_h, g_side = np.split(g, [width], axis=-1)
-            g_side4 = np.broadcast_to(g_side[:, None], summary.shape)
-            g_w2 = _unbroadcast(g_side4 * summary, weights2_4.shape).reshape(weights2.shape)
-            g_s2 = np.broadcast_to(softmax_grad(g_w2, e2, z2, axis=1)[..., None],
-                                   summary.shape)
-            g_q4 = _unbroadcast(g_s2 * summary, q4.shape)
-            g_pre2 = (g_side4 * weights2_4 + g_s2 * q4) * (1.0 - summary * summary)
-            g_att = g_pre2 @ w_k2
-            g_words = np.swapaxes(weights1, -1, -2) @ g_att
-            g_s1 = softmax_grad(g_att @ np.swapaxes(k, -1, -2), e1, z1, axis=-1)
-            g_q4 = g_q4 + _unbroadcast(g_s1 @ k, q4.shape)
-            g_words = g_words + np.swapaxes(np.swapaxes(q4, -1, -2) @ g_s1, -1, -2)
-            g_pre1 = g_q4.reshape(query.shape) * (1.0 - query * query)
-            g1, g2 = g_pre1.reshape(-1, attn_dim), g_pre2.reshape(-1, attn_dim)
-            grads = (g_h + g_pre1 @ w_r, g_words,
-                     g1.T @ h.reshape(-1, width), g1.sum(axis=0),
+            g_side = g[..., width:][at_query]
+            g_w2 = (g_side * summary).sum(axis=-1)
+            g_s2 = softmax_grad(g_w2, e2, z2, axis=0)[..., None]
+            g_query = (g_s2 * summary).sum(axis=0)
+            g_pre2 = (g_side * weights2[..., None] + g_s2 * query) * (1.0 - summary * summary)
+            g2 = g_pre2.reshape(-1, attn_dim)
+            g_att = (g2 @ w_k2).reshape(g_pre2.shape)
+            g_words = np.zeros_like(k)
+            for (i, rows, t_b), (weights1, e1, z1) in zip(spans, level1):
+                k_i, g_att_i = k[i, :, :t_b], g_att[:, rows]
+                g_s1 = softmax_grad(g_att_i @ np.swapaxes(k_i, -1, -2), e1, z1, axis=-1)
+                g_query[rows] += (g_s1 @ k_i).sum(axis=0)
+                g_words[i, :, :t_b] = (np.swapaxes(weights1, -1, -2) @ g_att_i
+                                       + np.swapaxes(query[rows].T @ g_s1, -1, -2))
+            g_pre1 = g_query * (1.0 - query * query)
+            g_hq1 = g[..., :width].copy()
+            g_hq1[at_query] += g_pre1 @ w_r
+            grads = (g_hq1, g_words, g_pre1.T @ h_p, g_pre1.sum(axis=0),
                      g2.T @ attended.reshape(-1, attn_dim), g2.sum(axis=0))
             return tuple(None if t.const else gr for t, gr in zip(inputs, grads))
         tape._nodes.append((out, inputs, backward))
 
     if not want_trace:
         return out, None
-    return out, [AttentionTrace(
-        level1_weights=np.swapaxes(weights1[i], 0, 1).copy(),   # (T_q, U, T_u)
-        level1_attended=np.swapaxes(attended[i], 0, 1).copy(),  # (T_q, U, A)
-        level2_weights=weights2[i].T.copy(),                    # (T_q, U)
-        side=side[i].copy(),
-    ) for i in range(b_sz)]
+    level1_weights = np.zeros((b_sz, t_q, n_banks, t_u), dtype=side.dtype)
+    for (i, rows, t_b), (weights1, _, _) in zip(spans, level1):
+        level1_weights[i, :q_len[i], :, :t_b] = np.swapaxes(weights1, 0, 1)
+    level1_attended = np.zeros((b_sz, t_q, n_banks, attn_dim), dtype=side.dtype)
+    level1_attended[at_query] = np.swapaxes(attended, 0, 1)
+    level2_weights = np.zeros((b_sz, t_q, n_banks), dtype=side.dtype)
+    level2_weights[at_query] = weights2.T
+    return out, [AttentionTrace(level1_weights[i], level1_attended[i], level2_weights[i],
+                                side_full[i]) for i in range(b_sz)]

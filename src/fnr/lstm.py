@@ -208,6 +208,22 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
     return out, bptt
 
 
+def prefix_lengths(mask: np.ndarray, shape: tuple[int, ...], name: str = "mask") -> np.ndarray:
+    """Row lengths of a padding mask of ``shape``, rows along the last axis.
+
+    Entries must be 0 or 1 and each row a prefix of ones followed by
+    padding; an all-zero row (an empty sequence) is fine.
+    """
+    mask = np.asarray(mask)
+    if mask.shape != tuple(shape):
+        raise ValueError(f"{name} shape {mask.shape} != {tuple(shape)}")
+    if not np.all((mask == 0) | (mask == 1)):
+        raise ValueError(f"{name} entries must be 0 or 1")
+    if np.any(mask[..., 1:] > mask[..., :-1]):
+        raise ValueError(f"{name} rows must be a prefix of ones followed by padding")
+    return mask.sum(axis=-1).astype(np.intp)
+
+
 def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
                   dropout_rate: float = 0.0, training: bool = False,
                   rng: np.random.Generator | None = None) -> Tensor:
@@ -224,17 +240,8 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     *lead, steps, din = x.shape
-    mask = np.asarray(mask)
-    if mask.shape != x.shape[:-1]:
-        raise ValueError(f"mask shape {mask.shape} != {x.shape[:-1]}")
     n_rows = np.prod(lead, dtype=int)
-    rows = mask.reshape(n_rows, steps)
-    # Mask rows are 0/1 prefixes of ones; all-zero rows (empty bank slots) are fine.
-    if not np.all((rows == 0) | (rows == 1)):
-        raise ValueError("mask entries must be 0 or 1")
-    if np.any(rows[:, 1:] > rows[:, :-1]):
-        raise ValueError("mask rows must be a prefix of ones followed by padding")
-    lengths = rows.sum(axis=1).astype(np.intp)
+    lengths = prefix_lengths(mask, x.shape[:-1]).reshape(n_rows)
     xs = x.data.reshape(n_rows, steps, din)
     tape = _tape()
     out_f, bptt_f = _scan(xs, lengths, p.fwd, False, tape is not None, not x.const)

@@ -8,10 +8,12 @@ Variants:
   san-noblstm2  bank attention but no second BLSTM; the projection reads
                 the concatenated representation directly
 
-Loss and decoding exclude PAD positions.  Under a tape a training step
-records 11 nodes for ``san`` with dropout: two embedding lookups (the
-bank's on its (B, U, T) ids), one ``blstm_forward`` per BLSTM (dropout
-included), ``transform_bank`` (a ``linear`` and a ``tanh``), one
+Loss and decoding exclude PAD positions, and bank attention runs only at
+valid question positions (``batch.mask``): padded positions get an exactly
+zero side vector, as the BLSTMs give them zero outputs.  Under a tape a
+training step records 11 nodes for ``san`` with dropout: two embedding
+lookups (the bank's on its (B, U, T) ids), one ``blstm_forward`` per BLSTM
+(dropout included), ``transform_bank`` (a ``linear`` and a ``tanh``), one
 ``bank_attend_batch``, the projection, one ``softmax`` and one
 ``batch_loss`` node.  Checkpoints are a versioned JSON container with
 base64 little-endian float64 tensors; round trips are bit-exact.
@@ -272,10 +274,10 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
                   want_trace: bool = False) -> tuple[Tensor, list[AttentionTrace] | None]:
     """Per-token label distributions for a batch: (B, T, |L|) plus traces.
 
-    Valid rows sum to one; padded rows are computed but must be excluded
-    by every consumer (the loss and the decoder both do).  Bank words
-    come from ``params.bank_memo`` with no tape active, and from the bank
-    BLSTM and ``transform_bank`` under one.
+    Valid rows sum to one; padded rows come out of the projection of zero
+    features and must be excluded by every consumer (the loss and the
+    decoder both do).  Bank words come from ``params.bank_memo`` with no
+    tape active, and from the bank BLSTM and ``transform_bank`` under one.
     """
     if batch.ids.shape[1] != cfg.max_len:
         raise ValueError(
@@ -299,8 +301,9 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
             bank = blstm_forward(gather_rows(params.embedding, batch.bank_ids),
                                  batch.bank_mask, params.bank_blstm)
             words = transform_bank(bank, params.attention)
-        hq2, traces = bank_attend_batch(hq1, words, batch.bank_mask, batch.bank_valid,
-                                        params.attention, want_trace=want_trace)
+        hq2, traces = bank_attend_batch(hq1, batch.mask, words, batch.bank_mask,
+                                        batch.bank_valid, params.attention,
+                                        want_trace=want_trace)
     else:
         hq2 = hq1
     if cfg.has_layer2:
@@ -424,6 +427,9 @@ def load_model(path, expected: SanConfig | None = None) -> tuple[SanParams, SanC
         value = config_dict.get(f.name)
         if f.name in config_dict and f.type in _JSON_TYPES and not json_type_ok(f.type, value):
             raise CheckpointError(f"checkpoint config {f.name!r}: expected {f.type}, got {value!r}")
+    labels = config_dict.get("labels", [])
+    if not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
+        raise CheckpointError(f"checkpoint config 'labels': expected a list of strings, got {labels!r}")
     cfg = SanConfig.from_dict(config_dict)
     vocab = Vocabulary(vocab_tokens)
     if expected is not None and expected.variant != cfg.variant:

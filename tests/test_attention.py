@@ -35,7 +35,8 @@ def attend_one(hq1, banks, masks, p, width=None):
     """transform_bank, then bank_attend_batch, on one (T_q, 2H) question and
     its (T_u, 2H) bank questions: (T_q, 2H + A) and its trace."""
     bank_h, token_mask, bank_valid = pad_banks(banks, masks, hq1.shape[1], width)
-    hq2, traces = bank_attend_batch(Tensor(hq1[None]), transform_bank(Tensor(bank_h), p),
+    hq2, traces = bank_attend_batch(Tensor(hq1[None]), np.ones((1, hq1.shape[0])),
+                                    transform_bank(Tensor(bank_h), p),
                                     token_mask, bank_valid, p, want_trace=True)
     return hq2.data[0], traces[0]
 
@@ -47,8 +48,9 @@ def observed_query(hq1, p):
     [1, exp(q_1), ..., exp(q_A)]."""
     attn = p.dim
     words = np.vstack([np.zeros(attn), np.eye(attn)])[None, None]
-    _, traces = bank_attend_batch(Tensor(hq1[None]), Tensor(words), np.ones((1, 1, attn + 1)),
-                                  np.ones((1, 1)), p, want_trace=True)
+    _, traces = bank_attend_batch(Tensor(hq1[None]), np.ones((1, hq1.shape[0])), Tensor(words),
+                                  np.ones((1, 1, attn + 1)), np.ones((1, 1)), p,
+                                  want_trace=True)
     w = traces[0].level1_weights[:, 0]
     return np.log(w[:, 1:] / w[:, :1])
 
@@ -280,8 +282,8 @@ class TestBankAttend:
 
         def loss(g):
             words = transform_bank(Tensor(bank_h, const=True), p)
-            hq2, _ = bank_attend_batch(Tensor(hq1[None], const=True), words, token_mask,
-                                       bank_valid, p)
+            hq2, _ = bank_attend_batch(Tensor(hq1[None], const=True), np.ones((1, 2)), words,
+                                       token_mask, bank_valid, p)
             return reduce_sum(mul(hq2, Tensor(weights, const=True)))
 
         assert grad_check(loss, group, h=1e-5) < 1e-5
@@ -300,7 +302,7 @@ class TestBankAttend:
         weights = Tensor(rng.normal(size=(2, 3, 7)), const=True)
 
         def loss(g):
-            hq2, _ = bank_attend_batch(hq1, words, token_mask, bank_valid, p)
+            hq2, _ = bank_attend_batch(hq1, np.ones((2, 3)), words, token_mask, bank_valid, p)
             return reduce_sum(mul(hq2, weights))
 
         with Tape() as tape:
@@ -316,9 +318,11 @@ class TestBankAttend:
         bank_h = rng.normal(size=(b_sz, n_banks, t_u, 4))
         token_mask = (rng.random((b_sz, n_banks, t_u)) > 0.3).astype(float)
         token_mask[:, :, 0] = 1.0
+        token_mask = np.cumprod(token_mask, axis=-1)  # padding is a suffix
         bank_valid = token_mask.any(axis=2).astype(float)
-        batched, _ = bank_attend_batch(Tensor(hq1), transform_bank(Tensor(bank_h), p),
-                                       token_mask, bank_valid, p)
+        batched, _ = bank_attend_batch(Tensor(hq1), np.ones((b_sz, t_q)),
+                                       transform_bank(Tensor(bank_h), p), token_mask,
+                                       bank_valid, p)
         for i in range(b_sz):
             single, _ = attend_one(hq1[i], list(bank_h[i]), list(token_mask[i]), p)
             assert np.allclose(batched.data[i], single, atol=1e-12, rtol=0)
@@ -338,11 +342,11 @@ class TestBankAttend:
         _, p = make_params(encoder_width=4, attn_dim=3, seed=15)
         for _ in range(25):
             hq1, banks, masks = random_instance(rng, n_banks=int(rng.integers(1, 4)))
-            # knock out random bank positions, keeping at least one valid
+            # pad out a random suffix of each bank question, keeping at least one valid
             masks = [m.copy() for m in masks]
             for m in masks:
                 if m.shape[0] > 1:
-                    m[rng.integers(0, m.shape[0])] = 0.0
+                    m[rng.integers(0, m.shape[0]):] = 0.0
                 if not m.any():
                     m[0] = 1.0
             _, trace = attend_one(hq1, banks, masks, p)
@@ -354,3 +358,107 @@ class TestBankAttend:
                 dead = trace.level1_weights[:, n, m.shape[0]:]
                 assert np.array_equal(dead, np.zeros_like(dead))
             assert np.allclose(trace.level2_weights.sum(axis=-1), 1.0, atol=1e-9)
+
+
+def mixed_batch(rng, encoder_width=4, t_u=5):
+    """Four questions of T_q = 4 with valid lengths 3, 0, 4 and 2, and
+    their (B, U, T_u, 2H) bank representations, token_mask and bank_valid.
+    Example 0 has PAD bank positions and an empty middle slot, example 1
+    is a length-0 question, example 3's bank is fully empty; no bank
+    question fills T_u, so every example's level 1 runs on a cut width."""
+    q_len = np.array([3, 0, 4, 2])
+    bank_len = np.array([[2, 0, 4], [3, 1, 4], [1, 4, 3], [0, 0, 0]])
+    hq1 = rng.normal(size=(4, 4, encoder_width))
+    query_mask = (np.arange(4) < q_len[:, None]).astype(float)
+    bank_h = rng.normal(size=(4, 3, t_u, encoder_width))
+    token_mask = (np.arange(t_u) < bank_len[..., None]).astype(float)
+    return hq1, query_mask, bank_h, token_mask, token_mask.any(axis=2).astype(float)
+
+
+class TestValidQueryRows:
+    """bank_attend_batch computes only at valid query positions."""
+
+    def test_gradcheck_all_inputs_mixed_query_lengths(self):
+        group, p = make_params(encoder_width=4, attn_dim=3, seed=20)
+        rng = np.random.default_rng(20)
+        hq1_data, query_mask, bank_h, token_mask, bank_valid = mixed_batch(rng)
+        hq1 = group.add("hq1", hq1_data)
+        words = group.add("words", np.tanh(bank_h[..., :3]))
+        weights = Tensor(rng.normal(size=(4, 4, 7)), const=True)
+
+        def loss(g):
+            hq2, _ = bank_attend_batch(hq1, query_mask, words, token_mask, bank_valid, p)
+            return reduce_sum(mul(hq2, weights))
+
+        with Tape() as tape:
+            loss(group)
+        assert len(tape) == 3  # bank_attend_batch, mul, reduce_sum
+        assert grad_check(loss, group, h=1e-6) < 1e-6
+
+    def test_padded_query_rows_ignored(self):
+        _, p = make_params(encoder_width=4, attn_dim=3, seed=21)
+        rng = np.random.default_rng(21)
+        hq1, query_mask, bank_h, token_mask, bank_valid = mixed_batch(rng)
+        words = transform_bank(Tensor(bank_h), p)
+        base, base_traces = bank_attend_batch(Tensor(hq1), query_mask, words, token_mask,
+                                              bank_valid, p, want_trace=True)
+        padded = query_mask == 0
+        garbage = hq1.copy()
+        garbage[padded] = 1e3 * rng.normal(size=(padded.sum(), 4))
+        out, traces = bank_attend_batch(Tensor(garbage), query_mask, words, token_mask,
+                                        bank_valid, p, want_trace=True)
+        valid = ~padded
+        assert np.array_equal(out.data[valid], base.data[valid])
+        assert np.array_equal(out.data[padded, :4], garbage[padded])
+        assert np.array_equal(out.data[padded, 4:], np.zeros((padded.sum(), 3)))
+        for n, trace, base_trace in zip(query_mask.sum(axis=1).astype(int), traces,
+                                        base_traces):
+            for field in ("level1_weights", "level1_attended", "level2_weights", "side"):
+                got = getattr(trace, field)
+                assert np.array_equal(got, getattr(base_trace, field))
+                assert np.array_equal(got[n:], np.zeros_like(got[n:]))
+
+    def test_mixed_lengths_match_reference_per_example(self):
+        _, p = make_params(encoder_width=4, attn_dim=3, seed=22)
+        rng = np.random.default_rng(22)
+        hq1, query_mask, bank_h, token_mask, bank_valid = mixed_batch(rng)
+        out, traces = bank_attend_batch(Tensor(hq1), query_mask,
+                                        transform_bank(Tensor(bank_h), p),
+                                        token_mask, bank_valid, p, want_trace=True)
+        for i, n in enumerate(query_mask.sum(axis=1).astype(int)):
+            ref_hq2, ref_w1, ref_a1, ref_w2 = reference_bank_attention(
+                hq1[i, :n], list(bank_h[i]), list(token_mask[i]), p)
+            assert np.allclose(out.data[i, :n], ref_hq2, atol=1e-12, rtol=0)
+            assert np.array_equal(out.data[i, n:, 4:], np.zeros((4 - n, 3)))
+            if n == 0:
+                continue
+            assert np.allclose(traces[i].level1_weights[:n], ref_w1, atol=1e-12, rtol=0)
+            assert np.allclose(traces[i].level1_attended[:n], ref_a1, atol=1e-12, rtol=0)
+            assert np.allclose(traces[i].level2_weights[:n], ref_w2, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("case, match", [
+        ("query_mask_shape", "query_mask shape"),
+        ("query_mask_not_binary", "query_mask entries"),
+        ("query_mask_not_prefix", "query_mask rows"),
+        ("token_mask_shape", "token_mask shape"),
+        ("token_mask_not_binary", "token_mask entries"),
+        ("token_mask_not_prefix", "token_mask rows")])
+    def test_bad_masks_rejected(self, case, match):
+        _, p = make_params(encoder_width=4, attn_dim=3, seed=24)
+        rng = np.random.default_rng(24)
+        hq1, query_mask, bank_h, token_mask, bank_valid = mixed_batch(rng)
+        words = Tensor(np.tanh(bank_h[..., :3]))
+        target, flaw = case.split("_mask_")
+        bad = (query_mask if target == "query" else token_mask).copy()
+        if flaw == "shape":
+            bad = bad[..., :-1]
+        elif flaw == "not_binary":
+            bad[(0,) * bad.ndim] = 0.5
+        else:
+            bad[(0,) * bad.ndim] = 0.0  # the first row keeps a later 1
+        if target == "query":
+            query_mask = bad
+        else:
+            token_mask = bad
+        with pytest.raises(ValueError, match=match):
+            bank_attend_batch(Tensor(hq1), query_mask, words, token_mask, bank_valid, p)

@@ -391,6 +391,17 @@ class TestEvaluate:
         assert main(["evaluate", "--model", str(bad), "--data", str(corpus)]) == 3
         assert named in caplog.text
 
+    @pytest.mark.parametrize("labels", [5, None, "FO", ["F", 0]],
+                             ids=["int", "null", "string", "non_string_item"])
+    def test_checkpoint_labels_not_strings_exit_3(self, tmp_path, overfit_ckpt, caplog, labels):
+        corpus, ckpt = overfit_ckpt
+        payload = json.loads(ckpt.read_text())
+        payload["config"]["labels"] = labels
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["evaluate", "--model", str(bad), "--data", str(corpus)]) == 3
+        assert "'labels'" in caplog.text
+
     def test_multi_model_table(self, tmp_path, overfit_ckpt, capsys):
         corpus, ckpt = overfit_ckpt
         code = main(["evaluate", "--model", str(ckpt), "--model", str(ckpt),

@@ -169,6 +169,31 @@ class TestTapeMix:
             batch_loss(probs, batch.gold, batch.mask)
         assert len(tape) == nodes
 
+    def test_san_step_gradients_finite_at_paper_dims(self):
+        # H = A = d = 100, T = 40, U = 5; questions of 1 to 40 tokens, banks
+        # of 0 to 5 questions of 1 to 40 tokens.
+        rng = np.random.default_rng(5)
+        vocab = Vocabulary(list(RESERVED) + [f"w{i}" for i in range(60)])
+        cfg = SanConfig()
+        words = lambda n: [f"w{i}" for i in rng.integers(0, 60, size=n)]  # noqa: E731
+        examples = []
+        for n in (1, 6, 12, 17, 23, 29, 35, 40):
+            rec = QaRecord(f"q{n}", "c", words(n), tags=list(rng.choice(["F", "O"], size=n)))
+            bank = [QaRecord(f"b{n}-{u}", "c", words(m))
+                    for u, m in enumerate((40, 3, 1, 22, 9)[:n % 6])]
+            examples.append(make_example(rec, bank, vocab))
+        batch = collate(examples)
+        params = build(cfg, vocab)
+        with Tape() as tape:
+            probs, _ = forward_batch(batch, params, cfg, training=True,
+                                     rng=np.random.default_rng(0))
+            loss = batch_loss(probs, batch.gold, batch.mask)
+        assert len(tape) == 11
+        grads = tape.gradients(loss)
+        for name, t in params.group.items():
+            assert np.all(np.isfinite(grads[t])), name
+        assert np.any(grads[params.attention.w_k2] != 0.0)
+
 
 class TestLoss:
     # One (T, |L|) sequence as a batch of one.
