@@ -96,7 +96,8 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
 
     hq1: (B, T_q, 2H); query_mask: (B, T_q) 0/1; words: (B, U, T_u, A),
     bank words already through ``transform_bank``; token_mask: (B, U, T_u)
-    0/1; bank_valid: (B, U) 0/1.  Both masks must be prefixes of ones.
+    0/1; bank_valid: (B, U) 0/1, equal to ``token_mask.any(axis=2)``.  Both
+    masks must be prefixes of ones.
     Returns (B, T_q, 2H + A) and, when asked, one AttentionTrace per batch
     element.  The node's inputs are hq1, words, w_r, b_r, w_k2 and b_k2.
 
@@ -115,6 +116,9 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
     q_len = prefix_lengths(query_mask, hq1.shape[:2], "query_mask")
     bank_len = prefix_lengths(token_mask, words.shape[:3], "token_mask")
     token_mask = np.asarray(token_mask)
+    if np.shape(bank_valid) != bank_len.shape or not np.array_equal(bank_valid, bank_len > 0):
+        raise ValueError("bank_valid must equal token_mask.any(axis=2): a slot is valid "
+                         "exactly when it holds a valid word")
     inputs = (hq1, words, p.w_r, p.b_r, p.w_k2, p.b_k2)
     h, k, w_r, b_r, w_k2, b_k2 = (t.data for t in inputs)
     at_query = np.arange(t_q) < q_len[:, None]                           # (B, T_q)

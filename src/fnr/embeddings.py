@@ -4,11 +4,20 @@ The embedding matrix doubles as a trainable tensor inside the tagger
 (shared by the labeled question and the bank branch, looked up with
 ``autodiff.gather_rows``) and as a standalone artifact pretrained with
 skip-gram negative sampling on a raw question corpus.
+
+Pretraining takes one numpy step per sentence: all of the sentence's
+(center, context) pairs are scored by batched products, each center's
+negatives are shared by its context pairs (Ji et al. 2016, arXiv
+1604.04661), and the summed updates are scattered back at the end of the
+step.  The vectors differ from pair-by-pair SGD; the same seed and corpus
+give the same vectors, bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -38,8 +47,12 @@ class SgnsConfig:
             raise ValueError("window must be >= 1")
         if self.negatives < 1:
             raise ValueError("negatives must be >= 1")
-        if self.dim < 1 or self.epochs < 1 or self.lr <= 0:
-            raise ValueError("dim/epochs/lr must be positive")
+        if self.dim < 1 or self.epochs < 1:
+            raise ValueError("dim/epochs must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if self.min_freq < 1:
+            raise ValueError(f"min_freq must be >= 1, got {self.min_freq}")
 
 
 @dataclass
@@ -66,13 +79,23 @@ class EmbeddingMatrix:
 
 
 def _negative_table(counts: np.ndarray) -> np.ndarray:
-    """Cumulative unigram^0.75 distribution for inverse-CDF sampling."""
+    """Cumulative unigram^0.75 distribution for inverse-CDF sampling.
+
+    Dividing the running sum by its last entry ends the table at exactly
+    1.0, so every uniform draw in [0, 1) falls inside it."""
     weights = counts.astype(np.float64) ** 0.75
     weights[PAD_ID] = 0.0
-    total = weights.sum()
-    if total <= 0:
+    cum = np.cumsum(weights)
+    if cum[-1] <= 0:
         raise ValueError("no tokens available for negative sampling")
-    return np.cumsum(weights / total)
+    return cum / cum[-1]
+
+
+def _draw_negatives(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Token ids for uniforms ``u`` in [0, 1): id i when cum[i-1] <= u <
+    cum[i].  A zero-weight id (PAD, unseen reserved tokens) spans an empty
+    interval and is never drawn."""
+    return np.searchsorted(cum, u, side="right")
 
 
 def _pair_count(length: int, window: int) -> int:
@@ -83,19 +106,41 @@ def _pair_count(length: int, window: int) -> int:
     return m * (2 * length - m - 1)
 
 
-def _learning_rate(lr: float, seen: int, total_pairs: int) -> float:
-    """Linear decay from ``lr`` to the ``lr * 1e-4`` floor at the last pair."""
-    return max(lr * (1.0 - seen / total_pairs), lr * 1e-4)
+def _learning_rate(lr: float, seen, total_pairs: int):
+    """Linear decay from ``lr`` to the ``lr * 1e-4`` floor at the last pair;
+    ``seen`` is a pair's 1-based running index, or an array of them."""
+    return np.maximum(lr * (1.0 - seen / total_pairs), lr * 1e-4)
+
+
+def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``table[rows] += values`` in place, a repeated row getting every
+    update; ``values`` has shape ``rows.shape + (dim,)``.  This is
+    ``np.add.at`` on the flat view of the C-contiguous table, which adds
+    in the same order as on 2-D rows and runs several times faster."""
+    dim = table.shape[1]
+    np.add.at(table.reshape(-1), (rows[..., None] * dim + np.arange(dim)).ravel(),
+              values.ravel())
 
 
 def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
                    rng: np.random.Generator) -> EmbeddingMatrix:
     """Pretrain embeddings with skip-gram negative sampling.
 
-    Negatives are drawn from the unigram^0.75 distribution; draws that
-    collide with the positive context are skipped, as in the reference
-    implementation of the method.  The per-epoch mean objective is kept on
-    the returned matrix as ``loss_history``.
+    One step per sentence of n tokens.  Its (center, context) pairs form
+    an (n, 2w) window matrix, masked at the sentence edges.  Each center
+    draws ``cfg.negatives`` ids from the unigram^0.75 distribution, shared
+    by all its context pairs (Ji et al. 2016); a draw equal to the center
+    is skipped, as in the reference implementation of the method.  The
+    context input vectors (n, 2w, d) are scored against the output vectors
+    of the center and its negatives (n, K+1, d) by batched products, every
+    gradient is taken from the vectors as they were at the start of the
+    sentence, and ``np.add.at`` scatters the updates, so a word used twice
+    in a sentence gets both.  Each pair keeps its own learning rate from
+    its running index, which reaches the floor at the last pair.  The
+    vectors therefore differ from pair-by-pair SGD; the same seed gives
+    the same vectors.  The per-epoch mean objective per pair is kept on
+    the returned matrix as ``loss_history`` and logged with the pair count
+    and tokens/s.
     """
     sequences = [list(seq) for seq in raw_corpus]
     if not any(sequences):
@@ -116,41 +161,47 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
 
     total_pairs = sum(_pair_count(len(ids), cfg.window) for ids in encoded) * cfg.epochs
     total_pairs = max(total_pairs, 1)
+    tokens = sum(len(ids) for ids in encoded)
+    offsets = np.concatenate([np.arange(-cfg.window, 0), np.arange(1, cfg.window + 1)])
+    sign = np.ones(cfg.negatives + 1)
+    sign[0] = -1.0  # column 0 is the positive, the center itself
     seen = 0
     history: list[float] = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
+        started = time.perf_counter()
         loss_sum = 0.0
         loss_n = 0
         for ids in encoded:
             n = len(ids)
-            for i in range(n):
-                center = ids[i]
-                lo = max(0, i - cfg.window)
-                hi = min(n, i + cfg.window + 1)
-                for j in range(lo, hi):
-                    if j == i:
-                        continue
-                    seen += 1
-                    alpha = _learning_rate(cfg.lr, seen, total_pairs)
-                    context = ids[j]
-                    negs = np.searchsorted(cum, rng.random(cfg.negatives))
-                    negs = negs[negs != context]
-                    targets = np.concatenate(([context], negs))
-                    labels = np.zeros(len(targets))
-                    labels[0] = 1.0
-                    v = w_in[center]
-                    u = w_out[targets]
-                    scores = np.clip(u @ v, -30.0, 30.0)
-                    preds = 1.0 / (1.0 + np.exp(-scores))
-                    # objective: -[log sig(pos) + sum log sig(-neg)]
-                    loss_sum += float(np.log1p(np.exp(-scores[0]))
-                                      + np.log1p(np.exp(scores[1:])).sum())
-                    loss_n += 1
-                    err = (preds - labels)[:, None]
-                    grad_v = (err * u).sum(axis=0)
-                    w_out[targets] -= alpha * err * v
-                    w_in[center] -= alpha * grad_v
-        history.append(loss_sum / max(loss_n, 1))
+            if n < 2:
+                continue
+            pos = np.arange(n)[:, None] + offsets
+            valid = (pos >= 0) & (pos < n)                                 # (n, 2w)
+            ctx = ids[np.clip(pos, 0, n - 1)]
+            m = int(valid.sum())
+            alpha = np.zeros(valid.shape)
+            alpha[valid] = _learning_rate(cfg.lr, seen + np.arange(1, m + 1), total_pairs)
+            seen += m
+            negs = _draw_negatives(cum, rng.random((n, cfg.negatives)))
+            targets = np.concatenate([ids[:, None], negs], axis=1)         # (n, K+1)
+            keep = np.ones(targets.shape, dtype=bool)
+            keep[:, 1:] = negs != ids[:, None]
+            mask = valid[:, :, None] & keep[:, None, :]                    # (n, 2w, K+1)
+            x = w_in[ctx]                                                  # (n, 2w, d)
+            y = w_out[targets]                                             # (n, K+1, d)
+            # z = -score for the positive and +score for the negatives;
+            # the objective is sum log(1 + e^z), its gradient sign * sig(z).
+            z = np.clip(x @ y.transpose(0, 2, 1), -30.0, 30.0) * sign
+            loss_sum += float(np.log1p(np.exp(z))[mask].sum())
+            loss_n += m
+            err = (sign / (1.0 + np.exp(-z))) * mask * alpha[:, :, None]
+            _scatter_add(w_in, ctx[valid], -(err @ y)[valid])
+            _scatter_add(w_out, targets, -(err.transpose(0, 2, 1) @ x))
+        mean = loss_sum / max(loss_n, 1)
+        history.append(mean)
+        log.info("skip-gram epoch %d/%d: mean objective %.6f over %d pairs, %.0f tokens/s",
+                 epoch + 1, cfg.epochs, mean, loss_n,
+                 tokens / max(time.perf_counter() - started, 1e-9))
     matrix = EmbeddingMatrix(vocab, w_in)
     matrix.loss_history = history
     return matrix

@@ -375,6 +375,23 @@ def mixed_batch(rng, encoder_width=4, t_u=5):
     return hq1, query_mask, bank_h, token_mask, token_mask.any(axis=2).astype(float)
 
 
+class TestBankValid:
+    def test_valid_slot_without_words_rejected(self):
+        # An all-PAD slot marked valid would take part in level 2 with the
+        # summary tanh(b_k2): side vectors of tanh(0.5) = 0.462, not 0.
+        _, p = make_params(encoder_width=4, attn_dim=3, seed=25, zero=True)
+        p.b_k2.data[...] = 0.5
+        hq1 = Tensor(np.random.default_rng(25).normal(size=(1, 2, 4)))
+        words = Tensor(np.zeros((1, 1, 3, 3)))
+        token_mask = np.zeros((1, 1, 3))
+        for bank_valid in (np.ones((1, 1)), np.zeros((1, 2))):
+            with pytest.raises(ValueError, match="bank_valid"):
+                bank_attend_batch(hq1, np.ones((1, 2)), words, token_mask, bank_valid, p)
+        out, _ = bank_attend_batch(hq1, np.ones((1, 2)), words, token_mask,
+                                   token_mask.any(axis=2).astype(float), p)
+        assert np.array_equal(out.data[..., 4:], np.zeros((1, 2, 3)))
+
+
 class TestValidQueryRows:
     """bank_attend_batch computes only at valid query positions."""
 

@@ -91,6 +91,15 @@ class TestPretrainEmbeddings:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("flags", [["--lr", "nan"], ["--lr", "inf"],
+                                       ["--min-freq", "0"]])
+    def test_bad_lr_or_min_freq_exit_3_no_file(self, tmp_path, corpus_path, flags):
+        out = tmp_path / "emb.txt"
+        code = main(["pretrain-embeddings", "--corpus", str(corpus_path), "--out", str(out),
+                     "--epochs", "1", "--seed", "1"] + flags)
+        assert code == 3
+        assert not out.exists()
+
 
 class TestBuildBank:
     def test_default_top_k_and_coverage(self, tmp_path, corpus_path, pool_path, capsys):

@@ -53,6 +53,57 @@ def toy_corpus(rng, n_tokens=3000):
     return seqs
 
 
+def reference_sgns(corpus, cfg, seed):
+    """Plain-loop transcription of the batched skip-gram update: pair by
+    pair, with every gradient of a sentence step taken from the vectors
+    as they were at its start and the sum applied at its end.  Returns
+    the vocabulary, the input vectors (PAD row zeroed), the per-epoch
+    mean objective and, per sentence step, each input row's list of
+    per-pair updates."""
+    rng = np.random.default_rng(seed)
+    vocab = build_vocab(corpus)
+    sentences = [vocab.encode(s) for s in corpus]
+    n_vocab, dim = len(vocab), cfg.dim
+    w_in = (rng.random((n_vocab, dim)) - 0.5) / dim
+    w_out = np.zeros((n_vocab, dim))
+    counts = np.bincount([t for s in sentences for t in s], minlength=n_vocab)
+    cum = np.cumsum(counts ** 0.75)
+    cum /= cum[-1]
+    total = sum(1 for s in sentences for i in range(len(s)) for j in range(len(s))
+                if i != j and abs(i - j) <= cfg.window) * cfg.epochs
+    seen, history, deltas = 0, [], []
+    for _ in range(cfg.epochs):
+        loss, n_pairs = 0.0, 0
+        for ids in sentences:
+            negs = np.searchsorted(cum, rng.random((len(ids), cfg.negatives)), side="right")
+            d_in, d_out = np.zeros_like(w_in), np.zeros_like(w_out)
+            step = {}
+            for i in range(len(ids)):
+                targets = [(ids[i], 1.0)] + [(t, 0.0) for t in negs[i] if t != ids[i]]
+                for j in range(len(ids)):
+                    if j == i or abs(i - j) > cfg.window:
+                        continue
+                    seen += 1
+                    n_pairs += 1
+                    alpha = max(cfg.lr * (1.0 - seen / total), cfg.lr * 1e-4)
+                    v = w_in[ids[j]]
+                    g_v = np.zeros(dim)
+                    for t, label in targets:
+                        score = float(w_out[t] @ v)
+                        loss += np.log1p(np.exp(-score if label else score))
+                        err = alpha * (1.0 / (1.0 + np.exp(-score)) - label)
+                        g_v -= err * w_out[t]
+                        d_out[t] -= err * v
+                    d_in[ids[j]] += g_v
+                    step.setdefault(ids[j], []).append(g_v)
+            w_in += d_in
+            w_out += d_out
+            deltas.append(step)
+        history.append(loss / n_pairs)
+    w_in[PAD_ID] = 0.0
+    return vocab, w_in, history, deltas
+
+
 class TestTrainSkipgram:
     def test_shape_contract(self):
         rng = np.random.default_rng(0)
@@ -115,8 +166,9 @@ class TestTrainSkipgram:
         alphas = []
 
         def recording(lr, seen, total_pairs):
-            alphas.append(schedule(lr, seen, total_pairs))
-            return alphas[-1]
+            rates = schedule(lr, seen, total_pairs)
+            alphas.extend(np.atleast_1d(rates))  # one call per sentence step
+            return rates
 
         monkeypatch.setattr(embeddings, "_learning_rate", recording)
         train_skipgram(corpus, cfg, rng)
@@ -131,6 +183,81 @@ class TestTrainSkipgram:
             SgnsConfig(window=0)
         with pytest.raises(ValueError):
             SgnsConfig(negatives=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"lr": float("nan")}, {"lr": float("inf")}, {"lr": -float("inf")}, {"lr": 0.0},
+        {"min_freq": 0}, {"min_freq": -1}])
+    def test_config_rejects_bad_lr_and_min_freq(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SgnsConfig(**kwargs)
+
+    def test_same_seed_identical(self):
+        cfg = SgnsConfig(dim=8, window=2, negatives=3, epochs=2)
+        runs = [train_skipgram(toy_corpus(np.random.default_rng(6), 600), cfg,
+                               np.random.default_rng(7)) for _ in range(2)]
+        assert np.array_equal(runs[0].vectors, runs[1].vectors)
+        assert runs[0].loss_history == runs[1].loss_history
+
+    def test_matches_reference_transcription(self):
+        # w_out starts at zero, so the first step leaves the input vectors
+        # where they were; a second epoch makes them move.
+        sentence = ["q", "w", "e", "r", "t", "y", "u"]
+        for epochs in (1, 2):
+            cfg = SgnsConfig(dim=5, window=2, negatives=3, epochs=epochs, lr=0.5)
+            got = train_skipgram([sentence], cfg, np.random.default_rng(8))
+            vocab, want, history, deltas = reference_sgns([sentence], cfg, seed=8)
+            assert got.vocab.id_to_token == vocab.id_to_token
+            assert np.allclose(got.vectors, want, atol=1e-12, rtol=0)
+            assert np.allclose(got.loss_history, history, atol=1e-12, rtol=0)
+        assert any(np.abs(d).max() > 1e-6 for ds in deltas[-1].values() for d in ds)
+
+    def test_repeated_word_updates_summed(self):
+        # Window 1 over "a b a": "a" is the context of center "b" twice
+        # per step, and both of those pairs move its input vector.
+        cfg = SgnsConfig(dim=4, window=1, negatives=2, epochs=2, lr=0.5)
+        got = train_skipgram([["a", "b", "a"]], cfg, np.random.default_rng(9))
+        vocab, want, _, deltas = reference_sgns([["a", "b", "a"]], cfg, seed=9)
+        a = vocab.lookup("a")
+        last = deltas[-1][a]
+        assert len(last) == 2 and all(np.abs(d).max() > 1e-6 for d in last)
+        assert np.allclose(got.vectors, want, atol=1e-12, rtol=0)
+        assert not np.allclose(got.vectors[a], want[a] - last[0], atol=1e-9, rtol=0)
+
+    def test_epoch_log_lines(self, caplog):
+        rng = np.random.default_rng(10)
+        corpus = toy_corpus(rng, 240)
+        cfg = SgnsConfig(dim=4, window=2, negatives=2, epochs=3)
+        with caplog.at_level(logging.INFO, logger="fnr.embeddings"):
+            m = train_skipgram(corpus, cfg, rng)
+        lines = [r.getMessage() for r in caplog.records if r.name == "fnr.embeddings"]
+        pairs = sum(embeddings._pair_count(len(s), cfg.window) for s in corpus)
+        assert len(lines) == cfg.epochs
+        for epoch, (line, mean) in enumerate(zip(lines, m.loss_history), start=1):
+            assert line.startswith(f"skip-gram epoch {epoch}/{cfg.epochs}: ")
+            assert f"mean objective {mean:.6f} over {pairs} pairs" in line
+            assert line.endswith(" tokens/s")
+
+
+class TestNegativeSampler:
+    def test_edge_uniforms_give_valid_ids(self):
+        # PAD, an unseen EOS, two words, then two unseen ids.
+        counts = np.array([0, 0, 3, 5, 0, 0])
+        cum = embeddings._negative_table(counts)
+        assert cum[-1] == 1.0
+        ids = embeddings._draw_negatives(cum, np.array([0.0, np.nextafter(1.0, 0.0)]))
+        assert ids.tolist() == [2, 3]
+
+    def test_random_counts_stay_in_range(self):
+        rng = np.random.default_rng(11)
+        edges = np.array([0.0, np.nextafter(1.0, 0.0)])
+        for _ in range(200):
+            counts = rng.integers(0, 50, size=rng.integers(2, 40))
+            counts[rng.integers(1, len(counts))] += 1  # at least one token
+            cum = embeddings._negative_table(counts)
+            assert cum[-1] == 1.0
+            ids = embeddings._draw_negatives(cum, np.concatenate([edges, rng.random(50)]))
+            assert np.all(ids > PAD_ID) and np.all(ids < len(counts))
+            assert np.all(counts[ids] > 0)
 
 
 class TestEmbeddingIO:
