@@ -6,8 +6,10 @@ softmax, weighted sum of the transformed bank words).  Level 2: the same
 token then attends over the per-question summaries, producing its side
 vector, which is concatenated onto the token's BLSTM representation.
 
-The bank words come in already transformed (``transform_bank``: taped
-ops in training, the eval bank memo otherwise).  ``bank_attend_batch``
+The bank words come in already transformed: ``transform_bank`` is one
+tape node that runs tanh(W_k h + b_k) at the valid bank words only and
+leaves padded positions zero; training calls it on the bank BLSTM output
+and the eval bank memo on the rows it lacks.  ``bank_attend_batch``
 then computes the query transform, both levels and the concat for a whole
 batch as one tape node with a hand-written backward.  It works only at
 valid query positions, packed along each example's query axis: level 1
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _tape, astensor, linear, softmax_grad, softmax_parts, tanh
+from .autodiff import Tensor, _tape, astensor, check_finite, softmax_grad, softmax_parts
 from .lstm import glorot, prefix_lengths
 from .optim import ParamGroup
 
@@ -84,9 +86,40 @@ class AttentionTrace:
         }
 
 
-def transform_bank(bank_h: Tensor, p: AttentionParams) -> Tensor:
-    """tanh(W_k h + b_k) rowwise over bank word representations."""
-    return tanh(linear(bank_h, p.w_k, p.b_k))
+def transform_bank(bank_h: Tensor, token_mask: np.ndarray, p: AttentionParams) -> Tensor:
+    """tanh(W_k h + b_k) at the valid bank words, as one tape node.
+
+    bank_h: (..., T_u, 2H) bank word representations; token_mask: 0/1 of
+    shape (..., T_u).  Returns (..., T_u, A), exactly zero where the mask
+    is 0: the projection and the tanh run on the valid words only.  The
+    node's inputs are bank_h, w_k and b_k.
+    """
+    bank_h = astensor(bank_h)
+    if np.shape(token_mask) != bank_h.shape[:-1]:
+        raise ValueError(f"token_mask shape {np.shape(token_mask)} != {bank_h.shape[:-1]}")
+    valid = np.asarray(token_mask) > 0
+    inputs = (bank_h, p.w_k, p.b_k)
+    h, w_k, b_k = (t.data for t in inputs)
+    h_v = h[valid]                                                        # (N, 2H)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = h_v @ w_k.T + b_k
+    check_finite(pre, "bank transform pre-activation")
+    words = np.tanh(pre)                                                  # (N, A)
+    out_data = np.zeros(valid.shape + (p.dim,), dtype=words.dtype)
+    out_data[valid] = words
+    out = Tensor(out_data)
+    tape = _tape()
+    if tape is not None:
+        def backward(g):
+            g_pre = g[valid] * (1.0 - words * words)
+            g_h = None
+            if not bank_h.const:
+                g_h = np.zeros_like(h)
+                g_h[valid] = g_pre @ w_k
+            grads = (g_h, g_pre.T @ h_v, g_pre.sum(axis=0))
+            return tuple(None if t.const else gr for t, gr in zip(inputs, grads))
+        tape._nodes.append((out, inputs, backward))
+    return out
 
 
 def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,

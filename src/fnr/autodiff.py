@@ -1,16 +1,17 @@
 """Dense tensors with taped reverse-mode differentiation on numpy arrays.
 
-The op set is small: ``linear``, ``tanh``, ``gather_rows`` and a fused
-``softmax`` serve the model; ``add``, ``mul`` and ``reduce_sum`` serve
+The op set is small: ``linear``, ``gather_rows`` and a fused ``softmax``
+serve the model; ``add``, ``mul``, ``tanh`` and ``reduce_sum`` serve
 only the tests, which build scalar losses for ``grad_check`` from them
 and use them to exercise tape accumulation.  The model's larger layers
 are fused ops of the same kind, each one tape node with a hand-written
-backward (``lstm.blstm_forward``, ``attention.bank_attend_batch``,
-``model.batch_loss``); they build on the plain-array helpers here
-(``sigmoid_array``, ``softmax_parts``, ``softmax_grad``).  Every op
-output is finite-checked (NaN/Inf is a hard error).  Arrays are float64
-by default; float32 exists behind an explicit fast-mode switch and is not
-suitable for finite-difference verification.
+backward (``lstm.blstm_forward``, ``attention.transform_bank``,
+``attention.bank_attend_batch``, ``model.batch_loss``); they build on the
+plain-array helpers here (``sigmoid_array``, ``scatter_add``,
+``softmax_parts``, ``softmax_grad``).  Every op output is finite-checked
+(NaN/Inf is a hard error).  Arrays are float64 by default; float32 exists
+behind an explicit fast-mode switch and is not suitable for
+finite-difference verification.
 
 Ops record onto the innermost active ``Tape``.  With no tape active they
 just compute, which is the cheap inference path.  The stack of active tapes
@@ -227,11 +228,11 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: exp only ever sees -|x|.
 
     Bit-identical to the piecewise 1/(1+exp(-x)) for x >= 0 and
-    exp(x)/(1+exp(x)) for x < 0, without gathering either half.
+    exp(x)/(1+exp(x)) for x < 0, without a branch: with e = exp(-|x|) in
+    [0, 1], max(e, x >= 0) is 1 for x >= 0 and e otherwise (NaN stays NaN).
     """
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -288,6 +289,18 @@ def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
+def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``table[rows] += values`` in place, a repeated row getting every
+    update; ``values`` has shape ``rows.shape + (dim,)``.  This is
+    ``np.add.at`` on the flat view of the C-contiguous 2-D table, which
+    adds in the same order as on 2-D rows and runs several times faster."""
+    if not table.flags.c_contiguous:
+        raise ValueError("scatter_add needs a C-contiguous table")
+    dim = table.shape[1]
+    flat = np.asarray(rows, dtype=np.intp)[..., None] * dim + np.arange(dim)
+    np.add.at(table.reshape(-1), flat.ravel(), values.ravel())
+
+
 def gather_rows(table, ids) -> Tensor:
     """Row lookup ``table[ids]``; backward scatter-adds into the picked rows
     only, which is what lets looked-up embeddings fine-tune."""
@@ -301,12 +314,11 @@ def gather_rows(table, ids) -> Tensor:
     out = Tensor(table.data[idx])
     tape = _tape()
     if tape is not None:
-        width = table.data.shape[1]
         def backward(g):
             if table.const:
                 return (None,)
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx.reshape(-1), g.reshape(-1, width))
+            gt = np.zeros(table.data.shape, dtype=table.data.dtype)
+            scatter_add(gt, idx, g)
             return (gt,)
         tape._nodes.append((out, (table,), backward))
     return out

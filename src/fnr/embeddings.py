@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .autodiff import NonFiniteError, scatter_add
 from .vocab import PAD_ID, RESERVED, Vocabulary, build_vocab
 
 log = logging.getLogger(__name__)
@@ -112,16 +113,8 @@ def _learning_rate(lr: float, seen, total_pairs: int):
     return np.maximum(lr * (1.0 - seen / total_pairs), lr * 1e-4)
 
 
-def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """``table[rows] += values`` in place, a repeated row getting every
-    update; ``values`` has shape ``rows.shape + (dim,)``.  This is
-    ``np.add.at`` on the flat view of the C-contiguous table, which adds
-    in the same order as on 2-D rows and runs several times faster."""
-    dim = table.shape[1]
-    np.add.at(table.reshape(-1), (rows[..., None] * dim + np.arange(dim)).ravel(),
-              values.ravel())
-
-
+# A diverging rate overflows inside an epoch; the check at its end reports it.
+@np.errstate(over="ignore", invalid="ignore")
 def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
                    rng: np.random.Generator) -> EmbeddingMatrix:
     """Pretrain embeddings with skip-gram negative sampling.
@@ -140,7 +133,8 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
     vectors therefore differ from pair-by-pair SGD; the same seed gives
     the same vectors.  The per-epoch mean objective per pair is kept on
     the returned matrix as ``loss_history`` and logged with the pair count
-    and tokens/s.
+    and tokens/s.  An epoch that ends with a non-finite mean objective or
+    vectors (a learning rate too large) raises ``NonFiniteError``.
     """
     sequences = [list(seq) for seq in raw_corpus]
     if not any(sequences):
@@ -195,13 +189,16 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
             loss_sum += float(np.log1p(np.exp(z))[mask].sum())
             loss_n += m
             err = (sign / (1.0 + np.exp(-z))) * mask * alpha[:, :, None]
-            _scatter_add(w_in, ctx[valid], -(err @ y)[valid])
-            _scatter_add(w_out, targets, -(err.transpose(0, 2, 1) @ x))
+            scatter_add(w_in, ctx[valid], -(err @ y)[valid])
+            scatter_add(w_out, targets, -(err.transpose(0, 2, 1) @ x))
         mean = loss_sum / max(loss_n, 1)
         history.append(mean)
         log.info("skip-gram epoch %d/%d: mean objective %.6f over %d pairs, %.0f tokens/s",
                  epoch + 1, cfg.epochs, mean, loss_n,
                  tokens / max(time.perf_counter() - started, 1e-9))
+        if not (math.isfinite(mean) and np.isfinite(w_in).all() and np.isfinite(w_out).all()):
+            raise NonFiniteError(f"skip-gram diverged in epoch {epoch + 1} "
+                                 f"(mean objective {mean}); lower the learning rate")
     matrix = EmbeddingMatrix(vocab, w_in)
     matrix.loss_history = history
     return matrix

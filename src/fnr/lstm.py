@@ -1,13 +1,23 @@
 """Bidirectional LSTM layer with exact padding masking, as one tape node.
 
-``blstm_forward`` runs both scan directions, their concat and inverted
-dropout in numpy and records a single tape node; its hand-written
-backward applies the dropout scale, splits the gradient and runs each
-direction's backpropagation through time.  The per-gate tensors (input
-i, forget f, output o, cell candidate g) are stacked into ``Wx (4H,
-din)``, ``Wh (4H, H)`` and ``b (4H)`` at call time, and their gradients
-are split back per gate.  Parameters stay stored per gate, so their
-names and the checkpoint format (version 1) are unchanged.
+``blstm_forward`` runs both scan directions into one output buffer,
+applies inverted dropout in numpy and records a single tape node; its
+hand-written backward applies the dropout scale, splits the gradient and
+runs each direction's backpropagation through time, both adding their
+input gradient into one buffer.  The per-gate tensors (input i, forget
+f, output o, cell candidate g) are stacked into ``Wx (4H, din)``, ``Wh
+(4H, H)`` and ``b (4H)`` at call time, and their gradients are split
+back per gate.  Parameters stay stored per gate, so their names and the
+checkpoint format (version 1) are unchanged.
+
+The input projection ``x Wx^T`` of every valid position is one GEMM
+before the recurrence; each step adds ``h_prev Wh^T`` and the bias to its
+rows.  A taped scan keeps, per valid position, the input, the hidden
+state, the forget gate, o(1 - tanh^2 c), and in place of the four
+activations the coefficients that turn d_c (d_h for o) into the gate
+pre-activation gradients: g i(1 - i), c_prev f(1 - f), tanh c o(1 - o)
+and i(1 - g^2).  They are taken during the forward step, so the backward
+pass only runs the recurrence for d_h and d_c.
 
 Padding is suffix-only (masks are prefixes of ones), which the layer
 checks.  Rows are sorted by length once, so step t runs only on the
@@ -92,17 +102,19 @@ def init_blstm(group: ParamGroup, prefix: str, input_size: int, hidden: int,
 
 
 def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
-          taped: bool, need_dx: bool):
+          out: np.ndarray, taped: bool):
     """One LSTM direction over plain (N, T, din) input from zero state.
 
-    Returns the hidden states (N, T, H), exactly zero at padded positions,
-    and with ``taped`` a backpropagation-through-time closure mapping the
-    output gradient to ``(d_x, [d_w_x, d_w_h, d_b per gate])``; ``d_x`` is
-    None unless ``need_dx``.  With ``reverse`` the scan runs from each
+    Writes the hidden states into the valid positions of the zeroed
+    (N, T, H) ``out`` and, with ``taped``, returns a backpropagation-
+    through-time closure ``bptt(g_out, d_x)`` mapping the output gradient
+    to ``[d_w_x, d_w_h, d_b per gate]``; it adds the input gradient into
+    ``d_x`` unless that is None.  With ``reverse`` the scan runs from each
     row's last valid token back to its first.
     """
-    batch, steps, _ = xs.shape
+    steps = xs.shape[1]
     hidden = p.hidden_size
+    dtype = out.dtype
 
     # Packed layout: processing step s covers the rows still inside their
     # sequence, longest first, as rows offs[s]:offs[s+1] of each buffer.
@@ -123,56 +135,60 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
     w_x = np.concatenate([t.data for t in tensors[0::3]])
     w_h = np.concatenate([t.data for t in tensors[1::3]])
     bias = np.concatenate([t.data for t in tensors[2::3]])
-    dtype = np.result_type(xs, w_x)
     x_rows = xs[row_idx, t_idx]
     hs = np.empty((n, hidden), dtype=dtype)
-    cs = np.empty((n, hidden), dtype=dtype)
     if taped:
-        gates = np.empty((n, 4 * hidden), dtype=dtype)
-        tanh_cs = np.empty((n, hidden), dtype=dtype)
+        fs = np.empty((n, hidden), dtype=dtype)
+        dc_dh = np.empty((n, hidden), dtype=dtype)
 
     h3 = 3 * hidden
     with np.errstate(over="ignore", invalid="ignore"):
+        # The input projection of every packed row, hoisted out of the
+        # recurrence; step s turns its rows into the gate pre-activations,
+        # then the activations, and under a tape the backward coefficients.
+        gates = x_rows @ w_x.T
+        c = None
         for s in range(steps):
             lo, hi, k = offs[s], offs[s + 1], carried[s]
             if lo == hi:
                 continue
             prev = offs[s - 1] if s else 0
-            pre = x_rows[lo:hi] @ w_x.T
+            pre = gates[lo:hi]
             if k:
                 pre[:k] += hs[prev:prev + k] @ w_h.T
             pre += bias
             check_finite(pre, "LSTM pre-activation")
-            act = gates[lo:hi] if taped else pre
-            act[:, :h3] = sigmoid_array(pre[:, :h3])
-            act[:, h3:] = np.tanh(pre[:, h3:])
-            c = act[:, :hidden] * act[:, h3:]
+            pre[:, :h3] = sigmoid_array(pre[:, :h3])
+            i, f, o, g = (pre[:, j * hidden:(j + 1) * hidden] for j in range(4))
+            np.tanh(g, out=g)
+            c_prev, c = c, i * g
             if k:
-                c[:k] += act[:k, hidden:2 * hidden] * cs[prev:prev + k]
-            cs[lo:hi] = c
-            tanh_c = np.tanh(c, out=tanh_cs[lo:hi]) if taped else np.tanh(c)
-            np.multiply(act[:, 2 * hidden:h3], tanh_c, out=hs[lo:hi])
+                c[:k] += f[:k] * c_prev[:k]
+            tanh_c = np.tanh(c)
+            np.multiply(o, tanh_c, out=hs[lo:hi])
+            if not taped:
+                continue
+            # Each gate's pre-activation gradient is d_c (d_h for o) times
+            # a coefficient that needs no recurrence: taken here, while
+            # the step's rows are in cache, in place of the activations.
+            fs[lo:hi] = f
+            np.multiply(o, 1.0 - tanh_c * tanh_c, out=dc_dh[lo:hi])
+            coef_i = g * i * (1.0 - i)
+            np.multiply(i, 1.0 - g * g, out=g)
+            i[...] = coef_i
+            f[k:] = 0.0
+            if k:
+                f[:k] = c_prev[:k] * f[:k] * (1.0 - f[:k])
+            o[...] = tanh_c * o * (1.0 - o)
 
-    out = np.zeros((batch, steps, hidden), dtype=dtype)
     out[row_idx, t_idx] = hs
     if not taped:
-        return out, None
+        return None
 
     # Packed index of each position's previous state; n is a zero row.
     prev_idx = np.where(slot_idx < carried[step_idx], offs[step_idx - 1] + slot_idx, n)
 
-    def bptt(g_out):
-        zero_row = np.zeros((1, hidden), dtype=dtype)
-        i, f, o, g = np.split(gates, 4, axis=1)
-        # Each gate's pre-activation gradient is d_c (d_h for o) times a
-        # coefficient that needs no recurrence, so those are taken at once.
-        coef = np.empty((n, 4, hidden), dtype=dtype)
-        coef[:, 0] = g * i * (1.0 - i)
-        coef[:, 1] = np.concatenate([cs, zero_row])[prev_idx] * f * (1.0 - f)
-        coef[:, 2] = 0.0
-        coef[:, 3] = i * (1.0 - g * g)
-        o_coef = tanh_cs * o * (1.0 - o)
-        dc_dh = o * (1.0 - tanh_cs * tanh_cs)
+    def bptt(g_out, d_x):
         d_hs = g_out[row_idx, t_idx]
         d_pre = np.empty((n, 4 * hidden), dtype=dtype)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -189,23 +205,22 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
                 if k_next:
                     d_c[:k_next] += d_c_next
                 d_step = d_pre[lo:hi].reshape(hi - lo, 4, hidden)
-                np.multiply(coef[lo:hi], d_c[:, None, :], out=d_step)
-                np.multiply(d_h, o_coef[lo:hi], out=d_step[:, 2])
+                coef = gates[lo:hi].reshape(hi - lo, 4, hidden)
+                np.multiply(coef, d_c[:, None, :], out=d_step)
+                np.multiply(d_h, coef[:, 2], out=d_step[:, 2])
                 k = carried[s]
                 d_h_next = d_pre[lo:lo + k] @ w_h
-                d_c_next = d_c[:k] * f[lo:lo + k]
-            h_prev = np.concatenate([hs, zero_row])[prev_idx]
+                d_c_next = d_c[:k] * fs[lo:lo + k]
+            h_prev = np.concatenate([hs, np.zeros((1, hidden), dtype=dtype)])[prev_idx]
             d_wx = d_pre.T @ x_rows
             d_wh = d_pre.T @ h_prev
             d_b = d_pre.sum(axis=0)
-            d_x = None
-            if need_dx:
-                d_x = np.zeros_like(xs)
-                d_x[row_idx, t_idx] = d_pre @ w_x
-        return d_x, [d[gate * hidden:(gate + 1) * hidden]
-                     for gate in range(4) for d in (d_wx, d_wh, d_b)]
+            if d_x is not None:
+                d_x[row_idx, t_idx] += d_pre @ w_x
+        return [d[gate * hidden:(gate + 1) * hidden]
+                for gate in range(4) for d in (d_wx, d_wh, d_b)]
 
-    return out, bptt
+    return bptt
 
 
 def prefix_lengths(mask: np.ndarray, shape: tuple[int, ...], name: str = "mask") -> np.ndarray:
@@ -244,17 +259,18 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
     lengths = prefix_lengths(mask, x.shape[:-1]).reshape(n_rows)
     xs = x.data.reshape(n_rows, steps, din)
     tape = _tape()
-    out_f, bptt_f = _scan(xs, lengths, p.fwd, False, tape is not None, not x.const)
-    out_b, bptt_b = _scan(xs, lengths, p.bwd, True, tape is not None, not x.const)
     hidden = p.hidden_size
-    out_data = np.concatenate([out_f, out_b], axis=-1).reshape(*lead, steps, 2 * hidden)
+    out_data = np.zeros((n_rows, steps, 2 * hidden), dtype=np.result_type(xs, p.fwd.w_xi.data))
+    bptt_f = _scan(xs, lengths, p.fwd, False, out_data[..., :hidden], tape is not None)
+    bptt_b = _scan(xs, lengths, p.bwd, True, out_data[..., hidden:], tape is not None)
+    out_data = out_data.reshape(*lead, steps, 2 * hidden)
     scale = None
     if training and dropout_rate > 0.0:
         if rng is None:
             raise ValueError("training-mode dropout needs a seeded generator")
         keep = rng.random(out_data.shape) >= dropout_rate
         scale = (keep / (1.0 - dropout_rate)).astype(out_data.dtype, copy=False)
-        out_data = out_data * scale
+        out_data *= scale
     out = Tensor(out_data)
     if tape is None:
         return out
@@ -266,10 +282,11 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
         if scale is not None:
             g = g * scale
         g_f, g_b = np.split(g.reshape(n_rows, steps, 2 * hidden), [hidden], axis=-1)
+        d_x = None if x.const else np.zeros_like(xs)
         # Summation order (reverse, then forward) is fixed: checkpoints depend on it bit for bit.
-        d_x_b, grads_b = bptt_b(g_b)
-        d_x_f, grads_f = bptt_f(g_f)
-        d_x = None if x.const else (d_x_b + d_x_f).reshape(x.shape)
+        grads_b = bptt_b(g_b, d_x)
+        grads_f = bptt_f(g_f, d_x)
+        d_x = None if d_x is None else d_x.reshape(x.shape)
         return tuple(None if t.const else gr for t, gr in zip(inputs, [d_x] + grads_f + grads_b))
 
     tape._nodes.append((out, inputs, backward))

@@ -11,9 +11,9 @@ Variants:
 Loss and decoding exclude PAD positions, and bank attention runs only at
 valid question positions (``batch.mask``): padded positions get an exactly
 zero side vector, as the BLSTMs give them zero outputs.  Under a tape a
-training step records 11 nodes for ``san`` with dropout: two embedding
+training step records 10 nodes for ``san`` with dropout: two embedding
 lookups (the bank's on its (B, U, T) ids), one ``blstm_forward`` per BLSTM
-(dropout included), ``transform_bank`` (a ``linear`` and a ``tanh``), one
+(dropout included), ``transform_bank`` (valid bank words only), one
 ``bank_attend_batch``, the projection, one ``softmax`` and one
 ``batch_loss`` node.  Checkpoints are a versioned JSON container with
 base64 little-endian float64 tensors; round trips are bit-exact.
@@ -208,7 +208,7 @@ class BankMemo:
                 params: "SanParams") -> None:
         enc = blstm_forward(gather_rows(params.embedding, ids), mask, params.bank_blstm)
         valid = mask > 0
-        words = transform_bank(Tensor(enc.data[valid], const=True), params.attention).data
+        words = transform_bank(enc, mask, params.attention).data[valid]
         lengths = valid.sum(axis=1)
         self._words.update(zip(keys, np.split(words, np.cumsum(lengths)[:-1])))
         self._ids = np.union1d(self._ids, ids[valid])
@@ -300,7 +300,7 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
         else:
             bank = blstm_forward(gather_rows(params.embedding, batch.bank_ids),
                                  batch.bank_mask, params.bank_blstm)
-            words = transform_bank(bank, params.attention)
+            words = transform_bank(bank, batch.bank_mask, params.attention)
         hq2, traces = bank_attend_batch(hq1, batch.mask, words, batch.bank_mask,
                                         batch.bank_valid, params.attention,
                                         want_trace=want_trace)

@@ -36,7 +36,7 @@ def attend_one(hq1, banks, masks, p, width=None):
     its (T_u, 2H) bank questions: (T_q, 2H + A) and its trace."""
     bank_h, token_mask, bank_valid = pad_banks(banks, masks, hq1.shape[1], width)
     hq2, traces = bank_attend_batch(Tensor(hq1[None]), np.ones((1, hq1.shape[0])),
-                                    transform_bank(Tensor(bank_h), p),
+                                    transform_bank(Tensor(bank_h), token_mask, p),
                                     token_mask, bank_valid, p, want_trace=True)
     return hq2.data[0], traces[0]
 
@@ -111,6 +111,46 @@ class TestTransformQuery:
         out = observed_query(h, p)
         expected = np.tanh(h @ p.w_r.data.T + p.b_r.data)
         assert np.allclose(out, expected, atol=1e-12)
+
+
+def prefix_mask_3d(lengths, n_banks=3, t_u=4):
+    """(B, U, T_u) 0/1 prefix masks from B * U row lengths."""
+    lengths = np.asarray(lengths).reshape(-1, n_banks)
+    return (np.arange(t_u) < lengths[..., None]).astype(float)
+
+
+class TestTransformBank:
+    def test_valid_words_only(self):
+        _, p = make_params(encoder_width=4, attn_dim=3, seed=3)
+        rng = np.random.default_rng(3)
+        bank_h = rng.normal(size=(2, 3, 4, 4))
+        token_mask = prefix_mask_3d([4, 2, 0, 1, 3, 0])
+        out = transform_bank(Tensor(bank_h), token_mask, p)
+        valid = token_mask > 0
+        want = np.tanh(bank_h @ p.w_k.data.T + p.b_k.data)
+        assert out.shape == (2, 3, 4, 3)
+        assert np.allclose(out.data[valid], want[valid], atol=1e-15, rtol=0)
+        assert np.array_equal(out.data[~valid], np.zeros((int((~valid).sum()), 3)))
+
+    def test_one_node_and_gradcheck(self):
+        group, p = make_params(encoder_width=4, attn_dim=3, seed=4)
+        rng = np.random.default_rng(4)
+        bank_h = group.add("bank_h", rng.normal(size=(2, 3, 4, 4)))
+        token_mask = prefix_mask_3d([4, 2, 0, 1, 3, 0])
+        weights = Tensor(rng.normal(size=(2, 3, 4, 3)), const=True)
+
+        def loss(g):
+            return reduce_sum(mul(transform_bank(bank_h, token_mask, p), weights))
+
+        with Tape() as tape:
+            loss(group)
+        assert len(tape) == 3  # transform_bank, mul, reduce_sum
+        assert grad_check(loss, group, h=1e-6) < 1e-6
+
+    def test_mask_shape_checked(self):
+        _, p = make_params()
+        with pytest.raises(ValueError, match="token_mask shape"):
+            transform_bank(Tensor(np.zeros((1, 2, 3, 4))), np.ones((1, 2, 4)), p)
 
 
 class TestLevel1Attend:
@@ -281,7 +321,7 @@ class TestBankAttend:
         bank_h, token_mask, bank_valid = pad_banks(banks, masks, 4)
 
         def loss(g):
-            words = transform_bank(Tensor(bank_h, const=True), p)
+            words = transform_bank(Tensor(bank_h, const=True), token_mask, p)
             hq2, _ = bank_attend_batch(Tensor(hq1[None], const=True), np.ones((1, 2)), words,
                                        token_mask, bank_valid, p)
             return reduce_sum(mul(hq2, Tensor(weights, const=True)))
@@ -321,7 +361,7 @@ class TestBankAttend:
         token_mask = np.cumprod(token_mask, axis=-1)  # padding is a suffix
         bank_valid = token_mask.any(axis=2).astype(float)
         batched, _ = bank_attend_batch(Tensor(hq1), np.ones((b_sz, t_q)),
-                                       transform_bank(Tensor(bank_h), p), token_mask,
+                                       transform_bank(Tensor(bank_h), token_mask, p), token_mask,
                                        bank_valid, p)
         for i in range(b_sz):
             single, _ = attend_one(hq1[i], list(bank_h[i]), list(token_mask[i]), p)
@@ -416,7 +456,7 @@ class TestValidQueryRows:
         _, p = make_params(encoder_width=4, attn_dim=3, seed=21)
         rng = np.random.default_rng(21)
         hq1, query_mask, bank_h, token_mask, bank_valid = mixed_batch(rng)
-        words = transform_bank(Tensor(bank_h), p)
+        words = transform_bank(Tensor(bank_h), token_mask, p)
         base, base_traces = bank_attend_batch(Tensor(hq1), query_mask, words, token_mask,
                                               bank_valid, p, want_trace=True)
         padded = query_mask == 0
@@ -440,7 +480,7 @@ class TestValidQueryRows:
         rng = np.random.default_rng(22)
         hq1, query_mask, bank_h, token_mask, bank_valid = mixed_batch(rng)
         out, traces = bank_attend_batch(Tensor(hq1), query_mask,
-                                        transform_bank(Tensor(bank_h), p),
+                                        transform_bank(Tensor(bank_h), token_mask, p),
                                         token_mask, bank_valid, p, want_trace=True)
         for i, n in enumerate(query_mask.sum(axis=1).astype(int)):
             ref_hq2, ref_w1, ref_a1, ref_w2 = reference_bank_attention(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,16 +62,42 @@ class TestTanh:
         assert abs(tanh(Tensor([0.5])).data[0] - math.tanh(0.5)) < 1e-15
 
 
+def piecewise_sigmoid(x):
+    """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) for x < 0, on each
+    half gathered apart; NaN takes the second branch and stays NaN."""
+    ref = np.empty_like(x)
+    pos = x >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    ref[~pos] = ex / (1.0 + ex)
+    return ref
+
+
 class TestSigmoid:
     def test_dense_form_bit_identical_to_piecewise(self):
         x = np.concatenate([[0.0, -0.0, 1e-320, -1e-320, 800.0, -800.0],
                             np.random.default_rng(0).normal(scale=20.0, size=200)])
-        ref = np.empty_like(x)
-        pos = x >= 0
-        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        ref[~pos] = ex / (1.0 + ex)
-        assert np.array_equal(sigmoid_array(x), ref)
+        assert np.array_equal(sigmoid_array(x), piecewise_sigmoid(x))
+
+    def test_special_values_and_random_draws_without_warning(self):
+        tiny = np.finfo(float).tiny
+        special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, tiny / 3, -tiny / 3,
+                   tiny, -tiny, 36.0, -36.0, 710.0, -710.0, np.finfo(float).max,
+                   -np.finfo(float).max]
+        rng = np.random.default_rng(1)
+        # Normal draws at several scales, and magnitudes spread log-uniformly
+        # from 1e-300 to 1e300 with random signs.
+        draws = np.concatenate([rng.normal(scale=s, size=20_000) for s in (1.0, 10.0, 100.0)]
+                               + [rng.choice([-1.0, 1.0], size=40_000)
+                                  * 10.0 ** rng.uniform(-300, 300, size=40_000)])
+        x = np.concatenate([special, draws])
+        assert draws.size == 100_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid_array(x)
+            want = piecewise_sigmoid(x)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[2]) and got[0] == 1.0 and got[1] == 0.0
 
 
 def masked_softmax(scores, mask):
@@ -298,6 +325,17 @@ class TestGatherRows:
         ids = np.array([1, 1])
         (gt,) = tape_grad(lambda t: reduce_sum(gather_rows(t, ids)), table)
         assert np.array_equal(gt, [[0, 0], [2, 2], [0, 0]])
+
+    def test_repeated_ids_match_2d_add_at(self):
+        # (B, U, T)-shaped ids with many repeats, as the bank lookup has.
+        rng = np.random.default_rng(2)
+        table = Tensor(rng.normal(size=(7, 5)))
+        ids = rng.integers(0, 7, size=(3, 4, 6))
+        weights = Tensor(rng.normal(size=(3, 4, 6, 5)), const=True)
+        (gt,) = tape_grad(lambda t: reduce_sum(mul(gather_rows(t, ids), weights)), table)
+        want = np.zeros((7, 5))
+        np.add.at(want, ids.reshape(-1), weights.data.reshape(-1, 5))
+        assert np.array_equal(gt, want)
 
 
 class TestFastMode:

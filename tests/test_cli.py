@@ -100,6 +100,13 @@ class TestPretrainEmbeddings:
         assert code == 3
         assert not out.exists()
 
+    def test_diverging_lr_exit_4_no_file(self, tmp_path, corpus_path):
+        out = tmp_path / "emb.txt"
+        code = main(["pretrain-embeddings", "--corpus", str(corpus_path), "--out", str(out),
+                     "--dim", "8", "--epochs", "2", "--seed", "1", "--lr", "1e300"])
+        assert code == 4
+        assert not out.exists()
+
 
 class TestBuildBank:
     def test_default_top_k_and_coverage(self, tmp_path, corpus_path, pool_path, capsys):

@@ -1,10 +1,11 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
 
 from fnr import embeddings
-from fnr.autodiff import Tape, Tensor, gather_rows, reduce_sum
+from fnr.autodiff import NonFiniteError, Tape, Tensor, gather_rows, reduce_sum
 from fnr.embeddings import (EmbeddingMatrix, SgnsConfig, load_embeddings,
                             save_embeddings, train_skipgram)
 from fnr.vocab import PAD_ID, PAD_TOKEN, RESERVED, Vocabulary, build_vocab
@@ -222,6 +223,15 @@ class TestTrainSkipgram:
         assert len(last) == 2 and all(np.abs(d).max() > 1e-6 for d in last)
         assert np.allclose(got.vectors, want, atol=1e-12, rtol=0)
         assert not np.allclose(got.vectors[a], want[a] - last[0], atol=1e-9, rtol=0)
+
+    def test_divergence_raises_nonfinite(self):
+        # A finite but huge rate overflows the vectors in the first epoch.
+        rng = np.random.default_rng(12)
+        cfg = SgnsConfig(dim=8, window=2, negatives=2, epochs=2, lr=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="epoch 1"):
+                train_skipgram(toy_corpus(rng, 600), cfg, rng)
 
     def test_epoch_log_lines(self, caplog):
         rng = np.random.default_rng(10)

@@ -48,6 +48,51 @@ def reference_scan(x, lengths, p, reverse=False):
     return out
 
 
+def reference_bptt(x, lengths, p, g_out, reverse=False):
+    """Gradients of sum(g_out * h) for one direction, row by row: the
+    forward of ``reference_scan`` keeping each step's gates, then the gate
+    derivative equations back through time.  Returns d_x and a dict of
+    parameter gradients keyed like the ``LstmParams`` fields."""
+    sig = lambda z: 1.0 / (1.0 + np.exp(-z))  # noqa: E731
+    hidden = p.hidden_size
+    grads = {name: np.zeros_like(getattr(p, name).data) for name in (
+        "w_xi", "w_hi", "b_i", "w_xf", "w_hf", "b_f", "w_xo", "w_ho", "b_o",
+        "w_xg", "w_hg", "b_g")}
+    d_x = np.zeros_like(x)
+    for b in range(x.shape[0]):
+        times = list(range(lengths[b]))
+        if reverse:
+            times.reverse()
+        h, c = np.zeros(hidden), np.zeros(hidden)
+        cache = []
+        for t in times:
+            xt = x[b, t]
+            i = sig(p.w_xi.data @ xt + p.w_hi.data @ h + p.b_i.data)
+            f = sig(p.w_xf.data @ xt + p.w_hf.data @ h + p.b_f.data)
+            o = sig(p.w_xo.data @ xt + p.w_ho.data @ h + p.b_o.data)
+            g = np.tanh(p.w_xg.data @ xt + p.w_hg.data @ h + p.b_g.data)
+            c_new = f * c + i * g
+            cache.append((t, h, c, i, f, o, g, c_new))
+            h, c = o * np.tanh(c_new), c_new
+        d_h_next, d_c_next = np.zeros(hidden), np.zeros(hidden)
+        for t, h_prev, c_prev, i, f, o, g, c in reversed(cache):
+            d_h = g_out[b, t] + d_h_next
+            d_c = d_h * o * (1.0 - np.tanh(c) ** 2) + d_c_next
+            d_a = {"o": d_h * np.tanh(c) * o * (1.0 - o),
+                   "i": d_c * g * i * (1.0 - i),
+                   "f": d_c * c_prev * f * (1.0 - f),
+                   "g": d_c * i * (1.0 - g ** 2)}
+            d_h_next = np.zeros(hidden)
+            for gate, d in d_a.items():
+                grads[f"w_x{gate}"] += np.outer(d, x[b, t])
+                grads[f"w_h{gate}"] += np.outer(d, h_prev)
+                grads[f"b_{gate}"] += d
+                d_x[b, t] += getattr(p, f"w_x{gate}").data.T @ d
+                d_h_next += getattr(p, f"w_h{gate}").data.T @ d
+            d_c_next = d_c * f
+    return d_x, grads
+
+
 def prefix_mask(lengths, steps):
     return (np.arange(steps)[None, :] < np.asarray(lengths)[:, None]).astype(float)
 
@@ -273,6 +318,42 @@ class TestBlstmForward:
             return reduce_sum(mul(out, weights))
 
         assert grad_check(loss, group, h=1e-5) < 1e-5
+
+    @pytest.mark.parametrize("x_const", [True, False])
+    def test_gradients_match_reference_bptt(self, x_const):
+        # Both directions at once, rows of length 0 to T, separate
+        # parameters per direction.
+        group = ParamGroup()
+        p = init_blstm(group, "b", 3, 4, np.random.default_rng(27))
+        rng = np.random.default_rng(28)
+        steps, lengths = 5, [0, 5, 1, 3, 5, 2, 0, 4]
+        x_data = rng.normal(size=(len(lengths), steps, 3))
+        x = Tensor(x_data, const=True) if x_const else group.add("x", x_data)
+        g_out = rng.normal(size=(len(lengths), steps, 8))
+        with Tape() as tape:
+            loss = reduce_sum(mul(blstm_forward(x, prefix_mask(lengths, steps), p),
+                                  Tensor(g_out, const=True)))
+        grads = tape.gradients(loss)
+        d_x = np.zeros_like(x_data)
+        for half, direction, reverse in ((slice(0, 4), p.fwd, False),
+                                         (slice(4, 8), p.bwd, True)):
+            d_x_dir, want = reference_bptt(x_data, lengths, direction, g_out[..., half],
+                                           reverse)
+            d_x += d_x_dir
+            for name, ref in want.items():
+                assert np.allclose(grads[getattr(direction, name)], ref, atol=1e-12, rtol=0)
+        if not x_const:
+            assert np.allclose(grads[x], d_x, atol=1e-12, rtol=0)
+
+    def test_taped_output_equals_tape_free(self):
+        _, p = rand_blstm(3, 4, seed=29)
+        rng = np.random.default_rng(30)
+        x = Tensor(rng.normal(size=(2, 3, 6, 3)))
+        mask = prefix_mask([6, 0, 2, 5, 1, 3], 6).reshape(2, 3, 6)
+        free = blstm_forward(x, mask, p)
+        with Tape():
+            taped = blstm_forward(x, mask, p)
+        assert np.array_equal(taped.data, free.data)
 
     def test_bank_shaped_matches_flattened(self):
         group = ParamGroup()
