@@ -199,7 +199,8 @@ def cmd_build_bank(args) -> int:
         bank = build_bank(rec, index, u_max=args.top_k)
         entries.append((rec.line_no, [b.line_no for b in bank]))
         sizes.append(len(bank))
-    save_bank_cache(args.out, entries)
+    save_bank_cache(args.out, entries,
+                    sources={"labeled": args.labeled, "pool": args.pool})
     mean_size = sum(sizes) / len(sizes)
     if mean_size == 0:
         log.warning("question pool produced only empty banks")
@@ -208,10 +209,11 @@ def cmd_build_bank(args) -> int:
     return 0
 
 
-def _resolve_banks(labeled, pool_path: str | None, cache_path: str | None,
-                   san_cfg: SanConfig) -> dict[int, list[QaRecord]]:
+def _resolve_banks(labeled, labeled_path: str, pool_path: str | None,
+                   cache_path: str | None, san_cfg: SanConfig) -> dict[int, list[QaRecord]]:
     """Bank records per labeled-record line number, from the cache when
-    present, via BM25 over the pool otherwise, empty as a last resort."""
+    present, via BM25 over the pool otherwise, empty as a last resort.  A
+    cache is refused unless both corpora still hash as when it was built."""
     if cache_path and not pool_path:
         raise ConfigError("bank_cache needs pool: the cache names pool lines by number")
     banks: dict[int, list[QaRecord]] = {rec.line_no: [] for rec in labeled}
@@ -220,7 +222,8 @@ def _resolve_banks(labeled, pool_path: str | None, cache_path: str | None,
     pool = load_corpus(pool_path) if pool_path else []
     if cache_path:
         pool_by_line = {rec.line_no: rec for rec in pool}
-        cache = load_bank_cache(cache_path)
+        cache = load_bank_cache(cache_path,
+                                sources={"labeled": labeled_path, "pool": pool_path})
         for rec in labeled:
             lines = cache.get(rec.line_no, [])
             try:
@@ -261,7 +264,7 @@ def cmd_train(args) -> int:
     if len(labeled) < len(records):
         log.info("ignoring %d unlabeled records in %s", len(records) - len(labeled), cfg.corpus)
 
-    banks = _resolve_banks(labeled, cfg.pool, cfg.bank_cache, san_cfg)
+    banks = _resolve_banks(labeled, cfg.corpus, cfg.pool, cfg.bank_cache, san_cfg)
     if cfg.embeddings:
         pretrained = load_embeddings(cfg.embeddings)
         vocab = pretrained.vocab
@@ -310,8 +313,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _examples_for_model(records, vocab, san_cfg: SanConfig, pool_path, cache_path):
-    banks = _resolve_banks(records, pool_path, cache_path, san_cfg)
+def _examples_for_model(records, vocab, san_cfg: SanConfig, data_path, pool_path,
+                        cache_path):
+    banks = _resolve_banks(records, data_path, pool_path, cache_path, san_cfg)
     return [make_example(rec, banks[rec.line_no], vocab,
                          max_len=san_cfg.max_len, bank_size=san_cfg.bank_size)
             for rec in records]
@@ -324,7 +328,8 @@ def cmd_evaluate(args) -> int:
     rows = []
     for path in args.model:
         params, san_cfg, vocab = load_model(path)
-        examples = _examples_for_model(records, vocab, san_cfg, args.pool, args.bank_cache)
+        examples = _examples_for_model(records, vocab, san_cfg, args.data, args.pool,
+                                       args.bank_cache)
         metrics = evaluate(params, san_cfg, examples)
         rows.append({"path": path, "variant": san_cfg.variant,
                      "metrics": metrics.to_dict(),

@@ -19,6 +19,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,10 +37,14 @@ class CorpusError(ValueError):
     """Malformed corpus content; messages carry the offending line number."""
 
 
-@dataclass
+@dataclass(slots=True)
 class QaRecord:
     """One QA pair.  ``tags`` aligned to ``question_tokens`` marks a labeled
-    record; ``answer_text`` is stored but never consumed by the model."""
+    record; ``answer_text`` is stored but never consumed by the model.
+
+    The class is slotted, and ``load_corpus`` stores the token and tag lists
+    the JSON decoder returned without copying them: a crawl of ~1M
+    questions is held as these records."""
     product_id: str
     category: str
     question_tokens: list[str]
@@ -62,32 +67,31 @@ class QaRecord:
 
 
 def _parse_record(obj: dict, line_no: int) -> QaRecord:
-    where = f"line {line_no}"
+    """Check one decoded line.  The checks run at C level where they can, and
+    a message is formatted only when one fails."""
     if not isinstance(obj, dict):
-        raise CorpusError(f"{where}: record must be a JSON object")
+        raise CorpusError(f"line {line_no}: record must be a JSON object")
     for key in ("product_id", "category"):
         if not isinstance(obj.get(key), str):
-            raise CorpusError(f"{where}: missing or non-string {key!r}")
+            raise CorpusError(f"line {line_no}: missing or non-string {key!r}")
     tokens = obj.get("question_tokens")
     if (not isinstance(tokens, list) or not tokens
-            or not all(isinstance(t, str) for t in tokens)):
-        raise CorpusError(f"{where}: question_tokens must be a non-empty list of strings")
+            or not all(map(isinstance, tokens, repeat(str)))):
+        raise CorpusError(
+            f"line {line_no}: question_tokens must be a non-empty list of strings")
     answer = obj.get("answer_text")
     if answer is not None and not isinstance(answer, str):
-        raise CorpusError(f"{where}: answer_text must be a string")
+        raise CorpusError(f"line {line_no}: answer_text must be a string")
     tags = obj.get("tags")
     if tags is not None:
         if not isinstance(tags, list) or len(tags) != len(tokens):
             raise CorpusError(
-                f"{where}: tags length {len(tags) if isinstance(tags, list) else '?'} "
+                f"line {line_no}: tags length {len(tags) if isinstance(tags, list) else '?'} "
                 f"does not match {len(tokens)} question tokens")
-        bad = [t for t in tags if t not in LABELS]
-        if bad:
-            raise CorpusError(f"{where}: unknown tag symbol {bad[0]!r}")
-        tags = list(tags)
-    return QaRecord(product_id=obj["product_id"], category=obj["category"],
-                    question_tokens=list(tokens), answer_text=answer,
-                    tags=tags, line_no=line_no)
+        if not all(map(LABELS.__contains__, tags)):
+            bad = next(t for t in tags if t not in LABELS)
+            raise CorpusError(f"line {line_no}: unknown tag symbol {bad!r}")
+    return QaRecord(obj["product_id"], obj["category"], tokens, answer, tags, line_no)
 
 
 def load_corpus(path) -> list[QaRecord]:
@@ -95,7 +99,7 @@ def load_corpus(path) -> list[QaRecord]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 obj = json.loads(line)

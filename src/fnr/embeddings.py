@@ -208,11 +208,13 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
     """Write the word2vec text format: "<|V|> <dim>" header, then one
     "<token> <v1> ... <vdim>" line per row in id order.  Values print at
     17 significant digits, which round-trips float64 exactly."""
+    # "%.17g" % v is the same conversion as f"{v:.17g}", and one format
+    # per row keeps the per-value work out of the interpreter loop.
+    row_format = "%s " + " ".join(["%.17g"] * matrix.dim) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(matrix.vocab)} {matrix.dim}\n")
-        for token, row in zip(matrix.vocab.id_to_token, matrix.vectors):
-            values = " ".join(f"{v:.17g}" for v in row)
-            fh.write(f"{token} {values}\n")
+        for token, row in zip(matrix.vocab.id_to_token, matrix.vectors.tolist()):
+            fh.write(row_format % (token, *row))
 
 
 def load_embeddings(path) -> EmbeddingMatrix:

@@ -13,12 +13,22 @@ contribution to the documents of its posting with numpy.  A document
 therefore sums its terms in the same order, from the same 0.0 start and
 with the same per-term arithmetic as a loop over every document would, so
 scores are bit-identical to that loop; documents outside every posting
-keep 0.0.  Ranking is a stable argsort of the negated scores, so ties
-break on the document order of the pool.
+keep 0.0.
+
+A bank is the first ``top_k`` documents of the stable descending order of
+the scores (ties in pool order) that are not identical to the query.  The
+ranking never sorts the whole category.  ``np.partition`` finds the m-th
+largest score, m = top_k + 1, in linear time; the m-prefix of the stable
+order is every score above it plus the earliest of the scores equal to
+it, and a stable sort of just those m indices gives the same order as the
+full stable sort.  If the identity rule leaves fewer than ``top_k`` of the
+m, m doubles (up to the category size) and the selection repeats, so the
+result always equals the prefix of the full order.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -71,6 +81,17 @@ def _index_category(docs: list[QaRecord], k1: float, b: float) -> _CategoryIndex
     return _CategoryIndex(docs, terms, offsets, keys % n, tfs, norm)
 
 
+def _ranked_prefix(scores: np.ndarray, m: int) -> np.ndarray:
+    """The first ``m`` (1 <= m <= len) indices of the stable descending
+    order of ``scores``; fewer than m scores lie above the m-th largest."""
+    n = len(scores)
+    kth = np.partition(scores, n - m)[n - m]
+    above = np.flatnonzero(scores > kth)
+    tied = np.flatnonzero(scores == kth)[: m - len(above)]
+    prefix = np.concatenate([above, tied])
+    return prefix[np.argsort(-scores[prefix], kind="stable")]
+
+
 class Bm25Index:
     """Per-category postings lists over an unlabeled question pool."""
 
@@ -118,15 +139,18 @@ class Bm25Index:
         if cat is None or top_k == 0:
             return []
         query_norm = _match_tokens(query_tokens)
-        scores = np.asarray(self.score(query_tokens, category))
-        out = []
-        for i in np.argsort(-scores, kind="stable"):
-            if _match_tokens(cat.docs[i].question_tokens) == query_norm:
-                continue
-            out.append(cat.docs[i])
-            if len(out) == top_k:
-                break
-        return out
+        scores = np.array(self.score(query_tokens, category), dtype=np.float64)
+        m = min(top_k + 1, len(scores))
+        while True:
+            out = []
+            for i in _ranked_prefix(scores, m):
+                if _match_tokens(cat.docs[i].question_tokens) != query_norm:
+                    out.append(cat.docs[i])
+                    if len(out) == top_k:
+                        return out
+            if m == len(scores):
+                return out
+            m = min(2 * m, len(scores))
 
 
 def build_bank(labeled: QaRecord, index: Bm25Index, u_max: int = 5) -> list[QaRecord]:
@@ -136,26 +160,71 @@ def build_bank(labeled: QaRecord, index: Bm25Index, u_max: int = 5) -> list[QaRe
     return index.query(labeled.question_tokens, labeled.category, u_max)
 
 
-def save_bank_cache(path, entries: Iterable[tuple[int, list[int]]]) -> None:
+def file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def save_bank_cache(path, entries: Iterable[tuple[int, list[int]]],
+                    sources: dict[str, str] | None = None) -> None:
     """Bank cache JSON-Lines: {"query_line": int, "bank_lines": [int]},
-    line numbers 1-based into the labeled and pool corpora."""
+    line numbers 1-based into the labeled and pool corpora.  ``sources``
+    maps a role ("labeled", "pool") to the corpus file the line numbers
+    index; their sha256 digests go first, as {"sha256": {role: hex}}."""
     with open(path, "w", encoding="utf-8") as fh:
+        if sources is not None:
+            digests = {role: file_sha256(source) for role, source in sources.items()}
+            fh.write(json.dumps({"sha256": digests}) + "\n")
         for query_line, bank_lines in entries:
             fh.write(json.dumps({"query_line": query_line,
                                  "bank_lines": list(bank_lines)}) + "\n")
 
 
-def load_bank_cache(path) -> dict[int, list[int]]:
+def _line_number(value, where: str, key: str) -> int:
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{where}: {key} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def load_bank_cache(path, sources: dict[str, str] | None = None) -> dict[int, list[int]]:
+    """Bank lines per query line.  Line numbers must be JSON integers >= 1
+    and each query line may appear once.  With ``sources``, as given to
+    ``save_bank_cache``, the cache must carry the digest header and every
+    source file must still hash as recorded."""
+    header = None
     out: dict[int, list[int]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
+            where = f"{path}:{line_no}"
             try:
                 obj = json.loads(line)
-                query_line = int(obj["query_line"])
-                bank_lines = [int(v) for v in obj["bank_lines"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-                raise ValueError(f"{path}:{line_no}: malformed bank cache entry") from err
-            out[query_line] = bank_lines
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{where}: malformed bank cache entry ({err.msg})") from err
+            if header is None and not out and isinstance(obj, dict) and "sha256" in obj:
+                header = obj["sha256"]
+                if not (isinstance(header, dict)
+                        and all(isinstance(v, str) for v in header.values())):
+                    raise ValueError(f"{where}: malformed bank cache header")
+                continue
+            if (not isinstance(obj, dict) or "query_line" not in obj
+                    or not isinstance(obj.get("bank_lines"), list)):
+                raise ValueError(f"{where}: malformed bank cache entry")
+            query_line = _line_number(obj["query_line"], where, "query_line")
+            if query_line in out:
+                raise ValueError(f"{where}: repeated query_line {query_line}")
+            out[query_line] = [_line_number(v, where, "bank_lines entry")
+                               for v in obj["bank_lines"]]
+    if sources is not None:
+        if header is None:
+            raise ValueError(f"{path}: bank cache has no sha256 header; "
+                             "rebuild it with fnr build-bank")
+        for role, source in sources.items():
+            if header.get(role) != file_sha256(source):
+                raise ValueError(f"{path}: {role} corpus {source} changed since the "
+                                 "bank cache was built; rebuild it with fnr build-bank")
     return out

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -50,6 +51,10 @@ def pool_path(tmp_path):
     path = tmp_path / "pool.jsonl"
     save_corpus(path, pool_records())
     return path
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def train_args(corpus, out, **extra):
@@ -114,7 +119,9 @@ class TestBuildBank:
         code = main(["build-bank", "--labeled", str(corpus_path),
                      "--pool", str(pool_path), "--out", str(out)])
         assert code == 0
-        entries = [json.loads(line) for line in out.read_text().splitlines()]
+        header, *entries = [json.loads(line) for line in out.read_text().splitlines()]
+        assert header == {"sha256": {"labeled": sha256_of(corpus_path),
+                                     "pool": sha256_of(pool_path)}}
         assert len(entries) == 8
         assert all(len(e["bank_lines"]) <= 5 for e in entries)
         assert "mean bank size" in capsys.readouterr().out
@@ -133,7 +140,8 @@ class TestBuildBank:
         code = main(["build-bank", "--labeled", str(corpus_path),
                      "--pool", str(pool_path), "--out", str(out), "--top-k", "0"])
         assert code == 0
-        entries = [json.loads(line) for line in out.read_text().splitlines()]
+        header, *entries = [json.loads(line) for line in out.read_text().splitlines()]
+        assert set(header) == {"sha256"}
         assert len(entries) == 8
         assert all(e["bank_lines"] == [] for e in entries)
 
@@ -152,6 +160,48 @@ class TestBuildBank:
                   "--pool", str(pool_path), "--out", str(out), "--top-k", "3"])
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestBankCacheFreshness:
+    """``build-bank`` records the sha256 of both corpora; training with the
+    cache refuses it once either file has changed."""
+
+    def build(self, tmp_path, corpus_path, pool_path):
+        cache = tmp_path / "bank.jsonl"
+        assert main(["build-bank", "--labeled", str(corpus_path), "--pool", str(pool_path),
+                     "--out", str(cache)]) == 0
+        return cache
+
+    def test_fresh_cache_trains_like_bm25(self, tmp_path, corpus_path, pool_path):
+        cache = self.build(tmp_path, corpus_path, pool_path)
+        with_cache, without = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(train_args(corpus_path, with_cache)
+                    + ["--pool", str(pool_path), "--bank-cache", str(cache)]) == 0
+        assert main(train_args(corpus_path, without) + ["--pool", str(pool_path)]) == 0
+        assert with_cache.read_bytes() == without.read_bytes()
+
+    @pytest.mark.parametrize("edited", ["pool", "labeled"])
+    def test_edited_corpus_exit_3(self, tmp_path, corpus_path, pool_path, caplog, edited):
+        cache = self.build(tmp_path, corpus_path, pool_path)
+        changed = {"pool": pool_path, "labeled": corpus_path}[edited]
+        # One token edited, lines and categories kept: without the digests
+        # the stale banks would be used silently.
+        changed.write_text(changed.read_text().replace(
+            '"question_tokens": ["', '"question_tokens": ["edited-', 1))
+        out = tmp_path / "model.json"
+        code = main(train_args(corpus_path, out)
+                    + ["--pool", str(pool_path), "--bank-cache", str(cache)])
+        assert code == 3
+        assert f"{edited} corpus {changed} changed" in caplog.text
+        assert not out.exists()
+
+    def test_cache_without_header_exit_3(self, tmp_path, corpus_path, pool_path, caplog):
+        cache = self.build(tmp_path, corpus_path, pool_path)
+        cache.write_text("".join(cache.read_text().splitlines(keepends=True)[1:]))
+        code = main(train_args(corpus_path, tmp_path / "model.json")
+                    + ["--pool", str(pool_path), "--bank-cache", str(cache)])
+        assert code == 3
+        assert "no sha256 header" in caplog.text
 
 
 class TestRunConfig:

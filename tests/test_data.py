@@ -53,6 +53,57 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="product_id"):
             load_corpus(write_lines(tmp_path, ['{"category":"c","question_tokens":["a"]}']))
 
+    @pytest.mark.parametrize("line, message", [
+        ('[1, 2]', "record must be a JSON object"),
+        ('"text"', "record must be a JSON object"),
+        ('{"category":"c","question_tokens":["a"]}', "missing or non-string 'product_id'"),
+        ('{"product_id":1,"category":"c","question_tokens":["a"]}',
+         "missing or non-string 'product_id'"),
+        ('{"product_id":"p","question_tokens":["a"]}', "missing or non-string 'category'"),
+        ('{"product_id":"p","category":null,"question_tokens":["a"]}',
+         "missing or non-string 'category'"),
+        ('{"product_id":"p","category":"c"}',
+         "question_tokens must be a non-empty list of strings"),
+        ('{"product_id":"p","category":"c","question_tokens":[]}',
+         "question_tokens must be a non-empty list of strings"),
+        ('{"product_id":"p","category":"c","question_tokens":"a b"}',
+         "question_tokens must be a non-empty list of strings"),
+        ('{"product_id":"p","category":"c","question_tokens":["a",1]}',
+         "question_tokens must be a non-empty list of strings"),
+        ('{"product_id":"p","category":"c","question_tokens":["a",["b"]]}',
+         "question_tokens must be a non-empty list of strings"),
+        ('{"product_id":"p","category":"c","question_tokens":["a"],"answer_text":5}',
+         "answer_text must be a string"),
+        ('{"product_id":"p","category":"c","question_tokens":["a","b"],"tags":["F"]}',
+         "tags length 1 does not match 2 question tokens"),
+        ('{"product_id":"p","category":"c","question_tokens":["a","b"],"tags":"FO"}',
+         "tags length ? does not match 2 question tokens"),
+        ('{"product_id":"p","category":"c","question_tokens":["a","b"],"tags":["F","B"]}',
+         "unknown tag symbol 'B'"),
+        ('{"product_id":"p","category":"c","question_tokens":["a","b"],"tags":[1,"F"]}',
+         "unknown tag symbol 1"),
+        ('{"product_id":"p","category":"c","question_tokens":["a"],"tags":[["F"]]}',
+         "unknown tag symbol ['F']"),
+        ('{not json', "invalid JSON (Expecting property name enclosed in double quotes)"),
+        ('{"product_id":"p"', "invalid JSON (Expecting ',' delimiter)"),
+        ("\ufeff" + FIG_LINE, "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    ])
+    def test_malformed_line_message(self, tmp_path, line, message):
+        path = write_lines(tmp_path, [FIG_LINE, " ", line, FIG_LINE])
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"line 3: {message}"
+
+    def test_records_hold_the_decoded_values(self, tmp_path):
+        line = ('{"product_id":"p","category":"c","question_tokens":["a","b"],'
+                '"answer_text":"yes","tags":["F","O"]}')
+        records = load_corpus(write_lines(tmp_path, ["", FIG_LINE, "\t", line]))
+        assert records == [
+            QaRecord("p1", "laptop", ["Works", "with", "iphone", "?"],
+                     tags=["F", "F", "F", "O"], line_no=2),
+            QaRecord("p", "c", ["a", "b"], answer_text="yes", tags=["F", "O"], line_no=4)]
+        assert not hasattr(records[0], "__dict__")
+
     def test_round_trip(self, tmp_path):
         path = write_lines(tmp_path, [FIG_LINE])
         records = load_corpus(path)

@@ -281,6 +281,22 @@ class TestEmbeddingIO:
         assert loaded.vocab.id_to_token == vocab.id_to_token
         assert np.array_equal(loaded.vectors, m.vectors)
 
+    def test_bytes_equal_per_value_reference(self, tmp_path):
+        special = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                   0.1, 1 / 3]
+        vocab = build_vocab([["alpha", "beta", "gamma"]])
+        vecs = np.random.default_rng(5).normal(size=(len(vocab), len(special)))
+        vecs[-1] = special
+        vecs[-2] = special[::-1]
+        m = EmbeddingMatrix(vocab, vecs)
+        path = tmp_path / "emb.txt"
+        save_embeddings(m, path)
+        want = f"{len(vocab)} {len(special)}\n" + "".join(
+            f"{token} " + " ".join(f"{v:.17g}" for v in row) + "\n"
+            for token, row in zip(vocab.id_to_token, m.vectors))
+        assert path.read_bytes() == want.encode("utf-8")
+        assert "-0 4.9406564584124654e-324 1.7976931348623157e+308" in want
+
     def test_header_body_mismatch(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("3 2\nw1 0.0 0.0\nw2 0.0 0.0\nw3 0.0 0.0\nw4 0.0 0.0\n")

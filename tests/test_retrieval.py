@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fnr.data import QaRecord
-from fnr.retrieval import Bm25Index, build_bank, load_bank_cache, save_bank_cache
+from fnr.retrieval import (Bm25Index, build_bank, file_sha256, load_bank_cache,
+                           save_bank_cache)
 from fnr.vocab import EOS_TOKEN
 
 
@@ -215,6 +217,39 @@ class TestExactBm25:
                                                      for i in ranked[:u_max]]
 
 
+class TestPartialRanking:
+    """``query`` selects a prefix of the ranking without sorting the whole
+    category; it must equal the stable full sort of ``score`` exactly."""
+
+    WORDS = ["a", "b", "c", "A", EOS_TOKEN]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_full_stable_sort(self, data):
+        words = st.sampled_from(self.WORDS)
+        docs = data.draw(st.lists(st.lists(words, max_size=4), min_size=1, max_size=25))
+        query = data.draw(st.lists(words, max_size=4))
+        # Copies of the query, possibly more than top_k + 1 of them.
+        for _ in range(data.draw(st.integers(0, 8))):
+            docs.insert(data.draw(st.integers(0, len(docs))), list(query))
+        top_k = data.draw(st.integers(0, len(docs)))
+        index = Bm25Index([rec(d, line_no=i + 1) for i, d in enumerate(docs)])
+        scores = index.score(query, "c")
+        ranked = sorted(range(len(docs)), key=lambda i: -scores[i])
+        want = [i + 1 for i in ranked if match_terms(docs[i]) != match_terms(query)]
+        got = index.query(query, "c", top_k)
+        assert [r.line_no for r in got] == want[:top_k]
+
+    def test_more_query_copies_than_top_k_plus_one(self):
+        # Lines 1-7 equal the query and score highest; lines 8 and 10 tie
+        # next; every other line scores 0 and follows in pool order.
+        docs = [["video"]] * 7 + [["video", "calls"], ["calls"], ["video", "calls"]]
+        docs += [["other"]] * 10
+        index = Bm25Index([rec(d, line_no=i + 1) for i, d in enumerate(docs)])
+        assert [r.line_no for r in index.query(["video"], "c", 2)] == [8, 10]
+        assert [r.line_no for r in index.query(["video"], "c", 4)] == [8, 10, 9, 11]
+
+
 class TestBankCache:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "bank.jsonl"
@@ -225,4 +260,58 @@ class TestBankCache:
         path = tmp_path / "bank.jsonl"
         path.write_text('{"query_line": 1}\n')
         with pytest.raises(ValueError, match="malformed"):
+            load_bank_cache(path)
+
+    def test_coerced_and_repeated_entries_rejected(self, tmp_path):
+        # Were loaded as {2: [5]}: int() truncated the floats, took true
+        # as 1 and "4" as 4, and the second line replaced the first.
+        path = tmp_path / "bank.jsonl"
+        path.write_text('{"query_line": 2.7, "bank_lines": [1.9, true, "4"]}\n'
+                        '{"query_line": 2, "bank_lines": [5]}\n')
+        with pytest.raises(ValueError, match=f"^{path}:1: query_line must be an integer"):
+            load_bank_cache(path)
+
+    @pytest.mark.parametrize("entry, message", [
+        ('{"query_line": 2.0, "bank_lines": []}', "query_line must be an integer >= 1, got 2.0"),
+        ('{"query_line": true, "bank_lines": []}', "query_line must be an integer >= 1, got True"),
+        ('{"query_line": "2", "bank_lines": []}', "query_line must be an integer >= 1, got '2'"),
+        ('{"query_line": 0, "bank_lines": []}', "query_line must be an integer >= 1, got 0"),
+        ('{"query_line": 2, "bank_lines": [1.9]}', "bank_lines entry must be an integer >= 1"),
+        ('{"query_line": 2, "bank_lines": [false]}', "bank_lines entry must be an integer >= 1"),
+        ('{"query_line": 2, "bank_lines": ["4"]}', "bank_lines entry must be an integer >= 1"),
+        ('{"query_line": 2, "bank_lines": [-1]}', "bank_lines entry must be an integer >= 1"),
+        ('{"query_line": 2, "bank_lines": 5}', "malformed bank cache entry"),
+        ('[2, [5]]', "malformed bank cache entry"),
+        ('{"query_line": 1, "bank_lines": [3]}', "repeated query_line 1"),
+    ])
+    def test_bad_entry_names_its_line(self, tmp_path, entry, message):
+        path = tmp_path / "bank.jsonl"
+        path.write_text('{"query_line": 1, "bank_lines": [3]}\n\n' + entry + "\n")
+        with pytest.raises(ValueError) as err:
+            load_bank_cache(path)
+        assert str(err.value).startswith(f"{path}:3: {message}")
+
+    def test_source_digests(self, tmp_path):
+        labeled, pool = tmp_path / "labeled.jsonl", tmp_path / "pool.jsonl"
+        labeled.write_text("labeled\n")
+        pool.write_text("pool\n")
+        sources = {"labeled": str(labeled), "pool": str(pool)}
+        path = tmp_path / "bank.jsonl"
+        save_bank_cache(path, [(1, [3, 5]), (2, [])], sources=sources)
+        header = path.read_text().splitlines()[0]
+        assert header == ('{"sha256": {"labeled": "%s", "pool": "%s"}}'
+                          % (file_sha256(labeled), file_sha256(pool)))
+        assert load_bank_cache(path) == {1: [3, 5], 2: []}
+        assert load_bank_cache(path, sources=sources) == {1: [3, 5], 2: []}
+        pool.write_text("pool, edited\n")
+        with pytest.raises(ValueError, match=f"pool corpus {pool} changed"):
+            load_bank_cache(path, sources=sources)
+
+    def test_missing_or_misplaced_header(self, tmp_path):
+        path = tmp_path / "bank.jsonl"
+        save_bank_cache(path, [(1, [3])])
+        with pytest.raises(ValueError, match="no sha256 header"):
+            load_bank_cache(path, sources={"pool": str(path)})
+        path.write_text('{"query_line": 1, "bank_lines": [3]}\n{"sha256": {}}\n')
+        with pytest.raises(ValueError, match=":2: malformed bank cache entry"):
             load_bank_cache(path)
