@@ -29,7 +29,8 @@ from .embeddings import SgnsConfig, load_embeddings, save_embeddings, train_skip
 from .metrics import truncated_gold_spans
 from .model import (CheckpointError, SanConfig, extract_spans, forward_batch,
                     json_type_ok, load_model, predict_tags, save_model)
-from .retrieval import Bm25Index, build_bank, load_bank_cache, save_bank_cache
+from .retrieval import (Bm25Index, build_bank, file_sha256, load_bank_cache,
+                        save_bank_cache)
 from .training import DivergenceError, TrainConfig, evaluate, train
 from .vocab import build_vocab, join_sentences, tokenize
 
@@ -188,6 +189,9 @@ def cmd_pretrain_embeddings(args) -> int:
 
 
 def cmd_build_bank(args) -> int:
+    # Hashed before reading: a corpus edited during the build then fails
+    # the check at load time instead of passing with stale banks.
+    digests = {"labeled": file_sha256(args.labeled), "pool": file_sha256(args.pool)}
     labeled = [r for r in load_corpus(args.labeled) if r.labeled]
     if not labeled:
         raise ConfigError(f"{args.labeled}: no labeled records")
@@ -199,8 +203,7 @@ def cmd_build_bank(args) -> int:
         bank = build_bank(rec, index, u_max=args.top_k)
         entries.append((rec.line_no, [b.line_no for b in bank]))
         sizes.append(len(bank))
-    save_bank_cache(args.out, entries,
-                    sources={"labeled": args.labeled, "pool": args.pool})
+    save_bank_cache(args.out, entries, digests)
     mean_size = sum(sizes) / len(sizes)
     if mean_size == 0:
         log.warning("question pool produced only empty banks")

@@ -7,13 +7,26 @@ top matches.
 
 Each category is indexed as postings lists in CSR form: for every term,
 the ascending indices of the documents holding it and its frequency in
-each, plus one array of per-document length norms.  Scoring walks the
-query's terms in query order, repeats included, and adds each term's
-contribution to the documents of its posting with numpy.  A document
-therefore sums its terms in the same order, from the same 0.0 start and
-with the same per-term arithmetic as a loop over every document would, so
-scores are bit-identical to that loop; documents outside every posting
-keep 0.0.
+each, plus one array of per-document length norms.  The index is built
+per distinct raw token, not per token: every token is mapped to the
+number of its raw spelling in one pass, each distinct spelling is
+lowercased and checked against EOS once, and one gather turns the raw
+numbers into term numbers.  A category of ~360k tokens has only a few
+thousand distinct spellings, so lowering and the EOS test run a few
+thousand times instead of once per token.  The (term, document) pairs and
+their counts come from ``np.unique`` over one integer key per pair.
+
+Scoring walks the query's terms in query order, repeats included, and
+adds each term's contribution to the documents of its posting with numpy.
+A document therefore sums its terms in the same order, from the same 0.0
+start and with the same per-term arithmetic as a loop over every document
+would, so scores are bit-identical to that loop; documents outside every
+posting keep 0.0.  A term whose floored idf is 0.0 (one held by at least
+half the documents) is skipped, exactly: with k1 > 0 and 0 <= b <= 1
+each of its contributions would be 0.0 * tf * (k1 + 1) / (tf + norm) =
++0.0, and x + 0.0 == x bit for bit for every score x, since a score
+starts at +0.0 and a sum of non-negative terms is never -0.0.  On a crawl
+such common terms hold most of the posting entries a query touches.
 
 A bank is the first ``top_k`` documents of the stable descending order of
 the scores (ties in pool order) that are not identical to the query.  The
@@ -31,7 +44,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,22 +74,33 @@ class _CategoryIndex:
 
 
 def _index_category(docs: list[QaRecord], k1: float, b: float) -> _CategoryIndex:
-    terms: dict[str, int] = {}
-    token_ids: list[int] = []
-    lens: list[int] = []
-    for rec in docs:
-        tokens = _match_tokens(rec.question_tokens)
-        token_ids.extend([terms.setdefault(t, len(terms)) for t in tokens])
-        lens.append(len(tokens))
     n = len(docs)
-    dl = np.asarray(lens, dtype=np.int64)
+    lens = np.fromiter(map(len, (rec.question_tokens for rec in docs)),
+                       dtype=np.int64, count=n)
+    # Raw spellings are numbered in first-seen order as the tokens are
+    # mapped, so terms, numbered in the order of their first spelling, are
+    # in their own first-seen order.  EOS maps to -1 and is dropped.
+    raw_ids: defaultdict[str, int] = defaultdict(count().__next__)
+    token_raw = np.fromiter(
+        map(raw_ids.__getitem__, chain.from_iterable(rec.question_tokens for rec in docs)),
+        dtype=np.int64, count=int(lens.sum()))
+    terms: dict[str, int] = {}
+    raw_term = np.fromiter((-1 if raw == EOS_TOKEN else terms.setdefault(raw.lower(), len(terms))
+                            for raw in raw_ids), dtype=np.int64, count=len(raw_ids))
+    keys = np.take(raw_term, token_raw)
+    del token_raw
+    doc = np.repeat(np.arange(n), lens)
+    kept = keys >= 0
+    keys, doc = keys[kept], doc[kept]
+    dl = np.bincount(doc, minlength=n)
     # One key per (term, document) occurrence; unique keys sort by term,
     # then document, and their counts are the term frequencies.
-    keys = np.asarray(token_ids, dtype=np.int64) * n + np.repeat(np.arange(n), dl)
+    keys *= n
+    keys += doc
     keys, tfs = np.unique(keys, return_counts=True)
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=len(terms)), out=offsets[1:])
-    avgdl = sum(lens) / n
+    avgdl = int(dl.sum()) / n
     # Written as the scalar formula k1 * (1 - b + b * dl / avgdl), in the
     # same operation order, so each element is the same double.
     norm = k1 * (1.0 - b + b * dl / avgdl) if avgdl else np.full(n, k1 * (1.0 - b))
@@ -125,6 +151,8 @@ class Bm25Index:
             rows, tf = cat.post_docs[lo:hi], cat.post_tfs[lo:hi]
             df = int(hi - lo)
             idf = max(0.0, math.log((n_docs - df + 0.5) / (df + 0.5)))
+            if idf == 0.0:
+                continue
             # Rows within one posting are distinct, so += adds once per row.
             scores[rows] += idf * tf * (self.k1 + 1.0) / (tf + cat.norm[rows])
         return scores.tolist()
@@ -169,14 +197,14 @@ def file_sha256(path) -> str:
 
 
 def save_bank_cache(path, entries: Iterable[tuple[int, list[int]]],
-                    sources: dict[str, str] | None = None) -> None:
+                    digests: dict[str, str] | None = None) -> None:
     """Bank cache JSON-Lines: {"query_line": int, "bank_lines": [int]},
-    line numbers 1-based into the labeled and pool corpora.  ``sources``
-    maps a role ("labeled", "pool") to the corpus file the line numbers
-    index; their sha256 digests go first, as {"sha256": {role: hex}}."""
+    line numbers 1-based into the labeled and pool corpora.  ``digests``
+    maps a role ("labeled", "pool") to the ``file_sha256`` of the corpus
+    file the line numbers index, taken before that file was read; it goes
+    first, as {"sha256": {role: hex}}."""
     with open(path, "w", encoding="utf-8") as fh:
-        if sources is not None:
-            digests = {role: file_sha256(source) for role, source in sources.items()}
+        if digests is not None:
             fh.write(json.dumps({"sha256": digests}) + "\n")
         for query_line, bank_lines in entries:
             fh.write(json.dumps({"query_line": query_line,
@@ -191,8 +219,8 @@ def _line_number(value, where: str, key: str) -> int:
 
 def load_bank_cache(path, sources: dict[str, str] | None = None) -> dict[int, list[int]]:
     """Bank lines per query line.  Line numbers must be JSON integers >= 1
-    and each query line may appear once.  With ``sources``, as given to
-    ``save_bank_cache``, the cache must carry the digest header and every
+    and each query line may appear once.  With ``sources``, a role ->
+    corpus file mapping, the cache must carry the digest header and every
     source file must still hash as recorded."""
     header = None
     out: dict[int, list[int]] = {}

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,17 @@ def no_leaked_autodiff_state():
         pytest.fail(f"test left {len(tapes)} tape(s) active")
     if dtype != np.float64:
         pytest.fail(f"test left the default dtype at {dtype}")
+
+
+@pytest.fixture(autouse=True)
+def no_paused_collector():
+    """Fail a test that ends with the cyclic garbage collector disabled,
+    then re-enable it: a pause leaked by ``load_corpus`` would otherwise
+    run every later test without the collector and go unnoticed."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture

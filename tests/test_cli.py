@@ -7,7 +7,7 @@ import pytest
 
 from fnr import cli
 from fnr.cli import ConfigError, load_run_config, main
-from fnr.data import QaRecord, save_corpus
+from fnr.data import QaRecord, load_corpus, save_corpus
 from fnr.model import SanConfig, SanParams, load_model, save_model
 from fnr.training import TrainConfig
 from fnr.vocab import RESERVED, Vocabulary
@@ -193,6 +193,28 @@ class TestBankCacheFreshness:
                     + ["--pool", str(pool_path), "--bank-cache", str(cache)])
         assert code == 3
         assert f"{edited} corpus {changed} changed" in caplog.text
+        assert not out.exists()
+
+    def test_pool_edited_during_build_exit_3(self, tmp_path, corpus_path, pool_path,
+                                             monkeypatch, caplog):
+        # The pool gains a line right after build-bank has read it.  The
+        # banks come from the old content, so the cache must not carry the
+        # digest of the edited file.
+        def load_then_append(path):
+            records = load_corpus(path)
+            if path == str(pool_path):
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(QaRecord("late", "laptop", ["late", "question"])
+                                        .to_dict()) + "\n")
+            return records
+        monkeypatch.setattr(cli, "load_corpus", load_then_append)
+        cache = self.build(tmp_path, corpus_path, pool_path)
+        monkeypatch.undo()
+        out = tmp_path / "model.json"
+        code = main(train_args(corpus_path, out)
+                    + ["--pool", str(pool_path), "--bank-cache", str(cache)])
+        assert code == 3
+        assert f"pool corpus {pool_path} changed" in caplog.text
         assert not out.exists()
 
     def test_cache_without_header_exit_3(self, tmp_path, corpus_path, pool_path, caplog):

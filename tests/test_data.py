@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -103,6 +104,25 @@ class TestLoadCorpus:
                      tags=["F", "F", "F", "O"], line_no=2),
             QaRecord("p", "c", ["a", "b"], answer_text="yes", tags=["F", "O"], line_no=4)]
         assert not hasattr(records[0], "__dict__")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("malformed", [False, True])
+    def test_collector_state_restored(self, tmp_path, enabled, malformed):
+        # load_corpus pauses the cyclic collector while it reads; it must
+        # leave it as it found it, also when a line mid-file is malformed.
+        lines = [FIG_LINE, "{not json" if malformed else FIG_LINE, FIG_LINE]
+        path = write_lines(tmp_path, lines)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if malformed:
+                with pytest.raises(CorpusError, match="line 2"):
+                    load_corpus(path)
+            else:
+                assert len(load_corpus(path)) == 3
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     def test_round_trip(self, tmp_path):
         path = write_lines(tmp_path, [FIG_LINE])

@@ -217,6 +217,40 @@ class TestExactBm25:
                                                      for i in ranked[:u_max]]
 
 
+class TestIndexExactness:
+    """The postings built from distinct raw tokens hold, for every term,
+    the documents containing it and its count in each, and ``score``
+    equals the reference formula exactly, including for a term that
+    every token-bearing document holds (idf 0) and for documents that are
+    only EOS separators."""
+
+    WORDS = [EOS_TOKEN, "eos", "Eos", "a", "A", "b", "Video", "video"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_postings_and_scores(self, data):
+        words = st.sampled_from(self.WORDS)
+        docs = [["every"] + d for d in data.draw(
+            st.lists(st.lists(words, max_size=5), min_size=1, max_size=12))]
+        # EOS-only documents, never more than the others, so "every" is
+        # in at least half the documents and its idf is floored to 0.
+        for _ in range(data.draw(st.integers(0, len(docs)))):
+            docs.insert(data.draw(st.integers(0, len(docs))),
+                        [EOS_TOKEN] * data.draw(st.integers(1, 3)))
+        index = Bm25Index([rec(d) for d in docs])
+        cat = index._categories["c"]
+        terms = [match_terms(d) for d in docs]
+        assert set(cat.terms) == {t for d in terms for t in d}
+        for term, t in cat.terms.items():
+            lo, hi = cat.offsets[t], cat.offsets[t + 1]
+            holding = [i for i, d in enumerate(terms) if term in d]
+            assert cat.post_docs[lo:hi].tolist() == holding
+            assert cat.post_tfs[lo:hi].tolist() == [terms[i].count(term) for i in holding]
+        for query in data.draw(st.lists(st.lists(st.sampled_from(
+                self.WORDS + ["every", "missing"]), max_size=5), min_size=1, max_size=4)):
+            assert index.score(query, "c") == reference_bm25(match_terms(query), terms)
+
+
 class TestPartialRanking:
     """``query`` selects a prefix of the ranking without sorting the whole
     category; it must equal the stable full sort of ``score`` exactly."""
@@ -297,7 +331,8 @@ class TestBankCache:
         pool.write_text("pool\n")
         sources = {"labeled": str(labeled), "pool": str(pool)}
         path = tmp_path / "bank.jsonl"
-        save_bank_cache(path, [(1, [3, 5]), (2, [])], sources=sources)
+        save_bank_cache(path, [(1, [3, 5]), (2, [])],
+                        {role: file_sha256(source) for role, source in sources.items()})
         header = path.read_text().splitlines()[0]
         assert header == ('{"sha256": {"labeled": "%s", "pool": "%s"}}'
                           % (file_sha256(labeled), file_sha256(pool)))
