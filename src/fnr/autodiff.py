@@ -13,6 +13,13 @@ plain-array helpers here (``sigmoid_array``, ``scatter_add``,
 behind an explicit fast-mode switch and is not suitable for
 finite-difference verification.
 
+A tape is differentiated once.  ``Tape.gradients`` pops the nodes last
+first and frees each node's backward closure, with the forward buffers it
+saved, as soon as that backward has run; an intermediate's gradient is
+dropped once read.  The ``Gradients`` it returns hold leaf tensors only
+(tensors no recorded op produced, such as parameters), so holding them
+keeps nothing of the step's graph alive.
+
 Ops record onto the innermost active ``Tape``.  With no tape active they
 just compute, which is the cheap inference path.  The stack of active tapes
 and the default dtype are context variables, so each thread (and each
@@ -105,15 +112,19 @@ Backward = Callable[[np.ndarray], tuple]
 
 
 class Tape:
-    """Ordered record of executed primitives.
+    """Ordered record of executed primitives, differentiated once.
 
     Creation order is a topological order of the graph, so reversing the
     record visits nodes in exact reverse topological order during the
     backward pass.  Single-owner: one forward/backward sequence at a time.
+    ``gradients`` uses the record up: each node, with the forward buffers
+    its backward closure saved, is freed as soon as its backward has run,
+    and a second call raises ``RuntimeError``.
     """
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Backward]] = []
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _ACTIVE_TAPES.set(_ACTIVE_TAPES.get() + (self,))
@@ -121,7 +132,8 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb):
         tapes = _ACTIVE_TAPES.get()
-        assert tapes[-1] is self, "tapes must unwind in LIFO order"
+        if not tapes or tapes[-1] is not self:
+            raise RuntimeError("tapes must unwind in LIFO order")
         _ACTIVE_TAPES.set(tapes[:-1])
         return False
 
@@ -129,22 +141,25 @@ class Tape:
         return len(self._nodes)
 
     def gradients(self, output: Tensor, seed=None) -> "Gradients":
-        """Reverse-accumulate d(output)/d(everything recorded on this tape).
+        """Reverse-accumulate d(output)/d(every leaf tensor on this tape).
 
         ``seed`` defaults to ones; for scalar losses this is the usual 1.0.
-        Tensors never touched by ``output`` get zero gradients.
+        An intermediate's gradient is dropped once its node's backward has
+        read it; tensors never touched by ``output`` get zero gradients.
         """
-        table: dict[int, list] = {}
+        if self._spent:
+            raise RuntimeError("tape already differentiated; record a new one")
         sd = np.ones_like(output.data) if seed is None else np.asarray(seed, dtype=output.data.dtype)
         if sd.shape != output.data.shape:
             raise ValueError(f"seed shape {sd.shape} != output shape {output.data.shape}")
-        table[id(output)] = [output, sd]
-        for out, inputs, backward in reversed(self._nodes):
-            entry = table.get(id(out))
+        self._spent = True
+        table: dict[int, list] = {id(output): [output, sd]}
+        while self._nodes:
+            out, inputs, backward = self._nodes.pop()
+            entry = table.pop(id(out), None)
             if entry is None:
                 continue
-            grads = backward(entry[1])
-            for inp, g in zip(inputs, grads):
+            for inp, g in zip(inputs, backward(entry[1])):
                 if g is None:
                     continue
                 cur = table.get(id(inp))
@@ -156,7 +171,8 @@ class Tape:
 
 
 class Gradients:
-    """Read-only map from tensor identity to its accumulated gradient array."""
+    """Read-only map from leaf tensor identity to its accumulated gradient
+    array; it keeps the leaves it maps alive, but nothing of the graph."""
 
     def __init__(self, table: dict[int, list]):
         self._table = table

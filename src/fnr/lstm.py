@@ -264,13 +264,12 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
     bptt_f = _scan(xs, lengths, p.fwd, False, out_data[..., :hidden], tape is not None)
     bptt_b = _scan(xs, lengths, p.bwd, True, out_data[..., hidden:], tape is not None)
     out_data = out_data.reshape(*lead, steps, 2 * hidden)
-    scale = None
+    keep, dtype = None, out_data.dtype
     if training and dropout_rate > 0.0:
         if rng is None:
             raise ValueError("training-mode dropout needs a seeded generator")
         keep = rng.random(out_data.shape) >= dropout_rate
-        scale = (keep / (1.0 - dropout_rate)).astype(out_data.dtype, copy=False)
-        out_data *= scale
+        out_data *= (keep / (1.0 - dropout_rate)).astype(dtype, copy=False)
     out = Tensor(out_data)
     if tape is None:
         return out
@@ -279,8 +278,9 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
                           for f in dataclasses.fields(d))
 
     def backward(g):
-        if scale is not None:
-            g = g * scale
+        if keep is not None:
+            # Rebuilt from the bool mask, an eighth of the float scale's size.
+            g = g * (keep / (1.0 - dropout_rate)).astype(dtype, copy=False)
         g_f, g_b = np.split(g.reshape(n_rows, steps, 2 * hidden), [hidden], axis=-1)
         d_x = None if x.const else np.zeros_like(xs)
         # Summation order (reverse, then forward) is fixed: checkpoints depend on it bit for bit.

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fnr
 from fnr.autodiff import (NonFiniteError, Tape, Tensor, add, gather_rows, linear, mul,
                           reduce_sum, sigmoid_array, softmax, softmax_grad, softmax_parts,
                           tanh)
@@ -190,6 +195,25 @@ class TestDropout:
         assert 0 < survivors.size < out.size
         assert np.allclose(survivors, H0 / 0.8)
 
+    def test_backward_scale_matches_forward_exactly(self):
+        # The backward rebuilds the scale from the kept mask: its gradients
+        # must equal those of the undropped layer seeded with that scale.
+        group = ParamGroup()
+        p = init_blstm(group, "b", 3, 2, np.random.default_rng(5))
+        x = Tensor(np.random.default_rng(4).normal(size=(2, 4, 3)))
+        mask = np.ones((2, 4))
+        with Tape() as tape:
+            out = blstm_forward(x, mask, p, dropout_rate=0.3, training=True,
+                                rng=np.random.default_rng(6))
+        dropped = tape.gradients(out)
+        scale = (out.data != 0.0) / (1.0 - 0.3)
+        with Tape() as tape:
+            plain = blstm_forward(x, mask, p)
+        assert np.array_equal(out.data, plain.data * scale)
+        seeded = tape.gradients(plain, seed=scale)
+        for t in [x] + [t for _, t in group.items()]:
+            assert np.array_equal(dropped[t], seeded[t])
+
 
 class TestTapeMechanics:
     def test_two_consumer_accumulation(self):
@@ -231,6 +255,46 @@ class TestTapeMechanics:
             mul(Tensor([1e300]), Tensor([1e300]))
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
+
+    def test_gradients_use_the_tape_up(self):
+        x = Tensor([2.0])
+        with Tape() as tape:
+            y = mul(x, x)
+            out = reduce_sum(y)
+        assert len(tape) == 2
+        grads = tape.gradients(out)
+        assert len(tape) == 0
+        assert np.array_equal(grads[x], [4.0])
+        # Only leaves keep a gradient; an intermediate's is dropped once read.
+        assert np.array_equal(grads[y], [0.0])
+        with pytest.raises(RuntimeError, match="already differentiated"):
+            tape.gradients(out)
+
+    def test_bad_seed_leaves_the_tape_usable(self):
+        x = Tensor([2.0])
+        with Tape() as tape:
+            out = mul(x, x)
+        with pytest.raises(ValueError, match="seed shape"):
+            tape.gradients(out, seed=np.ones(2))
+        assert np.array_equal(tape.gradients(out)[x], [4.0])
+
+    def test_lifo_unwind_checked_under_optimize(self):
+        # Exiting the outer tape first must raise, also under ``python -O``,
+        # which strips asserts: otherwise the inner tape is popped and ops
+        # record onto the wrong tape.
+        code = ("from fnr.autodiff import Tape, _tape\n"
+                "a, b = Tape(), Tape()\n"
+                "a.__enter__(); b.__enter__()\n"
+                "try:\n"
+                "    a.__exit__(None, None, None)\n"
+                "except RuntimeError:\n"
+                "    print('raised', _tape() is b)\n")
+        src = str(Path(fnr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["raised", "True"]
 
 
 def _quadratic_group(values):

@@ -2,10 +2,12 @@ import collections
 import json
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
+from fnr import model as fmodel
 from fnr.autodiff import Tape, Tensor
 from fnr.data import QaRecord, collate, make_example
 from fnr.model import (CheckpointError, SanConfig, SanParams, batch_loss,
@@ -194,6 +196,71 @@ class TestTapeMix:
         for name, t in params.group.items():
             assert np.all(np.isfinite(grads[t])), name
         assert np.any(grads[params.attention.w_k2] != 0.0)
+
+
+def walk_without_popping(tape, output):
+    """Gradients of every tensor from a reverse walk over the tape's nodes
+    that frees nothing: the reference for ``Tape.gradients``, which frees
+    each node once its backward has run."""
+    table = {id(output): [output, np.ones_like(output.data)]}
+    for out, inputs, backward in reversed(tape._nodes):
+        entry = table.get(id(out))
+        if entry is None:
+            continue
+        for inp, g in zip(inputs, backward(entry[1])):
+            if g is None:
+                continue
+            cur = table.get(id(inp))
+            if cur is None:
+                table[id(inp)] = [inp, g]
+            else:
+                cur[1] = cur[1] + g
+    return table
+
+
+class TestTapeMemory:
+    def san_step(self, vocab, example):
+        cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
+                        bank_size=2, dropout=0.2, variant="san", seed=1)
+        params = build(cfg, vocab)
+        batch = collate([example, example])
+        with Tape() as tape:
+            probs, _ = forward_batch(batch, params, cfg, training=True,
+                                     rng=np.random.default_rng(0))
+            loss = batch_loss(probs, batch.gold, batch.mask)
+        return params, tape, probs, loss
+
+    def test_leaf_gradients_match_walk_without_popping(self, tiny_vocab, fig_example):
+        params, tape, _, loss = self.san_step(tiny_vocab, fig_example)
+        expected = walk_without_popping(tape, loss)
+        grads = tape.gradients(loss)
+        assert len(tape) == 0
+        for name, t in params.group.items():
+            assert np.array_equal(grads[t], expected[id(t)][1]), name
+
+    def test_held_gradients_keep_no_forward_output(self, tiny_vocab, fig_example,
+                                                   monkeypatch):
+        # Weak references to the BLSTM and bank-transform outputs (and the
+        # buffers they view) must die with the tape, while the gradients
+        # of the step stay held.
+        refs = []
+
+        def watched(fn):
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                refs.extend(weakref.ref(a) for a in (out.data, out.data.base)
+                            if a is not None)
+                return out
+            return call
+
+        for name in ("blstm_forward", "transform_bank"):
+            monkeypatch.setattr(fmodel, name, watched(getattr(fmodel, name)))
+        params, tape, probs, loss = self.san_step(tiny_vocab, fig_example)
+        grads = tape.gradients(loss)
+        del tape, probs, loss
+        assert len(refs) >= 4
+        assert [ref() for ref in refs if ref() is not None] == []
+        assert np.any(grads[params.attention.w_k] != 0.0)
 
 
 class TestLoss:
