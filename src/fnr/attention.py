@@ -123,14 +123,14 @@ def transform_bank(bank_h: Tensor, token_mask: np.ndarray, p: AttentionParams) -
 
 
 def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
-                      token_mask: np.ndarray, bank_valid: np.ndarray, p: AttentionParams,
+                      token_mask: np.ndarray, p: AttentionParams,
                       want_trace: bool = False) -> tuple[Tensor, list[AttentionTrace] | None]:
     """Both attention levels and the final concat, as one tape node.
 
     hq1: (B, T_q, 2H); query_mask: (B, T_q) 0/1; words: (B, U, T_u, A),
     bank words already through ``transform_bank``; token_mask: (B, U, T_u)
-    0/1; bank_valid: (B, U) 0/1, equal to ``token_mask.any(axis=2)``.  Both
-    masks must be prefixes of ones.
+    0/1.  Both masks must be prefixes of ones; a bank slot takes part in
+    level 2 exactly when it holds a valid word.
     Returns (B, T_q, 2H + A) and, when asked, one AttentionTrace per batch
     element.  The node's inputs are hq1, words, w_r, b_r, w_k2 and b_k2.
 
@@ -149,9 +149,6 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
     q_len = prefix_lengths(query_mask, hq1.shape[:2], "query_mask")
     bank_len = prefix_lengths(token_mask, words.shape[:3], "token_mask")
     token_mask = np.asarray(token_mask)
-    if np.shape(bank_valid) != bank_len.shape or not np.array_equal(bank_valid, bank_len > 0):
-        raise ValueError("bank_valid must equal token_mask.any(axis=2): a slot is valid "
-                         "exactly when it holds a valid word")
     inputs = (hq1, words, p.w_r, p.b_r, p.w_k2, p.b_k2)
     h, k, w_r, b_r, w_k2, b_k2 = (t.data for t in inputs)
     at_query = np.arange(t_q) < q_len[:, None]                           # (B, T_q)
@@ -175,7 +172,7 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
             level1.append(parts)
         summary = np.tanh((attended.reshape(-1, attn_dim) @ w_k2.T + b_k2)
                           .reshape(attended.shape))                       # (U, N, A)
-        row_valid = np.asarray(bank_valid)[np.repeat(np.arange(b_sz), q_len)].T > 0
+        row_valid = (bank_len > 0)[np.repeat(np.arange(b_sz), q_len)].T
         weights2, e2, z2 = softmax_parts((summary * query).sum(axis=-1), axis=0,
                                          valid=row_valid)                 # (U, N)
         side = (weights2[..., None] * summary).sum(axis=0)                # (N, A)

@@ -1,17 +1,16 @@
 """Dense tensors with taped reverse-mode differentiation on numpy arrays.
 
-The op set is small: ``linear``, ``gather_rows`` and a fused ``softmax``
-serve the model; ``add``, ``mul``, ``tanh`` and ``reduce_sum`` serve
-only the tests, which build scalar losses for ``grad_check`` from them
-and use them to exercise tape accumulation.  The model's larger layers
-are fused ops of the same kind, each one tape node with a hand-written
-backward (``lstm.blstm_forward``, ``attention.transform_bank``,
-``attention.bank_attend_batch``, ``model.batch_loss``); they build on the
+The op set is what the model records.  ``gather_rows``, ``linear`` and a
+fused ``softmax`` live here; the larger layers are fused ops of the same
+kind, each one tape node with a hand-written backward
+(``lstm.blstm_forward``, ``attention.transform_bank``,
+``attention.bank_attend_batch``, ``model.batch_loss``), built on the
 plain-array helpers here (``sigmoid_array``, ``scatter_add``,
-``softmax_parts``, ``softmax_grad``).  Every op output is finite-checked
-(NaN/Inf is a hard error).  Arrays are float64 by default; float32 exists
-behind an explicit fast-mode switch and is not suitable for
-finite-difference verification.
+``softmax_parts``, ``softmax_grad``).  Tests check each op through a
+vector-Jacobian product, ``optim.grad_check`` with a chosen cotangent.
+Every op output is finite-checked (NaN/Inf is a hard error).  Arrays are
+float64 by default; float32 exists behind an explicit fast-mode switch
+and is not suitable for finite-difference verification.
 
 A tape is differentiated once.  ``Tape.gradients`` pops the nodes last
 first and frees each node's backward closure, with the forward buffers it
@@ -189,57 +188,6 @@ def _tape() -> Tape | None:
     return tapes[-1] if tapes else None
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def add(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = Tensor(a.data + b.data)
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            return (None if a.const else _unbroadcast(g, a.data.shape),
-                    None if b.const else _unbroadcast(g, b.data.shape))
-        tape._nodes.append((out, (a, b), backward))
-    return out
-
-
-def mul(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = Tensor(a.data * b.data)
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            return (None if a.const else _unbroadcast(g * b.data, a.data.shape),
-                    None if b.const else _unbroadcast(g * a.data, b.data.shape))
-        tape._nodes.append((out, (a, b), backward))
-    return out
-
-
-def tanh(a) -> Tensor:
-    a = astensor(a)
-    out = Tensor(np.tanh(a.data))
-    tape = _tape()
-    if tape is not None:
-        od = out.data
-        def backward(g):
-            return (None if a.const else g * (1.0 - od * od),)
-        tape._nodes.append((out, (a,), backward))
-    return out
-
-
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: exp only ever sees -|x|.
 
@@ -251,57 +199,30 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 
-def linear(x, w, b=None) -> Tensor:
-    """x @ w.T (+ b) over the last axis of x; leading axes are batch axes.
+def linear(x, w, b) -> Tensor:
+    """x @ w.T + b over the last axis of x; leading axes are batch axes.
 
     Fused so one tape node covers the projection, which keeps step loops
-    cheap.  ``w`` has shape (dout, din).
+    cheap.  ``w`` has shape (dout, din) and ``b`` shape (dout,).
     """
-    x, w = astensor(x), astensor(w)
+    x, w, b = astensor(x), astensor(w), astensor(b)
     if x.ndim < 2:
         raise ValueError("linear expects x with ndim >= 2; reshape a vector to (1, d)")
     dout, din = w.data.shape
     if x.data.shape[-1] != din:
         raise ValueError(f"linear shape mismatch: x last dim {x.data.shape[-1]} != {din}")
+    if b.data.shape != (dout,):
+        raise ValueError(f"linear bias shape {b.data.shape} != ({dout},)")
     with np.errstate(over="ignore", invalid="ignore"):
-        out_data = x.data @ w.data.T
-        if b is not None:
-            b = astensor(b)
-            if b.data.shape != (dout,):
-                raise ValueError(f"linear bias shape {b.data.shape} != ({dout},)")
-            out_data = out_data + b.data
-    out = Tensor(out_data)
+        out = Tensor(x.data @ w.data.T + b.data)
     tape = _tape()
     if tape is not None:
-        inputs = (x, w) if b is None else (x, w, b)
         def backward(g):
             g2 = g.reshape(-1, dout)
-            gx = None if x.const else g @ w.data
-            gw = None if w.const else g2.T @ x.data.reshape(-1, din)
-            if b is None:
-                return (gx, gw)
-            gb = None if b.const else g2.sum(axis=0)
-            return (gx, gw, gb)
-        tape._nodes.append((out, inputs, backward))
-    return out
-
-
-def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = astensor(x)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
-    tape = _tape()
-    if tape is not None:
-        shape = x.data.shape
-        def backward(g):
-            if x.const:
-                return (None,)
-            gk = g
-            if axis is not None and not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                for ax in sorted(a % len(shape) for a in axes):
-                    gk = np.expand_dims(gk, ax)
-            return (np.broadcast_to(gk, shape),)
-        tape._nodes.append((out, (x,), backward))
+            return (None if x.const else g @ w.data,
+                    None if w.const else g2.T @ x.data.reshape(-1, din),
+                    None if b.const else g2.sum(axis=0))
+        tape._nodes.append((out, (x, w, b), backward))
     return out
 
 
@@ -366,7 +287,7 @@ def softmax_grad(g: np.ndarray, e: np.ndarray, z: np.ndarray, axis: int) -> np.n
     exp -> sum -> divide chain, so fused ops reproduce its gradients bit
     for bit; the textbook ``w * (g - sum(g * w))`` differs in the last ulp.
     """
-    gz = _unbroadcast(-g * e / (z * z), z.shape)
+    gz = (-g * e / (z * z)).sum(axis=axis, keepdims=True)
     return (g / z + gz) * e
 
 

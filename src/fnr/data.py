@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .vocab import EOS_TOKEN, PAD_ID, Vocabulary, join_sentences
+from .vocab import EOS_TOKEN, PAD_ID, Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -142,25 +142,17 @@ class Preprocessed:
     tag_ids: np.ndarray | None  # (T,) int64, O at padding; None if unlabeled
 
 
-def preprocess(record, vocab: Vocabulary, max_len: int = 40) -> Preprocessed:
-    """Pad/truncate a record (or raw token input) to ``max_len`` ids.
+def preprocess(record: QaRecord, vocab: Vocabulary, max_len: int = 40) -> Preprocessed:
+    """Pad/truncate a record's question to ``max_len`` ids.
 
-    Accepts a QaRecord, a flat token list, or a list of sentences (joined
-    with EOS).  EOS tokens are forced to tag O.  Already length-T input
-    passes through unchanged, so the operation is idempotent.
+    Multi-sentence questions arrive already joined with EOS
+    (``vocab.join_sentences``); EOS tokens are forced to tag O.
     """
-    tags = None
-    if isinstance(record, QaRecord):
-        tokens = record.question_tokens
-        tags = record.tags
-    else:
-        tokens = record
-    if tokens and isinstance(tokens[0], (list, tuple)):
-        tokens = join_sentences(tokens)
+    tokens, tags = record.question_tokens, record.tags
     if not tokens:
         raise CorpusError("cannot preprocess an empty token list")
 
-    tokens = list(tokens)[:max_len]
+    tokens = tokens[:max_len]
     n = len(tokens)
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
     ids[:n] = vocab.encode(tokens)
@@ -188,7 +180,6 @@ class Example:
     tag_ids: np.ndarray | None  # (T,)
     bank_ids: np.ndarray       # (U, T)
     bank_mask: np.ndarray      # (U, T)
-    bank_valid: np.ndarray     # (U,)
 
     @property
     def length(self) -> int:
@@ -222,10 +213,8 @@ def make_example(record: QaRecord, bank_records: Sequence[QaRecord],
         bp = preprocess(b, vocab, max_len)
         bank_ids[n] = bp.ids
         bank_mask[n] = bp.mask
-    bank_valid = bank_mask.any(axis=1).astype(float)
     return Example(record=record, bank=bank_records, ids=prep.ids, mask=prep.mask,
-                   tag_ids=prep.tag_ids, bank_ids=bank_ids, bank_mask=bank_mask,
-                   bank_valid=bank_valid)
+                   tag_ids=prep.tag_ids, bank_ids=bank_ids, bank_mask=bank_mask)
 
 
 @dataclass
@@ -235,7 +224,6 @@ class Batch:
     gold: np.ndarray | None  # (B, T, |L|) one-hot at valid rows, zero at padding
     bank_ids: np.ndarray     # (B, U, T)
     bank_mask: np.ndarray    # (B, U, T)
-    bank_valid: np.ndarray   # (B, U)
     examples: list[Example]
 
     def __len__(self) -> int:
@@ -255,7 +243,6 @@ def collate(examples: Sequence[Example]) -> Batch:
     return Batch(ids=ids, mask=mask, gold=gold,
                  bank_ids=np.stack([e.bank_ids for e in examples]),
                  bank_mask=np.stack([e.bank_mask for e in examples]),
-                 bank_valid=np.stack([e.bank_valid for e in examples]),
                  examples=list(examples))
 
 

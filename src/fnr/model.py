@@ -302,8 +302,7 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
                                  batch.bank_mask, params.bank_blstm)
             words = transform_bank(bank, batch.bank_mask, params.attention)
         hq2, traces = bank_attend_batch(hq1, batch.mask, words, batch.bank_mask,
-                                        batch.bank_valid, params.attention,
-                                        want_trace=want_trace)
+                                        params.attention, want_trace=want_trace)
     else:
         hq2 = hq1
     if cfg.has_layer2:

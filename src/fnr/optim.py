@@ -90,23 +90,33 @@ def adam_step(params: ParamGroup, grads: Gradients, lr: float = 1e-3,
 
 def grad_check(loss_fn: Callable[[ParamGroup], Tensor], params: ParamGroup,
                h: float = 1e-5, max_coords_per_tensor: int | None = None,
-               rng: np.random.Generator | None = None) -> float:
+               rng: np.random.Generator | None = None, seed=None) -> float:
     """Compare taped gradients of ``loss_fn`` against central differences.
 
-    Returns the max relative error |g_ad - g_fd| / max(1, |g_ad|, |g_fd|)
-    over all checked coordinates.  For large tensors a random coordinate
-    subset may be checked (``max_coords_per_tensor``).  Run in 64-bit mode;
-    the comparison is meaningless at float32.
+    Without ``seed`` the output must be a scalar loss.  ``seed`` is a
+    cotangent of the output's shape, as ``Tape.gradients`` takes it: the
+    taped side is then the vector-Jacobian product ``seed . J`` and the
+    differenced side ``sum(seed * out)``, so a fused op is checked on its
+    own output.  Returns the max relative error
+    |g_ad - g_fd| / max(1, |g_ad|, |g_fd|) over all checked coordinates.
+    For large tensors a random coordinate subset may be checked
+    (``max_coords_per_tensor``).  Run in 64-bit mode; the comparison is
+    meaningless at float32.
     """
     if default_dtype() != np.dtype(np.float64):
         raise RuntimeError("grad_check requires float64 mode")
     with Tape() as tape:
-        loss = loss_fn(params)
-    if loss.size != 1:
-        raise ValueError("loss_fn must return a scalar")
-    if not math.isfinite(loss.item()):
+        out = loss_fn(params)
+    if seed is None and out.size != 1:
+        raise ValueError("loss_fn must return a scalar when no seed is given")
+    grads = tape.gradients(out, seed=seed)
+    weights = 1.0 if seed is None else np.asarray(seed, dtype=out.data.dtype)
+
+    def value(t: Tensor) -> float:
+        return float((t.data * weights).sum())
+
+    if not math.isfinite(value(out)):
         raise NonFiniteError("loss is non-finite at the evaluation point")
-    grads = tape.gradients(loss)
 
     worst = 0.0
     for name, p in params.items():
@@ -121,9 +131,9 @@ def grad_check(loss_fn: Callable[[ParamGroup], Tensor], params: ParamGroup,
         for i in coords:
             orig = flat[i]
             flat[i] = orig + h
-            lp = float(loss_fn(params).data)
+            lp = value(loss_fn(params))
             flat[i] = orig - h
-            lm = float(loss_fn(params).data)
+            lm = value(loss_fn(params))
             flat[i] = orig
             if not (math.isfinite(lp) and math.isfinite(lm)):
                 raise NonFiniteError(f"loss non-finite while perturbing {name!r}")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fnr.attention import bank_attend_batch, init_attention, transform_bank
-from fnr.autodiff import Tape, Tensor, mul, reduce_sum
+from fnr.autodiff import Tape, Tensor
 from fnr.optim import ParamGroup, grad_check
 
 
@@ -19,8 +19,8 @@ def make_params(encoder_width=4, attn_dim=3, seed=0, zero=False):
 
 def pad_banks(banks, masks, encoder_width, width=None):
     """Lay one question's list of (T_u, 2H) bank questions and 0/1 masks out
-    as batched inputs: bank_h (1, U, T_u, 2H), token_mask (1, U, T_u) and
-    bank_valid (1, U), padded with zeros to ``width`` or the longest bank."""
+    as batched inputs: bank_h (1, U, T_u, 2H) and token_mask (1, U, T_u),
+    padded with zeros to ``width`` or the longest bank."""
     if width is None:
         width = max([b.shape[0] for b in banks], default=1)
     bank_h = np.zeros((1, len(banks), width, encoder_width))
@@ -28,16 +28,16 @@ def pad_banks(banks, masks, encoder_width, width=None):
     for n, (b, m) in enumerate(zip(banks, masks)):
         bank_h[0, n, :b.shape[0]] = b
         token_mask[0, n, :len(m)] = m
-    return bank_h, token_mask, token_mask.any(axis=2).astype(float)
+    return bank_h, token_mask
 
 
 def attend_one(hq1, banks, masks, p, width=None):
     """transform_bank, then bank_attend_batch, on one (T_q, 2H) question and
     its (T_u, 2H) bank questions: (T_q, 2H + A) and its trace."""
-    bank_h, token_mask, bank_valid = pad_banks(banks, masks, hq1.shape[1], width)
+    bank_h, token_mask = pad_banks(banks, masks, hq1.shape[1], width)
     hq2, traces = bank_attend_batch(Tensor(hq1[None]), np.ones((1, hq1.shape[0])),
                                     transform_bank(Tensor(bank_h), token_mask, p),
-                                    token_mask, bank_valid, p, want_trace=True)
+                                    token_mask, p, want_trace=True)
     return hq2.data[0], traces[0]
 
 
@@ -49,8 +49,7 @@ def observed_query(hq1, p):
     attn = p.dim
     words = np.vstack([np.zeros(attn), np.eye(attn)])[None, None]
     _, traces = bank_attend_batch(Tensor(hq1[None]), np.ones((1, hq1.shape[0])), Tensor(words),
-                                  np.ones((1, 1, attn + 1)), np.ones((1, 1)), p,
-                                  want_trace=True)
+                                  np.ones((1, 1, attn + 1)), p, want_trace=True)
     w = traces[0].level1_weights[:, 0]
     return np.log(w[:, 1:] / w[:, :1])
 
@@ -137,15 +136,15 @@ class TestTransformBank:
         rng = np.random.default_rng(4)
         bank_h = group.add("bank_h", rng.normal(size=(2, 3, 4, 4)))
         token_mask = prefix_mask_3d([4, 2, 0, 1, 3, 0])
-        weights = Tensor(rng.normal(size=(2, 3, 4, 3)), const=True)
+        weights = rng.normal(size=(2, 3, 4, 3))
 
-        def loss(g):
-            return reduce_sum(mul(transform_bank(bank_h, token_mask, p), weights))
+        def out(g):
+            return transform_bank(bank_h, token_mask, p)
 
         with Tape() as tape:
-            loss(group)
-        assert len(tape) == 3  # transform_bank, mul, reduce_sum
-        assert grad_check(loss, group, h=1e-6) < 1e-6
+            out(group)
+        assert len(tape) == 1
+        assert grad_check(out, group, h=1e-6, seed=weights) < 1e-6
 
     def test_mask_shape_checked(self):
         _, p = make_params()
@@ -318,15 +317,15 @@ class TestBankAttend:
         rng = np.random.default_rng(12)
         hq1, banks, masks = random_instance(rng, t_q=2)
         weights = rng.normal(size=(1, 2, 7))
-        bank_h, token_mask, bank_valid = pad_banks(banks, masks, 4)
+        bank_h, token_mask = pad_banks(banks, masks, 4)
 
-        def loss(g):
+        def out(g):
             words = transform_bank(Tensor(bank_h, const=True), token_mask, p)
             hq2, _ = bank_attend_batch(Tensor(hq1[None], const=True), np.ones((1, 2)), words,
-                                       token_mask, bank_valid, p)
-            return reduce_sum(mul(hq2, Tensor(weights, const=True)))
+                                       token_mask, p)
+            return hq2
 
-        assert grad_check(loss, group, h=1e-5) < 1e-5
+        assert grad_check(out, group, h=1e-5, seed=weights) < 1e-5
 
     def test_gradcheck_all_inputs_empty_slots_and_banks(self):
         # Example 0 has PAD positions and an empty middle slot; example 1's
@@ -338,17 +337,15 @@ class TestBankAttend:
         token_mask = np.zeros((2, 3, 4))
         token_mask[0, 0, :2] = 1.0
         token_mask[0, 2, :] = 1.0
-        bank_valid = token_mask.any(axis=2).astype(float)
-        weights = Tensor(rng.normal(size=(2, 3, 7)), const=True)
+        weights = rng.normal(size=(2, 3, 7))
 
-        def loss(g):
-            hq2, _ = bank_attend_batch(hq1, np.ones((2, 3)), words, token_mask, bank_valid, p)
-            return reduce_sum(mul(hq2, weights))
+        def out(g):
+            return bank_attend_batch(hq1, np.ones((2, 3)), words, token_mask, p)[0]
 
         with Tape() as tape:
-            loss(group)
-        assert len(tape) == 3  # bank_attend_batch, mul, reduce_sum
-        assert grad_check(loss, group, h=1e-6) < 1e-6
+            out(group)
+        assert len(tape) == 1
+        assert grad_check(out, group, h=1e-6, seed=weights) < 1e-6
 
     def test_batch_matches_single(self):
         _, p = make_params(encoder_width=4, attn_dim=3, seed=13)
@@ -359,10 +356,9 @@ class TestBankAttend:
         token_mask = (rng.random((b_sz, n_banks, t_u)) > 0.3).astype(float)
         token_mask[:, :, 0] = 1.0
         token_mask = np.cumprod(token_mask, axis=-1)  # padding is a suffix
-        bank_valid = token_mask.any(axis=2).astype(float)
         batched, _ = bank_attend_batch(Tensor(hq1), np.ones((b_sz, t_q)),
-                                       transform_bank(Tensor(bank_h), token_mask, p), token_mask,
-                                       bank_valid, p)
+                                       transform_bank(Tensor(bank_h), token_mask, p),
+                                       token_mask, p)
         for i in range(b_sz):
             single, _ = attend_one(hq1[i], list(bank_h[i]), list(token_mask[i]), p)
             assert np.allclose(batched.data[i], single, atol=1e-12, rtol=0)
@@ -402,7 +398,7 @@ class TestBankAttend:
 
 def mixed_batch(rng, encoder_width=4, t_u=5):
     """Four questions of T_q = 4 with valid lengths 3, 0, 4 and 2, and
-    their (B, U, T_u, 2H) bank representations, token_mask and bank_valid.
+    their (B, U, T_u, 2H) bank representations and token_mask.
     Example 0 has PAD bank positions and an empty middle slot, example 1
     is a length-0 question, example 3's bank is fully empty; no bank
     question fills T_u, so every example's level 1 runs on a cut width."""
@@ -412,23 +408,18 @@ def mixed_batch(rng, encoder_width=4, t_u=5):
     query_mask = (np.arange(4) < q_len[:, None]).astype(float)
     bank_h = rng.normal(size=(4, 3, t_u, encoder_width))
     token_mask = (np.arange(t_u) < bank_len[..., None]).astype(float)
-    return hq1, query_mask, bank_h, token_mask, token_mask.any(axis=2).astype(float)
+    return hq1, query_mask, bank_h, token_mask
 
 
 class TestBankValid:
-    def test_valid_slot_without_words_rejected(self):
-        # An all-PAD slot marked valid would take part in level 2 with the
-        # summary tanh(b_k2): side vectors of tanh(0.5) = 0.462, not 0.
+    def test_slot_without_words_takes_no_part(self):
+        # Were an all-PAD slot to take part in level 2, its summary
+        # tanh(b_k2) would give side vectors of tanh(0.5) = 0.462, not 0.
         _, p = make_params(encoder_width=4, attn_dim=3, seed=25, zero=True)
         p.b_k2.data[...] = 0.5
         hq1 = Tensor(np.random.default_rng(25).normal(size=(1, 2, 4)))
         words = Tensor(np.zeros((1, 1, 3, 3)))
-        token_mask = np.zeros((1, 1, 3))
-        for bank_valid in (np.ones((1, 1)), np.zeros((1, 2))):
-            with pytest.raises(ValueError, match="bank_valid"):
-                bank_attend_batch(hq1, np.ones((1, 2)), words, token_mask, bank_valid, p)
-        out, _ = bank_attend_batch(hq1, np.ones((1, 2)), words, token_mask,
-                                   token_mask.any(axis=2).astype(float), p)
+        out, _ = bank_attend_batch(hq1, np.ones((1, 2)), words, np.zeros((1, 1, 3)), p)
         assert np.array_equal(out.data[..., 4:], np.zeros((1, 2, 3)))
 
 
@@ -438,32 +429,31 @@ class TestValidQueryRows:
     def test_gradcheck_all_inputs_mixed_query_lengths(self):
         group, p = make_params(encoder_width=4, attn_dim=3, seed=20)
         rng = np.random.default_rng(20)
-        hq1_data, query_mask, bank_h, token_mask, bank_valid = mixed_batch(rng)
+        hq1_data, query_mask, bank_h, token_mask = mixed_batch(rng)
         hq1 = group.add("hq1", hq1_data)
         words = group.add("words", np.tanh(bank_h[..., :3]))
-        weights = Tensor(rng.normal(size=(4, 4, 7)), const=True)
+        weights = rng.normal(size=(4, 4, 7))
 
-        def loss(g):
-            hq2, _ = bank_attend_batch(hq1, query_mask, words, token_mask, bank_valid, p)
-            return reduce_sum(mul(hq2, weights))
+        def out(g):
+            return bank_attend_batch(hq1, query_mask, words, token_mask, p)[0]
 
         with Tape() as tape:
-            loss(group)
-        assert len(tape) == 3  # bank_attend_batch, mul, reduce_sum
-        assert grad_check(loss, group, h=1e-6) < 1e-6
+            out(group)
+        assert len(tape) == 1
+        assert grad_check(out, group, h=1e-6, seed=weights) < 1e-6
 
     def test_padded_query_rows_ignored(self):
         _, p = make_params(encoder_width=4, attn_dim=3, seed=21)
         rng = np.random.default_rng(21)
-        hq1, query_mask, bank_h, token_mask, bank_valid = mixed_batch(rng)
+        hq1, query_mask, bank_h, token_mask = mixed_batch(rng)
         words = transform_bank(Tensor(bank_h), token_mask, p)
         base, base_traces = bank_attend_batch(Tensor(hq1), query_mask, words, token_mask,
-                                              bank_valid, p, want_trace=True)
+                                              p, want_trace=True)
         padded = query_mask == 0
         garbage = hq1.copy()
         garbage[padded] = 1e3 * rng.normal(size=(padded.sum(), 4))
         out, traces = bank_attend_batch(Tensor(garbage), query_mask, words, token_mask,
-                                        bank_valid, p, want_trace=True)
+                                        p, want_trace=True)
         valid = ~padded
         assert np.array_equal(out.data[valid], base.data[valid])
         assert np.array_equal(out.data[padded, :4], garbage[padded])
@@ -478,10 +468,10 @@ class TestValidQueryRows:
     def test_mixed_lengths_match_reference_per_example(self):
         _, p = make_params(encoder_width=4, attn_dim=3, seed=22)
         rng = np.random.default_rng(22)
-        hq1, query_mask, bank_h, token_mask, bank_valid = mixed_batch(rng)
+        hq1, query_mask, bank_h, token_mask = mixed_batch(rng)
         out, traces = bank_attend_batch(Tensor(hq1), query_mask,
                                         transform_bank(Tensor(bank_h), token_mask, p),
-                                        token_mask, bank_valid, p, want_trace=True)
+                                        token_mask, p, want_trace=True)
         for i, n in enumerate(query_mask.sum(axis=1).astype(int)):
             ref_hq2, ref_w1, ref_a1, ref_w2 = reference_bank_attention(
                 hq1[i, :n], list(bank_h[i]), list(token_mask[i]), p)
@@ -503,7 +493,7 @@ class TestValidQueryRows:
     def test_bad_masks_rejected(self, case, match):
         _, p = make_params(encoder_width=4, attn_dim=3, seed=24)
         rng = np.random.default_rng(24)
-        hq1, query_mask, bank_h, token_mask, bank_valid = mixed_batch(rng)
+        hq1, query_mask, bank_h, token_mask = mixed_batch(rng)
         words = Tensor(np.tanh(bank_h[..., :3]))
         target, flaw = case.split("_mask_")
         bad = (query_mask if target == "query" else token_mask).copy()
@@ -518,4 +508,4 @@ class TestValidQueryRows:
         else:
             token_mask = bad
         with pytest.raises(ValueError, match=match):
-            bank_attend_batch(Tensor(hq1), query_mask, words, token_mask, bank_valid, p)
+            bank_attend_batch(Tensor(hq1), query_mask, words, token_mask, p)

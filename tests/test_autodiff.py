@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -10,18 +11,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fnr
-from fnr.autodiff import (NonFiniteError, Tape, Tensor, add, gather_rows, linear, mul,
-                          reduce_sum, sigmoid_array, softmax, softmax_grad, softmax_parts,
-                          tanh)
+from fnr.autodiff import (NonFiniteError, Tape, Tensor, gather_rows, linear, sigmoid_array,
+                          softmax, softmax_grad, softmax_parts)
 from fnr.lstm import blstm_forward, init_blstm
 from fnr.optim import ParamGroup, grad_check
 
 
-def tape_grad(build, *inputs):
-    """Gradient of a scalar built from the given input tensors."""
+def tape_grad(build, *inputs, seed=None):
+    """Gradients of sum(seed * out), for the output built from the given
+    input tensors; the seed defaults to ones."""
     with Tape() as tape:
         out = build(*inputs)
-    grads = tape.gradients(out)
+    grads = tape.gradients(out, seed=seed)
     return [grads[t] for t in inputs]
 
 
@@ -50,21 +51,10 @@ class TestAffine:
         x = Tensor([[0.5, -0.25]])
         w = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([0.1, 0.2])
-        gx, gw, gb = tape_grad(lambda x, w, b: reduce_sum(linear(x, w, b)), x, w, b)
+        gx, gw, gb = tape_grad(linear, x, w, b)
         assert np.allclose(gx, [w.data.sum(axis=0)])
         assert np.allclose(gw, np.vstack([x.data, x.data]))
         assert np.allclose(gb, [1.0, 1.0])
-
-
-class TestTanh:
-    def test_zero(self):
-        assert tanh(Tensor([0.0])).data[0] == 0.0
-
-    def test_saturation_no_overflow(self):
-        assert abs(tanh(Tensor([50.0])).data[0] - 1.0) < 1e-12
-
-    def test_reference_value(self):
-        assert abs(tanh(Tensor([0.5])).data[0] - math.tanh(0.5)) < 1e-15
 
 
 def piecewise_sigmoid(x):
@@ -215,68 +205,77 @@ class TestDropout:
             assert np.array_equal(dropped[t], seeded[t])
 
 
+def square(x):
+    """x @ x.T for a (1, n) row, as one ``linear`` node with a zero bias."""
+    return linear(x, x, Tensor([0.0], const=True))
+
+
 class TestTapeMechanics:
     def test_two_consumer_accumulation(self):
-        # z = x*a + x*b: dz/dx must sum both branch contributions.
-        x = Tensor([2.0])
-        a = Tensor([3.0])
-        b = Tensor([5.0])
-        (gx,) = tape_grad(lambda x: reduce_sum(add(mul(x, a), mul(x, b))), x)
-        assert np.allclose(gx, [8.0])
+        # Two gathers of the same row feed one linear: out = r . r, and
+        # the table's gradient must sum both branch contributions.
+        table = Tensor([[2.0, -1.0], [7.0, 7.0]])
+        row = np.array([0])
+        (gt,) = tape_grad(lambda t: linear(gather_rows(t, row), gather_rows(t, row),
+                                           Tensor([0.5])), table)
+        assert np.array_equal(gt, [[4.0, -2.0], [0.0, 0.0]])
 
     def test_unused_tensor_gets_zero_gradient(self):
-        x = Tensor([1.0])
+        x = Tensor([[1.0]])
         unused = Tensor([9.0])
         with Tape() as tape:
-            out = reduce_sum(mul(x, x))
+            out = square(x)
         grads = tape.gradients(out)
         assert np.array_equal(grads[unused], [0.0])
 
     def test_same_tensor_twice_in_one_op(self):
-        x = Tensor([3.0])
-        (gx,) = tape_grad(lambda x: reduce_sum(mul(x, x)), x)
-        assert np.allclose(gx, [6.0])
+        x = Tensor([[3.0]])
+        (gx,) = tape_grad(square, x)
+        assert np.allclose(gx, [[6.0]])
 
     def test_const_inputs_skipped(self):
-        x = Tensor([1.0])
-        c = Tensor([2.0], const=True)
+        x = Tensor([[1.0]])
+        c = Tensor([[2.0]], const=True)
+        b = Tensor([0.0], const=True)
         with Tape() as tape:
-            out = reduce_sum(mul(x, c))
+            out = linear(x, c, b)
         grads = tape.gradients(out)
-        assert np.array_equal(grads[c], [0.0])
+        assert np.array_equal(grads[x], [[2.0]])
+        assert np.array_equal(grads[c], [[0.0]])
+        assert np.array_equal(grads[b], [0.0])
 
     def test_no_tape_means_no_recording(self):
         tape = Tape()
-        _ = mul(Tensor([1.0]), Tensor([2.0]))
+        _ = square(Tensor([[2.0]]))
         assert len(tape) == 0
 
     def test_non_finite_output_is_hard_error(self):
         with pytest.raises(NonFiniteError):
-            mul(Tensor([1e300]), Tensor([1e300]))
+            square(Tensor([[1e300]]))
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
 
     def test_gradients_use_the_tape_up(self):
-        x = Tensor([2.0])
+        x = Tensor([[2.0]])
         with Tape() as tape:
-            y = mul(x, x)
-            out = reduce_sum(y)
+            y = gather_rows(x, np.array([0]))
+            out = square(y)
         assert len(tape) == 2
         grads = tape.gradients(out)
         assert len(tape) == 0
-        assert np.array_equal(grads[x], [4.0])
+        assert np.array_equal(grads[x], [[4.0]])
         # Only leaves keep a gradient; an intermediate's is dropped once read.
-        assert np.array_equal(grads[y], [0.0])
+        assert np.array_equal(grads[y], [[0.0]])
         with pytest.raises(RuntimeError, match="already differentiated"):
             tape.gradients(out)
 
     def test_bad_seed_leaves_the_tape_usable(self):
-        x = Tensor([2.0])
+        x = Tensor([[2.0]])
         with Tape() as tape:
-            out = mul(x, x)
+            out = square(x)
         with pytest.raises(ValueError, match="seed shape"):
             tape.gradients(out, seed=np.ones(2))
-        assert np.array_equal(tape.gradients(out)[x], [4.0])
+        assert np.array_equal(tape.gradients(out)[x], [[4.0]])
 
     def test_lifo_unwind_checked_under_optimize(self):
         # Exiting the outer tape first must raise, also under ``python -O``,
@@ -297,41 +296,31 @@ class TestTapeMechanics:
         assert run.stdout.split() == ["raised", "True"]
 
 
-def _quadratic_group(values):
-    g = ParamGroup()
-    for i, v in enumerate(np.atleast_1d(values)):
-        g.add(f"p{i}", np.asarray(v))
-    return g
-
-
 class TestPerOpGradients:
     """Every differentiable op passes an isolated finite-difference check."""
 
-    CASES = {
-        "add": lambda a, b: reduce_sum(add(a, b)),
-        "mul": lambda a, b: reduce_sum(mul(a, b)),
-        "linear": lambda a, b: reduce_sum(linear(a, b)),
-        "tanh": lambda a, b: reduce_sum(tanh(mul(a, b))),
-        "softmax": lambda a, b: reduce_sum(mul(softmax(a, axis=-1), b)),
-    }
-
-    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("name", ["linear", "softmax"])
     def test_op_gradcheck(self, name):
-        rng = np.random.default_rng(hash(name) % 2**31)
+        # crc32 of the name, unlike the per-process salted hash(), draws
+        # the same instance in every run.
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        a, b = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
         group = ParamGroup()
-        a = group.add("a", rng.normal(size=(2, 4)))
-        b = group.add("b", rng.normal(size=(2, 4)))
-        fn = self.CASES[name]
-        err = grad_check(lambda g: fn(g["a"], g["b"]), group, h=1e-6)
+        group.add("a", a)
+        if name == "linear":
+            group.add("b", b)
+            err = grad_check(lambda g: linear(g["a"], g["b"], np.zeros(2)), group, h=1e-6,
+                             seed=np.ones((2, 2)))
+        else:
+            err = grad_check(lambda g: softmax(g["a"], axis=-1), group, h=1e-6, seed=b)
         assert err < 1e-6, f"{name}: rel err {err}"
 
     @pytest.mark.parametrize("axis", [-1, 1])
     def test_softmax_node_gradcheck(self, axis):
         group = ParamGroup()
         group.add("x", np.random.default_rng(10).normal(scale=3.0, size=(2, 3, 4)))
-        weights = Tensor(np.random.default_rng(13).normal(size=(2, 3, 4)), const=True)
-        err = grad_check(lambda g: reduce_sum(mul(softmax(g["x"], axis=axis), weights)),
-                         group, h=1e-6)
+        weights = np.random.default_rng(13).normal(size=(2, 3, 4))
+        err = grad_check(lambda g: softmax(g["x"], axis=axis), group, h=1e-6, seed=weights)
         assert err < 1e-6
 
     def test_masked_softmax_gradcheck(self):
@@ -360,9 +349,7 @@ class TestPerOpGradients:
         group.add("table", rng.normal(size=(5, 3)))
         ids = np.array([0, 2, 2, 4])
         weights = rng.normal(size=(4, 3))
-        err = grad_check(
-            lambda g: reduce_sum(mul(tanh(gather_rows(g["table"], ids)), weights)),
-            group, h=1e-6)
+        err = grad_check(lambda g: gather_rows(g["table"], ids), group, h=1e-6, seed=weights)
         assert err < 1e-6
 
     def test_dropout_gradcheck_with_fixed_mask(self):
@@ -371,12 +358,12 @@ class TestPerOpGradients:
         p = init_blstm(group, "b", 4, 2, np.random.default_rng(5))
         group.add("x", np.random.default_rng(4).normal(size=(3, 4)))
 
-        def loss(g):
+        def out(g):
             rng = np.random.default_rng(99)  # same mask every evaluation
-            out = blstm_forward(g["x"], np.ones(3), p, dropout_rate=0.4, training=True, rng=rng)
-            return reduce_sum(tanh(out))
+            return blstm_forward(g["x"], np.ones(3), p, dropout_rate=0.4, training=True, rng=rng)
 
-        assert grad_check(loss, group, h=1e-6) < 1e-6
+        seed = np.random.default_rng(98).normal(size=(3, 4))
+        assert grad_check(out, group, h=1e-6, seed=seed) < 1e-6
 
 
 class TestGatherRows:
@@ -387,7 +374,7 @@ class TestGatherRows:
     def test_scatter_accumulates(self):
         table = Tensor(np.arange(6, dtype=float).reshape(3, 2))
         ids = np.array([1, 1])
-        (gt,) = tape_grad(lambda t: reduce_sum(gather_rows(t, ids)), table)
+        (gt,) = tape_grad(lambda t: gather_rows(t, ids), table)
         assert np.array_equal(gt, [[0, 0], [2, 2], [0, 0]])
 
     def test_repeated_ids_match_2d_add_at(self):
@@ -395,10 +382,10 @@ class TestGatherRows:
         rng = np.random.default_rng(2)
         table = Tensor(rng.normal(size=(7, 5)))
         ids = rng.integers(0, 7, size=(3, 4, 6))
-        weights = Tensor(rng.normal(size=(3, 4, 6, 5)), const=True)
-        (gt,) = tape_grad(lambda t: reduce_sum(mul(gather_rows(t, ids), weights)), table)
+        weights = rng.normal(size=(3, 4, 6, 5))
+        (gt,) = tape_grad(lambda t: gather_rows(t, ids), table, seed=weights)
         want = np.zeros((7, 5))
-        np.add.at(want, ids.reshape(-1), weights.data.reshape(-1, 5))
+        np.add.at(want, ids.reshape(-1), weights.reshape(-1, 5))
         assert np.array_equal(gt, want)
 
 
@@ -408,12 +395,12 @@ class TestFastMode:
 
         old = set_default_dtype(np.float32)
         try:
-            t = tanh(Tensor([0.5]))
+            t = square(Tensor([[0.5]]))
             assert t.data.dtype == np.float32
             group = ParamGroup()
-            group.add("p", [1.0])
+            group.add("p", [[1.0]])
             with pytest.raises(RuntimeError, match="float64"):
-                grad_check(lambda g: reduce_sum(mul(g["p"], g["p"])), group)
+                grad_check(lambda g: square(g["p"]), group)
         finally:
             set_default_dtype(old)
 
@@ -426,7 +413,7 @@ class TestFastMode:
         def worker():
             seen.append((default_dtype(), _tape()))
             set_default_dtype(np.float32)
-            tanh(Tensor([0.5]))
+            square(Tensor([[0.5]]))
 
         with Tape() as tape:
             old = set_default_dtype(np.float32)

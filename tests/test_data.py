@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fnr.data import (CorpusError, QaRecord, collate, corpus_stats, format_stats,
                       load_corpus, make_example, preprocess, save_corpus, split)
-from fnr.vocab import EOS_TOKEN, PAD_ID, build_vocab
+from fnr.vocab import EOS_TOKEN, PAD_ID, build_vocab, join_sentences
 
 
 FIG_LINE = ('{"product_id":"p1","category":"laptop",'
@@ -151,7 +151,8 @@ class TestPreprocess:
 
     def test_sentence_join_inserts_eos(self):
         vocab = build_vocab([["a", "b", "c"]])
-        prep = preprocess([["a", "b"], ["c"]], vocab, max_len=6)
+        prep = preprocess(QaRecord("p", "c", join_sentences([["a", "b"], ["c"]])), vocab,
+                          max_len=6)
         assert list(prep.ids[:4]) == vocab.encode(["a", "b", EOS_TOKEN, "c"])
 
     def test_empty_rejected(self):
@@ -193,7 +194,7 @@ class TestMakeExample:
         bank = [QaRecord(f"b{i}", "c", ["b"]) for i in range(7)]
         ex = make_example(rec, bank, vocab, max_len=4, bank_size=5)
         assert len(ex.bank) == 5
-        assert ex.bank_valid.sum() == 5
+        assert ex.bank_mask.any(axis=1).sum() == 5
 
     def test_collate_shapes(self, tiny_vocab, fig_example):
         batch = collate([fig_example, fig_example])

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fnr.autodiff import NonFiniteError, Tape, Tensor, mul, reduce_sum
+from fnr.autodiff import NonFiniteError, Tape, Tensor
 from fnr.lstm import BlstmParams, blstm_forward, init_blstm, init_lstm
 from fnr.optim import ParamGroup, grad_check
 
@@ -173,13 +173,9 @@ class TestLstmScan:
         weights = np.zeros((4, steps, 6))
         half = slice(3, 6) if reverse else slice(0, 3)
         weights[..., half] = rng.normal(size=(4, steps, 3))
-        weights = Tensor(weights, const=True)
         p2 = BlstmParams(fwd=p, bwd=p)
-
-        def loss(g):
-            return reduce_sum(mul(blstm_forward(x, mask, p2), weights))
-
-        assert grad_check(loss, group, h=1e-5) < 1e-5
+        assert grad_check(lambda g: blstm_forward(x, mask, p2), group, h=1e-5,
+                          seed=weights) < 1e-5
 
     def test_overflow_raises_nonfinite_without_warning(self):
         p = zero_lstm(3, 2)
@@ -241,12 +237,8 @@ class TestBlstmForward:
         x = np.random.default_rng(8).normal(size=(1, 4, 2))
         mask = np.array([[1.0, 1.0, 1.0, 0.0]])
         weights = np.random.default_rng(9).normal(size=(1, 4, 6))
-
-        def loss(g):
-            out = blstm_forward(Tensor(x, const=True), mask, p)
-            return reduce_sum(mul(out, Tensor(weights, const=True)))
-
-        assert grad_check(loss, group, h=1e-5) < 1e-5
+        assert grad_check(lambda g: blstm_forward(Tensor(x, const=True), mask, p), group,
+                          h=1e-5, seed=weights) < 1e-5
 
     def test_dropout_training_only(self):
         _, p = rand_blstm(2, 3, seed=10)
@@ -310,14 +302,13 @@ class TestBlstmForward:
         x_data = rng.normal(size=(2, 3, steps, 2))
         x = Tensor(x_data, const=True) if x_const else group.add("x", x_data)
         mask = prefix_mask([4, 1, 0, 3, 0, 0], steps).reshape(2, 3, steps)
-        weights = Tensor(rng.normal(size=(2, 3, steps, 6)), const=True)
+        weights = rng.normal(size=(2, 3, steps, 6))
 
-        def loss(g):
-            out = blstm_forward(x, mask, p, dropout_rate=0.3, training=True,
-                                rng=np.random.default_rng(23))  # same mask every evaluation
-            return reduce_sum(mul(out, weights))
+        def out(g):
+            return blstm_forward(x, mask, p, dropout_rate=0.3, training=True,
+                                 rng=np.random.default_rng(23))  # same mask every evaluation
 
-        assert grad_check(loss, group, h=1e-5) < 1e-5
+        assert grad_check(out, group, h=1e-5, seed=weights) < 1e-5
 
     @pytest.mark.parametrize("x_const", [True, False])
     def test_gradients_match_reference_bptt(self, x_const):
@@ -331,9 +322,8 @@ class TestBlstmForward:
         x = Tensor(x_data, const=True) if x_const else group.add("x", x_data)
         g_out = rng.normal(size=(len(lengths), steps, 8))
         with Tape() as tape:
-            loss = reduce_sum(mul(blstm_forward(x, prefix_mask(lengths, steps), p),
-                                  Tensor(g_out, const=True)))
-        grads = tape.gradients(loss)
+            out = blstm_forward(x, prefix_mask(lengths, steps), p)
+        grads = tape.gradients(out, seed=g_out)
         d_x = np.zeros_like(x_data)
         for half, direction, reverse in ((slice(0, 4), p.fwd, False),
                                          (slice(4, 8), p.bwd, True)):
@@ -367,8 +357,7 @@ class TestBlstmForward:
             with Tape() as tape:
                 out = blstm_forward(x, mask, p, dropout_rate=0.4, training=True,
                                     rng=np.random.default_rng(26))
-                loss = reduce_sum(mul(out, Tensor(weights.reshape(out.shape), const=True)))
-            grads = tape.gradients(loss)
+            grads = tape.gradients(out, seed=weights.reshape(out.shape))
             results.append([out.data.reshape(-1), grads[x].reshape(-1)]
                            + [grads[t] for _, t in group.items()])
         for a, b in zip(*results):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from fnr.autodiff import NonFiniteError, Tensor, mul, reduce_sum
+from fnr import autodiff
+from fnr.autodiff import NonFiniteError, Tensor, linear, softmax
 from fnr.optim import ParamGroup, adam_step, grad_check
+from test_autodiff import square
 
 
 class ZeroGrads:
@@ -106,32 +108,31 @@ class TestParamGroup:
         assert np.array_equal(p.data, [1.0, 2.0])
 
 
+# The cotangent that makes square() the loss 0.5 * sum(p ** 2).
+HALF = np.array([[0.5]])
+
+
 class TestGradCheck:
     def test_quadratic_is_exact(self):
         g = ParamGroup()
-        g.add("p", np.array([0.5, -1.25, 2.0]))
-
-        def loss(group):
-            p = group["p"]
-            return mul(reduce_sum(mul(p, p)), 0.5)
-
-        assert grad_check(loss, g, h=1e-5) < 1e-8
+        g.add("p", np.array([[0.5, -1.25, 2.0]]))
+        assert grad_check(lambda group: square(group["p"]), g, h=1e-5, seed=HALF) < 1e-8
 
     def test_constant_loss_both_zero(self):
         g = ParamGroup()
         g.add("p", np.array([1.0, 2.0]))
 
         def loss(group):
-            return reduce_sum(mul(Tensor([3.0]), Tensor([4.0])))
+            return linear(Tensor([[3.0]]), Tensor([[4.0]]), Tensor([0.0]))
 
         assert grad_check(loss, g, h=1e-5) == 0.0
 
     def test_non_finite_loss_rejected(self):
         g = ParamGroup()
-        g.add("p", np.array([800.0]))
+        g.add("p", np.array([[800.0]]))
 
         def loss(group):
-            return reduce_sum(mul(group["p"], Tensor([1e307])))
+            return linear(group["p"], Tensor([[1e307]]), Tensor([0.0]))
 
         with pytest.raises(NonFiniteError):
             grad_check(loss, g, h=1e-5)
@@ -139,12 +140,56 @@ class TestGradCheck:
     def test_sampled_coordinates(self):
         rng = np.random.default_rng(0)
         g = ParamGroup()
-        g.add("p", rng.normal(size=(20, 20)))
-
-        def loss(group):
-            p = group["p"]
-            return mul(reduce_sum(mul(p, p)), 0.5)
-
-        err = grad_check(loss, g, h=1e-5, max_coords_per_tensor=16,
-                         rng=np.random.default_rng(1))
+        g.add("p", rng.normal(size=(1, 400)))
+        err = grad_check(lambda group: square(group["p"]), g, h=1e-5, seed=HALF,
+                         max_coords_per_tensor=16, rng=np.random.default_rng(1))
         assert err < 1e-8
+
+
+class TestGradCheckSeed:
+    """``seed`` checks an op on its own output through a vector-Jacobian
+    product with a chosen cotangent."""
+
+    # Two softmax backwards with a bug: one drops the term that flows
+    # through the normaliser z, the other centres g on its plain mean
+    # where the softmax-weighted mean belongs.
+    BROKEN = {
+        "omits_gz": lambda g, e, z, axis: g / z * e,
+        "unweighted_centering":
+            lambda g, e, z, axis: e / z * (g - g.mean(axis=axis, keepdims=True)),
+    }
+
+    @pytest.mark.parametrize("bug, summed_sees_it", [("omits_gz", True),
+                                                     ("unweighted_centering", False)])
+    def test_nonuniform_seed_catches_broken_softmax_backward(self, monkeypatch, bug,
+                                                             summed_sees_it):
+        rng = np.random.default_rng(5)
+        group = ParamGroup()
+        group.add("x", rng.normal(size=(1, 4)))
+        w = rng.normal(size=(1, 4))
+
+        def check(seed=None):
+            if seed is None:  # sum(softmax(x)) as a scalar
+                return grad_check(lambda g: linear(softmax(g["x"]), np.ones((1, 4)), np.zeros(1)),
+                                  group, h=1e-6)
+            return grad_check(lambda g: softmax(g["x"]), group, h=1e-6, seed=seed)
+
+        assert check(w) < 1e-6 and check() < 1e-6
+        monkeypatch.setattr(autodiff, "softmax_grad", self.BROKEN[bug])
+        assert check(w) > 1e-2
+        # sum(softmax(x)) is constant, so its true gradient is zero: the
+        # summed check sees only a backward that is wrong at a uniform
+        # cotangent, which the centring bug is not.
+        assert (check() > 1e-2) if summed_sees_it else (check() < 1e-6)
+
+    def test_seed_shape_must_match_output(self):
+        group = ParamGroup()
+        group.add("x", np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="seed shape"):
+            grad_check(lambda g: softmax(g["x"]), group, seed=np.ones(4))
+
+    def test_non_scalar_output_needs_a_seed(self):
+        group = ParamGroup()
+        group.add("x", np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="scalar"):
+            grad_check(lambda g: softmax(g["x"]), group)
