@@ -146,6 +146,34 @@ class TestTransformBank:
         assert len(tape) == 1
         assert grad_check(out, group, h=1e-6, seed=weights) < 1e-6
 
+    def test_zero_params_zero_output(self):
+        _, p = make_params(zero=True)
+        bank_h = np.random.default_rng(5).normal(size=(1, 2, 3, 4))
+        out = transform_bank(Tensor(bank_h), np.ones((1, 2, 3)), p)
+        assert np.array_equal(out.data, np.zeros((1, 2, 3, 3)))
+
+    def test_saturation_no_overflow(self):
+        # Pre-activations of +-50 and beyond: tanh pins to +-1 without an
+        # overflow warning or a non-finite value.
+        _, p = make_params(seed=6)
+        p.w_k.data[...] = 0.0
+        p.b_k.data[...] = [50.0, -50.0, 800.0]
+        with np.errstate(all="raise"):
+            out = transform_bank(Tensor(np.ones((1, 1, 2, 4))), np.ones((1, 1, 2)), p)
+        assert np.all(np.abs(out.data - [1.0, -1.0, 1.0]) < 1e-12)
+
+    def test_saturated_backward_is_finite_zero(self):
+        # 1 - tanh^2 is exactly 0 once tanh rounds to +-1, so the saturated
+        # words pass back a zero gradient, not a NaN.
+        _, p = make_params(seed=7)
+        p.b_k.data[...] = [50.0, -50.0, 800.0]
+        bank_h = Tensor(np.random.default_rng(7).normal(size=(1, 1, 2, 4)))
+        with Tape() as tape:
+            out = transform_bank(bank_h, np.ones((1, 1, 2)), p)
+        grads = tape.gradients(out, seed=np.ones(out.shape))
+        for t in (bank_h, p.w_k, p.b_k):
+            assert np.array_equal(grads[t], np.zeros_like(t.data))
+
     def test_mask_shape_checked(self):
         _, p = make_params()
         with pytest.raises(ValueError, match="token_mask shape"):
