@@ -43,7 +43,7 @@ class ConfigError(ValueError):
     """Bad run configuration: unknown key, bad value, or missing setting."""
 
 
-_MODEL_KEYS = {f.name for f in dataclasses.fields(SanConfig)} - {"labels"}
+_MODEL_KEYS = {f.name for f in dataclasses.fields(SanConfig)}
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 
 
@@ -92,7 +92,7 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type
                 for cls in (SanConfig, TrainConfig, RunConfig) for f in dataclasses.fields(cls)
-                if f.name not in ("labels", "settings")}
+                if f.name != "settings"}
 
 
 def _coerce(key: str, value) -> object:
@@ -362,21 +362,18 @@ def cmd_extract(args) -> int:
         raise ConfigError("question is empty after tokenization")
     tokens = join_sentences(sentences)
 
-    bank_records: list[QaRecord] = []
-    category = args.category or "query"
+    category = args.category
     if args.bank:
         pool = load_corpus(args.bank)
-        categories = sorted({r.category for r in pool if not r.labeled})
-        if args.category is None:
+        if category is None:
+            categories = sorted({r.category for r in pool if not r.labeled})
             if len(categories) != 1:
                 raise ConfigError(
                     f"pool spans categories {categories}; pick one with --category")
             category = categories[0]
-        index = Bm25Index(pool)
-        query = QaRecord(product_id="query", category=category, question_tokens=tokens)
-        bank_records = build_bank(query, index, u_max=san_cfg.bank_size)
-
-    record = QaRecord(product_id="query", category=category, question_tokens=tokens)
+    record = QaRecord(product_id="query", category=category or "query", question_tokens=tokens)
+    bank_records = (build_bank(record, Bm25Index(pool), u_max=san_cfg.bank_size)
+                    if args.bank else [])
     example = make_example(record, bank_records, vocab,
                            max_len=san_cfg.max_len, bank_size=san_cfg.bank_size)
     probs, traces = forward_batch(collate([example]), params, san_cfg,

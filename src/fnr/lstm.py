@@ -4,11 +4,11 @@
 applies inverted dropout in numpy and records a single tape node; its
 hand-written backward applies the dropout scale, splits the gradient and
 runs each direction's backpropagation through time, both adding their
-input gradient into one buffer.  The per-gate tensors (input i, forget
-f, output o, cell candidate g) are stacked into ``Wx (4H, din)``, ``Wh
-(4H, H)`` and ``b (4H)`` at call time, and their gradients are split
-back per gate.  Parameters stay stored per gate, so their names and the
-checkpoint format (version 1) are unchanged.
+input gradient into one buffer.  Each direction stores its four gate
+blocks (input i, forget f, output o, cell candidate g) stacked in that
+order as ``w_x (4H, din)``, ``w_h (4H, H)`` and ``b (4H,)``: the layout
+the scan multiplies with, and the one checkpoints (format version 2)
+store.
 
 The input projection ``x Wx^T`` of every valid position is one GEMM
 before the recurrence; each step adds ``h_prev Wh^T`` and the bias to its
@@ -30,7 +30,6 @@ positions.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,33 +37,19 @@ import numpy as np
 from .autodiff import Tensor, _tape, check_finite, sigmoid_array
 from .optim import ParamGroup
 
-GATES = ("i", "f", "o", "g")
-
 
 @dataclass
 class LstmParams:
-    """Input/recurrent weights and bias for each of the four gate blocks
-    (input i, forget f, output o, cell candidate g)."""
-    w_xi: Tensor
-    w_hi: Tensor
-    b_i: Tensor
-    w_xf: Tensor
-    w_hf: Tensor
-    b_f: Tensor
-    w_xo: Tensor
-    w_ho: Tensor
-    b_o: Tensor
-    w_xg: Tensor
-    w_hg: Tensor
-    b_g: Tensor
+    """One direction's input/recurrent weights and bias, the gate blocks
+    i, f, o, g stacked along axis 0: ``w_x (4H, din)``, ``w_h (4H, H)``,
+    ``b (4H,)``."""
+    w_x: Tensor
+    w_h: Tensor
+    b: Tensor
 
     @property
     def hidden_size(self) -> int:
-        return self.w_hi.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_xi.shape[1]
+        return self.w_h.shape[1]
 
 
 @dataclass
@@ -85,14 +70,15 @@ def glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
 
 def init_lstm(group: ParamGroup, prefix: str, input_size: int, hidden: int,
               rng: np.random.Generator) -> LstmParams:
-    """Glorot-uniform weights, forget bias 1.0, other biases 0."""
-    fields = {}
-    for gate in GATES:
-        fields[f"w_x{gate}"] = group.add(f"{prefix}.w_x{gate}", glorot(rng, (hidden, input_size)))
-        fields[f"w_h{gate}"] = group.add(f"{prefix}.w_h{gate}", glorot(rng, (hidden, hidden)))
-        bias = np.ones(hidden) if gate == "f" else np.zeros(hidden)
-        fields[f"b_{gate}"] = group.add(f"{prefix}.b_{gate}", bias)
-    return LstmParams(**fields)
+    """Glorot-uniform weights drawn gate by gate (i, f, o, g; w_x, then
+    w_h), forget bias 1.0, other biases 0."""
+    blocks = [(glorot(rng, (hidden, input_size)), glorot(rng, (hidden, hidden)))
+              for _ in range(4)]
+    bias = np.zeros(4 * hidden)
+    bias[hidden:2 * hidden] = 1.0
+    return LstmParams(w_x=group.add(f"{prefix}.w_x", np.concatenate([wx for wx, _ in blocks])),
+                      w_h=group.add(f"{prefix}.w_h", np.concatenate([wh for _, wh in blocks])),
+                      b=group.add(f"{prefix}.b", bias))
 
 
 def init_blstm(group: ParamGroup, prefix: str, input_size: int, hidden: int,
@@ -108,7 +94,7 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
     Writes the hidden states into the valid positions of the zeroed
     (N, T, H) ``out`` and, with ``taped``, returns a backpropagation-
     through-time closure ``bptt(g_out, d_x)`` mapping the output gradient
-    to ``[d_w_x, d_w_h, d_b per gate]``; it adds the input gradient into
+    to ``[d_w_x, d_w_h, d_b]``; it adds the input gradient into
     ``d_x`` unless that is None.  With ``reverse`` the scan runs from each
     row's last valid token back to its first.
     """
@@ -130,11 +116,7 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
     row_idx, t_idx = order[slot_idx], times[step_idx]
     n = len(row_idx)
 
-    # Field order is gate by gate, each as (w_x, w_h, b).
-    tensors = tuple(getattr(p, f.name) for f in dataclasses.fields(p))
-    w_x = np.concatenate([t.data for t in tensors[0::3]])
-    w_h = np.concatenate([t.data for t in tensors[1::3]])
-    bias = np.concatenate([t.data for t in tensors[2::3]])
+    w_x, w_h, bias = p.w_x.data, p.w_h.data, p.b.data
     x_rows = xs[row_idx, t_idx]
     hs = np.empty((n, hidden), dtype=dtype)
     if taped:
@@ -217,8 +199,7 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
             d_b = d_pre.sum(axis=0)
             if d_x is not None:
                 d_x[row_idx, t_idx] += d_pre @ w_x
-        return [d[gate * hidden:(gate + 1) * hidden]
-                for gate in range(4) for d in (d_wx, d_wh, d_b)]
+        return [d_wx, d_wh, d_b]
 
     return bptt
 
@@ -249,8 +230,8 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
     positions come out exactly zero, since neither scan computes them.
     Dropout, when requested, is inverted dropout on the output rows only
     (never inside the recurrence): one ``rng.random`` draw over the output
-    shape after both scans.  The node's inputs are x and the 24 gate
-    tensors, forward direction first.
+    shape after both scans.  The node's inputs are x and each direction's
+    ``w_x``, ``w_h`` and ``b``, forward direction first.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
@@ -260,7 +241,7 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
     xs = x.data.reshape(n_rows, steps, din)
     tape = _tape()
     hidden = p.hidden_size
-    out_data = np.zeros((n_rows, steps, 2 * hidden), dtype=np.result_type(xs, p.fwd.w_xi.data))
+    out_data = np.zeros((n_rows, steps, 2 * hidden), dtype=np.result_type(xs, p.fwd.w_x.data))
     bptt_f = _scan(xs, lengths, p.fwd, False, out_data[..., :hidden], tape is not None)
     bptt_b = _scan(xs, lengths, p.bwd, True, out_data[..., hidden:], tape is not None)
     out_data = out_data.reshape(*lead, steps, 2 * hidden)
@@ -274,8 +255,7 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
     if tape is None:
         return out
 
-    inputs = (x,) + tuple(getattr(d, f.name) for d in (p.fwd, p.bwd)
-                          for f in dataclasses.fields(d))
+    inputs = (x, p.fwd.w_x, p.fwd.w_h, p.fwd.b, p.bwd.w_x, p.bwd.w_h, p.bwd.b)
 
     def backward(g):
         if keep is not None:

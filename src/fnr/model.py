@@ -54,7 +54,7 @@ from .vocab import EOS_TOKEN, Vocabulary
 
 VARIANTS = ("san", "sblstm", "san-noblstm2")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -74,7 +74,7 @@ def json_type_ok(kind: str, value) -> bool:
 @dataclass
 class SanConfig:
     """Model hyperparameters.  max_len=40 and bank_size=5 are the run
-    defaults; labels are fixed to the two-symbol F/O set."""
+    defaults; the label set is the fixed F/O pair, ``data.LABELS``."""
     embedding_dim: int = 100
     hidden_size: int = 100
     attention_dim: int = 100
@@ -84,14 +84,10 @@ class SanConfig:
     variant: str = "san"
     share_bank_encoder: bool = False
     seed: int = 13
-    labels: tuple[str, ...] = LABELS
 
     def __post_init__(self):
-        self.labels = tuple(self.labels)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if len(self.labels) != 2:
-            raise ValueError("label set must have exactly two symbols")
         for name in ("embedding_dim", "hidden_size", "attention_dim", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -125,9 +121,7 @@ class SanConfig:
         return self.encoder_width if self.has_layer2 else self.augmented_width
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["labels"] = list(self.labels)
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SanConfig":
@@ -160,9 +154,9 @@ class BankMemo:
     @staticmethod
     def _sources(params: "SanParams") -> list[Tensor]:
         """The tensors bank words depend on, besides the embedding."""
-        lstm = [getattr(d, f.name) for d in (params.bank_blstm.fwd, params.bank_blstm.bwd)
-                for f in dataclasses.fields(d)]
-        return lstm + [params.attention.w_k, params.attention.b_k]
+        fwd, bwd = params.bank_blstm.fwd, params.bank_blstm.bwd
+        return [fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b,
+                params.attention.w_k, params.attention.b_k]
 
     def _matches(self, params: "SanParams") -> bool:
         return (self._dtype == default_dtype()
@@ -264,8 +258,8 @@ class SanParams:
                                        cfg.attention_dim, rng)
         if cfg.has_layer2:
             blstm2 = init_blstm(group, "blstm2", cfg.augmented_width, cfg.hidden_size, rng)
-        proj_w = group.add("proj.w", glorot(rng, (len(cfg.labels), cfg.projection_width)))
-        proj_b = group.add("proj.b", np.zeros(len(cfg.labels)))
+        proj_w = group.add("proj.w", glorot(rng, (len(LABELS), cfg.projection_width)))
+        proj_b = group.add("proj.b", np.zeros(len(LABELS)))
         return cls(group, embedding, blstm1, bank_blstm, attention, blstm2, proj_w, proj_b)
 
 
@@ -424,11 +418,8 @@ def load_model(path, expected: SanConfig | None = None) -> tuple[SanParams, SanC
         raise CheckpointError("checkpoint lacks the vocabulary")
     for f in dataclasses.fields(SanConfig):
         value = config_dict.get(f.name)
-        if f.name in config_dict and f.type in _JSON_TYPES and not json_type_ok(f.type, value):
+        if f.name in config_dict and not json_type_ok(f.type, value):
             raise CheckpointError(f"checkpoint config {f.name!r}: expected {f.type}, got {value!r}")
-    labels = config_dict.get("labels", [])
-    if not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
-        raise CheckpointError(f"checkpoint config 'labels': expected a list of strings, got {labels!r}")
     cfg = SanConfig.from_dict(config_dict)
     vocab = Vocabulary(vocab_tokens)
     if expected is not None and expected.variant != cfg.variant:

@@ -28,14 +28,12 @@ _SENT_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 class Vocabulary:
     """Dense token -> id map with reserved PAD/EOS/UNK slots."""
 
-    def __init__(self, tokens: Sequence[str], lowercase: bool = True,
-                 min_freq: int = 1):
+    def __init__(self, tokens: Sequence[str], lowercase: bool = True):
         """``tokens`` is the full id-ordered token list including the three
         reserved entries at positions 0..2."""
         if tuple(tokens[:3]) != RESERVED:
             raise ValueError(f"vocabulary must start with {RESERVED}")
         self.lowercase = lowercase
-        self.min_freq = min_freq
         self.id_to_token: list[str] = list(tokens)
         self.token_to_id: dict[str, int] = {}
         for i, tok in enumerate(self.id_to_token):
@@ -85,7 +83,7 @@ def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1,
         raise ValueError("cannot build a vocabulary from an empty corpus")
     kept = sorted((t for t, c in counts.items() if c >= min_freq),
                   key=lambda t: (-counts[t], t))
-    return Vocabulary(list(RESERVED) + kept, lowercase=lowercase, min_freq=min_freq)
+    return Vocabulary(list(RESERVED) + kept, lowercase=lowercase)
 
 
 def tokenize(text: str) -> list[list[str]]:

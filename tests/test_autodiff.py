@@ -143,7 +143,7 @@ def constant_blstm(hidden):
     for _, t in group.items():
         t.data[...] = 0.0
     for d in (p.fwd, p.bwd):
-        d.b_i.data[...], d.b_f.data[...], d.b_g.data[...] = 50.0, -50.0, 1.0
+        d.b.data[...] = np.repeat([50.0, -50.0, 0.0, 1.0], hidden)
     return p
 
 

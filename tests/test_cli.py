@@ -231,7 +231,7 @@ class TestRunConfig:
 
     def test_keys_are_model_train_and_path_fields(self):
         model = {f.name: getattr(SanConfig(), f.name)
-                 for f in dataclasses.fields(SanConfig) if f.name != "labels"}
+                 for f in dataclasses.fields(SanConfig)}
         training = {f.name: getattr(TrainConfig(), f.name)
                     for f in dataclasses.fields(TrainConfig)}
         keys = set(model) | set(training) | self.PATH_KEYS
@@ -460,7 +460,8 @@ class TestEvaluate:
         ("bool_config_as_text", "share_bank_encoder"),
         ("top_level_array", "not a JSON object"),
         ("config_array", "not a JSON object"),
-        ("tensor_without_shape", "shape")])
+        ("tensor_without_shape", "shape"),
+        ("format_version_1", "format_version")])
     def test_malformed_checkpoint_exit_3(self, tmp_path, overfit_ckpt, caplog, case, named):
         corpus, ckpt = overfit_ckpt
         payload = json.loads(ckpt.read_text())
@@ -472,6 +473,8 @@ class TestEvaluate:
             payload = [payload]
         elif case == "config_array":
             payload["config"] = [payload["config"]]
+        elif case == "format_version_1":
+            payload["format_version"] = 1
         else:
             del payload["tensors"]["proj.w"]["shape"]
         bad = tmp_path / "bad.json"

@@ -4,8 +4,28 @@ import numpy as np
 import pytest
 
 from fnr.autodiff import NonFiniteError, Tape, Tensor
-from fnr.lstm import BlstmParams, blstm_forward, init_blstm, init_lstm
+from fnr.lstm import BlstmParams, blstm_forward, glorot, init_blstm, init_lstm
 from fnr.optim import ParamGroup, grad_check
+
+
+GATES = ("i", "f", "o", "g")
+
+
+def gate_rows(name, hidden):
+    """Rows of gate ``name``'s block in the stacked (4H, ...) tensors."""
+    j = GATES.index(name)
+    return slice(j * hidden, (j + 1) * hidden)
+
+
+def gate(p, name):
+    """Views (w_x, w_h, b) of one gate's block of ``p``."""
+    rows = gate_rows(name, p.hidden_size)
+    return p.w_x.data[rows], p.w_h.data[rows], p.b.data[rows]
+
+
+def pre_activation(x, h, p, name):
+    w_x, w_h, b = gate(p, name)
+    return w_x @ x + w_h @ h + b
 
 
 def zero_lstm(din, hidden, forget_bias=0.0):
@@ -13,7 +33,7 @@ def zero_lstm(din, hidden, forget_bias=0.0):
     p = init_lstm(g, "z", din, hidden, np.random.default_rng(0))
     for name, t in g.items():
         t.data[...] = 0.0
-    p.b_f.data[...] = forget_bias
+    gate(p, "f")[2][...] = forget_bias
     return p
 
 
@@ -25,10 +45,10 @@ def rand_lstm(din, hidden, seed):
 def reference_lstm_step(x, h, c, p):
     """Straight-line transcription of the gate equations, numpy only."""
     sig = lambda z: 1.0 / (1.0 + np.exp(-z))
-    i = sig(p.w_xi.data @ x + p.w_hi.data @ h + p.b_i.data)
-    f = sig(p.w_xf.data @ x + p.w_hf.data @ h + p.b_f.data)
-    o = sig(p.w_xo.data @ x + p.w_ho.data @ h + p.b_o.data)
-    g = np.tanh(p.w_xg.data @ x + p.w_hg.data @ h + p.b_g.data)
+    i = sig(pre_activation(x, h, p, "i"))
+    f = sig(pre_activation(x, h, p, "f"))
+    o = sig(pre_activation(x, h, p, "o"))
+    g = np.tanh(pre_activation(x, h, p, "g"))
     c_new = f * c + i * g
     return o * np.tanh(c_new), c_new
 
@@ -52,12 +72,10 @@ def reference_bptt(x, lengths, p, g_out, reverse=False):
     """Gradients of sum(g_out * h) for one direction, row by row: the
     forward of ``reference_scan`` keeping each step's gates, then the gate
     derivative equations back through time.  Returns d_x and a dict of
-    parameter gradients keyed like the ``LstmParams`` fields."""
+    per-gate parameter gradients keyed by gate, each as (w_x, w_h, b)."""
     sig = lambda z: 1.0 / (1.0 + np.exp(-z))  # noqa: E731
     hidden = p.hidden_size
-    grads = {name: np.zeros_like(getattr(p, name).data) for name in (
-        "w_xi", "w_hi", "b_i", "w_xf", "w_hf", "b_f", "w_xo", "w_ho", "b_o",
-        "w_xg", "w_hg", "b_g")}
+    grads = {name: tuple(np.zeros_like(t) for t in gate(p, name)) for name in GATES}
     d_x = np.zeros_like(x)
     for b in range(x.shape[0]):
         times = list(range(lengths[b]))
@@ -67,10 +85,10 @@ def reference_bptt(x, lengths, p, g_out, reverse=False):
         cache = []
         for t in times:
             xt = x[b, t]
-            i = sig(p.w_xi.data @ xt + p.w_hi.data @ h + p.b_i.data)
-            f = sig(p.w_xf.data @ xt + p.w_hf.data @ h + p.b_f.data)
-            o = sig(p.w_xo.data @ xt + p.w_ho.data @ h + p.b_o.data)
-            g = np.tanh(p.w_xg.data @ xt + p.w_hg.data @ h + p.b_g.data)
+            i = sig(pre_activation(xt, h, p, "i"))
+            f = sig(pre_activation(xt, h, p, "f"))
+            o = sig(pre_activation(xt, h, p, "o"))
+            g = np.tanh(pre_activation(xt, h, p, "g"))
             c_new = f * c + i * g
             cache.append((t, h, c, i, f, o, g, c_new))
             h, c = o * np.tanh(c_new), c_new
@@ -83,12 +101,14 @@ def reference_bptt(x, lengths, p, g_out, reverse=False):
                    "f": d_c * c_prev * f * (1.0 - f),
                    "g": d_c * i * (1.0 - g ** 2)}
             d_h_next = np.zeros(hidden)
-            for gate, d in d_a.items():
-                grads[f"w_x{gate}"] += np.outer(d, x[b, t])
-                grads[f"w_h{gate}"] += np.outer(d, h_prev)
-                grads[f"b_{gate}"] += d
-                d_x[b, t] += getattr(p, f"w_x{gate}").data.T @ d
-                d_h_next += getattr(p, f"w_h{gate}").data.T @ d
+            for name, d in d_a.items():
+                d_wx, d_wh, d_b = grads[name]
+                w_x, w_h, _ = gate(p, name)
+                d_wx += np.outer(d, x[b, t])
+                d_wh += np.outer(d, h_prev)
+                d_b += d
+                d_x[b, t] += w_x.T @ d
+                d_h_next += w_h.T @ d
             d_c_next = d_c * f
     return d_x, grads
 
@@ -103,6 +123,22 @@ def lstm_scan(x, mask, p, reverse=False):
     out = blstm_forward(x, mask, BlstmParams(fwd=p, bwd=p))
     hidden = p.hidden_size
     return Tensor(out.data[..., hidden:] if reverse else out.data[..., :hidden])
+
+
+class TestInitLstm:
+    def test_stacks_per_gate_glorot_draws(self):
+        din, hidden = 3, 5
+        g = ParamGroup()
+        p = init_lstm(g, "s", din, hidden, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        for name in GATES:
+            w_x, w_h, b = gate(p, name)
+            assert np.array_equal(w_x, glorot(rng, (hidden, din)))
+            assert np.array_equal(w_h, glorot(rng, (hidden, hidden)))
+            assert np.array_equal(b, np.full(hidden, 1.0 if name == "f" else 0.0))
+        assert g.names() == ["s.w_x", "s.w_h", "s.b"]
+        assert (p.w_x.shape, p.w_h.shape, p.b.shape) == ((4 * hidden, din),
+                                                         (4 * hidden, hidden), (4 * hidden,))
 
 
 class TestLstmScan:
@@ -124,8 +160,8 @@ class TestLstmScan:
         # With o = 1/2 throughout, h_t = tanh(c_t)/2 reads the cell back.
         p = zero_lstm(3, 2, forget_bias=50.0)
         c_prev = np.array([0.7, -0.3])
-        p.w_xi.data[:, 0] = 50.0
-        p.w_xg.data[:, 0] = np.arctanh(c_prev)
+        gate(p, "i")[0][:, 0] = 50.0
+        gate(p, "g")[0][:, 0] = np.arctanh(c_prev)
         x = np.zeros((1, 5, 3))
         x[0, 0, 0] = 1.0
         h = lstm_scan(Tensor(x), np.ones((1, 5)), p)
@@ -179,7 +215,7 @@ class TestLstmScan:
 
     def test_overflow_raises_nonfinite_without_warning(self):
         p = zero_lstm(3, 2)
-        p.w_xi.data[...] = 1e300
+        gate(p, "i")[0][...] = 1e300
         x = Tensor(np.full((1, 2, 3), 1e10))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -290,6 +326,7 @@ class TestBlstmForward:
             blstm_forward(x, prefix_mask([3, 1], 3), p, dropout_rate=0.5, training=True,
                           rng=np.random.default_rng(20))
         assert len(tape) == 1
+        assert len(tape._nodes[0][1]) == 7  # x, then each direction's w_x, w_h, b
 
     @pytest.mark.parametrize("x_const", [True, False])
     def test_gradcheck_fused_node(self, x_const):
@@ -330,8 +367,10 @@ class TestBlstmForward:
             d_x_dir, want = reference_bptt(x_data, lengths, direction, g_out[..., half],
                                            reverse)
             d_x += d_x_dir
-            for name, ref in want.items():
-                assert np.allclose(grads[getattr(direction, name)], ref, atol=1e-12, rtol=0)
+            for name, refs in want.items():
+                rows = gate_rows(name, direction.hidden_size)
+                for t, ref in zip((direction.w_x, direction.w_h, direction.b), refs):
+                    assert np.allclose(grads[t][rows], ref, atol=1e-12, rtol=0)
         if not x_const:
             assert np.allclose(grads[x], d_x, atol=1e-12, rtol=0)
 
