@@ -461,7 +461,8 @@ class TestEvaluate:
         ("top_level_array", "not a JSON object"),
         ("config_array", "not a JSON object"),
         ("tensor_without_shape", "shape"),
-        ("format_version_1", "format_version")])
+        ("format_version_1", "format_version"),
+        ("unknown_variant", "crf")])
     def test_malformed_checkpoint_exit_3(self, tmp_path, overfit_ckpt, caplog, case, named):
         corpus, ckpt = overfit_ckpt
         payload = json.loads(ckpt.read_text())
@@ -475,6 +476,8 @@ class TestEvaluate:
             payload["config"] = [payload["config"]]
         elif case == "format_version_1":
             payload["format_version"] = 1
+        elif case == "unknown_variant":
+            payload["config"]["variant"] = "crf"
         else:
             del payload["tensors"]["proj.w"]["shape"]
         bad = tmp_path / "bad.json"

@@ -439,6 +439,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="format_version"):
             load_model(path)
 
+    @pytest.mark.parametrize("key, value", [("labels", ["F", "O"]), ("variant", "crf")],
+                             ids=["unknown_key", "rejected_value"])
+    def test_config_rejected_by_san_config_is_checkpoint_error(self, tmp_path, tiny_cfg,
+                                                              tiny_vocab, key, value):
+        params = build(tiny_cfg, tiny_vocab)
+        path = tmp_path / "model.json"
+        save_model(path, params, tiny_cfg, tiny_vocab)
+        payload = json.loads(path.read_text())
+        payload["config"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=key):
+            load_model(path)
+
     def test_missing_tensor_named(self, tmp_path, tiny_cfg, tiny_vocab):
         params = build(tiny_cfg, tiny_vocab)
         path = tmp_path / "model.json"
