@@ -92,7 +92,9 @@ def transform_bank(bank_h: Tensor, token_mask: np.ndarray, p: AttentionParams) -
     bank_h: (..., T_u, 2H) bank word representations; token_mask: 0/1 of
     shape (..., T_u).  Returns (..., T_u, A), exactly zero where the mask
     is 0: the projection and the tanh run on the valid words only.  The
-    node's inputs are bank_h, w_k and b_k.
+    node's inputs are bank_h, w_k and b_k.  Its backward keeps only the
+    mask of valid words: it regathers their inputs from bank_h and their
+    tanh from the output.
     """
     bank_h = astensor(bank_h)
     if np.shape(token_mask) != bank_h.shape[:-1]:
@@ -111,12 +113,13 @@ def transform_bank(bank_h: Tensor, token_mask: np.ndarray, p: AttentionParams) -
     tape = _tape()
     if tape is not None:
         def backward(g):
+            words = out_data[valid]
             g_pre = g[valid] * (1.0 - words * words)
             g_h = None
             if not bank_h.const:
                 g_h = np.zeros_like(h)
                 g_h[valid] = g_pre @ w_k
-            grads = (g_h, g_pre.T @ h_v, g_pre.sum(axis=0))
+            grads = (g_h, g_pre.T @ h[valid], g_pre.sum(axis=0))
             return tuple(None if t.const else gr for t, gr in zip(inputs, grads))
         tape._nodes.append((out, inputs, backward))
     return out
@@ -141,7 +144,10 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
     query rows get an exactly zero side vector and zero trace rows, so
     the contents of hq1 there reach only the passed-through 2H columns.
     Masked bank slots get exactly zero weight, so PAD positions of bank
-    questions leave the output bit-for-bit unchanged.
+    questions leave the output bit-for-bit unchanged.  The backward keeps
+    the query transform, the level-1 and level-2 softmax parts, the
+    attended and summary arrays; it regathers the valid query rows of
+    hq1 rather than keeping them.
     """
     hq1, words = astensor(hq1), astensor(words)
     b_sz, t_q, width = hq1.shape
@@ -200,7 +206,7 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
             g_pre1 = g_query * (1.0 - query * query)
             g_hq1 = g[..., :width].copy()
             g_hq1[at_query] += g_pre1 @ w_r
-            grads = (g_hq1, g_words, g_pre1.T @ h_p, g_pre1.sum(axis=0),
+            grads = (g_hq1, g_words, g_pre1.T @ h[at_query], g_pre1.sum(axis=0),
                      g2.T @ attended.reshape(-1, attn_dim), g2.sum(axis=0))
             return tuple(None if t.const else gr for t, gr in zip(inputs, grads))
         tape._nodes.append((out, inputs, backward))

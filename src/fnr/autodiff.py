@@ -68,8 +68,10 @@ class Tensor:
     """A dense array treated as an immutable value inside the op graph.
 
     Parameter tensors are mutated in place only by the optimizer, between
-    tapes.  ``const`` marks tensors (masks, literals) that never need
-    gradients; backward rules skip them.
+    tapes.  Backward closures read their inputs' data, so an input must
+    not be mutated until its tape is differentiated.  ``const`` marks
+    tensors (masks, literals) that never need gradients; backward rules
+    skip them.
     """
 
     __slots__ = ("data", "const")

@@ -12,12 +12,15 @@ store.
 
 The input projection ``x Wx^T`` of every valid position is one GEMM
 before the recurrence; each step adds ``h_prev Wh^T`` and the bias to its
-rows.  A taped scan keeps, per valid position, the input, the hidden
-state, the forget gate, o(1 - tanh^2 c), and in place of the four
-activations the coefficients that turn d_c (d_h for o) into the gate
-pre-activation gradients: g i(1 - i), c_prev f(1 - f), tanh c o(1 - o)
-and i(1 - g^2).  They are taken during the forward step, so the backward
-pass only runs the recurrence for d_h and d_c.
+rows.  A taped scan keeps, per valid position, the hidden state (plus
+one zero row, the previous state of a sequence's first position), the
+forget gate, o(1 - tanh^2 c), and in place of the four activations the
+coefficients that turn d_c (d_h for o) into the gate pre-activation
+gradients: g i(1 - i), c_prev f(1 - f), tanh c o(1 - o) and i(1 - g^2).
+They are taken during the forward step, so the backward pass only runs
+the recurrence for d_h and d_c.  It keeps no copy of the input rows:
+backward regathers them, in the same order, from the node's input for
+the input weights' gradient.
 
 Padding is suffix-only (masks are prefixes of ones), which the layer
 checks.  Rows are sorted by length once, so step t runs only on the
@@ -117,8 +120,8 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
     n = len(row_idx)
 
     w_x, w_h, bias = p.w_x.data, p.w_h.data, p.b.data
-    x_rows = xs[row_idx, t_idx]
-    hs = np.empty((n, hidden), dtype=dtype)
+    hs = np.empty((n + 1, hidden), dtype=dtype)
+    hs[n] = 0.0
     if taped:
         fs = np.empty((n, hidden), dtype=dtype)
         dc_dh = np.empty((n, hidden), dtype=dtype)
@@ -128,7 +131,7 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
         # The input projection of every packed row, hoisted out of the
         # recurrence; step s turns its rows into the gate pre-activations,
         # then the activations, and under a tape the backward coefficients.
-        gates = x_rows @ w_x.T
+        gates = xs[row_idx, t_idx] @ w_x.T
         c = None
         for s in range(steps):
             lo, hi, k = offs[s], offs[s + 1], carried[s]
@@ -163,11 +166,11 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
                 f[:k] = c_prev[:k] * f[:k] * (1.0 - f[:k])
             o[...] = tanh_c * o * (1.0 - o)
 
-    out[row_idx, t_idx] = hs
+    out[row_idx, t_idx] = hs[:n]
     if not taped:
         return None
 
-    # Packed index of each position's previous state; n is a zero row.
+    # Packed index of each position's previous state; hs[n] is the zero row.
     prev_idx = np.where(slot_idx < carried[step_idx], offs[step_idx - 1] + slot_idx, n)
 
     def bptt(g_out, d_x):
@@ -193,9 +196,8 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
                 k = carried[s]
                 d_h_next = d_pre[lo:lo + k] @ w_h
                 d_c_next = d_c[:k] * fs[lo:lo + k]
-            h_prev = np.concatenate([hs, np.zeros((1, hidden), dtype=dtype)])[prev_idx]
-            d_wx = d_pre.T @ x_rows
-            d_wh = d_pre.T @ h_prev
+            d_wx = d_pre.T @ xs[row_idx, t_idx]
+            d_wh = d_pre.T @ hs[prev_idx]
             d_b = d_pre.sum(axis=0)
             if d_x is not None:
                 d_x[row_idx, t_idx] += d_pre @ w_x

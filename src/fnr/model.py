@@ -420,7 +420,10 @@ def load_model(path, expected: SanConfig | None = None) -> tuple[SanParams, SanC
         value = config_dict.get(f.name)
         if f.name in config_dict and not json_type_ok(f.type, value):
             raise CheckpointError(f"checkpoint config {f.name!r}: expected {f.type}, got {value!r}")
-    cfg = SanConfig.from_dict(config_dict)
+    try:
+        cfg = SanConfig.from_dict(config_dict)
+    except ValueError as err:
+        raise CheckpointError(f"checkpoint config: {err}") from err
     vocab = Vocabulary(vocab_tokens)
     if expected is not None and expected.variant != cfg.variant:
         raise CheckpointError(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,27 @@ class TestTransformBank:
         grads = tape.gradients(out, seed=np.ones(out.shape))
         for t in (bank_h, p.w_k, p.b_k):
             assert np.array_equal(grads[t], np.zeros_like(t.data))
+
+    def test_taped_transform_keeps_no_input_copy(self):
+        # With 2H >> A the valid words' inputs dwarf the output: backward
+        # regathers them from bank_h instead of keeping a copy.
+        b_sz, n_banks, t_u, width, attn_dim = 4, 5, 20, 400, 2
+        _, p = make_params(encoder_width=width, attn_dim=attn_dim, seed=8)
+        bank_h = Tensor(np.random.default_rng(8).normal(size=(b_sz, n_banks, t_u, width)))
+        n, item = b_sz * n_banks * t_u, bank_h.data.itemsize
+        # The (..., T_u, A) output and the bool mask of valid words.
+        bound = n * attn_dim * item + n + 64 * 1024
+        assert n * width * item > bound
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = transform_bank(bank_h, np.ones((b_sz, n_banks, t_u)), p)
+            live = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and out.shape == (b_sz, n_banks, t_u, attn_dim)
+        assert live < bound
 
     def test_mask_shape_checked(self):
         _, p = make_params()

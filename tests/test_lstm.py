@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -401,3 +402,25 @@ class TestBlstmForward:
                            + [grads[t] for _, t in group.items()])
         for a, b in zip(*results):
             assert np.array_equal(a, b)
+
+    def test_taped_scan_keeps_no_input_copy(self):
+        # With din >> H the packed input rows dwarf what backward needs:
+        # the node regathers them from x instead of keeping a copy.
+        n_rows, steps, din, hidden = 8, 50, 400, 4
+        _, p = rand_blstm(din, hidden, seed=31)
+        x = Tensor(np.random.default_rng(31).normal(size=(n_rows, steps, din)))
+        n, item = n_rows * steps, x.data.itemsize
+        # Per direction: gates (4H), hs (H, plus a zero row), fs and dc_dh
+        # (H each) and three packed index arrays; then the (n, 2H) output.
+        bound = (2 * ((7 * hidden + 3) * n + hidden) + 2 * hidden * n) * item + 64 * 1024
+        assert n * din * item > bound
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = blstm_forward(x, np.ones((n_rows, steps)), p)
+            live = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and out.shape == (n_rows, steps, 2 * hidden)
+        assert live < bound
