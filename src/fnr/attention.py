@@ -115,12 +115,9 @@ def transform_bank(bank_h: Tensor, token_mask: np.ndarray, p: AttentionParams) -
         def backward(g):
             words = out_data[valid]
             g_pre = g[valid] * (1.0 - words * words)
-            g_h = None
-            if not bank_h.const:
-                g_h = np.zeros_like(h)
-                g_h[valid] = g_pre @ w_k
-            grads = (g_h, g_pre.T @ h[valid], g_pre.sum(axis=0))
-            return tuple(None if t.const else gr for t, gr in zip(inputs, grads))
+            g_h = np.zeros_like(h)
+            g_h[valid] = g_pre @ w_k
+            return g_h, g_pre.T @ h[valid], g_pre.sum(axis=0)
         tape._nodes.append((out, inputs, backward))
     return out
 
@@ -206,9 +203,8 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
             g_pre1 = g_query * (1.0 - query * query)
             g_hq1 = g[..., :width].copy()
             g_hq1[at_query] += g_pre1 @ w_r
-            grads = (g_hq1, g_words, g_pre1.T @ h[at_query], g_pre1.sum(axis=0),
-                     g2.T @ attended.reshape(-1, attn_dim), g2.sum(axis=0))
-            return tuple(None if t.const else gr for t, gr in zip(inputs, grads))
+            return (g_hq1, g_words, g_pre1.T @ h[at_query], g_pre1.sum(axis=0),
+                    g2.T @ attended.reshape(-1, attn_dim), g2.sum(axis=0))
         tape._nodes.append((out, inputs, backward))
 
     if not want_trace:

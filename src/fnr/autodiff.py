@@ -6,8 +6,10 @@ kind, each one tape node with a hand-written backward
 (``lstm.blstm_forward``, ``attention.transform_bank``,
 ``attention.bank_attend_batch``, ``model.batch_loss``), built on the
 plain-array helpers here (``sigmoid_array``, ``scatter_add``,
-``softmax_parts``, ``softmax_grad``).  Tests check each op through a
-vector-Jacobian product, ``optim.grad_check`` with a chosen cotangent.
+``softmax_parts``, ``softmax_grad``).  Every recorded op's backward
+returns one gradient array per input, in input order.  Tests check each
+op through a vector-Jacobian product, ``optim.grad_check`` with a chosen
+cotangent.
 Every op output is finite-checked (NaN/Inf is a hard error).  Arrays are
 float64 by default; float32 exists behind an explicit fast-mode switch
 and is not suitable for finite-difference verification.
@@ -69,18 +71,16 @@ class Tensor:
 
     Parameter tensors are mutated in place only by the optimizer, between
     tapes.  Backward closures read their inputs' data, so an input must
-    not be mutated until its tape is differentiated.  ``const`` marks
-    tensors (masks, literals) that never need gradients; backward rules
-    skip them.
+    not be mutated until its tape is differentiated.  Every tensor an op
+    records as an input gets a gradient from that op's backward.
     """
 
-    __slots__ = ("data", "const")
+    __slots__ = ("data",)
 
-    def __init__(self, data, const: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=_DEFAULT_DTYPE.get())
         check_finite(arr)
         self.data = arr
-        self.const = const
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -98,15 +98,12 @@ class Tensor:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
     def __repr__(self) -> str:
-        flag = ", const" if self.const else ""
-        return f"Tensor(shape={self.shape}{flag})"
+        return f"Tensor(shape={self.shape})"
 
 
 def astensor(x) -> Tensor:
-    """Wrap array-likes as constant tensors; pass tensors through."""
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x, const=True)
+    """Wrap array-likes as tensors; pass tensors through."""
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 Backward = Callable[[np.ndarray], tuple]
@@ -147,6 +144,8 @@ class Tape:
         ``seed`` defaults to ones; for scalar losses this is the usual 1.0.
         An intermediate's gradient is dropped once its node's backward has
         read it; tensors never touched by ``output`` get zero gradients.
+        A backward that returns other than one gradient per input raises
+        ``ValueError``.
         """
         if self._spent:
             raise RuntimeError("tape already differentiated; record a new one")
@@ -160,9 +159,7 @@ class Tape:
             entry = table.pop(id(out), None)
             if entry is None:
                 continue
-            for inp, g in zip(inputs, backward(entry[1])):
-                if g is None:
-                    continue
+            for inp, g in zip(inputs, backward(entry[1]), strict=True):
                 cur = table.get(id(inp))
                 if cur is None:
                     table[id(inp)] = [inp, g]
@@ -221,9 +218,7 @@ def linear(x, w, b) -> Tensor:
     if tape is not None:
         def backward(g):
             g2 = g.reshape(-1, dout)
-            return (None if x.const else g @ w.data,
-                    None if w.const else g2.T @ x.data.reshape(-1, din),
-                    None if b.const else g2.sum(axis=0))
+            return g @ w.data, g2.T @ x.data.reshape(-1, din), g2.sum(axis=0)
         tape._nodes.append((out, (x, w, b), backward))
     return out
 
@@ -254,8 +249,6 @@ def gather_rows(table, ids) -> Tensor:
     tape = _tape()
     if tape is not None:
         def backward(g):
-            if table.const:
-                return (None,)
             gt = np.zeros(table.data.shape, dtype=table.data.dtype)
             scatter_add(gt, idx, g)
             return (gt,)
@@ -301,6 +294,6 @@ def softmax(x, axis: int = -1) -> Tensor:
     tape = _tape()
     if tape is not None:
         def backward(g):
-            return (None if x.const else softmax_grad(g, e, z, axis),)
+            return (softmax_grad(g, e, z, axis),)
         tape._nodes.append((out, (x,), backward))
     return out

@@ -97,9 +97,9 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
     Writes the hidden states into the valid positions of the zeroed
     (N, T, H) ``out`` and, with ``taped``, returns a backpropagation-
     through-time closure ``bptt(g_out, d_x)`` mapping the output gradient
-    to ``[d_w_x, d_w_h, d_b]``; it adds the input gradient into
-    ``d_x`` unless that is None.  With ``reverse`` the scan runs from each
-    row's last valid token back to its first.
+    to ``[d_w_x, d_w_h, d_b]``; it adds the input gradient into ``d_x``.
+    With ``reverse`` the scan runs from each row's last valid token back to
+    its first.
     """
     steps = xs.shape[1]
     hidden = p.hidden_size
@@ -199,8 +199,7 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
             d_wx = d_pre.T @ xs[row_idx, t_idx]
             d_wh = d_pre.T @ hs[prev_idx]
             d_b = d_pre.sum(axis=0)
-            if d_x is not None:
-                d_x[row_idx, t_idx] += d_pre @ w_x
+            d_x[row_idx, t_idx] += d_pre @ w_x
         return [d_wx, d_wh, d_b]
 
     return bptt
@@ -264,12 +263,11 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
             # Rebuilt from the bool mask, an eighth of the float scale's size.
             g = g * (keep / (1.0 - dropout_rate)).astype(dtype, copy=False)
         g_f, g_b = np.split(g.reshape(n_rows, steps, 2 * hidden), [hidden], axis=-1)
-        d_x = None if x.const else np.zeros_like(xs)
+        d_x = np.zeros_like(xs)
         # Summation order (reverse, then forward) is fixed: checkpoints depend on it bit for bit.
         grads_b = bptt_b(g_b, d_x)
         grads_f = bptt_f(g_f, d_x)
-        d_x = None if d_x is None else d_x.reshape(x.shape)
-        return tuple(None if t.const else gr for t, gr in zip(inputs, [d_x] + grads_f + grads_b))
+        return (d_x.reshape(x.shape), *grads_f, *grads_b)
 
     tape._nodes.append((out, inputs, backward))
     return out

@@ -287,10 +287,9 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
     if cfg.has_bank:
         b_sz, n_banks, t_len = batch.bank_ids.shape
         if n_banks == 0:
-            words = Tensor(np.zeros((b_sz, 0, t_len, cfg.attention_dim)), const=True)
+            words = Tensor(np.zeros((b_sz, 0, t_len, cfg.attention_dim)))
         elif _tape() is None:
-            words = Tensor(params.bank_memo.bank_words(batch.bank_ids, batch.bank_mask, params),
-                           const=True)
+            words = Tensor(params.bank_memo.bank_words(batch.bank_ids, batch.bank_mask, params))
         else:
             bank = blstm_forward(gather_rows(params.embedding, batch.bank_ids),
                                  batch.bank_mask, params.bank_blstm)
@@ -338,8 +337,7 @@ def batch_loss(probs: Tensor, gold: np.ndarray, valid: np.ndarray) -> Tensor:
     tape = _tape()
     if tape is not None:
         def backward(g):
-            return (None if probs.const else
-                    np.divide(-g * picked, probs.data, out=np.zeros_like(probs.data), where=hit),)
+            return (np.divide(-g * picked, probs.data, out=np.zeros_like(probs.data), where=hit),)
         tape._nodes.append((out, (probs,), backward))
     return out
 

@@ -135,12 +135,12 @@ class Bm25Index:
         cat = self._categories.get(category)
         return len(cat.docs) if cat else 0
 
-    def score(self, query_tokens: Sequence[str], category: str) -> list[float]:
+    def score(self, query_tokens: Sequence[str], category: str) -> np.ndarray:
         """BM25 score of the query against every pool document of the
-        category, in pool order."""
+        category, in pool order: a float64 array, empty for an unknown category."""
         cat = self._categories.get(category)
         if cat is None:
-            return []
+            return np.zeros(0)
         n_docs = len(cat.docs)
         scores = np.zeros(n_docs)
         for term in _match_tokens(query_tokens):
@@ -155,7 +155,7 @@ class Bm25Index:
                 continue
             # Rows within one posting are distinct, so += adds once per row.
             scores[rows] += idf * tf * (self.k1 + 1.0) / (tf + cat.norm[rows])
-        return scores.tolist()
+        return scores
 
     def query(self, query_tokens: Sequence[str], category: str, top_k: int) -> list[QaRecord]:
         """Top-k pool questions by score (ties by pool order), excluding any
@@ -167,7 +167,7 @@ class Bm25Index:
         if cat is None or top_k == 0:
             return []
         query_norm = _match_tokens(query_tokens)
-        scores = np.array(self.score(query_tokens, category), dtype=np.float64)
+        scores = self.score(query_tokens, category)
         m = min(top_k + 1, len(scores))
         while True:
             out = []

@@ -370,9 +370,8 @@ class TestBankAttend:
         bank_h, token_mask = pad_banks(banks, masks, 4)
 
         def out(g):
-            words = transform_bank(Tensor(bank_h, const=True), token_mask, p)
-            hq2, _ = bank_attend_batch(Tensor(hq1[None], const=True), np.ones((1, 2)), words,
-                                       token_mask, p)
+            words = transform_bank(Tensor(bank_h), token_mask, p)
+            hq2, _ = bank_attend_batch(Tensor(hq1[None]), np.ones((1, 2)), words, token_mask, p)
             return hq2
 
         assert grad_check(out, group, h=1e-5, seed=weights) < 1e-5

@@ -207,7 +207,7 @@ class TestDropout:
 
 def square(x):
     """x @ x.T for a (1, n) row, as one ``linear`` node with a zero bias."""
-    return linear(x, x, Tensor([0.0], const=True))
+    return linear(x, x, Tensor([0.0]))
 
 
 class TestTapeMechanics:
@@ -233,16 +233,26 @@ class TestTapeMechanics:
         (gx,) = tape_grad(square, x)
         assert np.allclose(gx, [[6.0]])
 
-    def test_const_inputs_skipped(self):
+    def test_every_input_gets_a_gradient(self):
         x = Tensor([[1.0]])
-        c = Tensor([[2.0]], const=True)
-        b = Tensor([0.0], const=True)
+        c = Tensor([[2.0]])
+        b = Tensor([0.0])
         with Tape() as tape:
             out = linear(x, c, b)
         grads = tape.gradients(out)
         assert np.array_equal(grads[x], [[2.0]])
-        assert np.array_equal(grads[c], [[0.0]])
-        assert np.array_equal(grads[b], [0.0])
+        assert np.array_equal(grads[c], [[1.0]])
+        assert np.array_equal(grads[b], [1.0])
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_gradient_count_must_match_inputs(self, count):
+        # A node with two inputs whose backward returns another number of
+        # gradients is an error, not a silently dropped or ignored gradient.
+        x, y, out = Tensor([[1.0]]), Tensor([[2.0]]), Tensor([[3.0]])
+        tape = Tape()
+        tape._nodes.append((out, (x, y), lambda g: (g,) * count))
+        with pytest.raises(ValueError):
+            tape.gradients(out)
 
     def test_no_tape_means_no_recording(self):
         tape = Tape()

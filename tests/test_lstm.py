@@ -198,13 +198,11 @@ class TestLstmScan:
             assert np.array_equal(batched.data[b, n:], np.zeros((steps - n, 4)))
 
     @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("x_const", [True, False])
-    def test_gradcheck_mixed_lengths(self, reverse, x_const):
+    def test_gradcheck_mixed_lengths(self, reverse):
         group, p = rand_lstm(2, 3, seed=7)
         steps = 4
         rng = np.random.default_rng(8)
-        x_data = rng.normal(size=(4, steps, 2))
-        x = Tensor(x_data, const=True) if x_const else group.add("x", x_data)
+        x = group.add("x", rng.normal(size=(4, steps, 2)))
         mask = prefix_mask([0, 1, steps - 1, steps], steps)
         # Weights on the tested direction's half only; both halves share p.
         weights = np.zeros((4, steps, 6))
@@ -274,7 +272,7 @@ class TestBlstmForward:
         x = np.random.default_rng(8).normal(size=(1, 4, 2))
         mask = np.array([[1.0, 1.0, 1.0, 0.0]])
         weights = np.random.default_rng(9).normal(size=(1, 4, 6))
-        assert grad_check(lambda g: blstm_forward(Tensor(x, const=True), mask, p), group,
+        assert grad_check(lambda g: blstm_forward(Tensor(x), mask, p), group,
                           h=1e-5, seed=weights) < 1e-5
 
     def test_dropout_training_only(self):
@@ -329,16 +327,14 @@ class TestBlstmForward:
         assert len(tape) == 1
         assert len(tape._nodes[0][1]) == 7  # x, then each direction's w_x, w_h, b
 
-    @pytest.mark.parametrize("x_const", [True, False])
-    def test_gradcheck_fused_node(self, x_const):
+    def test_gradcheck_fused_node(self):
         # Bank-shaped (B, U, T, din) input with dropout, rows of length
         # 0, 1, T-1 and T, and a slot whose rows are all empty.
         group = ParamGroup()
         p = init_blstm(group, "b", 2, 3, np.random.default_rng(21))
         rng = np.random.default_rng(22)
         steps = 4
-        x_data = rng.normal(size=(2, 3, steps, 2))
-        x = Tensor(x_data, const=True) if x_const else group.add("x", x_data)
+        x = group.add("x", rng.normal(size=(2, 3, steps, 2)))
         mask = prefix_mask([4, 1, 0, 3, 0, 0], steps).reshape(2, 3, steps)
         weights = rng.normal(size=(2, 3, steps, 6))
 
@@ -348,8 +344,7 @@ class TestBlstmForward:
 
         assert grad_check(out, group, h=1e-5, seed=weights) < 1e-5
 
-    @pytest.mark.parametrize("x_const", [True, False])
-    def test_gradients_match_reference_bptt(self, x_const):
+    def test_gradients_match_reference_bptt(self):
         # Both directions at once, rows of length 0 to T, separate
         # parameters per direction.
         group = ParamGroup()
@@ -357,7 +352,7 @@ class TestBlstmForward:
         rng = np.random.default_rng(28)
         steps, lengths = 5, [0, 5, 1, 3, 5, 2, 0, 4]
         x_data = rng.normal(size=(len(lengths), steps, 3))
-        x = Tensor(x_data, const=True) if x_const else group.add("x", x_data)
+        x = group.add("x", x_data)
         g_out = rng.normal(size=(len(lengths), steps, 8))
         with Tape() as tape:
             out = blstm_forward(x, prefix_mask(lengths, steps), p)
@@ -372,8 +367,7 @@ class TestBlstmForward:
                 rows = gate_rows(name, direction.hidden_size)
                 for t, ref in zip((direction.w_x, direction.w_h, direction.b), refs):
                     assert np.allclose(grads[t][rows], ref, atol=1e-12, rtol=0)
-        if not x_const:
-            assert np.allclose(grads[x], d_x, atol=1e-12, rtol=0)
+        assert np.allclose(grads[x], d_x, atol=1e-12, rtol=0)
 
     def test_taped_output_equals_tape_free(self):
         _, p = rand_blstm(3, 4, seed=29)
