@@ -8,9 +8,11 @@ skip-gram negative sampling on a raw question corpus.
 Pretraining takes one numpy step per sentence: all of the sentence's
 (center, context) pairs are scored by batched products, each center's
 negatives are shared by its context pairs (Ji et al. 2016, arXiv
-1604.04661), and the summed updates are scattered back at the end of the
-step.  The vectors differ from pair-by-pair SGD; the same seed and corpus
-give the same vectors, bit for bit.
+1604.04661), and the summed updates are scattered back, the output
+vectors' first and then the input vectors', whose errors are recomputed
+against the updated output vectors.  The vectors differ from
+pair-by-pair SGD; the same seed and corpus give the same vectors, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -113,6 +115,14 @@ def _learning_rate(lr: float, seen, total_pairs: int):
     return np.maximum(lr * (1.0 - seen / total_pairs), lr * 1e-4)
 
 
+def _pair_terms(x: np.ndarray, y: np.ndarray, sign: np.ndarray):
+    """z = -score for the positive column and +score for the negatives,
+    so a pair's objective is sum log(1 + e^z); returns z and the
+    objective's gradient with respect to the scores, sign * sig(z)."""
+    z = np.clip(x @ y.transpose(0, 2, 1), -30.0, 30.0) * sign
+    return z, sign / (1.0 + np.exp(-z))
+
+
 # A diverging rate overflows inside an epoch; the check at its end reports it.
 @np.errstate(over="ignore", invalid="ignore")
 def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
@@ -125,16 +135,23 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
     by all its context pairs (Ji et al. 2016); a draw equal to the center
     is skipped, as in the reference implementation of the method.  The
     context input vectors (n, 2w, d) are scored against the output vectors
-    of the center and its negatives (n, K+1, d) by batched products, every
-    gradient is taken from the vectors as they were at the start of the
-    sentence, and ``np.add.at`` scatters the updates, so a word used twice
-    in a sentence gets both.  Each pair keeps its own learning rate from
-    its running index, which reaches the floor at the last pair.  The
-    vectors therefore differ from pair-by-pair SGD; the same seed gives
-    the same vectors.  The per-epoch mean objective per pair is kept on
-    the returned matrix as ``loss_history`` and logged with the pair count
-    and tokens/s.  An epoch that ends with a non-finite mean objective or
-    vectors (a learning rate too large) raises ``NonFiniteError``.
+    of the center and its negatives (n, K+1, d) by batched products.  The
+    step updates the two blocks in turn: the output vectors first, with
+    the errors of the vectors as they were at the start of the sentence,
+    then the input vectors, with the errors recomputed against the output
+    vectors as that update left them.  ``w_out`` starts at zero, so
+    errors taken from the start-of-sentence output vectors alone would
+    leave the input vectors of a sentence of unseen words where they
+    were, where per-pair SGD lets each pair see the updates made before
+    it.  ``np.add.at`` scatters the updates, so a word used twice in a
+    sentence gets both.  Each pair keeps its own learning rate from its
+    running index, which reaches the floor at the last pair.  The vectors
+    therefore differ from pair-by-pair SGD; the same seed gives the same
+    vectors.  The per-epoch mean objective per pair, from the first
+    errors, is kept on the returned matrix as ``loss_history`` and logged
+    with the pair count and tokens/s.  An epoch that ends with a
+    non-finite mean objective or vectors (a learning rate too large)
+    raises ``NonFiniteError``.
     """
     sequences = [list(seq) for seq in raw_corpus]
     if not any(sequences):
@@ -181,16 +198,15 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
             keep = np.ones(targets.shape, dtype=bool)
             keep[:, 1:] = negs != ids[:, None]
             mask = valid[:, :, None] & keep[:, None, :]                    # (n, 2w, K+1)
+            scale = mask * alpha[:, :, None]
             x = w_in[ctx]                                                  # (n, 2w, d)
-            y = w_out[targets]                                             # (n, K+1, d)
-            # z = -score for the positive and +score for the negatives;
-            # the objective is sum log(1 + e^z), its gradient sign * sig(z).
-            z = np.clip(x @ y.transpose(0, 2, 1), -30.0, 30.0) * sign
+            z, grad = _pair_terms(x, w_out[targets], sign)
             loss_sum += float(np.log1p(np.exp(z))[mask].sum())
             loss_n += m
-            err = (sign / (1.0 + np.exp(-z))) * mask * alpha[:, :, None]
-            scatter_add(w_in, ctx[valid], -(err @ y)[valid])
-            scatter_add(w_out, targets, -(err.transpose(0, 2, 1) @ x))
+            scatter_add(w_out, targets, -((grad * scale).transpose(0, 2, 1) @ x))
+            y = w_out[targets]                                             # (n, K+1, d)
+            _, grad = _pair_terms(x, y, sign)
+            scatter_add(w_in, ctx[valid], -((grad * scale) @ y)[valid])
         mean = loss_sum / max(loss_n, 1)
         history.append(mean)
         log.info("skip-gram epoch %d/%d: mean objective %.6f over %d pairs, %.0f tokens/s",

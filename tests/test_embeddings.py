@@ -56,11 +56,12 @@ def toy_corpus(rng, n_tokens=3000):
 
 def reference_sgns(corpus, cfg, seed):
     """Plain-loop transcription of the batched skip-gram update: pair by
-    pair, with every gradient of a sentence step taken from the vectors
-    as they were at its start and the sum applied at its end.  Returns
-    the vocabulary, the input vectors (PAD row zeroed), the per-epoch
-    mean objective and, per sentence step, each input row's list of
-    per-pair updates."""
+    pair, every output update of a sentence step from the vectors as they
+    were at its start and summed into the output vectors first, then every
+    input update from errors recomputed against those updated output
+    vectors.  Returns the vocabulary, the input vectors (PAD row zeroed),
+    the per-epoch mean objective and, per sentence step, each input row's
+    list of per-pair updates."""
     rng = np.random.default_rng(seed)
     vocab = build_vocab(corpus)
     sentences = [vocab.encode(s) for s in corpus]
@@ -78,7 +79,7 @@ def reference_sgns(corpus, cfg, seed):
         for ids in sentences:
             negs = np.searchsorted(cum, rng.random((len(ids), cfg.negatives)), side="right")
             d_in, d_out = np.zeros_like(w_in), np.zeros_like(w_out)
-            step = {}
+            pairs = []
             for i in range(len(ids)):
                 targets = [(ids[i], 1.0)] + [(t, 0.0) for t in negs[i] if t != ids[i]]
                 for j in range(len(ids)):
@@ -88,17 +89,23 @@ def reference_sgns(corpus, cfg, seed):
                     n_pairs += 1
                     alpha = max(cfg.lr * (1.0 - seen / total), cfg.lr * 1e-4)
                     v = w_in[ids[j]]
-                    g_v = np.zeros(dim)
                     for t, label in targets:
                         score = float(w_out[t] @ v)
                         loss += np.log1p(np.exp(-score if label else score))
                         err = alpha * (1.0 / (1.0 + np.exp(-score)) - label)
-                        g_v -= err * w_out[t]
                         d_out[t] -= err * v
-                    d_in[ids[j]] += g_v
-                    step.setdefault(ids[j], []).append(g_v)
-            w_in += d_in
+                    pairs.append((ids[j], alpha, targets))
             w_out += d_out
+            step = {}
+            for context, alpha, targets in pairs:
+                v = w_in[context]
+                g_v = np.zeros(dim)
+                for t, label in targets:
+                    score = float(w_out[t] @ v)
+                    g_v -= alpha * (1.0 / (1.0 + np.exp(-score)) - label) * w_out[t]
+                d_in[context] += g_v
+                step.setdefault(context, []).append(g_v)
+            w_in += d_in
             deltas.append(step)
         history.append(loss / n_pairs)
     w_in[PAD_ID] = 0.0
@@ -200,8 +207,6 @@ class TestTrainSkipgram:
         assert runs[0].loss_history == runs[1].loss_history
 
     def test_matches_reference_transcription(self):
-        # w_out starts at zero, so the first step leaves the input vectors
-        # where they were; a second epoch makes them move.
         sentence = ["q", "w", "e", "r", "t", "y", "u"]
         for epochs in (1, 2):
             cfg = SgnsConfig(dim=5, window=2, negatives=3, epochs=epochs, lr=0.5)
@@ -211,6 +216,29 @@ class TestTrainSkipgram:
             assert np.allclose(got.vectors, want, atol=1e-12, rtol=0)
             assert np.allclose(got.loss_history, history, atol=1e-12, rtol=0)
         assert any(np.abs(d).max() > 1e-6 for ds in deltas[-1].values() for d in ds)
+
+    def test_matches_reference_over_sentences(self):
+        # Words shared across sentences carry each step's updates into the
+        # next one, in both the input and the output vectors.
+        corpus = toy_corpus(np.random.default_rng(10), 48)
+        cfg = SgnsConfig(dim=4, window=2, negatives=2, epochs=2, lr=0.1)
+        got = train_skipgram(corpus, cfg, np.random.default_rng(11))
+        vocab, want, history, _ = reference_sgns(corpus, cfg, seed=11)
+        assert got.vocab.id_to_token == vocab.id_to_token
+        assert np.allclose(got.vectors, want, atol=1e-12, rtol=0)
+        assert np.allclose(got.loss_history, history, atol=1e-12, rtol=0)
+
+    def test_first_step_moves_input_vectors(self):
+        # w_out starts at zero; the input update reads the output vectors
+        # after the step's own output update, so one sentence of unseen
+        # words already moves every one of their input vectors.
+        sentence = ["q", "w", "e", "r", "t"]
+        cfg = SgnsConfig(dim=5, window=2, negatives=3, epochs=1, lr=0.5)
+        got = train_skipgram([sentence], cfg, np.random.default_rng(8))
+        start = (np.random.default_rng(8).random(got.vectors.shape) - 0.5) / cfg.dim
+        for token in sentence:
+            row = got.vocab.lookup(token)
+            assert np.abs(got.vectors[row] - start[row]).max() > 1e-6
 
     def test_repeated_word_updates_summed(self):
         # Window 1 over "a b a": "a" is the context of center "b" twice
