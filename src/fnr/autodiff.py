@@ -10,9 +10,11 @@ plain-array helpers here (``sigmoid_array``, ``scatter_add``,
 returns one gradient array per input, in input order.  Tests check each
 op through a vector-Jacobian product, ``optim.grad_check`` with a chosen
 cotangent.
-Every op output is finite-checked (NaN/Inf is a hard error).  Arrays are
-float64 by default; float32 exists behind an explicit fast-mode switch
-and is not suitable for finite-difference verification.
+Every op output is finite-checked (NaN/Inf is a hard error).  Ops compute
+in their inputs' dtype, so the parameters' dtype (``optim.ParamGroup``,
+float64 by default) is the model's.  A ``Tensor`` keeps a float32 or
+float64 array's dtype and turns anything else into float64.  Float32 is
+not suitable for finite-difference verification.
 
 A tape is differentiated once.  ``Tape.gradients`` pops the nodes last
 first and frees each node's backward closure, with the forward buffers it
@@ -23,9 +25,8 @@ keeps nothing of the step's graph alive.
 
 Ops record onto the innermost active ``Tape``.  With no tape active they
 just compute, which is the cheap inference path.  The stack of active tapes
-and the default dtype are context variables, so each thread (and each
-asyncio task) has its own: a thread running inference never records onto
-another thread's tape.
+is a context variable, so each thread (and each asyncio task) has its
+own: a thread running inference never records onto another thread's tape.
 """
 
 from __future__ import annotations
@@ -40,24 +41,9 @@ class NonFiniteError(FloatingPointError):
     """An op produced NaN or Inf, or a parameter update did."""
 
 
-_DEFAULT_DTYPE: ContextVar[np.dtype] = ContextVar("fnr_default_dtype",
-                                                  default=np.dtype(np.float64))
+FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+
 _ACTIVE_TAPES: ContextVar[tuple["Tape", ...]] = ContextVar("fnr_active_tapes", default=())
-
-
-def default_dtype() -> np.dtype:
-    return _DEFAULT_DTYPE.get()
-
-
-def set_default_dtype(dtype) -> np.dtype:
-    """Switch the current context's value dtype; float32 is the fast mode.
-    Returns the old dtype."""
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dt}; use float32 or float64")
-    old = _DEFAULT_DTYPE.get()
-    _DEFAULT_DTYPE.set(dt)
-    return old
 
 
 def check_finite(arr: np.ndarray, what: str = "tensor") -> None:
@@ -78,7 +64,9 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.asarray(data, dtype=_DEFAULT_DTYPE.get())
+        arr = np.asarray(data)
+        if arr.dtype not in FLOAT_DTYPES:
+            arr = arr.astype(np.float64)
         check_finite(arr)
         self.data = arr
 

@@ -36,8 +36,6 @@ from .vocab import build_vocab, join_sentences, tokenize
 
 log = logging.getLogger("fnr")
 
-DEFAULT_SEED = 13
-
 
 class ConfigError(ValueError):
     """Bad run configuration: unknown key, bad value, or missing setting."""
@@ -71,7 +69,7 @@ class RunConfig:
                 return int(env)
             except ValueError as err:
                 raise ConfigError(f"SAN_SEED must be an integer, got {env!r}") from err
-        return DEFAULT_SEED
+        return SanConfig.seed
 
     def san_config(self) -> SanConfig:
         values = {k: v for k, v in self.settings.items() if k in _MODEL_KEYS}
@@ -176,9 +174,9 @@ def cmd_pretrain_embeddings(args) -> int:
     records = load_corpus(args.corpus)
     if not records:
         raise ConfigError(f"{args.corpus}: corpus is empty")
-    cfg = SgnsConfig(dim=args.dim, window=args.window, negatives=args.negatives,
-                     epochs=args.epochs, lr=args.lr, min_freq=args.min_freq)
-    seed = args.seed if args.seed is not None else _env_seed()
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SgnsConfig)}
+    cfg = SgnsConfig(**{k: v for k, v in flags.items() if v is not None})
+    seed = RunConfig(settings={"seed": args.seed}).resolved_seed()
     matrix = train_skipgram(_question_sequences(records), cfg,
                             np.random.default_rng(seed))
     save_embeddings(matrix, args.out)
@@ -362,7 +360,7 @@ def cmd_extract(args) -> int:
         raise ConfigError("question is empty after tokenization")
     tokens = join_sentences(sentences)
 
-    category = args.category
+    category, index = args.category, None
     if args.bank:
         pool = load_corpus(args.bank)
         if category is None:
@@ -371,9 +369,10 @@ def cmd_extract(args) -> int:
                 raise ConfigError(
                     f"pool spans categories {categories}; pick one with --category")
             category = categories[0]
+        index = Bm25Index([r for r in pool if r.category == category])
     record = QaRecord(product_id="query", category=category or "query", question_tokens=tokens)
-    bank_records = (build_bank(record, Bm25Index(pool), u_max=san_cfg.bank_size)
-                    if args.bank else [])
+    bank_records = (build_bank(record, index, u_max=san_cfg.bank_size)
+                    if index is not None else [])
     example = make_example(record, bank_records, vocab,
                            max_len=san_cfg.max_len, bank_size=san_cfg.bank_size)
     probs, traces = forward_batch(collate([example]), params, san_cfg,
@@ -400,10 +399,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _env_seed() -> int:
-    return RunConfig().resolved_seed()
-
-
 def _parse_set(value: str) -> tuple[str, str]:
     if "=" not in value:
         raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {value!r}")
@@ -421,12 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train skip-gram embeddings on a raw question corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.025)
-    p.add_argument("--min-freq", type=int, default=1)
+    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--negatives", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--min-freq", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_pretrain_embeddings)
 

@@ -25,7 +25,7 @@ its valid token-id prefix (its length is part of the key, so a literal
 ``<PAD>`` token never looks like padding).  A tape-free forward encodes
 only the rows the memo lacks.  Before each one the memo compares exact
 copies of everything its entries depend on (the embedding rows they read,
-the bank BLSTM, ``w_k``, ``b_k``, the default dtype) with the live values
+the bank BLSTM, ``w_k``, ``b_k``) with the live values
 and drops every entry on any difference, so in-place edits cost a
 recompute, never a stale answer.  An entry takes len * A * 8 bytes at
 float64 and lives as long as the weights do.  A forward under a tape never
@@ -44,8 +44,7 @@ import numpy as np
 
 from .attention import (AttentionParams, AttentionTrace, bank_attend_batch,
                         init_attention, transform_bank)
-from .autodiff import (NonFiniteError, Tensor, _tape, astensor, default_dtype,
-                       gather_rows, linear, softmax)
+from .autodiff import NonFiniteError, Tensor, _tape, astensor, gather_rows, linear, softmax
 from .data import Batch, LABELS, F_INDEX, O_INDEX
 from .embeddings import EmbeddingMatrix
 from .lstm import BlstmParams, blstm_forward, glorot, init_blstm
@@ -146,7 +145,6 @@ class BankMemo:
         self.served = 0
         self._lock = threading.Lock()
         self._words: dict[bytes, np.ndarray] = {}
-        self._dtype: np.dtype | None = None
         self._tensors: list[np.ndarray] = []   # copies of _sources(params)
         self._ids = np.zeros(0, dtype=np.int64)  # embedding rows the entries read
         self._rows = np.zeros((0, 0))            # copies of embedding[_ids]
@@ -159,14 +157,12 @@ class BankMemo:
                 params.attention.w_k, params.attention.b_k]
 
     def _matches(self, params: "SanParams") -> bool:
-        return (self._dtype == default_dtype()
-                and all(np.array_equal(t.data, c)
-                        for t, c in zip(self._sources(params), self._tensors))
+        return (all(np.array_equal(t.data, c)
+                    for t, c in zip(self._sources(params), self._tensors))
                 and np.array_equal(params.embedding.data[self._ids], self._rows))
 
     def _reset(self, params: "SanParams") -> None:
         self._words = {}
-        self._dtype = default_dtype()
         self._tensors = [t.data.copy() for t in self._sources(params)]
         self._ids = np.zeros(0, dtype=np.int64)
         self._rows = params.embedding.data[self._ids]
@@ -180,7 +176,7 @@ class BankMemo:
         mask = np.asarray(bank_mask).reshape(-1, t_len)
         lengths = mask.sum(axis=1).astype(np.intp)
         keys = [ids[r, :n].tobytes() if n else None for r, n in enumerate(lengths)]
-        out = np.zeros((len(ids), t_len, attn_dim), dtype=default_dtype())
+        out = np.zeros((len(ids), t_len, attn_dim), dtype=params.group.dtype)
         with self._lock:
             if not self._matches(params):
                 self._reset(params)
@@ -233,8 +229,10 @@ class SanParams:
 
     @classmethod
     def build(cls, cfg: SanConfig, vocab_size: int, rng: np.random.Generator,
-              pretrained: EmbeddingMatrix | None = None) -> "SanParams":
-        group = ParamGroup()
+              pretrained: EmbeddingMatrix | None = None,
+              dtype=np.float64) -> "SanParams":
+        """Fresh parameters in a ``ParamGroup`` of ``dtype`` (float64 or float32)."""
+        group = ParamGroup(dtype)
         if pretrained is not None:
             if pretrained.dim != cfg.embedding_dim:
                 raise ValueError(
@@ -287,7 +285,8 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
     if cfg.has_bank:
         b_sz, n_banks, t_len = batch.bank_ids.shape
         if n_banks == 0:
-            words = Tensor(np.zeros((b_sz, 0, t_len, cfg.attention_dim)))
+            words = Tensor(np.zeros((b_sz, 0, t_len, cfg.attention_dim),
+                                    dtype=params.group.dtype))
         elif _tape() is None:
             words = Tensor(params.bank_memo.bank_words(batch.bank_ids, batch.bank_mask, params))
         else:

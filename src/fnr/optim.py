@@ -7,17 +7,22 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .autodiff import Gradients, NonFiniteError, Tape, Tensor, default_dtype
+from .autodiff import FLOAT_DTYPES, Gradients, NonFiniteError, Tape, Tensor
 
 
 class ParamGroup:
     """Named trainable tensors plus their per-tensor Adam moments.
 
     The step count is shared by the whole group; first/second moments are
-    allocated lazily with the parameter and always match its shape.
+    allocated lazily with the parameter and always match its shape.  The
+    group's ``dtype``, float32 or float64, is the dtype of every tensor it
+    stores, and so of everything computed from them.
     """
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in FLOAT_DTYPES:
+            raise ValueError(f"unsupported dtype {self.dtype}; use float32 or float64")
         self._params: dict[str, Tensor] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -26,7 +31,7 @@ class ParamGroup:
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(data, dtype=default_dtype()))
+        t = Tensor(np.asarray(data, dtype=self.dtype))
         self._params[name] = t
         self._m[name] = np.zeros_like(t.data)
         self._v[name] = np.zeros_like(t.data)
@@ -100,11 +105,11 @@ def grad_check(loss_fn: Callable[[ParamGroup], Tensor], params: ParamGroup,
     own output.  Returns the max relative error
     |g_ad - g_fd| / max(1, |g_ad|, |g_fd|) over all checked coordinates.
     For large tensors a random coordinate subset may be checked
-    (``max_coords_per_tensor``).  Run in 64-bit mode; the comparison is
-    meaningless at float32.
+    (``max_coords_per_tensor``).  The group must be float64; the
+    comparison is meaningless at float32.
     """
-    if default_dtype() != np.dtype(np.float64):
-        raise RuntimeError("grad_check requires float64 mode")
+    if params.dtype != np.float64:
+        raise RuntimeError(f"grad_check requires a float64 group, not {params.dtype}")
     with Tape() as tape:
         out = loss_fn(params)
     if seed is None and out.size != 1:

@@ -1,6 +1,5 @@
 import gc
 
-import numpy as np
 import pytest
 
 from fnr import autodiff
@@ -18,18 +17,14 @@ def pytest_runtest_logreport(report):
 
 @pytest.fixture(autouse=True)
 def no_leaked_autodiff_state():
-    """Fail a test that ends with a tape still active or the default dtype
-    switched away from float64, then restore both for the next test.  A
-    leaked tape would silently turn off the eval bank memo; a leaked
-    float32 would break determinism checks."""
+    """Fail a test that ends with a tape still active, then clear the
+    stack for the next test.  A leaked tape would silently turn off the
+    eval bank memo."""
     yield
-    tapes, dtype = autodiff._ACTIVE_TAPES.get(), autodiff.default_dtype()
+    tapes = autodiff._ACTIVE_TAPES.get()
     autodiff._ACTIVE_TAPES.set(())
-    autodiff.set_default_dtype(np.float64)
     if tapes:
         pytest.fail(f"test left {len(tapes)} tape(s) active")
-    if dtype != np.float64:
-        pytest.fail(f"test left the default dtype at {dtype}")
 
 
 @pytest.fixture(autouse=True)

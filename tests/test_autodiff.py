@@ -400,45 +400,51 @@ class TestGatherRows:
 
 
 class TestFastMode:
-    def test_float32_switch_and_gradcheck_refusal(self):
-        from fnr.autodiff import set_default_dtype
+    """Float32 comes from the parameters: ops compute in their inputs' dtype."""
 
-        old = set_default_dtype(np.float32)
-        try:
-            t = square(Tensor([[0.5]]))
-            assert t.data.dtype == np.float32
-            group = ParamGroup()
-            group.add("p", [[1.0]])
-            with pytest.raises(RuntimeError, match="float64"):
-                grad_check(lambda g: square(g["p"]), group)
-        finally:
-            set_default_dtype(old)
+    def test_tensor_keeps_float32_and_float64(self):
+        for dtype in (np.float32, np.float64):
+            assert Tensor(np.ones(2, dtype=dtype)).data.dtype == dtype
+        for data in ([1, 2], np.ones(2, dtype=np.float16), np.ones(2, dtype=bool)):
+            assert Tensor(data).data.dtype == np.float64
 
-    def test_dtype_and_tapes_are_per_thread(self):
+    def test_float32_group_gives_float32_ops(self):
+        group = ParamGroup(np.float32)
+        table = group.add("table", [[0.5, -0.25], [1.0, 2.0]])
+        w = group.add("w", [[1.0, 2.0], [3.0, 4.0]])
+        b = group.add("b", [0.1, 0.2])
+        with Tape() as tape:
+            rows = gather_rows(table, np.array([[1, 0, 1]]))
+            out = softmax(linear(rows, w, b))
+        grads = tape.gradients(out)
+        assert table.data.dtype == rows.data.dtype == out.data.dtype == np.float32
+        assert [grads[t].dtype for t in (table, w, b)] == [np.dtype(np.float32)] * 3
+
+    def test_gradcheck_refuses_float32_group(self):
+        group = ParamGroup(np.float32)
+        group.add("p", [[1.0]])
+        with pytest.raises(RuntimeError, match="float64"):
+            grad_check(lambda g: square(g["p"]), group)
+
+    def test_tapes_are_per_thread(self):
         import threading
-        from fnr.autodiff import _tape, default_dtype, set_default_dtype
+        from fnr.autodiff import _tape
 
         seen = []
 
         def worker():
-            seen.append((default_dtype(), _tape()))
-            set_default_dtype(np.float32)
+            seen.append(_tape())
             square(Tensor([[0.5]]))
 
         with Tape() as tape:
-            old = set_default_dtype(np.float32)
-            try:
-                thread = threading.Thread(target=worker)
-                thread.start()
-                thread.join(timeout=30)
-                assert not thread.is_alive()
-                assert default_dtype() == np.float32
-            finally:
-                set_default_dtype(old)
-        assert seen == [(np.dtype(np.float64), None)]
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert seen == [None]
         assert len(tape) == 0
 
-    def test_unsupported_dtype_rejected(self):
-        from fnr.autodiff import set_default_dtype
-        with pytest.raises(ValueError):
-            set_default_dtype(np.int32)
+    @pytest.mark.parametrize("dtype", [np.int32, np.float16])
+    def test_unsupported_dtype_rejected(self, dtype):
+        with pytest.raises(ValueError, match="float32 or float64"):
+            ParamGroup(dtype)

@@ -8,6 +8,7 @@ import pytest
 from fnr import cli
 from fnr.cli import ConfigError, load_run_config, main
 from fnr.data import QaRecord, load_corpus, save_corpus
+from fnr.embeddings import SgnsConfig
 from fnr.model import SanConfig, SanParams, load_model, save_model
 from fnr.training import TrainConfig
 from fnr.vocab import RESERVED, Vocabulary
@@ -80,6 +81,23 @@ class TestPretrainEmbeddings:
         printed = capsys.readouterr().out
         assert "vocabulary size" in printed
         assert "final mean objective" in printed
+
+    def test_defaults_are_the_config_classes_defaults(self, tmp_path, corpus_path,
+                                                      monkeypatch):
+        monkeypatch.delenv("SAN_SEED", raising=False)
+        seen = []
+
+        def spy(corpus, cfg, rng):
+            seen.append((cfg, rng.bit_generator.state))
+            return real(corpus, cfg, rng)
+
+        real = cli.train_skipgram
+        monkeypatch.setattr(cli, "train_skipgram", spy)
+        out = tmp_path / "emb.txt"
+        assert main(["pretrain-embeddings", "--corpus", str(corpus_path),
+                     "--out", str(out)]) == 0
+        seed_state = np.random.default_rng(SanConfig().seed).bit_generator.state
+        assert seen == [(SgnsConfig(), seed_state)]
 
     def test_dim_flag(self, tmp_path, corpus_path):
         out = tmp_path / "emb.txt"
@@ -539,6 +557,32 @@ class TestExtract:
         assert "level1_weights" in payload
         assert "level2_weights" in payload
         assert len(payload["bank_questions"]) <= 2  # bank_size of the checkpoint
+
+    def test_category_indexes_only_that_category(self, tmp_path, overfit_ckpt,
+                                                 monkeypatch, capsys):
+        _, ckpt = overfit_ckpt
+        laptop = pool_records()
+        phone = [dataclasses.replace(r, product_id=f"x{i}", category="phone")
+                 for i, r in enumerate(laptop)]
+        indexed = []
+
+        class SpyIndex(cli.Bm25Index):
+            def __init__(self, pool):
+                indexed.append([r.category for r in pool])
+                super().__init__(pool)
+
+        monkeypatch.setattr(cli, "Bm25Index", SpyIndex)
+        runs = []
+        for name, pool in (("one", laptop), ("two", phone + laptop)):
+            path, trace = tmp_path / f"{name}.jsonl", tmp_path / f"{name}-trace.json"
+            save_corpus(path, pool)
+            assert main(["extract", "--model", str(ckpt), "--question", "does it play video ?",
+                         "--bank", str(path), "--category", "laptop",
+                         "--trace", str(trace)]) == 0
+            runs.append((capsys.readouterr().out, trace.read_bytes()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[1][1])["bank_questions"]
+        assert indexed == [["laptop"] * len(laptop)] * 2
 
     def test_missing_model_exit_2(self, tmp_path):
         code = main(["extract", "--model", str(tmp_path / "none.json"),

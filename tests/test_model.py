@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import math
 import threading
@@ -526,6 +527,54 @@ class TestEndToEndGradients:
         assert err < 1e-4
 
 
+class TestFloat32:
+    """A float32 ``ParamGroup`` keeps the whole model float32."""
+
+    @pytest.fixture
+    def words_dtypes(self, monkeypatch):
+        """Dtype of the bank words each forward hands to the attention."""
+        seen = []
+
+        def spy(hq1, query_mask, words, *args, **kwargs):
+            seen.append(words.data.dtype)
+            return real(hq1, query_mask, words, *args, **kwargs)
+
+        real = fmodel.bank_attend_batch
+        monkeypatch.setattr(fmodel, "bank_attend_batch", spy)
+        return seen
+
+    def test_step_and_eval_stay_float32(self, memo_vocab, memo_batch, words_dtypes):
+        cfg = dataclasses.replace(memo_cfg(), dropout=0.2)
+        params = SanParams.build(cfg, len(memo_vocab), np.random.default_rng(0),
+                                 dtype=np.float32)
+        with Tape() as tape:
+            probs, _ = forward_batch(memo_batch, params, cfg, training=True,
+                                     rng=np.random.default_rng(1))
+            loss = batch_loss(probs, memo_batch.gold, memo_batch.mask)
+        grads = tape.gradients(loss)
+        adam_step(params.group, grads, lr=0.01)
+        assert loss.data.dtype == np.float32
+        for name, p in params.group.items():
+            assert (grads[p].dtype, p.data.dtype) == (np.float32, np.float32), name
+        probs, _ = forward_batch(memo_batch, params, cfg)
+        assert probs.data.dtype == np.float32
+        assert params.bank_memo.encoded == 4
+        assert words_dtypes == [np.float32, np.float32]
+        ref = build(cfg, memo_vocab)
+        ref.group.load_values(params.group.copy_values())
+        want, _ = forward_batch(memo_batch, ref, cfg)
+        assert np.allclose(probs.data, want.data, rtol=0, atol=1e-5)
+
+    def test_empty_bank_slots_stay_float32(self, memo_vocab, words_dtypes):
+        cfg = dataclasses.replace(memo_cfg(), bank_size=0)
+        params = SanParams.build(cfg, len(memo_vocab), np.random.default_rng(0),
+                                 dtype=np.float32)
+        rec = QaRecord("p", "c", ["works", "with", "iphone"], tags=["F", "F", "O"])
+        example = make_example(rec, [], memo_vocab, max_len=6, bank_size=0)
+        assert probs_of(example, params, cfg).dtype == np.float32
+        assert words_dtypes == [np.float32]
+
+
 class TestConfig:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -621,19 +670,6 @@ class TestBankMemo:
         with Tape():
             forward_batch(memo_batch, params, cfg)
         assert (memo.encoded, memo.served) == (4, 6)
-
-    def test_dtype_switch_drops_entries(self, memo_vocab, memo_batch):
-        from fnr.autodiff import set_default_dtype
-        cfg = memo_cfg()
-        params = build(cfg, memo_vocab)
-        forward_batch(memo_batch, params, cfg)
-        old = set_default_dtype(np.float32)
-        try:
-            probs, _ = forward_batch(memo_batch, params, cfg)
-        finally:
-            set_default_dtype(old)
-        assert probs.data.dtype == np.float32
-        assert params.bank_memo.encoded == 8
 
     def test_eval_thread_ignores_another_threads_tape(self, memo_vocab, memo_batch):
         cfg = memo_cfg()
