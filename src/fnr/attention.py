@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _tape, astensor, check_finite, softmax_grad, softmax_parts
+from .autodiff import Tensor, astensor, check_finite, record, softmax_grad, softmax_parts
 from .lstm import glorot, prefix_lengths
 from .optim import ParamGroup
 
@@ -109,17 +109,14 @@ def transform_bank(bank_h: Tensor, token_mask: np.ndarray, p: AttentionParams) -
     words = np.tanh(pre)                                                  # (N, A)
     out_data = np.zeros(valid.shape + (p.dim,), dtype=words.dtype)
     out_data[valid] = words
-    out = Tensor(out_data)
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            words = out_data[valid]
-            g_pre = g[valid] * (1.0 - words * words)
-            g_h = np.zeros_like(h)
-            g_h[valid] = g_pre @ w_k
-            return g_h, g_pre.T @ h[valid], g_pre.sum(axis=0)
-        tape._nodes.append((out, inputs, backward))
-    return out
+
+    def backward(g):
+        words = out_data[valid]
+        g_pre = g[valid] * (1.0 - words * words)
+        g_h = np.zeros_like(h)
+        g_h[valid] = g_pre @ w_k
+        return g_h, g_pre.T @ h[valid], g_pre.sum(axis=0)
+    return record(Tensor(out_data), inputs, backward)
 
 
 def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
@@ -181,31 +178,28 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
         side = (weights2[..., None] * summary).sum(axis=0)                # (N, A)
     side_full = np.zeros((b_sz, t_q, attn_dim), dtype=side.dtype)
     side_full[at_query] = side
-    out = Tensor(np.concatenate([h, side_full], axis=-1))
 
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            g_side = g[..., width:][at_query]
-            g_w2 = (g_side * summary).sum(axis=-1)
-            g_s2 = softmax_grad(g_w2, e2, z2, axis=0)[..., None]
-            g_query = (g_s2 * summary).sum(axis=0)
-            g_pre2 = (g_side * weights2[..., None] + g_s2 * query) * (1.0 - summary * summary)
-            g2 = g_pre2.reshape(-1, attn_dim)
-            g_att = (g2 @ w_k2).reshape(g_pre2.shape)
-            g_words = np.zeros_like(k)
-            for (i, rows, t_b), (weights1, e1, z1) in zip(spans, level1):
-                k_i, g_att_i = k[i, :, :t_b], g_att[:, rows]
-                g_s1 = softmax_grad(g_att_i @ np.swapaxes(k_i, -1, -2), e1, z1, axis=-1)
-                g_query[rows] += (g_s1 @ k_i).sum(axis=0)
-                g_words[i, :, :t_b] = (np.swapaxes(weights1, -1, -2) @ g_att_i
-                                       + np.swapaxes(query[rows].T @ g_s1, -1, -2))
-            g_pre1 = g_query * (1.0 - query * query)
-            g_hq1 = g[..., :width].copy()
-            g_hq1[at_query] += g_pre1 @ w_r
-            return (g_hq1, g_words, g_pre1.T @ h[at_query], g_pre1.sum(axis=0),
-                    g2.T @ attended.reshape(-1, attn_dim), g2.sum(axis=0))
-        tape._nodes.append((out, inputs, backward))
+    def backward(g):
+        g_side = g[..., width:][at_query]
+        g_w2 = (g_side * summary).sum(axis=-1)
+        g_s2 = softmax_grad(g_w2, e2, z2, axis=0)[..., None]
+        g_query = (g_s2 * summary).sum(axis=0)
+        g_pre2 = (g_side * weights2[..., None] + g_s2 * query) * (1.0 - summary * summary)
+        g2 = g_pre2.reshape(-1, attn_dim)
+        g_att = (g2 @ w_k2).reshape(g_pre2.shape)
+        g_words = np.zeros_like(k)
+        for (i, rows, t_b), (weights1, e1, z1) in zip(spans, level1):
+            k_i, g_att_i = k[i, :, :t_b], g_att[:, rows]
+            g_s1 = softmax_grad(g_att_i @ np.swapaxes(k_i, -1, -2), e1, z1, axis=-1)
+            g_query[rows] += (g_s1 @ k_i).sum(axis=0)
+            g_words[i, :, :t_b] = (np.swapaxes(weights1, -1, -2) @ g_att_i
+                                   + np.swapaxes(query[rows].T @ g_s1, -1, -2))
+        g_pre1 = g_query * (1.0 - query * query)
+        g_hq1 = g[..., :width].copy()
+        g_hq1[at_query] += g_pre1 @ w_r
+        return (g_hq1, g_words, g_pre1.T @ h[at_query], g_pre1.sum(axis=0),
+                g2.T @ attended.reshape(-1, attn_dim), g2.sum(axis=0))
+    out = record(Tensor(np.concatenate([h, side_full], axis=-1)), inputs, backward)
 
     if not want_trace:
         return out, None

@@ -6,10 +6,11 @@ kind, each one tape node with a hand-written backward
 (``lstm.blstm_forward``, ``attention.transform_bank``,
 ``attention.bank_attend_batch``, ``model.batch_loss``), built on the
 plain-array helpers here (``sigmoid_array``, ``scatter_add``,
-``softmax_parts``, ``softmax_grad``).  Every recorded op's backward
-returns one gradient array per input, in input order.  Tests check each
-op through a vector-Jacobian product, ``optim.grad_check`` with a chosen
-cotangent.
+``softmax_parts``, ``softmax_grad``).  Each op hands its output, inputs
+and backward to ``record``, the one function that writes tape nodes; the
+backward returns one gradient array per input, in input order.  Tests
+check each op through a vector-Jacobian product, ``optim.grad_check``
+with a chosen cotangent.
 Every op output is finite-checked (NaN/Inf is a hard error).  Ops compute
 in their inputs' dtype, so the parameters' dtype (``optim.ParamGroup``,
 float64 by default) is the model's.  A ``Tensor`` keeps a float32 or
@@ -175,6 +176,16 @@ def _tape() -> Tape | None:
     return tapes[-1] if tapes else None
 
 
+def record(out: Tensor, inputs: tuple[Tensor, ...], backward: Backward) -> Tensor:
+    """Record an op onto the innermost active tape, if there is one, and
+    return its output.  ``backward`` maps the output's gradient to one
+    gradient array per input, in input order."""
+    tape = _tape()
+    if tape is not None:
+        tape._nodes.append((out, inputs, backward))
+    return out
+
+
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: exp only ever sees -|x|.
 
@@ -202,13 +213,11 @@ def linear(x, w, b) -> Tensor:
         raise ValueError(f"linear bias shape {b.data.shape} != ({dout},)")
     with np.errstate(over="ignore", invalid="ignore"):
         out = Tensor(x.data @ w.data.T + b.data)
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            g2 = g.reshape(-1, dout)
-            return g @ w.data, g2.T @ x.data.reshape(-1, din), g2.sum(axis=0)
-        tape._nodes.append((out, (x, w, b), backward))
-    return out
+
+    def backward(g):
+        g2 = g.reshape(-1, dout)
+        return g @ w.data, g2.T @ x.data.reshape(-1, din), g2.sum(axis=0)
+    return record(out, (x, w, b), backward)
 
 
 def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
@@ -233,15 +242,12 @@ def gather_rows(table, ids) -> Tensor:
     rows = table.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise IndexError(f"id out of range for table with {rows} rows")
-    out = Tensor(table.data[idx])
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            gt = np.zeros(table.data.shape, dtype=table.data.dtype)
-            scatter_add(gt, idx, g)
-            return (gt,)
-        tape._nodes.append((out, (table,), backward))
-    return out
+
+    def backward(g):
+        gt = np.zeros(table.data.shape, dtype=table.data.dtype)
+        scatter_add(gt, idx, g)
+        return (gt,)
+    return record(Tensor(table.data[idx]), (table,), backward)
 
 
 def softmax_parts(x: np.ndarray, axis: int = -1,
@@ -278,10 +284,4 @@ def softmax(x, axis: int = -1) -> Tensor:
     """Max-shifted softmax along ``axis`` as one node."""
     x = astensor(x)
     weights, e, z = softmax_parts(x.data, axis)
-    out = Tensor(weights)
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            return (softmax_grad(g, e, z, axis),)
-        tape._nodes.append((out, (x,), backward))
-    return out
+    return record(Tensor(weights), (x,), lambda g: (softmax_grad(g, e, z, axis),))

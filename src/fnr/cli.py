@@ -210,15 +210,21 @@ def cmd_build_bank(args) -> int:
     return 0
 
 
+def _bank_size(san_cfg: SanConfig) -> int:
+    """The bank questions a model reads per example: none without a bank."""
+    return san_cfg.bank_size if san_cfg.has_bank else 0
+
+
 def _resolve_banks(labeled, labeled_path: str, pool_path: str | None,
-                   cache_path: str | None, san_cfg: SanConfig) -> dict[int, list[QaRecord]]:
-    """Bank records per labeled-record line number, from the cache when
-    present, via BM25 over the pool otherwise, empty as a last resort.  A
-    cache is refused unless both corpora still hash as when it was built."""
+                   cache_path: str | None, bank_size: int) -> dict[int, list[QaRecord]]:
+    """Up to ``bank_size`` bank records per labeled-record line number, from
+    the cache when present, via BM25 over the pool otherwise, empty as a
+    last resort.  A cache is refused unless both corpora still hash as when
+    it was built."""
     if cache_path and not pool_path:
         raise ConfigError("bank_cache needs pool: the cache names pool lines by number")
     banks: dict[int, list[QaRecord]] = {rec.line_no: [] for rec in labeled}
-    if not san_cfg.has_bank or san_cfg.bank_size == 0:
+    if bank_size == 0:
         return banks
     pool = load_corpus(pool_path) if pool_path else []
     if cache_path:
@@ -228,14 +234,14 @@ def _resolve_banks(labeled, labeled_path: str, pool_path: str | None,
         for rec in labeled:
             lines = cache.get(rec.line_no, [])
             try:
-                banks[rec.line_no] = [pool_by_line[i] for i in lines][: san_cfg.bank_size]
+                banks[rec.line_no] = [pool_by_line[i] for i in lines][:bank_size]
             except KeyError as err:
                 raise ConfigError(
                     f"bank cache references pool line {err.args[0]} not present in {pool_path}") from err
     elif pool:
         index = Bm25Index(pool)
         for rec in labeled:
-            banks[rec.line_no] = build_bank(rec, index, u_max=san_cfg.bank_size)
+            banks[rec.line_no] = build_bank(rec, index, u_max=bank_size)
     else:
         log.warning("no pool or bank cache configured; training with empty banks")
     return banks
@@ -265,7 +271,7 @@ def cmd_train(args) -> int:
     if len(labeled) < len(records):
         log.info("ignoring %d unlabeled records in %s", len(records) - len(labeled), cfg.corpus)
 
-    banks = _resolve_banks(labeled, cfg.corpus, cfg.pool, cfg.bank_cache, san_cfg)
+    banks = _resolve_banks(labeled, cfg.corpus, cfg.pool, cfg.bank_cache, _bank_size(san_cfg))
     if cfg.embeddings:
         pretrained = load_embeddings(cfg.embeddings)
         vocab = pretrained.vocab
@@ -314,23 +320,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _examples_for_model(records, vocab, san_cfg: SanConfig, data_path, pool_path,
-                        cache_path):
-    banks = _resolve_banks(records, data_path, pool_path, cache_path, san_cfg)
-    return [make_example(rec, banks[rec.line_no], vocab,
-                         max_len=san_cfg.max_len, bank_size=san_cfg.bank_size)
-            for rec in records]
-
-
 def cmd_evaluate(args) -> int:
     records = [r for r in load_corpus(args.data) if r.labeled]
     if not records:
         raise ConfigError(f"{args.data}: no labeled records to evaluate")
     rows = []
+    banks_by_size: dict[int, dict[int, list[QaRecord]]] = {}
     for path in args.model:
         params, san_cfg, vocab = load_model(path)
-        examples = _examples_for_model(records, vocab, san_cfg, args.data, args.pool,
-                                       args.bank_cache)
+        size = _bank_size(san_cfg)
+        if size not in banks_by_size:
+            banks_by_size[size] = _resolve_banks(records, args.data, args.pool,
+                                                 args.bank_cache, size)
+        banks = banks_by_size[size]
+        examples = [make_example(rec, banks[rec.line_no], vocab,
+                                 max_len=san_cfg.max_len, bank_size=san_cfg.bank_size)
+                    for rec in records]
         metrics = evaluate(params, san_cfg, examples)
         rows.append({"path": path, "variant": san_cfg.variant,
                      "metrics": metrics.to_dict(),
@@ -363,12 +368,15 @@ def cmd_extract(args) -> int:
     category, index = args.category, None
     if args.bank:
         pool = load_corpus(args.bank)
+        categories = sorted({r.category for r in pool if not r.labeled})
         if category is None:
-            categories = sorted({r.category for r in pool if not r.labeled})
             if len(categories) != 1:
                 raise ConfigError(
                     f"pool spans categories {categories}; pick one with --category")
             category = categories[0]
+        elif category not in categories:
+            raise ConfigError(f"pool holds no unlabeled question of category {category!r}; "
+                              f"its categories are {categories}")
         index = Bm25Index([r for r in pool if r.category == category])
     record = QaRecord(product_id="query", category=category or "query", question_tokens=tokens)
     bank_records = (build_bank(record, index, u_max=san_cfg.bank_size)
@@ -430,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeled", required=True)
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--top-k", type=int, default=5)
+    p.add_argument("--top-k", type=int, default=SanConfig.bank_size)
     p.set_defaults(func=cmd_build_bank)
 
     p = sub.add_parser("train", help="train a tagger variant")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _tape, check_finite, sigmoid_array
+from .autodiff import Tensor, _tape, check_finite, record, sigmoid_array
 from .optim import ParamGroup
 
 
@@ -221,18 +221,17 @@ def prefix_lengths(mask: np.ndarray, shape: tuple[int, ...], name: str = "mask")
     return mask.sum(axis=-1).astype(np.intp)
 
 
-def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
-                  dropout_rate: float = 0.0, training: bool = False,
+def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams, dropout_rate: float = 0.0,
                   rng: np.random.Generator | None = None) -> Tensor:
     """Bidirectional scan over (..., T, din) input, as one tape node.
 
     Output position t is forward_h_t concatenated with backward_h_t, shape
     (..., T, 2H); leading axes are batch axes, flattened inside.  Padded
     positions come out exactly zero, since neither scan computes them.
-    Dropout, when requested, is inverted dropout on the output rows only
-    (never inside the recurrence): one ``rng.random`` draw over the output
-    shape after both scans.  The node's inputs are x and each direction's
-    ``w_x``, ``w_h`` and ``b``, forward direction first.
+    A nonzero ``dropout_rate`` applies inverted dropout to the output rows
+    only (never inside the recurrence): one ``rng.random`` draw over the
+    output shape after both scans.  The node's inputs are x and each
+    direction's ``w_x``, ``w_h`` and ``b``, forward direction first.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
@@ -240,23 +239,18 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
     n_rows = np.prod(lead, dtype=int)
     lengths = prefix_lengths(mask, x.shape[:-1]).reshape(n_rows)
     xs = x.data.reshape(n_rows, steps, din)
-    tape = _tape()
+    taped = _tape() is not None
     hidden = p.hidden_size
     out_data = np.zeros((n_rows, steps, 2 * hidden), dtype=np.result_type(xs, p.fwd.w_x.data))
-    bptt_f = _scan(xs, lengths, p.fwd, False, out_data[..., :hidden], tape is not None)
-    bptt_b = _scan(xs, lengths, p.bwd, True, out_data[..., hidden:], tape is not None)
+    bptt_f = _scan(xs, lengths, p.fwd, False, out_data[..., :hidden], taped)
+    bptt_b = _scan(xs, lengths, p.bwd, True, out_data[..., hidden:], taped)
     out_data = out_data.reshape(*lead, steps, 2 * hidden)
     keep, dtype = None, out_data.dtype
-    if training and dropout_rate > 0.0:
+    if dropout_rate > 0.0:
         if rng is None:
-            raise ValueError("training-mode dropout needs a seeded generator")
+            raise ValueError("dropout needs a seeded generator (rng)")
         keep = rng.random(out_data.shape) >= dropout_rate
         out_data *= (keep / (1.0 - dropout_rate)).astype(dtype, copy=False)
-    out = Tensor(out_data)
-    if tape is None:
-        return out
-
-    inputs = (x, p.fwd.w_x, p.fwd.w_h, p.fwd.b, p.bwd.w_x, p.bwd.w_h, p.bwd.b)
 
     def backward(g):
         if keep is not None:
@@ -268,6 +262,5 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams,
         grads_b = bptt_b(g_b, d_x)
         grads_f = bptt_f(g_f, d_x)
         return (d_x.reshape(x.shape), *grads_f, *grads_b)
-
-    tape._nodes.append((out, inputs, backward))
-    return out
+    inputs = (x, p.fwd.w_x, p.fwd.w_h, p.fwd.b, p.bwd.w_x, p.bwd.w_h, p.bwd.b)
+    return record(Tensor(out_data), inputs, backward)

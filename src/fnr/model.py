@@ -21,13 +21,13 @@ base64 little-endian float64 tensors; round trips are bit-exact.
 Bank memo: in eval (no tape active) the same pool questions recur in bank
 after bank, so each ``SanParams`` keeps a ``BankMemo`` of transformed bank
 words, tanh(W_k h + b_k) at a bank question's valid positions, keyed on
-its valid token-id prefix (its length is part of the key, so a literal
-``<PAD>`` token never looks like padding).  A tape-free forward encodes
-only the rows the memo lacks.  Before each one the memo compares exact
-copies of everything its entries depend on (the embedding rows they read,
-the bank BLSTM, ``w_k``, ``b_k``) with the live values
-and drops every entry on any difference, so in-place edits cost a
-recompute, never a stale answer.  An entry takes len * A * 8 bytes at
+its valid token-id prefix (its length is part of the key, so a PAD id
+inside a valid prefix never looks like padding).  A tape-free forward
+encodes only the rows the memo lacks.  Before each one the memo compares
+exact copies of everything its entries depend on (the embedding rows they
+read, the bank BLSTM, ``w_k``, ``b_k``) with the live values and drops
+every entry on any difference, so in-place edits cost a recompute, never
+a stale answer.  An entry takes len * A * 8 bytes at
 float64 and lives as long as the weights do.  A forward under a tape never
 reads or fills the memo.
 """
@@ -44,7 +44,8 @@ import numpy as np
 
 from .attention import (AttentionParams, AttentionTrace, bank_attend_batch,
                         init_attention, transform_bank)
-from .autodiff import NonFiniteError, Tensor, _tape, astensor, gather_rows, linear, softmax
+from .autodiff import (NonFiniteError, Tensor, _tape, astensor, gather_rows, linear, record,
+                       softmax)
 from .data import Batch, LABELS, F_INDEX, O_INDEX
 from .embeddings import EmbeddingMatrix
 from .lstm import BlstmParams, blstm_forward, glorot, init_blstm
@@ -270,17 +271,16 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
     features and must be excluded by every consumer (the loss and the
     decoder both do).  Bank words come from ``params.bank_memo`` with no
     tape active, and from the bank BLSTM and ``transform_bank`` under one.
+    ``training`` turns on dropout at rate ``cfg.dropout``, drawn from ``rng``.
     """
     if batch.ids.shape[1] != cfg.max_len:
         raise ValueError(
             f"batch length {batch.ids.shape[1]} != configured max_len {cfg.max_len}; "
             "input was not preprocessed")
-    if training and cfg.dropout > 0.0 and rng is None:
-        raise ValueError("training-mode forward needs an rng for dropout")
+    dropout = cfg.dropout if training else 0.0
 
     emb = gather_rows(params.embedding, batch.ids)
-    hq1 = blstm_forward(emb, batch.mask, params.blstm1,
-                        dropout_rate=cfg.dropout, training=training, rng=rng)
+    hq1 = blstm_forward(emb, batch.mask, params.blstm1, dropout_rate=dropout, rng=rng)
     traces = None
     if cfg.has_bank:
         b_sz, n_banks, t_len = batch.bank_ids.shape
@@ -298,8 +298,7 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
     else:
         hq2 = hq1
     if cfg.has_layer2:
-        feats = blstm_forward(hq2, batch.mask, params.blstm2,
-                              dropout_rate=cfg.dropout, training=training, rng=rng)
+        feats = blstm_forward(hq2, batch.mask, params.blstm2, dropout_rate=dropout, rng=rng)
     else:
         feats = hq2
     logits = linear(feats, params.proj_w, params.proj_b)
@@ -332,13 +331,10 @@ def batch_loss(probs: Tensor, gold: np.ndarray, valid: np.ndarray) -> Tensor:
     hit = picked > 0
     with np.errstate(divide="ignore"):
         log_p = np.log(probs.data, out=np.zeros_like(probs.data), where=hit)
-    out = Tensor(-(log_p * picked).sum())
-    tape = _tape()
-    if tape is not None:
-        def backward(g):
-            return (np.divide(-g * picked, probs.data, out=np.zeros_like(probs.data), where=hit),)
-        tape._nodes.append((out, (probs,), backward))
-    return out
+
+    def backward(g):
+        return (np.divide(-g * picked, probs.data, out=np.zeros_like(probs.data), where=hit),)
+    return record(Tensor(-(log_p * picked).sum()), (probs,), backward)
 
 
 def predict_tags(probs: np.ndarray, valid) -> list[str]:
@@ -396,9 +392,9 @@ def save_model(path, params: SanParams, cfg: SanConfig, vocab: Vocabulary) -> No
         fh.write("\n")
 
 
-def load_model(path, expected: SanConfig | None = None) -> tuple[SanParams, SanConfig, Vocabulary]:
-    """Load a checkpoint; with ``expected`` given, refuse variant or shape
-    disagreements instead of silently rewiring."""
+def load_model(path) -> tuple[SanParams, SanConfig, Vocabulary]:
+    """Load a checkpoint, refusing a config ``SanConfig`` rejects and any
+    tensor its variant does not have or whose shape differs."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -422,10 +418,6 @@ def load_model(path, expected: SanConfig | None = None) -> tuple[SanParams, SanC
     except ValueError as err:
         raise CheckpointError(f"checkpoint config: {err}") from err
     vocab = Vocabulary(vocab_tokens)
-    if expected is not None and expected.variant != cfg.variant:
-        raise CheckpointError(
-            f"checkpoint variant {cfg.variant!r} is incompatible with the "
-            f"requested {expected.variant!r} configuration")
 
     params = SanParams.build(cfg, len(vocab), np.random.default_rng(0))
     stored = payload.get("tensors", {})

@@ -1,4 +1,9 @@
-"""Parameter storage, the Adam update, and finite-difference verification."""
+"""Parameter storage, the Adam update, and finite-difference verification.
+
+Adam's decay rates and epsilon are the values Kingma & Ba 2015 (*Adam: A
+Method for Stochastic Optimization*, arXiv 1412.6980) suggest, as module
+constants; the learning rate is the caller's (``TrainConfig.lr``).
+"""
 
 from __future__ import annotations
 
@@ -8,6 +13,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .autodiff import FLOAT_DTYPES, Gradients, NonFiniteError, Tape, Tensor
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class ParamGroup:
@@ -63,31 +70,26 @@ class ParamGroup:
             t.data[...] = src
 
 
-def adam_step(params: ParamGroup, grads: Gradients, lr: float = 1e-3,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> ParamGroup:
-    """One in-place Adam update with bias correction.
-
-    Defaults are the optimizer's original settings; only the learning rate
-    is commonly overridden (0.001 is the run default).  Parameters with
-    zero gradient are a fixed point.
-    """
+def adam_step(params: ParamGroup, grads: Gradients, lr: float) -> ParamGroup:
+    """One in-place Adam update with bias correction, at ``BETA1``, ``BETA2``
+    and ``EPS``.  Parameters with zero gradient are a fixed point."""
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     params.step_count += 1
     t = params.step_count
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = grads[p]
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter {name!r} shape {p.data.shape}")
         m = params._m[name]
         v = params._v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
         if not np.all(np.isfinite(p.data)):
             raise NonFiniteError(f"parameter {name!r} became non-finite during the update")
     return params

@@ -2,8 +2,9 @@
 
 Stands in for a search-engine dependency: banks are built once, offline,
 by scoring the labeled question's tokens against every unlabeled question
-in the same category (k1=1.2, b=0.75, idf floored at 0) and keeping the
-top matches.
+in the same category (idf floored at 0) and keeping the top matches.
+``K1`` and ``B`` are the usual BM25 settings given by Robertson & Zaragoza
+2009, *The Probabilistic Relevance Framework: BM25 and Beyond*.
 
 Each category is indexed as postings lists in CSR form: for every term,
 the ascending indices of the documents holding it and its frequency in
@@ -22,8 +23,8 @@ A document therefore sums its terms in the same order, from the same 0.0
 start and with the same per-term arithmetic as a loop over every document
 would, so scores are bit-identical to that loop; documents outside every
 posting keep 0.0.  A term whose floored idf is 0.0 (one held by at least
-half the documents) is skipped, exactly: with k1 > 0 and 0 <= b <= 1
-each of its contributions would be 0.0 * tf * (k1 + 1) / (tf + norm) =
+half the documents) is skipped, exactly: with K1 > 0 and 0 <= B <= 1
+each of its contributions would be 0.0 * tf * (K1 + 1) / (tf + norm) =
 +0.0, and x + 0.0 == x bit for bit for every score x, since a score
 starts at +0.0 and a sum of non-negative terms is never -0.0.  On a crawl
 such common terms hold most of the posting entries a query touches.
@@ -54,6 +55,8 @@ import numpy as np
 from .data import QaRecord
 from .vocab import EOS_TOKEN
 
+K1, B = 1.2, 0.75
+
 
 def _match_tokens(tokens: Iterable[str]) -> list[str]:
     """Case-folded tokens used for scoring; EOS separators do not match."""
@@ -73,7 +76,7 @@ class _CategoryIndex:
     norm: np.ndarray
 
 
-def _index_category(docs: list[QaRecord], k1: float, b: float) -> _CategoryIndex:
+def _index_category(docs: list[QaRecord]) -> _CategoryIndex:
     n = len(docs)
     lens = np.fromiter(map(len, (rec.question_tokens for rec in docs)),
                        dtype=np.int64, count=n)
@@ -103,7 +106,7 @@ def _index_category(docs: list[QaRecord], k1: float, b: float) -> _CategoryIndex
     avgdl = int(dl.sum()) / n
     # Written as the scalar formula k1 * (1 - b + b * dl / avgdl), in the
     # same operation order, so each element is the same double.
-    norm = k1 * (1.0 - b + b * dl / avgdl) if avgdl else np.full(n, k1 * (1.0 - b))
+    norm = K1 * (1.0 - B + B * dl / avgdl) if avgdl else np.full(n, K1 * (1.0 - B))
     return _CategoryIndex(docs, terms, offsets, keys % n, tfs, norm)
 
 
@@ -121,19 +124,12 @@ def _ranked_prefix(scores: np.ndarray, m: int) -> np.ndarray:
 class Bm25Index:
     """Per-category postings lists over an unlabeled question pool."""
 
-    def __init__(self, pool: Sequence[QaRecord], k1: float = 1.2, b: float = 0.75):
-        self.k1 = k1
-        self.b = b
+    def __init__(self, pool: Sequence[QaRecord]):
         by_category: dict[str, list[QaRecord]] = {}
         for rec in pool:
             if not rec.labeled:
                 by_category.setdefault(rec.category, []).append(rec)
-        self._categories = {cat: _index_category(docs, k1, b)
-                            for cat, docs in by_category.items()}
-
-    def pool_size(self, category: str) -> int:
-        cat = self._categories.get(category)
-        return len(cat.docs) if cat else 0
+        self._categories = {cat: _index_category(docs) for cat, docs in by_category.items()}
 
     def score(self, query_tokens: Sequence[str], category: str) -> np.ndarray:
         """BM25 score of the query against every pool document of the
@@ -154,7 +150,7 @@ class Bm25Index:
             if idf == 0.0:
                 continue
             # Rows within one posting are distinct, so += adds once per row.
-            scores[rows] += idf * tf * (self.k1 + 1.0) / (tf + cat.norm[rows])
+            scores[rows] += idf * tf * (K1 + 1.0) / (tf + cat.norm[rows])
         return scores
 
     def query(self, query_tokens: Sequence[str], category: str, top_k: int) -> list[QaRecord]:
@@ -181,7 +177,7 @@ class Bm25Index:
             m = min(2 * m, len(scores))
 
 
-def build_bank(labeled: QaRecord, index: Bm25Index, u_max: int = 5) -> list[QaRecord]:
+def build_bank(labeled: QaRecord, index: Bm25Index, u_max: int) -> list[QaRecord]:
     """The up-to-``u_max`` most similar same-category unlabeled questions.
     A pool smaller than ``u_max`` yields all available candidates; an empty
     pool yields an empty bank."""

@@ -170,19 +170,15 @@ def train(cfg: SanConfig, tcfg: TrainConfig, split: CorpusSplit, vocab: Vocabula
 
 def compare_methods(base_cfg: SanConfig, tcfg: TrainConfig, split: CorpusSplit,
                     vocab: Vocabulary, variants: Sequence[str],
-                    pretrained: EmbeddingMatrix | None = None,
-                    include_reference: bool = True) -> dict:
+                    pretrained: EmbeddingMatrix | None = None) -> dict:
     """Train each variant with the same seed and split; report test metrics
     in a comparison-table shape (plus the constant reference CRF row)."""
-    report: dict = {"methods": {}}
+    methods = {}
     for variant in variants:
         cfg = dataclasses.replace(base_cfg, variant=variant)
         params, _ = train(cfg, tcfg, split, vocab, pretrained)
-        metrics = evaluate(params, cfg, split.test)
-        report["methods"][variant] = metrics.to_dict()
-    if include_reference:
-        report["reference"] = {"crf": dict(CRF_REFERENCE)}
-    return report
+        methods[variant] = evaluate(params, cfg, split.test).to_dict()
+    return {"methods": methods, "reference": {"crf": dict(CRF_REFERENCE)}}
 
 
 def format_comparison(report: dict) -> str:

@@ -2,9 +2,9 @@
 
 Reserved ids are fixed: PAD=0 (all-zero, never updated embedding), EOS=1
 (sentence separator inside concatenated questions), UNK=2 (fallback for
-unseen or below-cutoff tokens).  Tokens are lowercased by default; the
-literal separator token "EOS" keeps its case so it can never collide with
-an ordinary word "eos".
+unseen or below-cutoff tokens).  Tokens are lowercased (``normalize``);
+the literal separator token "EOS" keeps its case so it can never collide
+with an ordinary word "eos".
 """
 
 from __future__ import annotations
@@ -25,15 +25,19 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 _SENT_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 
 
+def normalize(token: str) -> str:
+    """The vocabulary form of a token: lowercased, except the EOS separator."""
+    return token if token == EOS_TOKEN else token.lower()
+
+
 class Vocabulary:
     """Dense token -> id map with reserved PAD/EOS/UNK slots."""
 
-    def __init__(self, tokens: Sequence[str], lowercase: bool = True):
+    def __init__(self, tokens: Sequence[str]):
         """``tokens`` is the full id-ordered token list including the three
         reserved entries at positions 0..2."""
         if tuple(tokens[:3]) != RESERVED:
             raise ValueError(f"vocabulary must start with {RESERVED}")
-        self.lowercase = lowercase
         self.id_to_token: list[str] = list(tokens)
         self.token_to_id: dict[str, int] = {}
         for i, tok in enumerate(self.id_to_token):
@@ -45,22 +49,16 @@ class Vocabulary:
         return len(self.id_to_token)
 
     def __contains__(self, token: str) -> bool:
-        return self.normalize(token) in self.token_to_id
-
-    def normalize(self, token: str) -> str:
-        if token == EOS_TOKEN:
-            return token
-        return token.lower() if self.lowercase else token
+        return normalize(token) in self.token_to_id
 
     def lookup(self, token: str) -> int:
-        return self.token_to_id.get(self.normalize(token), UNK_ID)
+        return self.token_to_id.get(normalize(token), UNK_ID)
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self.lookup(t) for t in tokens]
 
 
-def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1,
-                lowercase: bool = True) -> Vocabulary:
+def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1) -> Vocabulary:
     """Deterministic vocabulary over a token-sequence corpus.
 
     Ids beyond the reserved three are assigned frequency-descending with
@@ -72,18 +70,13 @@ def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1,
     saw_any = False
     for seq in corpus:
         saw_any = True
-        for tok in seq:
-            if tok == EOS_TOKEN:
-                continue
-            norm = tok.lower() if lowercase else tok
-            if norm in RESERVED:
-                continue
-            counts[norm] += 1
+        counts.update(map(normalize, seq))
     if not saw_any:
         raise ValueError("cannot build a vocabulary from an empty corpus")
+    del counts[EOS_TOKEN]
     kept = sorted((t for t, c in counts.items() if c >= min_freq),
                   key=lambda t: (-counts[t], t))
-    return Vocabulary(list(RESERVED) + kept, lowercase=lowercase)
+    return Vocabulary(list(RESERVED) + kept)
 
 
 def tokenize(text: str) -> list[list[str]]:

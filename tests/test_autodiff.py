@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fnr
-from fnr.autodiff import (NonFiniteError, Tape, Tensor, gather_rows, linear, sigmoid_array,
-                          softmax, softmax_grad, softmax_parts)
+from fnr.autodiff import (NonFiniteError, Tape, Tensor, gather_rows, linear, record,
+                          sigmoid_array, softmax, softmax_grad, softmax_parts)
 from fnr.lstm import blstm_forward, init_blstm
 from fnr.optim import ParamGroup, grad_check
 
@@ -154,32 +154,28 @@ class TestDropout:
     """Inverted dropout inside ``blstm_forward``, on a BLSTM whose output
     is the constant H0 before dropout."""
 
-    def run(self, rate, training, rng=None, shape=(2, 3), hidden=2):
+    def run(self, rate, rng=None, shape=(2, 3), hidden=2):
         x = Tensor(np.ones(shape + (1,)))
         return blstm_forward(x, np.ones(shape), constant_blstm(hidden),
-                             dropout_rate=rate, training=training, rng=rng)
+                             dropout_rate=rate, rng=rng)
 
     def test_rate_zero_identity(self):
-        out = self.run(0.0, training=True, rng=np.random.default_rng(0))
-        assert np.array_equal(out.data, self.run(0.0, training=False).data)
+        out = self.run(0.0, rng=np.random.default_rng(0))
+        assert np.array_equal(out.data, self.run(0.0).data)
         assert np.allclose(out.data, H0, rtol=1e-15, atol=0)
-
-    def test_eval_mode_identity(self):
-        out = self.run(0.2, training=False)
-        assert np.array_equal(out.data, self.run(0.0, training=False).data)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
-            self.run(1.0, training=True, rng=np.random.default_rng(0))
+            self.run(1.0, rng=np.random.default_rng(0))
 
     def test_large_sample_mean_preserved(self):
-        out = self.run(0.2, training=True, rng=np.random.default_rng(7),
+        out = self.run(0.2, rng=np.random.default_rng(7),
                        shape=(100, 50), hidden=10)
         assert out.size == 100_000
         assert abs(out.data.mean() / H0 - 1.0) < 0.02
 
     def test_survivors_scaled(self):
-        out = self.run(0.2, training=True, rng=np.random.default_rng(3),
+        out = self.run(0.2, rng=np.random.default_rng(3),
                        shape=(10, 10), hidden=5)
         survivors = out.data[out.data != 0.0]
         assert 0 < survivors.size < out.size
@@ -193,8 +189,7 @@ class TestDropout:
         x = Tensor(np.random.default_rng(4).normal(size=(2, 4, 3)))
         mask = np.ones((2, 4))
         with Tape() as tape:
-            out = blstm_forward(x, mask, p, dropout_rate=0.3, training=True,
-                                rng=np.random.default_rng(6))
+            out = blstm_forward(x, mask, p, dropout_rate=0.3, rng=np.random.default_rng(6))
         dropped = tape.gradients(out)
         scale = (out.data != 0.0) / (1.0 - 0.3)
         with Tape() as tape:
@@ -248,11 +243,19 @@ class TestTapeMechanics:
     def test_gradient_count_must_match_inputs(self, count):
         # A node with two inputs whose backward returns another number of
         # gradients is an error, not a silently dropped or ignored gradient.
-        x, y, out = Tensor([[1.0]]), Tensor([[2.0]]), Tensor([[3.0]])
-        tape = Tape()
-        tape._nodes.append((out, (x, y), lambda g: (g,) * count))
+        x, y = Tensor([[1.0]]), Tensor([[2.0]])
+        with Tape() as tape:
+            out = record(Tensor([[3.0]]), (x, y), lambda g: (g,) * count)
         with pytest.raises(ValueError):
             tape.gradients(out)
+
+    def test_record_writes_to_the_innermost_tape_only(self):
+        x = Tensor([[1.0]])
+        out = record(Tensor([[2.0]]), (x,), lambda g: (g,))
+        with Tape() as outer:
+            with Tape() as inner:
+                assert record(out, (x,), lambda g: (g,)) is out
+        assert (len(outer), len(inner)) == (0, 1)
 
     def test_no_tape_means_no_recording(self):
         tape = Tape()
@@ -370,7 +373,7 @@ class TestPerOpGradients:
 
         def out(g):
             rng = np.random.default_rng(99)  # same mask every evaluation
-            return blstm_forward(g["x"], np.ones(3), p, dropout_rate=0.4, training=True, rng=rng)
+            return blstm_forward(g["x"], np.ones(3), p, dropout_rate=0.4, rng=rng)
 
         seed = np.random.default_rng(98).normal(size=(3, 4))
         assert grad_check(out, group, h=1e-6, seed=seed) < 1e-6

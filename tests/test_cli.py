@@ -523,6 +523,35 @@ class TestEvaluate:
         assert out[0].split() == ["Method", "P", "R", "F1"]
         assert len([l for l in out if l.strip().startswith("san")]) == 2
 
+    def test_pool_loaded_once_per_bank_setting(self, tmp_path, overfit_ckpt, pool_path,
+                                               monkeypatch):
+        corpus, ckpt = overfit_ckpt
+        vocab = Vocabulary(list(RESERVED) + WORDS)
+        cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=8,
+                        bank_size=2, dropout=0.0, variant="sblstm", seed=1)
+        sblstm = tmp_path / "sblstm.json"
+        save_model(sblstm, SanParams.build(cfg, len(vocab), np.random.default_rng(0)),
+                   cfg, vocab)
+        loads, indexed = [], []
+
+        def counting_load(path):
+            loads.append(str(path))
+            return real_load(path)
+
+        class SpyIndex(cli.Bm25Index):
+            def __init__(self, pool):
+                indexed.append(len(pool))
+                super().__init__(pool)
+
+        real_load = cli.load_corpus
+        monkeypatch.setattr(cli, "load_corpus", counting_load)
+        monkeypatch.setattr(cli, "Bm25Index", SpyIndex)
+        assert main(["evaluate", "--model", str(ckpt), "--model", str(sblstm),
+                     "--model", str(ckpt), "--data", str(corpus),
+                     "--pool", str(pool_path)]) == 0
+        assert loads.count(str(pool_path)) == 1
+        assert indexed == [len(pool_records())]
+
 
 class TestExtract:
     def test_fig_question_span(self, overfit_ckpt, capsys):
@@ -583,6 +612,12 @@ class TestExtract:
         assert runs[0] == runs[1]
         assert json.loads(runs[1][1])["bank_questions"]
         assert indexed == [["laptop"] * len(laptop)] * 2
+
+    def test_unknown_category_exit_3(self, overfit_ckpt, pool_path, caplog):
+        _, ckpt = overfit_ckpt
+        assert main(["extract", "--model", str(ckpt), "--question", "does it play video ?",
+                     "--bank", str(pool_path), "--category", "lptop"]) == 3
+        assert "'lptop'" in caplog.text and "['laptop']" in caplog.text
 
     def test_missing_model_exit_2(self, tmp_path):
         code = main(["extract", "--model", str(tmp_path / "none.json"),

@@ -275,17 +275,6 @@ class TestBlstmForward:
         assert grad_check(lambda g: blstm_forward(Tensor(x), mask, p), group,
                           h=1e-5, seed=weights) < 1e-5
 
-    def test_dropout_training_only(self):
-        _, p = rand_blstm(2, 3, seed=10)
-        x = Tensor(np.random.default_rng(11).normal(size=(1, 4, 2)))
-        mask = np.ones((1, 4))
-        eval_out = blstm_forward(x, mask, p, dropout_rate=0.5, training=False)
-        ref = blstm_forward(x, mask, p)
-        assert np.array_equal(eval_out.data, ref.data)
-        train_out = blstm_forward(x, mask, p, dropout_rate=0.5, training=True,
-                                  rng=np.random.default_rng(12))
-        assert (train_out.data == 0.0).sum() > (ref.data == 0.0).sum()
-
     def test_batched_matches_single(self):
         _, p = rand_blstm(3, 4, seed=13)
         rng = np.random.default_rng(14)
@@ -322,7 +311,7 @@ class TestBlstmForward:
         _, p = rand_blstm(2, 3, seed=19)
         x = Tensor(np.ones((2, 3, 2)))
         with Tape() as tape:
-            blstm_forward(x, prefix_mask([3, 1], 3), p, dropout_rate=0.5, training=True,
+            blstm_forward(x, prefix_mask([3, 1], 3), p, dropout_rate=0.5,
                           rng=np.random.default_rng(20))
         assert len(tape) == 1
         assert len(tape._nodes[0][1]) == 7  # x, then each direction's w_x, w_h, b
@@ -339,7 +328,7 @@ class TestBlstmForward:
         weights = rng.normal(size=(2, 3, steps, 6))
 
         def out(g):
-            return blstm_forward(x, mask, p, dropout_rate=0.3, training=True,
+            return blstm_forward(x, mask, p, dropout_rate=0.3,
                                  rng=np.random.default_rng(23))  # same mask every evaluation
 
         assert grad_check(out, group, h=1e-5, seed=weights) < 1e-5
@@ -389,8 +378,7 @@ class TestBlstmForward:
         results = []
         for x, mask in ((x4, mask4), (Tensor(x4.data.reshape(6, 5, 2)), mask4.reshape(6, 5))):
             with Tape() as tape:
-                out = blstm_forward(x, mask, p, dropout_rate=0.4, training=True,
-                                    rng=np.random.default_rng(26))
+                out = blstm_forward(x, mask, p, dropout_rate=0.4, rng=np.random.default_rng(26))
             grads = tape.gradients(out, seed=weights.reshape(out.shape))
             results.append([out.data.reshape(-1), grads[x].reshape(-1)]
                            + [grads[t] for _, t in group.items()])

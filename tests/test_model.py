@@ -15,7 +15,7 @@ from fnr.model import (CheckpointError, SanConfig, SanParams, batch_loss,
                        extract_spans, forward_batch, load_model, predict_tags,
                        save_model, softmax)
 from fnr.optim import ParamGroup, adam_step, grad_check
-from fnr.vocab import EOS_TOKEN, PAD_ID, PAD_TOKEN, RESERVED, Vocabulary
+from fnr.vocab import EOS_TOKEN, PAD_ID, RESERVED, Vocabulary
 
 
 def build(cfg, vocab, seed=0):
@@ -54,6 +54,26 @@ class TestForward:
         params = build(cfg, tiny_vocab)
         with pytest.raises(ValueError, match="rng"):
             probs_of(fig_example, params, cfg, training=True)
+
+    def test_eval_mode_identity(self, tiny_vocab, fig_example):
+        cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
+                        bank_size=2, dropout=0.5, variant="san", seed=1)
+        params = build(cfg, tiny_vocab)
+        no_dropout = dataclasses.replace(cfg, dropout=0.0)
+        assert np.array_equal(probs_of(fig_example, params, cfg),
+                              probs_of(fig_example, params, no_dropout))
+
+    def test_dropout_training_only(self, tiny_vocab, fig_example):
+        cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
+                        bank_size=2, dropout=0.5, variant="san", seed=1)
+        params = build(cfg, tiny_vocab)
+        eval_out = probs_of(fig_example, params, cfg)
+        trained = probs_of(fig_example, params, cfg, training=True,
+                           rng=np.random.default_rng(12))
+        assert not np.array_equal(trained, eval_out)
+        no_dropout = dataclasses.replace(cfg, dropout=0.0)
+        assert np.array_equal(probs_of(fig_example, params, no_dropout, training=True),
+                              eval_out)
 
     def test_sblstm_independent_of_bank_contents(self, tiny_vocab):
         cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
@@ -423,17 +443,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="proj.w"):
             load_model(path)
 
-    def test_cross_variant_load_rejected(self, tmp_path, tiny_vocab):
-        cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
-                        bank_size=2, dropout=0.0, variant="sblstm", seed=10)
-        params = build(cfg, tiny_vocab)
-        path = tmp_path / "model.json"
-        save_model(path, params, cfg, tiny_vocab)
-        import dataclasses
-        san_cfg = dataclasses.replace(cfg, variant="san")
-        with pytest.raises(CheckpointError, match="variant"):
-            load_model(path, expected=san_cfg)
-
     def test_version_mismatch_rejected(self, tmp_path, tiny_cfg, tiny_vocab):
         params = build(tiny_cfg, tiny_vocab)
         path = tmp_path / "model.json"
@@ -595,17 +604,17 @@ def memo_cfg(**kwargs):
 
 @pytest.fixture
 def memo_vocab():
-    # Case-sensitive, so the literal "<PAD>" text encodes as PAD_ID.
     tokens = ["works", "with", "iphone", "?", "does", "it", "video", "calls", "good"]
-    return Vocabulary(list(RESERVED) + tokens, lowercase=False)
+    return Vocabulary(list(RESERVED) + tokens)
 
 
 @pytest.fixture
 def memo_batch(memo_vocab):
-    """Three questions whose banks hold a row twice, a row ending in the
-    "<PAD>" text next to its unpadded prefix, and empty slots."""
+    """Three questions whose banks hold a row twice, a row ending in
+    PAD_ID inside its valid prefix next to that unpadded prefix, and empty
+    slots."""
     shared = QaRecord("u1", "c", ["does", "it", "video", "calls", "?"])
-    with_pad = QaRecord("u2", "c", ["works", PAD_TOKEN])
+    with_pad = QaRecord("u2", "c", ["works", "it"])
     prefix = QaRecord("u3", "c", ["works"])
     other = QaRecord("u4", "c", ["good", "video", "calls"])
     rows = [(["works", "with", "iphone", "?"], [shared, with_pad, prefix]),
@@ -614,6 +623,7 @@ def memo_batch(memo_vocab):
     examples = [make_example(QaRecord(f"p{i}", "c", toks, tags=["O"] * len(toks)),
                              bank, memo_vocab, max_len=6, bank_size=3)
                 for i, (toks, bank) in enumerate(rows)]
+    examples[0].bank_ids[1, 1] = PAD_ID  # with_pad's last valid token
     return collate(examples)
 
 

@@ -73,7 +73,6 @@ class TestScoring:
     def test_categories_isolated(self):
         index = Bm25Index([rec(["video"], category="laptop"),
                            rec(["video"], category="phone")])
-        assert index.pool_size("laptop") == 1
         assert len(index.score(["video"], "laptop")) == 1
         unknown = index.score(["video"], "tablet")
         assert unknown.dtype == np.float64 and unknown.shape == (0,)
@@ -118,11 +117,11 @@ class TestQueryAndBuildBank:
 
     def test_empty_pool_empty_bank(self):
         index = Bm25Index([])
-        assert build_bank(rec(["a"], labeled=True), index) == []
+        assert build_bank(rec(["a"], labeled=True), index, u_max=5) == []
 
     def test_unknown_category_empty_bank(self):
         index = Bm25Index([rec(["a"], category="laptop")])
-        assert build_bank(rec(["a"], category="phone", labeled=True), index) == []
+        assert build_bank(rec(["a"], category="phone", labeled=True), index, u_max=5) == []
 
     def test_eos_never_matches(self):
         index = Bm25Index([rec(["EOS", "word"])])
@@ -134,7 +133,7 @@ class TestQueryAndBuildBank:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert index.score(["word", "EOS"], "c").tolist() == [0.0, 0.0]
-            assert len(build_bank(rec(["word"], labeled=True), index)) == 2
+            assert len(build_bank(rec(["word"], labeled=True), index, u_max=5)) == 2
 
     def test_u_max_zero_gives_empty_bank(self):
         index = Bm25Index([rec(["video", f"w{i}"], line_no=i + 1) for i in range(6)])
