@@ -14,8 +14,7 @@ from .model import (CheckpointError, FunctionSpan, SanConfig, SanParams, batch_l
                     extract_spans, forward_batch, load_model, predict_tags, save_model)
 from .optim import ParamGroup, adam_step, grad_check
 from .retrieval import Bm25Index, build_bank
-from .training import (CRF_REFERENCE, DivergenceError, EpochLog, TrainConfig,
-                       compare_methods, evaluate, format_comparison, train)
+from .training import DivergenceError, EpochLog, TrainConfig, evaluate, train
 from .vocab import Vocabulary, build_vocab, tokenize
 
 __version__ = "0.1.0"

@@ -24,10 +24,11 @@ dropped once read.  The ``Gradients`` it returns hold leaf tensors only
 (tensors no recorded op produced, such as parameters), so holding them
 keeps nothing of the step's graph alive.
 
-Ops record onto the innermost active ``Tape``.  With no tape active they
-just compute, which is the cheap inference path.  The stack of active tapes
-is a context variable, so each thread (and each asyncio task) has its
-own: a thread running inference never records onto another thread's tape.
+Ops record onto the active ``Tape``; at most one is active at a time, and
+entering a second raises ``RuntimeError``.  With no tape active they just
+compute, which is the cheap inference path.  The active tape is a context
+variable, so each thread (and each asyncio task) has its own: a thread
+running inference never records onto another thread's tape.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class NonFiniteError(FloatingPointError):
 
 FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
-_ACTIVE_TAPES: ContextVar[tuple["Tape", ...]] = ContextVar("fnr_active_tapes", default=())
+_ACTIVE_TAPE: ContextVar["Tape | None"] = ContextVar("fnr_active_tape", default=None)
 
 
 def check_finite(arr: np.ndarray, what: str = "tensor") -> None:
@@ -114,14 +115,15 @@ class Tape:
         self._spent = False
 
     def __enter__(self) -> "Tape":
-        _ACTIVE_TAPES.set(_ACTIVE_TAPES.get() + (self,))
+        if _ACTIVE_TAPE.get() is not None:
+            raise RuntimeError("a tape is already active; tapes do not nest")
+        _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        tapes = _ACTIVE_TAPES.get()
-        if not tapes or tapes[-1] is not self:
-            raise RuntimeError("tapes must unwind in LIFO order")
-        _ACTIVE_TAPES.set(tapes[:-1])
+        if _ACTIVE_TAPE.get() is not self:
+            raise RuntimeError("exiting a tape that is not the active one")
+        _ACTIVE_TAPE.set(None)
         return False
 
     def __len__(self) -> int:
@@ -142,44 +144,36 @@ class Tape:
         if sd.shape != output.data.shape:
             raise ValueError(f"seed shape {sd.shape} != output shape {output.data.shape}")
         self._spent = True
-        table: dict[int, list] = {id(output): [output, sd]}
+        grads = Gradients({output: sd})
         while self._nodes:
             out, inputs, backward = self._nodes.pop()
-            entry = table.pop(id(out), None)
-            if entry is None:
+            g_out = grads.pop(out, None)
+            if g_out is None:
                 continue
-            for inp, g in zip(inputs, backward(entry[1]), strict=True):
-                cur = table.get(id(inp))
-                if cur is None:
-                    table[id(inp)] = [inp, g]
-                else:
-                    cur[1] = cur[1] + g
-        return Gradients(table)
+            for inp, g in zip(inputs, backward(g_out), strict=True):
+                cur = grads.get(inp)
+                grads[inp] = g if cur is None else cur + g
+        return grads
 
 
-class Gradients:
-    """Read-only map from leaf tensor identity to its accumulated gradient
-    array; it keeps the leaves it maps alive, but nothing of the graph."""
+class Gradients(dict):
+    """Map from tensor to its accumulated gradient array, keyed by the
+    tensor object itself (``Tensor`` hashes by identity).  A tensor with
+    no entry reads as zeros.  It keeps the leaves it maps alive, but
+    nothing of the graph."""
 
-    def __init__(self, table: dict[int, list]):
-        self._table = table
-
-    def __getitem__(self, tensor: Tensor) -> np.ndarray:
-        entry = self._table.get(id(tensor))
-        if entry is None:
-            return np.zeros_like(tensor.data)
-        return entry[1]
+    def __missing__(self, tensor: Tensor) -> np.ndarray:
+        return np.zeros_like(tensor.data)
 
 
 def _tape() -> Tape | None:
-    tapes = _ACTIVE_TAPES.get()
-    return tapes[-1] if tapes else None
+    return _ACTIVE_TAPE.get()
 
 
 def record(out: Tensor, inputs: tuple[Tensor, ...], backward: Backward) -> Tensor:
-    """Record an op onto the innermost active tape, if there is one, and
-    return its output.  ``backward`` maps the output's gradient to one
-    gradient array per input, in input order."""
+    """Record an op onto the active tape, if there is one, and return its
+    output.  ``backward`` maps the output's gradient to one gradient array
+    per input, in input order."""
     tape = _tape()
     if tape is not None:
         tape._nodes.append((out, inputs, backward))

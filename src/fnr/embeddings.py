@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .autodiff import NonFiniteError, scatter_add
-from .vocab import PAD_ID, RESERVED, Vocabulary, build_vocab
+from .vocab import PAD_ID, RESERVED, Vocabulary, build_vocab, normalize
 
 log = logging.getLogger(__name__)
 
@@ -236,7 +236,10 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
 def load_embeddings(path) -> EmbeddingMatrix:
     """Read the text format back; reserved tokens are forced into their
     fixed ids and synthesized (PAD as zeros, others as zeros with a
-    warning) when the file lacks them."""
+    warning) when the file lacks them.  Every other token is stored in
+    its vocabulary form (``vocab.normalize``), so a row written as
+    ``iPhone`` is the row ``lookup("iPhone")`` finds; two lines whose
+    tokens fold to one form are an error naming both lines."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -247,6 +250,7 @@ def load_embeddings(path) -> EmbeddingMatrix:
             raise ValueError(f"{path}: malformed embedding header {header!r}") from err
         tokens: list[str] = []
         vectors: list[np.ndarray] = []
+        line_of: dict[str, int] = {}
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -260,12 +264,15 @@ def load_embeddings(path) -> EmbeddingMatrix:
                 raise ValueError(f"{path}:{line_no}: {err}") from err
             if not np.all(np.isfinite(row)):
                 raise ValueError(f"{path}:{line_no}: embedding values must be finite")
-            tokens.append(parts[0])
+            token = parts[0] if parts[0] in RESERVED else normalize(parts[0])
+            if token in line_of:
+                raise ValueError(f"{path}: lines {line_of[token]} and {line_no} both hold "
+                                 f"the token {token!r} once case-folded")
+            line_of[token] = line_no
+            tokens.append(token)
             vectors.append(row)
     if len(tokens) != n_rows:
         raise ValueError(f"{path}: header promises {n_rows} rows, file holds {len(tokens)}")
-    if len(set(tokens)) != len(tokens):
-        raise ValueError(f"{path}: duplicate tokens in embedding file")
 
     by_token = dict(zip(tokens, vectors))
     for reserved in RESERVED:

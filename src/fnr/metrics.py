@@ -56,11 +56,6 @@ class Metrics:
                       "fn": self.token_fn},
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Metrics":
-        return cls.from_counts(obj["span"]["tp"], obj["span"]["fp"], obj["span"]["fn"],
-                               obj["token"]["tp"], obj["token"]["fp"], obj["token"]["fn"])
-
 
 def span_boundaries(tags: Sequence[str], tokens: Sequence[str]) -> set[tuple[int, int]]:
     return {(s.start, s.end) for s in extract_spans(list(tags), list(tokens))}

@@ -233,7 +233,6 @@ class SanParams:
               pretrained: EmbeddingMatrix | None = None,
               dtype=np.float64) -> "SanParams":
         """Fresh parameters in a ``ParamGroup`` of ``dtype`` (float64 or float32)."""
-        group = ParamGroup(dtype)
         if pretrained is not None:
             if pretrained.dim != cfg.embedding_dim:
                 raise ValueError(
@@ -244,8 +243,14 @@ class SanParams:
         else:
             vectors = (rng.random((vocab_size, cfg.embedding_dim)) - 0.5) / cfg.embedding_dim
             vectors[0] = 0.0
-        embedding = group.add("embedding", vectors)
+        return cls._assemble(cfg, ParamGroup(dtype), vectors, rng)
 
+    @classmethod
+    def _assemble(cls, cfg: SanConfig, group: ParamGroup, vectors: np.ndarray,
+                  rng: np.random.Generator) -> "SanParams":
+        """Parameters around the embedding ``vectors``, the other tensors
+        drawn from ``rng``, registered in ``group``."""
+        embedding = group.add("embedding", vectors)
         blstm1 = init_blstm(group, "blstm1", cfg.embedding_dim, cfg.hidden_size, rng)
         bank_blstm = attention = blstm2 = None
         if cfg.has_bank:
@@ -392,9 +397,29 @@ def save_model(path, params: SanParams, cfg: SanConfig, vocab: Vocabulary) -> No
         fh.write("\n")
 
 
+def _decode_tensors(stored) -> dict[str, np.ndarray]:
+    """The checkpoint's ``tensors`` object as a name -> float64 array table."""
+    if not isinstance(stored, dict):
+        raise CheckpointError("checkpoint tensors are not a JSON object")
+    values = {}
+    for name, entry in stored.items():
+        try:
+            shape = tuple(entry["shape"])
+            raw = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+            values[name] = raw.reshape(shape)
+        except (KeyError, TypeError, ValueError) as err:
+            raise CheckpointError(f"tensor {name!r} has a malformed entry: {err!r}") from err
+        if values[name].shape != shape:  # reshape resolved a -1
+            raise CheckpointError(f"tensor {name!r} has shape {list(shape)}")
+        if not np.all(np.isfinite(values[name])):
+            raise NonFiniteError(f"tensor {name!r} holds non-finite values")
+    return values
+
+
 def load_model(path) -> tuple[SanParams, SanConfig, Vocabulary]:
-    """Load a checkpoint, refusing a config ``SanConfig`` rejects and any
-    tensor its variant does not have or whose shape differs."""
+    """Load a checkpoint, refusing a config ``SanConfig`` rejects and a
+    tensor table ``ParamGroup.load_values`` rejects: a tensor the variant
+    does not have, one it lacks, or a shape that differs."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -418,28 +443,14 @@ def load_model(path) -> tuple[SanParams, SanConfig, Vocabulary]:
     except ValueError as err:
         raise CheckpointError(f"checkpoint config: {err}") from err
     vocab = Vocabulary(vocab_tokens)
+    values = _decode_tensors(payload.get("tensors", {}))
 
-    params = SanParams.build(cfg, len(vocab), np.random.default_rng(0))
-    stored = payload.get("tensors", {})
-    expected_names = set(params.group.names())
-    missing = expected_names - set(stored)
-    extra = set(stored) - expected_names
-    if missing:
-        raise CheckpointError(f"checkpoint missing tensor {sorted(missing)[0]!r}")
-    if extra:
-        raise CheckpointError(f"checkpoint has unexpected tensor {sorted(extra)[0]!r}")
-    for name, t in params.group.items():
-        try:
-            shape = tuple(stored[name]["shape"])
-            arr = np.frombuffer(base64.b64decode(stored[name]["data"]), dtype="<f8")
-        except (KeyError, TypeError, ValueError) as err:
-            raise CheckpointError(f"tensor {name!r} has a malformed entry: {err!r}") from err
-        if shape != t.shape:
-            raise CheckpointError(
-                f"tensor {name!r} has shape {list(shape)}, expected {list(t.shape)}")
-        if arr.size != t.size:
-            raise CheckpointError(f"tensor {name!r} payload size mismatch")
-        t.data[...] = arr.reshape(shape)
-        if not np.all(np.isfinite(t.data)):
-            raise NonFiniteError(f"tensor {name!r} holds non-finite values")
+    # The embedding starts as untouched zero pages that load_values fills;
+    # the other tensors are small, and their draws are overwritten too.
+    params = SanParams._assemble(cfg, ParamGroup(), np.zeros((len(vocab), cfg.embedding_dim)),
+                                 np.random.default_rng(0))
+    try:
+        params.group.load_values(values)
+    except ValueError as err:
+        raise CheckpointError(f"checkpoint tensors: {err}") from err
     return params, cfg, vocab

@@ -20,10 +20,12 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class ParamGroup:
     """Named trainable tensors plus their per-tensor Adam moments.
 
-    The step count is shared by the whole group; first/second moments are
-    allocated lazily with the parameter and always match its shape.  The
-    group's ``dtype``, float32 or float64, is the dtype of every tensor it
-    stores, and so of everything computed from them.
+    The step count is shared by the whole group.  First/second moments
+    match their parameter's shape; ``np.zeros`` leaves their pages
+    uncommitted until the first Adam step writes them, so a group that
+    never steps (evaluation, extraction) holds no memory for them.  The
+    group's ``dtype``, float32 or float64, is the dtype of every tensor
+    it stores, and so of everything computed from them.
     """
 
     def __init__(self, dtype=np.float64):
@@ -40,8 +42,8 @@ class ParamGroup:
             raise ValueError(f"duplicate parameter name {name!r}")
         t = Tensor(np.asarray(data, dtype=self.dtype))
         self._params[name] = t
-        self._m[name] = np.zeros_like(t.data)
-        self._v[name] = np.zeros_like(t.data)
+        self._m[name] = np.zeros(t.shape, self.dtype)
+        self._v[name] = np.zeros(t.shape, self.dtype)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -63,11 +65,23 @@ class ParamGroup:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
+        """Copy ``values`` into the parameters of the same names.  The
+        table must hold exactly the group's names, each with its
+        parameter's shape; otherwise ``ValueError`` names the first
+        offending tensor and nothing is copied."""
+        missing = sorted(set(self._params) - set(values))
+        if missing:
+            raise ValueError(f"missing tensor {missing[0]!r}")
+        extra = sorted(set(values) - set(self._params))
+        if extra:
+            raise ValueError(f"unexpected tensor {extra[0]!r}")
         for name, t in self._params.items():
-            src = values[name]
-            if src.shape != t.data.shape:
-                raise ValueError(f"shape mismatch for {name!r}: {src.shape} vs {t.data.shape}")
-            t.data[...] = src
+            shape = values[name].shape
+            if shape != t.shape:
+                raise ValueError(f"tensor {name!r} has shape {list(shape)}, "
+                                 f"expected {list(t.shape)}")
+        for name, t in self._params.items():
+            t.data[...] = values[name]
 
 
 def adam_step(params: ParamGroup, grads: Gradients, lr: float) -> ParamGroup:

@@ -53,14 +53,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import QaRecord
-from .vocab import EOS_TOKEN
+from .vocab import EOS_TOKEN, normalize
 
 K1, B = 1.2, 0.75
 
 
 def _match_tokens(tokens: Iterable[str]) -> list[str]:
     """Case-folded tokens used for scoring; EOS separators do not match."""
-    return [t.lower() for t in tokens if t != EOS_TOKEN]
+    return [normalize(t) for t in tokens if t != EOS_TOKEN]
 
 
 @dataclass
@@ -88,8 +88,9 @@ def _index_category(docs: list[QaRecord]) -> _CategoryIndex:
         map(raw_ids.__getitem__, chain.from_iterable(rec.question_tokens for rec in docs)),
         dtype=np.int64, count=int(lens.sum()))
     terms: dict[str, int] = {}
-    raw_term = np.fromiter((-1 if raw == EOS_TOKEN else terms.setdefault(raw.lower(), len(terms))
-                            for raw in raw_ids), dtype=np.int64, count=len(raw_ids))
+    raw_term = np.fromiter(
+        (-1 if raw == EOS_TOKEN else terms.setdefault(normalize(raw), len(terms))
+         for raw in raw_ids), dtype=np.int64, count=len(raw_ids))
     keys = np.take(raw_term, token_raw)
     del token_raw
     doc = np.repeat(np.arange(n), lens)

@@ -1,5 +1,5 @@
 """Mini-batch training with Adam and validation-based early stopping,
-plus evaluation and the multi-method comparison report.
+plus evaluation.
 
 Everything is deterministic given the seed: epoch shuffles and dropout
 masks come from one generator, batches run sequentially, and gradient
@@ -9,7 +9,6 @@ produce bit-identical checkpoints and epoch logs.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from dataclasses import dataclass
@@ -35,7 +34,9 @@ PUBLISHED_RESULTS = {
     "san-noblstm2": {"precision": 0.83, "recall": 0.7, "f1": 0.759},
     "san": {"precision": 0.839, "recall": 0.721, "f1": 0.776},
 }
-CRF_REFERENCE = PUBLISHED_RESULTS["crf"]
+
+# Examples per forward in ``predict``/``evaluate``; metrics do not depend on it.
+EVAL_BATCH_SIZE = 64
 
 
 class DivergenceError(RuntimeError):
@@ -78,27 +79,25 @@ class EpochLog:
         }, sort_keys=True)
 
 
-def predict(params: SanParams, cfg: SanConfig, examples: Sequence[Example],
-            batch_size: int = 64) -> list[list[str]]:
+def predict(params: SanParams, cfg: SanConfig, examples: Sequence[Example]) -> list[list[str]]:
     """Eval-mode tag sequences for each example, valid positions only."""
     out: list[list[str]] = []
-    for lo in range(0, len(examples), batch_size):
-        batch = collate(examples[lo:lo + batch_size])
+    for lo in range(0, len(examples), EVAL_BATCH_SIZE):
+        batch = collate(examples[lo:lo + EVAL_BATCH_SIZE])
         probs, _ = forward_batch(batch, params, cfg, training=False)
         for i, ex in enumerate(batch.examples):
             out.append(predict_tags(probs.data[i], ex.mask))
     return out
 
 
-def evaluate(params: SanParams, cfg: SanConfig, examples: Sequence[Example],
-             batch_size: int = 64) -> Metrics:
+def evaluate(params: SanParams, cfg: SanConfig, examples: Sequence[Example]) -> Metrics:
     """Span- and token-level metrics against gold tags."""
     unlabeled = [e for e in examples if e.tag_ids is None]
     if unlabeled:
         raise ValueError("evaluation set contains unlabeled examples")
     if not examples:
         return Metrics.from_counts(0, 0, 0, 0, 0, 0)
-    preds = predict(params, cfg, examples, batch_size)
+    preds = predict(params, cfg, examples)
     items = [(pred, ex.gold_tags(), ex.tokens) for pred, ex in zip(preds, examples)]
     return score_predictions(items)
 
@@ -167,33 +166,3 @@ def train(cfg: SanConfig, tcfg: TrainConfig, split: CorpusSplit, vocab: Vocabula
     params.group.load_values(best_values)
     return params, logs
 
-
-def compare_methods(base_cfg: SanConfig, tcfg: TrainConfig, split: CorpusSplit,
-                    vocab: Vocabulary, variants: Sequence[str],
-                    pretrained: EmbeddingMatrix | None = None) -> dict:
-    """Train each variant with the same seed and split; report test metrics
-    in a comparison-table shape (plus the constant reference CRF row)."""
-    methods = {}
-    for variant in variants:
-        cfg = dataclasses.replace(base_cfg, variant=variant)
-        params, _ = train(cfg, tcfg, split, vocab, pretrained)
-        methods[variant] = evaluate(params, cfg, split.test).to_dict()
-    return {"methods": methods, "reference": {"crf": dict(CRF_REFERENCE)}}
-
-
-def format_comparison(report: dict) -> str:
-    """Plain-text method-by-P/R/F1 table over span-level metrics."""
-    names = list(report.get("methods", {}))
-    ref = report.get("reference", {})
-    width = max([len("Method")] + [len(n) for n in names]
-                + [len(f"{n} (reference)") for n in ref])
-    lines = [f"{'Method':<{width}}  {'P':>6}  {'R':>6}  {'F1':>6}"]
-    for name, row in ref.items():
-        label = f"{name} (reference)"
-        lines.append(f"{label:<{width}}  {row['precision']:>6.3f}  "
-                     f"{row['recall']:>6.3f}  {row['f1']:>6.3f}")
-    for name in names:
-        span = report["methods"][name]["span"]
-        lines.append(f"{name:<{width}}  {span['precision']:>6.3f}  "
-                     f"{span['recall']:>6.3f}  {span['f1']:>6.3f}")
-    return "\n".join(lines)

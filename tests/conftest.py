@@ -18,13 +18,13 @@ def pytest_runtest_logreport(report):
 @pytest.fixture(autouse=True)
 def no_leaked_autodiff_state():
     """Fail a test that ends with a tape still active, then clear the
-    stack for the next test.  A leaked tape would silently turn off the
-    eval bank memo."""
+    slot for the next test.  A leaked tape would silently turn off the
+    eval bank memo and make the next test's tape refuse to enter."""
     yield
-    tapes = autodiff._ACTIVE_TAPES.get()
-    autodiff._ACTIVE_TAPES.set(())
-    if tapes:
-        pytest.fail(f"test left {len(tapes)} tape(s) active")
+    tape = autodiff._ACTIVE_TAPE.get()
+    autodiff._ACTIVE_TAPE.set(None)
+    if tape is not None:
+        pytest.fail("test left a tape active")
 
 
 @pytest.fixture(autouse=True)

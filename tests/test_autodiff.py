@@ -249,13 +249,18 @@ class TestTapeMechanics:
         with pytest.raises(ValueError):
             tape.gradients(out)
 
-    def test_record_writes_to_the_innermost_tape_only(self):
+    def test_second_tape_is_refused(self):
+        # Tapes do not nest: entering one while another is active raises,
+        # and ops keep recording onto the tape that is active.
         x = Tensor([[1.0]])
         out = record(Tensor([[2.0]]), (x,), lambda g: (g,))
-        with Tape() as outer:
-            with Tape() as inner:
-                assert record(out, (x,), lambda g: (g,)) is out
-        assert (len(outer), len(inner)) == (0, 1)
+        second = Tape()
+        with Tape() as first:
+            with pytest.raises(RuntimeError, match="already active"):
+                with second:
+                    pass
+            assert record(out, (x,), lambda g: (g,)) is out
+        assert (len(first), len(second)) == (1, 0)
 
     def test_no_tape_means_no_recording(self):
         tape = Tape()
@@ -290,17 +295,17 @@ class TestTapeMechanics:
             tape.gradients(out, seed=np.ones(2))
         assert np.array_equal(tape.gradients(out)[x], [[4.0]])
 
-    def test_lifo_unwind_checked_under_optimize(self):
-        # Exiting the outer tape first must raise, also under ``python -O``,
-        # which strips asserts: otherwise the inner tape is popped and ops
-        # record onto the wrong tape.
+    def test_exit_of_inactive_tape_checked_under_optimize(self):
+        # Exiting a tape that is not the active one must raise, also under
+        # ``python -O``, which strips asserts: otherwise the active tape is
+        # cleared and later ops record onto no tape.
         code = ("from fnr.autodiff import Tape, _tape\n"
                 "a, b = Tape(), Tape()\n"
-                "a.__enter__(); b.__enter__()\n"
+                "a.__enter__()\n"
                 "try:\n"
-                "    a.__exit__(None, None, None)\n"
+                "    b.__exit__(None, None, None)\n"
                 "except RuntimeError:\n"
-                "    print('raised', _tape() is b)\n")
+                "    print('raised', _tape() is a)\n")
         src = str(Path(fnr.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         run = subprocess.run([sys.executable, "-O", "-c", code], env=env,

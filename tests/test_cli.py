@@ -315,6 +315,14 @@ class TestTrain:
         assert code == 3
         assert f"{emb}:3:" in caplog.text
 
+    def test_embedding_tokens_folding_together_exit_3(self, tmp_path, corpus_path, caplog):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("3 2\niPhone 0.25 0.25\nworks 0.5 0.5\niphone 1.0 1.0\n")
+        code = main(train_args(corpus_path, tmp_path / "model.json")
+                    + ["--embeddings", str(emb)])
+        assert code == 3
+        assert "lines 2 and 4" in caplog.text
+
     def test_bank_cache_without_pool_rejected(self, tmp_path, corpus_path, pool_path, caplog):
         cache = tmp_path / "bank.jsonl"
         assert main(["build-bank", "--labeled", str(corpus_path), "--pool", str(pool_path),

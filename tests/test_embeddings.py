@@ -353,6 +353,24 @@ class TestEmbeddingIO:
         assert m.vocab.lookup("hello") >= 3
         assert np.array_equal(m.vectors[m.vocab.lookup("hello")], [1.0, 2.0])
 
+    def test_mixed_case_token_reachable_by_lookup(self, tmp_path):
+        # A file trained elsewhere may keep case; its row must be the one
+        # lookup finds, since lookup lowercases every token but EOS.
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\nEOS 0.5 0.5\niPhone 1.0 2.0\nworks 3.0 4.0\n")
+        m = load_embeddings(path)
+        assert m.vocab.id_to_token == list(RESERVED) + ["iphone", "works"]
+        for spelling in ("iPhone", "iphone"):
+            assert np.array_equal(m.vectors[m.vocab.lookup(spelling)], [1.0, 2.0])
+        assert np.array_equal(m.vectors[m.vocab.lookup("EOS")], [0.5, 0.5])
+
+    @pytest.mark.parametrize("second", ["IPHONE", "iPhone"], ids=["folded", "repeated"])
+    def test_tokens_folding_together_name_both_lines(self, tmp_path, second):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"3 1\niPhone 1.0\nworks 2.0\n{second} 3.0\n")
+        with pytest.raises(ValueError, match=r"lines 2 and 4 .*'iphone'"):
+            load_embeddings(path)
+
     def test_random_embeddings_pad_zero(self):
         vocab = build_vocab([["a", "b"]])
         m = EmbeddingMatrix(vocab, np.random.default_rng(0).random((len(vocab), 4)))

@@ -67,6 +67,12 @@ class TestProperties:
         assert 0.0 <= m.span_f1 <= 1.0
         assert 0.0 <= m.token_f1 <= 1.0
 
-    def test_dict_round_trip(self):
+    def test_to_dict_values(self):
         m = Metrics.from_counts(3, 1, 2, 10, 4, 5)
-        assert Metrics.from_dict(m.to_dict()) == m
+        assert m.to_dict() == {
+            "span": {"precision": 0.75, "recall": 0.6, "f1": m.span_f1,
+                     "tp": 3, "fp": 1, "fn": 2},
+            "token": {"precision": 10 / 14, "recall": 10 / 15, "f1": m.token_f1,
+                      "tp": 10, "fp": 4, "fn": 5},
+        }
+        assert m.span_f1 == 2 * 0.75 * 0.6 / (0.75 + 0.6)

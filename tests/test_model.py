@@ -433,12 +433,14 @@ class TestCheckpoint:
         save_model(p2, params, tiny_cfg, tiny_vocab)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_tampered_shape_names_tensor(self, tmp_path, tiny_cfg, tiny_vocab):
+    @pytest.mark.parametrize("shape", [[3, 8], [8, 2], [-1, 8]],
+                             ids=["size", "transposed", "inferred"])
+    def test_tampered_shape_names_tensor(self, tmp_path, tiny_cfg, tiny_vocab, shape):
         params = build(tiny_cfg, tiny_vocab)
         path = tmp_path / "model.json"
         save_model(path, params, tiny_cfg, tiny_vocab)
         payload = json.loads(path.read_text())
-        payload["tensors"]["proj.w"]["shape"] = [3, 8]
+        payload["tensors"]["proj.w"]["shape"] = shape
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="proj.w"):
             load_model(path)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -92,7 +94,35 @@ class TestAdam:
         assert g._v["w"].shape == (3, 2)
 
 
+def resident_bytes() -> int:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
 class TestParamGroup:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+    def test_add_commits_no_moment_pages(self):
+        # A group that never steps (evaluation) must not pay for Adam's
+        # moments: written zeros would commit 2 x 40 MB here.
+        data = np.ones(5_000_000)
+        group = ParamGroup()
+        before = resident_bytes()
+        group.add("w", data)
+        assert resident_bytes() - before < 20e6
+
+    def test_load_values_checks_names_and_shapes(self):
+        g = ParamGroup()
+        p = g.add("p", [1.0, 2.0])
+        q = g.add("q", [[3.0]])
+        for table, named in [({"p": np.zeros(2)}, "missing tensor 'q'"),
+                             ({"p": np.zeros(2), "q": np.zeros((1, 1)), "r": np.zeros(1)},
+                              "unexpected tensor 'r'"),
+                             ({"p": np.zeros(2), "q": np.zeros(1)}, "'q' has shape")]:
+            with pytest.raises(ValueError, match=named):
+                g.load_values(table)
+        # A rejected table copies nothing, not even its well-formed entries.
+        assert np.array_equal(p.data, [1.0, 2.0]) and np.array_equal(q.data, [[3.0]])
+
     def test_duplicate_name_rejected(self):
         g = ParamGroup()
         g.add("p", [1.0])

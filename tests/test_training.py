@@ -8,9 +8,7 @@ import pytest
 from fnr import autodiff, training
 from fnr.data import CorpusSplit, QaRecord, collate, make_example
 from fnr.model import SanConfig, SanParams, batch_loss, forward_batch
-from fnr.training import (CRF_REFERENCE, DivergenceError, EpochLog, Metrics,
-                          TrainConfig, compare_methods, evaluate,
-                          format_comparison, train)
+from fnr.training import DivergenceError, EpochLog, Metrics, TrainConfig, evaluate, train
 from fnr.vocab import build_vocab
 
 
@@ -162,41 +160,13 @@ class TestEvaluate:
         b = evaluate(params, cfg, examples[::-1])
         assert a == b
 
-    def test_batching_does_not_change_metrics(self):
+    def test_batching_does_not_change_metrics(self, monkeypatch):
         vocab, examples = tiny_dataset(n=7)
         cfg = tiny_cfg()
         params = SanParams.build(cfg, len(vocab), np.random.default_rng(0))
-        assert evaluate(params, cfg, examples, batch_size=2) == \
-               evaluate(params, cfg, examples, batch_size=64)
-
-
-class TestCompareMethods:
-    def test_report_shape_and_round_trip(self):
-        vocab, examples = tiny_dataset(n=10)
-        split = CorpusSplit(train=examples[:7], validation=examples[7:9],
-                            test=examples[9:], seed=0)
-        tcfg = TrainConfig(lr=0.01, batch_size=4, max_epochs=2, patience=1)
-        report = compare_methods(tiny_cfg(), tcfg, split, vocab, ["san", "sblstm"])
-        assert list(report["methods"]) == ["san", "sblstm"]
-        for row in report["methods"].values():
-            assert Metrics.from_dict(row).to_dict() == row
-        assert report["reference"]["crf"] == CRF_REFERENCE
-        text = format_comparison(report)
-        lines = text.splitlines()
-        assert lines[0].split() == ["Method", "P", "R", "F1"]
-        assert len(lines) == 4  # header + reference + 2 methods
-        assert "crf (reference)" in text
-        assert f"{CRF_REFERENCE['f1']:.3f}" in text
-
-    def test_json_serializable(self):
-        vocab, examples = tiny_dataset(n=10)
-        split = CorpusSplit(train=examples[:7], validation=examples[7:9],
-                            test=examples[9:], seed=0)
-        tcfg = TrainConfig(lr=0.01, batch_size=8, max_epochs=2, patience=1)
-        report = compare_methods(tiny_cfg(), tcfg, split, vocab, ["sblstm"])
-        parsed = json.loads(json.dumps(report))
-        assert parsed["methods"]["sblstm"]["span"]["f1"] == \
-               report["methods"]["sblstm"]["span"]["f1"]
+        whole = evaluate(params, cfg, examples)
+        monkeypatch.setattr(training, "EVAL_BATCH_SIZE", 2)
+        assert evaluate(params, cfg, examples) == whole
 
 
 class TestTrainConfig:
