@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .autodiff import NonFiniteError, scatter_add
+from .optim import check_lr
 from .vocab import PAD_ID, RESERVED, Vocabulary, build_vocab, normalize
 
 log = logging.getLogger(__name__)
@@ -52,8 +53,7 @@ class SgnsConfig:
             raise ValueError("negatives must be >= 1")
         if self.dim < 1 or self.epochs < 1:
             raise ValueError("dim/epochs must be positive")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        check_lr(self.lr)
         if self.min_freq < 1:
             raise ValueError(f"min_freq must be >= 1, got {self.min_freq}")
 

@@ -23,12 +23,11 @@ after bank, so each ``SanParams`` keeps a ``BankMemo`` of transformed bank
 words, tanh(W_k h + b_k) at a bank question's valid positions, keyed on
 its valid token-id prefix (its length is part of the key, so a PAD id
 inside a valid prefix never looks like padding).  A tape-free forward
-encodes only the rows the memo lacks.  Before each one the memo compares
-exact copies of everything its entries depend on (the embedding rows they
-read, the bank BLSTM, ``w_k``, ``b_k``) with the live values and drops
-every entry on any difference, so in-place edits cost a recompute, never
-a stale answer.  An entry takes len * A * 8 bytes at
-float64 and lives as long as the weights do.  A forward under a tape never
+encodes only the rows the memo lacks.  Parameters change only through
+their ``ParamGroup``, which counts its writes; the memo drops every entry
+when the count differs from the one it was filled at, so a write costs a
+recompute, never a stale answer.  An entry takes len * A * 8 bytes at
+float64 and lives until the next write.  A forward under a tape never
 reads or fills the memo.
 """
 
@@ -146,27 +145,7 @@ class BankMemo:
         self.served = 0
         self._lock = threading.Lock()
         self._words: dict[bytes, np.ndarray] = {}
-        self._tensors: list[np.ndarray] = []   # copies of _sources(params)
-        self._ids = np.zeros(0, dtype=np.int64)  # embedding rows the entries read
-        self._rows = np.zeros((0, 0))            # copies of embedding[_ids]
-
-    @staticmethod
-    def _sources(params: "SanParams") -> list[Tensor]:
-        """The tensors bank words depend on, besides the embedding."""
-        fwd, bwd = params.bank_blstm.fwd, params.bank_blstm.bwd
-        return [fwd.w_x, fwd.w_h, fwd.b, bwd.w_x, bwd.w_h, bwd.b,
-                params.attention.w_k, params.attention.b_k]
-
-    def _matches(self, params: "SanParams") -> bool:
-        return (all(np.array_equal(t.data, c)
-                    for t, c in zip(self._sources(params), self._tensors))
-                and np.array_equal(params.embedding.data[self._ids], self._rows))
-
-    def _reset(self, params: "SanParams") -> None:
-        self._words = {}
-        self._tensors = [t.data.copy() for t in self._sources(params)]
-        self._ids = np.zeros(0, dtype=np.int64)
-        self._rows = params.embedding.data[self._ids]
+        self._writes = 0   # the group's write count _words was filled at
 
     def bank_words(self, bank_ids: np.ndarray, bank_mask: np.ndarray,
                    params: "SanParams") -> np.ndarray:
@@ -179,8 +158,8 @@ class BankMemo:
         keys = [ids[r, :n].tobytes() if n else None for r, n in enumerate(lengths)]
         out = np.zeros((len(ids), t_len, attn_dim), dtype=params.group.dtype)
         with self._lock:
-            if not self._matches(params):
-                self._reset(params)
+            if self._writes != params.group.writes:
+                self._words, self._writes = {}, params.group.writes
             fresh: dict[bytes, int] = {}   # key -> first row holding it
             for r, key in enumerate(keys):
                 if key is not None and key not in self._words:
@@ -202,8 +181,6 @@ class BankMemo:
         words = transform_bank(enc, mask, params.attention).data[valid]
         lengths = valid.sum(axis=1)
         self._words.update(zip(keys, np.split(words, np.cumsum(lengths)[:-1])))
-        self._ids = np.union1d(self._ids, ids[valid])
-        self._rows = params.embedding.data[self._ids]
 
 
 class SanParams:
@@ -442,7 +419,10 @@ def load_model(path) -> tuple[SanParams, SanConfig, Vocabulary]:
         cfg = SanConfig.from_dict(config_dict)
     except ValueError as err:
         raise CheckpointError(f"checkpoint config: {err}") from err
-    vocab = Vocabulary(vocab_tokens)
+    try:
+        vocab = Vocabulary(vocab_tokens)
+    except ValueError as err:
+        raise CheckpointError(f"checkpoint vocabulary: {err}") from err
     values = _decode_tensors(payload.get("tensors", {}))
 
     # The embedding starts as untouched zero pages that load_values fills;

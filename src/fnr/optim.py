@@ -20,6 +20,13 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class ParamGroup:
     """Named trainable tensors plus their per-tensor Adam moments.
 
+    The group is the only writer of its values.  ``add`` keeps the array
+    it is given, uncopied (the caller gives it up), and hands out a
+    ``Tensor`` over a read-only view of it.  ``adam_step``,
+    ``load_values`` and ``assign`` write the array, each adding one to
+    ``writes``, so a value computed from the parameters is current while
+    ``writes`` is unchanged.
+
     The step count is shared by the whole group.  First/second moments
     match their parameter's shape; ``np.zeros`` leaves their pages
     uncommitted until the first Adam step writes them, so a group that
@@ -33,18 +40,27 @@ class ParamGroup:
         if self.dtype not in FLOAT_DTYPES:
             raise ValueError(f"unsupported dtype {self.dtype}; use float32 or float64")
         self._params: dict[str, Tensor] = {}
+        self._data: dict[str, np.ndarray] = {}   # the writable arrays
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self.step_count = 0
+        self.writes = 0
 
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(data, dtype=self.dtype))
+        self._data[name] = arr = np.asarray(data, dtype=self.dtype)
+        t = Tensor(arr.view())
+        t.data.flags.writeable = False
         self._params[name] = t
         self._m[name] = np.zeros(t.shape, self.dtype)
         self._v[name] = np.zeros(t.shape, self.dtype)
         return t
+
+    def assign(self, name: str, index, values) -> None:
+        """Write ``values`` into parameter ``name`` at ``index``."""
+        self.writes += 1
+        self._data[name][index] = values
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -80,31 +96,38 @@ class ParamGroup:
             if shape != t.shape:
                 raise ValueError(f"tensor {name!r} has shape {list(shape)}, "
                                  f"expected {list(t.shape)}")
-        for name, t in self._params.items():
-            t.data[...] = values[name]
+        self.writes += 1
+        for name, arr in self._data.items():
+            arr[...] = values[name]
+
+
+def check_lr(lr: float) -> None:
+    """The learning-rate rule of every trainer: finite and positive."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be positive and finite, got {lr}")
 
 
 def adam_step(params: ParamGroup, grads: Gradients, lr: float) -> ParamGroup:
     """One in-place Adam update with bias correction, at ``BETA1``, ``BETA2``
     and ``EPS``.  Parameters with zero gradient are a fixed point."""
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
+    check_lr(lr)
     params.step_count += 1
+    params.writes += 1
     t = params.step_count
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
-    for name, p in params.items():
-        g = grads[p]
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter {name!r} shape {p.data.shape}")
+    for name, w in params._data.items():
+        g = grads[params[name]]
+        if g.shape != w.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter {name!r} shape {w.shape}")
         m = params._m[name]
         v = params._v[name]
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2
         v += (1.0 - BETA2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
-        if not np.all(np.isfinite(p.data)):
+        w -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+        if not np.all(np.isfinite(w)):
             raise NonFiniteError(f"parameter {name!r} became non-finite during the update")
     return params
 
@@ -141,21 +164,21 @@ def grad_check(loss_fn: Callable[[ParamGroup], Tensor], params: ParamGroup,
 
     worst = 0.0
     for name, p in params.items():
-        flat = p.data.reshape(-1)
         gflat = grads[p].reshape(-1)
-        n = flat.size
+        n = p.size
         if max_coords_per_tensor is not None and n > max_coords_per_tensor:
             picker = rng if rng is not None else np.random.default_rng(0)
             coords = picker.choice(n, size=max_coords_per_tensor, replace=False)
         else:
             coords = range(n)
         for i in coords:
-            orig = flat[i]
-            flat[i] = orig + h
+            where = np.unravel_index(i, p.shape)
+            orig = p.data[where]
+            params.assign(name, where, orig + h)
             lp = value(loss_fn(params))
-            flat[i] = orig - h
+            params.assign(name, where, orig - h)
             lm = value(loss_fn(params))
-            flat[i] = orig
+            params.assign(name, where, orig)
             if not (math.isfinite(lp) and math.isfinite(lm)):
                 raise NonFiniteError(f"loss non-finite while perturbing {name!r}")
             fd = (lp - lm) / (2.0 * h)

@@ -21,7 +21,7 @@ from .data import CorpusSplit, Example, collate
 from .embeddings import EmbeddingMatrix
 from .metrics import Metrics, score_predictions
 from .model import SanConfig, SanParams, batch_loss, forward_batch, predict_tags
-from .optim import adam_step
+from .optim import adam_step, check_lr
 from .vocab import Vocabulary
 
 # Published P/R/F1 reference targets for this task.  Informational only:
@@ -57,8 +57,7 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if not 0 < self.patience < self.max_epochs:
             raise ValueError("patience must satisfy 0 < patience < max_epochs")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        check_lr(self.lr)
 
 
 @dataclass

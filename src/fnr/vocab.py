@@ -35,9 +35,14 @@ class Vocabulary:
 
     def __init__(self, tokens: Sequence[str]):
         """``tokens`` is the full id-ordered token list including the three
-        reserved entries at positions 0..2."""
+        reserved entries at positions 0..2; every other token must be in
+        its ``normalize`` form, since ``lookup`` could never reach it
+        otherwise."""
         if tuple(tokens[:3]) != RESERVED:
             raise ValueError(f"vocabulary must start with {RESERVED}")
+        for tok in tokens[3:]:
+            if normalize(tok) != tok:
+                raise ValueError(f"token {tok!r} is not normalised; expected {normalize(tok)!r}")
         self.id_to_token: list[str] = list(tokens)
         self.token_to_id: dict[str, int] = {}
         for i, tok in enumerate(self.id_to_token):

@@ -176,8 +176,8 @@ def test_c4_overfit_and_extract(tmp_path):
 def test_c5_loss_sanity(tiny_vocab, fig_example, tiny_cfg):
     """Uniform logits cost ln 2 per valid token; perfect predictions ~0."""
     params = SanParams.build(tiny_cfg, len(tiny_vocab), np.random.default_rng(5))
-    params.proj_w.data[...] = 0.0
-    params.proj_b.data[...] = 0.0
+    params.group.assign("proj.w", ..., 0.0)
+    params.group.assign("proj.b", ..., 0.0)
     batch = collate([fig_example])
     probs, _ = forward_batch(batch, params, tiny_cfg)
     loss = batch_loss(probs, batch.gold, batch.mask)

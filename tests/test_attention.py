@@ -13,8 +13,8 @@ def make_params(encoder_width=4, attn_dim=3, seed=0, zero=False):
     g = ParamGroup()
     p = init_attention(g, "a", encoder_width, attn_dim, np.random.default_rng(seed))
     if zero:
-        for _, t in g.items():
-            t.data[...] = 0.0
+        for name in g.names():
+            g.assign(name, ..., 0.0)
     return g, p
 
 
@@ -156,9 +156,9 @@ class TestTransformBank:
     def test_saturation_no_overflow(self):
         # Pre-activations of +-50 and beyond: tanh pins to +-1 without an
         # overflow warning or a non-finite value.
-        _, p = make_params(seed=6)
-        p.w_k.data[...] = 0.0
-        p.b_k.data[...] = [50.0, -50.0, 800.0]
+        g, p = make_params(seed=6)
+        g.assign("a.w_k", ..., 0.0)
+        g.assign("a.b_k", ..., [50.0, -50.0, 800.0])
         with np.errstate(all="raise"):
             out = transform_bank(Tensor(np.ones((1, 1, 2, 4))), np.ones((1, 1, 2)), p)
         assert np.all(np.abs(out.data - [1.0, -1.0, 1.0]) < 1e-12)
@@ -166,8 +166,8 @@ class TestTransformBank:
     def test_saturated_backward_is_finite_zero(self):
         # 1 - tanh^2 is exactly 0 once tanh rounds to +-1, so the saturated
         # words pass back a zero gradient, not a NaN.
-        _, p = make_params(seed=7)
-        p.b_k.data[...] = [50.0, -50.0, 800.0]
+        g, p = make_params(seed=7)
+        g.assign("a.b_k", ..., [50.0, -50.0, 800.0])
         bank_h = Tensor(np.random.default_rng(7).normal(size=(1, 1, 2, 4)))
         with Tape() as tape:
             out = transform_bank(bank_h, np.ones((1, 1, 2)), p)
@@ -213,9 +213,9 @@ class TestLevel1Attend:
 
     def test_orthogonal_query_uniform(self):
         # A zero query transform makes every score 0.
-        _, p = make_params(encoder_width=2, attn_dim=2, seed=17)
-        p.w_r.data[...] = 0.0
-        p.b_r.data[...] = 0.0
+        g, p = make_params(encoder_width=2, attn_dim=2, seed=17)
+        g.assign("a.w_r", ..., 0.0)
+        g.assign("a.b_r", ..., 0.0)
         bank = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         _, trace = attend_one(np.array([[0.5, -0.5]]), [bank], [[1.0, 1.0, 1.0]], p)
         assert np.allclose(trace.level1_weights[0, 0], [1 / 3] * 3)
@@ -464,8 +464,8 @@ class TestBankValid:
     def test_slot_without_words_takes_no_part(self):
         # Were an all-PAD slot to take part in level 2, its summary
         # tanh(b_k2) would give side vectors of tanh(0.5) = 0.462, not 0.
-        _, p = make_params(encoder_width=4, attn_dim=3, seed=25, zero=True)
-        p.b_k2.data[...] = 0.5
+        g, p = make_params(encoder_width=4, attn_dim=3, seed=25, zero=True)
+        g.assign("a.b_k2", ..., 0.5)
         hq1 = Tensor(np.random.default_rng(25).normal(size=(1, 2, 4)))
         words = Tensor(np.zeros((1, 1, 3, 3)))
         out, _ = bank_attend_batch(hq1, np.ones((1, 2)), words, np.zeros((1, 1, 3)), p)

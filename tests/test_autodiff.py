@@ -140,10 +140,10 @@ def constant_blstm(hidden):
     candidate fixed at tanh(1), with o = 1/2."""
     group = ParamGroup()
     p = init_blstm(group, "c", 1, hidden, np.random.default_rng(0))
-    for _, t in group.items():
-        t.data[...] = 0.0
-    for d in (p.fwd, p.bwd):
-        d.b.data[...] = np.repeat([50.0, -50.0, 0.0, 1.0], hidden)
+    for name in group.names():
+        group.assign(name, ..., 0.0)
+    for direction in ("fwd", "bwd"):
+        group.assign(f"c.{direction}.b", ..., np.repeat([50.0, -50.0, 0.0, 1.0], hidden))
     return p
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fnr import cli
+from fnr import cli, training
 from fnr.cli import ConfigError, load_run_config, main
 from fnr.data import QaRecord, load_corpus, save_corpus
 from fnr.embeddings import SgnsConfig
@@ -410,6 +410,20 @@ class TestTrain:
         code = main(train_args(corpus_path, ckpt, lr="1e200"))
         assert code == 4
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_exit_3_before_any_step(self, tmp_path, corpus_path, monkeypatch, lr):
+        steps = []
+
+        def spy(*args, **kwargs):
+            steps.append(kwargs)
+            return real(*args, **kwargs)
+
+        real = training.adam_step
+        monkeypatch.setattr(training, "adam_step", spy)
+        ckpt = tmp_path / "model.json"
+        assert main(train_args(corpus_path, ckpt, lr=lr)) == 3
+        assert steps == [] and not ckpt.exists()
+
     def test_epoch_log_stream_on_stdout(self, tmp_path, corpus_path, capsys):
         ckpt = tmp_path / "model.json"
         assert main(train_args(corpus_path, ckpt)) == 0
@@ -488,7 +502,8 @@ class TestEvaluate:
         ("config_array", "not a JSON object"),
         ("tensor_without_shape", "shape"),
         ("format_version_1", "format_version"),
-        ("unknown_variant", "crf")])
+        ("unknown_variant", "crf"),
+        ("unnormalised_vocab_token", "iPhone")])
     def test_malformed_checkpoint_exit_3(self, tmp_path, overfit_ckpt, caplog, case, named):
         corpus, ckpt = overfit_ckpt
         payload = json.loads(ckpt.read_text())
@@ -504,6 +519,9 @@ class TestEvaluate:
             payload["format_version"] = 1
         elif case == "unknown_variant":
             payload["config"]["variant"] = "crf"
+        elif case == "unnormalised_vocab_token":
+            vocab = payload["config"]["vocab"]
+            vocab[vocab.index("iphone")] = "iPhone"
         else:
             del payload["tensors"]["proj.w"]["shape"]
         bad = tmp_path / "bad.json"
@@ -574,8 +592,8 @@ class TestExtract:
         cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4,
                         max_len=8, bank_size=2, dropout=0.0, variant="san", seed=1)
         params = SanParams.build(cfg, len(vocab), np.random.default_rng(0))
-        params.proj_w.data[...] = 0.0
-        params.proj_b.data[...] = [-5.0, 5.0]  # always O
+        params.group.assign("proj.w", ..., 0.0)
+        params.group.assign("proj.b", ..., [-5.0, 5.0])  # always O
         ckpt = tmp_path / "allo.json"
         save_model(ckpt, params, cfg, vocab)
         code = main(["extract", "--model", str(ckpt), "--question", "Works with iphone ?"])

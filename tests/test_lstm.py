@@ -32,10 +32,10 @@ def pre_activation(x, h, p, name):
 def zero_lstm(din, hidden, forget_bias=0.0):
     g = ParamGroup()
     p = init_lstm(g, "z", din, hidden, np.random.default_rng(0))
-    for name, t in g.items():
-        t.data[...] = 0.0
-    gate(p, "f")[2][...] = forget_bias
-    return p
+    for name in g.names():
+        g.assign(name, ..., 0.0)
+    g.assign("z.b", gate_rows("f", hidden), forget_bias)
+    return g, p
 
 
 def rand_lstm(din, hidden, seed):
@@ -149,7 +149,7 @@ class TestLstmScan:
     def test_all_zero_parameters(self):
         # At zero parameters o = 1/2, so h = tanh(c)/2 is zero at a step
         # exactly when the cell is: zero outputs mean zero cells too.
-        p = zero_lstm(3, 2)
+        _, p = zero_lstm(3, 2)
         x = np.random.default_rng(0).normal(size=(1, 4, 3))
         for reverse in (False, True):
             h = lstm_scan(Tensor(x), np.ones((1, 4)), p, reverse=reverse)
@@ -159,10 +159,10 @@ class TestLstmScan:
         # Step 0 writes c_prev into the cell (i saturated at 1, g = c_prev);
         # later inputs are zero, so g = 0 and only the forget gate acts.
         # With o = 1/2 throughout, h_t = tanh(c_t)/2 reads the cell back.
-        p = zero_lstm(3, 2, forget_bias=50.0)
+        g, p = zero_lstm(3, 2, forget_bias=50.0)
         c_prev = np.array([0.7, -0.3])
-        gate(p, "i")[0][:, 0] = 50.0
-        gate(p, "g")[0][:, 0] = np.arctanh(c_prev)
+        g.assign("z.w_x", (gate_rows("i", 2), 0), 50.0)
+        g.assign("z.w_x", (gate_rows("g", 2), 0), np.arctanh(c_prev))
         x = np.zeros((1, 5, 3))
         x[0, 0, 0] = 1.0
         h = lstm_scan(Tensor(x), np.ones((1, 5)), p)
@@ -213,8 +213,8 @@ class TestLstmScan:
                           seed=weights) < 1e-5
 
     def test_overflow_raises_nonfinite_without_warning(self):
-        p = zero_lstm(3, 2)
-        gate(p, "i")[0][...] = 1e300
+        g, p = zero_lstm(3, 2)
+        g.assign("z.w_x", gate_rows("i", 2), 1e300)
         x = Tensor(np.full((1, 2, 3), 1e10))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -36,8 +36,8 @@ class TestForward:
 
     def test_zero_projection_gives_uniform(self, tiny_cfg, tiny_vocab, fig_example):
         params = build(tiny_cfg, tiny_vocab)
-        params.proj_w.data[...] = 0.0
-        params.proj_b.data[...] = 0.0
+        params.group.assign("proj.w", ..., 0.0)
+        params.group.assign("proj.b", ..., 0.0)
         probs = probs_of(fig_example, params, tiny_cfg)
         assert np.allclose(probs[:4], 0.5, atol=1e-12)
 
@@ -95,7 +95,7 @@ class TestForward:
         params = build(cfg, tiny_vocab)
         for name in params.group.names():
             if name.startswith("attention."):
-                params.group[name].data[...] = 0.0
+                params.group.assign(name, ..., 0.0)
         with_banks = probs_of(fig_example, params, cfg)
         empty = make_example(fig_example.record, [], tiny_vocab, max_len=6, bank_size=2)
         without = probs_of(empty, params, cfg)
@@ -468,6 +468,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=key):
             load_model(path)
 
+    def test_unnormalised_vocabulary_token_is_checkpoint_error(self, tmp_path, tiny_cfg,
+                                                               tiny_vocab):
+        params = build(tiny_cfg, tiny_vocab)
+        path = tmp_path / "model.json"
+        save_model(path, params, tiny_cfg, tiny_vocab)
+        payload = json.loads(path.read_text())
+        payload["config"]["vocab"][tiny_vocab.lookup("iphone")] = "iPhone"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="iPhone"):
+            load_model(path)
+
     def test_missing_tensor_named(self, tmp_path, tiny_cfg, tiny_vocab):
         params = build(tiny_cfg, tiny_vocab)
         path = tmp_path / "model.json"
@@ -533,9 +544,12 @@ class TestEndToEndGradients:
             probs, _ = forward_batch(batch, params, cfg)
             return batch_loss(probs, batch.gold, batch.mask)
 
+        values = params.group.copy_values()
         err = grad_check(loss, params.group, h=1e-5, max_coords_per_tensor=16,
                          rng=np.random.default_rng(0))
         assert err < 1e-4
+        for name, value in values.items():
+            assert np.array_equal(params.group[name].data, value), name
 
 
 class TestFloat32:
@@ -632,18 +646,36 @@ def memo_batch(memo_vocab):
 class TestBankMemo:
     """Tape-free forwards read bank words from the memo on SanParams."""
 
+    @staticmethod
+    def edits(path, params, cfg, batch, vocab):
+        """Changes of the weights through one of the group's write paths,
+        each a call taking no arguments."""
+        group = params.group
+        if path == "assign":
+            bank = "blstm1" if cfg.share_bank_encoder else "bank"
+            video = vocab.lookup("video")  # a token only bank questions hold
+            spots = [(f"{bank}.fwd.w_x", (0, 0)), ("embedding", (video,)),
+                     ("attention.b_k", (slice(None),))]
+            return [lambda name=name, where=where:
+                    group.assign(name, where, group[name].data[where] + 0.5)
+                    for name, where in spots]
+        if path == "adam_step":
+            def step():
+                with Tape() as tape:
+                    probs, _ = forward_batch(batch, params, cfg)
+                    loss = batch_loss(probs, batch.gold, batch.mask)
+                adam_step(group, tape.gradients(loss), lr=0.01)
+            return [step]
+        return [lambda: group.load_values(build(cfg, vocab, seed=7).group.copy_values())]
+
     @pytest.mark.parametrize("share", [False, True])
-    def test_in_place_edits_recompute(self, share, memo_vocab, memo_batch):
+    @pytest.mark.parametrize("path", ["assign", "adam_step", "load_values"])
+    def test_in_place_edits_recompute(self, path, share, memo_vocab, memo_batch):
         cfg = memo_cfg(share_bank_encoder=share)
         params = build(cfg, memo_vocab)
-        video = memo_vocab.lookup("video")  # a token only bank questions hold
-        edits = [lambda p: (p.bank_blstm.fwd.w_x, (0, 0)),
-                 lambda p: (p.embedding, (video,)),
-                 lambda p: (p.attention.b_k, (slice(None),))]
         before, _ = forward_batch(memo_batch, params, cfg)
-        for edit in edits:
-            tensor, where = edit(params)
-            tensor.data[where] += 0.5
+        for write in self.edits(path, params, cfg, memo_batch, memo_vocab):
+            write()
             got, _ = forward_batch(memo_batch, params, cfg)
             fresh = build(cfg, memo_vocab, seed=99)
             fresh.group.load_values(params.group.copy_values())
@@ -651,6 +683,14 @@ class TestBankMemo:
             assert np.array_equal(got.data, want.data)
             assert not np.array_equal(got.data, before.data)
             before = got
+
+    def test_direct_writes_refused(self, memo_vocab):
+        params = build(memo_cfg(), memo_vocab)
+        for tensor in (params.embedding, params.bank_blstm.fwd.w_x):
+            with pytest.raises(ValueError, match="read-only"):
+                tensor.data[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                tensor.data += 1.0
 
     def test_memoised_equals_unmemoised(self, memo_vocab, memo_batch):
         cfg = memo_cfg()

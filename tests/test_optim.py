@@ -133,7 +133,7 @@ class TestParamGroup:
         g = ParamGroup()
         p = g.add("p", [1.0, 2.0])
         snapshot = g.copy_values()
-        p.data[...] = [9.0, 9.0]
+        g.assign("p", ..., [9.0, 9.0])
         g.load_values(snapshot)
         assert np.array_equal(p.data, [1.0, 2.0])
 

@@ -76,6 +76,11 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary([PAD_TOKEN, EOS_TOKEN, UNK_TOKEN, "a", "a"])
 
+    def test_unnormalised_token_rejected(self):
+        # lookup lowercases, so a row stored as "iPhone" could never be read.
+        with pytest.raises(ValueError, match="'iPhone' is not normalised"):
+            Vocabulary([PAD_TOKEN, EOS_TOKEN, UNK_TOKEN, "a", "iPhone"])
+
     def test_encode(self):
         v = Vocabulary([PAD_TOKEN, EOS_TOKEN, UNK_TOKEN, "a", "b"])
         assert v.encode(["a", "b", "zzz"]) == [3, 4, UNK_ID]
