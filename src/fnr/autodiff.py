@@ -57,8 +57,8 @@ def check_finite(arr: np.ndarray, what: str = "tensor") -> None:
 class Tensor:
     """A dense array treated as an immutable value inside the op graph.
 
-    A parameter tensor's data is a read-only view that only its
-    ``optim.ParamGroup`` writes, between tapes.  Backward closures read
+    A parameter tensor's data is read-only; only its ``optim.ParamGroup``
+    writes it, through a view of its own, between tapes.  Backward closures read
     their inputs' data, so an input must not be mutated until its tape is
     differentiated.  Every tensor an op records as an input gets a
     gradient from that op's backward.

@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,6 +248,18 @@ def _resolve_banks(labeled, labeled_path: str, pool_path: str | None,
     return banks
 
 
+def _check_writable(path: str) -> None:
+    """Raise now, naming ``path``, the OSError that writing it would raise
+    later; the file system is left as it was."""
+    try:
+        if os.path.exists(path):
+            open(path, "ab").close()
+        else:
+            tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from err
+
+
 def cmd_train(args) -> int:
     overrides = dict(args.set or [])
     for key in ("variant", "embeddings", "corpus", "pool", "bank_cache",
@@ -263,6 +276,7 @@ def cmd_train(args) -> int:
         raise ConfigError("no checkpoint output configured (checkpoint=PATH or --out)")
     san_cfg = cfg.san_config()
     tcfg = cfg.train_config()
+    _check_writable(cfg.checkpoint)
 
     records = load_corpus(cfg.corpus)
     labeled = [r for r in records if r.labeled]

@@ -7,7 +7,7 @@ runs each direction's backpropagation through time, both adding their
 input gradient into one buffer.  Each direction stores its four gate
 blocks (input i, forget f, output o, cell candidate g) stacked in that
 order as ``w_x (4H, din)``, ``w_h (4H, H)`` and ``b (4H,)``: the layout
-the scan multiplies with, and the one checkpoints (format version 2)
+the scan multiplies with, and the one checkpoints (format version 3)
 store.
 
 The input projection ``x Wx^T`` of every valid position is one GEMM

@@ -15,8 +15,8 @@ training step records 10 nodes for ``san`` with dropout: two embedding
 lookups (the bank's on its (B, U, T) ids), one ``blstm_forward`` per BLSTM
 (dropout included), ``transform_bank`` (valid bank words only), one
 ``bank_attend_batch``, the projection, one ``softmax`` and one
-``batch_loss`` node.  Checkpoints are a versioned JSON container with
-base64 little-endian float64 tensors; round trips are bit-exact.
+``batch_loss`` node.  Checkpoints are a versioned ``.npz`` of
+little-endian float64 tensors; round trips are bit-exact.
 
 Bank memo: in eval (no tape active) the same pool questions recur in bank
 after bank, so each ``SanParams`` keeps a ``BankMemo`` of transformed bank
@@ -33,10 +33,10 @@ reads or fills the memo.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import json
 import threading
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +53,7 @@ from .vocab import EOS_TOKEN, Vocabulary
 
 VARIANTS = ("san", "sblstm", "san-noblstm2")
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -357,51 +357,28 @@ def extract_spans(tags: list[str], tokens: list[str]) -> list[FunctionSpan]:
 
 
 def save_model(path, params: SanParams, cfg: SanConfig, vocab: Vocabulary) -> None:
-    """Versioned JSON checkpoint; tensors as base64 little-endian float64."""
-    tensors = {}
-    for name, t in params.group.items():
-        tensors[name] = {
-            "shape": list(t.shape),
-            "data": base64.b64encode(np.ascontiguousarray(t.data, dtype="<f8").tobytes()).decode("ascii"),
-        }
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "config": {**cfg.to_dict(), "vocab": vocab.id_to_token},
-        "tensors": tensors,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def _decode_tensors(stored) -> dict[str, np.ndarray]:
-    """The checkpoint's ``tensors`` object as a name -> float64 array table."""
-    if not isinstance(stored, dict):
-        raise CheckpointError("checkpoint tensors are not a JSON object")
-    values = {}
-    for name, entry in stored.items():
-        try:
-            shape = tuple(entry["shape"])
-            raw = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
-            values[name] = raw.reshape(shape)
-        except (KeyError, TypeError, ValueError) as err:
-            raise CheckpointError(f"tensor {name!r} has a malformed entry: {err!r}") from err
-        if values[name].shape != shape:  # reshape resolved a -1
-            raise CheckpointError(f"tensor {name!r} has shape {list(shape)}")
-        if not np.all(np.isfinite(values[name])):
-            raise NonFiniteError(f"tensor {name!r} holds non-finite values")
-    return values
+    """Versioned checkpoint: an uncompressed ``.npz`` written to exactly
+    ``path``, one little-endian float64 array per parameter name plus
+    ``__meta__``, the UTF-8 JSON of the format version and the config."""
+    meta = json.dumps({"format_version": CHECKPOINT_VERSION,
+                       "config": {**cfg.to_dict(), "vocab": vocab.id_to_token}}, sort_keys=True)
+    tensors = {name: np.asarray(t.data, dtype="<f8") for name, t in params.group.items()}
+    with open(path, "wb") as fh:   # a path argument would gain a .npz suffix
+        np.savez(fh, __meta__=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8), **tensors)
 
 
 def load_model(path) -> tuple[SanParams, SanConfig, Vocabulary]:
     """Load a checkpoint, refusing a config ``SanConfig`` rejects and a
     tensor table ``ParamGroup.load_values`` rejects: a tensor the variant
     does not have, one it lacks, or a shape that differs."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise CheckpointError(f"{path}: not a JSON checkpoint") from err
+            with np.load(fh, allow_pickle=False) as npz:
+                tensors = {name: npz[name] for name in npz.files}
+            payload = json.loads(tensors.pop("__meta__").tobytes().decode("utf-8"))
+        except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as err:
+            raise CheckpointError(f"{path}: not a format_version {CHECKPOINT_VERSION} checkpoint "
+                                  f"({err!r}); retrain JSON checkpoints of format 1 or 2") from err
     if not isinstance(payload, dict) or not isinstance(payload.get("config", {}), dict):
         raise CheckpointError(f"{path}: checkpoint or its config is not a JSON object")
     version = payload.get("format_version")
@@ -409,11 +386,13 @@ def load_model(path) -> tuple[SanParams, SanConfig, Vocabulary]:
         raise CheckpointError(f"unsupported checkpoint format_version {version!r}")
     config_dict = dict(payload.get("config", {}))
     vocab_tokens = config_dict.pop("vocab", None)
-    if not vocab_tokens:
-        raise CheckpointError("checkpoint lacks the vocabulary")
+    if not (isinstance(vocab_tokens, list) and all(isinstance(t, str) for t in vocab_tokens)):
+        raise CheckpointError("checkpoint vocabulary is not a list of strings")
     for f in dataclasses.fields(SanConfig):
-        value = config_dict.get(f.name)
-        if f.name in config_dict and not json_type_ok(f.type, value):
+        if f.name not in config_dict:
+            raise CheckpointError(f"checkpoint config lacks {f.name!r}")
+        value = config_dict[f.name]
+        if not json_type_ok(f.type, value):
             raise CheckpointError(f"checkpoint config {f.name!r}: expected {f.type}, got {value!r}")
     try:
         cfg = SanConfig.from_dict(config_dict)
@@ -423,14 +402,18 @@ def load_model(path) -> tuple[SanParams, SanConfig, Vocabulary]:
         vocab = Vocabulary(vocab_tokens)
     except ValueError as err:
         raise CheckpointError(f"checkpoint vocabulary: {err}") from err
-    values = _decode_tensors(payload.get("tensors", {}))
+    for name, arr in tensors.items():
+        if arr.dtype != np.dtype("<f8"):
+            raise CheckpointError(f"tensor {name!r} is {arr.dtype.str}, not <f8")
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteError(f"tensor {name!r} holds non-finite values")
 
     # The embedding starts as untouched zero pages that load_values fills;
     # the other tensors are small, and their draws are overwritten too.
     params = SanParams._assemble(cfg, ParamGroup(), np.zeros((len(vocab), cfg.embedding_dim)),
                                  np.random.default_rng(0))
     try:
-        params.group.load_values(values)
+        params.group.load_values(tensors)
     except ValueError as err:
         raise CheckpointError(f"checkpoint tensors: {err}") from err
     return params, cfg, vocab

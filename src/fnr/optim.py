@@ -20,9 +20,10 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class ParamGroup:
     """Named trainable tensors plus their per-tensor Adam moments.
 
-    The group is the only writer of its values.  ``add`` keeps the array
-    it is given, uncopied (the caller gives it up), and hands out a
-    ``Tensor`` over a read-only view of it.  ``adam_step``,
+    The group is the only writer of its values.  ``add`` takes over the
+    array it is given, uncopied: it keeps a writable view, marks the
+    array itself read-only, so the caller can no longer write it, and
+    hands it out as a ``Tensor``.  ``adam_step``,
     ``load_values`` and ``assign`` write the array, each adding one to
     ``writes``, so a value computed from the parameters is current while
     ``writes`` is unchanged.
@@ -49,10 +50,10 @@ class ParamGroup:
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        self._data[name] = arr = np.asarray(data, dtype=self.dtype)
-        t = Tensor(arr.view())
-        t.data.flags.writeable = False
-        self._params[name] = t
+        arr = np.asarray(data, dtype=self.dtype)
+        self._data[name] = arr.view()   # taken while arr is still writable
+        arr.flags.writeable = False
+        self._params[name] = t = Tensor(arr)
         self._m[name] = np.zeros(t.shape, self.dtype)
         self._v[name] = np.zeros(t.shape, self.dtype)
         return t

@@ -3,7 +3,6 @@ tolerances.  Criterion 8 only runs when an annotated corpus is supplied
 via the FNR_ANNOTATED_CORPUS environment variable (see README)."""
 
 import dataclasses
-import json
 import math
 import os
 import time
@@ -20,6 +19,7 @@ from fnr.optim import ParamGroup, grad_check
 from fnr.retrieval import Bm25Index, build_bank
 from fnr.training import TrainConfig, evaluate, train
 from fnr.vocab import build_vocab
+from checkpoint_files import read_checkpoint
 from test_attention import attend_one
 
 
@@ -104,9 +104,9 @@ def test_c3_ablation_wiring(tmp_path, tiny_vocab):
     nob_cfg = dataclasses.replace(cfg, variant="san-noblstm2")
     nob_params = SanParams.build(nob_cfg, len(tiny_vocab), np.random.default_rng(3))
     from fnr.model import save_model
-    path = tmp_path / "noblstm2.json"
+    path = tmp_path / "noblstm2.npz"
     save_model(path, nob_params, nob_cfg, tiny_vocab)
-    tensors = json.loads(path.read_text())["tensors"]
+    _, tensors = read_checkpoint(path)
     assert not any(name.startswith("blstm2.") for name in tensors)
 
 
@@ -158,7 +158,7 @@ def test_c4_overfit_and_extract(tmp_path):
     assert metrics.span_f1 == 1.0
 
     from fnr.model import save_model
-    ckpt = tmp_path / "overfit.json"
+    ckpt = tmp_path / "overfit.npz"
     save_model(ckpt, params, cfg, vocab)
     pool_path = tmp_path / "pool.jsonl"
     save_corpus(pool_path, pool)
@@ -280,7 +280,7 @@ def test_c7_determinism(tmp_path):
     save_corpus(corpus, records)
     blobs = []
     for tag in ("a", "b"):
-        ckpt = tmp_path / f"{tag}.json"
+        ckpt = tmp_path / f"{tag}.npz"
         log = tmp_path / f"{tag}.jsonl"
         code = main(["train", "--corpus", str(corpus), "--out", str(ckpt),
                      "--epoch-log", str(log), "--seed", "21",

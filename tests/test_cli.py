@@ -1,9 +1,12 @@
+import base64
+import copy
 import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fnr import cli, training
 from fnr.cli import ConfigError, load_run_config, main
@@ -12,6 +15,7 @@ from fnr.embeddings import SgnsConfig
 from fnr.model import SanConfig, SanParams, load_model, save_model
 from fnr.training import TrainConfig
 from fnr.vocab import RESERVED, Vocabulary
+from checkpoint_files import read_checkpoint, rewrite_checkpoint, write_checkpoint
 
 
 WORDS = ["works", "with", "iphone", "?", "does", "it", "play", "video",
@@ -192,7 +196,7 @@ class TestBankCacheFreshness:
 
     def test_fresh_cache_trains_like_bm25(self, tmp_path, corpus_path, pool_path):
         cache = self.build(tmp_path, corpus_path, pool_path)
-        with_cache, without = tmp_path / "a.json", tmp_path / "b.json"
+        with_cache, without = tmp_path / "a.npz", tmp_path / "b.npz"
         assert main(train_args(corpus_path, with_cache)
                     + ["--pool", str(pool_path), "--bank-cache", str(cache)]) == 0
         assert main(train_args(corpus_path, without) + ["--pool", str(pool_path)]) == 0
@@ -206,7 +210,7 @@ class TestBankCacheFreshness:
         # the stale banks would be used silently.
         changed.write_text(changed.read_text().replace(
             '"question_tokens": ["', '"question_tokens": ["edited-', 1))
-        out = tmp_path / "model.json"
+        out = tmp_path / "model.npz"
         code = main(train_args(corpus_path, out)
                     + ["--pool", str(pool_path), "--bank-cache", str(cache)])
         assert code == 3
@@ -228,7 +232,7 @@ class TestBankCacheFreshness:
         monkeypatch.setattr(cli, "load_corpus", load_then_append)
         cache = self.build(tmp_path, corpus_path, pool_path)
         monkeypatch.undo()
-        out = tmp_path / "model.json"
+        out = tmp_path / "model.npz"
         code = main(train_args(corpus_path, out)
                     + ["--pool", str(pool_path), "--bank-cache", str(cache)])
         assert code == 3
@@ -238,7 +242,7 @@ class TestBankCacheFreshness:
     def test_cache_without_header_exit_3(self, tmp_path, corpus_path, pool_path, caplog):
         cache = self.build(tmp_path, corpus_path, pool_path)
         cache.write_text("".join(cache.read_text().splitlines(keepends=True)[1:]))
-        code = main(train_args(corpus_path, tmp_path / "model.json")
+        code = main(train_args(corpus_path, tmp_path / "model.npz")
                     + ["--pool", str(pool_path), "--bank-cache", str(cache)])
         assert code == 3
         assert "no sha256 header" in caplog.text
@@ -293,14 +297,14 @@ class TestRunConfig:
 
 class TestTrain:
     def test_variant_flag_sblstm(self, tmp_path, corpus_path):
-        ckpt = tmp_path / "model.json"
+        ckpt = tmp_path / "model.npz"
         code = main(train_args(corpus_path, ckpt) + ["--variant", "sblstm"])
         assert code == 0
         _, cfg, _ = load_model(ckpt)
         assert cfg.variant == "sblstm"
 
     def test_missing_embeddings_warns_random_init(self, tmp_path, corpus_path, caplog):
-        ckpt = tmp_path / "model.json"
+        ckpt = tmp_path / "model.npz"
         assert main(train_args(corpus_path, ckpt)) == 0
         assert "random initialization" in caplog.text
 
@@ -310,7 +314,7 @@ class TestTrain:
         rows = [f"{w} " + " ".join(["0.25"] * 8) for w in WORDS[:3]]
         rows[1] = rows[1].rsplit(" ", 1)[0] + f" {bad}"
         emb.write_text("3 8\n" + "\n".join(rows) + "\n")
-        code = main(train_args(corpus_path, tmp_path / "model.json")
+        code = main(train_args(corpus_path, tmp_path / "model.npz")
                     + ["--embeddings", str(emb)])
         assert code == 3
         assert f"{emb}:3:" in caplog.text
@@ -318,7 +322,7 @@ class TestTrain:
     def test_embedding_tokens_folding_together_exit_3(self, tmp_path, corpus_path, caplog):
         emb = tmp_path / "emb.txt"
         emb.write_text("3 2\niPhone 0.25 0.25\nworks 0.5 0.5\niphone 1.0 1.0\n")
-        code = main(train_args(corpus_path, tmp_path / "model.json")
+        code = main(train_args(corpus_path, tmp_path / "model.npz")
                     + ["--embeddings", str(emb)])
         assert code == 3
         assert "lines 2 and 4" in caplog.text
@@ -327,7 +331,7 @@ class TestTrain:
         cache = tmp_path / "bank.jsonl"
         assert main(["build-bank", "--labeled", str(corpus_path), "--pool", str(pool_path),
                      "--out", str(cache)]) == 0
-        code = main(train_args(corpus_path, tmp_path / "model.json")
+        code = main(train_args(corpus_path, tmp_path / "model.npz")
                     + ["--bank-cache", str(cache)])
         assert code == 3
         assert "bank_cache needs pool" in caplog.text
@@ -335,7 +339,7 @@ class TestTrain:
     def test_deterministic_checkpoints_and_logs(self, tmp_path, corpus_path, pool_path):
         blobs = []
         for tag in ("a", "b"):
-            ckpt = tmp_path / f"{tag}.json"
+            ckpt = tmp_path / f"{tag}.npz"
             log = tmp_path / f"{tag}.log.jsonl"
             code = main(train_args(corpus_path, ckpt)
                         + ["--pool", str(pool_path), "--epoch-log", str(log)])
@@ -344,7 +348,7 @@ class TestTrain:
         assert blobs[0] == blobs[1]
 
     def test_config_file_with_cli_override(self, tmp_path, corpus_path):
-        ckpt = tmp_path / "model.json"
+        ckpt = tmp_path / "model.npz"
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
             "seed=1\nembedding_dim=8\nhidden_size=6\nattention_dim=6\nmax_len=8\n"
@@ -355,7 +359,7 @@ class TestTrain:
         assert cfg.seed == 2
 
     def test_json_config_accepted(self, tmp_path, corpus_path):
-        ckpt = tmp_path / "model.json"
+        ckpt = tmp_path / "model.npz"
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({
             "seed": 4, "embedding_dim": 8, "hidden_size": 6, "attention_dim": 6,
@@ -365,7 +369,7 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_file)]) == 0
 
     def test_env_seed_fallback(self, tmp_path, corpus_path, monkeypatch):
-        ckpt = tmp_path / "model.json"
+        ckpt = tmp_path / "model.npz"
         monkeypatch.setenv("SAN_SEED", "77")
         args = train_args(corpus_path, ckpt)
         args.remove("--seed")
@@ -375,13 +379,13 @@ class TestTrain:
         assert cfg.seed == 77
 
     def test_unknown_config_key_exit_3(self, tmp_path, corpus_path):
-        ckpt = tmp_path / "model.json"
+        ckpt = tmp_path / "model.npz"
         code = main(train_args(corpus_path, ckpt) + ["--set", "bogus=1"])
         assert code == 3
 
     @pytest.mark.parametrize("key, value", [("hidden_size", 6.5), ("variant", 3)])
     def test_json_value_of_wrong_type_exit_3(self, tmp_path, corpus_path, key, value):
-        ckpt = tmp_path / "model.json"
+        ckpt = tmp_path / "model.npz"
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({key: value, "corpus": str(corpus_path),
                                         "checkpoint": str(ckpt)}))
@@ -389,24 +393,36 @@ class TestTrain:
         assert not ckpt.exists()
 
     def test_report_key_exit_3(self, tmp_path, corpus_path):
-        ckpt = tmp_path / "model.json"
+        ckpt = tmp_path / "model.npz"
         assert main(train_args(corpus_path, ckpt) + ["--set", "report=x"]) == 3
 
     def test_missing_corpus_exit_2(self, tmp_path):
         code = main(["train", "--corpus", str(tmp_path / "nope.jsonl"),
-                     "--out", str(tmp_path / "m.json")])
+                     "--out", str(tmp_path / "m.npz")])
         assert code == 2
+
+    @pytest.mark.parametrize("out", ["no/such/dir/m.npz", "."], ids=["missing_dir", "a_dir"])
+    def test_unwritable_checkpoint_exit_2_before_training(self, tmp_path, corpus_path,
+                                                          monkeypatch, capsys, caplog, out):
+        reads = []
+        monkeypatch.setattr(cli, "load_corpus", lambda path: reads.append(path) or load_corpus(path))
+        ckpt = tmp_path / out
+        before = sorted(tmp_path.rglob("*"))
+        assert main(train_args(corpus_path, ckpt)) == 2
+        assert reads == [] and "epoch" not in capsys.readouterr().out
+        assert str(ckpt) in caplog.text
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_empty_validation_split_exit_3(self, tmp_path):
         # split() cuts 3 records 3/0/0.
         corpus = tmp_path / "three.jsonl"
         save_corpus(corpus, labeled_records()[:3])
-        ckpt = tmp_path / "model.json"
+        ckpt = tmp_path / "model.npz"
         assert main(train_args(corpus, ckpt)) == 3
         assert not ckpt.exists()
 
     def test_divergence_exit_4(self, tmp_path, corpus_path):
-        ckpt = tmp_path / "model.json"
+        ckpt = tmp_path / "model.npz"
         code = main(train_args(corpus_path, ckpt, lr="1e200"))
         assert code == 4
 
@@ -420,12 +436,12 @@ class TestTrain:
 
         real = training.adam_step
         monkeypatch.setattr(training, "adam_step", spy)
-        ckpt = tmp_path / "model.json"
+        ckpt = tmp_path / "model.npz"
         assert main(train_args(corpus_path, ckpt, lr=lr)) == 3
         assert steps == [] and not ckpt.exists()
 
     def test_epoch_log_stream_on_stdout(self, tmp_path, corpus_path, capsys):
-        ckpt = tmp_path / "model.json"
+        ckpt = tmp_path / "model.npz"
         assert main(train_args(corpus_path, ckpt)) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("{")]
         epochs = [json.loads(l) for l in lines if "epoch" in json.loads(l)]
@@ -444,7 +460,7 @@ def overfit_ckpt(tmp_path_factory):
     root = tmp_path_factory.mktemp("overfit")
     corpus = root / "labeled.jsonl"
     save_corpus(corpus, labeled_records() * 4)
-    ckpt = root / "model.json"
+    ckpt = root / "model.npz"
     args = ["train", "--corpus", str(corpus), "--out", str(ckpt), "--seed", "5",
             "--set", "embedding_dim=12", "--set", "hidden_size=10",
             "--set", "attention_dim=10", "--set", "max_len=8",
@@ -500,32 +516,54 @@ class TestEvaluate:
         ("bool_config_as_text", "share_bank_encoder"),
         ("top_level_array", "not a JSON object"),
         ("config_array", "not a JSON object"),
-        ("tensor_without_shape", "shape"),
         ("format_version_1", "format_version"),
         ("unknown_variant", "crf"),
-        ("unnormalised_vocab_token", "iPhone")])
+        ("unnormalised_vocab_token", "iPhone"),
+        ("float32_tensor", "proj.w"),
+        ("no_meta_entry", "bad.npz"),
+        ("truncated_half", "bad.npz"),
+        ("bare_npy", "bad.npz"),
+        ("format_version_2_json", "bad.npz")])
     def test_malformed_checkpoint_exit_3(self, tmp_path, overfit_ckpt, caplog, case, named):
         corpus, ckpt = overfit_ckpt
-        payload = json.loads(ckpt.read_text())
-        if case == "config_value_of_wrong_type":
-            payload["config"]["hidden_size"] = "10"
-        elif case == "bool_config_as_text":
-            payload["config"]["share_bank_encoder"] = "no"
-        elif case == "top_level_array":
-            payload = [payload]
-        elif case == "config_array":
-            payload["config"] = [payload["config"]]
-        elif case == "format_version_1":
-            payload["format_version"] = 1
-        elif case == "unknown_variant":
-            payload["config"]["variant"] = "crf"
-        elif case == "unnormalised_vocab_token":
-            vocab = payload["config"]["vocab"]
-            vocab[vocab.index("iphone")] = "iPhone"
+        bad = tmp_path / "bad.npz"
+
+        def edit(meta, arrays):
+            if case == "config_value_of_wrong_type":
+                meta["config"]["hidden_size"] = "10"
+            elif case == "bool_config_as_text":
+                meta["config"]["share_bank_encoder"] = "no"
+            elif case == "top_level_array":
+                return [meta]
+            elif case == "config_array":
+                meta["config"] = [meta["config"]]
+            elif case == "format_version_1":
+                meta["format_version"] = 1
+            elif case == "unknown_variant":
+                meta["config"]["variant"] = "crf"
+            elif case == "unnormalised_vocab_token":
+                vocab = meta["config"]["vocab"]
+                vocab[vocab.index("iphone")] = "iPhone"
+            elif case == "float32_tensor":
+                arrays["proj.w"] = arrays["proj.w"].astype(np.float32)
+            elif case == "no_meta_entry":
+                return None
+            return meta
+
+        if case == "truncated_half":
+            blob = ckpt.read_bytes()
+            bad.write_bytes(blob[:len(blob) // 2])
+        elif case == "bare_npy":
+            with bad.open("wb") as fh:
+                np.save(fh, read_checkpoint(ckpt)[1]["proj.w"])
+        elif case == "format_version_2_json":
+            meta, arrays = read_checkpoint(ckpt)
+            tensors = {name: {"shape": list(a.shape),
+                              "data": base64.b64encode(a.tobytes()).decode("ascii")}
+                       for name, a in arrays.items()}
+            bad.write_text(json.dumps({**meta, "format_version": 2, "tensors": tensors}))
         else:
-            del payload["tensors"]["proj.w"]["shape"]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
+            rewrite_checkpoint(ckpt, bad, edit)
         assert main(["evaluate", "--model", str(bad), "--data", str(corpus)]) == 3
         assert named in caplog.text
 
@@ -533,10 +571,12 @@ class TestEvaluate:
                              ids=["int", "null", "string", "non_string_item"])
     def test_checkpoint_labels_not_strings_exit_3(self, tmp_path, overfit_ckpt, caplog, labels):
         corpus, ckpt = overfit_ckpt
-        payload = json.loads(ckpt.read_text())
-        payload["config"]["labels"] = labels
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
+        bad = tmp_path / "bad.npz"
+
+        def edit(meta, arrays):
+            meta["config"]["labels"] = labels
+            return meta
+        rewrite_checkpoint(ckpt, bad, edit)
         assert main(["evaluate", "--model", str(bad), "--data", str(corpus)]) == 3
         assert "'labels'" in caplog.text
 
@@ -555,7 +595,7 @@ class TestEvaluate:
         vocab = Vocabulary(list(RESERVED) + WORDS)
         cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=8,
                         bank_size=2, dropout=0.0, variant="sblstm", seed=1)
-        sblstm = tmp_path / "sblstm.json"
+        sblstm = tmp_path / "sblstm.npz"
         save_model(sblstm, SanParams.build(cfg, len(vocab), np.random.default_rng(0)),
                    cfg, vocab)
         loads, indexed = [], []
@@ -579,6 +619,69 @@ class TestEvaluate:
         assert indexed == [len(pool_records())]
 
 
+# JSON values of each type, for retyping a meta key to a type it is not.
+JSON_VALUES = {type(None): st.none(), bool: st.booleans(), int: st.integers(-3, 200),
+               float: st.floats(), str: st.text(max_size=4),
+               list: st.lists(st.integers(0, 3), max_size=3),
+               dict: st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)}
+
+
+class TestDamagedCheckpoint:
+    """``evaluate`` on a damaged checkpoint exits 0, 2, 3 or 4, never with
+    a traceback, and exits 0 only if the model it reads is the original."""
+
+    @pytest.fixture(scope="class")
+    def original(self, overfit_ckpt, tmp_path_factory):
+        """A one-question corpus, and the overfit checkpoint's bytes, meta,
+        arrays and loaded model, read once for every example."""
+        corpus = tmp_path_factory.mktemp("damaged") / "one.jsonl"
+        save_corpus(corpus, labeled_records()[:1])
+        _, ckpt = overfit_ckpt
+        return corpus, ckpt.read_bytes(), *read_checkpoint(ckpt), load_model(ckpt)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_evaluate_exit_code_total(self, original, data):
+        corpus, blob, meta, arrays, (orig, orig_cfg, orig_vocab) = original
+        meta, arrays = copy.deepcopy(meta), dict(arrays)
+        bad = corpus.with_name("damaged.npz")
+        kind = data.draw(st.sampled_from(["truncate", "flip", "drop_key", "retype_key",
+                                          "retype_tensor", "non_finite_tensor"]))
+        if kind == "truncate":
+            bad.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        elif kind == "flip":
+            damaged = bytearray(blob)
+            damaged[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+            bad.write_bytes(damaged)
+        else:
+            if kind in ("drop_key", "retype_key"):
+                keys = [(meta, k) for k in meta] + [(meta["config"], k) for k in meta["config"]]
+                owner, key = data.draw(st.sampled_from(keys))
+                if kind == "drop_key":
+                    del owner[key]
+                else:
+                    kinds = [t for t in JSON_VALUES if t is not type(owner[key])]
+                    owner[key] = data.draw(JSON_VALUES[data.draw(st.sampled_from(kinds))])
+            else:
+                name = data.draw(st.sampled_from(sorted(arrays)))
+                if kind == "retype_tensor":
+                    dtype = data.draw(st.sampled_from(["<f4", ">f8", "<i8", "<f2", "<c16", "|b1"]))
+                    arrays[name] = arrays[name].astype(dtype)
+                else:
+                    arrays[name] = arrays[name].copy()
+                    arrays[name].flat[data.draw(st.integers(0, arrays[name].size - 1))] = \
+                        data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            write_checkpoint(bad, meta, arrays)
+        code = main(["evaluate", "--model", str(bad), "--data", str(corpus)])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            params, cfg, vocab = load_model(bad)
+            assert cfg == orig_cfg and vocab.id_to_token == orig_vocab.id_to_token
+            assert params.group.names() == orig.group.names()
+            for name, t in orig.group.items():
+                assert np.array_equal(params.group[name].data, t.data)
+
+
 class TestExtract:
     def test_fig_question_span(self, overfit_ckpt, capsys):
         _, ckpt = overfit_ckpt
@@ -594,7 +697,7 @@ class TestExtract:
         params = SanParams.build(cfg, len(vocab), np.random.default_rng(0))
         params.group.assign("proj.w", ..., 0.0)
         params.group.assign("proj.b", ..., [-5.0, 5.0])  # always O
-        ckpt = tmp_path / "allo.json"
+        ckpt = tmp_path / "allo.npz"
         save_model(ckpt, params, cfg, vocab)
         code = main(["extract", "--model", str(ckpt), "--question", "Works with iphone ?"])
         assert code == 0
@@ -646,7 +749,7 @@ class TestExtract:
         assert "'lptop'" in caplog.text and "['laptop']" in caplog.text
 
     def test_missing_model_exit_2(self, tmp_path):
-        code = main(["extract", "--model", str(tmp_path / "none.json"),
+        code = main(["extract", "--model", str(tmp_path / "none.npz"),
                      "--question", "works ?"])
         assert code == 2
 

@@ -1,6 +1,5 @@
 import collections
 import dataclasses
-import json
 import math
 import threading
 import weakref
@@ -16,6 +15,7 @@ from fnr.model import (CheckpointError, SanConfig, SanParams, batch_loss,
                        save_model, softmax)
 from fnr.optim import ParamGroup, adam_step, grad_check
 from fnr.vocab import EOS_TOKEN, PAD_ID, RESERVED, Vocabulary
+from checkpoint_files import read_checkpoint, rewrite_checkpoint
 
 
 def build(cfg, vocab, seed=0):
@@ -419,7 +419,7 @@ class TestCheckpoint:
     def test_round_trip_bit_identical_forward(self, tmp_path, tiny_cfg, tiny_vocab, fig_example):
         params = build(tiny_cfg, tiny_vocab, seed=8)
         before = probs_of(fig_example, params, tiny_cfg)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.npz"
         save_model(path, params, tiny_cfg, tiny_vocab)
         loaded, cfg2, vocab2 = load_model(path)
         after = probs_of(fig_example, loaded, cfg2)
@@ -428,30 +428,32 @@ class TestCheckpoint:
 
     def test_save_deterministic_bytes(self, tmp_path, tiny_cfg, tiny_vocab):
         params = build(tiny_cfg, tiny_vocab, seed=9)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         save_model(p1, params, tiny_cfg, tiny_vocab)
         save_model(p2, params, tiny_cfg, tiny_vocab)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("shape", [[3, 8], [8, 2], [-1, 8]],
-                             ids=["size", "transposed", "inferred"])
-    def test_tampered_shape_names_tensor(self, tmp_path, tiny_cfg, tiny_vocab, shape):
+    def test_writes_exactly_the_given_path(self, tmp_path, tiny_cfg, tiny_vocab):
         params = build(tiny_cfg, tiny_vocab)
         path = tmp_path / "model.json"
         save_model(path, params, tiny_cfg, tiny_vocab)
-        payload = json.loads(path.read_text())
-        payload["tensors"]["proj.w"]["shape"] = shape
-        path.write_text(json.dumps(payload))
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        assert load_model(path)[2].id_to_token == tiny_vocab.id_to_token
+
+    @pytest.mark.parametrize("shape", [(3, 8), (8, 2)], ids=["size", "transposed"])
+    def test_tampered_shape_names_tensor(self, tmp_path, tiny_cfg, tiny_vocab, shape):
+        def edit(meta, arrays):
+            arrays["proj.w"] = np.resize(arrays["proj.w"], shape)
+            return meta
+        path = self.edited(tmp_path, tiny_cfg, tiny_vocab, edit)
         with pytest.raises(CheckpointError, match="proj.w"):
             load_model(path)
 
     def test_version_mismatch_rejected(self, tmp_path, tiny_cfg, tiny_vocab):
-        params = build(tiny_cfg, tiny_vocab)
-        path = tmp_path / "model.json"
-        save_model(path, params, tiny_cfg, tiny_vocab)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = 1
-        path.write_text(json.dumps(payload))
+        def edit(meta, arrays):
+            meta["format_version"] = 1
+            return meta
+        path = self.edited(tmp_path, tiny_cfg, tiny_vocab, edit)
         with pytest.raises(CheckpointError, match="format_version"):
             load_model(path)
 
@@ -459,33 +461,27 @@ class TestCheckpoint:
                              ids=["unknown_key", "rejected_value"])
     def test_config_rejected_by_san_config_is_checkpoint_error(self, tmp_path, tiny_cfg,
                                                               tiny_vocab, key, value):
-        params = build(tiny_cfg, tiny_vocab)
-        path = tmp_path / "model.json"
-        save_model(path, params, tiny_cfg, tiny_vocab)
-        payload = json.loads(path.read_text())
-        payload["config"][key] = value
-        path.write_text(json.dumps(payload))
+        def edit(meta, arrays):
+            meta["config"][key] = value
+            return meta
+        path = self.edited(tmp_path, tiny_cfg, tiny_vocab, edit)
         with pytest.raises(CheckpointError, match=key):
             load_model(path)
 
     def test_unnormalised_vocabulary_token_is_checkpoint_error(self, tmp_path, tiny_cfg,
                                                                tiny_vocab):
-        params = build(tiny_cfg, tiny_vocab)
-        path = tmp_path / "model.json"
-        save_model(path, params, tiny_cfg, tiny_vocab)
-        payload = json.loads(path.read_text())
-        payload["config"]["vocab"][tiny_vocab.lookup("iphone")] = "iPhone"
-        path.write_text(json.dumps(payload))
+        def edit(meta, arrays):
+            meta["config"]["vocab"][tiny_vocab.lookup("iphone")] = "iPhone"
+            return meta
+        path = self.edited(tmp_path, tiny_cfg, tiny_vocab, edit)
         with pytest.raises(CheckpointError, match="iPhone"):
             load_model(path)
 
     def test_missing_tensor_named(self, tmp_path, tiny_cfg, tiny_vocab):
-        params = build(tiny_cfg, tiny_vocab)
-        path = tmp_path / "model.json"
-        save_model(path, params, tiny_cfg, tiny_vocab)
-        payload = json.loads(path.read_text())
-        del payload["tensors"]["embedding"]
-        path.write_text(json.dumps(payload))
+        def edit(meta, arrays):
+            del arrays["embedding"]
+            return meta
+        path = self.edited(tmp_path, tiny_cfg, tiny_vocab, edit)
         with pytest.raises(CheckpointError, match="embedding"):
             load_model(path)
 
@@ -493,10 +489,18 @@ class TestCheckpoint:
         cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
                         bank_size=2, dropout=0.0, variant="san-noblstm2", seed=11)
         params = build(cfg, tiny_vocab)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.npz"
         save_model(path, params, cfg, tiny_vocab)
-        payload = json.loads(path.read_text())
-        assert not any(name.startswith("blstm2.") for name in payload["tensors"])
+        _, tensors = read_checkpoint(path)
+        assert not any(name.startswith("blstm2.") for name in tensors)
+
+    @staticmethod
+    def edited(tmp_path, cfg, vocab, edit):
+        """A fresh checkpoint of ``cfg`` rewritten through ``edit``."""
+        path = tmp_path / "model.npz"
+        save_model(path, build(cfg, vocab), cfg, vocab)
+        rewrite_checkpoint(path, path, edit)
+        return path
 
 
 class TestEmbeddingGradients:

@@ -110,6 +110,17 @@ class TestParamGroup:
         group.add("w", data)
         assert resident_bytes() - before < 20e6
 
+    def test_add_takes_the_array_over(self):
+        # A caller still holding the array must not change the parameter
+        # behind the group's back, since ``writes`` would not count it.
+        a = np.zeros(3)
+        g = ParamGroup()
+        t = g.add("w", a)
+        with pytest.raises(ValueError):
+            a[0] = 5.0
+        g.assign("w", 1, 2.0)
+        assert np.array_equal(t.data, [0.0, 2.0, 0.0]) and g.writes == 1
+
     def test_load_values_checks_names_and_shapes(self):
         g = ParamGroup()
         p = g.add("p", [1.0, 2.0])
