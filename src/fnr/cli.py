@@ -172,6 +172,7 @@ def _question_sequences(records) -> list[list[str]]:
 
 
 def cmd_pretrain_embeddings(args) -> int:
+    _check_writable(args.out)
     records = load_corpus(args.corpus)
     if not records:
         raise ConfigError(f"{args.corpus}: corpus is empty")
@@ -188,6 +189,7 @@ def cmd_pretrain_embeddings(args) -> int:
 
 
 def cmd_build_bank(args) -> int:
+    _check_writable(args.out)
     # Hashed before reading: a corpus edited during the build then fails
     # the check at load time instead of passing with stale banks.
     digests = {"labeled": file_sha256(args.labeled), "pool": file_sha256(args.pool)}

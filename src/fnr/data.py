@@ -20,7 +20,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,9 +42,10 @@ class QaRecord:
     """One QA pair.  ``tags`` aligned to ``question_tokens`` marks a labeled
     record; ``answer_text`` is stored but never consumed by the model.
 
-    The class is slotted, and ``load_corpus`` stores the token and tag lists
-    the JSON decoder returned without copying them: a crawl of ~1M
-    questions is held as these records."""
+    The class is slotted, and a crawl of ~1M questions is held as these
+    records.  ``load_corpus`` fills ``question_tokens``, ``product_id`` and
+    ``category`` from its string table, so equal strings of one load are
+    one object; ``tags`` is the list the JSON decoder returned."""
     product_id: str
     category: str
     question_tokens: list[str]
@@ -67,17 +67,35 @@ class QaRecord:
         return out
 
 
-def _parse_record(obj: dict, line_no: int) -> QaRecord:
-    """Check one decoded line.  The checks run at C level where they can, and
-    a message is formatted only when one fails."""
+class _StringTable(dict):
+    """Each distinct string mapped to the first object seen with its value.
+    Looking up a string not yet held stores and returns it; looking up
+    anything but an exact ``str`` raises ``TypeError``, so one pass both
+    checks and shares a token list."""
+    __slots__ = ()
+
+    def __missing__(self, key):
+        if type(key) is not str:
+            raise TypeError(f"not a string: {key!r}")
+        self[key] = key
+        return key
+
+
+def _parse_record(obj: dict, line_no: int, table: _StringTable) -> QaRecord:
+    """Check one decoded line and share its strings through ``table``.  The
+    checks run at C level where they can, and a message is formatted only
+    when one fails."""
     if not isinstance(obj, dict):
         raise CorpusError(f"line {line_no}: record must be a JSON object")
     for key in ("product_id", "category"):
         if not isinstance(obj.get(key), str):
             raise CorpusError(f"line {line_no}: missing or non-string {key!r}")
     tokens = obj.get("question_tokens")
-    if (not isinstance(tokens, list) or not tokens
-            or not all(map(isinstance, tokens, repeat(str)))):
+    try:
+        tokens = list(map(table.__getitem__, tokens)) if isinstance(tokens, list) else None
+    except TypeError:   # a token that is not a string, unhashable ones included
+        tokens = None
+    if not tokens:
         raise CorpusError(
             f"line {line_no}: question_tokens must be a non-empty list of strings")
     answer = obj.get("answer_text")
@@ -92,11 +110,20 @@ def _parse_record(obj: dict, line_no: int) -> QaRecord:
         if not all(map(LABELS.__contains__, tags)):
             bad = next(t for t in tags if t not in LABELS)
             raise CorpusError(f"line {line_no}: unknown tag symbol {bad!r}")
-    return QaRecord(obj["product_id"], obj["category"], tokens, answer, tags, line_no)
+    return QaRecord(table[obj["product_id"]], table[obj["category"]], tokens, answer, tags,
+                    line_no)
 
 
 def load_corpus(path) -> list[QaRecord]:
     """Read and validate a JSON-Lines corpus; every error names its line.
+
+    Each call keeps one string table (``_StringTable``, local to the call,
+    so concurrent loads share nothing).  Every token, product id and
+    category of the returned records is the table's object for its value,
+    and the decoded copies are dropped line by line: in a generated
+    40k-question pool, 634k token objects become 2.5k.  Answers
+    (near-unique) and tags (one-character strings CPython already
+    shares) are kept as decoded.
 
     The cyclic garbage collector is paused while the file is read.  Each
     kept record adds two tracked containers (the record and its token
@@ -111,6 +138,7 @@ def load_corpus(path) -> list[QaRecord]:
     enabled on entry: overlapping loads in several threads can lose the
     speed-up but never leave it off."""
     records = []
+    table = _StringTable()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -122,7 +150,7 @@ def load_corpus(path) -> list[QaRecord]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as err:
                     raise CorpusError(f"line {line_no}: invalid JSON ({err.msg})") from err
-                records.append(_parse_record(obj, line_no))
+                records.append(_parse_record(obj, line_no, table))
     finally:
         if was_enabled:
             gc.enable()

@@ -408,10 +408,15 @@ def load_model(path) -> tuple[SanParams, SanConfig, Vocabulary]:
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError(f"tensor {name!r} holds non-finite values")
 
-    # The embedding starts as untouched zero pages that load_values fills;
-    # the other tensors are small, and their draws are overwritten too.
-    params = SanParams._assemble(cfg, ParamGroup(), np.zeros((len(vocab), cfg.embedding_dim)),
-                                 np.random.default_rng(0))
+    # The group adopts the loaded embedding uncopied, so load_values writes
+    # it onto itself.  One of another shape is left to load_values to
+    # report, over untouched zero pages; the other tensors are small, and
+    # their draws are overwritten.
+    shape = (len(vocab), cfg.embedding_dim)
+    embedding = tensors.get("embedding")
+    if embedding is None or embedding.shape != shape:
+        embedding = np.zeros(shape)
+    params = SanParams._assemble(cfg, ParamGroup(), embedding, np.random.default_rng(0))
     try:
         params.group.load_values(tensors)
     except ValueError as err:

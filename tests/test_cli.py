@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fnr import cli, training
 from fnr.cli import ConfigError, load_run_config, main
-from fnr.data import QaRecord, load_corpus, save_corpus
+from fnr.data import CorpusError, QaRecord, load_corpus, save_corpus
 from fnr.embeddings import SgnsConfig
 from fnr.model import SanConfig, SanParams, load_model, save_model
 from fnr.training import TrainConfig
@@ -74,6 +74,17 @@ def train_args(corpus, out, **extra):
     return args
 
 
+def assert_exit_2_before_reading(monkeypatch, caplog, argv, out):
+    """``main(argv)`` exits 2 naming ``out`` without reading any corpus."""
+    monkeypatch.setattr(cli, "load_corpus", lambda path: pytest.fail(f"read {path}"))
+    assert main(argv) == 2
+    assert str(out) in caplog.text
+
+
+UNWRITABLE = pytest.mark.parametrize("out", ["no/such/dir/x.txt", "."],
+                                     ids=["missing_dir", "a_dir"])
+
+
 class TestPretrainEmbeddings:
     def test_default_dim_header(self, tmp_path, corpus_path, capsys):
         out = tmp_path / "emb.txt"
@@ -127,6 +138,14 @@ class TestPretrainEmbeddings:
         assert code == 3
         assert not out.exists()
 
+    @UNWRITABLE
+    def test_unwritable_out_exit_2_before_reading(self, tmp_path, corpus_path,
+                                                  monkeypatch, caplog, out):
+        out = tmp_path / out
+        assert_exit_2_before_reading(monkeypatch, caplog, [
+            "pretrain-embeddings", "--corpus", str(corpus_path), "--out", str(out),
+            "--epochs", "3"], out)
+
     def test_diverging_lr_exit_4_no_file(self, tmp_path, corpus_path):
         out = tmp_path / "emb.txt"
         code = main(["pretrain-embeddings", "--corpus", str(corpus_path), "--out", str(out),
@@ -173,6 +192,14 @@ class TestBuildBank:
                      "--pool", str(pool_path), "--out", str(out), "--top-k", "-1"])
         assert code == 3
         assert not out.exists()
+
+    @UNWRITABLE
+    def test_unwritable_out_exit_2_before_reading(self, tmp_path, corpus_path, pool_path,
+                                                  monkeypatch, caplog, out):
+        out = tmp_path / out
+        assert_exit_2_before_reading(monkeypatch, caplog, [
+            "build-bank", "--labeled", str(corpus_path), "--pool", str(pool_path),
+            "--out", str(out)], out)
 
     def test_deterministic(self, tmp_path, corpus_path, pool_path):
         blobs = []
@@ -680,6 +707,90 @@ class TestDamagedCheckpoint:
             assert params.group.names() == orig.group.names()
             for name, t in orig.group.items():
                 assert np.array_equal(params.group[name].data, t.data)
+
+
+GOOD_LINE = {"product_id": "p1", "category": "laptop",
+             "question_tokens": ["works", "with", "iphone", "?"],
+             "answer_text": "yes it does", "tags": ["F", "F", "F", "O"]}
+
+
+def well_formed(obj) -> bool:
+    """The corpus-line rules, restated apart from ``load_corpus``."""
+    if not isinstance(obj, dict):
+        return False
+    tokens, answer, tags = obj.get("question_tokens"), obj.get("answer_text"), obj.get("tags")
+    return (type(obj.get("product_id")) is str and type(obj.get("category")) is str
+            and type(tokens) is list and len(tokens) > 0
+            and all(type(t) is str for t in tokens)
+            and (answer is None or type(answer) is str)
+            and (tags is None or (type(tags) is list and len(tags) == len(tokens)
+                                  and all(t in ("F", "O") for t in tags))))
+
+
+@st.composite
+def damaged_line(draw) -> str:
+    """``GOOD_LINE`` with one mutation, as the text of one corpus line."""
+    obj = copy.deepcopy(GOOD_LINE)
+    kind = draw(st.sampled_from(["drop_key", "retype_key", "retype_token", "empty_tokens",
+                                 "tags_length", "unknown_tag", "truncate"]))
+    if kind == "drop_key":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif kind == "retype_key":
+        key = draw(st.sampled_from(sorted(obj)))
+        kinds = [t for t in JSON_VALUES if t is not type(obj[key])]
+        obj[key] = draw(JSON_VALUES[draw(st.sampled_from(kinds))])
+    elif kind == "retype_token":
+        kind_of = draw(st.sampled_from([int, bool, type(None), list, dict]))
+        obj["question_tokens"][draw(st.integers(0, 3))] = draw(JSON_VALUES[kind_of])
+    elif kind == "empty_tokens":
+        obj["question_tokens"] = []
+    elif kind == "tags_length":
+        obj["tags"] = (obj["tags"] * 2)[:draw(st.sampled_from([0, 1, 3, 5, 8]))]
+    elif kind == "unknown_tag":
+        obj["tags"][draw(st.integers(0, 3))] = draw(
+            st.text(max_size=2).filter(lambda t: t not in ("F", "O")))
+    text = json.dumps(obj)
+    if kind == "truncate":
+        text = text[:draw(st.integers(1, len(text) - 1))]
+    return text
+
+
+class TestDamagedCorpusLine:
+    """A corpus whose second line is ``GOOD_LINE`` with one mutation."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("damaged_corpus")
+
+    @staticmethod
+    def write(workdir, line):
+        path = workdir / "corpus.jsonl"
+        path.write_text(json.dumps(GOOD_LINE) + "\n" + line + "\n", encoding="utf-8")
+        try:
+            return path, json.loads(line)
+        except json.JSONDecodeError:
+            return path, None
+
+    @given(line=damaged_line())
+    @settings(max_examples=150, deadline=None)
+    def test_load_raises_naming_the_line_or_returns_the_record(self, workdir, line):
+        path, obj = self.write(workdir, line)
+        if not well_formed(obj):
+            with pytest.raises(CorpusError, match=r"^line 2: "):
+                load_corpus(path)
+            return
+        records = load_corpus(path)
+        assert records[1] == QaRecord(obj["product_id"], obj["category"],
+                                      obj["question_tokens"], obj.get("answer_text"),
+                                      obj.get("tags"), line_no=2)
+
+    @given(line=damaged_line())
+    @settings(max_examples=100, deadline=None)
+    def test_build_bank_exits_0_or_3(self, workdir, line):
+        path, obj = self.write(workdir, line)
+        code = main(["build-bank", "--labeled", str(path), "--pool", str(path),
+                     "--out", str(workdir / "banks.jsonl")])
+        assert code == (0 if well_formed(obj) else 3)
 
 
 class TestExtract:

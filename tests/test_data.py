@@ -1,5 +1,7 @@
 import gc
 import json
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +132,73 @@ class TestLoadCorpus:
         out = tmp_path / "copy.jsonl"
         save_corpus(out, records)
         assert load_corpus(out)[0].question_tokens == records[0].question_tokens
+
+
+def spelling_corpus(tmp_path, questions=2_000, spellings=200, seed=0):
+    """A generated corpus: ``questions`` unlabeled questions of 5-15 tokens
+    over ``spellings`` multi-character spellings, 20 products, 2 categories."""
+    rng = np.random.default_rng(seed)
+    lines = [json.dumps({"product_id": f"prod{i % 20}", "category": f"cat{i % 2}",
+                         "question_tokens": [f"tok{j:03d}" for j in
+                                             rng.integers(0, spellings, rng.integers(5, 16))]})
+             for i in range(questions)]
+    return write_lines(tmp_path, lines)
+
+
+class TestStringTable:
+    """``load_corpus`` holds each distinct string of one load once."""
+
+    def test_equal_strings_of_one_load_are_one_object(self, tmp_path):
+        lines = [FIG_LINE,
+                 '{"product_id":"p1","category":"laptop","question_tokens":["iphone","laptop"]}',
+                 '{"product_id":"p2","category":"laptop","question_tokens":["with","iphone"],'
+                 '"tags":["O","F"]}']
+        a, b, c = load_corpus(write_lines(tmp_path, lines))
+        assert b.question_tokens[0] is a.question_tokens[2] is c.question_tokens[1]
+        assert c.question_tokens[0] is a.question_tokens[1]
+        assert a.category is b.category is c.category is b.question_tokens[1]
+        assert a.product_id is b.product_id
+
+    def test_loads_share_no_table(self, tmp_path):
+        path = spelling_corpus(tmp_path, questions=50)
+        first = load_corpus(path)
+        second = load_corpus(path)
+        assert first == second
+        held = {id(s) for rec in first for s in [rec.product_id, rec.category,
+                                                   *rec.question_tokens]}
+        assert not any(id(s) in held for rec in second
+                       for s in [rec.product_id, rec.category, *rec.question_tokens])
+
+    def test_concurrent_loads_equal(self, tmp_path):
+        path = spelling_corpus(tmp_path)
+        want = load_corpus(path)
+        start = threading.Barrier(2)
+        got = [None, None]
+
+        def load(i):
+            start.wait()
+            got[i] = load_corpus(path)
+
+        threads = [threading.Thread(target=load, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got[0] == want and got[1] == want
+
+    def test_held_bytes_per_token(self, tmp_path):
+        # 2,000 questions over 200 spellings: a token costs its list slot
+        # plus a share of its record, about 28 bytes.  Were every token its
+        # own string object, it would cost about 93.
+        path = spelling_corpus(tmp_path)
+        tracemalloc.start()
+        try:
+            records = load_corpus(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tokens = sum(len(rec.question_tokens) for rec in records)
+        assert held / tokens < 40
 
 
 class TestPreprocess:

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -484,6 +485,37 @@ class TestCheckpoint:
         path = self.edited(tmp_path, tiny_cfg, tiny_vocab, edit)
         with pytest.raises(CheckpointError, match="embedding"):
             load_model(path)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 9)], ids=["rows", "transposed"])
+    def test_tampered_embedding_shape_names_tensor(self, tmp_path, tiny_cfg, tiny_vocab,
+                                                   shape):
+        def edit(meta, arrays):
+            arrays["embedding"] = np.resize(arrays["embedding"], shape)
+            return meta
+        path = self.edited(tmp_path, tiny_cfg, tiny_vocab, edit)
+        with pytest.raises(CheckpointError, match=r"'embedding' has shape \[%d, %d\]" % shape):
+            load_model(path)
+
+    def test_load_adopts_the_embedding(self, tmp_path):
+        # 20k rows at d=100: the group keeps the array np.load read, so the
+        # load peaks near one embedding's bytes, not two.
+        cfg = SanConfig(embedding_dim=100, hidden_size=4, attention_dim=4, max_len=6,
+                        bank_size=2, seed=1)
+        vocab = Vocabulary(list(RESERVED) + [f"w{i}" for i in range(20_000)])
+        params = build(cfg, vocab)
+        path = tmp_path / "model.npz"
+        save_model(path, params, cfg, vocab)
+        tracemalloc.start()
+        try:
+            loaded, _, _ = load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The Adam moments are zero pages no write has committed, but
+        # tracemalloc counts them at full size; they are left out.
+        moments = 2 * sum(t.data.nbytes for _, t in loaded.group.items())
+        assert peak - moments < 1.5 * params.embedding.data.nbytes
+        assert np.array_equal(loaded.embedding.data, params.embedding.data)
 
     def test_noblstm2_checkpoint_has_no_layer2_tensors(self, tmp_path, tiny_vocab):
         cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
