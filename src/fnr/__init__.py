@@ -3,7 +3,7 @@ labels product-question tokens as function-expression (F) or other (O),
 letting each token attend over a bank of similar unlabeled questions."""
 
 from .attention import AttentionParams, AttentionTrace, bank_attend_batch, transform_bank
-from .autodiff import Gradients, NonFiniteError, Tape, Tensor
+from .autodiff import Gradients, NonFiniteError, Tape, Tensor, unpack_rows
 from .data import (CorpusError, CorpusSplit, Example, QaRecord, collate, corpus_stats,
                    load_corpus, make_example, preprocess, split)
 from .embeddings import (EmbeddingMatrix, SgnsConfig, load_embeddings, save_embeddings,

@@ -6,17 +6,18 @@ softmax, weighted sum of the transformed bank words).  Level 2: the same
 token then attends over the per-question summaries, producing its side
 vector, which is concatenated onto the token's BLSTM representation.
 
-The bank words come in already transformed: ``transform_bank`` is one
-tape node that runs tanh(W_k h + b_k) at the valid bank words only and
-leaves padded positions zero; training calls it on the bank BLSTM output
-and the eval bank memo on the rows it lacks.  ``bank_attend_batch``
-then computes the query transform, both levels and the concat for a whole
-batch as one tape node with a hand-written backward.  It works only at
-valid query positions, packed along each example's query axis: level 1
-runs per example on its valid query rows against its bank cut to its
-longest valid bank question, and the summary transform and level 2 run
-once on the packed rows of the whole batch.  Padded query rows get an
-exactly zero side vector, as BLSTM outputs are zero at padding.
+Both levels read packed rows: one per valid query token and one per
+valid bank word, each in the row-major order that ``a[mask > 0]`` gives
+for its mask.  ``transform_bank`` is one tape node that runs
+tanh(W_k h + b_k) on bank word rows; training calls it on the bank
+BLSTM's rows and the eval bank memo on the rows it lacks.  ``bank_attend_batch`` then computes
+the query transform, both levels and the concat for a whole batch as one
+tape node with a hand-written backward, returning each query row with its
+side vector.  Level 1 runs per example on its query rows against the
+(U, t, A) block of its bank words, t being its longest valid bank
+question, built from the packed words (zero at PAD); the summary
+transform and level 2 run once on the query rows of the whole batch.
+Traces alone come out padded, zero at padded query positions.
 
 Scores are plain unscaled dot products.  PAD positions inside bank
 questions are excluded from the level-1 softmax; banks that are entirely
@@ -86,37 +87,35 @@ class AttentionTrace:
         }
 
 
-def transform_bank(bank_h: Tensor, token_mask: np.ndarray, p: AttentionParams) -> Tensor:
-    """tanh(W_k h + b_k) at the valid bank words, as one tape node.
+def transform_bank(bank_h: Tensor, p: AttentionParams) -> Tensor:
+    """tanh(W_k h + b_k) on bank word rows, as one tape node.
 
-    bank_h: (..., T_u, 2H) bank word representations; token_mask: 0/1 of
-    shape (..., T_u).  Returns (..., T_u, A), exactly zero where the mask
-    is 0: the projection and the tanh run on the valid words only.  The
-    node's inputs are bank_h, w_k and b_k.  Its backward keeps only the
-    mask of valid words: it regathers their inputs from bank_h and their
-    tanh from the output.
+    bank_h: (n, 2H), one row per valid bank word; returns (n, A).  The
+    node's inputs are bank_h, w_k and b_k.  Its backward reads the tanh
+    from the output.
     """
     bank_h = astensor(bank_h)
-    if np.shape(token_mask) != bank_h.shape[:-1]:
-        raise ValueError(f"token_mask shape {np.shape(token_mask)} != {bank_h.shape[:-1]}")
-    valid = np.asarray(token_mask) > 0
+    if bank_h.ndim != 2:
+        raise ValueError(f"bank_h shape {bank_h.shape}: expected one row per bank word")
     inputs = (bank_h, p.w_k, p.b_k)
     h, w_k, b_k = (t.data for t in inputs)
-    h_v = h[valid]                                                        # (N, 2H)
     with np.errstate(over="ignore", invalid="ignore"):
-        pre = h_v @ w_k.T + b_k
+        pre = h @ w_k.T + b_k
     check_finite(pre, "bank transform pre-activation")
-    words = np.tanh(pre)                                                  # (N, A)
-    out_data = np.zeros(valid.shape + (p.dim,), dtype=words.dtype)
-    out_data[valid] = words
+    words = np.tanh(pre)
 
     def backward(g):
-        words = out_data[valid]
-        g_pre = g[valid] * (1.0 - words * words)
-        g_h = np.zeros_like(h)
-        g_h[valid] = g_pre @ w_k
-        return g_h, g_pre.T @ h[valid], g_pre.sum(axis=0)
-    return record(Tensor(out_data), inputs, backward)
+        g_pre = g * (1.0 - words * words)
+        return g_pre @ w_k, g_pre.T @ h, g_pre.sum(axis=0)
+    return record(Tensor(words), inputs, backward)
+
+
+def _bank_block(rows: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """One example's (U, t, ·) block of bank word rows: ``rows`` at the
+    valid positions of ``valid`` (U, t), row-major, zero elsewhere."""
+    block = np.zeros(valid.shape + rows.shape[1:], dtype=rows.dtype)
+    block[valid] = rows
+    return block
 
 
 def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
@@ -124,50 +123,60 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
                       want_trace: bool = False) -> tuple[Tensor, list[AttentionTrace] | None]:
     """Both attention levels and the final concat, as one tape node.
 
-    hq1: (B, T_q, 2H); query_mask: (B, T_q) 0/1; words: (B, U, T_u, A),
-    bank words already through ``transform_bank``; token_mask: (B, U, T_u)
-    0/1.  Both masks must be prefixes of ones; a bank slot takes part in
-    level 2 exactly when it holds a valid word.
-    Returns (B, T_q, 2H + A) and, when asked, one AttentionTrace per batch
-    element.  The node's inputs are hq1, words, w_r, b_r, w_k2 and b_k2.
+    query_mask: (B, T_q) 0/1; hq1: (N, 2H), one row per valid query
+    token; token_mask: (B, U, T_u) 0/1; words: (M, A), one row per valid
+    bank word, already through ``transform_bank``.  Rows follow the
+    row-major order of their mask's valid positions (``a[mask > 0]``).
+    Both masks must be prefixes of ones; a bank slot takes part in level 2
+    exactly when it holds a valid word.  Returns (N, 2H + A), each query
+    row with its side vector, and, when asked, one AttentionTrace per
+    batch element.  The node's inputs are hq1, words, w_r, b_r, w_k2 and
+    b_k2.
 
-    Only the N valid query rows are computed, packed along the query axis
-    in batch order: the query transform, the summary transform and level 2
-    run on (N, A) / (U, N, A) arrays, and level 1 runs per example on its
-    (U, n, t) scores, t being its longest valid bank question.  Padded
-    query rows get an exactly zero side vector and zero trace rows, so
-    the contents of hq1 there reach only the passed-through 2H columns.
-    Masked bank slots get exactly zero weight, so PAD positions of bank
-    questions leave the output bit-for-bit unchanged.  The backward keeps
-    the query transform, the level-1 and level-2 softmax parts, the
-    attended and summary arrays; it regathers the valid query rows of
-    hq1 rather than keeping them.
+    The query transform, the summary transform and level 2 run on (N, A)
+    / (U, N, A) arrays; level 1 runs per example on its (U, n, t) scores,
+    t being its longest valid bank question, against the (U, t, A) block
+    of its bank words, zero at PAD.  Masked bank slots get exactly zero
+    weight, so PAD positions of bank questions leave the output
+    bit-for-bit unchanged.  The backward keeps the query transform, the
+    level-1 and level-2 softmax parts, the attended and summary arrays; it
+    rebuilds each example's bank block from ``words``.
     """
     hq1, words = astensor(hq1), astensor(words)
-    b_sz, t_q, width = hq1.shape
-    n_banks, t_u, attn_dim = words.shape[1], words.shape[2], p.dim
-    q_len = prefix_lengths(query_mask, hq1.shape[:2], "query_mask")
-    bank_len = prefix_lengths(token_mask, words.shape[:3], "token_mask")
-    token_mask = np.asarray(token_mask)
+    query_mask, token_mask = np.asarray(query_mask), np.asarray(token_mask)
+    b_sz, t_q = query_mask.shape
+    n_banks, t_u = token_mask.shape[1:]
+    attn_dim = p.dim
+    q_len = prefix_lengths(query_mask, query_mask.shape, "query_mask")
+    if hq1.ndim != 2 or hq1.shape[0] != q_len.sum():
+        raise ValueError(f"query_mask shape {query_mask.shape} holds {q_len.sum()} valid "
+                         f"positions; hq1 {hq1.shape} needs one row for each")
+    bank_len = prefix_lengths(token_mask, (b_sz, n_banks, t_u), "token_mask")
+    if words.shape != (bank_len.sum(), attn_dim):
+        raise ValueError(f"token_mask shape {token_mask.shape} holds {bank_len.sum()} valid "
+                         f"positions; words {words.shape} needs one (A,) row for each")
     inputs = (hq1, words, p.w_r, p.b_r, p.w_k2, p.b_k2)
     h, k, w_r, b_r, w_k2, b_k2 = (t.data for t in inputs)
-    at_query = np.arange(t_q) < q_len[:, None]                           # (B, T_q)
+    width = h.shape[1]
     ends = np.cumsum(q_len)
+    word_ends = np.cumsum(bank_len.sum(axis=1))
     t_bank = bank_len.max(axis=1, initial=0)  # each example's longest valid bank question
-    # (example, its packed rows, t_bank); examples without query rows or
-    # bank words keep zero level-1 weights.
-    spans = [(i, slice(ends[i] - q_len[i], ends[i]), int(t_bank[i]))
+    # (its query rows, its bank word rows, the valid positions of its bank
+    # block) per example; examples without query rows or bank words keep
+    # zero level-1 weights.
+    spans = [(i, slice(ends[i] - q_len[i], ends[i]),
+              slice(word_ends[i] - bank_len[i].sum(), word_ends[i]),
+              token_mask[i, :, :t_bank[i]] > 0)
              for i in range(b_sz) if q_len[i] and t_bank[i]]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        h_p = h[at_query]                                                 # (N, 2H)
-        query = np.tanh(h_p @ w_r.T + b_r)                                # (N, A)
+        query = np.tanh(h @ w_r.T + b_r)                                  # (N, A)
         attended = np.zeros((n_banks, len(query), attn_dim), dtype=query.dtype)
         level1 = []
-        for i, rows, t_b in spans:
-            k_i = k[i, :, :t_b]                                           # (U, t, A)
+        for i, rows, bank_rows, valid in spans:
+            k_i = _bank_block(k[bank_rows], valid)                        # (U, t, A)
             parts = softmax_parts(query[rows] @ np.swapaxes(k_i, -1, -2), axis=-1,
-                                  valid=token_mask[i, :, None, :t_b] > 0)
+                                  valid=valid[:, None, :])
             attended[:, rows] = parts[0] @ k_i                            # (U, n, A)
             level1.append(parts)
         summary = np.tanh((attended.reshape(-1, attn_dim) @ w_k2.T + b_k2)
@@ -176,11 +185,9 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
         weights2, e2, z2 = softmax_parts((summary * query).sum(axis=-1), axis=0,
                                          valid=row_valid)                 # (U, N)
         side = (weights2[..., None] * summary).sum(axis=0)                # (N, A)
-    side_full = np.zeros((b_sz, t_q, attn_dim), dtype=side.dtype)
-    side_full[at_query] = side
 
     def backward(g):
-        g_side = g[..., width:][at_query]
+        g_side = g[:, width:]
         g_w2 = (g_side * summary).sum(axis=-1)
         g_s2 = softmax_grad(g_w2, e2, z2, axis=0)[..., None]
         g_query = (g_s2 * summary).sum(axis=0)
@@ -188,27 +195,29 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
         g2 = g_pre2.reshape(-1, attn_dim)
         g_att = (g2 @ w_k2).reshape(g_pre2.shape)
         g_words = np.zeros_like(k)
-        for (i, rows, t_b), (weights1, e1, z1) in zip(spans, level1):
-            k_i, g_att_i = k[i, :, :t_b], g_att[:, rows]
+        for (i, rows, bank_rows, valid), (weights1, e1, z1) in zip(spans, level1):
+            k_i, g_att_i = _bank_block(k[bank_rows], valid), g_att[:, rows]
             g_s1 = softmax_grad(g_att_i @ np.swapaxes(k_i, -1, -2), e1, z1, axis=-1)
             g_query[rows] += (g_s1 @ k_i).sum(axis=0)
-            g_words[i, :, :t_b] = (np.swapaxes(weights1, -1, -2) @ g_att_i
-                                   + np.swapaxes(query[rows].T @ g_s1, -1, -2))
+            g_words[bank_rows] = (np.swapaxes(weights1, -1, -2) @ g_att_i
+                                  + np.swapaxes(query[rows].T @ g_s1, -1, -2))[valid]
         g_pre1 = g_query * (1.0 - query * query)
-        g_hq1 = g[..., :width].copy()
-        g_hq1[at_query] += g_pre1 @ w_r
-        return (g_hq1, g_words, g_pre1.T @ h[at_query], g_pre1.sum(axis=0),
+        g_hq1 = g[:, :width] + g_pre1 @ w_r
+        return (g_hq1, g_words, g_pre1.T @ h, g_pre1.sum(axis=0),
                 g2.T @ attended.reshape(-1, attn_dim), g2.sum(axis=0))
-    out = record(Tensor(np.concatenate([h, side_full], axis=-1)), inputs, backward)
+    out = record(Tensor(np.concatenate([h, side], axis=-1)), inputs, backward)
 
     if not want_trace:
         return out, None
+    at_query = np.arange(t_q) < q_len[:, None]                           # (B, T_q)
     level1_weights = np.zeros((b_sz, t_q, n_banks, t_u), dtype=side.dtype)
-    for (i, rows, t_b), (weights1, _, _) in zip(spans, level1):
-        level1_weights[i, :q_len[i], :, :t_b] = np.swapaxes(weights1, 0, 1)
+    for (i, _, _, valid), (weights1, _, _) in zip(spans, level1):
+        level1_weights[i, :q_len[i], :, :valid.shape[1]] = np.swapaxes(weights1, 0, 1)
     level1_attended = np.zeros((b_sz, t_q, n_banks, attn_dim), dtype=side.dtype)
     level1_attended[at_query] = np.swapaxes(attended, 0, 1)
     level2_weights = np.zeros((b_sz, t_q, n_banks), dtype=side.dtype)
     level2_weights[at_query] = weights2.T
+    side_full = np.zeros((b_sz, t_q, attn_dim), dtype=side.dtype)
+    side_full[at_query] = side
     return out, [AttentionTrace(level1_weights[i], level1_attended[i], level2_weights[i],
                                 side_full[i]) for i in range(b_sz)]

@@ -1,7 +1,8 @@
 """Dense tensors with taped reverse-mode differentiation on numpy arrays.
 
-The op set is what the model records.  ``gather_rows``, ``linear`` and a
-fused ``softmax`` live here; the larger layers are fused ops of the same
+The op set is what the model records.  ``gather_rows``, ``unpack_rows``
+(packed rows to a zero-padded array), ``linear`` and a fused ``softmax``
+live here; the larger layers are fused ops of the same
 kind, each one tape node with a hand-written backward
 (``lstm.blstm_forward``, ``attention.transform_bank``,
 ``attention.bank_attend_batch``, ``model.batch_loss``), built on the
@@ -243,6 +244,20 @@ def gather_rows(table, ids) -> Tensor:
         scatter_add(gt, idx, g)
         return (gt,)
     return record(Tensor(table.data[idx]), (table,), backward)
+
+
+def unpack_rows(x, mask) -> Tensor:
+    """Scatter the (n, ·) rows ``x``, one per valid position of the 0/1
+    ``mask`` in the row-major order ``a[mask > 0]`` gives, into a
+    (*mask.shape, ·) array that is exactly zero at the other positions, as
+    one node; backward gathers the valid rows of its gradient."""
+    x = astensor(x)
+    valid = np.asarray(mask) > 0
+    if x.shape[:1] != (valid.sum(),):
+        raise ValueError(f"x shape {x.shape}: expected one row per valid position of mask")
+    out = np.zeros(valid.shape + x.shape[1:], dtype=x.data.dtype)
+    out[valid] = x.data
+    return record(Tensor(out), (x,), lambda g: (g[valid],))
 
 
 def softmax_parts(x: np.ndarray, axis: int = -1,

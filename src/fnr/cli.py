@@ -223,7 +223,7 @@ def _resolve_banks(labeled, labeled_path: str, pool_path: str | None,
     """Up to ``bank_size`` bank records per labeled-record line number, from
     the cache when present, via BM25 over the pool otherwise, empty as a
     last resort.  A cache is refused unless both corpora still hash as when
-    it was built."""
+    it was built and it holds an entry for every labeled record."""
     if cache_path and not pool_path:
         raise ConfigError("bank_cache needs pool: the cache names pool lines by number")
     banks: dict[int, list[QaRecord]] = {rec.line_no: [] for rec in labeled}
@@ -235,7 +235,10 @@ def _resolve_banks(labeled, labeled_path: str, pool_path: str | None,
         cache = load_bank_cache(cache_path,
                                 sources={"labeled": labeled_path, "pool": pool_path})
         for rec in labeled:
-            lines = cache.get(rec.line_no, [])
+            lines = cache.get(rec.line_no)
+            if lines is None:
+                raise ConfigError(f"bank cache {cache_path} has no entry for labeled line "
+                                  f"{rec.line_no}; rebuild it with fnr build-bank")
             try:
                 banks[rec.line_no] = [pool_by_line[i] for i in lines][:bank_size]
             except KeyError as err:

@@ -22,13 +22,15 @@ the recurrence for d_h and d_c.  It keeps no copy of the input rows:
 backward regathers them, in the same order, from the node's input for
 the input weights' gradient.
 
-Padding is suffix-only (masks are prefixes of ones), which the layer
-checks.  Rows are sorted by length once, so step t runs only on the
-prefix of rows still inside their sequence: padded positions are never
-computed and come out exactly zero.  The reverse direction therefore
-starts each row at its last valid token from a zero state, and extending
-a sequence with PAD positions is a bit-for-bit no-op at the valid
-positions.
+The layer reads and writes packed rows: one row per valid position of
+its (..., T) mask, in the row-major order ``a[mask > 0]`` gives, i.e.
+sequence by sequence, each in time order.  Padding is suffix-only (masks
+are prefixes of ones), which the layer checks.  Sequences are sorted by
+length once, so step t runs only on the prefix of sequences still inside
+their length, indexing their rows directly: padding is never computed or
+stored.  The reverse direction therefore starts each sequence at its last
+valid token from a zero state, and extending a sequence with PAD
+positions is a bit-for-bit no-op.
 """
 
 from __future__ import annotations
@@ -92,21 +94,23 @@ def init_blstm(group: ParamGroup, prefix: str, input_size: int, hidden: int,
 
 def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
           out: np.ndarray, taped: bool):
-    """One LSTM direction over plain (N, T, din) input from zero state.
+    """One LSTM direction from zero state over plain (n, din) rows: the
+    valid tokens of sequences of ``lengths``, row-major, each sequence's
+    tokens in time order.
 
-    Writes the hidden states into the valid positions of the zeroed
-    (N, T, H) ``out`` and, with ``taped``, returns a backpropagation-
-    through-time closure ``bptt(g_out, d_x)`` mapping the output gradient
-    to ``[d_w_x, d_w_h, d_b]``; it adds the input gradient into ``d_x``.
-    With ``reverse`` the scan runs from each row's last valid token back to
-    its first.
+    Writes the hidden states into the (n, H) ``out`` and, with ``taped``,
+    returns a backpropagation-through-time closure ``bptt(g_out, d_x)``
+    mapping the output gradient to ``[d_w_x, d_w_h, d_b]``; it adds the
+    input gradient into ``d_x``.  With ``reverse`` the scan runs from each
+    sequence's last valid token back to its first.
     """
-    steps = xs.shape[1]
+    steps = lengths.max(initial=0)
     hidden = p.hidden_size
     dtype = out.dtype
 
     # Packed layout: processing step s covers the rows still inside their
-    # sequence, longest first, as rows offs[s]:offs[s+1] of each buffer.
+    # sequence, longest first, as rows offs[s]:offs[s+1] of each buffer;
+    # every step covers at least the longest row.
     order = np.argsort(-lengths, kind="stable")
     times = np.arange(steps)[::-1] if reverse else np.arange(steps)
     active = lengths[order][None, :] > times[:, None]
@@ -116,8 +120,9 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
     # prefix of this step's rows.  The rest start from zero state.
     carried = np.minimum(counts, np.concatenate([[0], counts[:-1]]))
     step_idx, slot_idx = np.nonzero(active)
-    row_idx, t_idx = order[slot_idx], times[step_idx]
-    n = len(row_idx)
+    # Each packed step row's position among the input rows.
+    rows = (np.cumsum(lengths) - lengths)[order[slot_idx]] + times[step_idx]
+    n = len(rows)
 
     w_x, w_h, bias = p.w_x.data, p.w_h.data, p.b.data
     hs = np.empty((n + 1, hidden), dtype=dtype)
@@ -131,12 +136,10 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
         # The input projection of every packed row, hoisted out of the
         # recurrence; step s turns its rows into the gate pre-activations,
         # then the activations, and under a tape the backward coefficients.
-        gates = xs[row_idx, t_idx] @ w_x.T
+        gates = xs[rows] @ w_x.T
         c = None
         for s in range(steps):
             lo, hi, k = offs[s], offs[s + 1], carried[s]
-            if lo == hi:
-                continue
             prev = offs[s - 1] if s else 0
             pre = gates[lo:hi]
             if k:
@@ -166,7 +169,7 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
                 f[:k] = c_prev[:k] * f[:k] * (1.0 - f[:k])
             o[...] = tanh_c * o * (1.0 - o)
 
-    out[row_idx, t_idx] = hs[:n]
+    out[rows] = hs[:n]
     if not taped:
         return None
 
@@ -174,14 +177,12 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
     prev_idx = np.where(slot_idx < carried[step_idx], offs[step_idx - 1] + slot_idx, n)
 
     def bptt(g_out, d_x):
-        d_hs = g_out[row_idx, t_idx]
+        d_hs = g_out[rows]
         d_pre = np.empty((n, 4 * hidden), dtype=dtype)
         with np.errstate(over="ignore", invalid="ignore"):
             d_h_next = d_c_next = None
             for s in range(steps - 1, -1, -1):
                 lo, hi = offs[s], offs[s + 1]
-                if lo == hi:
-                    continue
                 k_next = carried[s + 1] if s + 1 < steps else 0
                 d_h = d_hs[lo:hi]
                 if k_next:
@@ -196,10 +197,10 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
                 k = carried[s]
                 d_h_next = d_pre[lo:lo + k] @ w_h
                 d_c_next = d_c[:k] * fs[lo:lo + k]
-            d_wx = d_pre.T @ xs[row_idx, t_idx]
+            d_wx = d_pre.T @ xs[rows]
             d_wh = d_pre.T @ hs[prev_idx]
             d_b = d_pre.sum(axis=0)
-            d_x[row_idx, t_idx] += d_pre @ w_x
+            d_x[rows] += d_pre @ w_x
         return [d_wx, d_wh, d_b]
 
     return bptt
@@ -223,44 +224,45 @@ def prefix_lengths(mask: np.ndarray, shape: tuple[int, ...], name: str = "mask")
 
 def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams, dropout_rate: float = 0.0,
                   rng: np.random.Generator | None = None) -> Tensor:
-    """Bidirectional scan over (..., T, din) input, as one tape node.
+    """Bidirectional scan over the valid tokens of ``mask``, as one tape node.
 
-    Output position t is forward_h_t concatenated with backward_h_t, shape
-    (..., T, 2H); leading axes are batch axes, flattened inside.  Padded
-    positions come out exactly zero, since neither scan computes them.
-    A nonzero ``dropout_rate`` applies inverted dropout to the output rows
-    only (never inside the recurrence): one ``rng.random`` draw over the
-    output shape after both scans.  The node's inputs are x and each
+    ``mask`` is (..., T) 0/1 with rows along its last axis; x is (n, din),
+    one row per valid position, in the row-major order ``a[mask > 0]``
+    gives.  Output row j is forward_h concatenated with backward_h at x's
+    row j, shape (n, 2H).  A nonzero ``dropout_rate`` applies inverted
+    dropout to the output rows only (never inside the recurrence): one
+    ``rng.random`` draw over the padded (..., T, 2H) shape after both
+    scans, read at the valid positions.  The node's inputs are x and each
     direction's ``w_x``, ``w_h`` and ``b``, forward direction first.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
-    *lead, steps, din = x.shape
-    n_rows = np.prod(lead, dtype=int)
-    lengths = prefix_lengths(mask, x.shape[:-1]).reshape(n_rows)
-    xs = x.data.reshape(n_rows, steps, din)
+    mask = np.asarray(mask)
+    lengths = prefix_lengths(mask, mask.shape).reshape(-1)
+    n = int(lengths.sum())
+    if x.ndim != 2 or x.shape[0] != n:
+        raise ValueError(f"x shape {x.shape} != ({n}, din): one row per valid token of mask")
     taped = _tape() is not None
     hidden = p.hidden_size
-    out_data = np.zeros((n_rows, steps, 2 * hidden), dtype=np.result_type(xs, p.fwd.w_x.data))
-    bptt_f = _scan(xs, lengths, p.fwd, False, out_data[..., :hidden], taped)
-    bptt_b = _scan(xs, lengths, p.bwd, True, out_data[..., hidden:], taped)
-    out_data = out_data.reshape(*lead, steps, 2 * hidden)
+    out_data = np.empty((n, 2 * hidden), dtype=np.result_type(x.data, p.fwd.w_x.data))
+    bptt_f = _scan(x.data, lengths, p.fwd, False, out_data[:, :hidden], taped)
+    bptt_b = _scan(x.data, lengths, p.bwd, True, out_data[:, hidden:], taped)
     keep, dtype = None, out_data.dtype
     if dropout_rate > 0.0:
         if rng is None:
             raise ValueError("dropout needs a seeded generator (rng)")
-        keep = rng.random(out_data.shape) >= dropout_rate
+        keep = (rng.random(mask.shape + (2 * hidden,)) >= dropout_rate)[mask > 0]
         out_data *= (keep / (1.0 - dropout_rate)).astype(dtype, copy=False)
 
     def backward(g):
         if keep is not None:
             # Rebuilt from the bool mask, an eighth of the float scale's size.
             g = g * (keep / (1.0 - dropout_rate)).astype(dtype, copy=False)
-        g_f, g_b = np.split(g.reshape(n_rows, steps, 2 * hidden), [hidden], axis=-1)
-        d_x = np.zeros_like(xs)
+        g_f, g_b = np.split(g, [hidden], axis=-1)
+        d_x = np.zeros_like(x.data)
         # Summation order (reverse, then forward) is fixed: checkpoints depend on it bit for bit.
         grads_b = bptt_b(g_b, d_x)
         grads_f = bptt_f(g_f, d_x)
-        return (d_x.reshape(x.shape), *grads_f, *grads_b)
+        return (d_x, *grads_f, *grads_b)
     inputs = (x, p.fwd.w_x, p.fwd.w_h, p.fwd.b, p.bwd.w_x, p.bwd.w_h, p.bwd.b)
     return record(Tensor(out_data), inputs, backward)

@@ -8,14 +8,17 @@ Variants:
   san-noblstm2  bank attention but no second BLSTM; the projection reads
                 the concatenated representation directly
 
-Loss and decoding exclude PAD positions, and bank attention runs only at
-valid question positions (``batch.mask``): padded positions get an exactly
-zero side vector, as the BLSTMs give them zero outputs.  Under a tape a
-training step records 10 nodes for ``san`` with dropout: two embedding
-lookups (the bank's on its (B, U, T) ids), one ``blstm_forward`` per BLSTM
-(dropout included), ``transform_bank`` (valid bank words only), one
-``bank_attend_batch``, the projection, one ``softmax`` and one
-``batch_loss`` node.  Checkpoints are a versioned ``.npz`` of
+Layers pass packed rows: every node from the embedding lookups through
+the last encoder outputs one row per valid question token (``batch.mask``)
+or bank token (``batch.bank_mask``), in the row-major order ``a[mask > 0]``
+gives, so padding is never computed or stored.  ``unpack_rows`` scatters
+the last encoder's rows (blstm2's; the attention's for ``san-noblstm2``)
+into (B, T, .) for the head: padded positions reach the projection as
+exact zeros, and loss and decoding exclude them.  Under a tape a training
+step records 11 nodes for ``san`` with dropout: two embedding lookups, one
+``blstm_forward`` per BLSTM (dropout included), ``transform_bank``, one
+``bank_attend_batch``, ``unpack_rows``, the projection, one ``softmax``
+and one ``batch_loss`` node.  Checkpoints are a versioned ``.npz`` of
 little-endian float64 tensors; round trips are bit-exact.
 
 Bank memo: in eval (no tape active) the same pool questions recur in bank
@@ -23,12 +26,15 @@ after bank, so each ``SanParams`` keeps a ``BankMemo`` of transformed bank
 words, tanh(W_k h + b_k) at a bank question's valid positions, keyed on
 its valid token-id prefix (its length is part of the key, so a PAD id
 inside a valid prefix never looks like padding).  A tape-free forward
-encodes only the rows the memo lacks.  Parameters change only through
-their ``ParamGroup``, which counts its writes; the memo drops every entry
-when the count differs from the one it was filled at, so a write costs a
-recompute, never a stale answer.  An entry takes len * A * 8 bytes at
-float64 and lives until the next write.  A forward under a tape never
-reads or fills the memo.
+encodes only the rows the memo lacks and gets the packed words of the
+batch, its entries concatenated.  Parameters change only through their
+``ParamGroup``, which counts the writes to each tensor; the memo drops
+every entry when the counts of the tensors the words read
+(``SanParams.bank_sources``) differ from those it was filled at, so a
+write to them costs a recompute, never a stale answer, and a write to any
+other tensor costs nothing.  An entry takes len * A * 8 bytes at float64
+and lives until the next such write.  A forward under a tape never reads
+or fills the memo.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 from .attention import (AttentionParams, AttentionTrace, bank_attend_batch,
                         init_attention, transform_bank)
 from .autodiff import (NonFiniteError, Tensor, _tape, astensor, gather_rows, linear, record,
-                       softmax)
+                       softmax, unpack_rows)
 from .data import Batch, LABELS, F_INDEX, O_INDEX
 from .embeddings import EmbeddingMatrix
 from .lstm import BlstmParams, blstm_forward, glorot, init_blstm
@@ -145,40 +151,40 @@ class BankMemo:
         self.served = 0
         self._lock = threading.Lock()
         self._words: dict[bytes, np.ndarray] = {}
-        self._writes = 0   # the group's write count _words was filled at
+        self._writes: tuple[int, ...] = ()   # the read tensors' write counts _words was filled at
 
     def bank_words(self, bank_ids: np.ndarray, bank_mask: np.ndarray,
                    params: "SanParams") -> np.ndarray:
-        """(B, U, T_u, A) transformed words, zero at padded positions."""
-        b_sz, n_banks, t_len = bank_ids.shape
-        attn_dim = params.attention.dim
+        """(M, A) transformed words, one row per valid position of
+        ``bank_mask``, in the row-major order ``a[bank_mask > 0]`` gives."""
+        t_len = bank_ids.shape[-1]
         ids = np.asarray(bank_ids, dtype=np.int64).reshape(-1, t_len)
         mask = np.asarray(bank_mask).reshape(-1, t_len)
         lengths = mask.sum(axis=1).astype(np.intp)
-        keys = [ids[r, :n].tobytes() if n else None for r, n in enumerate(lengths)]
-        out = np.zeros((len(ids), t_len, attn_dim), dtype=params.group.dtype)
+        keys = [(r, ids[r, :n].tobytes()) for r, n in enumerate(lengths) if n]
+        writes = tuple(params.group.writes[name] for name in params.bank_sources())
         with self._lock:
-            if self._writes != params.group.writes:
-                self._words, self._writes = {}, params.group.writes
+            if self._writes != writes:
+                self._words, self._writes = {}, writes
             fresh: dict[bytes, int] = {}   # key -> first row holding it
-            for r, key in enumerate(keys):
-                if key is not None and key not in self._words:
+            for r, key in keys:
+                if key not in self._words:
                     fresh.setdefault(key, r)
             if fresh:
                 rows = list(fresh.values())
                 self._encode(ids[rows], mask[rows], list(fresh), params)
-            for r, key in enumerate(keys):
-                if key is not None:
-                    out[r, :lengths[r]] = self._words[key]
+            words = [self._words[key] for _, key in keys]
             self.encoded += len(fresh)
-            self.served += sum(k is not None for k in keys) - len(fresh)
-        return out.reshape(b_sz, n_banks, t_len, attn_dim)
+            self.served += len(keys) - len(fresh)
+        if not words:
+            return np.zeros((0, params.attention.dim), dtype=params.group.dtype)
+        return np.concatenate(words)
 
     def _encode(self, ids: np.ndarray, mask: np.ndarray, keys: list[bytes],
                 params: "SanParams") -> None:
-        enc = blstm_forward(gather_rows(params.embedding, ids), mask, params.bank_blstm)
         valid = mask > 0
-        words = transform_bank(enc, mask, params.attention).data[valid]
+        enc = blstm_forward(gather_rows(params.embedding, ids[valid]), mask, params.bank_blstm)
+        words = transform_bank(enc, params.attention).data
         lengths = valid.sum(axis=1)
         self._words.update(zip(keys, np.split(words, np.cumsum(lengths)[:-1])))
 
@@ -204,6 +210,12 @@ class SanParams:
         self.proj_w = proj_w
         self.proj_b = proj_b
         self.bank_memo = BankMemo()
+
+    def bank_sources(self) -> list[str]:
+        """Names of the tensors the bank words are computed from."""
+        encoder = "blstm1" if self.bank_blstm is self.blstm1 else "bank"
+        return ["embedding", "attention.w_k", "attention.b_k",
+                *(f"{encoder}.{d}.{w}" for d in ("fwd", "bwd") for w in ("w_x", "w_h", "b"))]
 
     @classmethod
     def build(cls, cfg: SanConfig, vocab_size: int, rng: np.random.Generator,
@@ -261,29 +273,25 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
             "input was not preprocessed")
     dropout = cfg.dropout if training else 0.0
 
-    emb = gather_rows(params.embedding, batch.ids)
+    emb = gather_rows(params.embedding, batch.ids[batch.mask > 0])
     hq1 = blstm_forward(emb, batch.mask, params.blstm1, dropout_rate=dropout, rng=rng)
     traces = None
     if cfg.has_bank:
-        b_sz, n_banks, t_len = batch.bank_ids.shape
-        if n_banks == 0:
-            words = Tensor(np.zeros((b_sz, 0, t_len, cfg.attention_dim),
-                                    dtype=params.group.dtype))
+        if batch.bank_ids.shape[1] == 0:
+            words = Tensor(np.zeros((0, cfg.attention_dim), dtype=params.group.dtype))
         elif _tape() is None:
             words = Tensor(params.bank_memo.bank_words(batch.bank_ids, batch.bank_mask, params))
         else:
-            bank = blstm_forward(gather_rows(params.embedding, batch.bank_ids),
+            bank = blstm_forward(gather_rows(params.embedding, batch.bank_ids[batch.bank_mask > 0]),
                                  batch.bank_mask, params.bank_blstm)
-            words = transform_bank(bank, batch.bank_mask, params.attention)
+            words = transform_bank(bank, params.attention)
         hq2, traces = bank_attend_batch(hq1, batch.mask, words, batch.bank_mask,
                                         params.attention, want_trace=want_trace)
     else:
         hq2 = hq1
     if cfg.has_layer2:
-        feats = blstm_forward(hq2, batch.mask, params.blstm2, dropout_rate=dropout, rng=rng)
-    else:
-        feats = hq2
-    logits = linear(feats, params.proj_w, params.proj_b)
+        hq2 = blstm_forward(hq2, batch.mask, params.blstm2, dropout_rate=dropout, rng=rng)
+    logits = linear(unpack_rows(hq2, batch.mask), params.proj_w, params.proj_b)
     probs = softmax(logits, axis=-1)
     return probs, traces
 

@@ -23,17 +23,16 @@ class ParamGroup:
     The group is the only writer of its values.  ``add`` takes over the
     array it is given, uncopied: it keeps a writable view, marks the
     array itself read-only, so the caller can no longer write it, and
-    hands it out as a ``Tensor``.  ``adam_step``,
-    ``load_values`` and ``assign`` write the array, each adding one to
-    ``writes``, so a value computed from the parameters is current while
-    ``writes`` is unchanged.
+    hands it out as a ``Tensor``.  ``assign`` writes one tensor and adds
+    one to its count in ``writes``; ``adam_step`` and ``load_values``
+    write them all and add one to every count.  A value computed from
+    some parameters is current while their counts are unchanged.
 
     The step count is shared by the whole group.  First/second moments
-    match their parameter's shape; ``np.zeros`` leaves their pages
-    uncommitted until the first Adam step writes them, so a group that
-    never steps (evaluation, extraction) holds no memory for them.  The
-    group's ``dtype``, float32 or float64, is the dtype of every tensor
-    it stores, and so of everything computed from them.
+    match their parameter's shape and are allocated by the group's first
+    Adam step, so a group that never steps (evaluation, extraction) holds
+    none.  The group's ``dtype``, float32 or float64, is the dtype of
+    every tensor it stores, and so of everything computed from them.
     """
 
     def __init__(self, dtype=np.float64):
@@ -45,7 +44,7 @@ class ParamGroup:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self.step_count = 0
-        self.writes = 0
+        self.writes: dict[str, int] = {}
 
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
@@ -54,13 +53,12 @@ class ParamGroup:
         self._data[name] = arr.view()   # taken while arr is still writable
         arr.flags.writeable = False
         self._params[name] = t = Tensor(arr)
-        self._m[name] = np.zeros(t.shape, self.dtype)
-        self._v[name] = np.zeros(t.shape, self.dtype)
+        self.writes[name] = 0
         return t
 
     def assign(self, name: str, index, values) -> None:
         """Write ``values`` into parameter ``name`` at ``index``."""
-        self.writes += 1
+        self.writes[name] += 1
         self._data[name][index] = values
 
     def __getitem__(self, name: str) -> Tensor:
@@ -97,7 +95,7 @@ class ParamGroup:
             if shape != t.shape:
                 raise ValueError(f"tensor {name!r} has shape {list(shape)}, "
                                  f"expected {list(t.shape)}")
-        self.writes += 1
+        self.writes = {name: n + 1 for name, n in self.writes.items()}
         for name, arr in self._data.items():
             arr[...] = values[name]
 
@@ -110,10 +108,14 @@ def check_lr(lr: float) -> None:
 
 def adam_step(params: ParamGroup, grads: Gradients, lr: float) -> ParamGroup:
     """One in-place Adam update with bias correction, at ``BETA1``, ``BETA2``
-    and ``EPS``.  Parameters with zero gradient are a fixed point."""
+    and ``EPS``.  Parameters with zero gradient are a fixed point.  The
+    first step allocates the moments, at zero."""
     check_lr(lr)
+    if not params.step_count:
+        params._m = {name: np.zeros_like(w) for name, w in params._data.items()}
+        params._v = {name: np.zeros_like(w) for name, w in params._data.items()}
     params.step_count += 1
-    params.writes += 1
+    params.writes = {name: n + 1 for name, n in params.writes.items()}
     t = params.step_count
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t

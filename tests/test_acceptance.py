@@ -3,6 +3,7 @@ tolerances.  Criterion 8 only runs when an annotated corpus is supplied
 via the FNR_ANNOTATED_CORPUS environment variable (see README)."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import time
@@ -293,6 +294,10 @@ def test_c7_determinism(tmp_path):
         blobs.append((ckpt.read_bytes(), log.read_bytes()))
     assert blobs[0][0] == blobs[1][0], "checkpoints differ"
     assert blobs[0][1] == blobs[1][1], "epoch logs differ"
+    # Evidence for comparing commits' logs (pytest -s); BLAS kernels
+    # differ across machines, so nothing is asserted about the digests.
+    print(f"\nc7 sha256: checkpoint {hashlib.sha256(blobs[0][0]).hexdigest()} "
+          f"epoch log {hashlib.sha256(blobs[0][1]).hexdigest()}")
 
 
 ANNOTATED = os.environ.get("FNR_ANNOTATED_CORPUS")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fnr.attention import bank_attend_batch, init_attention, transform_bank
-from fnr.autodiff import Tape, Tensor
+from fnr.autodiff import Tape, Tensor, unpack_rows
 from fnr.optim import ParamGroup, grad_check
 
 
@@ -32,14 +32,27 @@ def pad_banks(banks, masks, encoder_width, width=None):
     return bank_h, token_mask
 
 
+def transform_padded(bank_h, token_mask, p):
+    """transform_bank on the valid rows of a padded (..., T_u, 2H) bank_h."""
+    return transform_bank(Tensor(bank_h[np.asarray(token_mask) > 0]), p)
+
+
+def attend_padded(hq1, query_mask, words, token_mask, p, want_trace=False):
+    """bank_attend_batch on the valid rows of a padded (B, T_q, 2H) hq1,
+    its output unpacked to (B, T_q, 2H + A), zero at padding."""
+    out, traces = bank_attend_batch(Tensor(hq1[query_mask > 0]), query_mask, words,
+                                    token_mask, p, want_trace=want_trace)
+    return unpack_rows(out, query_mask), traces
+
+
 def attend_one(hq1, banks, masks, p, width=None):
     """transform_bank, then bank_attend_batch, on one (T_q, 2H) question and
     its (T_u, 2H) bank questions: (T_q, 2H + A) and its trace."""
     bank_h, token_mask = pad_banks(banks, masks, hq1.shape[1], width)
-    hq2, traces = bank_attend_batch(Tensor(hq1[None]), np.ones((1, hq1.shape[0])),
-                                    transform_bank(Tensor(bank_h), token_mask, p),
+    hq2, traces = bank_attend_batch(Tensor(hq1), np.ones((1, hq1.shape[0])),
+                                    transform_padded(bank_h, token_mask, p),
                                     token_mask, p, want_trace=True)
-    return hq2.data[0], traces[0]
+    return hq2.data, traces[0]
 
 
 def observed_query(hq1, p):
@@ -48,8 +61,8 @@ def observed_query(hq1, p):
     words [0, e_1, ..., e_A] a token's weights are proportional to
     [1, exp(q_1), ..., exp(q_A)]."""
     attn = p.dim
-    words = np.vstack([np.zeros(attn), np.eye(attn)])[None, None]
-    _, traces = bank_attend_batch(Tensor(hq1[None]), np.ones((1, hq1.shape[0])), Tensor(words),
+    words = np.vstack([np.zeros(attn), np.eye(attn)])
+    _, traces = bank_attend_batch(Tensor(hq1), np.ones((1, hq1.shape[0])), Tensor(words),
                                   np.ones((1, 1, attn + 1)), p, want_trace=True)
     w = traces[0].level1_weights[:, 0]
     return np.log(w[:, 1:] / w[:, :1])
@@ -125,22 +138,23 @@ class TestTransformBank:
         rng = np.random.default_rng(3)
         bank_h = rng.normal(size=(2, 3, 4, 4))
         token_mask = prefix_mask_3d([4, 2, 0, 1, 3, 0])
-        out = transform_bank(Tensor(bank_h), token_mask, p)
+        out = transform_padded(bank_h, token_mask, p)
         valid = token_mask > 0
         want = np.tanh(bank_h @ p.w_k.data.T + p.b_k.data)
-        assert out.shape == (2, 3, 4, 3)
-        assert np.allclose(out.data[valid], want[valid], atol=1e-15, rtol=0)
-        assert np.array_equal(out.data[~valid], np.zeros((int((~valid).sum()), 3)))
+        assert out.shape == (valid.sum(), 3)
+        assert np.allclose(out.data, want[valid], atol=1e-15, rtol=0)
+        padded = unpack_rows(out, token_mask).data
+        assert np.array_equal(padded[~valid], np.zeros((int((~valid).sum()), 3)))
 
     def test_one_node_and_gradcheck(self):
         group, p = make_params(encoder_width=4, attn_dim=3, seed=4)
         rng = np.random.default_rng(4)
-        bank_h = group.add("bank_h", rng.normal(size=(2, 3, 4, 4)))
         token_mask = prefix_mask_3d([4, 2, 0, 1, 3, 0])
-        weights = rng.normal(size=(2, 3, 4, 3))
+        bank_h = group.add("bank_h", rng.normal(size=(2, 3, 4, 4))[token_mask > 0])
+        weights = rng.normal(size=(2, 3, 4, 3))[token_mask > 0]
 
         def out(g):
-            return transform_bank(bank_h, token_mask, p)
+            return transform_bank(bank_h, p)
 
         with Tape() as tape:
             out(group)
@@ -149,9 +163,9 @@ class TestTransformBank:
 
     def test_zero_params_zero_output(self):
         _, p = make_params(zero=True)
-        bank_h = np.random.default_rng(5).normal(size=(1, 2, 3, 4))
-        out = transform_bank(Tensor(bank_h), np.ones((1, 2, 3)), p)
-        assert np.array_equal(out.data, np.zeros((1, 2, 3, 3)))
+        bank_h = np.random.default_rng(5).normal(size=(6, 4))
+        out = transform_bank(Tensor(bank_h), p)
+        assert np.array_equal(out.data, np.zeros((6, 3)))
 
     def test_saturation_no_overflow(self):
         # Pre-activations of +-50 and beyond: tanh pins to +-1 without an
@@ -160,7 +174,7 @@ class TestTransformBank:
         g.assign("a.w_k", ..., 0.0)
         g.assign("a.b_k", ..., [50.0, -50.0, 800.0])
         with np.errstate(all="raise"):
-            out = transform_bank(Tensor(np.ones((1, 1, 2, 4))), np.ones((1, 1, 2)), p)
+            out = transform_bank(Tensor(np.ones((2, 4))), p)
         assert np.all(np.abs(out.data - [1.0, -1.0, 1.0]) < 1e-12)
 
     def test_saturated_backward_is_finite_zero(self):
@@ -168,38 +182,38 @@ class TestTransformBank:
         # words pass back a zero gradient, not a NaN.
         g, p = make_params(seed=7)
         g.assign("a.b_k", ..., [50.0, -50.0, 800.0])
-        bank_h = Tensor(np.random.default_rng(7).normal(size=(1, 1, 2, 4)))
+        bank_h = Tensor(np.random.default_rng(7).normal(size=(2, 4)))
         with Tape() as tape:
-            out = transform_bank(bank_h, np.ones((1, 1, 2)), p)
+            out = transform_bank(bank_h, p)
         grads = tape.gradients(out, seed=np.ones(out.shape))
         for t in (bank_h, p.w_k, p.b_k):
             assert np.array_equal(grads[t], np.zeros_like(t.data))
 
     def test_taped_transform_keeps_no_input_copy(self):
-        # With 2H >> A the valid words' inputs dwarf the output: backward
-        # regathers them from bank_h instead of keeping a copy.
-        b_sz, n_banks, t_u, width, attn_dim = 4, 5, 20, 400, 2
+        # With 2H >> A the words' inputs dwarf the output: backward reads
+        # them from bank_h instead of keeping a copy.
+        n, width, attn_dim = 400, 400, 2
         _, p = make_params(encoder_width=width, attn_dim=attn_dim, seed=8)
-        bank_h = Tensor(np.random.default_rng(8).normal(size=(b_sz, n_banks, t_u, width)))
-        n, item = b_sz * n_banks * t_u, bank_h.data.itemsize
-        # The (..., T_u, A) output and the bool mask of valid words.
-        bound = n * attn_dim * item + n + 64 * 1024
+        bank_h = Tensor(np.random.default_rng(8).normal(size=(n, width)))
+        item = bank_h.data.itemsize
+        # The (n, A) output.
+        bound = n * attn_dim * item + 64 * 1024
         assert n * width * item > bound
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             with Tape() as tape:
-                out = transform_bank(bank_h, np.ones((b_sz, n_banks, t_u)), p)
+                out = transform_bank(bank_h, p)
             live = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        assert len(tape) == 1 and out.shape == (b_sz, n_banks, t_u, attn_dim)
+        assert len(tape) == 1 and out.shape == (n, attn_dim)
         assert live < bound
 
-    def test_mask_shape_checked(self):
+    def test_padded_bank_rejected(self):
         _, p = make_params()
-        with pytest.raises(ValueError, match="token_mask shape"):
-            transform_bank(Tensor(np.zeros((1, 2, 3, 4))), np.ones((1, 2, 4)), p)
+        with pytest.raises(ValueError, match="one row per bank word"):
+            transform_bank(Tensor(np.zeros((1, 2, 3, 4))), p)
 
 
 class TestLevel1Attend:
@@ -366,12 +380,12 @@ class TestBankAttend:
         group, p = make_params(encoder_width=4, attn_dim=3, seed=12)
         rng = np.random.default_rng(12)
         hq1, banks, masks = random_instance(rng, t_q=2)
-        weights = rng.normal(size=(1, 2, 7))
+        weights = rng.normal(size=(2, 7))
         bank_h, token_mask = pad_banks(banks, masks, 4)
 
         def out(g):
-            words = transform_bank(Tensor(bank_h), token_mask, p)
-            hq2, _ = bank_attend_batch(Tensor(hq1[None]), np.ones((1, 2)), words, token_mask, p)
+            words = transform_padded(bank_h, token_mask, p)
+            hq2, _ = bank_attend_batch(Tensor(hq1), np.ones((1, 2)), words, token_mask, p)
             return hq2
 
         assert grad_check(out, group, h=1e-5, seed=weights) < 1e-5
@@ -381,12 +395,12 @@ class TestBankAttend:
         # whole bank is empty, so its side vector is zero.
         group, p = make_params(encoder_width=4, attn_dim=3, seed=19)
         rng = np.random.default_rng(19)
-        hq1 = group.add("hq1", rng.normal(size=(2, 3, 4)))
-        words = group.add("words", np.tanh(rng.normal(size=(2, 3, 4, 3))))
+        hq1 = group.add("hq1", rng.normal(size=(6, 4)))
         token_mask = np.zeros((2, 3, 4))
         token_mask[0, 0, :2] = 1.0
         token_mask[0, 2, :] = 1.0
-        weights = rng.normal(size=(2, 3, 7))
+        words = group.add("words", np.tanh(rng.normal(size=(2, 3, 4, 3)))[token_mask > 0])
+        weights = rng.normal(size=(6, 7))
 
         def out(g):
             return bank_attend_batch(hq1, np.ones((2, 3)), words, token_mask, p)[0]
@@ -405,9 +419,8 @@ class TestBankAttend:
         token_mask = (rng.random((b_sz, n_banks, t_u)) > 0.3).astype(float)
         token_mask[:, :, 0] = 1.0
         token_mask = np.cumprod(token_mask, axis=-1)  # padding is a suffix
-        batched, _ = bank_attend_batch(Tensor(hq1), np.ones((b_sz, t_q)),
-                                       transform_bank(Tensor(bank_h), token_mask, p),
-                                       token_mask, p)
+        batched, _ = attend_padded(hq1, np.ones((b_sz, t_q)),
+                                   transform_padded(bank_h, token_mask, p), token_mask, p)
         for i in range(b_sz):
             single, _ = attend_one(hq1[i], list(bank_h[i]), list(token_mask[i]), p)
             assert np.allclose(batched.data[i], single, atol=1e-12, rtol=0)
@@ -466,10 +479,10 @@ class TestBankValid:
         # tanh(b_k2) would give side vectors of tanh(0.5) = 0.462, not 0.
         g, p = make_params(encoder_width=4, attn_dim=3, seed=25, zero=True)
         g.assign("a.b_k2", ..., 0.5)
-        hq1 = Tensor(np.random.default_rng(25).normal(size=(1, 2, 4)))
-        words = Tensor(np.zeros((1, 1, 3, 3)))
+        hq1 = Tensor(np.random.default_rng(25).normal(size=(2, 4)))
+        words = Tensor(np.zeros((0, 3)))
         out, _ = bank_attend_batch(hq1, np.ones((1, 2)), words, np.zeros((1, 1, 3)), p)
-        assert np.array_equal(out.data[..., 4:], np.zeros((1, 2, 3)))
+        assert np.array_equal(out.data[..., 4:], np.zeros((2, 3)))
 
 
 class TestValidQueryRows:
@@ -479,9 +492,9 @@ class TestValidQueryRows:
         group, p = make_params(encoder_width=4, attn_dim=3, seed=20)
         rng = np.random.default_rng(20)
         hq1_data, query_mask, bank_h, token_mask = mixed_batch(rng)
-        hq1 = group.add("hq1", hq1_data)
-        words = group.add("words", np.tanh(bank_h[..., :3]))
-        weights = rng.normal(size=(4, 4, 7))
+        hq1 = group.add("hq1", hq1_data[query_mask > 0])
+        words = group.add("words", np.tanh(bank_h[..., :3])[token_mask > 0])
+        weights = rng.normal(size=(4, 4, 7))[query_mask > 0]
 
         def out(g):
             return bank_attend_batch(hq1, query_mask, words, token_mask, p)[0]
@@ -495,18 +508,18 @@ class TestValidQueryRows:
         _, p = make_params(encoder_width=4, attn_dim=3, seed=21)
         rng = np.random.default_rng(21)
         hq1, query_mask, bank_h, token_mask = mixed_batch(rng)
-        words = transform_bank(Tensor(bank_h), token_mask, p)
-        base, base_traces = bank_attend_batch(Tensor(hq1), query_mask, words, token_mask,
-                                              p, want_trace=True)
+        # Padded query rows never reach the node; unpacked, they are zero.
+        words = transform_padded(bank_h, token_mask, p)
+        base, base_traces = attend_padded(hq1, query_mask, words, token_mask, p,
+                                          want_trace=True)
         padded = query_mask == 0
         garbage = hq1.copy()
         garbage[padded] = 1e3 * rng.normal(size=(padded.sum(), 4))
-        out, traces = bank_attend_batch(Tensor(garbage), query_mask, words, token_mask,
-                                        p, want_trace=True)
+        out, traces = attend_padded(garbage, query_mask, words, token_mask, p,
+                                    want_trace=True)
         valid = ~padded
         assert np.array_equal(out.data[valid], base.data[valid])
-        assert np.array_equal(out.data[padded, :4], garbage[padded])
-        assert np.array_equal(out.data[padded, 4:], np.zeros((padded.sum(), 3)))
+        assert np.array_equal(out.data[padded], np.zeros((padded.sum(), 7)))
         for n, trace, base_trace in zip(query_mask.sum(axis=1).astype(int), traces,
                                         base_traces):
             for field in ("level1_weights", "level1_attended", "level2_weights", "side"):
@@ -518,9 +531,8 @@ class TestValidQueryRows:
         _, p = make_params(encoder_width=4, attn_dim=3, seed=22)
         rng = np.random.default_rng(22)
         hq1, query_mask, bank_h, token_mask = mixed_batch(rng)
-        out, traces = bank_attend_batch(Tensor(hq1), query_mask,
-                                        transform_bank(Tensor(bank_h), token_mask, p),
-                                        token_mask, p, want_trace=True)
+        out, traces = attend_padded(hq1, query_mask, transform_padded(bank_h, token_mask, p),
+                                    token_mask, p, want_trace=True)
         for i, n in enumerate(query_mask.sum(axis=1).astype(int)):
             ref_hq2, ref_w1, ref_a1, ref_w2 = reference_bank_attention(
                 hq1[i, :n], list(bank_h[i]), list(token_mask[i]), p)
@@ -543,11 +555,12 @@ class TestValidQueryRows:
         _, p = make_params(encoder_width=4, attn_dim=3, seed=24)
         rng = np.random.default_rng(24)
         hq1, query_mask, bank_h, token_mask = mixed_batch(rng)
-        words = Tensor(np.tanh(bank_h[..., :3]))
+        words = Tensor(np.tanh(bank_h[..., :3])[token_mask > 0])
+        hq1 = Tensor(hq1[query_mask > 0])
         target, flaw = case.split("_mask_")
         bad = (query_mask if target == "query" else token_mask).copy()
         if flaw == "shape":
-            bad = bad[..., :-1]
+            bad = bad[:-1]  # no longer one row per valid position
         elif flaw == "not_binary":
             bad[(0,) * bad.ndim] = 0.5
         else:
@@ -557,4 +570,4 @@ class TestValidQueryRows:
         else:
             token_mask = bad
         with pytest.raises(ValueError, match=match):
-            bank_attend_batch(Tensor(hq1), query_mask, words, token_mask, p)
+            bank_attend_batch(hq1, query_mask, words, token_mask, p)

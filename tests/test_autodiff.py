@@ -155,7 +155,7 @@ class TestDropout:
     is the constant H0 before dropout."""
 
     def run(self, rate, rng=None, shape=(2, 3), hidden=2):
-        x = Tensor(np.ones(shape + (1,)))
+        x = Tensor(np.ones((math.prod(shape), 1)))   # one row per token
         return blstm_forward(x, np.ones(shape), constant_blstm(hidden),
                              dropout_rate=rate, rng=rng)
 
@@ -186,7 +186,7 @@ class TestDropout:
         # must equal those of the undropped layer seeded with that scale.
         group = ParamGroup()
         p = init_blstm(group, "b", 3, 2, np.random.default_rng(5))
-        x = Tensor(np.random.default_rng(4).normal(size=(2, 4, 3)))
+        x = Tensor(np.random.default_rng(4).normal(size=(8, 3)))
         mask = np.ones((2, 4))
         with Tape() as tape:
             out = blstm_forward(x, mask, p, dropout_rate=0.3, rng=np.random.default_rng(6))

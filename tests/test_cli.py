@@ -13,6 +13,7 @@ from fnr.cli import ConfigError, load_run_config, main
 from fnr.data import CorpusError, QaRecord, load_corpus, save_corpus
 from fnr.embeddings import SgnsConfig
 from fnr.model import SanConfig, SanParams, load_model, save_model
+from fnr.retrieval import load_bank_cache
 from fnr.training import TrainConfig
 from fnr.vocab import RESERVED, Vocabulary
 from checkpoint_files import read_checkpoint, rewrite_checkpoint, write_checkpoint
@@ -273,6 +274,18 @@ class TestBankCacheFreshness:
                     + ["--pool", str(pool_path), "--bank-cache", str(cache)])
         assert code == 3
         assert "no sha256 header" in caplog.text
+
+    def test_cache_without_an_entry_exit_3(self, tmp_path, corpus_path, pool_path, caplog):
+        # A blank line in place of labeled line 2's entry: read as no
+        # entry, its question would otherwise train with an empty bank.
+        cache = self.build(tmp_path, corpus_path, pool_path)
+        lines = cache.read_text().splitlines(keepends=True)
+        assert json.loads(lines[2])["query_line"] == 2
+        cache.write_text("".join(lines[:2] + ["\n"] + lines[3:]))
+        code = main(train_args(corpus_path, tmp_path / "model.npz")
+                    + ["--pool", str(pool_path), "--bank-cache", str(cache)])
+        assert code == 3
+        assert "no entry for labeled line 2" in caplog.text
 
 
 class TestRunConfig:
@@ -707,6 +720,82 @@ class TestDamagedCheckpoint:
             assert params.group.names() == orig.group.names()
             for name, t in orig.group.items():
                 assert np.array_equal(params.group[name].data, t.data)
+
+
+class TestDamagedBankCache:
+    """``evaluate --pool --bank-cache`` on a damaged ``build-bank`` cache
+    exits 0, 2, 3 or 4, never with a traceback, and exits 0 only if the
+    cache parses to the original banks."""
+
+    @pytest.fixture(scope="class")
+    def original(self, overfit_ckpt, tmp_path_factory):
+        """Corpus, pool, the cache's header and entries as JSON objects,
+        and the banks it loads to, built once for every example."""
+        root = tmp_path_factory.mktemp("damaged_cache")
+        corpus, pool, cache = root / "labeled.jsonl", root / "pool.jsonl", root / "banks.jsonl"
+        save_corpus(corpus, labeled_records()[:3])
+        save_corpus(pool, pool_records())
+        assert main(["build-bank", "--labeled", str(corpus), "--pool", str(pool),
+                     "--out", str(cache)]) == 0
+        header, *entries = map(json.loads, cache.read_text(encoding="utf-8").splitlines())
+        sources = {"labeled": str(corpus), "pool": str(pool)}
+        return overfit_ckpt[1], sources, header, entries, load_bank_cache(cache, sources)
+
+    @staticmethod
+    def damage(data, header, entries) -> list[str]:
+        """The cache's lines with one drawn mutation."""
+        kind = data.draw(st.sampled_from(["drop_key", "retype_key", "line_number", "repeat",
+                                          "header_malformed", "header_misplaced",
+                                          "header_stale", "truncate"]))
+        entry = entries[data.draw(st.integers(0, len(entries) - 1))]
+        if kind in ("drop_key", "retype_key"):
+            key = data.draw(st.sampled_from(["query_line", "bank_lines"]))
+            if kind == "drop_key":
+                del entry[key]
+            else:
+                kinds = [t for t in JSON_VALUES if t is not type(entry[key])]
+                entry[key] = data.draw(JSON_VALUES[data.draw(st.sampled_from(kinds))])
+        elif kind == "line_number":
+            value = data.draw(st.sampled_from([0, -1, 1.5, True, "1"]))
+            lines = entry["bank_lines"]
+            if lines and data.draw(st.booleans()):
+                lines[data.draw(st.integers(0, len(lines) - 1))] = value
+            else:
+                entry["query_line"] = value
+        elif kind == "repeat":
+            entries.insert(data.draw(st.integers(0, len(entries))), dict(entry))
+        elif kind == "header_malformed":
+            if data.draw(st.booleans()):
+                header["sha256"] = data.draw(JSON_VALUES[data.draw(st.sampled_from(
+                    [t for t in JSON_VALUES if t is not dict]))])
+            else:
+                header["sha256"][data.draw(st.sampled_from(["labeled", "pool"]))] = 5
+        elif kind == "header_stale":
+            role = data.draw(st.sampled_from(["labeled", "pool"]))
+            if data.draw(st.booleans()):
+                del header["sha256"][role]
+            else:
+                header["sha256"][role] = hashlib.sha256(b"stale").hexdigest()
+        lines = [json.dumps(header)] + [json.dumps(e) for e in entries]
+        if kind == "header_misplaced":
+            lines.insert(data.draw(st.integers(1, len(lines) - 1)), lines.pop(0))
+        elif kind == "truncate":
+            i = data.draw(st.integers(0, len(lines) - 1))
+            lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
+        return lines
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_evaluate_exit_code_total(self, original, data):
+        ckpt, sources, header, entries, banks = original
+        lines = self.damage(data, copy.deepcopy(header), copy.deepcopy(entries))
+        bad = ckpt.with_name("damaged_banks.jsonl")
+        bad.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        code = main(["evaluate", "--model", str(ckpt), "--data", sources["labeled"],
+                     "--pool", sources["pool"], "--bank-cache", str(bad)])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert load_bank_cache(bad, sources) == banks
 
 
 GOOD_LINE = {"product_id": "p1", "category": "laptop",

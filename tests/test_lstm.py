@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fnr.autodiff import NonFiniteError, Tape, Tensor
+from fnr.autodiff import NonFiniteError, Tape, Tensor, unpack_rows
 from fnr.lstm import BlstmParams, blstm_forward, glorot, init_blstm, init_lstm
 from fnr.optim import ParamGroup, grad_check
 
@@ -118,10 +118,17 @@ def prefix_mask(lengths, steps):
     return (np.arange(steps)[None, :] < np.asarray(lengths)[:, None]).astype(float)
 
 
+def blstm_padded(x, mask, p, **kwargs):
+    """``blstm_forward`` on the valid rows of a padded (..., T, din) x, its
+    output unpacked to (..., T, 2H), zero at padding."""
+    mask = np.asarray(mask)
+    return unpack_rows(blstm_forward(Tensor(x.data[mask > 0]), mask, p, **kwargs), mask)
+
+
 def lstm_scan(x, mask, p, reverse=False):
     """One LSTM direction: its half of the ``blstm_forward`` output when
-    both directions share ``p``."""
-    out = blstm_forward(x, mask, BlstmParams(fwd=p, bwd=p))
+    both directions share ``p``, unpacked to (..., T, H)."""
+    out = blstm_padded(x, mask, BlstmParams(fwd=p, bwd=p))
     hidden = p.hidden_size
     return Tensor(out.data[..., hidden:] if reverse else out.data[..., :hidden])
 
@@ -202,12 +209,13 @@ class TestLstmScan:
         group, p = rand_lstm(2, 3, seed=7)
         steps = 4
         rng = np.random.default_rng(8)
-        x = group.add("x", rng.normal(size=(4, steps, 2)))
         mask = prefix_mask([0, 1, steps - 1, steps], steps)
+        x = group.add("x", rng.normal(size=(4, steps, 2))[mask > 0])
         # Weights on the tested direction's half only; both halves share p.
         weights = np.zeros((4, steps, 6))
         half = slice(3, 6) if reverse else slice(0, 3)
         weights[..., half] = rng.normal(size=(4, steps, 3))
+        weights = weights[mask > 0]
         p2 = BlstmParams(fwd=p, bwd=p)
         assert grad_check(lambda g: blstm_forward(x, mask, p2), group, h=1e-5,
                           seed=weights) < 1e-5
@@ -229,16 +237,17 @@ def rand_blstm(din, hidden, seed):
 
 class TestBlstmForward:
     def test_output_shape(self):
+        # One (2H,) row per valid token of the mask.
         _, p = rand_blstm(3, 8, seed=0)
-        out = blstm_forward(Tensor(np.random.default_rng(0).normal(size=(1, 5, 3))),
-                            np.ones((1, 5)), p)
-        assert out.shape == (1, 5, 16)
+        out = blstm_forward(Tensor(np.random.default_rng(0).normal(size=(4, 3))),
+                            prefix_mask([3, 0, 1], 5), p)
+        assert out.shape == (4, 16)
 
     def test_masked_rows_exactly_zero(self):
         _, p = rand_blstm(3, 4, seed=1)
         x = np.random.default_rng(1).normal(size=(1, 5, 3))
         mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
-        out = blstm_forward(Tensor(x), mask, p)
+        out = blstm_padded(Tensor(x), mask, p)
         assert np.array_equal(out.data[0, 3:], np.zeros((2, 8)))
 
     def test_reversal_oracle(self):
@@ -249,8 +258,8 @@ class TestBlstmForward:
         p = BlstmParams(fwd=fwd, bwd=fwd)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 6, 3))
-        out = blstm_forward(Tensor(x), np.ones((1, 6)), p)
-        out_rev = blstm_forward(Tensor(x[:, ::-1].copy()), np.ones((1, 6)), p)
+        out = blstm_padded(Tensor(x), np.ones((1, 6)), p)
+        out_rev = blstm_padded(Tensor(x[:, ::-1].copy()), np.ones((1, 6)), p)
         fwd_half, bwd_half = out.data[0, :, :4], out.data[0, :, 4:]
         fwd_half_rev = out_rev.data[0, :, :4]
         assert np.allclose(bwd_half, fwd_half_rev[::-1], atol=1e-12)
@@ -259,10 +268,10 @@ class TestBlstmForward:
         _, p = rand_blstm(3, 4, seed=5)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 3))
-        base = blstm_forward(Tensor(x[None]), np.ones((1, 4)), p)
+        base = blstm_padded(Tensor(x[None]), np.ones((1, 4)), p)
         extended = np.vstack([x, rng.normal(size=(3, 3))])
         mask = np.array([[1.0] * 4 + [0.0] * 3])
-        out = blstm_forward(Tensor(extended[None]), mask, p)
+        out = blstm_padded(Tensor(extended[None]), mask, p)
         assert np.array_equal(out.data[0, :4], base.data[0])
         assert np.array_equal(out.data[0, 4:], np.zeros((3, 8)))
 
@@ -272,7 +281,7 @@ class TestBlstmForward:
         x = np.random.default_rng(8).normal(size=(1, 4, 2))
         mask = np.array([[1.0, 1.0, 1.0, 0.0]])
         weights = np.random.default_rng(9).normal(size=(1, 4, 6))
-        assert grad_check(lambda g: blstm_forward(Tensor(x), mask, p), group,
+        assert grad_check(lambda g: blstm_padded(Tensor(x), mask, p), group,
                           h=1e-5, seed=weights) < 1e-5
 
     def test_batched_matches_single(self):
@@ -280,36 +289,38 @@ class TestBlstmForward:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(3, 5, 3))
         mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=float)
-        batched = blstm_forward(Tensor(x), mask, p)
+        batched = blstm_padded(Tensor(x), mask, p)
         for b in range(3):
-            single = blstm_forward(Tensor(x[b:b + 1]), mask[b:b + 1], p)
+            single = blstm_padded(Tensor(x[b:b + 1]), mask[b:b + 1], p)
             assert np.allclose(batched.data[b], single.data[0], atol=1e-12, rtol=0)
 
     def test_mask_must_be_prefix_shaped(self):
+        # x must hold exactly one row per valid token of the mask.
         _, p = rand_blstm(2, 2, seed=15)
-        with pytest.raises(ValueError):
-            blstm_forward(Tensor(np.zeros((1, 3, 2))), np.ones((1, 4)), p)
+        for x in (np.zeros((3, 2)), np.zeros((5, 2)), np.zeros((1, 4, 2))):
+            with pytest.raises(ValueError, match="one row per valid token"):
+                blstm_forward(Tensor(x), np.ones((1, 4)), p)
 
     def test_non_prefix_mask_rejected(self):
         _, p = rand_blstm(2, 2, seed=16)
         mask = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="prefix"):
-            blstm_forward(Tensor(np.zeros((2, 3, 2))), mask, p)
+            blstm_forward(Tensor(np.zeros((3, 2))), mask, p)
 
     def test_non_binary_mask_rejected(self):
         _, p = rand_blstm(2, 2, seed=17)
         with pytest.raises(ValueError, match="0 or 1"):
-            blstm_forward(Tensor(np.zeros((1, 3, 2))), np.array([[1.0, 0.5, 0.0]]), p)
+            blstm_forward(Tensor(np.zeros((1, 2))), np.array([[1.0, 0.5, 0.0]]), p)
 
     def test_empty_rows_allowed(self):
         _, p = rand_blstm(2, 2, seed=18)
         mask = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        out = blstm_forward(Tensor(np.ones((2, 3, 2))), mask, p)
+        out = blstm_padded(Tensor(np.ones((2, 3, 2))), mask, p)
         assert np.array_equal(out.data[1], np.zeros((3, 4)))
 
     def test_one_tape_node(self):
         _, p = rand_blstm(2, 3, seed=19)
-        x = Tensor(np.ones((2, 3, 2)))
+        x = Tensor(np.ones((4, 2)))
         with Tape() as tape:
             blstm_forward(x, prefix_mask([3, 1], 3), p, dropout_rate=0.5,
                           rng=np.random.default_rng(20))
@@ -323,9 +334,9 @@ class TestBlstmForward:
         p = init_blstm(group, "b", 2, 3, np.random.default_rng(21))
         rng = np.random.default_rng(22)
         steps = 4
-        x = group.add("x", rng.normal(size=(2, 3, steps, 2)))
         mask = prefix_mask([4, 1, 0, 3, 0, 0], steps).reshape(2, 3, steps)
-        weights = rng.normal(size=(2, 3, steps, 6))
+        x = group.add("x", rng.normal(size=(2, 3, steps, 2))[mask > 0])
+        weights = rng.normal(size=(2, 3, steps, 6))[mask > 0]
 
         def out(g):
             return blstm_forward(x, mask, p, dropout_rate=0.3,
@@ -340,12 +351,13 @@ class TestBlstmForward:
         p = init_blstm(group, "b", 3, 4, np.random.default_rng(27))
         rng = np.random.default_rng(28)
         steps, lengths = 5, [0, 5, 1, 3, 5, 2, 0, 4]
+        mask = prefix_mask(lengths, steps)
         x_data = rng.normal(size=(len(lengths), steps, 3))
-        x = group.add("x", x_data)
+        x = group.add("x", x_data[mask > 0])
         g_out = rng.normal(size=(len(lengths), steps, 8))
         with Tape() as tape:
-            out = blstm_forward(x, prefix_mask(lengths, steps), p)
-        grads = tape.gradients(out, seed=g_out)
+            out = blstm_forward(x, mask, p)
+        grads = tape.gradients(out, seed=g_out[mask > 0])
         d_x = np.zeros_like(x_data)
         for half, direction, reverse in ((slice(0, 4), p.fwd, False),
                                          (slice(4, 8), p.bwd, True)):
@@ -356,13 +368,13 @@ class TestBlstmForward:
                 rows = gate_rows(name, direction.hidden_size)
                 for t, ref in zip((direction.w_x, direction.w_h, direction.b), refs):
                     assert np.allclose(grads[t][rows], ref, atol=1e-12, rtol=0)
-        assert np.allclose(grads[x], d_x, atol=1e-12, rtol=0)
+        assert np.allclose(grads[x], d_x[mask > 0], atol=1e-12, rtol=0)
 
     def test_taped_output_equals_tape_free(self):
         _, p = rand_blstm(3, 4, seed=29)
         rng = np.random.default_rng(30)
-        x = Tensor(rng.normal(size=(2, 3, 6, 3)))
         mask = prefix_mask([6, 0, 2, 5, 1, 3], 6).reshape(2, 3, 6)
+        x = Tensor(rng.normal(size=(2, 3, 6, 3))[mask > 0])
         free = blstm_forward(x, mask, p)
         with Tape():
             taped = blstm_forward(x, mask, p)
@@ -372,11 +384,11 @@ class TestBlstmForward:
         group = ParamGroup()
         p = init_blstm(group, "b", 2, 3, np.random.default_rng(24))
         rng = np.random.default_rng(25)
-        x4 = Tensor(rng.normal(size=(2, 3, 5, 2)))
         mask4 = prefix_mask([5, 2, 0, 4, 0, 1], 5).reshape(2, 3, 5)
-        weights = rng.normal(size=(2, 3, 5, 6))
+        x_rows = rng.normal(size=(2, 3, 5, 2))[mask4 > 0]
+        weights = rng.normal(size=(2, 3, 5, 6))[mask4 > 0]
         results = []
-        for x, mask in ((x4, mask4), (Tensor(x4.data.reshape(6, 5, 2)), mask4.reshape(6, 5))):
+        for x, mask in ((Tensor(x_rows), mask4), (Tensor(x_rows), mask4.reshape(6, 5))):
             with Tape() as tape:
                 out = blstm_forward(x, mask, p, dropout_rate=0.4, rng=np.random.default_rng(26))
             grads = tape.gradients(out, seed=weights.reshape(out.shape))
@@ -390,11 +402,11 @@ class TestBlstmForward:
         # the node regathers them from x instead of keeping a copy.
         n_rows, steps, din, hidden = 8, 50, 400, 4
         _, p = rand_blstm(din, hidden, seed=31)
-        x = Tensor(np.random.default_rng(31).normal(size=(n_rows, steps, din)))
+        x = Tensor(np.random.default_rng(31).normal(size=(n_rows * steps, din)))
         n, item = n_rows * steps, x.data.itemsize
         # Per direction: gates (4H), hs (H, plus a zero row), fs and dc_dh
-        # (H each) and three packed index arrays; then the (n, 2H) output.
-        bound = (2 * ((7 * hidden + 3) * n + hidden) + 2 * hidden * n) * item + 64 * 1024
+        # (H each) and two packed index arrays; then the (n, 2H) output.
+        bound = (2 * ((7 * hidden + 2) * n + hidden) + 2 * hidden * n) * item + 64 * 1024
         assert n * din * item > bound
         tracemalloc.start()
         try:
@@ -404,5 +416,5 @@ class TestBlstmForward:
             live = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        assert len(tape) == 1 and out.shape == (n_rows, steps, 2 * hidden)
+        assert len(tape) == 1 and out.shape == (n_rows * steps, 2 * hidden)
         assert live < bound

@@ -90,8 +90,16 @@ class TestAdam:
     def test_moment_shapes_track_parameters(self):
         g = ParamGroup()
         g.add("w", np.ones((3, 2)))
+        adam_step(g, ZeroGrads(), lr=0.01)
         assert g._m["w"].shape == (3, 2)
         assert g._v["w"].shape == (3, 2)
+
+    def test_group_that_never_steps_holds_no_moments(self):
+        g = ParamGroup()
+        g.add("w", np.ones((3, 2)))
+        g.assign("w", 0, 2.0)
+        g.load_values({"w": np.zeros((3, 2))})
+        assert g._m == {} and g._v == {}
 
 
 def resident_bytes() -> int:
@@ -119,7 +127,17 @@ class TestParamGroup:
         with pytest.raises(ValueError):
             a[0] = 5.0
         g.assign("w", 1, 2.0)
-        assert np.array_equal(t.data, [0.0, 2.0, 0.0]) and g.writes == 1
+        assert np.array_equal(t.data, [0.0, 2.0, 0.0]) and g.writes == {"w": 1}
+
+    def test_writes_count_per_tensor(self):
+        g = ParamGroup()
+        g.add("a", [1.0])
+        g.add("b", [2.0])
+        g.assign("a", 0, 3.0)
+        assert g.writes == {"a": 1, "b": 0}
+        adam_step(g, OnesGrads(), lr=0.1)
+        g.load_values(g.copy_values())
+        assert g.writes == {"a": 3, "b": 2}
 
     def test_load_values_checks_names_and_shapes(self):
         g = ParamGroup()
