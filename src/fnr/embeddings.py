@@ -239,7 +239,9 @@ def load_embeddings(path) -> EmbeddingMatrix:
     warning) when the file lacks them.  Every other token is stored in
     its vocabulary form (``vocab.normalize``), so a row written as
     ``iPhone`` is the row ``lookup("iPhone")`` finds; two lines whose
-    tokens fold to one form are an error naming both lines."""
+    tokens fold to one form are an error naming both lines.  A token that
+    is empty or holds whitespace, which no lookup can reach, is an error
+    naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -264,6 +266,9 @@ def load_embeddings(path) -> EmbeddingMatrix:
                 raise ValueError(f"{path}:{line_no}: {err}") from err
             if not np.all(np.isfinite(row)):
                 raise ValueError(f"{path}:{line_no}: embedding values must be finite")
+            if parts[0].split() != [parts[0]]:
+                raise ValueError(f"{path}:{line_no}: token {parts[0]!r} is empty "
+                                 "or holds whitespace")
             token = parts[0] if parts[0] in RESERVED else normalize(parts[0])
             if token in line_of:
                 raise ValueError(f"{path}: lines {line_of[token]} and {line_no} both hold "

@@ -12,15 +12,20 @@ store.
 
 The input projection ``x Wx^T`` of every valid position is one GEMM
 before the recurrence; each step adds ``h_prev Wh^T`` and the bias to its
-rows.  A taped scan keeps, per valid position, the hidden state (plus
-one zero row, the previous state of a sequence's first position), the
-forget gate, o(1 - tanh^2 c), and in place of the four activations the
-coefficients that turn d_c (d_h for o) into the gate pre-activation
-gradients: g i(1 - i), c_prev f(1 - f), tanh c o(1 - o) and i(1 - g^2).
-They are taken during the forward step, so the backward pass only runs
-the recurrence for d_h and d_c.  It keeps no copy of the input rows:
-backward regathers them, in the same order, from the node's input for
-the input weights' gradient.
+rows.  A taped scan keeps, per valid position, the forget gate,
+o(1 - tanh^2 c), and in place of the four activations the coefficients
+that turn d_c (d_h for o) into the gate pre-activation gradients:
+g i(1 - i), c_prev f(1 - f), tanh c o(1 - o) and i(1 - g^2).  They are
+taken during the forward step, so the backward pass only runs the
+recurrence for d_h and d_c.  It keeps no copy of the input rows or of
+the hidden states: for the weights' gradients backward regathers the
+input rows from the node's input, and each position's previous state
+from the node's unscaled output (zero at a sequence's first position),
+both in the same packed order.  ``bptt`` consumes what its scan kept: it
+turns the coefficients into the gate gradients in place and drops each
+buffer once done with it, so one direction's saved state is freed before
+the other direction's backward runs.  A node's backward therefore runs
+once, which ``Tape.gradients`` already enforces.
 
 The layer reads and writes packed rows: one row per valid position of
 its (..., T) mask, in the row-major order ``a[mask > 0]`` gives, i.e.
@@ -101,8 +106,10 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
     Writes the hidden states into the (n, H) ``out`` and, with ``taped``,
     returns a backpropagation-through-time closure ``bptt(g_out, d_x)``
     mapping the output gradient to ``[d_w_x, d_w_h, d_b]``; it adds the
-    input gradient into ``d_x``.  With ``reverse`` the scan runs from each
-    sequence's last valid token back to its first.
+    input gradient into ``d_x``.  ``bptt`` reads the previous states back
+    from ``out``, which must still hold them, and runs at most once.  With
+    ``reverse`` the scan runs from each sequence's last valid token back
+    to its first.
     """
     steps = lengths.max(initial=0)
     hidden = p.hidden_size
@@ -125,8 +132,7 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
     n = len(rows)
 
     w_x, w_h, bias = p.w_x.data, p.w_h.data, p.b.data
-    hs = np.empty((n + 1, hidden), dtype=dtype)
-    hs[n] = 0.0
+    hs = np.empty((n, hidden), dtype=dtype)
     if taped:
         fs = np.empty((n, hidden), dtype=dtype)
         dc_dh = np.empty((n, hidden), dtype=dtype)
@@ -169,16 +175,20 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
                 f[:k] = c_prev[:k] * f[:k] * (1.0 - f[:k])
             o[...] = tanh_c * o * (1.0 - o)
 
-    out[rows] = hs[:n]
+    out[rows] = hs
     if not taped:
         return None
 
-    # Packed index of each position's previous state; hs[n] is the zero row.
-    prev_idx = np.where(slot_idx < carried[step_idx], offs[step_idx - 1] + slot_idx, n)
+    # Packed rows that start their sequence: their previous state is zero.
+    # Every other row's previous state is the output row one time step back.
+    first = slot_idx >= carried[step_idx]
 
     def bptt(g_out, d_x):
+        # The coefficient buffer becomes the gate gradients in place; each
+        # saved buffer is dropped as soon as it is used up.
+        nonlocal gates, fs, dc_dh
+        d_pre, gates = gates, None
         d_hs = g_out[rows]
-        d_pre = np.empty((n, 4 * hidden), dtype=dtype)
         with np.errstate(over="ignore", invalid="ignore"):
             d_h_next = d_c_next = None
             for s in range(steps - 1, -1, -1):
@@ -191,14 +201,17 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
                 if k_next:
                     d_c[:k_next] += d_c_next
                 d_step = d_pre[lo:hi].reshape(hi - lo, 4, hidden)
-                coef = gates[lo:hi].reshape(hi - lo, 4, hidden)
-                np.multiply(coef, d_c[:, None, :], out=d_step)
-                np.multiply(d_h, coef[:, 2], out=d_step[:, 2])
+                d_step[:, 2] *= d_h
+                d_step[:, :2] *= d_c[:, None, :]
+                d_step[:, 3] *= d_c
                 k = carried[s]
                 d_h_next = d_pre[lo:lo + k] @ w_h
                 d_c_next = d_c[:k] * fs[lo:lo + k]
+            d_hs = fs = dc_dh = None
             d_wx = d_pre.T @ xs[rows]
-            d_wh = d_pre.T @ hs[prev_idx]
+            h_prev = out[np.where(first, 0, rows + (1 if reverse else -1))]
+            h_prev[first] = 0.0
+            d_wh = d_pre.T @ h_prev
             d_b = d_pre.sum(axis=0)
             d_x[rows] += d_pre @ w_x
         return [d_wx, d_wh, d_b]
@@ -230,10 +243,12 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams, dropout_rate: flo
     one row per valid position, in the row-major order ``a[mask > 0]``
     gives.  Output row j is forward_h concatenated with backward_h at x's
     row j, shape (n, 2H).  A nonzero ``dropout_rate`` applies inverted
-    dropout to the output rows only (never inside the recurrence): one
-    ``rng.random`` draw over the padded (..., T, 2H) shape after both
-    scans, read at the valid positions.  The node's inputs are x and each
-    direction's ``w_x``, ``w_h`` and ``b``, forward direction first.
+    dropout to a scaled copy of the output rows only (never inside the
+    recurrence): after both scans, one ``rng.random((T, 2H))`` draw per
+    mask row, in row order, read at that row's valid positions, which
+    takes the generator stream of one draw over the padded (..., T, 2H)
+    shape.  The node's inputs are x and each direction's ``w_x``, ``w_h``
+    and ``b``, forward direction first.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
@@ -247,12 +262,18 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams, dropout_rate: flo
     out_data = np.empty((n, 2 * hidden), dtype=np.result_type(x.data, p.fwd.w_x.data))
     bptt_f = _scan(x.data, lengths, p.fwd, False, out_data[:, :hidden], taped)
     bptt_b = _scan(x.data, lengths, p.bwd, True, out_data[:, hidden:], taped)
-    keep, dtype = None, out_data.dtype
+    keep, dtype, out = None, out_data.dtype, out_data
     if dropout_rate > 0.0:
         if rng is None:
             raise ValueError("dropout needs a seeded generator (rng)")
-        keep = (rng.random(mask.shape + (2 * hidden,)) >= dropout_rate)[mask > 0]
-        out_data *= (keep / (1.0 - dropout_rate)).astype(dtype, copy=False)
+        # One (T, 2H) draw per mask row, in row order, kept at its valid
+        # positions: the stream of one draw over the padded shape.
+        keep = np.empty(out_data.shape, dtype=bool)
+        row_shape = (mask.shape[-1], 2 * hidden)
+        for start, length in zip(np.cumsum(lengths) - lengths, lengths):
+            keep[start:start + length] = rng.random(row_shape)[:length] >= dropout_rate
+        # A scaled copy: backward reads the previous states from out_data.
+        out = out_data * (keep / (1.0 - dropout_rate)).astype(dtype, copy=False)
 
     def backward(g):
         if keep is not None:
@@ -265,4 +286,4 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams, dropout_rate: flo
         grads_f = bptt_f(g_f, d_x)
         return (d_x, *grads_f, *grads_b)
     inputs = (x, p.fwd.w_x, p.fwd.w_h, p.fwd.b, p.bwd.w_x, p.bwd.w_h, p.bwd.b)
-    return record(Tensor(out_data), inputs, backward)
+    return record(Tensor(out), inputs, backward)

@@ -3,6 +3,10 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from fnr import cli, training
 from fnr.cli import ConfigError, load_run_config, main
 from fnr.data import CorpusError, QaRecord, load_corpus, save_corpus
-from fnr.embeddings import SgnsConfig
+from fnr.embeddings import EmbeddingMatrix, SgnsConfig, load_embeddings, save_embeddings
 from fnr.model import SanConfig, SanParams, load_model, save_model
 from fnr.retrieval import load_bank_cache
 from fnr.training import TrainConfig
@@ -366,6 +370,16 @@ class TestTrain:
                     + ["--embeddings", str(emb)])
         assert code == 3
         assert "lines 2 and 4" in caplog.text
+
+    @pytest.mark.parametrize("token", ["", "\t"], ids=["empty", "tab"])
+    def test_empty_embedding_token_exit_3(self, tmp_path, corpus_path, caplog, token):
+        # A row no lookup can reach: the tokenizer never yields such a token.
+        emb = tmp_path / "emb.txt"
+        emb.write_text(f"3 2\nworks 0.25 0.25\n{token} 0.5 0.5\niphone 1.0 1.0\n")
+        code = main(train_args(corpus_path, tmp_path / "model.npz")
+                    + ["--embeddings", str(emb)])
+        assert code == 3
+        assert f"{emb}:3:" in caplog.text
 
     def test_bank_cache_without_pool_rejected(self, tmp_path, corpus_path, pool_path, caplog):
         cache = tmp_path / "bank.jsonl"
@@ -880,6 +894,251 @@ class TestDamagedCorpusLine:
         code = main(["build-bank", "--labeled", str(path), "--pool", str(path),
                      "--out", str(workdir / "banks.jsonl")])
         assert code == (0 if well_formed(obj) else 3)
+
+
+FLOAT_TEXT = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+INT_TEXT = re.compile(r"[+-]?\d+")
+
+
+def read_embedding_text(text):
+    """The embedding-file rules, restated apart from ``load_embeddings``:
+    the (tokens, vectors) a well-formed file loads to, else None.
+
+    The header is two integers, the row count and the dimension.  Every
+    non-blank line after it is a token, which holds no whitespace, and
+    ``dim`` finite decimal values, one space apart.  Tokens other than the
+    reserved ones are lowercased and must stay distinct; reserved rows
+    the file lacks, and the PAD row always, read as zeros."""
+    header, *lines = text.split("\n")
+    head = header.split()
+    if len(head) != 2 or not all(INT_TEXT.fullmatch(h) for h in head):
+        return None
+    n_rows, dim = map(int, head)
+    rows = {}
+    for line in lines:
+        if not line.strip():
+            continue
+        token, *values = line.split(" ")
+        if token.split() != [token] or len(values) != dim:
+            return None
+        if not all(FLOAT_TEXT.fullmatch(v) and math.isfinite(float(v)) for v in values):
+            return None
+        token = token if token in RESERVED else token.lower()
+        if token in rows:
+            return None
+        rows[token] = [float(v) for v in values]
+    if len(rows) != n_rows:
+        return None
+    rows[RESERVED[0]] = [0.0] * dim
+    tokens = list(RESERVED) + [t for t in rows if t not in RESERVED]
+    return tokens, np.array([rows.get(t, [0.0] * dim) for t in tokens]).reshape(-1, dim)
+
+
+class TestDamagedEmbeddingFile:
+    """``train --embeddings`` on a damaged ``save_embeddings`` file exits 3
+    exactly when ``read_embedding_text`` rejects the file, and otherwise
+    exits 0 having loaded what that restatement reads."""
+
+    @pytest.fixture(scope="class")
+    def original(self, tmp_path_factory):
+        """A corpus and the lines of an embedding file over its words."""
+        root = tmp_path_factory.mktemp("damaged_embeddings")
+        corpus, emb = root / "labeled.jsonl", root / "emb.txt"
+        save_corpus(corpus, labeled_records())
+        vocab = Vocabulary(list(RESERVED) + WORDS)
+        vectors = np.random.default_rng(7).normal(size=(len(vocab), 8))
+        save_embeddings(EmbeddingMatrix(vocab, vectors), emb)
+        return corpus, emb.read_text(encoding="utf-8").splitlines()
+
+    @staticmethod
+    def damage(data, lines) -> list[str]:
+        """The file's lines with one drawn mutation."""
+        kind = data.draw(st.sampled_from(["header_count", "header_dim", "short_row",
+                                          "long_row", "non_finite", "non_numeric",
+                                          "empty_token", "fold", "truncate"]))
+        n_rows, dim = map(int, lines[0].split())
+        row = data.draw(st.integers(1, len(lines) - 1))
+        token, *values = lines[row].split(" ")
+        if kind in ("header_count", "header_dim"):
+            head = [str(n_rows), str(dim)]
+            j = 0 if kind == "header_count" else 1
+            head[j] = data.draw(st.sampled_from(
+                [str(int(head[j]) + d) for d in (-1, 1, 7)] + ["0", "-1", "x", "3.0", ""]))
+            lines[0] = " ".join(head)
+        elif kind == "short_row":
+            lines[row] = " ".join([token] + values[:data.draw(st.integers(0, dim - 1))])
+        elif kind == "long_row":
+            lines[row] += " 0.5" * data.draw(st.integers(1, 3))
+        elif kind in ("non_finite", "non_numeric"):
+            values[data.draw(st.integers(0, dim - 1))] = data.draw(st.sampled_from(
+                ["nan", "inf", "-inf", "NaN", "1e999"] if kind == "non_finite"
+                else ["abc", "", "0x1A", "1..5", "--1", "1,5", "e3", "."]))
+            lines[row] = " ".join([token] + values)
+        elif kind == "empty_token":
+            lines[row] = " ".join([data.draw(st.sampled_from(["", "\t"]))] + values)
+        elif kind == "fold":
+            # Its own or another word's token, as written or with its case
+            # changed: only its own folds to no other row's token.
+            other = row if data.draw(st.booleans()) else data.draw(
+                st.integers(4, len(lines) - 1).filter(lambda i: i != row))
+            twin = lines[other].split(" ")[0]
+            lines[row] = " ".join([data.draw(st.sampled_from([twin, twin.upper(),
+                                                              twin.title()]))] + values)
+        else:
+            row = data.draw(st.integers(0, len(lines) - 1))
+            lines[row] = lines[row][:data.draw(st.integers(0, len(lines[row]) - 1))]
+            if data.draw(st.booleans()):
+                del lines[row + 1:]
+        return lines
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_train_exit_code_total(self, original, data):
+        corpus, lines = original
+        text = "".join(line + "\n" for line in self.damage(data, list(lines)))
+        bad = corpus.with_name("damaged_emb.txt")
+        bad.write_text(text, encoding="utf-8")
+        code = main(train_args(corpus, corpus.with_name("model.npz"), max_epochs=2, patience=1)
+                    + ["--embeddings", str(bad)])
+        expected = read_embedding_text(text)
+        assert code == (3 if expected is None else 0)
+        if code == 0:
+            matrix = load_embeddings(bad)
+            assert matrix.vocab.id_to_token == expected[0]
+            assert np.array_equal(matrix.vectors, expected[1])
+
+
+MODEL_KEYS = {f.name: f.type for f in dataclasses.fields(SanConfig)}
+TRAIN_KEYS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+CONFIG_KINDS = {**MODEL_KEYS, **TRAIN_KEYS, "corpus": "path", "checkpoint": "path"}
+JSON_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+              "path": (str, type(None))}
+BOOL_TEXT = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def read_config_text(text):
+    """The run-config rules, restated apart from ``load_run_config``: the
+    (SanConfig, corpus, checkpoint) a well-formed config file gives, else
+    None.
+
+    A file whose first non-blank character is ``{`` is a JSON object;
+    anything else is ``key=value`` lines, blank and ``#`` lines skipped.
+    Keys are the fields of SanConfig and TrainConfig plus the paths; a
+    JSON value has its field's type (an int for a float too), a text
+    value parses as it.  Both paths are required, the seed falls back to
+    SAN_SEED, and the two classes must accept their values."""
+    if text.lstrip().startswith("{"):
+        try:
+            values = json.loads(text)
+        except json.JSONDecodeError:
+            return None
+        if type(values) is not dict or not all(
+                key in CONFIG_KINDS and type(value) in JSON_KINDS[CONFIG_KINDS[key]]
+                for key, value in values.items()):
+            return None
+    else:
+        values = {}
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                return None
+            key, _, value = (part.strip() for part in line.partition("="))
+            kind = CONFIG_KINDS.get(key)
+            if kind == "int" and INT_TEXT.fullmatch(value):
+                values[key] = int(value)
+            elif kind == "float" and (FLOAT_TEXT.fullmatch(value)
+                                      or value in ("nan", "inf", "-inf")):
+                values[key] = float(value)
+            elif kind == "bool" and value.lower() in BOOL_TEXT:
+                values[key] = BOOL_TEXT[value.lower()]
+            elif kind in ("str", "path"):
+                values[key] = value
+            else:
+                return None
+    corpus, checkpoint = values.pop("corpus", None), values.pop("checkpoint", None)
+    if corpus is None or checkpoint is None:
+        return None
+    values.setdefault("seed", int(os.environ.get("SAN_SEED", SanConfig.seed)))
+    try:
+        TrainConfig(**{k: v for k, v in values.items() if k in TRAIN_KEYS})
+        model = SanConfig(**{k: v for k, v in values.items() if k in MODEL_KEYS})
+    except ValueError:
+        return None
+    return model, corpus, checkpoint
+
+
+class TestDamagedRunConfig:
+    """``train --config`` on a damaged config file, JSON or ``key=value``,
+    exits 3 exactly when ``read_config_text`` rejects the file, 2 when
+    the corpus path it names is not the corpus, and otherwise 0 (4 if the
+    values it reads diverge), training the model the file describes."""
+
+    @pytest.fixture(scope="class")
+    def original(self, tmp_path_factory):
+        """A corpus and a run config over it.  The checkpoint and epoch
+        limits come first, so that a file cut short before the corpus
+        line names no corpus and writes nothing."""
+        root = tmp_path_factory.mktemp("damaged_config")
+        corpus = root / "labeled.jsonl"
+        save_corpus(corpus, labeled_records())
+        return {"checkpoint": str(root / "model.npz"), "max_epochs": 2, "patience": 1,
+                "corpus": str(corpus), "seed": 3, "embedding_dim": 8, "hidden_size": 6,
+                "attention_dim": 6, "max_len": 8, "bank_size": 2, "dropout": 0.0,
+                "share_bank_encoder": False, "lr": 0.02, "batch_size": 8}
+
+    @staticmethod
+    def damage(data, values) -> str:
+        """The config's text, as JSON or ``key=value`` lines, with one
+        drawn mutation."""
+        as_json = data.draw(st.booleans())
+        kind = data.draw(st.sampled_from(["drop_key", "retype_key", "unknown_key",
+                                          "non_finite", "truncate"]))
+        settings_keys = [k for k in values if k not in ("corpus", "checkpoint")]
+        if kind == "drop_key":
+            del values[data.draw(st.sampled_from(sorted(values)))]
+        elif kind == "retype_key":
+            key = data.draw(st.sampled_from(sorted(values) if as_json else settings_keys))
+            if as_json:
+                kinds = [t for t in JSON_VALUES if t is not type(values[key])]
+                values[key] = data.draw(JSON_VALUES[data.draw(st.sampled_from(kinds))])
+            else:
+                values[key] = data.draw(st.sampled_from(["6.5", "true", "abc", "", "[1]",
+                                                         "null", "7"]))
+        elif kind == "unknown_key":
+            values[data.draw(st.sampled_from(["bogus", "labels", "hiden_size", "report"]))] = 1
+        elif kind == "non_finite":
+            values[data.draw(st.sampled_from(settings_keys))] = data.draw(
+                st.sampled_from([math.nan, math.inf, -math.inf]))
+        if as_json:
+            text = json.dumps(values)
+        else:
+            text = "".join(f"{k}={json.dumps(v) if type(v) is bool else v}\n"
+                           for k, v in values.items())
+        if kind == "truncate":
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        return text
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_train_exit_code_total(self, original, data):
+        text = self.damage(data, dict(original))
+        bad = Path(original["corpus"]).with_name("damaged_run.cfg")
+        bad.write_text(text, encoding="utf-8")
+        ckpt = Path(original["checkpoint"])
+        ckpt.unlink(missing_ok=True)
+        code = main(["train", "--config", str(bad)])
+        expected = read_config_text(text)
+        if expected is None:
+            assert code == 3
+        elif expected[1] != original["corpus"]:
+            assert code == 2
+        else:
+            assert code in (0, 4)
+        if code == 0:
+            assert expected[2] == original["checkpoint"]
+            assert load_model(ckpt)[1] == expected[0]
 
 
 class TestExtract:
