@@ -216,16 +216,26 @@ def linear(x, w, b) -> Tensor:
     return record(out, (x, w, b), backward)
 
 
+_SCATTER_BLOCK = 1024
+
+
 def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """``table[rows] += values`` in place, a repeated row getting every
     update; ``values`` has shape ``rows.shape + (dim,)``.  This is
     ``np.add.at`` on the flat view of the C-contiguous 2-D table, which
-    adds in the same order as on 2-D rows and runs several times faster."""
+    adds in the same order as on 2-D rows and runs several times faster.
+    It runs over blocks of ``_SCATTER_BLOCK`` ids in order, so its flat
+    index takes that many rows of ``dim`` entries, not one per id."""
     if not table.flags.c_contiguous:
         raise ValueError("scatter_add needs a C-contiguous table")
+    rows = np.asarray(rows, dtype=np.intp)
     dim = table.shape[1]
-    flat = np.asarray(rows, dtype=np.intp)[..., None] * dim + np.arange(dim)
-    np.add.at(table.reshape(-1), flat.ravel(), values.ravel())
+    if values.shape != rows.shape + (dim,):
+        raise ValueError(f"values shape {values.shape} != {rows.shape + (dim,)}")
+    rows, values, cols = rows.reshape(-1), values.reshape(-1, dim), np.arange(dim)
+    for lo in range(0, rows.size, _SCATTER_BLOCK):
+        flat = rows[lo:lo + _SCATTER_BLOCK, None] * dim + cols
+        np.add.at(table.reshape(-1), flat.ravel(), values[lo:lo + _SCATTER_BLOCK].ravel())
 
 
 def gather_rows(table, ids) -> Tensor:

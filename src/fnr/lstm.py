@@ -12,20 +12,24 @@ store.
 
 The input projection ``x Wx^T`` of every valid position is one GEMM
 before the recurrence; each step adds ``h_prev Wh^T`` and the bias to its
-rows.  A taped scan keeps, per valid position, the forget gate,
-o(1 - tanh^2 c), and in place of the four activations the coefficients
-that turn d_c (d_h for o) into the gate pre-activation gradients:
-g i(1 - i), c_prev f(1 - f), tanh c o(1 - o) and i(1 - g^2).  They are
-taken during the forward step, so the backward pass only runs the
-recurrence for d_h and d_c.  It keeps no copy of the input rows or of
-the hidden states: for the weights' gradients backward regathers the
-input rows from the node's input, and each position's previous state
-from the node's unscaled output (zero at a sequence's first position),
-both in the same packed order.  ``bptt`` consumes what its scan kept: it
-turns the coefficients into the gate gradients in place and drops each
-buffer once done with it, so one direction's saved state is freed before
-the other direction's backward runs.  A node's backward therefore runs
-once, which ``Tape.gradients`` already enforces.
+rows.  A taped scan keeps, per valid position, only the four gate
+activations i, f, o, g (4H values); taped and tape-free forwards run the
+same steps.  Backward rebuilds the rest with the forward's own arithmetic,
+so its gradients are bit-identical to keeping it: first each position's
+cell state, by the recurrence c = i g + f c_prev, then, step by step in
+reverse, tanh c and the coefficients that turn d_c (d_h for o) into the
+gate pre-activation gradients: o(1 - tanh^2 c) for d_c itself,
+g i(1 - i), c_prev f(1 - f), tanh c o(1 - o) and i(1 - g^2).  No GEMM is
+re-run.  The scan keeps no copy of the input rows or of the hidden
+states either: for the weights' gradients backward regathers the input
+rows from the node's input, and each position's previous state from the
+node's unscaled output (zero at a sequence's first position), both in the
+same packed order.  ``bptt`` consumes what its scan kept: it turns the
+activations into the gate gradients in place and drops each buffer once
+done with it, the cell states before those gathers, so one direction's
+saved state is freed before the other direction's backward runs.  A
+node's backward therefore runs once, which ``Tape.gradients`` already
+enforces.
 
 The layer reads and writes packed rows: one row per valid position of
 its (..., T) mask, in the row-major order ``a[mask > 0]`` gives, i.e.
@@ -106,10 +110,11 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
     Writes the hidden states into the (n, H) ``out`` and, with ``taped``,
     returns a backpropagation-through-time closure ``bptt(g_out, d_x)``
     mapping the output gradient to ``[d_w_x, d_w_h, d_b]``; it adds the
-    input gradient into ``d_x``.  ``bptt`` reads the previous states back
-    from ``out``, which must still hold them, and runs at most once.  With
-    ``reverse`` the scan runs from each sequence's last valid token back
-    to its first.
+    input gradient into ``d_x``.  The closure keeps the (n, 4H) gate
+    activations and the packed-row schedule; it rebuilds the (n, H) cell
+    states from them, reads the previous states back from ``out``, which
+    must still hold them, and runs at most once.  With ``reverse`` the
+    scan runs from each sequence's last valid token back to its first.
     """
     steps = lengths.max(initial=0)
     hidden = p.hidden_size
@@ -133,15 +138,12 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
 
     w_x, w_h, bias = p.w_x.data, p.w_h.data, p.b.data
     hs = np.empty((n, hidden), dtype=dtype)
-    if taped:
-        fs = np.empty((n, hidden), dtype=dtype)
-        dc_dh = np.empty((n, hidden), dtype=dtype)
 
     h3 = 3 * hidden
     with np.errstate(over="ignore", invalid="ignore"):
         # The input projection of every packed row, hoisted out of the
         # recurrence; step s turns its rows into the gate pre-activations,
-        # then the activations, and under a tape the backward coefficients.
+        # then in place into the activations i, f, o, g.
         gates = xs[rows] @ w_x.T
         c = None
         for s in range(steps):
@@ -158,22 +160,7 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
             c_prev, c = c, i * g
             if k:
                 c[:k] += f[:k] * c_prev[:k]
-            tanh_c = np.tanh(c)
-            np.multiply(o, tanh_c, out=hs[lo:hi])
-            if not taped:
-                continue
-            # Each gate's pre-activation gradient is d_c (d_h for o) times
-            # a coefficient that needs no recurrence: taken here, while
-            # the step's rows are in cache, in place of the activations.
-            fs[lo:hi] = f
-            np.multiply(o, 1.0 - tanh_c * tanh_c, out=dc_dh[lo:hi])
-            coef_i = g * i * (1.0 - i)
-            np.multiply(i, 1.0 - g * g, out=g)
-            i[...] = coef_i
-            f[k:] = 0.0
-            if k:
-                f[:k] = c_prev[:k] * f[:k] * (1.0 - f[:k])
-            o[...] = tanh_c * o * (1.0 - o)
+            np.multiply(o, np.tanh(c), out=hs[lo:hi])
 
     out[rows] = hs
     if not taped:
@@ -184,30 +171,51 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
     first = slot_idx >= carried[step_idx]
 
     def bptt(g_out, d_x):
-        # The coefficient buffer becomes the gate gradients in place; each
-        # saved buffer is dropped as soon as it is used up.
-        nonlocal gates, fs, dc_dh
+        # The activation buffer becomes the gate gradients in place; each
+        # buffer is dropped as soon as it is used up.
+        nonlocal gates
         d_pre, gates = gates, None
-        d_hs = g_out[rows]
         with np.errstate(over="ignore", invalid="ignore"):
+            # The cell states, rebuilt by the forward's own recurrence.
+            cs = np.empty((n, hidden), dtype=dtype)
+            for s in range(steps):
+                lo, hi, k = offs[s], offs[s + 1], carried[s]
+                prev = offs[s - 1] if s else 0
+                i, f, g = (d_pre[lo:hi, j * hidden:(j + 1) * hidden] for j in (0, 1, 3))
+                np.multiply(i, g, out=cs[lo:hi])
+                if k:
+                    cs[lo:lo + k] += f[:k] * cs[prev:prev + k]
+            d_hs = g_out[rows]
             d_h_next = d_c_next = None
             for s in range(steps - 1, -1, -1):
-                lo, hi = offs[s], offs[s + 1]
+                lo, hi, k = offs[s], offs[s + 1], carried[s]
+                prev = offs[s - 1] if s else 0
                 k_next = carried[s + 1] if s + 1 < steps else 0
+                i, f, o, g = (d_pre[lo:hi, j * hidden:(j + 1) * hidden] for j in range(4))
+                tanh_c = np.tanh(cs[lo:hi])
                 d_h = d_hs[lo:hi]
                 if k_next:
                     d_h[:k_next] += d_h_next
-                d_c = d_h * dc_dh[lo:hi]
+                d_c = d_h * (o * (1.0 - tanh_c * tanh_c))
                 if k_next:
                     d_c[:k_next] += d_c_next
-                d_step = d_pre[lo:hi].reshape(hi - lo, 4, hidden)
-                d_step[:, 2] *= d_h
-                d_step[:, :2] *= d_c[:, None, :]
-                d_step[:, 3] *= d_c
-                k = carried[s]
+                d_c_next = d_c[:k] * f[:k]
+                # Each gate's pre-activation gradient is d_c (d_h for o)
+                # times a coefficient of the step's activations and cell
+                # states, written over the activation it replaces.
+                coef_i = g * i * (1.0 - i)
+                np.multiply(i, 1.0 - g * g, out=g)
+                i[...] = coef_i
+                f[k:] = 0.0
+                if k:
+                    f[:k] = cs[prev:prev + k] * f[:k] * (1.0 - f[:k])
+                o[...] = tanh_c * o * (1.0 - o)
+                o *= d_h
+                i *= d_c
+                f *= d_c
+                g *= d_c
                 d_h_next = d_pre[lo:lo + k] @ w_h
-                d_c_next = d_c[:k] * fs[lo:lo + k]
-            d_hs = fs = dc_dh = None
+            d_hs = cs = None
             d_wx = d_pre.T @ xs[rows]
             h_prev = out[np.where(first, 0, rows + (1 if reverse else -1))]
             h_prev[first] = 0.0

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import fnr
 from fnr.autodiff import (NonFiniteError, Tape, Tensor, gather_rows, linear, record,
-                          sigmoid_array, softmax, softmax_grad, softmax_parts)
+                          scatter_add, sigmoid_array, softmax, softmax_grad, softmax_parts)
 from fnr.lstm import blstm_forward, init_blstm
 from fnr.optim import ParamGroup, grad_check
 
@@ -405,6 +406,31 @@ class TestGatherRows:
         want = np.zeros((7, 5))
         np.add.at(want, ids.reshape(-1), weights.reshape(-1, 5))
         assert np.array_equal(gt, want)
+
+    def test_scatter_add_blocks_match_2d_add_at_in_bounded_memory(self):
+        # (B, U, T) = (256, 5, 40) ids over 50 rows, as a bank lookup's
+        # backward scatters many repeats: the ids span many blocks.
+        rng = np.random.default_rng(3)
+        dim = 8
+        ids = rng.integers(0, 50, size=(256, 5, 40))
+        values = rng.normal(size=ids.shape + (dim,))
+        want = rng.normal(size=(50, dim))
+        table = want.copy()
+        np.add.at(want, ids.reshape(-1), values.reshape(-1, dim))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            scatter_add(table, ids, values)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert table.tobytes() == want.tobytes()
+        # A flat index over all ids at once would take ids.size * dim intp.
+        assert peak < ids.size * dim * np.dtype(np.intp).itemsize // 4
+
+    def test_scatter_add_checks_values_shape(self):
+        with pytest.raises(ValueError, match="values shape"):
+            scatter_add(np.zeros((3, 2)), np.array([0, 1]), np.ones((3, 2)))
 
 
 class TestFastMode:

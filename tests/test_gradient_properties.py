@@ -1,0 +1,72 @@
+"""Property-based gradient checks of tape nodes over drawn shapes and
+saturated regimes, against central differences (``optim.grad_check``).
+
+Each check scales its cotangent so that the largest taped gradient entry
+is 1: ``grad_check``'s error |g_ad - g_fd| / max(1, |g_ad|, |g_fd|) is
+then relative to the gradient's scale, and one fixed tolerance holds for
+every drawn case.  A scale below ``SCALE_FLOOR`` counts as the floor, so
+that the differenced side's rounding, eps |loss| / h, stays far below the
+tolerance when saturation leaves every gradient near zero.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from fnr.autodiff import Tape
+from fnr.lstm import blstm_forward, init_blstm
+from fnr.optim import ParamGroup, grad_check
+
+
+TOLERANCE = 1e-6
+SCALE_FLOOR = 1e-2
+
+
+def unit_scale_seed(loss_fn, group, seed):
+    """``seed`` scaled so that the largest gradient entry of ``loss_fn``'s
+    vector-Jacobian product over ``group`` is 1, or below 1 if under the
+    floor."""
+    with Tape() as tape:
+        out = loss_fn(group)
+    grads = tape.gradients(out, seed=seed)
+    scale = max(np.abs(grads[t]).max(initial=0.0) for _, t in group.items())
+    return seed / max(scale, SCALE_FLOOR)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_blstm_forward_gradcheck(data):
+    # Both directions, each with its own parameters, over one batch that
+    # mixes empty, length-1 and full-length sequences; each gate's bias
+    # may push its pre-activations to +-40, where its nonlinearity
+    # saturates in float64.
+    steps = data.draw(st.integers(1, 4), label="T")
+    lengths = data.draw(st.lists(st.sampled_from([0, 1, steps]) | st.integers(0, steps),
+                                 min_size=1, max_size=4), label="lengths")
+    din = data.draw(st.integers(1, 2), label="din")
+    hidden = data.draw(st.integers(1, 3), label="H")
+    dropout = data.draw(st.sampled_from([0.0, 0.3]), label="dropout")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+
+    group = ParamGroup()
+    p = init_blstm(group, "b", din, hidden, rng)
+    for name in ("b.fwd.b", "b.bwd.b"):
+        shifts = data.draw(st.just([0.0] * 4)
+                           | st.lists(st.sampled_from([0.0, 40.0, -40.0]), min_size=4,
+                                      max_size=4), label=f"{name} gate shifts (i, f, o, g)")
+        group.assign(name, ..., group[name].data + np.repeat(shifts, hidden))
+    mask = (np.arange(steps)[None, :] < np.asarray(lengths)[:, None]).astype(float)
+    n = int(mask.sum())
+    x = group.add("x", rng.normal(size=(n, din)))
+
+    def out(_):
+        # Re-seeded per call, so every evaluation draws the same dropout mask.
+        return blstm_forward(x, mask, p, dropout_rate=dropout,
+                             rng=np.random.default_rng(seed))
+
+    free = out(group)
+    with Tape():
+        taped = out(group)
+    assert free.data.tobytes() == taped.data.tobytes()
+    cotangent = unit_scale_seed(out, group, rng.normal(size=(n, 2 * hidden)))
+    assert grad_check(out, group, h=1e-5, seed=cotangent) < TOLERANCE
