@@ -159,12 +159,10 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def _canonical_variant(name: str) -> str:
-    norm = name.strip().lower().replace("_", "-")
-    aliases = {"san": "san", "sblstm": "sblstm", "s-blstm": "sblstm",
-               "san-noblstm2": "san-noblstm2", "san-minus-blstm2": "san-noblstm2"}
-    if norm not in aliases:
+    norm = name.strip().lower()
+    if norm not in ("san", "sblstm", "san-noblstm2"):
         raise ConfigError(f"unknown variant {name!r}; use SAN, sblstm or san-noblstm2")
-    return aliases[norm]
+    return norm
 
 
 def _question_sequences(records) -> list[list[str]]:

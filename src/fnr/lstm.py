@@ -34,11 +34,15 @@ enforces.
 The layer reads and writes packed rows: one row per valid position of
 its (..., T) mask, in the row-major order ``a[mask > 0]`` gives, i.e.
 sequence by sequence, each in time order.  Padding is suffix-only (masks
-are prefixes of ones), which the layer checks.  Sequences are sorted by
-length once, so step t runs only on the prefix of sequences still inside
-their length, indexing their rows directly: padding is never computed or
-stored.  The reverse direction therefore starts each sequence at its last
-valid token from a zero state, and extending a sequence with PAD
+are prefixes of ones), which the layer checks.  Both directions run one
+schedule, built once per call as in PyTorch's ``PackedSequence``:
+sequences sorted longest first, so step s runs the prefix of those longer
+than s, and each step's rows are a prefix of the previous step's.  At
+step s a sequence reads its position s going forward and its position
+length - 1 - s going back, so the reverse scan is, bit for bit, the
+forward scan over each sequence's rows reversed.  Padding is never
+computed or stored: the reverse direction starts each sequence at its
+last valid token from a zero state, and extending a sequence with PAD
 positions is a bit-for-bit no-op.
 """
 
@@ -101,41 +105,27 @@ def init_blstm(group: ParamGroup, prefix: str, input_size: int, hidden: int,
                        bwd=init_lstm(group, f"{prefix}.bwd", input_size, hidden, rng))
 
 
-def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
+def _scan(xs: np.ndarray, rows: np.ndarray, offs: np.ndarray, p: LstmParams,
           out: np.ndarray, taped: bool):
-    """One LSTM direction from zero state over plain (n, din) rows: the
-    valid tokens of sequences of ``lengths``, row-major, each sequence's
-    tokens in time order.
+    """One LSTM direction from zero state over the (n, din) rows ``xs``,
+    on the packed schedule ``rows``, ``offs`` that ``blstm_forward`` builds.
 
-    Writes the hidden states into the (n, H) ``out`` and, with ``taped``,
-    returns a backpropagation-through-time closure ``bptt(g_out, d_x)``
-    mapping the output gradient to ``[d_w_x, d_w_h, d_b]``; it adds the
-    input gradient into ``d_x``.  The closure keeps the (n, 4H) gate
-    activations and the packed-row schedule; it rebuilds the (n, H) cell
-    states from them, reads the previous states back from ``out``, which
-    must still hold them, and runs at most once.  With ``reverse`` the
-    scan runs from each sequence's last valid token back to its first.
+    Step s runs packed rows offs[s]:offs[s+1], which are input rows
+    ``rows[offs[s]:offs[s+1]]``, and its rows are a prefix of step s - 1's:
+    row j of step s continues row j of step s - 1, and step 0 starts every
+    sequence from zero state.  Writes the hidden states into the (n, H)
+    ``out`` and, with ``taped``, returns a backpropagation-through-time
+    closure ``bptt(g_out, d_x)`` mapping the output gradient to
+    ``[d_w_x, d_w_h, d_b]``; it adds the input gradient into ``d_x``.  The
+    closure keeps the (n, 4H) gate activations and the schedule; it
+    rebuilds the (n, H) cell states from them, reads the previous states
+    back from ``out``, which must still hold them, and runs at most once.
     """
-    steps = lengths.max(initial=0)
+    steps = len(offs) - 1
+    counts = np.diff(offs)
+    n = len(rows)
     hidden = p.hidden_size
     dtype = out.dtype
-
-    # Packed layout: processing step s covers the rows still inside their
-    # sequence, longest first, as rows offs[s]:offs[s+1] of each buffer;
-    # every step covers at least the longest row.
-    order = np.argsort(-lengths, kind="stable")
-    times = np.arange(steps)[::-1] if reverse else np.arange(steps)
-    active = lengths[order][None, :] > times[:, None]
-    counts = active.sum(axis=1)
-    offs = np.concatenate([[0], np.cumsum(counts)])
-    # Rows that also ran the previous step carry its state; they are a
-    # prefix of this step's rows.  The rest start from zero state.
-    carried = np.minimum(counts, np.concatenate([[0], counts[:-1]]))
-    step_idx, slot_idx = np.nonzero(active)
-    # Each packed step row's position among the input rows.
-    rows = (np.cumsum(lengths) - lengths)[order[slot_idx]] + times[step_idx]
-    n = len(rows)
-
     w_x, w_h, bias = p.w_x.data, p.w_h.data, p.b.data
     hs = np.empty((n, hidden), dtype=dtype)
 
@@ -147,28 +137,23 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
         gates = xs[rows] @ w_x.T
         c = None
         for s in range(steps):
-            lo, hi, k = offs[s], offs[s + 1], carried[s]
-            prev = offs[s - 1] if s else 0
+            lo, hi, back = offs[s], offs[s + 1], counts[s - 1]
             pre = gates[lo:hi]
-            if k:
-                pre[:k] += hs[prev:prev + k] @ w_h.T
+            if s:
+                pre += hs[lo - back:hi - back] @ w_h.T
             pre += bias
             check_finite(pre, "LSTM pre-activation")
             pre[:, :h3] = sigmoid_array(pre[:, :h3])
             i, f, o, g = (pre[:, j * hidden:(j + 1) * hidden] for j in range(4))
             np.tanh(g, out=g)
             c_prev, c = c, i * g
-            if k:
-                c[:k] += f[:k] * c_prev[:k]
+            if s:
+                c += f * c_prev[:hi - lo]
             np.multiply(o, np.tanh(c), out=hs[lo:hi])
 
     out[rows] = hs
     if not taped:
         return None
-
-    # Packed rows that start their sequence: their previous state is zero.
-    # Every other row's previous state is the output row one time step back.
-    first = slot_idx >= carried[step_idx]
 
     def bptt(g_out, d_x):
         # The activation buffer becomes the gate gradients in place; each
@@ -179,47 +164,44 @@ def _scan(xs: np.ndarray, lengths: np.ndarray, p: LstmParams, reverse: bool,
             # The cell states, rebuilt by the forward's own recurrence.
             cs = np.empty((n, hidden), dtype=dtype)
             for s in range(steps):
-                lo, hi, k = offs[s], offs[s + 1], carried[s]
-                prev = offs[s - 1] if s else 0
+                lo, hi, back = offs[s], offs[s + 1], counts[s - 1]
                 i, f, g = (d_pre[lo:hi, j * hidden:(j + 1) * hidden] for j in (0, 1, 3))
                 np.multiply(i, g, out=cs[lo:hi])
-                if k:
-                    cs[lo:lo + k] += f[:k] * cs[prev:prev + k]
+                if s:
+                    cs[lo:hi] += f * cs[lo - back:hi - back]
             d_hs = g_out[rows]
-            d_h_next = d_c_next = None
+            d_h_next = d_c_next = np.empty((0, hidden), dtype=dtype)
             for s in range(steps - 1, -1, -1):
-                lo, hi, k = offs[s], offs[s + 1], carried[s]
-                prev = offs[s - 1] if s else 0
-                k_next = carried[s + 1] if s + 1 < steps else 0
+                lo, hi, back = offs[s], offs[s + 1], counts[s - 1]
                 i, f, o, g = (d_pre[lo:hi, j * hidden:(j + 1) * hidden] for j in range(4))
                 tanh_c = np.tanh(cs[lo:hi])
                 d_h = d_hs[lo:hi]
-                if k_next:
-                    d_h[:k_next] += d_h_next
+                d_h[:len(d_h_next)] += d_h_next
                 d_c = d_h * (o * (1.0 - tanh_c * tanh_c))
-                if k_next:
-                    d_c[:k_next] += d_c_next
-                d_c_next = d_c[:k] * f[:k]
+                d_c[:len(d_c_next)] += d_c_next
+                d_c_next = d_c * f
                 # Each gate's pre-activation gradient is d_c (d_h for o)
                 # times a coefficient of the step's activations and cell
-                # states, written over the activation it replaces.
+                # states, written over the activation it replaces; at step
+                # 0 the previous cell state, so f's coefficient, is zero.
                 coef_i = g * i * (1.0 - i)
                 np.multiply(i, 1.0 - g * g, out=g)
                 i[...] = coef_i
-                f[k:] = 0.0
-                if k:
-                    f[:k] = cs[prev:prev + k] * f[:k] * (1.0 - f[:k])
+                f[...] = cs[lo - back:hi - back] * f * (1.0 - f) if s else 0.0
                 o[...] = tanh_c * o * (1.0 - o)
                 o *= d_h
                 i *= d_c
                 f *= d_c
                 g *= d_c
-                d_h_next = d_pre[lo:lo + k] @ w_h
+                if s:
+                    d_h_next = d_pre[lo:hi] @ w_h
             d_hs = cs = None
             d_wx = d_pre.T @ xs[rows]
-            h_prev = out[np.where(first, 0, rows + (1 if reverse else -1))]
-            h_prev[first] = 0.0
-            d_wh = d_pre.T @ h_prev
+            # Packed row j of step s >= 1 continues row j - counts[s - 1];
+            # step 0's previous states are zero and add nothing.
+            first = counts[:1].sum()
+            prev = np.arange(first, n) - np.repeat(counts[:-1], counts[1:])
+            d_wh = d_pre[first:].T @ out[rows[prev]]
             d_b = d_pre.sum(axis=0)
             d_x[rows] += d_pre @ w_x
         return [d_wx, d_wh, d_b]
@@ -267,9 +249,20 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams, dropout_rate: flo
         raise ValueError(f"x shape {x.shape} != ({n}, din): one row per valid token of mask")
     taped = _tape() is not None
     hidden = p.hidden_size
+    # The packed schedule of both directions: sequences sorted longest
+    # first, so step s runs the prefix of those longer than s, and each
+    # step's row reads input row start + s going forward and
+    # start + length - 1 - s going back.
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    active = lengths[order][None, :] > np.arange(lengths.max(initial=0))[:, None]
+    offs = np.concatenate([[0], np.cumsum(active.sum(axis=1))])
+    step, slot = np.nonzero(active)
+    seq = order[slot]
     out_data = np.empty((n, 2 * hidden), dtype=np.result_type(x.data, p.fwd.w_x.data))
-    bptt_f = _scan(x.data, lengths, p.fwd, False, out_data[:, :hidden], taped)
-    bptt_b = _scan(x.data, lengths, p.bwd, True, out_data[:, hidden:], taped)
+    bptt_f = _scan(x.data, starts[seq] + step, offs, p.fwd, out_data[:, :hidden], taped)
+    bptt_b = _scan(x.data, starts[seq] + lengths[seq] - 1 - step, offs, p.bwd,
+                   out_data[:, hidden:], taped)
     keep, dtype, out = None, out_data.dtype, out_data
     if dropout_rate > 0.0:
         if rng is None:
@@ -278,7 +271,7 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams, dropout_rate: flo
         # positions: the stream of one draw over the padded shape.
         keep = np.empty(out_data.shape, dtype=bool)
         row_shape = (mask.shape[-1], 2 * hidden)
-        for start, length in zip(np.cumsum(lengths) - lengths, lengths):
+        for start, length in zip(starts, lengths):
             keep[start:start + length] = rng.random(row_shape)[:length] >= dropout_rate
         # A scaled copy: backward reads the previous states from out_data.
         out = out_data * (keep / (1.0 - dropout_rate)).astype(dtype, copy=False)

@@ -182,10 +182,8 @@ class BankMemo:
 
     def _encode(self, ids: np.ndarray, mask: np.ndarray, keys: list[bytes],
                 params: "SanParams") -> None:
-        valid = mask > 0
-        enc = blstm_forward(gather_rows(params.embedding, ids[valid]), mask, params.bank_blstm)
-        words = transform_bank(enc, params.attention).data
-        lengths = valid.sum(axis=1)
+        words = params.encode_bank(ids, mask).data
+        lengths = (mask > 0).sum(axis=1)
         self._words.update(zip(keys, np.split(words, np.cumsum(lengths)[:-1])))
 
 
@@ -216,6 +214,12 @@ class SanParams:
         encoder = "blstm1" if self.bank_blstm is self.blstm1 else "bank"
         return ["embedding", "attention.w_k", "attention.b_k",
                 *(f"{encoder}.{d}.{w}" for d in ("fwd", "bwd") for w in ("w_x", "w_h", "b"))]
+
+    def encode_bank(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+        """(M, A) transformed words of the bank questions ``ids`` under
+        ``mask``, one row per valid position in ``a[mask > 0]`` order."""
+        embedded = gather_rows(self.embedding, ids[mask > 0])
+        return transform_bank(blstm_forward(embedded, mask, self.bank_blstm), self.attention)
 
     @classmethod
     def build(cls, cfg: SanConfig, vocab_size: int, rng: np.random.Generator,
@@ -282,9 +286,7 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
         elif _tape() is None:
             words = Tensor(params.bank_memo.bank_words(batch.bank_ids, batch.bank_mask, params))
         else:
-            bank = blstm_forward(gather_rows(params.embedding, batch.bank_ids[batch.bank_mask > 0]),
-                                 batch.bank_mask, params.bank_blstm)
-            words = transform_bank(bank, params.attention)
+            words = params.encode_bank(batch.bank_ids, batch.bank_mask)
         hq2, traces = bank_attend_batch(hq1, batch.mask, words, batch.bank_mask,
                                         params.attention, want_trace=want_trace)
     else:

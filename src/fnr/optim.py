@@ -145,7 +145,9 @@ def grad_check(loss_fn: Callable[[ParamGroup], Tensor], params: ParamGroup,
     taped side is then the vector-Jacobian product ``seed . J`` and the
     differenced side ``sum(seed * out)``, so a fused op is checked on its
     own output.  Returns the max relative error
-    |g_ad - g_fd| / max(1, |g_ad|, |g_fd|) over all checked coordinates.
+    |g_ad - g_fd| / max(s, |g_ad|, |g_fd|) over all checked coordinates;
+    s, the group's largest |g_ad| clipped to [1e-2, 1], keeps the error
+    relative when every gradient is small.
     For large tensors a random coordinate subset may be checked
     (``max_coords_per_tensor``).  The group must be float64; the
     comparison is meaningless at float32.
@@ -165,6 +167,8 @@ def grad_check(loss_fn: Callable[[ParamGroup], Tensor], params: ParamGroup,
     if not math.isfinite(value(out)):
         raise NonFiniteError("loss is non-finite at the evaluation point")
 
+    largest = max((np.abs(grads[p]).max(initial=0.0) for _, p in params.items()), default=0.0)
+    scale = min(1.0, max(1e-2, float(largest)))
     worst = 0.0
     for name, p in params.items():
         gflat = grads[p].reshape(-1)
@@ -186,7 +190,7 @@ def grad_check(loss_fn: Callable[[ParamGroup], Tensor], params: ParamGroup,
                 raise NonFiniteError(f"loss non-finite while perturbing {name!r}")
             fd = (lp - lm) / (2.0 * h)
             ad = float(gflat[i])
-            err = abs(ad - fd) / max(1.0, abs(ad), abs(fd))
+            err = abs(ad - fd) / max(scale, abs(ad), abs(fd))
             if err > worst:
                 worst = err
     return worst

@@ -347,6 +347,17 @@ class TestTrain:
         _, cfg, _ = load_model(ckpt)
         assert cfg.variant == "sblstm"
 
+    @pytest.mark.parametrize("name, variant", [("SAN", "san"), ("sblstm", "sblstm"),
+                                               ("San-NoBLSTM2", "san-noblstm2")])
+    def test_documented_variant_names_load(self, name, variant):
+        assert load_run_config(None, {"variant": name}).san_config().variant == variant
+
+    @pytest.mark.parametrize("name", ["s-blstm", "san-minus-blstm2", "san_noblstm2"])
+    def test_undocumented_variant_alias_exit_3(self, tmp_path, corpus_path, name):
+        ckpt = tmp_path / "model.npz"
+        assert main(train_args(corpus_path, ckpt) + ["--variant", name]) == 3
+        assert not ckpt.exists()
+
     def test_missing_embeddings_warns_random_init(self, tmp_path, corpus_path, caplog):
         ckpt = tmp_path / "model.npz"
         assert main(train_args(corpus_path, ckpt)) == 0

@@ -2,11 +2,12 @@
 saturated regimes, against central differences (``optim.grad_check``).
 
 Each check scales its cotangent so that the largest taped gradient entry
-is 1: ``grad_check``'s error |g_ad - g_fd| / max(1, |g_ad|, |g_fd|) is
-then relative to the gradient's scale, and one fixed tolerance holds for
-every drawn case.  A scale below ``SCALE_FLOOR`` counts as the floor, so
-that the differenced side's rounding, eps |loss| / h, stays far below the
-tolerance when saturation leaves every gradient near zero.
+is 1, and one fixed tolerance holds for every drawn case.  A scale below
+``SCALE_FLOOR`` counts as the floor, so that the differenced side's
+rounding, eps |loss| / h, stays far below the tolerance when saturation
+leaves every gradient near zero.  ``grad_check`` itself divides by the
+same clipped scale, so its error is relative to the gradient's scale
+whatever the cotangent.
 """
 
 import numpy as np

@@ -264,6 +264,31 @@ class TestBlstmForward:
         fwd_half_rev = out_rev.data[0, :, :4]
         assert np.allclose(bwd_half, fwd_half_rev[::-1], atol=1e-12)
 
+    def test_reverse_scan_is_forward_scan_over_reversed_rows(self):
+        # Both directions run one packed schedule, so the reverse half of a
+        # node is, bit for bit, the forward half of a node running the same
+        # weights on each sequence reversed: outputs and weight gradients.
+        group = ParamGroup()
+        p = init_blstm(group, "b", 3, 5, np.random.default_rng(34))
+        rng = np.random.default_rng(35)
+        steps, lengths = 7, [0, 1, 7, 3, 7, 2, 5, 1, 6]
+        mask = prefix_mask(lengths, steps)
+        starts = np.cumsum(lengths) - lengths
+        flip = np.concatenate([s + np.arange(n)[::-1] for s, n in zip(starts, lengths)])
+        x = rng.normal(size=(sum(lengths), 3))
+        g_out = rng.normal(size=(sum(lengths), 10))
+        g_rev = rng.normal(size=g_out.shape)
+        g_rev[:, :5] = g_out[flip, 5:]
+        with Tape() as tape:
+            out = blstm_forward(Tensor(x), mask, p)
+        grads = tape.gradients(out, seed=g_out)
+        with Tape() as tape:
+            out_rev = blstm_forward(Tensor(x[flip]), mask, BlstmParams(fwd=p.bwd, bwd=p.fwd))
+        grads_rev = tape.gradients(out_rev, seed=g_rev)
+        assert out.data[:, 5:].tobytes() == out_rev.data[flip, :5].tobytes()
+        for t in (p.bwd.w_x, p.bwd.w_h, p.bwd.b):
+            assert grads[t].tobytes() == grads_rev[t].tobytes()
+
     def test_pad_extension_bit_for_bit(self):
         _, p = rand_blstm(3, 4, seed=5)
         rng = np.random.default_rng(6)
@@ -404,8 +429,8 @@ class TestBlstmForward:
         _, p = rand_blstm(din, hidden, seed=31)
         x = Tensor(np.random.default_rng(31).normal(size=(n_rows * steps, din)))
         n, item = n_rows * steps, x.data.itemsize
-        # Per direction: the four gate activations (4H), the packed row
-        # index and the bool of sequence starts; then the (n, 2H) output.
+        # Per direction: the four gate activations (4H) and the packed row
+        # index, plus a byte per row to spare; then the (n, 2H) output.
         bound = 2 * ((4 * hidden + 1) * item + 1) * n + 2 * hidden * n * item + 24 * 1024
         assert n * din * item > bound
         tracemalloc.start()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fnr import autodiff
-from fnr.autodiff import NonFiniteError, Tensor, linear, softmax
+from fnr.autodiff import NonFiniteError, Tensor, linear, record, softmax
 from fnr.optim import ParamGroup, adam_step, grad_check
 from test_autodiff import square
 
@@ -195,6 +195,19 @@ class TestGradCheck:
 
         with pytest.raises(NonFiniteError):
             grad_check(loss, g, h=1e-5)
+
+    def test_small_wrong_gradient_fails(self):
+        # A backward that halves a gradient of magnitude 1e-7 is wrong by
+        # 2x: the error is relative to the gradients' own scale, not to 1.
+        g = ParamGroup()
+        g.add("p", np.array([[0.5, -1.25, 2.0]]))
+
+        def loss(group):
+            p = group["p"]
+            out = Tensor([[1e-7 * p.data.sum()]])
+            return record(out, (p,), lambda grad: (np.full(p.shape, 0.5e-7) * grad,))
+
+        assert grad_check(loss, g, h=1e-5) > 1e-6
 
     def test_sampled_coordinates(self):
         rng = np.random.default_rng(0)
