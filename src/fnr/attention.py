@@ -17,7 +17,9 @@ side vector.  Level 1 runs per example on its query rows against the
 (U, t, A) block of its bank words, t being its longest valid bank
 question, built from the packed words (zero at PAD); the summary
 transform and level 2 run once on the query rows of the whole batch.
-Traces alone come out padded, zero at padded query positions.
+Traces alone come out padded, zero at padded query positions.  The taped
+node keeps no (U, N, A) array: its backward rebuilds them with the
+forward's own expressions, so its gradients are the same bits.
 
 Scores are plain unscaled dot products.  PAD positions inside bank
 questions are excluded from the level-1 softmax; banks that are entirely
@@ -138,9 +140,12 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
     t being its longest valid bank question, against the (U, t, A) block
     of its bank words, zero at PAD.  Masked bank slots get exactly zero
     weight, so PAD positions of bank questions leave the output
-    bit-for-bit unchanged.  The backward keeps the query transform, the
-    level-1 and level-2 softmax parts, the attended and summary arrays; it
-    rebuilds each example's bank block from ``words``.
+    bit-for-bit unchanged.  The backward keeps the query transform and
+    the level-1 and level-2 softmax parts (each example's level-1 e and z,
+    the level-2 weights, e and z).  It rebuilds each example's bank block
+    from ``words``, and the level-1 weights e / z, the attended and the
+    summary arrays from those, twice for attended: no more than three
+    (U, N, A) arrays are alive at once.
     """
     hq1, words = astensor(hq1), astensor(words)
     query_mask, token_mask = np.asarray(query_mask), np.asarray(token_mask)
@@ -169,50 +174,71 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
               token_mask[i, :, :t_bank[i]] > 0)
              for i in range(b_sz) if q_len[i] and t_bank[i]]
 
+    def summarize(attended):
+        pre = attended.reshape(-1, attn_dim) @ w_k2.T
+        pre += b_k2
+        return np.tanh(pre, out=pre).reshape(attended.shape)
+
     with np.errstate(over="ignore", invalid="ignore"):
         query = np.tanh(h @ w_r.T + b_r)                                  # (N, A)
         attended = np.zeros((n_banks, len(query), attn_dim), dtype=query.dtype)
-        level1 = []
+        level1 = []   # each example's level-1 softmax parts (e, z)
         for i, rows, bank_rows, valid in spans:
             k_i = _bank_block(k[bank_rows], valid)                        # (U, t, A)
-            parts = softmax_parts(query[rows] @ np.swapaxes(k_i, -1, -2), axis=-1,
-                                  valid=valid[:, None, :])
-            attended[:, rows] = parts[0] @ k_i                            # (U, n, A)
-            level1.append(parts)
-        summary = np.tanh((attended.reshape(-1, attn_dim) @ w_k2.T + b_k2)
-                          .reshape(attended.shape))                       # (U, N, A)
+            weights1, e1, z1 = softmax_parts(query[rows] @ np.swapaxes(k_i, -1, -2),
+                                             axis=-1, valid=valid[:, None, :])
+            attended[:, rows] = weights1 @ k_i                            # (U, n, A)
+            level1.append((e1, z1))
+        summary = summarize(attended)                                     # (U, N, A)
         row_valid = (bank_len > 0)[np.repeat(np.arange(b_sz), q_len)].T
         weights2, e2, z2 = softmax_parts((summary * query).sum(axis=-1), axis=0,
                                          valid=row_valid)                 # (U, N)
         side = (weights2[..., None] * summary).sum(axis=0)                # (N, A)
 
+    def rebuild_attended():
+        # The forward's attended, rebuilt from the level-1 softmax parts.
+        attended = np.zeros((n_banks, len(query), attn_dim), dtype=query.dtype)
+        for (_, rows, bank_rows, valid), (e1, z1) in zip(spans, level1):
+            attended[:, rows] = (e1 / z1) @ _bank_block(k[bank_rows], valid)
+        return attended
+
     def backward(g):
         g_side = g[:, width:]
-        g_w2 = (g_side * summary).sum(axis=-1)
-        g_s2 = softmax_grad(g_w2, e2, z2, axis=0)[..., None]
-        g_query = (g_s2 * summary).sum(axis=0)
-        g_pre2 = (g_side * weights2[..., None] + g_s2 * query) * (1.0 - summary * summary)
-        g2 = g_pre2.reshape(-1, attn_dim)
-        g_att = (g2 @ w_k2).reshape(g_pre2.shape)
+        summary = summarize(rebuild_attended())
+        buf = g_side * summary
+        g_s2 = softmax_grad(buf.sum(axis=-1), e2, z2, axis=0)[..., None]
+        g_query = np.multiply(g_s2, summary, out=buf).sum(axis=0)
+        np.multiply(g_side, weights2[..., None], out=buf)
+        buf += g_s2 * query
+        np.multiply(summary, summary, out=summary)
+        buf *= np.subtract(1.0, summary, out=summary)
+        summary = None
+        g2 = buf.reshape(-1, attn_dim)                                    # g_pre2
+        # Rebuilt a second time: held across the g_pre2 chain, attended
+        # would be a fourth (U, N, A) array at the node's peak.
+        d_w_k2 = g2.T @ rebuild_attended().reshape(-1, attn_dim)
+        d_b_k2 = g2.sum(axis=0)
+        g_att = (g2 @ w_k2).reshape(buf.shape)
+        buf = g2 = None
         g_words = np.zeros_like(k)
-        for (i, rows, bank_rows, valid), (weights1, e1, z1) in zip(spans, level1):
+        for (i, rows, bank_rows, valid), (e1, z1) in zip(spans, level1):
             k_i, g_att_i = _bank_block(k[bank_rows], valid), g_att[:, rows]
             g_s1 = softmax_grad(g_att_i @ np.swapaxes(k_i, -1, -2), e1, z1, axis=-1)
             g_query[rows] += (g_s1 @ k_i).sum(axis=0)
-            g_words[bank_rows] = (np.swapaxes(weights1, -1, -2) @ g_att_i
+            g_words[bank_rows] = (np.swapaxes(e1 / z1, -1, -2) @ g_att_i
                                   + np.swapaxes(query[rows].T @ g_s1, -1, -2))[valid]
+        g_att = g_att_i = None
         g_pre1 = g_query * (1.0 - query * query)
         g_hq1 = g[:, :width] + g_pre1 @ w_r
-        return (g_hq1, g_words, g_pre1.T @ h, g_pre1.sum(axis=0),
-                g2.T @ attended.reshape(-1, attn_dim), g2.sum(axis=0))
+        return g_hq1, g_words, g_pre1.T @ h, g_pre1.sum(axis=0), d_w_k2, d_b_k2
     out = record(Tensor(np.concatenate([h, side], axis=-1)), inputs, backward)
 
     if not want_trace:
         return out, None
     at_query = np.arange(t_q) < q_len[:, None]                           # (B, T_q)
     level1_weights = np.zeros((b_sz, t_q, n_banks, t_u), dtype=side.dtype)
-    for (i, _, _, valid), (weights1, _, _) in zip(spans, level1):
-        level1_weights[i, :q_len[i], :, :valid.shape[1]] = np.swapaxes(weights1, 0, 1)
+    for (i, _, _, valid), (e1, z1) in zip(spans, level1):
+        level1_weights[i, :q_len[i], :, :valid.shape[1]] = np.swapaxes(e1 / z1, 0, 1)
     level1_attended = np.zeros((b_sz, t_q, n_banks, attn_dim), dtype=side.dtype)
     level1_attended[at_query] = np.swapaxes(attended, 0, 1)
     level2_weights = np.zeros((b_sz, t_q, n_banks), dtype=side.dtype)

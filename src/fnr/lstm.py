@@ -1,8 +1,8 @@
 """Bidirectional LSTM layer with exact padding masking, as one tape node.
 
 ``blstm_forward`` runs both scan directions into one output buffer,
-applies inverted dropout in numpy and records a single tape node; its
-hand-written backward applies the dropout scale, splits the gradient and
+applies inverted dropout to it in place and records a single tape node;
+its hand-written backward applies the dropout scale, splits the gradient and
 runs each direction's backpropagation through time, both adding their
 input gradient into one buffer.  Each direction stores its four gate
 blocks (input i, forget f, output o, cell candidate g) stacked in that
@@ -21,15 +21,16 @@ reverse, tanh c and the coefficients that turn d_c (d_h for o) into the
 gate pre-activation gradients: o(1 - tanh^2 c) for d_c itself,
 g i(1 - i), c_prev f(1 - f), tanh c o(1 - o) and i(1 - g^2).  No GEMM is
 re-run.  The scan keeps no copy of the input rows or of the hidden
-states either: for the weights' gradients backward regathers the input
-rows from the node's input, and each position's previous state from the
-node's unscaled output (zero at a sequence's first position), both in the
-same packed order.  ``bptt`` consumes what its scan kept: it turns the
-activations into the gate gradients in place and drops each buffer once
-done with it, the cell states before those gathers, so one direction's
-saved state is freed before the other direction's backward runs.  A
-node's backward therefore runs once, which ``Tape.gradients`` already
-enforces.
+states either, and backward never reads the node's output: as the reverse
+loop leaves step s it writes step s's hidden states, o tanh c, over step
+s + 1's used-up cell states, so afterwards each position's row holds its
+previous state (none at a sequence's first position) for ``d_w_h``; for
+``d_w_x`` backward regathers the input rows from the node's input.
+``bptt`` consumes what its scan kept: it turns the activations into the
+gate gradients in place and drops each buffer once done with it, so one
+direction's saved state is freed before the other direction's backward
+runs.  A node's backward therefore runs once, which ``Tape.gradients``
+already enforces.
 
 The layer reads and writes packed rows: one row per valid position of
 its (..., T) mask, in the row-major order ``a[mask > 0]`` gives, i.e.
@@ -118,8 +119,9 @@ def _scan(xs: np.ndarray, rows: np.ndarray, offs: np.ndarray, p: LstmParams,
     closure ``bptt(g_out, d_x)`` mapping the output gradient to
     ``[d_w_x, d_w_h, d_b]``; it adds the input gradient into ``d_x``.  The
     closure keeps the (n, 4H) gate activations and the schedule; it
-    rebuilds the (n, H) cell states from them, reads the previous states
-    back from ``out``, which must still hold them, and runs at most once.
+    rebuilds the (n, H) cell states from them, then in the same buffer
+    each row's previous hidden state, reads nothing of ``out`` and runs at
+    most once.
     """
     steps = len(offs) - 1
     counts = np.diff(offs)
@@ -175,6 +177,11 @@ def _scan(xs: np.ndarray, rows: np.ndarray, offs: np.ndarray, p: LstmParams,
                 lo, hi, back = offs[s], offs[s + 1], counts[s - 1]
                 i, f, o, g = (d_pre[lo:hi, j * hidden:(j + 1) * hidden] for j in range(4))
                 tanh_c = np.tanh(cs[lo:hi])
+                # Step s + 1's cell states are used up: its rows, a prefix
+                # of this step's, take this step's hidden states instead,
+                # which are their previous states.
+                k = counts[s + 1] if s + 1 < steps else 0
+                np.multiply(o[:k], tanh_c[:k], out=cs[hi:hi + k])
                 d_h = d_hs[lo:hi]
                 d_h[:len(d_h_next)] += d_h_next
                 d_c = d_h * (o * (1.0 - tanh_c * tanh_c))
@@ -195,15 +202,18 @@ def _scan(xs: np.ndarray, rows: np.ndarray, offs: np.ndarray, p: LstmParams,
                 g *= d_c
                 if s:
                     d_h_next = d_pre[lo:hi] @ w_h
-            d_hs = cs = None
-            d_wx = d_pre.T @ xs[rows]
-            # Packed row j of step s >= 1 continues row j - counts[s - 1];
-            # step 0's previous states are zero and add nothing.
+            # d_h is a view of d_hs: both go, with the loop's temporaries,
+            # before the weight-gradient GEMMs.
+            d_hs = d_h = d_h_next = d_c = d_c_next = tanh_c = coef_i = None
+            # cs[first:] now holds each row's previous hidden state, in
+            # packed order; step 0's are zero and add nothing.
             first = counts[:1].sum()
-            prev = np.arange(first, n) - np.repeat(counts[:-1], counts[1:])
-            d_wh = d_pre[first:].T @ out[rows[prev]]
+            d_wh = d_pre[first:].T @ cs[first:]
+            cs = None
+            x_rows = xs[rows]
+            d_wx = d_pre.T @ x_rows
             d_b = d_pre.sum(axis=0)
-            d_x[rows] += d_pre @ w_x
+            d_x[rows] += np.matmul(d_pre, w_x, out=x_rows)
         return [d_wx, d_wh, d_b]
 
     return bptt
@@ -233,12 +243,14 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams, dropout_rate: flo
     one row per valid position, in the row-major order ``a[mask > 0]``
     gives.  Output row j is forward_h concatenated with backward_h at x's
     row j, shape (n, 2H).  A nonzero ``dropout_rate`` applies inverted
-    dropout to a scaled copy of the output rows only (never inside the
-    recurrence): after both scans, one ``rng.random((T, 2H))`` draw per
-    mask row, in row order, read at that row's valid positions, which
-    takes the generator stream of one draw over the padded (..., T, 2H)
-    shape.  The node's inputs are x and each direction's ``w_x``, ``w_h``
-    and ``b``, forward direction first.
+    dropout to the output rows in place (never inside the recurrence):
+    after both scans, one ``rng.random((T, 2H))`` draw per mask row, in
+    row order, read at that row's valid positions, which takes the
+    generator stream of one draw over the padded (..., T, 2H) shape.  The
+    node's inputs are x and each direction's ``w_x``, ``w_h`` and ``b``,
+    forward direction first.  Besides its output it keeps each direction's
+    gate activations and packed row index and, with dropout, the bool
+    keep mask.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
@@ -263,7 +275,7 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams, dropout_rate: flo
     bptt_f = _scan(x.data, starts[seq] + step, offs, p.fwd, out_data[:, :hidden], taped)
     bptt_b = _scan(x.data, starts[seq] + lengths[seq] - 1 - step, offs, p.bwd,
                    out_data[:, hidden:], taped)
-    keep, dtype, out = None, out_data.dtype, out_data
+    keep, dtype = None, out_data.dtype
     if dropout_rate > 0.0:
         if rng is None:
             raise ValueError("dropout needs a seeded generator (rng)")
@@ -273,13 +285,13 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams, dropout_rate: flo
         row_shape = (mask.shape[-1], 2 * hidden)
         for start, length in zip(starts, lengths):
             keep[start:start + length] = rng.random(row_shape)[:length] >= dropout_rate
-        # A scaled copy: backward reads the previous states from out_data.
-        out = out_data * (keep / (1.0 - dropout_rate)).astype(dtype, copy=False)
+        out_data *= (keep / (1.0 - dropout_rate)).astype(dtype, copy=False)
 
     def backward(g):
         if keep is not None:
             # Rebuilt from the bool mask, an eighth of the float scale's size.
-            g = g * (keep / (1.0 - dropout_rate)).astype(dtype, copy=False)
+            scale = (keep / (1.0 - dropout_rate)).astype(dtype, copy=False)
+            g = np.multiply(g, scale, out=scale)
         g_f, g_b = np.split(g, [hidden], axis=-1)
         d_x = np.zeros_like(x.data)
         # Summation order (reverse, then forward) is fixed: checkpoints depend on it bit for bit.
@@ -287,4 +299,4 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams, dropout_rate: flo
         grads_f = bptt_f(g_f, d_x)
         return (d_x, *grads_f, *grads_b)
     inputs = (x, p.fwd.w_x, p.fwd.w_h, p.fwd.b, p.bwd.w_x, p.bwd.w_h, p.bwd.b)
-    return record(Tensor(out), inputs, backward)
+    return record(Tensor(out_data), inputs, backward)

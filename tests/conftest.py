@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -42,6 +43,23 @@ def no_paused_collector():
     if not gc.isenabled():
         gc.enable()
         pytest.fail("test left the cyclic garbage collector disabled")
+
+
+@pytest.fixture
+def traced():
+    """``traced(fn)`` runs ``fn()`` under tracemalloc and returns its
+    result, the bytes it left allocated and its peak bytes, both counted
+    from the call's start."""
+    def run(fn):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, live - start, peak - start
+    return run
 
 
 @pytest.fixture

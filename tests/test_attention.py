@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,7 +188,7 @@ class TestTransformBank:
         for t in (bank_h, p.w_k, p.b_k):
             assert np.array_equal(grads[t], np.zeros_like(t.data))
 
-    def test_taped_transform_keeps_no_input_copy(self):
+    def test_taped_transform_keeps_no_input_copy(self, traced):
         # With 2H >> A the words' inputs dwarf the output: backward reads
         # them from bank_h instead of keeping a copy.
         n, width, attn_dim = 400, 400, 2
@@ -199,14 +198,11 @@ class TestTransformBank:
         # The (n, A) output.
         bound = n * attn_dim * item + 64 * 1024
         assert n * width * item > bound
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
+
+        def forward():
             with Tape() as tape:
-                out = transform_bank(bank_h, p)
-            live = tracemalloc.get_traced_memory()[0] - start
-        finally:
-            tracemalloc.stop()
+                return tape, transform_bank(bank_h, p)
+        (tape, out), live, _ = traced(forward)
         assert len(tape) == 1 and out.shape == (n, attn_dim)
         assert live < bound
 
@@ -410,6 +406,34 @@ class TestBankAttend:
         assert len(tape) == 1
         assert grad_check(out, group, h=1e-6, seed=weights) < 1e-6
 
+    def test_taped_node_keeps_no_bank_by_query_array(self, traced):
+        # With A >> 2H and short bank questions the (U, N, A) arrays dwarf
+        # the rest: the node keeps its output, the query transform and the
+        # level-1 and level-2 softmax parts, and its backward rebuilds the
+        # attended and summary arrays.
+        b_sz, t_q, n_banks, t_u, width, attn_dim = 2, 20, 5, 3, 4, 64
+        _, p = make_params(encoder_width=width, attn_dim=attn_dim, seed=26)
+        rng = np.random.default_rng(26)
+        query_mask = np.ones((b_sz, t_q))
+        token_mask = np.ones((b_sz, n_banks, t_u))
+        n = b_sz * t_q
+        hq1 = Tensor(rng.normal(size=(n, width)))
+        words = Tensor(np.tanh(rng.normal(size=(b_sz * n_banks * t_u, attn_dim))))
+        item = hq1.data.itemsize
+        # Output, query transform, level 1's (U, n, t) e and (U, n, 1) z,
+        # level 2's (U, N) weights and e and (1, N) z.
+        kept = (n * (width + attn_dim) + n * attn_dim + n_banks * n * (t_u + 1)
+                + 3 * n_banks * n) * item
+        one_array = n_banks * n * attn_dim * item
+        assert one_array > kept
+
+        def forward():
+            with Tape() as tape:
+                return tape, bank_attend_batch(hq1, query_mask, words, token_mask, p)[0]
+        (tape, out), live, _ = traced(forward)
+        assert len(tape) == 1 and out.shape == (n, width + attn_dim)
+        assert live < kept + one_array
+
     def test_batch_matches_single(self):
         _, p = make_params(encoder_width=4, attn_dim=3, seed=13)
         rng = np.random.default_rng(13)
@@ -503,6 +527,26 @@ class TestValidQueryRows:
             out(group)
         assert len(tape) == 1
         assert grad_check(out, group, h=1e-6, seed=weights) < 1e-6
+
+    def test_trace_leaves_gradients_unchanged(self):
+        # The trace is built after the node is recorded; asking for it
+        # changes no bit of the node's gradients.
+        group, p = make_params(encoder_width=4, attn_dim=3, seed=27)
+        group.assign("a.b_k2", ..., [0.3, -0.2, 0.5])
+        rng = np.random.default_rng(27)
+        hq1_data, query_mask, bank_h, token_mask = mixed_batch(rng)
+        hq1 = group.add("hq1", hq1_data[query_mask > 0])
+        words = group.add("words", np.tanh(bank_h[..., :3])[token_mask > 0])
+        seed = rng.normal(size=(hq1.shape[0], 7))
+        results = []
+        for want_trace in (False, True):
+            with Tape() as tape:
+                out, _ = bank_attend_batch(hq1, query_mask, words, token_mask, p,
+                                           want_trace=want_trace)
+            grads = tape.gradients(out, seed=seed)
+            results.append([grads[t] for _, t in group.items()])
+        for a, b in zip(*results):
+            assert a.tobytes() == b.tobytes()
 
     def test_padded_query_rows_ignored(self):
         _, p = make_params(encoder_width=4, attn_dim=3, seed=21)

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -407,7 +406,7 @@ class TestGatherRows:
         np.add.at(want, ids.reshape(-1), weights.reshape(-1, 5))
         assert np.array_equal(gt, want)
 
-    def test_scatter_add_blocks_match_2d_add_at_in_bounded_memory(self):
+    def test_scatter_add_blocks_match_2d_add_at_in_bounded_memory(self, traced):
         # (B, U, T) = (256, 5, 40) ids over 50 rows, as a bank lookup's
         # backward scatters many repeats: the ids span many blocks.
         rng = np.random.default_rng(3)
@@ -417,13 +416,7 @@ class TestGatherRows:
         want = rng.normal(size=(50, dim))
         table = want.copy()
         np.add.at(want, ids.reshape(-1), values.reshape(-1, dim))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            scatter_add(table, ids, values)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: scatter_add(table, ids, values))
         assert table.tobytes() == want.tobytes()
         # A flat index over all ids at once would take ids.size * dim intp.
         assert peak < ids.size * dim * np.dtype(np.intp).itemsize // 4

@@ -13,6 +13,7 @@ whatever the cotangent.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from fnr.attention import bank_attend_batch, init_attention
 from fnr.autodiff import Tape
 from fnr.lstm import blstm_forward, init_blstm
 from fnr.optim import ParamGroup, grad_check
@@ -70,4 +71,44 @@ def test_blstm_forward_gradcheck(data):
         taped = out(group)
     assert free.data.tobytes() == taped.data.tobytes()
     cotangent = unit_scale_seed(out, group, rng.normal(size=(n, 2 * hidden)))
+    assert grad_check(out, group, h=1e-5, seed=cotangent) < TOLERANCE
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_bank_attend_batch_gradcheck(data):
+    # A batch mixing queries of length 0, 1 and T with banks whose slots
+    # hold 0 to T words, some examples with no bank word at all; bank
+    # words scaled by 30 make each level-1 softmax saturate on one entry.
+    steps = data.draw(st.integers(1, 4), label="T")
+    b_sz = data.draw(st.integers(1, 3), label="B")
+    n_banks = data.draw(st.integers(1, 3), label="U")
+    q_len = data.draw(st.lists(st.sampled_from([0, 1, steps]) | st.integers(0, steps),
+                               min_size=b_sz, max_size=b_sz), label="query lengths")
+    slots = st.lists(st.integers(0, steps), min_size=n_banks, max_size=n_banks)
+    bank_len = data.draw(st.lists(st.just([0] * n_banks) | slots, min_size=b_sz,
+                                  max_size=b_sz), label="bank slot lengths")
+    width = data.draw(st.integers(1, 3), label="2H")
+    attn = data.draw(st.integers(1, 3), label="A")
+    scale = data.draw(st.sampled_from([1.0, 30.0]), label="bank word scale")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+
+    group = ParamGroup()
+    p = init_attention(group, "a", width, attn, rng)
+    for name in ("a.b_r", "a.b_k2"):
+        group.assign(name, ..., rng.normal(size=attn))
+    query_mask = (np.arange(steps) < np.asarray(q_len)[:, None]).astype(float)
+    token_mask = (np.arange(steps) < np.asarray(bank_len)[..., None]).astype(float)
+    hq1 = group.add("hq1", rng.normal(size=(int(query_mask.sum()), width)))
+    words = group.add("words", scale * np.tanh(rng.normal(size=(int(token_mask.sum()), attn))))
+
+    def out(_):
+        return bank_attend_batch(hq1, query_mask, words, token_mask, p)[0]
+
+    free = out(group)
+    with Tape():
+        taped = out(group)
+    assert free.data.tobytes() == taped.data.tobytes()
+    cotangent = unit_scale_seed(out, group, rng.normal(size=free.shape))
     assert grad_check(out, group, h=1e-5, seed=cotangent) < TOLERANCE

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -235,6 +234,13 @@ def rand_blstm(din, hidden, seed):
     return g, init_blstm(g, "b", din, hidden, np.random.default_rng(seed))
 
 
+def taped_node_bytes(n, hidden, item):
+    """What a taped node over n rows keeps: per direction the four gate
+    activations (4H) and the packed row index, plus a byte per row to
+    spare; then the (n, 2H) output."""
+    return 2 * ((4 * hidden + 1) * item + 1) * n + 2 * hidden * n * item
+
+
 class TestBlstmForward:
     def test_output_shape(self):
         # One (2H,) row per valid token of the mask.
@@ -422,29 +428,24 @@ class TestBlstmForward:
         for a, b in zip(*results):
             assert np.array_equal(a, b)
 
-    def test_taped_scan_keeps_no_input_copy(self):
+    def test_taped_scan_keeps_no_input_copy(self, traced):
         # With din >> H the packed input rows dwarf what backward needs:
         # the node regathers them from x instead of keeping a copy.
         n_rows, steps, din, hidden = 8, 50, 400, 4
         _, p = rand_blstm(din, hidden, seed=31)
         x = Tensor(np.random.default_rng(31).normal(size=(n_rows * steps, din)))
         n, item = n_rows * steps, x.data.itemsize
-        # Per direction: the four gate activations (4H) and the packed row
-        # index, plus a byte per row to spare; then the (n, 2H) output.
-        bound = 2 * ((4 * hidden + 1) * item + 1) * n + 2 * hidden * n * item + 24 * 1024
+        bound = taped_node_bytes(n, hidden, item) + 24 * 1024
         assert n * din * item > bound
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
+
+        def forward():
             with Tape() as tape:
-                out = blstm_forward(x, np.ones((n_rows, steps)), p)
-            live = tracemalloc.get_traced_memory()[0] - start
-        finally:
-            tracemalloc.stop()
+                return tape, blstm_forward(x, np.ones((n_rows, steps)), p)
+        (tape, out), live, _ = traced(forward)
         assert len(tape) == 1 and out.shape == (n_rows * steps, 2 * hidden)
         assert live < bound
 
-    def test_backward_allocates_no_gate_gradient_array(self):
+    def test_backward_allocates_no_gate_gradient_array(self, traced):
         # The forward keeps each direction's four gate activations; each
         # direction's backward rebuilds its (n, H) cell states, turns the
         # activations into the gate gradients in place and frees them
@@ -459,17 +460,55 @@ class TestBlstmForward:
         x = Tensor(rng.normal(size=(n_rows * steps, din)))
         n, item = n_rows * steps, x.data.itemsize
         seed = rng.normal(size=(n, 2 * hidden))
-        kept = 2 * ((4 * hidden + 1) * item + 1) * n + 2 * hidden * n * item
+        kept = taped_node_bytes(n, hidden, item)
         extra = (2 * hidden * n + n * din + 2 * 4 * hidden * (din + hidden + 1)) * item + 64 * 1024
         assert 4 * hidden * n * item > extra
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
+
+        def step():
             with Tape() as tape:
                 out = blstm_forward(x, np.ones((n_rows, steps)), p)
-            grads = tape.gradients(out, seed=seed)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+            return tape.gradients(out, seed=seed)
+        grads, _, peak = traced(step)
         assert len(grads) == 7
         assert peak < kept + extra
+
+    def test_dropout_keeps_no_scaled_copy(self, traced):
+        # Dropout scales the output in place and keeps only its bool keep
+        # mask (n x 2H bytes): a second (n, 2H) float array would exceed
+        # the bound of the dropout-free node.
+        n_rows, steps, din, hidden = 8, 50, 4, 16
+        _, p = rand_blstm(din, hidden, seed=35)
+        x = Tensor(np.random.default_rng(35).normal(size=(n_rows * steps, din)))
+        n, item = n_rows * steps, x.data.itemsize
+        slack = 24 * 1024
+        bound = taped_node_bytes(n, hidden, item) + 2 * hidden * n + slack
+        assert 2 * hidden * n * item > slack + n
+
+        def forward():
+            with Tape() as tape:
+                return tape, blstm_forward(x, np.ones((n_rows, steps)), p, dropout_rate=0.5,
+                                           rng=np.random.default_rng(35))
+        (tape, out), live, _ = traced(forward)
+        assert len(tape) == 1 and np.any(out.data == 0.0)
+        assert live < bound
+
+    def test_backward_reads_no_output(self):
+        # Backward rebuilds every previous hidden state from the gate
+        # activations it keeps: overwriting the node's output after the
+        # forward leaves every gradient bit for bit as it was.
+        group, p = rand_blstm(3, 4, seed=36)
+        rng = np.random.default_rng(36)
+        mask = prefix_mask([5, 0, 1, 3, 5], 5)
+        n = int(mask.sum())
+        x = Tensor(rng.normal(size=(n, 3)))
+        seed = rng.normal(size=(n, 8))
+        results = []
+        for spoil in (False, True):
+            with Tape() as tape:
+                out = blstm_forward(x, mask, p)
+            if spoil:
+                np.copyto(out.data, np.nan)
+            grads = tape.gradients(out, seed=seed)
+            results.append([grads[x]] + [grads[t] for _, t in group.items()])
+        for a, b in zip(*results):
+            assert a.tobytes() == b.tobytes()

@@ -255,6 +255,49 @@ class TestTapeMix:
         words = params.bank_memo.bank_words(batch.bank_ids, batch.bank_mask, params)
         assert words.shape == (n_b, attn)
 
+    def test_san_step_keeps_what_its_nodes_document(self, traced):
+        # The forward of a training step keeps what each node says it
+        # keeps, summed from the shapes, plus a fixed slack for the Python
+        # objects: one more (n, 2H) or (U, N, A) array exceeds the bound.
+        batch, params, cfg = self.paper_dims_batch()
+        n_q, n_b = int(batch.mask.sum()), int(batch.bank_mask.sum())
+        b_sz, t_len = batch.mask.shape
+        hidden, attn, dim, n_banks = (cfg.hidden_size, cfg.attention_dim, cfg.embedding_dim,
+                                      cfg.bank_size)
+        item, ids, index = 8, batch.ids.itemsize, np.dtype(np.intp).itemsize
+
+        def blstm(n, dropout):
+            # Per direction the four gate activations and the packed row
+            # index; the (n, 2H) output; with dropout, its bool keep mask.
+            return 2 * (4 * hidden * item + index) * n + 2 * hidden * n * (item + dropout)
+
+        q_len = batch.mask.sum(axis=1).astype(int)
+        t_bank = batch.bank_mask.sum(axis=2).max(axis=1).astype(int)
+        level1 = sum(n_banks * q * (t + 1) for q, t in zip(q_len, t_bank) if q and t)
+        kept = (
+            (dim * item + ids) * (n_q + n_b)                  # embedding rows and their ids
+            + blstm(n_q, True) + blstm(n_b, False)            # blstm1, bank BLSTM
+            + attn * n_b * item                               # transform_bank's output
+            # bank_attend_batch: output, query transform, level-1 e and z,
+            # level-2 weights, e and z
+            + (n_q * (2 * hidden + attn) + n_q * attn + level1 + 3 * n_banks * n_q) * item
+            + blstm(n_q, True)                                # blstm2
+            + b_sz * t_len * (2 * hidden * item + 1)          # unpack_rows: output, mask
+            + b_sz * t_len * 2 * item                         # linear
+            + b_sz * t_len * 5 * item                         # softmax: output, e, z
+            + b_sz * t_len * 2 * (item + 1))                  # loss: gold picks and hits
+        slack = 64 * 1024
+        assert slack < 2 * hidden * n_q * item < n_banks * n_q * attn * item
+
+        def forward():
+            with Tape() as tape:
+                probs, _ = forward_batch(batch, params, cfg, training=True,
+                                         rng=np.random.default_rng(0))
+                return tape, batch_loss(probs, batch.gold, batch.mask)
+        (tape, _), live, _ = traced(forward)
+        assert len(tape) == 11
+        assert live < kept + slack
+
 
 def walk_without_popping(tape, output):
     """Gradients of every tensor from a reverse walk over the tape's nodes
