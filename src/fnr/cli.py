@@ -42,6 +42,20 @@ class ConfigError(ValueError):
     """Bad run configuration: unknown key, bad value, or missing setting."""
 
 
+def _seed(value: int | None) -> int:
+    """``value`` when set, else the SAN_SEED environment variable, else
+    SanConfig's default."""
+    if value is not None:
+        return value
+    env = os.environ.get("SAN_SEED")
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError as err:
+            raise ConfigError(f"SAN_SEED must be an integer, got {env!r}") from err
+    return SanConfig.seed
+
+
 _MODEL_KEYS = {f.name for f in dataclasses.fields(SanConfig)}
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 
@@ -61,22 +75,11 @@ class RunConfig:
     checkpoint: str | None = None
     epoch_log: str | None = None
 
-    def resolved_seed(self) -> int:
-        if self.settings.get("seed") is not None:
-            return self.settings["seed"]
-        env = os.environ.get("SAN_SEED")
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError as err:
-                raise ConfigError(f"SAN_SEED must be an integer, got {env!r}") from err
-        return SanConfig.seed
-
     def san_config(self) -> SanConfig:
         values = {k: v for k, v in self.settings.items() if k in _MODEL_KEYS}
         if "variant" in values:
-            values["variant"] = _canonical_variant(values["variant"])
-        values["seed"] = self.resolved_seed()
+            values["variant"] = values["variant"].strip().lower()
+        values["seed"] = _seed(self.settings.get("seed"))
         try:
             return SanConfig(**values)
         except ValueError as err:
@@ -158,17 +161,6 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _canonical_variant(name: str) -> str:
-    norm = name.strip().lower()
-    if norm not in ("san", "sblstm", "san-noblstm2"):
-        raise ConfigError(f"unknown variant {name!r}; use SAN, sblstm or san-noblstm2")
-    return norm
-
-
-def _question_sequences(records) -> list[list[str]]:
-    return [rec.question_tokens for rec in records]
-
-
 def cmd_pretrain_embeddings(args) -> int:
     _check_writable(args.out)
     records = load_corpus(args.corpus)
@@ -176,9 +168,8 @@ def cmd_pretrain_embeddings(args) -> int:
         raise ConfigError(f"{args.corpus}: corpus is empty")
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SgnsConfig)}
     cfg = SgnsConfig(**{k: v for k, v in flags.items() if v is not None})
-    seed = RunConfig(settings={"seed": args.seed}).resolved_seed()
-    matrix = train_skipgram(_question_sequences(records), cfg,
-                            np.random.default_rng(seed))
+    matrix = train_skipgram([rec.question_tokens for rec in records], cfg,
+                            np.random.default_rng(_seed(args.seed)))
     save_embeddings(matrix, args.out)
     final = matrix.loss_history[-1] if matrix.loss_history else float("nan")
     print(f"vocabulary size: {len(matrix.vocab)}")
@@ -264,15 +255,8 @@ def _check_writable(path: str) -> None:
 
 
 def cmd_train(args) -> int:
-    overrides = dict(args.set or [])
-    for key in ("variant", "embeddings", "corpus", "pool", "bank_cache",
-                "epoch_log", "seed"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.out is not None:
-        overrides["checkpoint"] = args.out
-    cfg = load_run_config(args.config, overrides)
+    flags = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v is not None}
+    cfg = load_run_config(args.config, {**dict(args.set or []), **flags})
     if cfg.corpus is None:
         raise ConfigError("no corpus configured (corpus=PATH or --corpus)")
     if cfg.checkpoint is None:
@@ -299,10 +283,8 @@ def cmd_train(args) -> int:
     else:
         log.warning("no pretrained embeddings configured; using random initialization")
         pretrained = None
-        seqs = _question_sequences(labeled)
-        for bank in banks.values():
-            seqs.extend(_question_sequences(bank))
-        vocab = build_vocab(seqs)
+        vocab = build_vocab([rec.question_tokens for rec in labeled]
+                            + [rec.question_tokens for bank in banks.values() for rec in bank])
 
     examples = [make_example(rec, banks[rec.line_no], vocab,
                              max_len=san_cfg.max_len, bank_size=san_cfg.bank_size)
@@ -441,12 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train skip-gram embeddings on a raw question corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--negatives", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--min-freq", type=int, default=None)
+    for f in dataclasses.fields(SgnsConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_pretrain_embeddings)
 
@@ -462,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--variant", default=None)
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="checkpoint", metavar="OUT", default=None)
     p.add_argument("--corpus", default=None)
     p.add_argument("--pool", default=None)
     p.add_argument("--bank-cache", dest="bank_cache", default=None)

@@ -8,9 +8,9 @@ The corpus is JSON-Lines, one QA record per line:
      "answer_text": "yes it does",            # optional, never consumed
      "tags": ["F", "F", "F", "O"]}            # optional; absent = unlabeled
 
-Questions are padded/truncated to a fixed length (40 by default) with
-suffix-only padding; multi-sentence questions carry an EOS token between
-sentences, and EOS is always tagged O.
+Questions are padded/truncated to a fixed length (``MAX_LEN`` by
+default) with suffix-only padding; multi-sentence questions carry an EOS
+token between sentences, and EOS is always tagged O.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .vocab import EOS_TOKEN, PAD_ID, Vocabulary
 log = logging.getLogger(__name__)
 
 LABELS = ("F", "O")
-F_TAG, O_TAG = LABELS
+F_TAG = LABELS[0]
 F_INDEX, O_INDEX = 0, 1
+MAX_LEN, BANK_SIZE = 40, 5   # default shapes, SanConfig's included
 
 
 class CorpusError(ValueError):
@@ -170,7 +171,7 @@ class Preprocessed:
     tag_ids: np.ndarray | None  # (T,) int64, O at padding; None if unlabeled
 
 
-def preprocess(record: QaRecord, vocab: Vocabulary, max_len: int = 40) -> Preprocessed:
+def preprocess(record: QaRecord, vocab: Vocabulary, max_len: int = MAX_LEN) -> Preprocessed:
     """Pad/truncate a record's question to ``max_len`` ids.
 
     Multi-sentence questions arrive already joined with EOS
@@ -224,7 +225,8 @@ class Example:
 
 
 def make_example(record: QaRecord, bank_records: Sequence[QaRecord],
-                 vocab: Vocabulary, max_len: int = 40, bank_size: int = 5) -> Example:
+                 vocab: Vocabulary, max_len: int = MAX_LEN,
+                 bank_size: int = BANK_SIZE) -> Example:
     """Assemble one example; the bank is capped at ``bank_size`` and must be
     same-category unlabeled questions other than the record itself."""
     bank_records = list(bank_records)[:bank_size]

@@ -51,7 +51,7 @@ from .attention import (AttentionParams, AttentionTrace, bank_attend_batch,
                         init_attention, transform_bank)
 from .autodiff import (NonFiniteError, Tensor, _tape, astensor, gather_rows, linear, record,
                        softmax, unpack_rows)
-from .data import Batch, LABELS, F_INDEX, O_INDEX
+from .data import BANK_SIZE, Batch, LABELS, F_INDEX, MAX_LEN, O_INDEX
 from .embeddings import EmbeddingMatrix
 from .lstm import BlstmParams, blstm_forward, glorot, init_blstm
 from .optim import ParamGroup
@@ -78,13 +78,13 @@ def json_type_ok(kind: str, value) -> bool:
 
 @dataclass
 class SanConfig:
-    """Model hyperparameters.  max_len=40 and bank_size=5 are the run
-    defaults; the label set is the fixed F/O pair, ``data.LABELS``."""
+    """Model hyperparameters.  The label set is the fixed F/O pair,
+    ``data.LABELS``."""
     embedding_dim: int = 100
     hidden_size: int = 100
     attention_dim: int = 100
-    max_len: int = 40
-    bank_size: int = 5
+    max_len: int = MAX_LEN
+    bank_size: int = BANK_SIZE
     dropout: float = 0.2
     variant: str = "san"
     share_bank_encoder: bool = False

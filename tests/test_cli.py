@@ -1,3 +1,4 @@
+import argparse
 import base64
 import copy
 import dataclasses
@@ -86,6 +87,17 @@ def assert_exit_2_before_reading(monkeypatch, caplog, argv, out):
     assert str(out) in caplog.text
 
 
+def subcommand(name):
+    """The parser of one ``fnr`` subcommand."""
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+def flag_dests(parser):
+    return {a.dest for a in parser._actions if a.dest != "help"}
+
+
 UNWRITABLE = pytest.mark.parametrize("out", ["no/such/dir/x.txt", "."],
                                      ids=["missing_dir", "a_dir"])
 
@@ -118,6 +130,16 @@ class TestPretrainEmbeddings:
                      "--out", str(out)]) == 0
         seed_state = np.random.default_rng(SanConfig().seed).bit_generator.state
         assert seen == [(SgnsConfig(), seed_state)]
+
+    def test_flags_are_sgns_config_fields(self):
+        parser = subcommand("pretrain-embeddings")
+        fields = dataclasses.fields(SgnsConfig)
+        assert flag_dests(parser) == {f.name for f in fields} | {"corpus", "out", "seed"}
+        for f in fields:
+            flag = "--" + f.name.replace("_", "-")
+            (action,) = [a for a in parser._actions if flag in a.option_strings]
+            assert action.dest == f.name and action.type is type(f.default)
+            assert action.default is None
 
     def test_dim_flag(self, tmp_path, corpus_path):
         out = tmp_path / "emb.txt"
@@ -340,6 +362,16 @@ class TestRunConfig:
 
 
 class TestTrain:
+    def test_flags_are_config_keys(self):
+        assert flag_dests(subcommand("train")) - {"config", "set"} <= set(cli._FIELD_TYPES)
+
+    def test_out_flag_lands_in_checkpoint(self, tmp_path, corpus_path):
+        args = cli.build_parser().parse_args(["train", "--out", "m.npz"])
+        assert args.checkpoint == "m.npz"
+        ckpt, other = tmp_path / "model.npz", tmp_path / "other.npz"
+        assert main(train_args(corpus_path, ckpt, checkpoint=other)) == 0
+        assert ckpt.exists() and not other.exists()
+
     def test_variant_flag_sblstm(self, tmp_path, corpus_path):
         ckpt = tmp_path / "model.npz"
         code = main(train_args(corpus_path, ckpt) + ["--variant", "sblstm"])

@@ -13,8 +13,8 @@ whatever the cotangent.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fnr.attention import bank_attend_batch, init_attention
-from fnr.autodiff import Tape
+from fnr.attention import bank_attend_batch, init_attention, transform_bank
+from fnr.autodiff import Tape, gather_rows, unpack_rows
 from fnr.lstm import blstm_forward, init_blstm
 from fnr.optim import ParamGroup, grad_check
 
@@ -32,6 +32,18 @@ def unit_scale_seed(loss_fn, group, seed):
     grads = tape.gradients(out, seed=seed)
     scale = max(np.abs(grads[t]).max(initial=0.0) for _, t in group.items())
     return seed / max(scale, SCALE_FLOOR)
+
+
+def check_node(out, group, rng):
+    """``out(group)`` gives byte-equal outputs with and without a tape, and
+    its gradients pass ``grad_check`` for a random cotangent from ``rng``,
+    unit-scaled."""
+    free = out(group)
+    with Tape():
+        taped = out(group)
+    assert free.data.tobytes() == taped.data.tobytes()
+    cotangent = unit_scale_seed(out, group, rng.normal(size=free.shape))
+    assert grad_check(out, group, h=1e-5, seed=cotangent) < TOLERANCE
 
 
 @given(data=st.data())
@@ -66,12 +78,7 @@ def test_blstm_forward_gradcheck(data):
         return blstm_forward(x, mask, p, dropout_rate=dropout,
                              rng=np.random.default_rng(seed))
 
-    free = out(group)
-    with Tape():
-        taped = out(group)
-    assert free.data.tobytes() == taped.data.tobytes()
-    cotangent = unit_scale_seed(out, group, rng.normal(size=(n, 2 * hidden)))
-    assert grad_check(out, group, h=1e-5, seed=cotangent) < TOLERANCE
+    check_node(out, group, rng)
 
 
 @given(data=st.data())
@@ -106,9 +113,54 @@ def test_bank_attend_batch_gradcheck(data):
     def out(_):
         return bank_attend_batch(hq1, query_mask, words, token_mask, p)[0]
 
-    free = out(group)
-    with Tape():
-        taped = out(group)
-    assert free.data.tobytes() == taped.data.tobytes()
-    cotangent = unit_scale_seed(out, group, rng.normal(size=free.shape))
-    assert grad_check(out, group, h=1e-5, seed=cotangent) < TOLERANCE
+    check_node(out, group, rng)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_gather_rows_gradcheck(data):
+    # Ids drawn from a table of at most 4 rows, so most lookups repeat a
+    # row and its gradient must sum over them; an empty id array too.
+    rows = data.draw(st.integers(1, 4), label="V")
+    dim = data.draw(st.integers(1, 3), label="d")
+    ids = data.draw(st.just([]) | st.lists(st.integers(0, rows - 1), min_size=1, max_size=8),
+                    label="ids")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+
+    group = ParamGroup()
+    table = group.add("table", rng.normal(size=(rows, dim)))
+    check_node(lambda _: gather_rows(table, np.array(ids, dtype=np.int64)), group, rng)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_transform_bank_gradcheck(data):
+    # 0 to 5 bank word rows; a b_k entry shifted by +-40 saturates its tanh.
+    n = data.draw(st.integers(0, 5), label="rows")
+    width = data.draw(st.integers(1, 3), label="2H")
+    attn = data.draw(st.integers(1, 3), label="A")
+    shifts = data.draw(st.lists(st.sampled_from([0.0, 40.0, -40.0]), min_size=attn,
+                                max_size=attn), label="b_k shifts")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+
+    group = ParamGroup()
+    p = init_attention(group, "a", width, attn, rng)
+    group.assign("a.b_k", ..., rng.normal(size=attn) + shifts)
+    bank_h = group.add("bank_h", rng.normal(size=(n, width)))
+    check_node(lambda _: transform_bank(bank_h, p), group, rng)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_unpack_rows_gradcheck(data):
+    # Masks mixing empty, full and partly filled rows.
+    steps = data.draw(st.integers(1, 4), label="T")
+    lengths = data.draw(st.lists(st.sampled_from([0, steps]) | st.integers(0, steps),
+                                 min_size=1, max_size=3), label="lengths")
+    dim = data.draw(st.integers(1, 3), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+
+    mask = (np.arange(steps) < np.asarray(lengths)[:, None]).astype(float)
+    group = ParamGroup()
+    x = group.add("x", rng.normal(size=(int(mask.sum()), dim)))
+    check_node(lambda _: unpack_rows(x, mask), group, rng)
