@@ -1,17 +1,16 @@
 """Dense tensors with taped reverse-mode differentiation on numpy arrays.
 
-The op set is what the model records.  ``gather_rows``, ``unpack_rows``
-(packed rows to a zero-padded array), ``linear`` and a fused ``softmax``
-live here; the larger layers are fused ops of the same
-kind, each one tape node with a hand-written backward
-(``lstm.blstm_forward``, ``attention.transform_bank``,
-``attention.bank_attend_batch``, ``model.batch_loss``), built on the
-plain-array helpers here (``sigmoid_array``, ``scatter_add``,
-``softmax_parts``, ``softmax_grad``).  Each op hands its output, inputs
-and backward to ``record``, the one function that writes tape nodes; the
-backward returns one gradient array per input, in input order.  Tests
-check each op through a vector-Jacobian product, ``optim.grad_check``
-with a chosen cotangent.
+The op set is what the model records.  ``gather_rows`` and ``linear``
+live here; the larger layers are fused ops of the same kind, each one
+tape node with a hand-written backward (``lstm.blstm_forward``,
+``attention.transform_bank``, ``attention.bank_attend_batch``,
+``model.batch_loss``), built on the plain-array helpers here
+(``sigmoid_array``, ``scatter_add``, ``softmax_parts``,
+``softmax_grad``).  Each op hands its output, inputs and backward to
+``record``, the one function that writes tape nodes; the backward
+returns one gradient array per input, in input order.  Tests check each
+op through a vector-Jacobian product, ``optim.grad_check`` with a chosen
+cotangent.
 Every op output is finite-checked (NaN/Inf is a hard error).  Ops compute
 in their inputs' dtype, so the parameters' dtype (``optim.ParamGroup``,
 float64 by default) is the model's.  A ``Tensor`` keeps a float32 or
@@ -256,20 +255,6 @@ def gather_rows(table, ids) -> Tensor:
     return record(Tensor(table.data[idx]), (table,), backward)
 
 
-def unpack_rows(x, mask) -> Tensor:
-    """Scatter the (n, ·) rows ``x``, one per valid position of the 0/1
-    ``mask`` in the row-major order ``a[mask > 0]`` gives, into a
-    (*mask.shape, ·) array that is exactly zero at the other positions, as
-    one node; backward gathers the valid rows of its gradient."""
-    x = astensor(x)
-    valid = np.asarray(mask) > 0
-    if x.shape[:1] != (valid.sum(),):
-        raise ValueError(f"x shape {x.shape}: expected one row per valid position of mask")
-    out = np.zeros(valid.shape + x.shape[1:], dtype=x.data.dtype)
-    out[valid] = x.data
-    return record(Tensor(out), (x,), lambda g: (g[valid],))
-
-
 def softmax_parts(x: np.ndarray, axis: int = -1,
                   valid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max-shifted softmax of a plain array along ``axis``, for fused ops.
@@ -298,10 +283,3 @@ def softmax_grad(g: np.ndarray, e: np.ndarray, z: np.ndarray, axis: int) -> np.n
     """
     gz = (-g * e / (z * z)).sum(axis=axis, keepdims=True)
     return (g / z + gz) * e
-
-
-def softmax(x, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along ``axis`` as one node."""
-    x = astensor(x)
-    weights, e, z = softmax_parts(x.data, axis)
-    return record(Tensor(weights), (x,), lambda g: (softmax_grad(g, e, z, axis),))

@@ -8,17 +8,15 @@ Variants:
   san-noblstm2  bank attention but no second BLSTM; the projection reads
                 the concatenated representation directly
 
-Layers pass packed rows: every node from the embedding lookups through
-the last encoder outputs one row per valid question token (``batch.mask``)
-or bank token (``batch.bank_mask``), in the row-major order ``a[mask > 0]``
-gives, so padding is never computed or stored.  ``unpack_rows`` scatters
-the last encoder's rows (blstm2's; the attention's for ``san-noblstm2``)
-into (B, T, .) for the head: padded positions reach the projection as
-exact zeros, and loss and decoding exclude them.  Under a tape a training
-step records 11 nodes for ``san`` with dropout: two embedding lookups, one
-``blstm_forward`` per BLSTM (dropout included), ``transform_bank``, one
-``bank_attend_batch``, ``unpack_rows``, the projection, one ``softmax``
-and one ``batch_loss`` node.  Checkpoints are a versioned ``.npz`` of
+Layers pass packed rows: every node, the projection included, outputs
+one row per valid question token (``batch.mask``) or bank token
+(``batch.bank_mask``) in the row-major order ``a[mask > 0]`` gives, so
+padding is never computed or stored.  ``Probabilities`` scatters the
+logits' softmax into (B, T, |L|) outside the tape and keeps the logits
+for ``batch_loss``.  Under a tape a ``san`` training step with dropout
+records 9 nodes: two embedding lookups, one ``blstm_forward`` per BLSTM
+(dropout included), ``transform_bank``, ``bank_attend_batch``, the
+projection and ``batch_loss``.  Checkpoints are a versioned ``.npz`` of
 little-endian float64 tensors; round trips are bit-exact.
 
 Bank memo: in eval (no tape active) the same pool questions recur in bank
@@ -50,7 +48,7 @@ import numpy as np
 from .attention import (AttentionParams, AttentionTrace, bank_attend_batch,
                         init_attention, transform_bank)
 from .autodiff import (NonFiniteError, Tensor, _tape, astensor, gather_rows, linear, record,
-                       softmax, unpack_rows)
+                       softmax_parts)
 from .data import BANK_SIZE, Batch, LABELS, F_INDEX, MAX_LEN, O_INDEX
 from .embeddings import EmbeddingMatrix
 from .lstm import BlstmParams, blstm_forward, glorot, init_blstm
@@ -260,16 +258,35 @@ class SanParams:
         return cls(group, embedding, blstm1, bank_blstm, attention, blstm2, proj_w, proj_b)
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """The head's probability pass: a plain array's softmax over its last axis."""
+    return softmax_parts(logits)[0]
+
+
+class Probabilities(Tensor):
+    """(B, T, |L|) label distributions: the softmax of the packed (n, |L|)
+    ``logits`` at the valid positions of ``mask``, exactly 0 elsewhere.
+    Built outside the tape; ``batch_loss`` differentiates ``logits``."""
+
+    __slots__ = ("logits", "valid")
+
+    def __init__(self, logits, mask):
+        logits, valid = astensor(logits), np.asarray(mask) > 0
+        data = np.zeros(valid.shape + (len(LABELS),), dtype=logits.data.dtype)
+        data[valid] = softmax(logits.data)
+        super().__init__(data)
+        self.logits, self.valid = logits, valid
+
+
 def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
                   training: bool = False, rng: np.random.Generator | None = None,
-                  want_trace: bool = False) -> tuple[Tensor, list[AttentionTrace] | None]:
+                  want_trace: bool = False) -> tuple[Probabilities, list[AttentionTrace] | None]:
     """Per-token label distributions for a batch: (B, T, |L|) plus traces.
 
-    Valid rows sum to one; padded rows come out of the projection of zero
-    features and must be excluded by every consumer (the loss and the
-    decoder both do).  Bank words come from ``params.bank_memo`` with no
-    tape active, and from the bank BLSTM and ``transform_bank`` under one.
-    ``training`` turns on dropout at rate ``cfg.dropout``, drawn from ``rng``.
+    Valid rows sum to one; padded rows are exactly zero.  Bank words come
+    from ``params.bank_memo`` with no tape active, and from the bank BLSTM
+    and ``transform_bank`` under one.  ``training`` turns on dropout at
+    rate ``cfg.dropout``, drawn from ``rng``.
     """
     if batch.ids.shape[1] != cfg.max_len:
         raise ValueError(
@@ -293,40 +310,35 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
         hq2 = hq1
     if cfg.has_layer2:
         hq2 = blstm_forward(hq2, batch.mask, params.blstm2, dropout_rate=dropout, rng=rng)
-    logits = linear(unpack_rows(hq2, batch.mask), params.proj_w, params.proj_b)
-    probs = softmax(logits, axis=-1)
-    return probs, traces
+    return Probabilities(linear(hq2, params.proj_w, params.proj_b), batch.mask), traces
 
 
-def _check_one_hot(gold: np.ndarray, valid: np.ndarray) -> None:
-    rows = gold[valid > 0]
-    ok = np.all((rows == 0.0) | (rows == 1.0)) and np.all(rows.sum(axis=-1) == 1.0)
-    if not ok:
-        raise ValueError("gold labels must be one-hot over the label set")
-
-
-def batch_loss(probs: Tensor, gold: np.ndarray, valid: np.ndarray) -> Tensor:
+def batch_loss(probs: Probabilities, gold: np.ndarray, valid: np.ndarray) -> Tensor:
     """Summed cross entropy over examples and their valid positions, as
-    one node: -sum log p at the gold labels, with gradient -y / p.
+    one node on ``probs.logits``: per token the max-shifted log-sum-exp of
+    its logits minus its gold logit, with gradient p - y.
 
     Padding never contributes; teaching the model the pad label would
-    distort the class balance.  There is no clamp: a confidently wrong
-    token costs its full -log p and keeps its gradient (through the
-    softmax node that is p - y).  A gold probability that underflows to
-    exactly 0 gives an infinite loss, which is a NonFiniteError.
+    distort the class balance.  There is no clamp and no division by a
+    probability: a confidently wrong token costs its full logit gap and
+    keeps its gradient however far its softmax saturates.
     """
-    probs = astensor(probs)
-    gold = np.asarray(gold, dtype=float)
-    valid = np.asarray(valid, dtype=float)
-    _check_one_hot(gold, valid)
-    picked = np.asarray(gold * valid[..., None], dtype=probs.data.dtype)
-    hit = picked > 0
-    with np.errstate(divide="ignore"):
-        log_p = np.log(probs.data, out=np.zeros_like(probs.data), where=hit)
-
-    def backward(g):
-        return (np.divide(-g * picked, probs.data, out=np.zeros_like(probs.data), where=hit),)
-    return record(Tensor(-(log_p * picked).sum()), (probs,), backward)
+    if not isinstance(probs, Probabilities):
+        raise TypeError("batch_loss takes the Probabilities forward_batch returns")
+    valid = np.asarray(valid) > 0
+    if not np.array_equal(valid, probs.valid):
+        raise ValueError("valid is not the mask the logits were packed from")
+    y = np.asarray(gold, dtype=float)[valid]
+    if not (np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=-1) == 1.0)):
+        raise ValueError("gold labels must be one-hot over the label set")
+    logits = probs.logits.data
+    y = y.astype(logits.dtype)
+    top = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - top)
+    z = e.sum(axis=-1, keepdims=True)
+    loss = (top + np.log(z) - (logits * y).sum(axis=-1, keepdims=True)).sum()
+    delta = e / z - y
+    return record(Tensor(loss), (probs.logits,), lambda g: (g * delta,))
 
 
 def predict_tags(probs: np.ndarray, valid) -> list[str]:

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from fnr.attention import init_attention
-from fnr.autodiff import Tensor
 from fnr.cli import main
 from fnr.data import CorpusSplit, QaRecord, collate, corpus_stats, load_corpus, make_example, save_corpus, split
 from fnr.embeddings import EmbeddingMatrix, SgnsConfig, train_skipgram
-from fnr.model import SanConfig, SanParams, batch_loss, forward_batch
+from fnr.model import Probabilities, SanConfig, SanParams, batch_loss, forward_batch
 from fnr.optim import ParamGroup, grad_check
 from fnr.retrieval import Bm25Index, build_bank
 from fnr.training import TrainConfig, evaluate, train
@@ -185,7 +184,7 @@ def test_c5_loss_sanity(tiny_vocab, fig_example, tiny_cfg):
     n_valid = int(batch.mask.sum())
     assert abs(loss.item() / n_valid - math.log(2)) < 1e-9
 
-    perfect = Tensor(batch.gold)
+    perfect = Probabilities(40.0 * (2.0 * batch.gold[batch.mask > 0] - 1.0), batch.mask)
     assert batch_loss(perfect, batch.gold, batch.mask).item() < 1e-6
 
 

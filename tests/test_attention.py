@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fnr.attention import bank_attend_batch, init_attention, transform_bank
-from fnr.autodiff import Tape, Tensor, unpack_rows
+from fnr.autodiff import Tape, Tensor
 from fnr.optim import ParamGroup, grad_check
 
 
@@ -36,12 +36,21 @@ def transform_padded(bank_h, token_mask, p):
     return transform_bank(Tensor(bank_h[np.asarray(token_mask) > 0]), p)
 
 
+def unpack(rows, mask):
+    """The (n, .) rows, one per valid position of ``mask`` in
+    ``a[mask > 0]`` order, scattered into (*mask.shape, .), zero elsewhere."""
+    valid = np.asarray(mask) > 0
+    out = np.zeros(valid.shape + rows.shape[1:], dtype=rows.dtype)
+    out[valid] = rows
+    return out
+
+
 def attend_padded(hq1, query_mask, words, token_mask, p, want_trace=False):
     """bank_attend_batch on the valid rows of a padded (B, T_q, 2H) hq1,
-    its output unpacked to (B, T_q, 2H + A), zero at padding."""
+    its output scattered into (B, T_q, 2H + A), zero at padding."""
     out, traces = bank_attend_batch(Tensor(hq1[query_mask > 0]), query_mask, words,
                                     token_mask, p, want_trace=want_trace)
-    return unpack_rows(out, query_mask), traces
+    return Tensor(unpack(out.data, query_mask)), traces
 
 
 def attend_one(hq1, banks, masks, p, width=None):
@@ -142,7 +151,7 @@ class TestTransformBank:
         want = np.tanh(bank_h @ p.w_k.data.T + p.b_k.data)
         assert out.shape == (valid.sum(), 3)
         assert np.allclose(out.data, want[valid], atol=1e-15, rtol=0)
-        padded = unpack_rows(out, token_mask).data
+        padded = unpack(out.data, token_mask)
         assert np.array_equal(padded[~valid], np.zeros((int((~valid).sum()), 3)))
 
     def test_one_node_and_gradcheck(self):

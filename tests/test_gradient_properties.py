@@ -14,8 +14,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fnr.attention import bank_attend_batch, init_attention, transform_bank
-from fnr.autodiff import Tape, gather_rows, unpack_rows
+from fnr.autodiff import Tape, gather_rows, linear
+from fnr.data import LABELS
 from fnr.lstm import blstm_forward, init_blstm
+from fnr.model import Probabilities, batch_loss
 from fnr.optim import ParamGroup, grad_check
 
 
@@ -152,15 +154,30 @@ def test_transform_bank_gradcheck(data):
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_unpack_rows_gradcheck(data):
-    # Masks mixing empty, full and partly filled rows.
+def test_head_and_loss_gradcheck(data):
+    # The projection on packed rows and the loss on its logits, over
+    # batches mixing questions of length 0, 1 and T, both labels as gold;
+    # a proj.b shift of up to 1e3 between the labels saturates the softmax
+    # far past where the losing label's probability underflows to 0.
     steps = data.draw(st.integers(1, 4), label="T")
-    lengths = data.draw(st.lists(st.sampled_from([0, steps]) | st.integers(0, steps),
-                                 min_size=1, max_size=3), label="lengths")
-    dim = data.draw(st.integers(1, 3), label="d")
+    b_sz = data.draw(st.integers(1, 3), label="B")
+    lengths = data.draw(st.lists(st.sampled_from([0, 1, steps]) | st.integers(0, steps),
+                                 min_size=b_sz, max_size=b_sz), label="lengths")
+    width = data.draw(st.integers(1, 3), label="2H")
+    gap = data.draw(st.sampled_from([0.0, 1e3]) | st.floats(-1e3, 1e3), label="b_F - b_O shift")
+    mask = (np.arange(steps) < np.asarray(lengths)[:, None]).astype(float)
+    n = int(mask.sum())
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="gold")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
 
-    mask = (np.arange(steps) < np.asarray(lengths)[:, None]).astype(float)
+    gold = np.zeros(mask.shape + (len(LABELS),))
+    gold[mask > 0, labels] = 1.0
     group = ParamGroup()
-    x = group.add("x", rng.normal(size=(int(mask.sum()), dim)))
-    check_node(lambda _: unpack_rows(x, mask), group, rng)
+    x = group.add("x", rng.normal(size=(n, width)))
+    w = group.add("w", rng.normal(size=(len(LABELS), width)))
+    b = group.add("b", rng.normal(size=len(LABELS)) + [gap, 0.0])
+
+    def out(_):
+        return batch_loss(Probabilities(linear(x, w, b), mask), gold, mask)
+
+    check_node(out, group, rng)

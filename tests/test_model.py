@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from fnr import model as fmodel
-from fnr.autodiff import Tape, Tensor
-from fnr.data import QaRecord, collate, make_example
-from fnr.model import (CheckpointError, SanConfig, SanParams, batch_loss,
+from fnr.autodiff import Tape, Tensor, gather_rows
+from fnr.data import F_INDEX, O_INDEX, QaRecord, collate, make_example
+from fnr.model import (CheckpointError, Probabilities, SanConfig, SanParams, batch_loss,
                        extract_spans, forward_batch, load_model, predict_tags,
-                       save_model, softmax)
+                       save_model)
 from fnr.optim import ParamGroup, adam_step, grad_check
 from fnr.vocab import EOS_TOKEN, PAD_ID, RESERVED, Vocabulary
 from checkpoint_files import read_checkpoint, rewrite_checkpoint
@@ -181,15 +181,13 @@ class TestTapeMix:
             batch_loss(probs, batch.gold, batch.mask)
         # Embedding lookups for questions and banks, one node per BLSTM
         # (dropout included), then one node each for the bank transform,
-        # attention, the unpacking of blstm2's rows, the projection,
-        # softmax and loss.
+        # attention, the projection and the loss.
         assert tape_mix(tape) == {"gather_rows": 2, "blstm_forward": 3, "transform_bank": 1,
-                                  "bank_attend_batch": 1, "unpack_rows": 1, "linear": 1,
-                                  "softmax": 1, "batch_loss": 1}
-        assert len(tape) == 11
+                                  "bank_attend_batch": 1, "linear": 1, "batch_loss": 1}
+        assert len(tape) == 9
 
     @pytest.mark.parametrize("variant, bank_size, nodes", [
-        ("san", 2, 10), ("san-noblstm2", 2, 9), ("sblstm", 2, 6), ("san", 0, 7)])
+        ("san", 2, 8), ("san-noblstm2", 2, 7), ("sblstm", 2, 4), ("san", 0, 5)])
     def test_training_step_node_count(self, tiny_vocab, fig_example, variant, bank_size, nodes):
         # ``nodes`` are the forward's; the loss records one more.
         cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
@@ -225,16 +223,15 @@ class TestTapeMix:
             probs, _ = forward_batch(batch, params, cfg, training=True,
                                      rng=np.random.default_rng(0))
             loss = batch_loss(probs, batch.gold, batch.mask)
-        assert len(tape) == 11
+        assert len(tape) == 9
         grads = tape.gradients(loss)
         for name, t in params.group.items():
             assert np.all(np.isfinite(grads[t])), name
         assert np.any(grads[params.attention.w_k2] != 0.0)
 
     def test_layers_pass_packed_rows(self):
-        # From the embedding lookups through blstm2 every node outputs one
-        # row per valid question or bank token; ``unpack_rows`` hands the
-        # head the first (B, T, .) array.
+        # From the embedding lookups through the projection every node
+        # outputs one row per valid question or bank token.
         batch, params, cfg = self.paper_dims_batch()
         with Tape() as tape:
             forward_batch(batch, params, cfg, training=True, rng=np.random.default_rng(0))
@@ -249,9 +246,7 @@ class TestTapeMix:
                           ("transform_bank", (n_b, attn)),
                           ("bank_attend_batch", (n_q, width + attn)),
                           ("blstm_forward", (n_q, width)),
-                          ("unpack_rows", batch.mask.shape + (width,)),
-                          ("linear", batch.mask.shape + (2,)),
-                          ("softmax", batch.mask.shape + (2,))]
+                          ("linear", (n_q, 2))]
         words = params.bank_memo.bank_words(batch.bank_ids, batch.bank_mask, params)
         assert words.shape == (n_b, attn)
 
@@ -282,10 +277,9 @@ class TestTapeMix:
             # level-2 weights, e and z
             + (n_q * (2 * hidden + attn) + n_q * attn + level1 + 3 * n_banks * n_q) * item
             + blstm(n_q, True)                                # blstm2
-            + b_sz * t_len * (2 * hidden * item + 1)          # unpack_rows: output, mask
-            + b_sz * t_len * 2 * item                         # linear
-            + b_sz * t_len * 5 * item                         # softmax: output, e, z
-            + b_sz * t_len * 2 * (item + 1))                  # loss: gold picks and hits
+            + n_q * 2 * item                                  # linear
+            + n_q * 2 * item                                  # loss: p - y
+            + b_sz * t_len * (2 * item + 1))                  # probabilities, valid mask
         slack = 64 * 1024
         assert slack < 2 * hidden * n_q * item < n_banks * n_q * attn * item
 
@@ -295,8 +289,59 @@ class TestTapeMix:
                                          rng=np.random.default_rng(0))
                 return tape, batch_loss(probs, batch.gold, batch.mask)
         (tape, _), live, _ = traced(forward)
-        assert len(tape) == 11
+        assert len(tape) == 9
         assert live < kept + slack
+
+    def test_head_calls_the_names_the_benchmark_patches(self, tiny_vocab, fig_example,
+                                                        monkeypatch):
+        # benchmarks/workloads.py times the layers by replacing these
+        # module attributes of fnr.model; the head's span covers the
+        # projection and the probability pass, one call each per forward.
+        for name in ("gather_rows", "blstm_forward", "bank_attend_batch", "linear", "softmax"):
+            assert callable(getattr(fmodel, name)), name
+        calls = collections.Counter()
+
+        def counted(name):
+            real = getattr(fmodel, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("linear", "softmax"):
+            monkeypatch.setattr(fmodel, name, counted(name))
+        cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
+                        bank_size=2, dropout=0.2, variant="san", seed=1)
+        batch = collate([fig_example])
+        with Tape():
+            forward_batch(batch, build(cfg, tiny_vocab), cfg, training=True,
+                          rng=np.random.default_rng(0))
+        assert calls == {"linear": 1, "softmax": 1}
+
+
+class TestSaturatedLogits:
+    """Logits saturated past where the losing label's probability
+    underflows to 0 (a gap of 746 at float64, 104 at float32): the loss is
+    the gap per token whose gold label loses, and the logit gradient is
+    p - y, both exact."""
+
+    @pytest.mark.parametrize("dtype, gap", [(np.float64, 800.0), (np.float32, 104.0)],
+                             ids=["float64", "float32"])
+    def test_loss_and_gradient_exact(self, dtype, gap):
+        batch, params, cfg = TestTapeMix.paper_dims_batch()
+        params = SanParams.build(cfg, params.embedding.shape[0], np.random.default_rng(0),
+                                 dtype=dtype)
+        params.group.assign("proj.w", ..., 0.0)
+        params.group.assign("proj.b", F_INDEX, gap)
+        with Tape() as tape:
+            probs, _ = forward_batch(batch, params, cfg)
+            loss = batch_loss(probs, batch.gold, batch.mask)
+        grads = tape.gradients(loss)
+        n_o = int(batch.gold[batch.mask > 0, O_INDEX].sum())
+        assert 0 < n_o < batch.mask.sum()
+        assert loss.item() == gap * n_o
+        assert grads[params.proj_b].tolist() == [n_o, -n_o]
 
 
 def walk_without_popping(tape, output):
@@ -369,29 +414,30 @@ class TestTapeMemory:
 
 
 class TestLoss:
-    # One (T, |L|) sequence as a batch of one.
+    # One (T, |L|) sequence as a batch of one; ``Probabilities`` takes the
+    # valid rows' logits: log-probabilities, or +-40 for a perfect one.
     def test_perfect_predictions_zero_loss(self):
-        probs = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+        probs = Probabilities(np.array([[40.0, -40.0], [-40.0, 40.0]]), np.ones((1, 2)))
         gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         loss = batch_loss(probs, gold, np.ones((1, 2)))
         assert loss.item() < 1e-6
 
     def test_uniform_probs_ln2_per_token(self):
         n = 5
-        probs = Tensor(np.full((1, n, 2), 0.5))
+        probs = Probabilities(np.log(np.full((n, 2), 0.5)), np.ones((1, n)))
         gold = np.zeros((1, n, 2))
         gold[..., 0] = 1.0
         loss = batch_loss(probs, gold, np.ones((1, n)))
         assert abs(loss.item() - n * math.log(2)) < 1e-9
 
     def test_hand_case(self):
-        probs = Tensor(np.array([[[0.9, 0.1], [0.2, 0.8]]]))
+        probs = Probabilities(np.log([[0.9, 0.1], [0.2, 0.8]]), np.ones((1, 2)))
         gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         loss = batch_loss(probs, gold, np.ones((1, 2)))
         assert abs(loss.item() - (-(math.log(0.9) + math.log(0.8)))) < 1e-12
 
     def test_padding_excluded(self):
-        probs = Tensor(np.array([[[0.9, 0.1], [0.5, 0.5]]]))
+        probs = Probabilities(np.log([[0.9, 0.1]]), np.array([[1.0, 0.0]]))
         gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         loss = batch_loss(probs, gold, np.array([[1.0, 0.0]]))
         assert abs(loss.item() - (-math.log(0.9))) < 1e-12
@@ -400,10 +446,10 @@ class TestLoss:
         # Logits [30, 0] with gold O: p(O) = e^-30 / (1 + e^-30) is below
         # 1e-12, yet the loss must be the full -log p(O) and the logit
         # gradient p - y, not a clamped constant with zero gradient.
-        logits = Tensor(np.array([[[30.0, 0.0]]]))
+        logits = Tensor(np.array([[30.0, 0.0]]))
         gold = np.array([[[0.0, 1.0]]])
         with Tape() as tape:
-            probs = softmax(logits)
+            probs = Probabilities(logits, np.ones((1, 1)))
             loss = batch_loss(probs, gold, np.ones((1, 1)))
         grad = tape.gradients(loss)[logits]
         assert abs(loss.item() - 30.0) <= 1e-12 * 30.0
@@ -413,34 +459,41 @@ class TestLoss:
         # One token per regime: saturated wrong, saturated right, ordinary,
         # and a padded position that must not contribute.
         group = ParamGroup()
-        group.add("logits", np.array([[[30.0, 0.0], [0.0, 25.0], [0.3, -0.2], [4.0, 1.0]]]))
+        group.add("logits", np.array([[[30.0, 0.0], [0.0, 25.0], [0.3, -0.2], [4.0, 1.0]]])[0])
         gold = np.array([[[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]])
         valid = np.array([[1.0, 1.0, 1.0, 0.0]])
-        err = grad_check(lambda g: batch_loss(softmax(g["logits"]), gold, valid),
-                         group, h=1e-6)
-        assert err < 1e-6
-
-    def test_gradcheck_probabilities(self):
-        group = ParamGroup()
-        group.add("probs", np.random.default_rng(3).uniform(0.05, 1.0, size=(2, 3, 2)))
-        gold = np.zeros((2, 3, 2))
-        gold[0, :, 0] = gold[1, :, 1] = 1.0
-        valid = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-        err = grad_check(lambda g: batch_loss(g["probs"], gold, valid), group, h=1e-6)
+        rows = np.flatnonzero(valid)
+        err = grad_check(
+            lambda g: batch_loss(Probabilities(gather_rows(g["logits"], rows), valid),
+                                 gold, valid),
+            group, h=1e-6)
         assert err < 1e-6
 
     def test_gold_not_one_hot_rejected(self):
-        probs = Tensor(np.full((1, 2, 2), 0.5))
+        probs = Probabilities(np.zeros((2, 2)), np.ones((1, 2)))
         gold = np.array([[[1.0, 1.0], [0.0, 1.0]]])
         with pytest.raises(ValueError, match="one-hot"):
             batch_loss(probs, gold, np.ones((1, 2)))
 
     def test_batch_loss_sums_over_examples(self):
-        probs = Tensor(np.full((3, 2, 2), 0.5))
+        probs = Probabilities(np.zeros((6, 2)), np.ones((3, 2)))
         gold = np.zeros((3, 2, 2))
         gold[:, :, 1] = 1.0
         loss = batch_loss(probs, gold, np.ones((3, 2)))
         assert abs(loss.item() - 6 * math.log(2)) < 1e-9
+
+    def test_plain_tensor_rejected(self):
+        # Probabilities alone carry the logits the loss differentiates.
+        gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        with pytest.raises(TypeError, match="Probabilities"):
+            batch_loss(Tensor(np.full((1, 2, 2), 0.5)), gold, np.ones((1, 2)))
+
+    def test_valid_must_be_the_forward_mask(self, tiny_cfg, tiny_vocab, fig_example):
+        batch = collate([fig_example])
+        probs, _ = forward_batch(batch, build(tiny_cfg, tiny_vocab), tiny_cfg)
+        for valid in (batch.mask[:, :-1], np.where(np.arange(6) == 0, 0.0, batch.mask)):
+            with pytest.raises(ValueError, match="mask the logits were packed from"):
+                batch_loss(probs, batch.gold, valid)
 
 
 class TestPredictTags:
