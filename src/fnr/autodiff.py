@@ -193,26 +193,22 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
 
 
 def linear(x, w, b) -> Tensor:
-    """x @ w.T + b over the last axis of x; leading axes are batch axes.
+    """x @ w.T + b for packed (n, din) rows x: (n, dout).
 
-    Fused so one tape node covers the projection, which keeps step loops
-    cheap.  ``w`` has shape (dout, din) and ``b`` shape (dout,).
+    One tape node covers the projection.  ``w`` has shape (dout, din) and
+    ``b`` shape (dout,).
     """
     x, w, b = astensor(x), astensor(w), astensor(b)
-    if x.ndim < 2:
-        raise ValueError("linear expects x with ndim >= 2; reshape a vector to (1, d)")
+    if x.ndim != 2:
+        raise ValueError(f"linear expects packed (n, din) rows, got shape {x.data.shape}")
     dout, din = w.data.shape
-    if x.data.shape[-1] != din:
-        raise ValueError(f"linear shape mismatch: x last dim {x.data.shape[-1]} != {din}")
+    if x.data.shape[1] != din:
+        raise ValueError(f"linear shape mismatch: x last dim {x.data.shape[1]} != {din}")
     if b.data.shape != (dout,):
         raise ValueError(f"linear bias shape {b.data.shape} != ({dout},)")
     with np.errstate(over="ignore", invalid="ignore"):
         out = Tensor(x.data @ w.data.T + b.data)
-
-    def backward(g):
-        g2 = g.reshape(-1, dout)
-        return g @ w.data, g2.T @ x.data.reshape(-1, din), g2.sum(axis=0)
-    return record(out, (x, w, b), backward)
+    return record(out, (x, w, b), lambda g: (g @ w.data, g.T @ x.data, g.sum(axis=0)))
 
 
 _SCATTER_BLOCK = 1024

@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NonFiniteError
-from .data import (CorpusError, QaRecord, collate, corpus_stats, format_stats,
-                   load_corpus, make_example, split)
+from .data import (QaRecord, collate, corpus_stats, format_stats, load_corpus,
+                   make_example, split)
 from .embeddings import SgnsConfig, load_embeddings, save_embeddings, train_skipgram
 from .metrics import truncated_gold_spans
-from .model import (CheckpointError, SanConfig, extract_spans, forward_batch,
-                    json_type_ok, load_model, predict_tags, save_model)
+from .model import (SanConfig, extract_spans, forward_batch, json_type_ok, load_model,
+                    predict_tags, save_model)
 from .retrieval import (Bm25Index, build_bank, file_sha256, load_bank_cache,
                         save_bank_cache)
 from .training import DivergenceError, TrainConfig, evaluate, train
@@ -102,12 +102,6 @@ def _coerce(key: str, value) -> object:
     kind = _FIELD_TYPES[key]
     if isinstance(value, str):
         text = value.strip()
-        if kind == "bool":
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ConfigError(f"{key}: expected a boolean, got {text!r}")
         try:
             if kind == "int":
                 return int(text)
@@ -484,13 +478,10 @@ def main(argv=None) -> int:
     except (DivergenceError, NonFiniteError) as err:
         log.error("numeric failure: %s", err)
         return 4
-    except (ConfigError, CorpusError, CheckpointError) as err:
-        log.error("%s", err)
-        return 3
     except OSError as err:
         log.error("%s", err)
         return 2
-    except ValueError as err:
+    except ValueError as err:   # ConfigError, CorpusError and CheckpointError among them
         log.error("%s", err)
         return 3
 

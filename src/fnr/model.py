@@ -66,12 +66,11 @@ class CheckpointError(ValueError):
 
 # The JSON value types a config field of each annotation accepts; a bool
 # is never a number.  Checkpoint configs and CLI run configs share it.
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-               "str | None": (str, type(None))}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
 
 
 def json_type_ok(kind: str, value) -> bool:
-    return isinstance(value, _JSON_TYPES[kind]) and (kind == "bool" or not isinstance(value, bool))
+    return isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
 
 
 @dataclass
@@ -85,7 +84,6 @@ class SanConfig:
     bank_size: int = BANK_SIZE
     dropout: float = 0.2
     variant: str = "san"
-    share_bank_encoder: bool = False
     seed: int = 13
 
     def __post_init__(self):
@@ -189,9 +187,9 @@ class SanParams:
     """All trainable tensors, registered by name in one ParamGroup, plus
     the eval-time ``BankMemo`` of the bank encoder's outputs.
 
-    Exactly one bank encoder exists regardless of how many bank questions
-    an example carries; with ``share_bank_encoder`` it is the same object
-    as the first labeled-question encoder and is not stored twice.
+    Exactly one bank encoder, ``bank_blstm`` (tensors ``bank.*``), exists
+    regardless of how many bank questions an example carries; it is
+    separate from ``blstm1``, which encodes the labeled questions.
     """
 
     def __init__(self, group: ParamGroup, embedding: Tensor, blstm1: BlstmParams,
@@ -209,9 +207,8 @@ class SanParams:
 
     def bank_sources(self) -> list[str]:
         """Names of the tensors the bank words are computed from."""
-        encoder = "blstm1" if self.bank_blstm is self.blstm1 else "bank"
         return ["embedding", "attention.w_k", "attention.b_k",
-                *(f"{encoder}.{d}.{w}" for d in ("fwd", "bwd") for w in ("w_x", "w_h", "b"))]
+                *(f"bank.{d}.{w}" for d in ("fwd", "bwd") for w in ("w_x", "w_h", "b"))]
 
     def encode_bank(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
         """(M, A) transformed words of the bank questions ``ids`` under
@@ -245,10 +242,7 @@ class SanParams:
         blstm1 = init_blstm(group, "blstm1", cfg.embedding_dim, cfg.hidden_size, rng)
         bank_blstm = attention = blstm2 = None
         if cfg.has_bank:
-            if cfg.share_bank_encoder:
-                bank_blstm = blstm1
-            else:
-                bank_blstm = init_blstm(group, "bank", cfg.embedding_dim, cfg.hidden_size, rng)
+            bank_blstm = init_blstm(group, "bank", cfg.embedding_dim, cfg.hidden_size, rng)
             attention = init_attention(group, "attention", cfg.encoder_width,
                                        cfg.attention_dim, rng)
         if cfg.has_layer2:
@@ -408,6 +402,11 @@ def load_model(path) -> tuple[SanParams, SanConfig, Vocabulary]:
         raise CheckpointError(f"unsupported checkpoint format_version {version!r}")
     config_dict = dict(payload.get("config", {}))
     vocab_tokens = config_dict.pop("vocab", None)
+    # Format-3 files from before the bank encoder was always separate carry
+    # this key; false is the one wiring there is.
+    if config_dict.pop("share_bank_encoder", False) is not False:
+        raise CheckpointError("checkpoint config 'share_bank_encoder' must be false: "
+                              "the bank encoder is always separate")
     if not (isinstance(vocab_tokens, list) and all(isinstance(t, str) for t in vocab_tokens)):
         raise CheckpointError("checkpoint vocabulary is not a list of strings")
     for f in dataclasses.fields(SanConfig):

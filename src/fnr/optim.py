@@ -147,7 +147,8 @@ def grad_check(loss_fn: Callable[[ParamGroup], Tensor], params: ParamGroup,
     relative when every gradient is small.
     For large tensors a random coordinate subset may be checked
     (``max_coords_per_tensor``).  The group must be float64; the
-    comparison is meaningless at float32.
+    comparison is meaningless at float32.  A non-finite loss or taped
+    gradient raises ``NonFiniteError``.
     """
     if params.dtype != np.float64:
         raise RuntimeError(f"grad_check requires a float64 group, not {params.dtype}")
@@ -163,6 +164,9 @@ def grad_check(loss_fn: Callable[[ParamGroup], Tensor], params: ParamGroup,
 
     if not math.isfinite(value(out)):
         raise NonFiniteError("loss is non-finite at the evaluation point")
+    for name, p in params.items():
+        if not np.all(np.isfinite(grads[p])):
+            raise NonFiniteError(f"taped gradient of {name!r} is non-finite")
 
     largest = max((np.abs(grads[p]).max(initial=0.0) for _, p in params.items()), default=0.0)
     scale = min(1.0, max(1e-2, float(largest)))

@@ -247,8 +247,7 @@ def _run_bank_task(variant, seed):
     data = CorpusSplit(train=train_ex[:160], validation=train_ex[160:],
                        test=test_ex, seed=0)
     cfg = SanConfig(embedding_dim=hid, hidden_size=hid, attention_dim=hid,
-                    max_len=max_len, bank_size=u, dropout=0.0, variant=variant,
-                    seed=seed, share_bank_encoder=True)
+                    max_len=max_len, bank_size=u, dropout=0.0, variant=variant, seed=seed)
     tcfg = TrainConfig(lr=0.02, batch_size=32, max_epochs=300, patience=50)
     params, _ = train(cfg, tcfg, data, vocab, pretrained)
     return evaluate(params, cfg, test_ex).span_f1

@@ -47,6 +47,11 @@ class TestAffine:
         with pytest.raises(ValueError):
             linear(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.ones((2, 2))), Tensor(np.zeros(2)))
 
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 2)])
+    def test_only_packed_rows(self, shape):
+        with pytest.raises(ValueError, match="packed"):
+            linear(Tensor(np.ones(shape)), Tensor(np.eye(2)), Tensor(np.zeros(2)))
+
     def test_gradients_flow_to_all_three(self):
         x = Tensor([[0.5, -0.25]])
         w = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -430,7 +435,7 @@ class TestFastMode:
         w = group.add("w", [[1.0, 2.0], [3.0, 4.0]])
         b = group.add("b", [0.1, 0.2])
         with Tape() as tape:
-            rows = gather_rows(table, np.array([[1, 0, 1]]))
+            rows = gather_rows(table, np.array([1, 0, 1]))
             out = linear(rows, w, b)
         grads = tape.gradients(out)
         assert table.data.dtype == rows.data.dtype == out.data.dtype == np.float32

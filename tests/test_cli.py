@@ -17,7 +17,7 @@ from fnr import cli, training
 from fnr.cli import ConfigError, load_run_config, main
 from fnr.data import CorpusError, QaRecord, load_corpus, save_corpus
 from fnr.embeddings import EmbeddingMatrix, SgnsConfig, load_embeddings, save_embeddings
-from fnr.model import SanConfig, SanParams, load_model, save_model
+from fnr.model import SanConfig, SanParams, forward_batch, load_model, save_model
 from fnr.retrieval import load_bank_cache
 from fnr.training import TrainConfig
 from fnr.vocab import RESERVED, Vocabulary
@@ -324,7 +324,7 @@ class TestRunConfig:
                     for f in dataclasses.fields(TrainConfig)}
         keys = set(model) | set(training) | self.PATH_KEYS
         assert set(cli._FIELD_TYPES) == keys
-        assert len(keys) == 19
+        assert len(keys) == 18
         for key in keys:
             value = {**model, **training}.get(key, "path")
             load_run_config(None, {key: str(value)})
@@ -346,10 +346,10 @@ class TestRunConfig:
             path.write_text(json.dumps(values))
             return load_run_config(str(path), {})
 
-        cfg = load({"lr": 1, "dropout": 0.5, "max_len": 7, "share_bank_encoder": True,
+        cfg = load({"lr": 1, "dropout": 0.5, "max_len": 7,
                     "variant": "sblstm", "pool": None, "corpus": "c.jsonl"})
         assert cfg.settings["lr"] == 1 and cfg.pool is None and cfg.corpus == "c.jsonl"
-        for bad in ({"max_len": True}, {"share_bank_encoder": 1}, {"seed": None},
+        for bad in ({"max_len": True}, {"seed": None},
                     {"variant": None}, {"corpus": 5}, {"lr": "fast"}):
             with pytest.raises(ConfigError):
                 load(bad)
@@ -493,6 +493,13 @@ class TestTrain:
         ckpt = tmp_path / "model.npz"
         assert main(train_args(corpus_path, ckpt) + ["--set", "report=x"]) == 3
 
+    def test_share_bank_encoder_key_exit_3(self, tmp_path, corpus_path, caplog):
+        # The bank encoder is always separate; the old switch is no key.
+        ckpt = tmp_path / "model.npz"
+        assert main(train_args(corpus_path, ckpt, share_bank_encoder="false")) == 3
+        assert "unknown config key 'share_bank_encoder'" in caplog.text
+        assert not ckpt.exists()
+
     def test_missing_corpus_exit_2(self, tmp_path):
         code = main(["train", "--corpus", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "m.npz")])
@@ -610,7 +617,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("case, named", [
         ("config_value_of_wrong_type", "hidden_size"),
-        ("bool_config_as_text", "share_bank_encoder"),
+        ("legacy_shared_encoder", "share_bank_encoder"),
+        ("legacy_shared_encoder_as_text", "share_bank_encoder"),
         ("top_level_array", "not a JSON object"),
         ("config_array", "not a JSON object"),
         ("format_version_1", "format_version"),
@@ -628,7 +636,9 @@ class TestEvaluate:
         def edit(meta, arrays):
             if case == "config_value_of_wrong_type":
                 meta["config"]["hidden_size"] = "10"
-            elif case == "bool_config_as_text":
+            elif case == "legacy_shared_encoder":
+                meta["config"]["share_bank_encoder"] = True
+            elif case == "legacy_shared_encoder_as_text":
                 meta["config"]["share_bank_encoder"] = "no"
             elif case == "top_level_array":
                 return [meta]
@@ -663,6 +673,30 @@ class TestEvaluate:
             rewrite_checkpoint(ckpt, bad, edit)
         assert main(["evaluate", "--model", str(bad), "--data", str(corpus)]) == 3
         assert named in caplog.text
+
+    def test_legacy_separate_encoder_key_loads(self, tmp_path, overfit_ckpt, monkeypatch):
+        # Format-3 files from before the bank encoder was always separate
+        # carry share_bank_encoder=false and load as the same model.
+        corpus, ckpt = overfit_ckpt
+        legacy = tmp_path / "legacy.npz"
+
+        def edit(meta, arrays):
+            meta["config"]["share_bank_encoder"] = False
+            return meta
+        rewrite_checkpoint(ckpt, legacy, edit)
+
+        def evaluate_probs(path):
+            seen = []
+
+            def recording(*args, **kwargs):
+                seen.append(forward_batch(*args, **kwargs))
+                return seen[-1]
+            monkeypatch.setattr(training, "forward_batch", recording)
+            assert main(["evaluate", "--model", str(path), "--data", str(corpus)]) == 0
+            return [probs.data for probs, _ in seen]
+
+        want, got = evaluate_probs(ckpt), evaluate_probs(legacy)
+        assert len(got) == len(want) > 0 and all(map(np.array_equal, got, want))
 
     @pytest.mark.parametrize("labels", [5, None, "FO", ["F", 0]],
                              ids=["int", "null", "string", "non_string_item"])
@@ -938,6 +972,17 @@ class TestDamagedCorpusLine:
                      "--out", str(workdir / "banks.jsonl")])
         assert code == (0 if well_formed(obj) else 3)
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_train_and_evaluate_exit_3_naming_the_line(self, workdir, overfit_ckpt, caplog,
+                                                       command):
+        path, _ = self.write(workdir, "{not json")
+        if command == "train":
+            args = train_args(path, workdir / "model.npz")
+        else:
+            args = ["evaluate", "--model", str(overfit_ckpt[1]), "--data", str(path)]
+        assert main(args) == 3
+        assert "line 2" in caplog.text
+
 
 FLOAT_TEXT = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 INT_TEXT = re.compile(r"[+-]?\d+")
@@ -1054,9 +1099,7 @@ class TestDamagedEmbeddingFile:
 MODEL_KEYS = {f.name: f.type for f in dataclasses.fields(SanConfig)}
 TRAIN_KEYS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 CONFIG_KINDS = {**MODEL_KEYS, **TRAIN_KEYS, "corpus": "path", "checkpoint": "path"}
-JSON_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
-              "path": (str, type(None))}
-BOOL_TEXT = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+JSON_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "path": (str, type(None))}
 
 
 def read_config_text(text):
@@ -1094,8 +1137,6 @@ def read_config_text(text):
             elif kind == "float" and (FLOAT_TEXT.fullmatch(value)
                                       or value in ("nan", "inf", "-inf")):
                 values[key] = float(value)
-            elif kind == "bool" and value.lower() in BOOL_TEXT:
-                values[key] = BOOL_TEXT[value.lower()]
             elif kind in ("str", "path"):
                 values[key] = value
             else:
@@ -1129,7 +1170,7 @@ class TestDamagedRunConfig:
         return {"checkpoint": str(root / "model.npz"), "max_epochs": 2, "patience": 1,
                 "corpus": str(corpus), "seed": 3, "embedding_dim": 8, "hidden_size": 6,
                 "attention_dim": 6, "max_len": 8, "bank_size": 2, "dropout": 0.0,
-                "share_bank_encoder": False, "lr": 0.02, "batch_size": 8}
+                "lr": 0.02, "batch_size": 8}
 
     @staticmethod
     def damage(data, values) -> str:
@@ -1157,8 +1198,7 @@ class TestDamagedRunConfig:
         if as_json:
             text = json.dumps(values)
         else:
-            text = "".join(f"{k}={json.dumps(v) if type(v) is bool else v}\n"
-                           for k, v in values.items())
+            text = "".join(f"{k}={v}\n" for k, v in values.items())
         if kind == "truncate":
             text = text[:data.draw(st.integers(0, len(text) - 1))]
         return text

@@ -115,14 +115,6 @@ class TestForward:
             assert any(n.startswith("blstm2.") for n in names) == has_l2
             assert params.proj_w.shape == (2, cfg.projection_width)
 
-    def test_shared_bank_encoder_single_param_set(self, tiny_vocab):
-        cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
-                        bank_size=2, dropout=0.0, variant="san", seed=5,
-                        share_bank_encoder=True)
-        params = build(cfg, tiny_vocab)
-        assert params.bank_blstm is params.blstm1
-        assert not any(n.startswith("bank.") for n in params.group.names())
-
     def test_one_bank_encoder_regardless_of_bank_count(self, tiny_vocab):
         cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
                         bank_size=5, dropout=0.0, variant="san", seed=6)
@@ -777,9 +769,9 @@ class TestConfig:
         assert SanConfig.from_dict(tiny_cfg.to_dict()) == tiny_cfg
 
 
-def memo_cfg(**kwargs):
+def memo_cfg():
     return SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
-                     bank_size=3, dropout=0.0, variant="san", seed=1, **kwargs)
+                     bank_size=3, dropout=0.0, variant="san", seed=1)
 
 
 @pytest.fixture
@@ -816,9 +808,8 @@ class TestBankMemo:
         each a call taking no arguments."""
         group = params.group
         if path == "assign":
-            bank = "blstm1" if cfg.share_bank_encoder else "bank"
             video = vocab.lookup("video")  # a token only bank questions hold
-            spots = [(f"{bank}.fwd.w_x", (0, 0)), ("embedding", (video,)),
+            spots = [("bank.fwd.w_x", (0, 0)), ("embedding", (video,)),
                      ("attention.b_k", (slice(None),))]
             return [lambda name=name, where=where:
                     group.assign(name, where, group[name].data[where] + 0.5)
@@ -832,10 +823,9 @@ class TestBankMemo:
             return [step]
         return [lambda: group.load_values(build(cfg, vocab, seed=7).group.copy_values())]
 
-    @pytest.mark.parametrize("share", [False, True])
     @pytest.mark.parametrize("path", ["assign", "adam_step", "load_values"])
-    def test_in_place_edits_recompute(self, path, share, memo_vocab, memo_batch):
-        cfg = memo_cfg(share_bank_encoder=share)
+    def test_in_place_edits_recompute(self, path, memo_vocab, memo_batch):
+        cfg = memo_cfg()
         params = build(cfg, memo_vocab)
         before, _ = forward_batch(memo_batch, params, cfg)
         for write in self.edits(path, params, cfg, memo_batch, memo_vocab):

@@ -209,6 +209,20 @@ class TestGradCheck:
 
         assert grad_check(loss, g, h=1e-5) > 1e-6
 
+    def test_nan_taped_gradient_fails(self):
+        # A NaN gradient would drop out of the error's max() and its
+        # comparison with the worst error, and score 0.0.
+        g = ParamGroup()
+        g.add("p", np.array([[0.5, -1.25]]))
+
+        def loss(group):
+            p = group["p"]
+            out = Tensor([[p.data.sum()]])
+            return record(out, (p,), lambda grad: (np.full(p.shape, np.nan),))
+
+        with pytest.raises(NonFiniteError, match="'p'"):
+            grad_check(loss, g, h=1e-5)
+
     def test_sampled_coordinates(self):
         rng = np.random.default_rng(0)
         g = ParamGroup()
