@@ -5,7 +5,7 @@ letting each token attend over a bank of similar unlabeled questions."""
 from .attention import AttentionParams, AttentionTrace, bank_attend_batch, transform_bank
 from .autodiff import Gradients, NonFiniteError, Tape, Tensor
 from .data import (CorpusError, CorpusSplit, Example, QaRecord, collate, corpus_stats,
-                   load_corpus, make_example, preprocess, split)
+                   load_corpus, make_example, split)
 from .embeddings import (EmbeddingMatrix, SgnsConfig, load_embeddings, save_embeddings,
                          train_skipgram)
 from .lstm import BlstmParams, LstmParams, blstm_forward

@@ -260,12 +260,13 @@ def softmax_parts(x: np.ndarray, axis: int = -1,
     ``x``) only valid entries count: the rest get exactly zero weight, as
     if their score were -inf, the max of the valid scores is the shift, and
     a slice with no valid entry gets all-zero weights (0 / 1, not 0 / 0).
+    A slice counts as valid when its masked max is above -inf, which is
+    exact for finite scores; a non-finite valid score can leave NaN in ``e``.
     """
-    if valid is None:
-        valid = np.ones(x.shape, dtype=bool)
-    any_valid = valid.any(axis=axis, keepdims=True)
-    top = np.where(valid, x, -np.inf).max(axis=axis, keepdims=True, initial=-np.inf)
-    e = np.exp(np.where(valid, x - np.where(any_valid, top, 0.0), -np.inf))
+    masked = x if valid is None else np.where(valid, x, -np.inf)
+    top = masked.max(axis=axis, keepdims=True, initial=-np.inf)
+    any_valid = top > -np.inf
+    e = np.exp(masked - np.where(any_valid, top, 0.0))
     z = e.sum(axis=axis, keepdims=True) + ~any_valid
     return e / z, e, z
 

@@ -1,5 +1,5 @@
-"""Corpus I/O, preprocessing to fixed-length id sequences, example
-assembly, dataset splitting, and per-product statistics.
+"""Corpus I/O, example assembly into fixed-length id rows, batching,
+dataset splitting, and per-product statistics.
 
 The corpus is JSON-Lines, one QA record per line:
 
@@ -165,40 +165,6 @@ def save_corpus(path, records: Iterable[QaRecord]) -> None:
 
 
 @dataclass
-class Preprocessed:
-    ids: np.ndarray           # (T,) int64
-    mask: np.ndarray          # (T,) float, 1.0 at real tokens (prefix)
-    tag_ids: np.ndarray | None  # (T,) int64, O at padding; None if unlabeled
-
-
-def preprocess(record: QaRecord, vocab: Vocabulary, max_len: int = MAX_LEN) -> Preprocessed:
-    """Pad/truncate a record's question to ``max_len`` ids.
-
-    Multi-sentence questions arrive already joined with EOS
-    (``vocab.join_sentences``); EOS tokens are forced to tag O.
-    """
-    tokens, tags = record.question_tokens, record.tags
-    if not tokens:
-        raise CorpusError("cannot preprocess an empty token list")
-
-    tokens = tokens[:max_len]
-    n = len(tokens)
-    ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    ids[:n] = vocab.encode(tokens)
-    mask = np.zeros(max_len)
-    mask[:n] = 1.0
-    tag_ids = None
-    if tags is not None:
-        tag_ids = np.full(max_len, O_INDEX, dtype=np.int64)
-        for t in range(n):
-            if tokens[t] == EOS_TOKEN:
-                tag_ids[t] = O_INDEX
-            else:
-                tag_ids[t] = LABELS.index(tags[t])
-    return Preprocessed(ids=ids, mask=mask, tag_ids=tag_ids)
-
-
-@dataclass
 class Example:
     """A labeled question paired with its (possibly empty) question bank,
     already padded to the model's fixed shapes."""
@@ -228,23 +194,34 @@ def make_example(record: QaRecord, bank_records: Sequence[QaRecord],
                  vocab: Vocabulary, max_len: int = MAX_LEN,
                  bank_size: int = BANK_SIZE) -> Example:
     """Assemble one example; the bank is capped at ``bank_size`` and must be
-    same-category unlabeled questions other than the record itself."""
+    same-category unlabeled questions other than the record itself.
+
+    The question and its bank questions become rows 0 and 1.. of one id
+    block and one mask block, each truncated to ``max_len`` ids with
+    suffix-only padding.  Multi-sentence questions arrive already joined
+    with EOS (``vocab.join_sentences``); EOS tokens are forced to tag O.
+    """
     bank_records = list(bank_records)[:bank_size]
-    for b in bank_records:
-        if b is record:
+    ids = np.full((1 + bank_size, max_len), PAD_ID, dtype=np.int64)
+    mask = np.zeros(ids.shape)
+    for row, rec in enumerate([record, *bank_records]):
+        if row and rec is record:
             raise ValueError("bank must not contain the labeled question itself")
-        if b.category != record.category:
-            raise ValueError(
-                f"bank question category {b.category!r} != {record.category!r}")
-    prep = preprocess(record, vocab, max_len)
-    bank_ids = np.full((bank_size, max_len), PAD_ID, dtype=np.int64)
-    bank_mask = np.zeros((bank_size, max_len))
-    for n, b in enumerate(bank_records):
-        bp = preprocess(b, vocab, max_len)
-        bank_ids[n] = bp.ids
-        bank_mask[n] = bp.mask
-    return Example(record=record, bank=bank_records, ids=prep.ids, mask=prep.mask,
-                   tag_ids=prep.tag_ids, bank_ids=bank_ids, bank_mask=bank_mask)
+        if rec.category != record.category:
+            raise ValueError(f"bank question category {rec.category!r} != {record.category!r}")
+        tokens = rec.question_tokens[:max_len]
+        if not tokens:
+            raise CorpusError("cannot encode an empty token list")
+        ids[row, :len(tokens)] = vocab.encode(tokens)
+        mask[row, :len(tokens)] = 1.0
+    tag_ids, tags = None, record.tags
+    if tags is not None:
+        tag_ids = np.full(max_len, O_INDEX, dtype=np.int64)
+        tokens = record.question_tokens[:max_len]
+        tag_ids[:len(tokens)] = [O_INDEX if tok == EOS_TOKEN else LABELS.index(tags[t])
+                                 for t, tok in enumerate(tokens)]
+    return Example(record=record, bank=bank_records, ids=ids[0], mask=mask[0],
+                   tag_ids=tag_ids, bank_ids=ids[1:], bank_mask=mask[1:])
 
 
 @dataclass
@@ -265,11 +242,9 @@ def collate(examples: Sequence[Example]) -> Batch:
     mask = np.stack([e.mask for e in examples])
     gold = None
     if all(e.tag_ids is not None for e in examples):
-        b, t = ids.shape
-        gold = np.zeros((b, t, len(LABELS)))
-        for i, e in enumerate(examples):
-            valid = int(e.mask.sum())
-            gold[i, np.arange(valid), e.tag_ids[:valid]] = 1.0
+        gold = np.zeros((*ids.shape, len(LABELS)))
+        valid = mask > 0
+        gold[valid, np.stack([e.tag_ids for e in examples])[valid]] = 1.0
     return Batch(ids=ids, mask=mask, gold=gold,
                  bank_ids=np.stack([e.bank_ids for e in examples]),
                  bank_mask=np.stack([e.bank_mask for e in examples]),

@@ -285,7 +285,7 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
     if batch.ids.shape[1] != cfg.max_len:
         raise ValueError(
             f"batch length {batch.ids.shape[1]} != configured max_len {cfg.max_len}; "
-            "input was not preprocessed")
+            "build examples with make_example at that max_len")
     dropout = cfg.dropout if training else 0.0
 
     emb = gather_rows(params.embedding, batch.ids[batch.mask > 0])
@@ -337,14 +337,9 @@ def batch_loss(probs: Probabilities, gold: np.ndarray, valid: np.ndarray) -> Ten
 
 def predict_tags(probs: np.ndarray, valid) -> list[str]:
     """Per-token argmax over valid positions; an exact F/O tie goes to O."""
-    valid = np.asarray(valid)
-    out = []
-    for t in range(probs.shape[0]):
-        if valid[t] <= 0:
-            continue
-        out.append(LABELS[F_INDEX] if probs[t, F_INDEX] > probs[t, O_INDEX]
-                   else LABELS[O_INDEX])
-    return out
+    rows = probs[np.asarray(valid) > 0]
+    return np.where(rows[:, F_INDEX] > rows[:, O_INDEX],
+                    LABELS[F_INDEX], LABELS[O_INDEX]).tolist()
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,8 @@ class Vocabulary:
         return self.token_to_id.get(normalize(token), UNK_ID)
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
-        return [self.lookup(t) for t in tokens]
+        get = self.token_to_id.get
+        return [get(normalize(t), UNK_ID) for t in tokens]
 
 
 def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1) -> Vocabulary:

@@ -138,6 +138,40 @@ class TestSoftmaxMasked:
         assert abs(a.sum() - 1.0) < 1e-9
         assert np.allclose(a, b, atol=1e-9)
 
+    def test_matches_three_where_reference(self):
+        # softmax_parts masks once; the reference masks the max, the shift
+        # and the exponent separately.  Bit-identical on finite scores in
+        # the attention's level-1 and level-2 shapes and the head's.
+        def reference(x, axis, valid):
+            if valid is None:
+                valid = np.ones(x.shape, dtype=bool)
+            any_valid = valid.any(axis=axis, keepdims=True)
+            top = np.where(valid, x, -np.inf).max(axis=axis, keepdims=True, initial=-np.inf)
+            e = np.exp(np.where(valid, x - np.where(any_valid, top, 0.0), -np.inf))
+            z = e.sum(axis=axis, keepdims=True) + ~any_valid
+            return e / z, e, z
+
+        rng = np.random.default_rng(17)
+        for case in range(3000):
+            dtype = (np.float64, np.float32)[case % 2]
+            kind = case % 3
+            if kind == 0:    # level 1: (U, n, t) scores, a prefix mask per slot
+                u, n, t = rng.integers(1, 6), rng.integers(1, 5), rng.integers(1, 7)
+                x = rng.normal(0, 10, (u, n, t))
+                lengths = rng.integers(0, t + 1, size=u)   # 0: an empty slot
+                valid, axis = (np.arange(t) < lengths[:, None])[:, None, :], -1
+            elif kind == 1:  # level 2: (U, N) scores over bank slots
+                u, n = rng.integers(1, 6), rng.integers(1, 9)
+                x = rng.normal(0, 10, (u, n))
+                valid, axis = rng.random((u, n)) < 0.7, 0
+            else:            # the head: no mask
+                x, valid, axis = rng.normal(0, 10, (rng.integers(1, 9), 2)), None, -1
+            x = x.astype(dtype)
+            for got, want in zip(softmax_parts(x, axis=axis, valid=valid),
+                                 reference(x, axis, valid)):
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got, want), case
+
 
 def constant_blstm(hidden):
     """A BLSTM over 1-wide input whose output is H0 at every valid

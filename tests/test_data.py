@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fnr.data import (CorpusError, QaRecord, collate, corpus_stats, format_stats,
-                      load_corpus, make_example, preprocess, save_corpus, split)
+from fnr.data import (F_INDEX, LABELS, O_INDEX, CorpusError, QaRecord, collate, corpus_stats,
+                      format_stats, load_corpus, make_example, save_corpus, split)
+from fnr.model import predict_tags
 from fnr.vocab import EOS_TOKEN, PAD_ID, build_vocab, join_sentences
 
 
@@ -202,46 +203,150 @@ class TestStringTable:
 
 
 class TestPreprocess:
+    """Padding, truncation and tags of the rows ``make_example`` writes:
+    the question's ``ids``/``mask``/``tag_ids`` and each bank row."""
+
     def test_pad_to_length(self, tmp_path):
         vocab = build_vocab([["works", "with", "iphone", "?"]])
         rec = QaRecord("p", "c", ["Works", "with", "iphone", "?"], tags=["F", "F", "F", "O"])
-        prep = preprocess(rec, vocab, max_len=40)
-        assert prep.ids.shape == (40,)
-        assert np.all(prep.ids[4:] == PAD_ID)
-        assert np.array_equal(prep.mask[:4], np.ones(4))
-        assert np.array_equal(prep.mask[4:], np.zeros(36))
+        ex = make_example(rec, [], vocab, max_len=40)
+        assert ex.ids.shape == (40,)
+        assert np.all(ex.ids[4:] == PAD_ID)
+        assert np.array_equal(ex.mask[:4], np.ones(4))
+        assert np.array_equal(ex.mask[4:], np.zeros(36))
 
     def test_truncation(self):
         tokens = [f"t{i}" for i in range(45)]
         vocab = build_vocab([tokens])
-        prep = preprocess(QaRecord("p", "c", tokens), vocab, max_len=40)
-        assert prep.mask.sum() == 40
-        assert prep.ids[39] == vocab.lookup("t39")
+        ex = make_example(QaRecord("p", "c", tokens), [], vocab, max_len=40)
+        assert ex.mask.sum() == 40
+        assert ex.ids[39] == vocab.lookup("t39")
+
+    def test_bank_row_truncation(self):
+        tokens = [f"t{i}" for i in range(45)]
+        vocab = build_vocab([tokens])
+        ex = make_example(QaRecord("p", "c", ["t0"]), [QaRecord("q", "c", tokens)], vocab,
+                          max_len=40, bank_size=2)
+        assert ex.bank_mask.sum(axis=1).tolist() == [40.0, 0.0]
+        assert ex.bank_ids[0].tolist() == vocab.encode(tokens[:40])
 
     def test_sentence_join_inserts_eos(self):
         vocab = build_vocab([["a", "b", "c"]])
-        prep = preprocess(QaRecord("p", "c", join_sentences([["a", "b"], ["c"]])), vocab,
+        ex = make_example(QaRecord("p", "c", join_sentences([["a", "b"], ["c"]])), [], vocab,
                           max_len=6)
-        assert list(prep.ids[:4]) == vocab.encode(["a", "b", EOS_TOKEN, "c"])
+        assert list(ex.ids[:4]) == vocab.encode(["a", "b", EOS_TOKEN, "c"])
 
     def test_empty_rejected(self):
         vocab = build_vocab([["a"]])
         with pytest.raises(CorpusError):
-            preprocess(QaRecord("p", "c", []), vocab)
+            make_example(QaRecord("p", "c", []), [], vocab)
+
+    def test_empty_bank_question_rejected(self):
+        vocab = build_vocab([["a"]])
+        bank = [QaRecord("q", "c", ["a"]), QaRecord("r", "c", [])]
+        with pytest.raises(CorpusError):
+            make_example(QaRecord("p", "c", ["a"]), bank, vocab)
 
     def test_idempotent_on_full_length_input(self):
         tokens = [f"t{i}" for i in range(6)]
         vocab = build_vocab([tokens])
-        first = preprocess(QaRecord("p", "c", tokens), vocab, max_len=6)
-        second = preprocess(QaRecord("p", "c", tokens), vocab, max_len=6)
+        first = make_example(QaRecord("p", "c", tokens), [], vocab, max_len=6)
+        second = make_example(QaRecord("p", "c", tokens), [], vocab, max_len=6)
         assert np.array_equal(first.ids, second.ids)
         assert np.array_equal(first.mask, np.ones(6))
 
     def test_eos_forced_to_o(self):
         vocab = build_vocab([["a", "b"]])
         rec = QaRecord("p", "c", ["a", EOS_TOKEN, "b"], tags=["F", "F", "F"])
-        prep = preprocess(rec, vocab, max_len=4)
-        assert list(prep.tag_ids[:3]) == [0, 1, 0]  # F, O(forced), F
+        ex = make_example(rec, [], vocab, max_len=4)
+        assert list(ex.tag_ids[:3]) == [0, 1, 0]  # F, O(forced), F
+
+
+def reference_rows(record, bank, vocab, max_len, bank_size):
+    """The five example arrays as built one question at a time, each row
+    padded on its own, with the per-token tag loop and the row copies."""
+    def one(rec):
+        tokens = rec.question_tokens[:max_len]
+        ids = np.full(max_len, PAD_ID, dtype=np.int64)
+        ids[:len(tokens)] = [vocab.lookup(t) for t in tokens]
+        mask = np.zeros(max_len)
+        mask[:len(tokens)] = 1.0
+        tag_ids = None
+        if rec.tags is not None:
+            tag_ids = np.full(max_len, O_INDEX, dtype=np.int64)
+            for t in range(len(tokens)):
+                if tokens[t] == EOS_TOKEN:
+                    tag_ids[t] = O_INDEX
+                else:
+                    tag_ids[t] = LABELS.index(rec.tags[t])
+        return ids, mask, tag_ids
+    ids, mask, tag_ids = one(record)
+    bank_ids = np.full((bank_size, max_len), PAD_ID, dtype=np.int64)
+    bank_mask = np.zeros((bank_size, max_len))
+    for n, b in enumerate(bank[:bank_size]):
+        bank_ids[n], bank_mask[n], _ = one(b)
+    return ids, mask, tag_ids, bank_ids, bank_mask
+
+
+class TestRowsGoldAndTags:
+    """``make_example``, ``collate``'s gold and ``predict_tags`` against
+    their one-question, one-example and one-position references."""
+    T, U = 8, 3
+
+    def records(self):
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(12)] + ["Mixed", "?"]
+
+        def rec(n, labeled, name):
+            tokens = [words[i] for i in rng.integers(0, len(words), size=n)]
+            tags = [("F", "O")[i] for i in rng.integers(0, 2, size=n)] if labeled else None
+            return QaRecord(name, "c", tokens, tags=tags)
+        questions = [rec(n, labeled, f"q{n}{labeled}")
+                     for n in (1, self.T - 1, self.T, self.T + 5) for labeled in (True, False)]
+        joined = join_sentences([["w1", "w2"], ["w3", "unseen"], ["Mixed"]])
+        questions.append(QaRecord("eos", "c", joined, tags=["F", "F", "F", "F", "F", "O", "F"]))
+        long_bank = [rec(self.T + 5, False, "long")] + [rec(3, False, f"b{i}") for i in range(4)]
+        banks = [[], long_bank[:2], long_bank[:self.U], long_bank]
+        vocab = build_vocab([words[:10]])
+        return vocab, [(q, banks[i % len(banks)]) for i, q in enumerate(questions)]
+
+    def test_make_example_matches_reference(self):
+        vocab, cases = self.records()
+        for rec, bank in cases:
+            ex = make_example(rec, bank, vocab, max_len=self.T, bank_size=self.U)
+            want = reference_rows(rec, bank, vocab, self.T, self.U)
+            got = (ex.ids, ex.mask, ex.tag_ids, ex.bank_ids, ex.bank_mask)
+            for g, w in zip(got, want):
+                if w is None:
+                    assert g is None
+                    continue
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
+
+    def test_collate_gold_matches_per_example_loop(self):
+        vocab, cases = self.records()
+        examples = [make_example(rec, bank, vocab, max_len=self.T, bank_size=self.U)
+                    for rec, bank in cases if rec.labeled]
+        gold = collate(examples).gold
+        want = np.zeros((len(examples), self.T, len(LABELS)))
+        for i, e in enumerate(examples):
+            valid = int(e.mask.sum())
+            want[i, np.arange(valid), e.tag_ids[:valid]] = 1.0
+        assert gold.dtype == want.dtype
+        assert np.array_equal(gold, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_predict_tags_matches_per_position_loop(self, dtype):
+        rng = np.random.default_rng(2)
+        probs = rng.random((self.T, 2)).astype(dtype)
+        probs[1] = [0.5, 0.5]          # exact tie: O
+        probs[2] = [0.9, 0.1]          # masked F
+        valid = np.ones(self.T)
+        valid[2] = 0.0
+        want = [LABELS[F_INDEX] if probs[t, F_INDEX] > probs[t, O_INDEX] else LABELS[O_INDEX]
+                for t in range(self.T) if valid[t] > 0]
+        got = predict_tags(probs, valid)
+        assert got == want and len(got) == self.T - 1 and got[1] == "O"
 
 
 class TestMakeExample:
