@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, astensor, check_finite, record, softmax_grad, softmax_parts
+from .autodiff import Tensor, astensor, check_finite, record, softmax, softmax_grad
 from .lstm import glorot, prefix_lengths
 from .optim import ParamGroup
 
@@ -140,12 +140,11 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
     t being its longest valid bank question, against the (U, t, A) block
     of its bank words, zero at PAD.  Masked bank slots get exactly zero
     weight, so PAD positions of bank questions leave the output
-    bit-for-bit unchanged.  The backward keeps the query transform and
-    the level-1 and level-2 softmax parts (each example's level-1 e and z,
-    the level-2 weights, e and z).  It rebuilds each example's bank block
-    from ``words``, and the level-1 weights e / z, the attended and the
-    summary arrays from those, twice for attended: no more than three
-    (U, N, A) arrays are alive at once.
+    bit-for-bit unchanged.  The backward keeps the query transform, each
+    example's level-1 weights and the level-2 weights.  It rebuilds each
+    example's bank block from ``words``, and the attended and summary
+    arrays from those, twice for attended: no more than three (U, N, A)
+    arrays are alive at once.
     """
     hq1, words = astensor(hq1), astensor(words)
     query_mask, token_mask = np.asarray(query_mask), np.asarray(token_mask)
@@ -182,31 +181,29 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
     with np.errstate(over="ignore", invalid="ignore"):
         query = np.tanh(h @ w_r.T + b_r)                                  # (N, A)
         attended = np.zeros((n_banks, len(query), attn_dim), dtype=query.dtype)
-        level1 = []   # each example's level-1 softmax parts (e, z)
+        level1 = []   # each example's level-1 weights
         for i, rows, bank_rows, valid in spans:
             k_i = _bank_block(k[bank_rows], valid)                        # (U, t, A)
-            weights1, e1, z1 = softmax_parts(query[rows] @ np.swapaxes(k_i, -1, -2),
-                                             axis=-1, valid=valid[:, None, :])
-            attended[:, rows] = weights1 @ k_i                            # (U, n, A)
-            level1.append((e1, z1))
+            level1.append(softmax(query[rows] @ np.swapaxes(k_i, -1, -2),
+                                  axis=-1, valid=valid[:, None, :]))      # (U, n, t)
+            attended[:, rows] = level1[-1] @ k_i                          # (U, n, A)
         summary = summarize(attended)                                     # (U, N, A)
         row_valid = (bank_len > 0)[np.repeat(np.arange(b_sz), q_len)].T
-        weights2, e2, z2 = softmax_parts((summary * query).sum(axis=-1), axis=0,
-                                         valid=row_valid)                 # (U, N)
+        weights2 = softmax((summary * query).sum(axis=-1), axis=0, valid=row_valid)  # (U, N)
         side = (weights2[..., None] * summary).sum(axis=0)                # (N, A)
 
     def rebuild_attended():
-        # The forward's attended, rebuilt from the level-1 softmax parts.
+        # The forward's attended, rebuilt from the level-1 weights.
         attended = np.zeros((n_banks, len(query), attn_dim), dtype=query.dtype)
-        for (_, rows, bank_rows, valid), (e1, z1) in zip(spans, level1):
-            attended[:, rows] = (e1 / z1) @ _bank_block(k[bank_rows], valid)
+        for (_, rows, bank_rows, valid), weights1 in zip(spans, level1):
+            attended[:, rows] = weights1 @ _bank_block(k[bank_rows], valid)
         return attended
 
     def backward(g):
         g_side = g[:, width:]
         summary = summarize(rebuild_attended())
         buf = g_side * summary
-        g_s2 = softmax_grad(buf.sum(axis=-1), e2, z2, axis=0)[..., None]
+        g_s2 = softmax_grad(buf.sum(axis=-1), weights2, axis=0)[..., None]
         g_query = np.multiply(g_s2, summary, out=buf).sum(axis=0)
         np.multiply(g_side, weights2[..., None], out=buf)
         buf += g_s2 * query
@@ -221,11 +218,11 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
         g_att = (g2 @ w_k2).reshape(buf.shape)
         buf = g2 = None
         g_words = np.zeros_like(k)
-        for (i, rows, bank_rows, valid), (e1, z1) in zip(spans, level1):
+        for (i, rows, bank_rows, valid), weights1 in zip(spans, level1):
             k_i, g_att_i = _bank_block(k[bank_rows], valid), g_att[:, rows]
-            g_s1 = softmax_grad(g_att_i @ np.swapaxes(k_i, -1, -2), e1, z1, axis=-1)
+            g_s1 = softmax_grad(g_att_i @ np.swapaxes(k_i, -1, -2), weights1, axis=-1)
             g_query[rows] += (g_s1 @ k_i).sum(axis=0)
-            g_words[bank_rows] = (np.swapaxes(e1 / z1, -1, -2) @ g_att_i
+            g_words[bank_rows] = (np.swapaxes(weights1, -1, -2) @ g_att_i
                                   + np.swapaxes(query[rows].T @ g_s1, -1, -2))[valid]
         g_att = g_att_i = None
         g_pre1 = g_query * (1.0 - query * query)
@@ -237,8 +234,8 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
         return out, None
     at_query = np.arange(t_q) < q_len[:, None]                           # (B, T_q)
     level1_weights = np.zeros((b_sz, t_q, n_banks, t_u), dtype=side.dtype)
-    for (i, _, _, valid), (e1, z1) in zip(spans, level1):
-        level1_weights[i, :q_len[i], :, :valid.shape[1]] = np.swapaxes(e1 / z1, 0, 1)
+    for (i, _, _, valid), weights1 in zip(spans, level1):
+        level1_weights[i, :q_len[i], :, :valid.shape[1]] = np.swapaxes(weights1, 0, 1)
     level1_attended = np.zeros((b_sz, t_q, n_banks, attn_dim), dtype=side.dtype)
     level1_attended[at_query] = np.swapaxes(attended, 0, 1)
     level2_weights = np.zeros((b_sz, t_q, n_banks), dtype=side.dtype)

@@ -5,12 +5,11 @@ live here; the larger layers are fused ops of the same kind, each one
 tape node with a hand-written backward (``lstm.blstm_forward``,
 ``attention.transform_bank``, ``attention.bank_attend_batch``,
 ``model.batch_loss``), built on the plain-array helpers here
-(``sigmoid_array``, ``scatter_add``, ``softmax_parts``,
-``softmax_grad``).  Each op hands its output, inputs and backward to
-``record``, the one function that writes tape nodes; the backward
-returns one gradient array per input, in input order.  Tests check each
-op through a vector-Jacobian product, ``optim.grad_check`` with a chosen
-cotangent.
+(``sigmoid_array``, ``scatter_add``, ``softmax``, ``softmax_grad``).
+Each op hands its output, inputs and backward to ``record``, the one
+function that writes tape nodes; the backward returns one gradient array
+per input, in input order.  Tests check each op through a vector-Jacobian
+product, ``optim.grad_check`` with a chosen cotangent.
 Every op output is finite-checked (NaN/Inf is a hard error).  Ops compute
 in their inputs' dtype, so the parameters' dtype (``optim.ParamGroup``,
 float64 by default) is the model's.  A ``Tensor`` keeps a float32 or
@@ -251,32 +250,25 @@ def gather_rows(table, ids) -> Tensor:
     return record(Tensor(table.data[idx]), (table,), backward)
 
 
-def softmax_parts(x: np.ndarray, axis: int = -1,
-                  valid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-shifted softmax of a plain array along ``axis``, for fused ops.
+def softmax(x: np.ndarray, axis: int = -1, valid: np.ndarray | None = None) -> np.ndarray:
+    """Max-shifted softmax weights of a plain array along ``axis``.
 
-    Returns ``(weights, e, z)`` with ``weights = e / z``; ``softmax_grad``
-    takes ``e`` and ``z``.  With ``valid`` (booleans broadcastable to
-    ``x``) only valid entries count: the rest get exactly zero weight, as
-    if their score were -inf, the max of the valid scores is the shift, and
-    a slice with no valid entry gets all-zero weights (0 / 1, not 0 / 0).
-    A slice counts as valid when its masked max is above -inf, which is
-    exact for finite scores; a non-finite valid score can leave NaN in ``e``.
+    With ``valid`` (booleans broadcastable to ``x``) only valid entries
+    count: the rest get exactly zero weight, as if their score were -inf,
+    the max of the valid scores is the shift, and a slice with no valid
+    entry gets all-zero weights (0 / 1, not 0 / 0).  A slice counts as
+    valid when its masked max is above -inf, which is exact for finite
+    scores; a non-finite valid score can leave NaN in the weights.
     """
     masked = x if valid is None else np.where(valid, x, -np.inf)
     top = masked.max(axis=axis, keepdims=True, initial=-np.inf)
     any_valid = top > -np.inf
     e = np.exp(masked - np.where(any_valid, top, 0.0))
-    z = e.sum(axis=axis, keepdims=True) + ~any_valid
-    return e / z, e, z
+    return e / (e.sum(axis=axis, keepdims=True) + ~any_valid)
 
 
-def softmax_grad(g: np.ndarray, e: np.ndarray, z: np.ndarray, axis: int) -> np.ndarray:
-    """Gradient of ``e / z`` (from ``softmax_parts``) back to the scores.
-
-    The arithmetic and summation order are those of the composite
-    exp -> sum -> divide chain, so fused ops reproduce its gradients bit
-    for bit; the textbook ``w * (g - sum(g * w))`` differs in the last ulp.
-    """
-    gz = (-g * e / (z * z)).sum(axis=axis, keepdims=True)
-    return (g / z + gz) * e
+def softmax_grad(g: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    """Gradient ``w * (g - sum(g * w))`` back to the scores of the softmax
+    weights ``w`` along ``axis``, from the weights' gradient ``g``; a slice
+    with no valid entry, all-zero weights, gets exactly zero."""
+    return w * (g - (g * w).sum(axis=axis, keepdims=True))

@@ -358,8 +358,10 @@ def cmd_extract(args) -> int:
         raise ConfigError("question is empty after tokenization")
     tokens = join_sentences(sentences)
 
-    category, index = args.category, None
-    if args.bank:
+    category, index, bank_size = args.category, None, _bank_size(san_cfg)
+    if args.bank and not bank_size:
+        log.info("the %s model reads no bank; ignoring --bank", san_cfg.variant)
+    elif args.bank:
         pool = load_corpus(args.bank)
         categories = sorted({r.category for r in pool if not r.labeled})
         if category is None:
@@ -372,8 +374,7 @@ def cmd_extract(args) -> int:
                               f"its categories are {categories}")
         index = Bm25Index([r for r in pool if r.category == category])
     record = QaRecord(product_id="query", category=category or "query", question_tokens=tokens)
-    bank_records = (build_bank(record, index, u_max=san_cfg.bank_size)
-                    if index is not None else [])
+    bank_records = build_bank(record, index, u_max=bank_size) if index is not None else []
     example = make_example(record, bank_records, vocab,
                            max_len=san_cfg.max_len, bank_size=san_cfg.bank_size)
     probs, traces = forward_batch(collate([example]), params, san_cfg,

@@ -48,7 +48,7 @@ import numpy as np
 from .attention import (AttentionParams, AttentionTrace, bank_attend_batch,
                         init_attention, transform_bank)
 from .autodiff import (NonFiniteError, Tensor, _tape, astensor, gather_rows, linear, record,
-                       softmax_parts)
+                       softmax)
 from .data import BANK_SIZE, Batch, LABELS, F_INDEX, MAX_LEN, O_INDEX
 from .embeddings import EmbeddingMatrix
 from .lstm import BlstmParams, blstm_forward, glorot, init_blstm
@@ -252,11 +252,6 @@ class SanParams:
         return cls(group, embedding, blstm1, bank_blstm, attention, blstm2, proj_w, proj_b)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """The head's probability pass: a plain array's softmax over its last axis."""
-    return softmax_parts(logits)[0]
-
-
 class Probabilities(Tensor):
     """(B, T, |L|) label distributions: the softmax of the packed (n, |L|)
     ``logits`` at the valid positions of ``mask``, exactly 0 elsewhere.
@@ -310,7 +305,7 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
 def batch_loss(probs: Probabilities, gold: np.ndarray, valid: np.ndarray) -> Tensor:
     """Summed cross entropy over examples and their valid positions, as
     one node on ``probs.logits``: per token the max-shifted log-sum-exp of
-    its logits minus its gold logit, with gradient p - y.
+    its logits minus its gold logit, with gradient p - y, p from ``probs``.
 
     Padding never contributes; teaching the model the pad label would
     distort the class balance.  There is no clamp and no division by a
@@ -328,10 +323,9 @@ def batch_loss(probs: Probabilities, gold: np.ndarray, valid: np.ndarray) -> Ten
     logits = probs.logits.data
     y = y.astype(logits.dtype)
     top = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - top)
-    z = e.sum(axis=-1, keepdims=True)
+    z = np.exp(logits - top).sum(axis=-1, keepdims=True)
     loss = (top + np.log(z) - (logits * y).sum(axis=-1, keepdims=True)).sum()
-    delta = e / z - y
+    delta = probs.data[valid] - y
     return record(Tensor(loss), (probs.logits,), lambda g: (g * delta,))
 
 

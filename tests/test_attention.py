@@ -418,7 +418,7 @@ class TestBankAttend:
     def test_taped_node_keeps_no_bank_by_query_array(self, traced):
         # With A >> 2H and short bank questions the (U, N, A) arrays dwarf
         # the rest: the node keeps its output, the query transform and the
-        # level-1 and level-2 softmax parts, and its backward rebuilds the
+        # level-1 and level-2 softmax weights, and its backward rebuilds the
         # attended and summary arrays.
         b_sz, t_q, n_banks, t_u, width, attn_dim = 2, 20, 5, 3, 4, 64
         _, p = make_params(encoder_width=width, attn_dim=attn_dim, seed=26)
@@ -429,10 +429,10 @@ class TestBankAttend:
         hq1 = Tensor(rng.normal(size=(n, width)))
         words = Tensor(np.tanh(rng.normal(size=(b_sz * n_banks * t_u, attn_dim))))
         item = hq1.data.itemsize
-        # Output, query transform, level 1's (U, n, t) e and (U, n, 1) z,
-        # level 2's (U, N) weights and e and (1, N) z.
-        kept = (n * (width + attn_dim) + n * attn_dim + n_banks * n * (t_u + 1)
-                + 3 * n_banks * n) * item
+        # Output, query transform, level 1's (U, n, t) and level 2's (U, N)
+        # weights.
+        kept = (n * (width + attn_dim) + n * attn_dim + n_banks * n * t_u
+                + n_banks * n) * item
         one_array = n_banks * n * attn_dim * item
         assert one_array > kept
 

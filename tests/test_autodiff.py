@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import fnr
 from fnr.autodiff import (NonFiniteError, Tape, Tensor, gather_rows, linear, record,
-                          scatter_add, sigmoid_array, softmax_grad, softmax_parts)
+                          scatter_add, sigmoid_array, softmax, softmax_grad)
 from fnr.lstm import blstm_forward, init_blstm
 from fnr.optim import ParamGroup, grad_check
 
@@ -101,8 +101,42 @@ class TestSigmoid:
 
 
 def masked_softmax(scores, mask):
-    """softmax_parts' weights over the entries where ``mask`` is nonzero."""
-    return softmax_parts(np.asarray(scores, dtype=float), valid=np.asarray(mask) > 0)[0]
+    """softmax weights over the entries where ``mask`` is nonzero."""
+    return softmax(np.asarray(scores, dtype=float), valid=np.asarray(mask) > 0)
+
+
+def three_where_parts(x, axis, valid):
+    """(weights, e, z) of a masked softmax that masks the max, the shift
+    and the exponent separately, with weights = e / z."""
+    if valid is None:
+        valid = np.ones(x.shape, dtype=bool)
+    any_valid = valid.any(axis=axis, keepdims=True)
+    top = np.where(valid, x, -np.inf).max(axis=axis, keepdims=True, initial=-np.inf)
+    e = np.exp(np.where(valid, x - np.where(any_valid, top, 0.0), -np.inf))
+    z = e.sum(axis=axis, keepdims=True) + ~any_valid
+    return e / z, e, z
+
+
+def softmax_cases(seed, count):
+    """``count`` random (x, axis, valid) softmax instances in the
+    attention's level-1 and level-2 shapes and the head's, alternating
+    float64 and float32 scores."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        dtype = (np.float64, np.float32)[case % 2]
+        kind = case % 3
+        if kind == 0:    # level 1: (U, n, t) scores, a prefix mask per slot
+            u, n, t = rng.integers(1, 6), rng.integers(1, 5), rng.integers(1, 7)
+            x = rng.normal(0, 10, (u, n, t))
+            lengths = rng.integers(0, t + 1, size=u)   # 0: an empty slot
+            valid, axis = (np.arange(t) < lengths[:, None])[:, None, :], -1
+        elif kind == 1:  # level 2: (U, N) scores over bank slots
+            u, n = rng.integers(1, 6), rng.integers(1, 9)
+            x = rng.normal(0, 10, (u, n))
+            valid, axis = rng.random((u, n)) < 0.7, 0
+        else:            # the head: no mask
+            x, valid, axis = rng.normal(0, 10, (rng.integers(1, 9), 2)), None, -1
+        yield x.astype(dtype), axis, valid
 
 
 class TestSoftmaxMasked:
@@ -139,38 +173,34 @@ class TestSoftmaxMasked:
         assert np.allclose(a, b, atol=1e-9)
 
     def test_matches_three_where_reference(self):
-        # softmax_parts masks once; the reference masks the max, the shift
-        # and the exponent separately.  Bit-identical on finite scores in
-        # the attention's level-1 and level-2 shapes and the head's.
-        def reference(x, axis, valid):
-            if valid is None:
-                valid = np.ones(x.shape, dtype=bool)
-            any_valid = valid.any(axis=axis, keepdims=True)
-            top = np.where(valid, x, -np.inf).max(axis=axis, keepdims=True, initial=-np.inf)
-            e = np.exp(np.where(valid, x - np.where(any_valid, top, 0.0), -np.inf))
-            z = e.sum(axis=axis, keepdims=True) + ~any_valid
-            return e / z, e, z
+        # softmax masks once; the reference masks the max, the shift and
+        # the exponent separately.  Bit-identical on finite scores in the
+        # attention's level-1 and level-2 shapes and the head's.
+        for case, (x, axis, valid) in enumerate(softmax_cases(17, 3000)):
+            got, want = softmax(x, axis=axis, valid=valid), three_where_parts(x, axis, valid)[0]
+            assert got.dtype == want.dtype == x.dtype
+            assert np.array_equal(got, want), case
 
-        rng = np.random.default_rng(17)
-        for case in range(3000):
-            dtype = (np.float64, np.float32)[case % 2]
-            kind = case % 3
-            if kind == 0:    # level 1: (U, n, t) scores, a prefix mask per slot
-                u, n, t = rng.integers(1, 6), rng.integers(1, 5), rng.integers(1, 7)
-                x = rng.normal(0, 10, (u, n, t))
-                lengths = rng.integers(0, t + 1, size=u)   # 0: an empty slot
-                valid, axis = (np.arange(t) < lengths[:, None])[:, None, :], -1
-            elif kind == 1:  # level 2: (U, N) scores over bank slots
-                u, n = rng.integers(1, 6), rng.integers(1, 9)
-                x = rng.normal(0, 10, (u, n))
-                valid, axis = rng.random((u, n)) < 0.7, 0
-            else:            # the head: no mask
-                x, valid, axis = rng.normal(0, 10, (rng.integers(1, 9), 2)), None, -1
-            x = x.astype(dtype)
-            for got, want in zip(softmax_parts(x, axis=axis, valid=valid),
-                                 reference(x, axis, valid)):
-                assert got.dtype == want.dtype == dtype
-                assert np.array_equal(got, want), case
+    def test_grad_stays_within_a_few_ulps_of_the_quotient_chain_form(self):
+        # The gradient of e / z by the composite exp -> sum -> divide
+        # chain, (g / z + sum(-g * e / z^2)) * e, is the same function as
+        # w * (g - sum(g * w)); the two round differently, by at most a
+        # few eps of max|g|.  A slice with no valid entry gets exactly 0.
+        worst = {np.dtype(np.float64): 0.0, np.dtype(np.float32): 0.0}
+        rng = np.random.default_rng(19)
+        for case, (x, axis, valid) in enumerate(softmax_cases(18, 3000)):
+            g = rng.normal(size=x.shape).astype(x.dtype)
+            _, e, z = three_where_parts(x, axis, valid)
+            chain = (g / z + (-g * e / (z * z)).sum(axis=axis, keepdims=True)) * e
+            got = softmax_grad(g, softmax(x, axis=axis, valid=valid), axis=axis)
+            assert got.dtype == x.dtype
+            if valid is not None:
+                empty = ~np.broadcast_to(valid, x.shape).any(axis=axis, keepdims=True)
+                empty = np.broadcast_to(empty, x.shape)
+                assert np.all(got[empty] == 0.0) and np.all(chain[empty] == 0.0), case
+            move = np.abs(got - chain).max() / (np.finfo(x.dtype).eps * np.abs(g).max())
+            worst[x.dtype] = max(worst[x.dtype], move)
+        assert max(worst.values()) <= 4.0, worst
 
 
 def constant_blstm(hidden):
@@ -370,24 +400,30 @@ class TestPerOpGradients:
         assert err < 1e-6, f"{name}: rel err {err}"
 
     def test_masked_softmax_gradcheck(self):
-        # softmax_grad against central differences of softmax_parts, with
-        # grad_check's step and error measure.
+        # softmax_grad against central differences of softmax, with
+        # grad_check's step and error measure.  The last row has no valid
+        # entry: its weights are all zero whatever its scores, and so is
+        # its gradient, exactly, at float32 as at float64.
         rng = np.random.default_rng(11)
         s = rng.normal(size=(3, 5))
         valid = rng.random((3, 5)) > 0.3
         valid[:, 0] = True
         weights = rng.normal(size=(3, 5))
-        _, e, z = softmax_parts(s, valid=valid)
-        grad = softmax_grad(weights, e, z, axis=-1)
+        s, weights = np.vstack([s, rng.normal(size=5)]), np.vstack([weights, rng.normal(size=5)])
+        valid = np.vstack([valid, np.zeros(5, dtype=bool)])
+        grad = softmax_grad(weights, softmax(s, valid=valid), axis=-1)
         h, worst = 1e-6, 0.0
         for i in np.ndindex(s.shape):
             step = np.zeros_like(s)
             step[i] = h
-            lp, lm = ((softmax_parts(s + d, valid=valid)[0] * weights).sum()
-                      for d in (step, -step))
+            lp, lm = ((softmax(s + d, valid=valid) * weights).sum() for d in (step, -step))
             fd = (lp - lm) / (2.0 * h)
             worst = max(worst, abs(grad[i] - fd) / max(1.0, abs(grad[i]), abs(fd)))
         assert worst < 1e-6
+        assert np.all(grad[-1] == 0.0)
+        s32, weights32 = s.astype(np.float32), weights.astype(np.float32)
+        grad32 = softmax_grad(weights32, softmax(s32, valid=valid), axis=-1)
+        assert grad32.dtype == np.float32 and np.all(grad32[-1] == 0.0)
 
     def test_gather_rows_gradcheck(self):
         rng = np.random.default_rng(12)

@@ -1284,6 +1284,23 @@ class TestExtract:
         assert json.loads(runs[1][1])["bank_questions"]
         assert indexed == [["laptop"] * len(laptop)] * 2
 
+    def test_bankless_variant_reads_no_pool(self, tmp_path, caplog):
+        # A two-category pool and no --category would stop a model that
+        # reads a bank; an sblstm model reads none, so it never loads the
+        # pool and its trace names no bank question.
+        vocab = Vocabulary(list(RESERVED) + WORDS)
+        cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4,
+                        max_len=8, bank_size=2, dropout=0.0, variant="sblstm", seed=1)
+        ckpt, pool, trace = tmp_path / "sb.npz", tmp_path / "pool.jsonl", tmp_path / "t.json"
+        save_model(ckpt, SanParams.build(cfg, len(vocab), np.random.default_rng(0)), cfg, vocab)
+        laptop = pool_records()
+        save_corpus(pool, laptop + [dataclasses.replace(r, category="phone") for r in laptop])
+        caplog.set_level("INFO", logger="fnr")
+        assert main(["extract", "--model", str(ckpt), "--question", "does it play video ?",
+                     "--bank", str(pool), "--trace", str(trace)]) == 0
+        assert json.loads(trace.read_text())["bank_questions"] == []
+        assert "ignoring --bank" in caplog.text
+
     def test_unknown_category_exit_3(self, overfit_ckpt, pool_path, caplog):
         _, ckpt = overfit_ckpt
         assert main(["extract", "--model", str(ckpt), "--question", "does it play video ?",

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fnr import model as fmodel
+from fnr import autodiff, model as fmodel
 from fnr.autodiff import Tape, Tensor, gather_rows
 from fnr.data import F_INDEX, O_INDEX, QaRecord, collate, make_example
 from fnr.model import (CheckpointError, Probabilities, SanConfig, SanParams, batch_loss,
@@ -310,6 +310,28 @@ class TestTapeMix:
             forward_batch(batch, build(cfg, tiny_vocab), cfg, training=True,
                           rng=np.random.default_rng(0))
         assert calls == {"linear": 1, "softmax": 1}
+
+    def test_head_span_counts_the_head_softmax_only(self, tiny_vocab, fig_example,
+                                                     monkeypatch):
+        # The attention runs the head's softmax function under its own
+        # import, so the patched fnr.model.softmax of the benchmark's head
+        # span sees the head's one call per forward, none of the
+        # attention's, with the bank attention running.
+        assert fmodel.softmax is autodiff.softmax
+        real, shapes = fmodel.softmax, []
+
+        def counted(*args, **kwargs):
+            shapes.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fmodel, "softmax", counted)
+        cfg = SanConfig(embedding_dim=4, hidden_size=4, attention_dim=4, max_len=6,
+                        bank_size=2, dropout=0.0, variant="san", seed=1)
+        batch = collate([fig_example])
+        assert batch.bank_mask.sum() > 0
+        _, traces = forward_batch(batch, build(cfg, tiny_vocab), cfg, want_trace=True)
+        assert shapes == [(int(batch.mask.sum()), 2)]
+        assert np.allclose(traces[0].level2_weights[:4].sum(axis=-1), 1.0)
 
 
 class TestSaturatedLogits:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fnr import autodiff
-from fnr.autodiff import NonFiniteError, Tensor, linear, record, softmax_parts
+from fnr.autodiff import NonFiniteError, Tensor, linear, record
 from fnr.optim import ParamGroup, adam_step, grad_check
 from test_autodiff import square
 
@@ -235,8 +235,8 @@ class TestGradCheck:
 def softmax(x):
     """Softmax over the last axis as one test-local node; its backward
     looks up ``autodiff.softmax_grad`` when it runs, so a patch bites."""
-    weights, e, z = softmax_parts(x.data)
-    return record(Tensor(weights), (x,), lambda g: (autodiff.softmax_grad(g, e, z, -1),))
+    weights = autodiff.softmax(x.data)
+    return record(Tensor(weights), (x,), lambda g: (autodiff.softmax_grad(g, weights, -1),))
 
 
 class TestGradCheckSeed:
@@ -244,12 +244,11 @@ class TestGradCheckSeed:
     product with a chosen cotangent."""
 
     # Two softmax backwards with a bug: one drops the term that flows
-    # through the normaliser z, the other centres g on its plain mean
-    # where the softmax-weighted mean belongs.
+    # through the normaliser z, sum(g * w), the other centres g on its
+    # plain mean where the softmax-weighted mean belongs.
     BROKEN = {
-        "omits_gz": lambda g, e, z, axis: g / z * e,
-        "unweighted_centering":
-            lambda g, e, z, axis: e / z * (g - g.mean(axis=axis, keepdims=True)),
+        "omits_gz": lambda g, w, axis: w * g,
+        "unweighted_centering": lambda g, w, axis: w * (g - g.mean(axis=axis, keepdims=True)),
     }
 
     @pytest.mark.parametrize("bug, summed_sees_it", [("omits_gz", True),
