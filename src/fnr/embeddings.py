@@ -115,6 +115,27 @@ def _learning_rate(lr: float, seen, total_pairs: int):
     return np.maximum(lr * (1.0 - seen / total_pairs), lr * 1e-4)
 
 
+# Centers (tokens) whose set-up one vectorized pass builds.  At the default
+# window 5 and 5 negatives a center's set-up arrays take about 1 kB, so a
+# block's take about 4 MB whatever the corpus size.  A longer sentence is a
+# block of its own, no larger than its own step's arrays.
+_BLOCK_CENTERS = 4096
+
+
+def _sentence_blocks(lengths: Sequence[int]) -> list[tuple[int, int]]:
+    """Split sentences of the given lengths, in order, into [lo, hi) runs of
+    at most ``_BLOCK_CENTERS`` tokens; a longer sentence runs alone."""
+    blocks, lo, size = [], 0, 0
+    for i, length in enumerate(lengths):
+        if size and size + length > _BLOCK_CENTERS:
+            blocks.append((lo, i))
+            lo, size = i, 0
+        size += length
+    if size:
+        blocks.append((lo, len(lengths)))
+    return blocks
+
+
 def _pair_terms(x: np.ndarray, y: np.ndarray, sign: np.ndarray):
     """z = -score for the positive column and +score for the negatives,
     so a pair's objective is sum log(1 + e^z); returns z and the
@@ -152,6 +173,19 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
     with the pair count and tokens/s.  An epoch that ends with a
     non-finite mean objective or vectors (a learning rate too large)
     raises ``NonFiniteError``.
+
+    The set-up that reads no vectors (windows, ``valid``, context ids,
+    learning rates, negatives, ``mask`` and ``scale``) is built in one
+    vectorized pass per block of consecutive sentences holding at most
+    ``_BLOCK_CENTERS`` centers, and each sentence's step runs on its rows
+    of the block.  Those rows are the arrays the sentence would build
+    alone: its windows are clipped at its own edges, its pairs keep their
+    running indices, and one ``rng.random((N, K))`` draw for the block's N
+    centers yields the numbers the per-sentence draws yield in turn.  The
+    steps run in the same order with the same arithmetic, so the vectors
+    and ``loss_history`` are those of building each sentence's set-up
+    alone, bit for bit.  The cap bounds the block's arrays at about 4 MB
+    at the default window and negatives, whatever the corpus size.
     """
     sequences = [list(seq) for seq in raw_corpus]
     if not any(sequences):
@@ -173,6 +207,9 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
     total_pairs = sum(_pair_count(len(ids), cfg.window) for ids in encoded) * cfg.epochs
     total_pairs = max(total_pairs, 1)
     tokens = sum(len(ids) for ids in encoded)
+    trained = [ids for ids in encoded if len(ids) >= 2]   # a 1-token sentence has no pair
+    sizes = [len(ids) for ids in trained]
+    blocks = _sentence_blocks(sizes)
     offsets = np.concatenate([np.arange(-cfg.window, 0), np.arange(1, cfg.window + 1)])
     sign = np.ones(cfg.negatives + 1)
     sign[0] = -1.0  # column 0 is the positive, the center itself
@@ -182,31 +219,33 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
         started = time.perf_counter()
         loss_sum = 0.0
         loss_n = 0
-        for ids in encoded:
-            n = len(ids)
-            if n < 2:
-                continue
-            pos = np.arange(n)[:, None] + offsets
-            valid = (pos >= 0) & (pos < n)                                 # (n, 2w)
-            ctx = ids[np.clip(pos, 0, n - 1)]
+        for lo, hi in blocks:
+            ids, lengths = np.concatenate(trained[lo:hi]), sizes[lo:hi]
+            n = np.repeat(lengths, lengths)[:, None]                      # (N, 1)
+            first = np.repeat(np.cumsum(lengths) - lengths, lengths)[:, None]
+            pos = np.arange(len(ids))[:, None] - first + offsets           # (N, 2w)
+            valid = (pos >= 0) & (pos < n)
+            ctx = ids[first + np.clip(pos, 0, n - 1)]
             m = int(valid.sum())
             alpha = np.zeros(valid.shape)
             alpha[valid] = _learning_rate(cfg.lr, seen + np.arange(1, m + 1), total_pairs)
             seen += m
-            negs = _draw_negatives(cum, rng.random((n, cfg.negatives)))
-            targets = np.concatenate([ids[:, None], negs], axis=1)         # (n, K+1)
+            negs = _draw_negatives(cum, rng.random((len(ids), cfg.negatives)))
+            targets = np.concatenate([ids[:, None], negs], axis=1)         # (N, K+1)
             keep = np.ones(targets.shape, dtype=bool)
             keep[:, 1:] = negs != ids[:, None]
-            mask = valid[:, :, None] & keep[:, None, :]                    # (n, 2w, K+1)
+            mask = valid[:, :, None] & keep[:, None, :]                    # (N, 2w, K+1)
             scale = mask * alpha[:, :, None]
-            x = w_in[ctx]                                                  # (n, 2w, d)
-            z, grad = _pair_terms(x, w_out[targets], sign)
-            loss_sum += float(np.log1p(np.exp(z))[mask].sum())
-            loss_n += m
-            scatter_add(w_out, targets, -((grad * scale).transpose(0, 2, 1) @ x))
-            y = w_out[targets]                                             # (n, K+1, d)
-            _, grad = _pair_terms(x, y, sign)
-            scatter_add(w_in, ctx[valid], -((grad * scale) @ y)[valid])
+            rows = np.cumsum([0] + lengths).tolist()
+            for a, b, length in zip(rows, rows[1:], lengths):
+                x = w_in[ctx[a:b]]                                         # (n, 2w, d)
+                z, grad = _pair_terms(x, w_out[targets[a:b]], sign)
+                loss_sum += float(np.log1p(np.exp(z))[mask[a:b]].sum())
+                loss_n += _pair_count(length, cfg.window)
+                scatter_add(w_out, targets[a:b], -((grad * scale[a:b]).transpose(0, 2, 1) @ x))
+                y = w_out[targets[a:b]]                                    # (n, K+1, d)
+                _, grad = _pair_terms(x, y, sign)
+                scatter_add(w_in, ctx[a:b][valid[a:b]], -((grad * scale[a:b]) @ y)[valid[a:b]])
         mean = loss_sum / max(loss_n, 1)
         history.append(mean)
         log.info("skip-gram epoch %d/%d: mean objective %.6f over %d pairs, %.0f tokens/s",
@@ -223,7 +262,16 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
 def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
     """Write the word2vec text format: "<|V|> <dim>" header, then one
     "<token> <v1> ... <vdim>" line per row in id order.  Values print at
-    17 significant digits, which round-trips float64 exactly."""
+    17 significant digits, which round-trips float64 exactly.
+
+    A token that is empty or holds whitespace (``load_corpus`` accepts any
+    string token, so a corpus can hold ``""`` or ``"usb c"``) cannot be read
+    back by ``load_embeddings``; the first such token raises ``ValueError``
+    naming it before the file is opened, so no partial file is left."""
+    bad = next((t for t in matrix.vocab.id_to_token if t.split() != [t]), None)
+    if bad is not None:
+        raise ValueError(f"token {bad!r} is empty or holds whitespace; "
+                         "the embedding text format cannot hold it")
     # "%.17g" % v is the same conversion as f"{v:.17g}", and one format
     # per row keeps the per-value work out of the interpreter loop.
     row_format = "%s " + " ".join(["%.17g"] * matrix.dim) + "\n"

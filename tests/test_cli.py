@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from fnr import cli, training
 from fnr.cli import ConfigError, load_run_config, main
-from fnr.data import CorpusError, QaRecord, load_corpus, save_corpus
+from fnr.data import (CorpusError, QaRecord, _parse_record, _StringTable, load_corpus,
+                      save_corpus)
 from fnr.embeddings import EmbeddingMatrix, SgnsConfig, load_embeddings, save_embeddings
 from fnr.model import SanConfig, SanParams, forward_batch, load_model, save_model
 from fnr.retrieval import load_bank_cache
@@ -172,6 +173,20 @@ class TestPretrainEmbeddings:
         assert_exit_2_before_reading(monkeypatch, caplog, [
             "pretrain-embeddings", "--corpus", str(corpus_path), "--out", str(out),
             "--epochs", "3"], out)
+
+    @pytest.mark.parametrize("token", ["", "usb c"], ids=["empty", "space"])
+    def test_unwritable_token_exit_3_no_file(self, tmp_path, caplog, token):
+        # load_corpus accepts any string token, but the vector file cannot
+        # hold one that is empty or holds whitespace.
+        corpus = tmp_path / "raw.jsonl"
+        save_corpus(corpus, [QaRecord("p1", "c", ["works", token, "with", "it"]),
+                             QaRecord("p2", "c", ["does", "it", "work", "?"])])
+        out = tmp_path / "emb.txt"
+        code = main(["pretrain-embeddings", "--corpus", str(corpus), "--out", str(out),
+                     "--dim", "4", "--negatives", "2", "--epochs", "1", "--seed", "1"])
+        assert code == 3
+        assert f"token {token!r} is empty or holds whitespace" in caplog.text
+        assert not out.exists()
 
     def test_diverging_lr_exit_4_no_file(self, tmp_path, corpus_path):
         out = tmp_path / "emb.txt"
@@ -909,10 +924,15 @@ def well_formed(obj) -> bool:
 
 @st.composite
 def damaged_line(draw) -> str:
-    """``GOOD_LINE`` with one mutation, as the text of one corpus line."""
+    """``GOOD_LINE`` with one mutation, as the text of one corpus line with
+    its line end.  Record kinds change a value; text kinds change the
+    framing around the JSON or its spelling."""
     obj = copy.deepcopy(GOOD_LINE)
     kind = draw(st.sampled_from(["drop_key", "retype_key", "retype_token", "empty_tokens",
-                                 "tags_length", "unknown_tag", "truncate"]))
+                                 "tags_length", "unknown_tag", "truncate", "lead_space",
+                                 "trail_space", "bom", "two_objects", "trailing_x",
+                                 "top_level", "nan_token", "duplicate_key", "escaped_tokens",
+                                 "no_newline"]))
     if kind == "drop_key":
         del obj[draw(st.sampled_from(sorted(obj)))]
     elif kind == "retype_key":
@@ -929,10 +949,35 @@ def damaged_line(draw) -> str:
     elif kind == "unknown_tag":
         obj["tags"][draw(st.integers(0, 3))] = draw(
             st.text(max_size=2).filter(lambda t: t not in ("F", "O")))
-    text = json.dumps(obj)
+    elif kind == "nan_token":   # json.dumps writes the NaN / Infinity tokens
+        obj["question_tokens"][draw(st.integers(0, 3))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "escaped_tokens":   # \uXXXX escapes, astral ones as surrogate pairs
+        obj["question_tokens"][draw(st.integers(0, 3))] = draw(
+            st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=3))
+    text, end = json.dumps(obj), "\n"
     if kind == "truncate":
         text = text[:draw(st.integers(1, len(text) - 1))]
-    return text
+    elif kind == "lead_space":
+        text = draw(st.sampled_from([" ", "  ", "\t", " \t"])) + text
+    elif kind == "trail_space":
+        # The last two are whitespace to str.strip() but not to JSON.
+        end = draw(st.sampled_from(["\r\n", "\t\n", " \n", " \t ", "\x0c\n", "\u00a0\n"]))
+    elif kind == "bom":
+        text = "\ufeff" + text
+    elif kind == "two_objects":
+        text += draw(st.sampled_from(["", " "])) + json.dumps(GOOD_LINE)
+    elif kind == "trailing_x":
+        text += "x"
+    elif kind == "top_level":
+        text = draw(st.sampled_from([json.dumps([GOOD_LINE]), "[]", "7", "-0.5", '"p1"']))
+    elif kind == "duplicate_key":
+        key = draw(st.sampled_from(sorted(GOOD_LINE)))
+        value = draw(st.sampled_from([GOOD_LINE[key], "p2", 3, None]))
+        text = text[:-1] + f", {json.dumps(key)}: {json.dumps(value)}}}"
+    elif kind == "no_newline":
+        end = ""
+    return text + end
 
 
 class TestDamagedCorpusLine:
@@ -945,7 +990,7 @@ class TestDamagedCorpusLine:
     @staticmethod
     def write(workdir, line):
         path = workdir / "corpus.jsonl"
-        path.write_text(json.dumps(GOOD_LINE) + "\n" + line + "\n", encoding="utf-8")
+        path.write_text(json.dumps(GOOD_LINE) + "\n" + line, encoding="utf-8")
         try:
             return path, json.loads(line)
         except json.JSONDecodeError:
@@ -965,6 +1010,25 @@ class TestDamagedCorpusLine:
                                       obj.get("tags"), line_no=2)
 
     @given(line=damaged_line())
+    @settings(max_examples=200, deadline=None)
+    def test_load_decodes_as_json_loads_does(self, workdir, line):
+        """Whatever the line's framing (whitespace, BOM, extra data, escapes,
+        line end), ``load_corpus`` returns the record of ``json.loads(line)``
+        or raises exactly the message that decode or its record check gives."""
+        path, _ = self.write(workdir, line)
+        try:
+            want = _parse_record(json.loads(line), 2, _StringTable())
+        except json.JSONDecodeError as err:
+            want = f"line 2: invalid JSON ({err.msg})"
+        except CorpusError as err:
+            want = str(err)
+        try:
+            got = load_corpus(path)[1]
+        except CorpusError as err:
+            got = str(err)
+        assert got == want
+
+    @given(line=damaged_line())
     @settings(max_examples=100, deadline=None)
     def test_build_bank_exits_0_or_3(self, workdir, line):
         path, obj = self.write(workdir, line)
@@ -975,7 +1039,7 @@ class TestDamagedCorpusLine:
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_train_and_evaluate_exit_3_naming_the_line(self, workdir, overfit_ckpt, caplog,
                                                        command):
-        path, _ = self.write(workdir, "{not json")
+        path, _ = self.write(workdir, "{not json\n")
         if command == "train":
             args = train_args(path, workdir / "model.npz")
         else:

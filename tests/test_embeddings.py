@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from fnr import embeddings
-from fnr.autodiff import NonFiniteError, Tape, Tensor, gather_rows
+from fnr.autodiff import NonFiniteError, Tape, Tensor, gather_rows, scatter_add
 from fnr.embeddings import (EmbeddingMatrix, SgnsConfig, load_embeddings,
                             save_embeddings, train_skipgram)
-from fnr.vocab import PAD_ID, PAD_TOKEN, RESERVED, Vocabulary, build_vocab
+from fnr.vocab import PAD_ID, PAD_TOKEN, RESERVED, UNK_ID, Vocabulary, build_vocab
 
 
 def small_matrix():
@@ -110,6 +110,59 @@ def reference_sgns(corpus, cfg, seed):
         history.append(loss / n_pairs)
     w_in[PAD_ID] = 0.0
     return vocab, w_in, history, deltas
+
+
+def per_sentence_sgns(raw_corpus, cfg, rng):
+    """``train_skipgram``'s update as one numpy step per sentence, each
+    building its own windows, learning rates and negatives: the loop the
+    block set-up replaced, kept as its bit-for-bit reference.  Returns the
+    input vectors (PAD row zeroed) and the per-epoch mean objective."""
+    sequences = [list(seq) for seq in raw_corpus]
+    vocab = build_vocab(sequences, min_freq=cfg.min_freq)
+    encoded = [np.asarray(vocab.encode(seq), dtype=np.int64) for seq in sequences if seq]
+    counts = np.zeros(len(vocab), dtype=np.int64)
+    for ids in encoded:
+        np.add.at(counts, ids, 1)
+    cum = embeddings._negative_table(counts)
+    w_in = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
+    w_out = np.zeros((len(vocab), cfg.dim))
+    total_pairs = sum(embeddings._pair_count(len(ids), cfg.window) for ids in encoded)
+    total_pairs = max(total_pairs * cfg.epochs, 1)
+    offsets = np.concatenate([np.arange(-cfg.window, 0), np.arange(1, cfg.window + 1)])
+    sign = np.ones(cfg.negatives + 1)
+    sign[0] = -1.0
+    seen, history = 0, []
+    for _ in range(cfg.epochs):
+        loss_sum, loss_n = 0.0, 0
+        for ids in encoded:
+            n = len(ids)
+            if n < 2:
+                continue
+            pos = np.arange(n)[:, None] + offsets
+            valid = (pos >= 0) & (pos < n)
+            ctx = ids[np.clip(pos, 0, n - 1)]
+            m = int(valid.sum())
+            alpha = np.zeros(valid.shape)
+            alpha[valid] = embeddings._learning_rate(cfg.lr, seen + np.arange(1, m + 1),
+                                                     total_pairs)
+            seen += m
+            negs = embeddings._draw_negatives(cum, rng.random((n, cfg.negatives)))
+            targets = np.concatenate([ids[:, None], negs], axis=1)
+            keep = np.ones(targets.shape, dtype=bool)
+            keep[:, 1:] = negs != ids[:, None]
+            mask = valid[:, :, None] & keep[:, None, :]
+            scale = mask * alpha[:, :, None]
+            x = w_in[ctx]
+            z, grad = embeddings._pair_terms(x, w_out[targets], sign)
+            loss_sum += float(np.log1p(np.exp(z))[mask].sum())
+            loss_n += m
+            scatter_add(w_out, targets, -((grad * scale).transpose(0, 2, 1) @ x))
+            y = w_out[targets]
+            _, grad = embeddings._pair_terms(x, y, sign)
+            scatter_add(w_in, ctx[valid], -((grad * scale) @ y)[valid])
+        history.append(loss_sum / max(loss_n, 1))
+    w_in[PAD_ID] = 0.0
+    return w_in, history
 
 
 class TestTrainSkipgram:
@@ -227,6 +280,34 @@ class TestTrainSkipgram:
         assert got.vocab.id_to_token == vocab.id_to_token
         assert np.allclose(got.vectors, want, atol=1e-12, rtol=0)
         assert np.allclose(got.loss_history, history, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_block_set_up_matches_per_sentence_steps_bit_for_bit(self, seed, epochs):
+        # Sentences of 0, 1 and 2 tokens and longer than the window span
+        # (2w + 1), rare words that min_freq turns into UNK, and more
+        # centers than one block holds.
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(2000)]
+        weights = 1.0 / np.arange(1, len(words) + 1)
+        corpus = [[], ["w0"], ["w1", "w2"]]
+        while sum(map(len, corpus)) < 2.5 * embeddings._BLOCK_CENTERS:
+            n = int(rng.integers(0, 14))
+            corpus.append(list(rng.choice(words, size=n, p=weights / weights.sum())))
+        cfg = SgnsConfig(dim=6, window=2, negatives=3, epochs=epochs, lr=0.05, min_freq=2)
+        lengths = [len(s) for s in corpus if len(s) >= 2]
+        assert len(embeddings._sentence_blocks(lengths)) >= 3
+        got = train_skipgram(corpus, cfg, np.random.default_rng(seed))
+        want, history = per_sentence_sgns(corpus, cfg, np.random.default_rng(seed))
+        assert UNK_ID in got.vocab.encode([t for s in corpus for t in s])
+        assert np.array_equal(got.vectors, want)
+        assert got.loss_history == history
+
+    def test_sentence_blocks_cap_centers(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_BLOCK_CENTERS", 10)
+        assert embeddings._sentence_blocks([4, 6, 3, 12, 2, 2]) == [(0, 2), (2, 3), (3, 4),
+                                                                    (4, 6)]
+        assert embeddings._sentence_blocks([]) == []
 
     def test_first_step_moves_input_vectors(self):
         # w_out starts at zero; the input update reads the output vectors
