@@ -6,11 +6,13 @@ import dataclasses
 import hashlib
 import math
 import os
+import platform
 import time
 import numpy as np
 import pytest
 
 from fnr.attention import init_attention
+from fnr.autodiff import Tape
 from fnr.cli import main
 from fnr.data import CorpusSplit, QaRecord, collate, corpus_stats, load_corpus, make_example, save_corpus, split
 from fnr.embeddings import EmbeddingMatrix, SgnsConfig, train_skipgram
@@ -265,8 +267,15 @@ def test_c6_semi_supervision_benefit():
     assert gap >= 0.10, f"mean span-F1 gap {gap:.3f} < 0.10"
 
 
-def test_c7_determinism(tmp_path):
-    """cmd_train twice with one seed: bit-identical checkpoints and logs."""
+C7_CONFIG = dict(embedding_dim=8, hidden_size=6, attention_dim=6, max_len=8, bank_size=2,
+                 dropout=0.2)
+
+
+@pytest.fixture(scope="module")
+def c7_runs(tmp_path_factory):
+    """``cmd_train`` twice with one seed on a 12-question corpus: each
+    run's checkpoint path, checkpoint bytes and epoch-log bytes."""
+    tmp_path = tmp_path_factory.mktemp("c7")
     corpus = tmp_path / "labeled.jsonl"
     rng = np.random.default_rng(0)
     records = []
@@ -277,25 +286,126 @@ def test_c7_determinism(tmp_path):
         tags = ["F" if rng.random() < 0.4 else "O" for _ in toks]
         records.append(QaRecord(f"p{i}", "laptop", toks, tags=tags))
     save_corpus(corpus, records)
-    blobs = []
+    settings = [f"{key}={value}" for key, value in C7_CONFIG.items()] + [
+        "lr=0.01", "batch_size=8", "max_epochs=4", "patience=3"]
+    runs = []
     for tag in ("a", "b"):
         ckpt = tmp_path / f"{tag}.npz"
         log = tmp_path / f"{tag}.jsonl"
         code = main(["train", "--corpus", str(corpus), "--out", str(ckpt),
                      "--epoch-log", str(log), "--seed", "21",
-                     "--set", "embedding_dim=8", "--set", "hidden_size=6",
-                     "--set", "attention_dim=6", "--set", "max_len=8",
-                     "--set", "bank_size=2", "--set", "dropout=0.2",
-                     "--set", "lr=0.01", "--set", "batch_size=8",
-                     "--set", "max_epochs=4", "--set", "patience=3"])
+                     *[arg for item in settings for arg in ("--set", item)]])
         assert code == 0
-        blobs.append((ckpt.read_bytes(), log.read_bytes()))
-    assert blobs[0][0] == blobs[1][0], "checkpoints differ"
-    assert blobs[0][1] == blobs[1][1], "epoch logs differ"
-    # Evidence for comparing commits' logs (pytest -s); BLAS kernels
-    # differ across machines, so nothing is asserted about the digests.
-    print(f"\nc7 sha256: checkpoint {hashlib.sha256(blobs[0][0]).hexdigest()} "
-          f"epoch log {hashlib.sha256(blobs[0][1]).hexdigest()}")
+        runs.append((ckpt, ckpt.read_bytes(), log.read_bytes()))
+    return runs
+
+
+def test_c7_determinism(c7_runs):
+    """cmd_train twice with one seed: bit-identical checkpoints and logs."""
+    (_, ckpt_a, log_a), (_, ckpt_b, log_b) = c7_runs
+    assert ckpt_a == ckpt_b, "checkpoints differ"
+    assert log_a == log_b, "epoch logs differ"
+    print(f"\nc7 sha256: checkpoint {hashlib.sha256(ckpt_a).hexdigest()} "
+          f"epoch log {hashlib.sha256(log_a).hexdigest()}")
+
+
+def _digest(arrays) -> str:
+    """sha256 over (name, dtype, shape, bytes) of each named array, in name order."""
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[name])
+        h.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _bank_batch(rng, words, vocab, pool, n, cfg):
+    """A batch of ``n`` labeled questions of random ``words``, each with up
+    to ``cfg.bank_size`` bank questions drawn from ``pool``."""
+    examples = []
+    for i in range(n):
+        toks = list(rng.choice(words, size=int(rng.integers(2, cfg.max_len + 1))))
+        tags = ["F" if rng.random() < 0.3 else "O" for _ in toks]
+        bank = [pool[j] for j in rng.choice(len(pool), size=int(rng.integers(0, cfg.bank_size + 1)),
+                                            replace=False)]
+        examples.append(make_example(QaRecord(f"q{i}", "cat", toks, tags=tags), bank, vocab,
+                                     max_len=cfg.max_len, bank_size=cfg.bank_size))
+    return collate(examples)
+
+
+def _digest_fixture(words, cfg, seed, n_pool, batches, batch_size):
+    """Fixed-seed ``san`` weights, a pool of ``n_pool`` random questions and
+    ``batches`` batches whose banks share them."""
+    rng, vocab = np.random.default_rng(seed), build_vocab([words])
+    params = SanParams.build(cfg, len(vocab), rng)
+    pool = [QaRecord(f"b{i}", "cat", list(rng.choice(words, size=int(rng.integers(1, cfg.max_len + 1)))))
+            for i in range(n_pool)]
+    return rng, params, [_bank_batch(rng, words, vocab, pool, batch_size, cfg)
+                         for _ in range(batches)]
+
+
+def _eval_probabilities():
+    """Tape-free probabilities of two batches at the paper's dims (T=40,
+    U=5, H=A=d=100), through the bank memo."""
+    cfg = SanConfig(seed=36)
+    _, params, batches = _digest_fixture([f"w{i}" for i in range(300)], cfg, 36, 24, 2, 12)
+    return {f"batch{b}": forward_batch(batch, params, cfg)[0].data
+            for b, batch in enumerate(batches)}
+
+
+def _san_step_gradients():
+    """Leaf gradients of one taped ``san`` training step, dropout on, at
+    c7's dims with non-empty banks."""
+    cfg = SanConfig(**C7_CONFIG, seed=37)
+    rng, params, (batch,) = _digest_fixture(OVERFIT_WORDS, cfg, 37, 10, 1, 8)
+    with Tape() as tape:
+        probs, _ = forward_batch(batch, params, cfg, training=True, rng=rng)
+        loss = batch_loss(probs, batch.gold, batch.mask)
+    grads = tape.gradients(loss)
+    return {name: grads[t] for name, t in params.group.items()}
+
+
+def _environment() -> dict:
+    """What the pinned bits depend on besides the code.  Unset,
+    ``OPENBLAS_NUM_THREADS`` means one BLAS thread per usable CPU, and the
+    bank transform's small GEMMs round differently under 1 and 2 threads."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"), "cpus": cpus,
+            "machine": platform.machine()}
+
+
+# The environment the digests below were read in, and the digests.
+PINNED_ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0",
+                      "OPENBLAS_NUM_THREADS": None, "cpus": 2, "machine": "x86_64"}
+PINNED_DIGESTS = {
+    "c7 checkpoint tensors": "ff2c762472ef1b8c86320772318cc92cb4de5b1a6531b0230206e5992738dd2e",
+    "c7 epoch log": "e91dd8395b86317e4fb4014d46ba30114441ac8faf9067851310083e06e5552a",
+    "paper-dims eval probabilities":
+        "0873808477ab96d94a69b74b3c164db02993379a38a3fd6387cb47701fb3a26a",
+    "san step gradients": "68ecdeb9fec65bca61db471837a4e98f0ae8aae0b8866913e3b7ddd2e83e4a6f",
+}
+
+
+def test_pinned_digests(c7_runs):
+    """The determinism fixture's outputs are the pinned bits: c7's
+    checkpoint tensors and epoch log, eval probabilities at the paper's
+    dims and one taped ``san`` step's gradients.  A change that moves
+    them on purpose updates ``PINNED_DIGESTS`` in the same diff."""
+    ckpt, _, log = c7_runs[0]
+    got = {
+        "c7 checkpoint tensors": _digest(read_checkpoint(ckpt)[1]),
+        "c7 epoch log": hashlib.sha256(log).hexdigest(),
+        "paper-dims eval probabilities": _digest(_eval_probabilities()),
+        "san step gradients": _digest(_san_step_gradients()),
+    }
+    env = _environment()
+    print(f"\npinned-digest environment {env}\ndigests {got}")
+    if env != PINNED_ENVIRONMENT:
+        pytest.skip(f"digests are pinned for {PINNED_ENVIRONMENT}, not {env}; "
+                    f"this environment's digests: {got}")
+    assert got == PINNED_DIGESTS
 
 
 ANNOTATED = os.environ.get("FNR_ANNOTATED_CORPUS")
