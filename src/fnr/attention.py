@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, astensor, check_finite, record, softmax, softmax_grad
+from .autodiff import Tensor, check_finite, record, softmax, softmax_grad
 from .lstm import glorot, prefix_lengths
 from .optim import ParamGroup
 
@@ -96,7 +96,6 @@ def transform_bank(bank_h: Tensor, p: AttentionParams) -> Tensor:
     node's inputs are bank_h, w_k and b_k.  Its backward reads the tanh
     from the output.
     """
-    bank_h = astensor(bank_h)
     if bank_h.ndim != 2:
         raise ValueError(f"bank_h shape {bank_h.shape}: expected one row per bank word")
     inputs = (bank_h, p.w_k, p.b_k)
@@ -146,7 +145,6 @@ def bank_attend_batch(hq1: Tensor, query_mask: np.ndarray, words: Tensor,
     arrays from those, twice for attended: no more than three (U, N, A)
     arrays are alive at once.
     """
-    hq1, words = astensor(hq1), astensor(words)
     query_mask, token_mask = np.asarray(query_mask), np.asarray(token_mask)
     b_sz, t_q = query_mask.shape
     n_banks, t_u = token_mask.shape[1:]

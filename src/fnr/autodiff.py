@@ -6,9 +6,9 @@ tape node with a hand-written backward (``lstm.blstm_forward``,
 ``attention.transform_bank``, ``attention.bank_attend_batch``,
 ``model.batch_loss``), built on the plain-array helpers here
 (``sigmoid_array``, ``scatter_add``, ``softmax``, ``softmax_grad``).
-Each op hands its output, inputs and backward to ``record``, the one
-function that writes tape nodes; the backward returns one gradient array
-per input, in input order.  Tests check each op through a vector-Jacobian
+Each op takes ``Tensor`` inputs and hands its output, inputs and backward
+to ``record``, the one function that writes tape nodes; the backward
+returns one gradient array per input, in input order.  Tests check each op through a vector-Jacobian
 product, ``optim.grad_check`` with a chosen cotangent.
 Every op output is finite-checked (NaN/Inf is a hard error).  Ops compute
 in their inputs' dtype, so the parameters' dtype (``optim.ParamGroup``,
@@ -89,11 +89,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
-
-
-def astensor(x) -> Tensor:
-    """Wrap array-likes as tensors; pass tensors through."""
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 Backward = Callable[[np.ndarray], tuple]
@@ -191,13 +186,12 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 
-def linear(x, w, b) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w.T + b for packed (n, din) rows x: (n, dout).
 
     One tape node covers the projection.  ``w`` has shape (dout, din) and
     ``b`` shape (dout,).
     """
-    x, w, b = astensor(x), astensor(w), astensor(b)
     if x.ndim != 2:
         raise ValueError(f"linear expects packed (n, din) rows, got shape {x.data.shape}")
     dout, din = w.data.shape
@@ -232,10 +226,9 @@ def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None
         np.add.at(table.reshape(-1), flat.ravel(), values[lo:lo + _SCATTER_BLOCK].ravel())
 
 
-def gather_rows(table, ids) -> Tensor:
+def gather_rows(table: Tensor, ids) -> Tensor:
     """Row lookup ``table[ids]``; backward scatter-adds into the picked rows
     only, which is what lets looked-up embeddings fine-tune."""
-    table = astensor(table)
     idx = np.asarray(ids)
     if not np.issubdtype(idx.dtype, np.integer):
         raise TypeError("gather_rows ids must be integers")

@@ -204,8 +204,8 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
     w_in = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
     w_out = np.zeros((len(vocab), cfg.dim))
 
-    total_pairs = sum(_pair_count(len(ids), cfg.window) for ids in encoded) * cfg.epochs
-    total_pairs = max(total_pairs, 1)
+    epoch_pairs = sum(_pair_count(len(ids), cfg.window) for ids in encoded)
+    total_pairs = max(epoch_pairs * cfg.epochs, 1)
     tokens = sum(len(ids) for ids in encoded)
     trained = [ids for ids in encoded if len(ids) >= 2]   # a 1-token sentence has no pair
     sizes = [len(ids) for ids in trained]
@@ -218,7 +218,6 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         loss_sum = 0.0
-        loss_n = 0
         for lo, hi in blocks:
             ids, lengths = np.concatenate(trained[lo:hi]), sizes[lo:hi]
             n = np.repeat(lengths, lengths)[:, None]                      # (N, 1)
@@ -237,19 +236,18 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
             mask = valid[:, :, None] & keep[:, None, :]                    # (N, 2w, K+1)
             scale = mask * alpha[:, :, None]
             rows = np.cumsum([0] + lengths).tolist()
-            for a, b, length in zip(rows, rows[1:], lengths):
+            for a, b in zip(rows, rows[1:]):
                 x = w_in[ctx[a:b]]                                         # (n, 2w, d)
                 z, grad = _pair_terms(x, w_out[targets[a:b]], sign)
                 loss_sum += float(np.log1p(np.exp(z))[mask[a:b]].sum())
-                loss_n += _pair_count(length, cfg.window)
                 scatter_add(w_out, targets[a:b], -((grad * scale[a:b]).transpose(0, 2, 1) @ x))
                 y = w_out[targets[a:b]]                                    # (n, K+1, d)
                 _, grad = _pair_terms(x, y, sign)
                 scatter_add(w_in, ctx[a:b][valid[a:b]], -((grad * scale[a:b]) @ y)[valid[a:b]])
-        mean = loss_sum / max(loss_n, 1)
+        mean = loss_sum / max(epoch_pairs, 1)
         history.append(mean)
         log.info("skip-gram epoch %d/%d: mean objective %.6f over %d pairs, %.0f tokens/s",
-                 epoch + 1, cfg.epochs, mean, loss_n,
+                 epoch + 1, cfg.epochs, mean, epoch_pairs,
                  tokens / max(time.perf_counter() - started, 1e-9))
         if not (math.isfinite(mean) and np.isfinite(w_in).all() and np.isfinite(w_out).all()):
             raise NonFiniteError(f"skip-gram diverged in epoch {epoch + 1} "

@@ -294,7 +294,7 @@ def blstm_forward(x: Tensor, mask: np.ndarray, p: BlstmParams, dropout_rate: flo
             g = np.multiply(g, scale, out=scale)
         g_f, g_b = np.split(g, [hidden], axis=-1)
         d_x = np.zeros_like(x.data)
-        # Summation order (reverse, then forward) is fixed: checkpoints depend on it bit for bit.
+        # Each row of d_x gets one term per direction, so the call order keeps its bits.
         grads_b = bptt_b(g_b, d_x)
         grads_f = bptt_f(g_f, d_x)
         return (d_x, *grads_f, *grads_b)

@@ -47,8 +47,7 @@ import numpy as np
 
 from .attention import (AttentionParams, AttentionTrace, bank_attend_batch,
                         init_attention, transform_bank)
-from .autodiff import (NonFiniteError, Tensor, _tape, astensor, gather_rows, linear, record,
-                       softmax)
+from .autodiff import NonFiniteError, Tensor, _tape, gather_rows, linear, record, softmax
 from .data import BANK_SIZE, Batch, LABELS, F_INDEX, MAX_LEN, O_INDEX
 from .embeddings import EmbeddingMatrix
 from .lstm import BlstmParams, blstm_forward, glorot, init_blstm
@@ -168,7 +167,7 @@ class BankMemo:
                     fresh.setdefault(key, r)
             if fresh:
                 rows = list(fresh.values())
-                self._encode(ids[rows], mask[rows], list(fresh), params)
+                self._encode(ids[rows], mask[rows], lengths[rows], list(fresh), params)
             words = [self._words[key] for _, key in keys]
             self.encoded += len(fresh)
             self.served += len(keys) - len(fresh)
@@ -176,10 +175,9 @@ class BankMemo:
             return np.zeros((0, params.attention.dim), dtype=params.group.dtype)
         return np.concatenate(words)
 
-    def _encode(self, ids: np.ndarray, mask: np.ndarray, keys: list[bytes],
-                params: "SanParams") -> None:
+    def _encode(self, ids: np.ndarray, mask: np.ndarray, lengths: np.ndarray,
+                keys: list[bytes], params: "SanParams") -> None:
         words = params.encode_bank(ids, mask).data
-        lengths = (mask > 0).sum(axis=1)
         self._words.update(zip(keys, np.split(words, np.cumsum(lengths)[:-1])))
 
 
@@ -259,8 +257,8 @@ class Probabilities(Tensor):
 
     __slots__ = ("logits", "valid")
 
-    def __init__(self, logits, mask):
-        logits, valid = astensor(logits), np.asarray(mask) > 0
+    def __init__(self, logits: Tensor, mask):
+        valid = np.asarray(mask) > 0
         data = np.zeros(valid.shape + (len(LABELS),), dtype=logits.data.dtype)
         data[valid] = softmax(logits.data)
         super().__init__(data)

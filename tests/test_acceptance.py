@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fnr.attention import init_attention
-from fnr.autodiff import Tape
+from fnr.autodiff import Tape, Tensor
 from fnr.cli import main
 from fnr.data import CorpusSplit, QaRecord, collate, corpus_stats, load_corpus, make_example, save_corpus, split
 from fnr.embeddings import EmbeddingMatrix, SgnsConfig, train_skipgram
@@ -186,7 +186,7 @@ def test_c5_loss_sanity(tiny_vocab, fig_example, tiny_cfg):
     n_valid = int(batch.mask.sum())
     assert abs(loss.item() / n_valid - math.log(2)) < 1e-9
 
-    perfect = Probabilities(40.0 * (2.0 * batch.gold[batch.mask > 0] - 1.0), batch.mask)
+    perfect = Probabilities(Tensor(40.0 * (2.0 * batch.gold[batch.mask > 0] - 1.0)), batch.mask)
     assert batch_loss(perfect, batch.gold, batch.mask).item() < 1e-6
 
 

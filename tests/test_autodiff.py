@@ -395,7 +395,7 @@ class TestPerOpGradients:
         group = ParamGroup()
         group.add("a", a)
         group.add("b", b)
-        err = grad_check(lambda g: linear(g["a"], g["b"], np.zeros(2)), group, h=1e-6,
+        err = grad_check(lambda g: linear(g["a"], g["b"], Tensor(np.zeros(2))), group, h=1e-6,
                          seed=np.ones((2, 2)))
         assert err < 1e-6, f"{name}: rel err {err}"
 

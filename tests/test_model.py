@@ -431,27 +431,27 @@ class TestLoss:
     # One (T, |L|) sequence as a batch of one; ``Probabilities`` takes the
     # valid rows' logits: log-probabilities, or +-40 for a perfect one.
     def test_perfect_predictions_zero_loss(self):
-        probs = Probabilities(np.array([[40.0, -40.0], [-40.0, 40.0]]), np.ones((1, 2)))
+        probs = Probabilities(Tensor(np.array([[40.0, -40.0], [-40.0, 40.0]])), np.ones((1, 2)))
         gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         loss = batch_loss(probs, gold, np.ones((1, 2)))
         assert loss.item() < 1e-6
 
     def test_uniform_probs_ln2_per_token(self):
         n = 5
-        probs = Probabilities(np.log(np.full((n, 2), 0.5)), np.ones((1, n)))
+        probs = Probabilities(Tensor(np.log(np.full((n, 2), 0.5))), np.ones((1, n)))
         gold = np.zeros((1, n, 2))
         gold[..., 0] = 1.0
         loss = batch_loss(probs, gold, np.ones((1, n)))
         assert abs(loss.item() - n * math.log(2)) < 1e-9
 
     def test_hand_case(self):
-        probs = Probabilities(np.log([[0.9, 0.1], [0.2, 0.8]]), np.ones((1, 2)))
+        probs = Probabilities(Tensor(np.log([[0.9, 0.1], [0.2, 0.8]])), np.ones((1, 2)))
         gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         loss = batch_loss(probs, gold, np.ones((1, 2)))
         assert abs(loss.item() - (-(math.log(0.9) + math.log(0.8)))) < 1e-12
 
     def test_padding_excluded(self):
-        probs = Probabilities(np.log([[0.9, 0.1]]), np.array([[1.0, 0.0]]))
+        probs = Probabilities(Tensor(np.log([[0.9, 0.1]])), np.array([[1.0, 0.0]]))
         gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         loss = batch_loss(probs, gold, np.array([[1.0, 0.0]]))
         assert abs(loss.item() - (-math.log(0.9))) < 1e-12
@@ -484,13 +484,13 @@ class TestLoss:
         assert err < 1e-6
 
     def test_gold_not_one_hot_rejected(self):
-        probs = Probabilities(np.zeros((2, 2)), np.ones((1, 2)))
+        probs = Probabilities(Tensor(np.zeros((2, 2))), np.ones((1, 2)))
         gold = np.array([[[1.0, 1.0], [0.0, 1.0]]])
         with pytest.raises(ValueError, match="one-hot"):
             batch_loss(probs, gold, np.ones((1, 2)))
 
     def test_batch_loss_sums_over_examples(self):
-        probs = Probabilities(np.zeros((6, 2)), np.ones((3, 2)))
+        probs = Probabilities(Tensor(np.zeros((6, 2))), np.ones((3, 2)))
         gold = np.zeros((3, 2, 2))
         gold[:, :, 1] = 1.0
         loss = batch_loss(probs, gold, np.ones((3, 2)))

@@ -262,7 +262,8 @@ class TestGradCheckSeed:
 
         def check(seed=None):
             if seed is None:  # sum(softmax(x)) as a scalar
-                return grad_check(lambda g: linear(softmax(g["x"]), np.ones((1, 4)), np.zeros(1)),
+                return grad_check(lambda g: linear(softmax(g["x"]), Tensor(np.ones((1, 4))),
+                                                 Tensor(np.zeros(1))),
                                   group, h=1e-6)
             return grad_check(lambda g: softmax(g["x"]), group, h=1e-6, seed=seed)
 
