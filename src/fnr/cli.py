@@ -203,10 +203,10 @@ def _bank_size(san_cfg: SanConfig) -> int:
 
 def _resolve_banks(labeled, labeled_path: str, pool_path: str | None,
                    cache_path: str | None, bank_size: int) -> dict[int, list[QaRecord]]:
-    """Up to ``bank_size`` bank records per labeled-record line number, from
-    the cache when present, via BM25 over the pool otherwise, empty as a
-    last resort.  A cache is refused unless both corpora still hash as when
-    it was built and it holds an entry for every labeled record."""
+    """Up to ``bank_size`` bank records per labeled line number: from the
+    cache when given, else by BM25 over the pool, else empty.  A cache is
+    refused unless both corpora hash as when it was built and it gives
+    every labeled record an entry naming only unlabeled pool lines."""
     if cache_path and not pool_path:
         raise ConfigError("bank_cache needs pool: the cache names pool lines by number")
     banks: dict[int, list[QaRecord]] = {rec.line_no: [] for rec in labeled}
@@ -222,11 +222,12 @@ def _resolve_banks(labeled, labeled_path: str, pool_path: str | None,
             if lines is None:
                 raise ConfigError(f"bank cache {cache_path} has no entry for labeled line "
                                   f"{rec.line_no}; rebuild it with fnr build-bank")
-            try:
-                banks[rec.line_no] = [pool_by_line[i] for i in lines][:bank_size]
-            except KeyError as err:
-                raise ConfigError(
-                    f"bank cache references pool line {err.args[0]} not present in {pool_path}") from err
+            bad = [i for i in lines if i not in pool_by_line or pool_by_line[i].labeled]
+            if bad:
+                what = "labeled" if bad[0] in pool_by_line else f"not present in {pool_path}"
+                raise ConfigError(f"bank cache {cache_path} gives labeled line {rec.line_no} "
+                                  f"pool line {bad[0]}, which is {what}")
+            banks[rec.line_no] = [pool_by_line[i] for i in lines][:bank_size]
     elif pool:
         index = Bm25Index(pool)
         for rec in labeled:

@@ -328,6 +328,26 @@ class TestBankCacheFreshness:
         assert code == 3
         assert "no entry for labeled line 2" in caplog.text
 
+    def test_cache_naming_a_labeled_pool_line_exit_3(self, tmp_path, corpus_path, caplog):
+        # build-bank indexes only the pool's unlabeled lines, so a cache
+        # entry naming pool line 7, a labeled question, was not written by
+        # it; the header's digests cannot tell, since they cover only the
+        # corpora.
+        pool = tmp_path / "mixed_pool.jsonl"
+        save_corpus(pool, pool_records() + labeled_records()[1:2])
+        cache = self.build(tmp_path, corpus_path, pool)
+        header, entry, *rest = cache.read_text().splitlines(keepends=True)
+        first = json.loads(entry)
+        assert first["query_line"] == 1 and 7 not in first["bank_lines"]
+        first["bank_lines"].insert(0, 7)
+        cache.write_text("".join([header, json.dumps(first) + "\n", *rest]))
+        out = tmp_path / "model.npz"
+        code = main(train_args(corpus_path, out)
+                    + ["--pool", str(pool), "--bank-cache", str(cache)])
+        assert code == 3
+        assert "labeled line 1 pool line 7, which is labeled" in caplog.text
+        assert not out.exists()
+
 
 class TestRunConfig:
     PATH_KEYS = {"corpus", "pool", "bank_cache", "embeddings", "checkpoint", "epoch_log"}
