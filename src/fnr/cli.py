@@ -3,8 +3,8 @@
 Subcommands: pretrain-embeddings, build-bank, train, evaluate, extract,
 stats.  Settings merge a config file (JSON or key=value lines) with
 command-line overrides, overrides winning; unknown keys are rejected.
-All randomness flows from one seed (--seed, config, or the SAN_SEED
-environment variable, in that order).
+All randomness flows from one seed: --seed beats the config file, which
+beats the default (13).  Output paths are checked before any data is read.
 
 Exit codes: 0 success, 2 I/O error, 3 config/validation error, 4 numeric
 failure.
@@ -42,20 +42,6 @@ class ConfigError(ValueError):
     """Bad run configuration: unknown key, bad value, or missing setting."""
 
 
-def _seed(value: int | None) -> int:
-    """``value`` when set, else the SAN_SEED environment variable, else
-    SanConfig's default."""
-    if value is not None:
-        return value
-    env = os.environ.get("SAN_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as err:
-            raise ConfigError(f"SAN_SEED must be an integer, got {env!r}") from err
-    return SanConfig.seed
-
-
 _MODEL_KEYS = {f.name for f in dataclasses.fields(SanConfig)}
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 
@@ -79,7 +65,6 @@ class RunConfig:
         values = {k: v for k, v in self.settings.items() if k in _MODEL_KEYS}
         if "variant" in values:
             values["variant"] = values["variant"].strip().lower()
-        values["seed"] = _seed(self.settings.get("seed"))
         try:
             return SanConfig(**values)
         except ValueError as err:
@@ -163,7 +148,7 @@ def cmd_pretrain_embeddings(args) -> int:
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SgnsConfig)}
     cfg = SgnsConfig(**{k: v for k, v in flags.items() if v is not None})
     matrix = train_skipgram([rec.question_tokens for rec in records], cfg,
-                            np.random.default_rng(_seed(args.seed)))
+                            np.random.default_rng(args.seed))
     save_embeddings(matrix, args.out)
     final = matrix.loss_history[-1] if matrix.loss_history else float("nan")
     print(f"vocabulary size: {len(matrix.vocab)}")
@@ -237,9 +222,11 @@ def _resolve_banks(labeled, labeled_path: str, pool_path: str | None,
     return banks
 
 
-def _check_writable(path: str) -> None:
+def _check_writable(path: str | None) -> None:
     """Raise now, naming ``path``, the OSError that writing it would raise
-    later; the file system is left as it was."""
+    later; the file system is left as it was.  No path is no check."""
+    if not path:
+        return
     try:
         if os.path.exists(path):
             open(path, "ab").close()
@@ -259,6 +246,7 @@ def cmd_train(args) -> int:
     san_cfg = cfg.san_config()
     tcfg = cfg.train_config()
     _check_writable(cfg.checkpoint)
+    _check_writable(cfg.epoch_log)
 
     records = load_corpus(cfg.corpus)
     labeled = [r for r in records if r.labeled]
@@ -315,6 +303,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_writable(args.report)
     records = [r for r in load_corpus(args.data) if r.labeled]
     if not records:
         raise ConfigError(f"{args.data}: no labeled records to evaluate")
@@ -353,6 +342,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    _check_writable(args.trace)
     params, san_cfg, vocab = load_model(args.model)
     sentences = tokenize(args.question)
     if not sentences:
@@ -421,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     for f in dataclasses.fields(SgnsConfig):
         p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=SanConfig.seed)
     p.set_defaults(func=cmd_pretrain_embeddings)
 
     p = sub.add_parser("build-bank",

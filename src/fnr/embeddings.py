@@ -140,7 +140,7 @@ def _pair_terms(x: np.ndarray, y: np.ndarray, sign: np.ndarray):
     """z = -score for the positive column and +score for the negatives,
     so a pair's objective is sum log(1 + e^z); returns z and the
     objective's gradient with respect to the scores, sign * sig(z)."""
-    z = np.clip(x @ y.transpose(0, 2, 1), -30.0, 30.0) * sign
+    z = np.minimum(np.maximum(x @ y.transpose(0, 2, 1), -30.0), 30.0) * sign
     return z, sign / (1.0 + np.exp(-z))
 
 

@@ -5,7 +5,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import re
 from pathlib import Path
 
@@ -117,7 +116,6 @@ class TestPretrainEmbeddings:
 
     def test_defaults_are_the_config_classes_defaults(self, tmp_path, corpus_path,
                                                       monkeypatch):
-        monkeypatch.delenv("SAN_SEED", raising=False)
         seen = []
 
         def spy(corpus, cfg, rng):
@@ -389,8 +387,7 @@ class TestRunConfig:
             with pytest.raises(ConfigError):
                 load(bad)
 
-    def test_defaults_are_the_config_classes_defaults(self, monkeypatch):
-        monkeypatch.delenv("SAN_SEED", raising=False)
+    def test_defaults_are_the_config_classes_defaults(self):
         cfg = load_run_config(None, {})
         assert cfg.san_config() == SanConfig()
         assert cfg.train_config() == TrainConfig()
@@ -500,15 +497,16 @@ class TestTrain:
             "corpus": str(corpus_path), "checkpoint": str(ckpt)}))
         assert main(["train", "--config", str(cfg_file)]) == 0
 
-    def test_env_seed_fallback(self, tmp_path, corpus_path, monkeypatch):
+    @pytest.mark.parametrize("value", ["77", "x"])
+    def test_environment_does_not_set_seed(self, tmp_path, corpus_path, monkeypatch, value):
         ckpt = tmp_path / "model.npz"
-        monkeypatch.setenv("SAN_SEED", "77")
+        monkeypatch.setenv("SAN_SEED", value)
         args = train_args(corpus_path, ckpt)
         args.remove("--seed")
         args.remove("3")
         assert main(args) == 0
         _, cfg, _ = load_model(ckpt)
-        assert cfg.seed == 77
+        assert cfg.seed == SanConfig.seed == 13
 
     def test_unknown_config_key_exit_3(self, tmp_path, corpus_path):
         ckpt = tmp_path / "model.npz"
@@ -551,6 +549,13 @@ class TestTrain:
         assert reads == [] and "epoch" not in capsys.readouterr().out
         assert str(ckpt) in caplog.text
         assert sorted(tmp_path.rglob("*")) == before
+
+    @UNWRITABLE
+    def test_unwritable_epoch_log_exit_2_before_reading(self, tmp_path, corpus_path,
+                                                        monkeypatch, caplog, out):
+        epoch_log = tmp_path / out
+        assert_exit_2_before_reading(monkeypatch, caplog, train_args(
+            corpus_path, tmp_path / "m.npz") + ["--epoch-log", str(epoch_log)], epoch_log)
 
     def test_empty_validation_split_exit_3(self, tmp_path):
         # split() cuts 3 records 3/0/0.
@@ -621,6 +626,15 @@ class TestEvaluate:
         metrics = payload["models"][0]["metrics"]
         assert metrics["span"]["f1"] == 1.0
         assert metrics["token"]["f1"] == 1.0
+
+    @UNWRITABLE
+    def test_unwritable_report_exit_2_before_reading(self, tmp_path, overfit_ckpt,
+                                                     monkeypatch, caplog, out):
+        corpus, ckpt = overfit_ckpt
+        report = tmp_path / out
+        assert_exit_2_before_reading(monkeypatch, caplog, [
+            "evaluate", "--model", str(ckpt), "--data", str(corpus),
+            "--report", str(report)], report)
 
     def test_report_schema(self, tmp_path, overfit_ckpt):
         corpus, ckpt = overfit_ckpt
@@ -1195,8 +1209,8 @@ def read_config_text(text):
     anything else is ``key=value`` lines, blank and ``#`` lines skipped.
     Keys are the fields of SanConfig and TrainConfig plus the paths; a
     JSON value has its field's type (an int for a float too), a text
-    value parses as it.  Both paths are required, the seed falls back to
-    SAN_SEED, and the two classes must accept their values."""
+    value parses as it.  Both paths are required, and the two classes
+    must accept their values."""
     if text.lstrip().startswith("{"):
         try:
             values = json.loads(text)
@@ -1228,7 +1242,6 @@ def read_config_text(text):
     corpus, checkpoint = values.pop("corpus", None), values.pop("checkpoint", None)
     if corpus is None or checkpoint is None:
         return None
-    values.setdefault("seed", int(os.environ.get("SAN_SEED", SanConfig.seed)))
     try:
         TrainConfig(**{k: v for k, v in values.items() if k in TRAIN_KEYS})
         model = SanConfig(**{k: v for k, v in values.items() if k in MODEL_KEYS})
@@ -1341,6 +1354,16 @@ class TestExtract:
         assert "level1_weights" in payload
         assert "level2_weights" in payload
         assert len(payload["bank_questions"]) <= 2  # bank_size of the checkpoint
+
+    @UNWRITABLE
+    def test_unwritable_trace_exit_2_before_reading(self, tmp_path, overfit_ckpt,
+                                                    monkeypatch, capsys, caplog, out):
+        _, ckpt = overfit_ckpt
+        monkeypatch.setattr(cli, "load_model", lambda path: pytest.fail(f"read {path}"))
+        trace = tmp_path / out
+        assert main(["extract", "--model", str(ckpt), "--question", "works ?",
+                     "--trace", str(trace)]) == 2
+        assert str(trace) in caplog.text and capsys.readouterr().out == ""
 
     def test_category_indexes_only_that_category(self, tmp_path, overfit_ckpt,
                                                  monkeypatch, capsys):
