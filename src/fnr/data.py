@@ -278,7 +278,6 @@ class CorpusSplit:
     train: list
     validation: list
     test: list
-    seed: int
 
 
 def split(examples: Sequence, seed: int) -> CorpusSplit:
@@ -295,8 +294,7 @@ def split(examples: Sequence, seed: int) -> CorpusSplit:
     shuffled = [examples[i] for i in order]
     c1 = math.ceil(0.7 * n)
     c2 = math.ceil(0.8 * n)
-    return CorpusSplit(train=shuffled[:c1], validation=shuffled[c1:c2],
-                       test=shuffled[c2:], seed=seed)
+    return CorpusSplit(train=shuffled[:c1], validation=shuffled[c1:c2], test=shuffled[c2:])
 
 
 @dataclass

@@ -19,20 +19,21 @@ records 9 nodes: two embedding lookups, one ``blstm_forward`` per BLSTM
 projection and ``batch_loss``.  Checkpoints are a versioned ``.npz`` of
 little-endian float64 tensors; round trips are bit-exact.
 
-Bank memo: in eval (no tape active) the same pool questions recur in bank
-after bank, so each ``SanParams`` keeps a ``BankMemo`` of transformed bank
-words, tanh(W_k h + b_k) at a bank question's valid positions, keyed on
-its valid token-id prefix (its length is part of the key, so a PAD id
-inside a valid prefix never looks like padding).  A tape-free forward
-encodes only the rows the memo lacks and gets the packed words of the
-batch, its entries concatenated.  Parameters change only through their
-``ParamGroup``, which counts the writes to each tensor; the memo drops
-every entry when the counts of the tensors the words read
-(``SanParams.bank_sources``) differ from those it was filled at, so a
-write to them costs a recompute, never a stale answer, and a write to any
-other tensor costs nothing.  An entry takes len * A * 8 bytes at float64
-and lives until the next such write.  A forward under a tape never reads
-or fills the memo.
+Bank memo: ``SanParams.bank_words`` is a forward's one source of bank
+words.  In eval (no tape active) the same pool questions recur in bank
+after bank, so it keeps a memo of transformed bank words, tanh(W_k h +
+b_k) at a bank question's valid positions, keyed on its valid token-id
+prefix (its length is part of the key, so a PAD id inside a valid prefix
+never looks like padding).  A tape-free forward encodes only the rows the
+memo lacks and gets the packed words of the batch, its entries
+concatenated.  Parameters change only through their ``ParamGroup``,
+which counts the writes to each tensor; the memo drops every entry when
+the counts of the tensors the words read (``SanParams.bank_sources``)
+differ from those it was filled at, so a write to them costs a
+recompute, never a stale answer, and a write to any other tensor costs
+nothing.  An entry takes len * A * 8 bytes at float64 and lives until
+the next such write.  A forward under a tape never reads or fills the
+memo.
 """
 
 from __future__ import annotations
@@ -120,70 +121,13 @@ class SanConfig:
     def projection_width(self) -> int:
         return self.encoder_width if self.has_layer2 else self.augmented_width
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SanConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**obj)
-
-
-class BankMemo:
-    """Transformed words of each distinct bank question, for tape-free
-    forwards; see the module docstring.
-
-    ``encoded`` counts rows run through the bank encoder and ``served``
-    rows answered by an existing entry, over the memo's lifetime; every
-    non-empty bank row of a memoised forward adds one to either.
-    """
-
-    def __init__(self):
-        self.encoded = 0
-        self.served = 0
-        self._lock = threading.Lock()
-        self._words: dict[bytes, np.ndarray] = {}
-        self._writes: tuple[int, ...] = ()   # the read tensors' write counts _words was filled at
-
-    def bank_words(self, bank_ids: np.ndarray, bank_mask: np.ndarray,
-                   params: "SanParams") -> np.ndarray:
-        """(M, A) transformed words, one row per valid position of
-        ``bank_mask``, in the row-major order ``a[bank_mask > 0]`` gives."""
-        t_len = bank_ids.shape[-1]
-        ids = np.asarray(bank_ids, dtype=np.int64).reshape(-1, t_len)
-        mask = np.asarray(bank_mask).reshape(-1, t_len)
-        lengths = mask.sum(axis=1).astype(np.intp)
-        keys = [(r, ids[r, :n].tobytes()) for r, n in enumerate(lengths) if n]
-        writes = tuple(params.group.writes[name] for name in params.bank_sources())
-        with self._lock:
-            if self._writes != writes:
-                self._words, self._writes = {}, writes
-            fresh: dict[bytes, int] = {}   # key -> first row holding it
-            for r, key in keys:
-                if key not in self._words:
-                    fresh.setdefault(key, r)
-            if fresh:
-                rows = list(fresh.values())
-                self._encode(ids[rows], mask[rows], lengths[rows], list(fresh), params)
-            words = [self._words[key] for _, key in keys]
-            self.encoded += len(fresh)
-            self.served += len(keys) - len(fresh)
-        if not words:
-            return np.zeros((0, params.attention.dim), dtype=params.group.dtype)
-        return np.concatenate(words)
-
-    def _encode(self, ids: np.ndarray, mask: np.ndarray, lengths: np.ndarray,
-                keys: list[bytes], params: "SanParams") -> None:
-        words = params.encode_bank(ids, mask).data
-        self._words.update(zip(keys, np.split(words, np.cumsum(lengths)[:-1])))
-
 
 class SanParams:
     """All trainable tensors, registered by name in one ParamGroup, plus
-    the eval-time ``BankMemo`` of the bank encoder's outputs.
+    the eval-time memo ``bank_words`` serves.  Over its lifetime
+    ``bank_encoded`` counts rows the memo encoded and ``bank_served`` rows
+    it answered; every non-empty bank row of a tape-free forward adds one
+    to either.
 
     Exactly one bank encoder, ``bank_blstm`` (tensors ``bank.*``), exists
     regardless of how many bank questions an example carries; it is
@@ -201,7 +145,10 @@ class SanParams:
         self.blstm2 = blstm2
         self.proj_w = proj_w
         self.proj_b = proj_b
-        self.bank_memo = BankMemo()
+        self.bank_encoded = self.bank_served = 0
+        self._memo_lock = threading.Lock()
+        self._memo: dict[bytes, np.ndarray] = {}
+        self._memo_writes: tuple[int, ...] = ()   # the sources' write counts the memo was filled at
 
     def bank_sources(self) -> list[str]:
         """Names of the tensors the bank words are computed from."""
@@ -213,6 +160,36 @@ class SanParams:
         ``mask``, one row per valid position in ``a[mask > 0]`` order."""
         embedded = gather_rows(self.embedding, ids[mask > 0])
         return transform_bank(blstm_forward(embedded, mask, self.bank_blstm), self.attention)
+
+    def bank_words(self, bank_ids: np.ndarray, bank_mask: np.ndarray) -> Tensor:
+        """(M, A) transformed words, one row per valid position of
+        ``bank_mask``, in the row-major order ``a[bank_mask > 0]`` gives:
+        from ``encode_bank`` under a tape when there are bank slots, else
+        from the memo (see the module docstring)."""
+        if _tape() is not None and bank_ids.shape[1]:
+            return self.encode_bank(bank_ids, bank_mask)
+        ids = np.asarray(bank_ids, dtype=np.int64).reshape(-1, bank_ids.shape[-1])
+        mask = np.asarray(bank_mask).reshape(ids.shape)
+        lengths = mask.sum(axis=1).astype(np.intp)
+        keys = [(r, ids[r, :n].tobytes()) for r, n in enumerate(lengths) if n]
+        writes = tuple(self.group.writes[name] for name in self.bank_sources())
+        with self._memo_lock:
+            if self._memo_writes != writes:
+                self._memo, self._memo_writes = {}, writes
+            fresh: dict[bytes, int] = {}   # key -> first row holding it
+            for r, key in keys:
+                if key not in self._memo:
+                    fresh.setdefault(key, r)
+            if fresh:
+                rows = list(fresh.values())
+                encoded = self.encode_bank(ids[rows], mask[rows]).data
+                self._memo.update(zip(fresh, np.split(encoded, np.cumsum(lengths[rows])[:-1])))
+            words = [self._memo[key] for _, key in keys]
+            self.bank_encoded += len(fresh)
+            self.bank_served += len(keys) - len(fresh)
+        if not words:
+            return Tensor(np.zeros((0, self.attention.dim), dtype=self.group.dtype))
+        return Tensor(np.concatenate(words))
 
     @classmethod
     def build(cls, cfg: SanConfig, vocab_size: int, rng: np.random.Generator,
@@ -271,9 +248,8 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
     """Per-token label distributions for a batch: (B, T, |L|) plus traces.
 
     Valid rows sum to one; padded rows are exactly zero.  Bank words come
-    from ``params.bank_memo`` with no tape active, and from the bank BLSTM
-    and ``transform_bank`` under one.  ``training`` turns on dropout at
-    rate ``cfg.dropout``, drawn from ``rng``.
+    from ``params.bank_words``.  ``training`` turns on dropout at rate
+    ``cfg.dropout``, drawn from ``rng``.
     """
     if batch.ids.shape[1] != cfg.max_len:
         raise ValueError(
@@ -285,12 +261,7 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
     hq1 = blstm_forward(emb, batch.mask, params.blstm1, dropout_rate=dropout, rng=rng)
     traces = None
     if cfg.has_bank:
-        if batch.bank_ids.shape[1] == 0:
-            words = Tensor(np.zeros((0, cfg.attention_dim), dtype=params.group.dtype))
-        elif _tape() is None:
-            words = Tensor(params.bank_memo.bank_words(batch.bank_ids, batch.bank_mask, params))
-        else:
-            words = params.encode_bank(batch.bank_ids, batch.bank_mask)
+        words = params.bank_words(batch.bank_ids, batch.bank_mask)
         hq2, traces = bank_attend_batch(hq1, batch.mask, words, batch.bank_mask,
                                         params.attention, want_trace=want_trace)
     else:
@@ -363,8 +334,8 @@ def save_model(path, params: SanParams, cfg: SanConfig, vocab: Vocabulary) -> No
     """Versioned checkpoint: an uncompressed ``.npz`` written to exactly
     ``path``, one little-endian float64 array per parameter name plus
     ``__meta__``, the UTF-8 JSON of the format version and the config."""
-    meta = json.dumps({"format_version": CHECKPOINT_VERSION,
-                       "config": {**cfg.to_dict(), "vocab": vocab.id_to_token}}, sort_keys=True)
+    config = {**dataclasses.asdict(cfg), "vocab": vocab.id_to_token}
+    meta = json.dumps({"format_version": CHECKPOINT_VERSION, "config": config}, sort_keys=True)
     tensors = {name: np.asarray(t.data, dtype="<f8") for name, t in params.group.items()}
     with open(path, "wb") as fh:   # a path argument would gain a .npz suffix
         np.savez(fh, __meta__=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8), **tensors)
@@ -402,8 +373,11 @@ def load_model(path) -> tuple[SanParams, SanConfig, Vocabulary]:
         value = config_dict[f.name]
         if not json_type_ok(f.type, value):
             raise CheckpointError(f"checkpoint config {f.name!r}: expected {f.type}, got {value!r}")
+    unknown = sorted(set(config_dict) - {f.name for f in dataclasses.fields(SanConfig)})
+    if unknown:
+        raise CheckpointError(f"checkpoint config has unknown keys {unknown}")
     try:
-        cfg = SanConfig.from_dict(config_dict)
+        cfg = SanConfig(**config_dict)
     except ValueError as err:
         raise CheckpointError(f"checkpoint config: {err}") from err
     try:

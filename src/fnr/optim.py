@@ -133,8 +133,7 @@ def adam_step(params: ParamGroup, grads: Gradients, lr: float) -> ParamGroup:
 
 
 def grad_check(loss_fn: Callable[[ParamGroup], Tensor], params: ParamGroup,
-               h: float = 1e-5, max_coords_per_tensor: int | None = None,
-               rng: np.random.Generator | None = None, seed=None) -> float:
+               h: float = 1e-5, max_coords_per_tensor: int | None = None, seed=None) -> float:
     """Compare taped gradients of ``loss_fn`` against central differences.
 
     Without ``seed`` the output must be a scalar loss.  ``seed`` is a
@@ -145,8 +144,8 @@ def grad_check(loss_fn: Callable[[ParamGroup], Tensor], params: ParamGroup,
     |g_ad - g_fd| / max(s, |g_ad|, |g_fd|) over all checked coordinates;
     s, the group's largest |g_ad| clipped to [1e-2, 1], keeps the error
     relative when every gradient is small.
-    For large tensors a random coordinate subset may be checked
-    (``max_coords_per_tensor``).  The group must be float64; the
+    For large tensors a subset drawn from ``np.random.default_rng(0)`` may
+    be checked (``max_coords_per_tensor``).  The group must be float64; the
     comparison is meaningless at float32.  A non-finite loss or taped
     gradient raises ``NonFiniteError``.
     """
@@ -171,11 +170,11 @@ def grad_check(loss_fn: Callable[[ParamGroup], Tensor], params: ParamGroup,
     largest = max((np.abs(grads[p]).max(initial=0.0) for _, p in params.items()), default=0.0)
     scale = min(1.0, max(1e-2, float(largest)))
     worst = 0.0
+    picker = np.random.default_rng(0)
     for name, p in params.items():
         gflat = grads[p].reshape(-1)
         n = p.size
         if max_coords_per_tensor is not None and n > max_coords_per_tensor:
-            picker = rng if rng is not None else np.random.default_rng(0)
             coords = picker.choice(n, size=max_coords_per_tensor, replace=False)
         else:
             coords = range(n)

@@ -149,7 +149,7 @@ def test_c4_overfit_and_extract(tmp_path):
                     bank_size=3, dropout=0.1, variant="san", seed=11)
     examples = [make_example(r, build_bank(r, index, u_max=3), vocab,
                              max_len=10, bank_size=3) for r in records]
-    data = CorpusSplit(train=examples, validation=examples, test=[], seed=0)
+    data = CorpusSplit(train=examples, validation=examples, test=[])
     tcfg = TrainConfig(lr=0.01, batch_size=20, max_epochs=200, patience=199)
     started = time.monotonic()
     params, logs = train(cfg, tcfg, data, vocab)
@@ -246,8 +246,7 @@ def _run_bank_task(variant, seed):
                 for r, b in train_corpus]
     test_ex = [make_example(r, b, vocab, max_len=max_len, bank_size=u)
                for r, b in test_corpus]
-    data = CorpusSplit(train=train_ex[:160], validation=train_ex[160:],
-                       test=test_ex, seed=0)
+    data = CorpusSplit(train=train_ex[:160], validation=train_ex[160:], test=test_ex)
     cfg = SanConfig(embedding_dim=hid, hidden_size=hid, attention_dim=hid,
                     max_len=max_len, bank_size=u, dropout=0.0, variant=variant, seed=seed)
     tcfg = TrainConfig(lr=0.02, batch_size=32, max_epochs=300, patience=50)

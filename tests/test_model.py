@@ -186,12 +186,14 @@ class TestTapeMix:
                         bank_size=bank_size, dropout=0.2, variant=variant, seed=1)
         batch = collate([make_example(fig_example.record, fig_example.bank, tiny_vocab,
                                       max_len=6, bank_size=bank_size)])
+        params = build(cfg, tiny_vocab)
         with Tape() as tape:
-            probs, _ = forward_batch(batch, build(cfg, tiny_vocab), cfg, training=True,
+            probs, _ = forward_batch(batch, params, cfg, training=True,
                                      rng=np.random.default_rng(0))
             assert len(tape) == nodes
             batch_loss(probs, batch.gold, batch.mask)
         assert len(tape) == nodes + 1
+        assert (params.bank_encoded, params.bank_served) == (0, 0)
 
     @staticmethod
     def paper_dims_batch():
@@ -239,7 +241,7 @@ class TestTapeMix:
                           ("bank_attend_batch", (n_q, width + attn)),
                           ("blstm_forward", (n_q, width)),
                           ("linear", (n_q, 2))]
-        words = params.bank_memo.bank_words(batch.bank_ids, batch.bank_mask, params)
+        words = params.bank_words(batch.bank_ids, batch.bank_mask).data
         assert words.shape == (n_b, attn)
 
     def test_san_step_keeps_what_its_nodes_document(self, traced):
@@ -570,6 +572,7 @@ class TestCheckpoint:
         loaded, cfg2, vocab2 = load_model(path)
         after = probs_of(fig_example, loaded, cfg2)
         assert np.array_equal(before, after)
+        assert cfg2 == tiny_cfg
         assert vocab2.id_to_token == tiny_vocab.id_to_token
 
     def test_save_deterministic_bytes(self, tmp_path, tiny_cfg, tiny_vocab):
@@ -723,8 +726,7 @@ class TestEndToEndGradients:
             return batch_loss(probs, batch.gold, batch.mask)
 
         values = params.group.copy_values()
-        err = grad_check(loss, params.group, h=1e-5, max_coords_per_tensor=16,
-                         rng=np.random.default_rng(0))
+        err = grad_check(loss, params.group, h=1e-5, max_coords_per_tensor=16)
         assert err < 1e-4
         for name, value in values.items():
             assert np.array_equal(params.group[name].data, value), name
@@ -761,7 +763,7 @@ class TestFloat32:
             assert (grads[p].dtype, p.data.dtype) == (np.float32, np.float32), name
         probs, _ = forward_batch(memo_batch, params, cfg)
         assert probs.data.dtype == np.float32
-        assert params.bank_memo.encoded == 4
+        assert params.bank_encoded == 4
         assert words_dtypes == [np.float32, np.float32]
         ref = build(cfg, memo_vocab)
         ref.group.load_values(params.group.copy_values())
@@ -776,6 +778,7 @@ class TestFloat32:
         example = make_example(rec, [], memo_vocab, max_len=6, bank_size=0)
         assert probs_of(example, params, cfg).dtype == np.float32
         assert words_dtypes == [np.float32]
+        assert (params.bank_encoded, params.bank_served) == (0, 0)
 
 
 class TestConfig:
@@ -783,12 +786,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SanConfig(variant="crf")
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown config keys"):
-            SanConfig.from_dict({"variant": "san", "bogus": 1})
-
-    def test_round_trip(self, tiny_cfg):
-        assert SanConfig.from_dict(tiny_cfg.to_dict()) == tiny_cfg
 
 
 def memo_cfg():
@@ -873,7 +870,7 @@ class TestBankMemo:
         params = build(cfg, memo_vocab)
         with Tape():
             want, want_traces = forward_batch(memo_batch, params, cfg, want_trace=True)
-        assert params.bank_memo.encoded == 0
+        assert params.bank_encoded == 0
         first, traces = forward_batch(memo_batch, params, cfg, want_trace=True)
         second, _ = forward_batch(memo_batch, params, cfg)
         diff = max(np.abs(first.data - want.data).max(),
@@ -889,28 +886,26 @@ class TestBankMemo:
     def test_writes_the_words_never_read_keep_entries(self, memo_vocab, memo_batch):
         cfg = memo_cfg()
         params = build(cfg, memo_vocab)
-        memo = params.bank_memo
         forward_batch(memo_batch, params, cfg)
-        assert memo.encoded == 4
+        assert params.bank_encoded == 4
         params.group.assign("proj.w", (0, 0), 0.5)
         forward_batch(memo_batch, params, cfg)
-        assert memo.encoded == 4
+        assert params.bank_encoded == 4
         params.group.assign("attention.w_k", (0, 0), 0.5)
         forward_batch(memo_batch, params, cfg)
-        assert memo.encoded == 8
+        assert params.bank_encoded == 8
 
     def test_counts_encoded_and_served_rows(self, memo_vocab, memo_batch):
         cfg = memo_cfg()
         params = build(cfg, memo_vocab)
-        memo = params.bank_memo
         # Non-empty bank rows: shared, with_pad, prefix, shared, other.
         forward_batch(memo_batch, params, cfg)
-        assert (memo.encoded, memo.served) == (4, 1)
+        assert (params.bank_encoded, params.bank_served) == (4, 1)
         forward_batch(memo_batch, params, cfg)
-        assert (memo.encoded, memo.served) == (4, 6)
+        assert (params.bank_encoded, params.bank_served) == (4, 6)
         with Tape():
             forward_batch(memo_batch, params, cfg)
-        assert (memo.encoded, memo.served) == (4, 6)
+        assert (params.bank_encoded, params.bank_served) == (4, 6)
 
     def test_eval_thread_ignores_another_threads_tape(self, memo_vocab, memo_batch):
         cfg = memo_cfg()
@@ -950,4 +945,4 @@ class TestBankMemo:
             assert not t.is_alive()
         assert not errors
         assert len(recorded) == 2 and recorded[0] == recorded[1] > 0
-        assert (params.bank_memo.encoded, params.bank_memo.served) == (4, 6)
+        assert (params.bank_encoded, params.bank_served) == (4, 6)

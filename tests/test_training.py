@@ -37,7 +37,7 @@ def tiny_cfg(variant="san", seed=1, dropout=0.0):
 class TestTrain:
     def test_two_runs_identical_logs_and_params(self):
         vocab, examples = tiny_dataset()
-        split = CorpusSplit(train=examples[:6], validation=examples[6:], test=[], seed=0)
+        split = CorpusSplit(train=examples[:6], validation=examples[6:], test=[])
         tcfg = TrainConfig(lr=0.01, batch_size=4, max_epochs=4, patience=3)
         runs = []
         for _ in range(2):
@@ -51,7 +51,7 @@ class TestTrain:
         # With an lr so small nothing changes, validation F1 never improves
         # after epoch 1, so patience=5 stops the run at epoch 6.
         vocab, examples = tiny_dataset()
-        split = CorpusSplit(train=examples[:6], validation=examples[6:], test=[], seed=0)
+        split = CorpusSplit(train=examples[:6], validation=examples[6:], test=[])
         tcfg = TrainConfig(lr=1e-12, batch_size=8, max_epochs=50, patience=5)
         _, logs = train(tiny_cfg(), tcfg, split, vocab)
         assert len(logs) == 6
@@ -80,14 +80,14 @@ class TestTrain:
 
     def test_divergence_aborts_with_location(self):
         vocab, examples = tiny_dataset()
-        split = CorpusSplit(train=examples[:6], validation=examples[6:], test=[], seed=0)
+        split = CorpusSplit(train=examples[:6], validation=examples[6:], test=[])
         tcfg = TrainConfig(lr=1e200, batch_size=3, max_epochs=5, patience=2)
         with pytest.raises(DivergenceError, match=r"epoch \d+, batch \d+"):
             train(tiny_cfg(), tcfg, split, vocab)
 
     def test_empty_train_rejected(self):
         vocab, examples = tiny_dataset()
-        split = CorpusSplit(train=[], validation=examples, test=[], seed=0)
+        split = CorpusSplit(train=[], validation=examples, test=[])
         with pytest.raises(ValueError, match="empty"):
             train(tiny_cfg(), TrainConfig(max_epochs=2, patience=1), split, vocab)
 
@@ -95,14 +95,14 @@ class TestTrain:
         # Without validation examples span-F1 stays 0 and early stopping
         # would silently keep the epoch-1 weights.
         vocab, examples = tiny_dataset()
-        split = CorpusSplit(train=examples, validation=[], test=[], seed=0)
+        split = CorpusSplit(train=examples, validation=[], test=[])
         with pytest.raises(ValueError, match="validation split is empty"):
             train(tiny_cfg(), TrainConfig(max_epochs=2, patience=1), split, vocab)
 
     def test_best_checkpoint_restored(self):
         # The returned parameters must reproduce the best epoch's val score.
         vocab, examples = tiny_dataset(n=10)
-        split = CorpusSplit(train=examples[:7], validation=examples[7:], test=[], seed=0)
+        split = CorpusSplit(train=examples[:7], validation=examples[7:], test=[])
         tcfg = TrainConfig(lr=0.05, batch_size=4, max_epochs=8, patience=7)
         cfg = tiny_cfg(seed=3)
         params, logs = train(cfg, tcfg, split, vocab)
@@ -113,7 +113,7 @@ class TestTrain:
         # Each training forward counts what is still alive of earlier steps'
         # tapes, output probabilities and gradient tables.
         vocab, examples = tiny_dataset()
-        split = CorpusSplit(train=examples[:6], validation=examples[6:], test=[], seed=0)
+        split = CorpusSplit(train=examples[:6], validation=examples[6:], test=[])
         refs, live_at_forward = [], []
         gradients = autodiff.Tape.gradients
 
