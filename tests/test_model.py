@@ -786,6 +786,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             SanConfig(variant="crf")
 
+    def test_from_dict_rejects_unknown_keys(self, tmp_path, tiny_cfg, tiny_vocab):
+        # load_model names every key SanConfig lacks, sorted, in one error.
+        def edit(meta, arrays):
+            meta["config"].update(bogus=1, alpha=2)
+            return meta
+        path = TestCheckpoint.edited(tmp_path, tiny_cfg, tiny_vocab, edit)
+        with pytest.raises(CheckpointError, match=r"unknown keys \['alpha', 'bogus'\]"):
+            load_model(path)
+
+    def test_round_trip(self, tmp_path, tiny_vocab):
+        # Every field off its default survives save_model/load_model, and
+        # the checkpoint's config is exactly the fields plus the vocabulary.
+        cfg = SanConfig(embedding_dim=3, hidden_size=5, attention_dim=2, max_len=7,
+                        bank_size=0, dropout=0.5, variant="sblstm", seed=4)
+        defaults = SanConfig()
+        assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+                   for f in dataclasses.fields(SanConfig))
+        path = tmp_path / "model.npz"
+        save_model(path, build(cfg, tiny_vocab), cfg, tiny_vocab)
+        meta, _ = read_checkpoint(path)
+        assert meta["config"] == {**dataclasses.asdict(cfg), "vocab": tiny_vocab.id_to_token}
+        assert load_model(path)[1] == cfg
+
 
 
 def memo_cfg():
