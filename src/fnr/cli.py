@@ -19,6 +19,7 @@ import logging
 import os
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,7 +158,10 @@ def cmd_pretrain_embeddings(args) -> int:
 
 
 def cmd_build_bank(args) -> int:
+    if args.top_k < 0:
+        raise ConfigError(f"--top-k must be >= 0, got {args.top_k}")
     _check_writable(args.out)
+    start = time.perf_counter()
     # Hashed before reading: a corpus edited during the build then fails
     # the check at load time instead of passing with stale banks.
     digests = {"labeled": file_sha256(args.labeled), "pool": file_sha256(args.pool)}
@@ -165,13 +169,19 @@ def cmd_build_bank(args) -> int:
     if not labeled:
         raise ConfigError(f"{args.labeled}: no labeled records")
     pool = load_corpus(args.pool)
+    loaded = time.perf_counter()
     index = Bm25Index(pool)
+    indexed = time.perf_counter()
     entries = []
     sizes = []
     for rec in labeled:
         bank = build_bank(rec, index, u_max=args.top_k)
         entries.append((rec.line_no, [b.line_no for b in bank]))
         sizes.append(len(bank))
+    queried = time.perf_counter()
+    log.info("build-bank: loading %.3f s (hashing included), indexing %.3f s, "
+             "querying %.3f s (%.0f queries/s)", loaded - start, indexed - loaded,
+             queried - indexed, len(labeled) / (queried - indexed))
     save_bank_cache(args.out, entries, digests)
     mean_size = sum(sizes) / len(sizes)
     if mean_size == 0:

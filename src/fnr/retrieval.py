@@ -7,37 +7,50 @@ in the same category (idf floored at 0) and keeping the top matches.
 2009, *The Probabilistic Relevance Framework: BM25 and Beyond*.
 
 Each category is indexed as postings lists in CSR form: for every term,
-the ascending indices of the documents holding it and its frequency in
-each, plus one array of per-document length norms.  The index is built
-per distinct raw token, not per token: every token is mapped to the
-number of its raw spelling in one pass, each distinct spelling is
-lowercased and checked against EOS once, and one gather turns the raw
-numbers into term numbers.  A category of ~360k tokens has only a few
-thousand distinct spellings, so lowering and the EOS test run a few
-thousand times instead of once per token.  The (term, document) pairs and
-their counts come from ``np.unique`` over one integer key per pair.
+the ascending indices of the documents holding it and, at the same
+positions, the term's precomputed BM25 contribution to each (its
+impact), plus one array of per-document match lengths (tokens other than
+EOS).  The index is built per distinct raw token, not per token: every
+token is mapped to the number of its raw spelling in one pass, each
+distinct spelling is lowercased and checked against EOS once, and one
+gather turns the raw numbers into term numbers.  A category of ~360k
+tokens has only a few thousand distinct spellings, so lowering and the
+EOS test run a few thousand times instead of once per token.  The
+(term, document) pairs and their counts come from ``np.unique`` over one
+integer key per pair.
 
-Scoring walks the query's terms in query order, repeats included, and
-adds each term's contribution to the documents of its posting with numpy.
-A document therefore sums its terms in the same order, from the same 0.0
-start and with the same per-term arithmetic as a loop over every document
-would, so scores are bit-identical to that loop; documents outside every
-posting keep 0.0.  A term whose floored idf is 0.0 (one held by at least
-half the documents) is skipped, exactly: with K1 > 0 and 0 <= B <= 1
-each of its contributions would be 0.0 * tf * (K1 + 1) / (tf + norm) =
-+0.0, and x + 0.0 == x bit for bit for every score x, since a score
-starts at +0.0 and a sum of non-negative terms is never -0.0.  On a crawl
-such common terms hold most of the posting entries a query touches.
+Impacts are exact.  Each term's floored idf is computed by the scalar
+``math.log`` expression from its document frequency, once per distinct
+frequency; each posting's impact is then ``idf * tf * (K1 + 1) / (tf + norm)`` with
+``norm = K1 * (1 - B + B * dl / avgdl)``, elementwise in that operation
+order, so every element is the double that evaluating the formula for
+that (term, document) pair at query time would give.  Scoring walks the
+query's terms in query order, repeats included, and adds each term's
+impacts to the documents of its posting with one indexed add.  A
+document therefore sums the same terms in the same order from the same
+0.0 start as a loop over every document would, so scores are
+bit-identical to that loop; documents outside every posting keep 0.0.
+A term whose floored idf is 0.0 (one held by at least half the
+documents) is skipped, exactly: with K1 > 0 and 0 <= B <= 1 each of its
+impacts is 0.0 * tf * (K1 + 1) / (tf + norm) = +0.0, and x + 0.0 == x
+bit for bit for every score x, since a score starts at +0.0 and a sum of
+non-negative terms is never -0.0.  Its first impact tells it apart: a
+positive idf gives every impact of the term a positive value.  On a
+crawl such common terms hold most of the posting entries a query
+touches.
 
 A bank is the first ``top_k`` documents of the stable descending order of
-the scores (ties in pool order) that are not identical to the query.  The
+the scores (ties in pool order) that are not identical to the query: the
+same case-folded tokens, EOS separators left out.  The
 ranking never sorts the whole category.  ``np.partition`` finds the m-th
 largest score, m = top_k + 1, in linear time; the m-prefix of the stable
 order is every score above it plus the earliest of the scores equal to
 it, and a stable sort of just those m indices gives the same order as the
 full stable sort.  If the identity rule leaves fewer than ``top_k`` of the
 m, m doubles (up to the category size) and the selection repeats, so the
-result always equals the prefix of the full order.
+result always equals the prefix of the full order.  Only a candidate
+whose match length equals the query's can be identical to it, so only
+those have their tokens case-folded and compared.
 """
 
 from __future__ import annotations
@@ -66,14 +79,15 @@ def _match_tokens(tokens: Iterable[str]) -> list[str]:
 @dataclass
 class _CategoryIndex:
     """Postings of one category: term ``terms[t]``'s documents are
-    ``post_docs[offsets[t]:offsets[t + 1]]`` (ascending) with frequencies
-    ``post_tfs`` at the same positions."""
+    ``post_docs[offsets[t]:offsets[t + 1]]`` (ascending) with its BM25
+    contributions ``impact`` at the same positions; ``dl[i]`` is document
+    i's match length."""
     docs: list[QaRecord]
     terms: dict[str, int]
     offsets: np.ndarray
     post_docs: np.ndarray
-    post_tfs: np.ndarray
-    norm: np.ndarray
+    impact: np.ndarray
+    dl: np.ndarray
 
 
 def _index_category(docs: list[QaRecord]) -> _CategoryIndex:
@@ -102,13 +116,22 @@ def _index_category(docs: list[QaRecord]) -> _CategoryIndex:
     keys *= n
     keys += doc
     keys, tfs = np.unique(keys, return_counts=True)
-    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=len(terms)), out=offsets[1:])
+    offsets = np.searchsorted(keys, np.arange(len(terms) + 1) * n)
+    post_docs = keys % n
+    del keys
+    dfs = np.diff(offsets)
+    # Terms share a few hundred distinct document frequencies, so the idf
+    # is computed once per frequency and gathered per term.
+    df_values, df_of_term = np.unique(dfs, return_inverse=True)
+    idf = np.array([max(0.0, math.log((n - df + 0.5) / (df + 0.5)))
+                    for df in df_values.tolist()])[df_of_term]
     avgdl = int(dl.sum()) / n
-    # Written as the scalar formula k1 * (1 - b + b * dl / avgdl), in the
-    # same operation order, so each element is the same double.
-    norm = K1 * (1.0 - B + B * dl / avgdl) if avgdl else np.full(n, K1 * (1.0 - B))
-    return _CategoryIndex(docs, terms, offsets, keys % n, tfs, norm)
+    # Written as the scalar formulas, in the same operation order, so each
+    # element is the same double.  Without a token to match there is no
+    # posting and the norm is never read.
+    norm = K1 * (1.0 - B + B * dl / avgdl) if avgdl else np.zeros(n)
+    impact = np.repeat(idf, dfs) * tfs * (K1 + 1.0) / (tfs + norm[post_docs])
+    return _CategoryIndex(docs, terms, offsets, post_docs, impact, dl)
 
 
 def _ranked_prefix(scores: np.ndarray, m: int) -> np.ndarray:
@@ -138,20 +161,16 @@ class Bm25Index:
         cat = self._categories.get(category)
         if cat is None:
             return np.zeros(0)
-        n_docs = len(cat.docs)
-        scores = np.zeros(n_docs)
+        scores = np.zeros(len(cat.docs))
         for term in _match_tokens(query_tokens):
             t = cat.terms.get(term)
             if t is None:
                 continue
             lo, hi = cat.offsets[t], cat.offsets[t + 1]
-            rows, tf = cat.post_docs[lo:hi], cat.post_tfs[lo:hi]
-            df = int(hi - lo)
-            idf = max(0.0, math.log((n_docs - df + 0.5) / (df + 0.5)))
-            if idf == 0.0:
+            if cat.impact[lo] == 0.0:   # idf 0: every impact is +0.0
                 continue
             # Rows within one posting are distinct, so += adds once per row.
-            scores[rows] += idf * tf * (K1 + 1.0) / (tf + cat.norm[rows])
+            scores[cat.post_docs[lo:hi]] += cat.impact[lo:hi]
         return scores
 
     def query(self, query_tokens: Sequence[str], category: str, top_k: int) -> list[QaRecord]:
@@ -163,16 +182,22 @@ class Bm25Index:
         cat = self._categories.get(category)
         if cat is None or top_k == 0:
             return []
-        query_norm = _match_tokens(query_tokens)
+        query_len = sum(t != EOS_TOKEN for t in query_tokens)
+        query_norm = None
         scores = self.score(query_tokens, category)
         m = min(top_k + 1, len(scores))
         while True:
             out = []
             for i in _ranked_prefix(scores, m):
-                if _match_tokens(cat.docs[i].question_tokens) != query_norm:
-                    out.append(cat.docs[i])
-                    if len(out) == top_k:
-                        return out
+                doc = cat.docs[i]
+                if cat.dl[i] == query_len:
+                    if query_norm is None:
+                        query_norm = _match_tokens(query_tokens)
+                    if _match_tokens(doc.question_tokens) == query_norm:
+                        continue
+                out.append(doc)
+                if len(out) == top_k:
+                    return out
             if m == len(scores):
                 return out
             m = min(2 * m, len(scores))

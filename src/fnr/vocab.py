@@ -72,13 +72,17 @@ def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1) -> Vocabular
     produce the identical vocabulary.  Tokens below ``min_freq`` are left
     out and resolve to UNK.
     """
-    counts: Counter[str] = Counter()
+    raw: Counter[str] = Counter()
     saw_any = False
     for seq in corpus:
         saw_any = True
-        counts.update(map(normalize, seq))
+        raw.update(seq)
     if not saw_any:
         raise ValueError("cannot build a vocabulary from an empty corpus")
+    # Each raw spelling is folded once, not once per occurrence.
+    counts: Counter[str] = Counter()
+    for token, n in raw.items():
+        counts[normalize(token)] += n
     del counts[EOS_TOKEN]
     kept = sorted((t for t, c in counts.items() if c >= min_freq),
                   key=lambda t: (-counts[t], t))

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import re
 from pathlib import Path
@@ -232,6 +233,30 @@ class TestBuildBank:
                      "--pool", str(pool_path), "--out", str(out), "--top-k", "-1"])
         assert code == 3
         assert not out.exists()
+
+    def test_negative_top_k_exit_3_before_reading(self, tmp_path, corpus_path, pool_path,
+                                                 monkeypatch, caplog):
+        monkeypatch.setattr(cli, "file_sha256", lambda path: pytest.fail(f"hashed {path}"))
+        monkeypatch.setattr(cli, "load_corpus", lambda path: pytest.fail(f"read {path}"))
+        out = tmp_path / "bank.jsonl"
+        assert main(["build-bank", "--labeled", str(corpus_path), "--pool", str(pool_path),
+                     "--out", str(out), "--top-k", "-2"]) == 3
+        assert "--top-k must be >= 0, got -2" in caplog.text
+        assert not out.exists()
+
+    def test_logs_where_its_time_went(self, tmp_path, corpus_path, pool_path, capsys,
+                                      caplog):
+        caplog.set_level(logging.INFO, logger="fnr")
+        out = tmp_path / "bank.jsonl"
+        assert main(["build-bank", "--labeled", str(corpus_path),
+                     "--pool", str(pool_path), "--out", str(out)]) == 0
+        (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert re.fullmatch(r"build-bank: loading \d+\.\d{3} s \(hashing included\), "
+                            r"indexing \d+\.\d{3} s, querying \d+\.\d{3} s "
+                            r"\(\d+ queries/s\)", line)
+        # The timings go to the log only; stdout is the two summary lines.
+        assert re.fullmatch(r"banks written: 8\nmean bank size: \d\.\d\d\n",
+                            capsys.readouterr().out)
 
     @UNWRITABLE
     def test_unwritable_out_exit_2_before_reading(self, tmp_path, corpus_path, pool_path,

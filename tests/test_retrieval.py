@@ -219,10 +219,10 @@ class TestExactBm25:
 
 class TestIndexExactness:
     """The postings built from distinct raw tokens hold, for every term,
-    the documents containing it and its count in each, and ``score``
-    equals the reference formula exactly, including for a term that
-    every token-bearing document holds (idf 0) and for documents that are
-    only EOS separators."""
+    the documents containing it and its exact BM25 contribution to each,
+    and ``score`` equals the reference formula exactly, including for a
+    term that every token-bearing document holds (idf 0) and for
+    documents that are only EOS separators."""
 
     WORDS = [EOS_TOKEN, "eos", "Eos", "a", "A", "b", "Video", "video"]
 
@@ -241,11 +241,20 @@ class TestIndexExactness:
         cat = index._categories["c"]
         terms = [match_terms(d) for d in docs]
         assert set(cat.terms) == {t for d in terms for t in d}
+        assert cat.dl.tolist() == [len(d) for d in terms]
+        n, k1, b = len(terms), 1.2, 0.75
+        avgdl = sum(map(len, terms)) / n
         for term, t in cat.terms.items():
             lo, hi = cat.offsets[t], cat.offsets[t + 1]
             holding = [i for i, d in enumerate(terms) if term in d]
             assert cat.post_docs[lo:hi].tolist() == holding
-            assert cat.post_tfs[lo:hi].tolist() == [terms[i].count(term) for i in holding]
+            df = len(holding)
+            idf = max(0.0, math.log((n - df + 0.5) / (df + 0.5)))
+            impacts = []
+            for i in holding:
+                f = terms[i].count(term)
+                impacts.append(idf * f * (k1 + 1) / (f + k1 * (1 - b + b * len(terms[i]) / avgdl)))
+            assert cat.impact[lo:hi].tolist() == impacts
         for query in data.draw(st.lists(st.lists(st.sampled_from(
                 self.WORDS + ["every", "missing"]), max_size=5), min_size=1, max_size=4)):
             assert index.score(query, "c").tolist() == reference_bm25(match_terms(query), terms)
@@ -253,9 +262,27 @@ class TestIndexExactness:
 
 class TestPartialRanking:
     """``query`` selects a prefix of the ranking without sorting the whole
-    category; it must equal the stable full sort of ``score`` exactly."""
+    category and compares tokens only for candidates of the query's match
+    length; it must equal the stable full sort of ``score``, with the
+    documents identical to the query removed, exactly."""
 
     WORDS = ["a", "b", "c", "A", EOS_TOKEN]
+
+    def near_copy(self, data, query):
+        """An exact copy of ``query``, or its match terms recased, with EOS
+        separators put anywhere, and, in a "differs" copy, one term
+        replaced so that the match length stays but the terms differ."""
+        kind = data.draw(st.sampled_from(["exact", "same", "differs"]))
+        if kind == "exact":
+            return list(query)
+        copy = match_terms(query)
+        if kind == "differs" and copy:
+            j = data.draw(st.integers(0, len(copy) - 1))
+            copy[j] = data.draw(st.sampled_from([w for w in "abc" if w != copy[j]]))
+        copy = [data.draw(st.sampled_from([t, t.upper()])) for t in copy]
+        for _ in range(data.draw(st.integers(0, 2))):
+            copy.insert(data.draw(st.integers(0, len(copy))), EOS_TOKEN)
+        return copy
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -263,16 +290,16 @@ class TestPartialRanking:
         words = st.sampled_from(self.WORDS)
         docs = data.draw(st.lists(st.lists(words, max_size=4), min_size=1, max_size=25))
         query = data.draw(st.lists(words, max_size=4))
-        # Copies of the query, possibly more than top_k + 1 of them.
+        # Near copies of the query, possibly more than top_k + 1 of them.
         for _ in range(data.draw(st.integers(0, 8))):
-            docs.insert(data.draw(st.integers(0, len(docs))), list(query))
-        top_k = data.draw(st.integers(0, len(docs)))
+            docs.insert(data.draw(st.integers(0, len(docs))), self.near_copy(data, query))
         index = Bm25Index([rec(d, line_no=i + 1) for i, d in enumerate(docs)])
         scores = index.score(query, "c")
         ranked = sorted(range(len(docs)), key=lambda i: -scores[i])
         want = [i + 1 for i in ranked if match_terms(docs[i]) != match_terms(query)]
-        got = index.query(query, "c", top_k)
-        assert [r.line_no for r in got] == want[:top_k]
+        for top_k in range(len(docs) + 1):
+            got = index.query(query, "c", top_k)
+            assert [r.line_no for r in got] == want[:top_k]
 
     def test_more_query_copies_than_top_k_plus_one(self):
         # Lines 1-7 equal the query and score highest; lines 8 and 10 tie

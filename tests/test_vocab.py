@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fnr.vocab import (EOS_ID, EOS_TOKEN, PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN,
-                       Vocabulary, build_vocab, join_sentences, tokenize)
+from fnr.vocab import (EOS_ID, EOS_TOKEN, PAD_ID, PAD_TOKEN, RESERVED, UNK_ID, UNK_TOKEN,
+                       Vocabulary, build_vocab, join_sentences, normalize, tokenize)
 
 
 class TestBuildVocab:
@@ -50,6 +52,19 @@ class TestBuildVocab:
     def test_unknown_token_maps_to_unk(self):
         v = build_vocab([["a"]])
         assert v.lookup("never-seen") == UNK_ID
+
+    @given(st.lists(st.lists(st.sampled_from(["a", "A", "b", "B", "Bb", "bB", EOS_TOKEN,
+                                               "eos", "Eos", "EOs"]), max_size=8),
+                    min_size=1, max_size=6),
+           st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_token_reference(self, corpus, min_freq):
+        # The rule written out token by token: fold every occurrence, count.
+        counts = Counter(normalize(t) for seq in corpus for t in seq)
+        del counts[EOS_TOKEN]
+        kept = sorted((t for t, c in counts.items() if c >= min_freq),
+                      key=lambda t: (-counts[t], t))
+        assert build_vocab(corpus, min_freq).id_to_token == list(RESERVED) + kept
 
 
 class TestTokenize:
