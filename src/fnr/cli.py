@@ -20,7 +20,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,48 +42,25 @@ class ConfigError(ValueError):
     """Bad run configuration: unknown key, bad value, or missing setting."""
 
 
-_MODEL_KEYS = {f.name for f in dataclasses.fields(SanConfig)}
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
+_PATH_KEYS = ("corpus", "pool", "bank_cache", "embeddings", "checkpoint", "epoch_log")
+_FIELD_TYPES = {**{f.name: f.type for cls in (SanConfig, TrainConfig)
+                   for f in dataclasses.fields(cls)},
+                **dict.fromkeys(_PATH_KEYS, "str | None")}
 
 
-@dataclass
-class RunConfig:
-    """Merged settings from a config file plus command-line overrides.
-
-    ``settings`` holds the SanConfig and TrainConfig fields that were set,
-    by name; the two classes' own defaults fill in the rest.  The other
-    fields are paths."""
-    settings: dict = field(default_factory=dict)
-    corpus: str | None = None
-    pool: str | None = None
-    bank_cache: str | None = None
-    embeddings: str | None = None
-    checkpoint: str | None = None
-    epoch_log: str | None = None
-
-    def san_config(self) -> SanConfig:
-        values = {k: v for k, v in self.settings.items() if k in _MODEL_KEYS}
-        if "variant" in values:
-            values["variant"] = values["variant"].strip().lower()
-        try:
-            return SanConfig(**values)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-
-    def train_config(self) -> TrainConfig:
-        try:
-            return TrainConfig(**{k: v for k, v in self.settings.items() if k in _TRAIN_KEYS})
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-
-
-_FIELD_TYPES = {f.name: f.type
-                for cls in (SanConfig, TrainConfig, RunConfig) for f in dataclasses.fields(cls)
-                if f.name != "settings"}
+def _config(cls, values: dict):
+    """``cls`` built from the keys of ``values`` that are its fields and
+    not None; its own defaults fill in the rest."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    try:
+        return cls(**{k: v for k, v in values.items() if k in names and v is not None})
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def _coerce(key: str, value) -> object:
-    """Parse text for the field's type; check any other value's type."""
+    """Parse text for the field's type; check any other value's type.
+    The one ``str`` key, ``variant``, is case-folded."""
     kind = _FIELD_TYPES[key]
     if isinstance(value, str):
         text = value.strip()
@@ -95,25 +71,23 @@ def _coerce(key: str, value) -> object:
                 return float(text)
         except ValueError as err:
             raise ConfigError(f"{key}: cannot parse {text!r}") from err
-        return text
+        return text.lower() if kind == "str" else text
     if not json_type_ok(kind, value):
         raise ConfigError(f"{key}: expected {kind}, got {value!r}")
     return value
 
 
-def _apply(cfg: RunConfig, updates: dict) -> None:
+def _apply(cfg: dict, updates: dict) -> None:
     for key, value in updates.items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in _MODEL_KEYS or key in _TRAIN_KEYS:
-            cfg.settings[key] = _coerce(key, value)
-        else:
-            setattr(cfg, key, _coerce(key, value))
+        cfg[key] = _coerce(key, value)
 
 
-def load_run_config(path: str | None, overrides: dict) -> RunConfig:
-    """Config file values first, then overrides on top."""
-    cfg = RunConfig()
+def load_run_config(path: str | None, overrides: dict) -> dict:
+    """The settings that were set, by key: config file values first, then
+    overrides on top."""
+    cfg: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -146,9 +120,8 @@ def cmd_pretrain_embeddings(args) -> int:
     records = load_corpus(args.corpus)
     if not records:
         raise ConfigError(f"{args.corpus}: corpus is empty")
-    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SgnsConfig)}
-    cfg = SgnsConfig(**{k: v for k, v in flags.items() if v is not None})
-    matrix = train_skipgram([rec.question_tokens for rec in records], cfg,
+    matrix = train_skipgram([rec.question_tokens for rec in records],
+                            _config(SgnsConfig, vars(args)),
                             np.random.default_rng(args.seed))
     save_embeddings(matrix, args.out)
     final = matrix.loss_history[-1] if matrix.loss_history else float("nan")
@@ -249,25 +222,27 @@ def _check_writable(path: str | None) -> None:
 def cmd_train(args) -> int:
     flags = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v is not None}
     cfg = load_run_config(args.config, {**dict(args.set or []), **flags})
-    if cfg.corpus is None:
+    corpus, checkpoint, epoch_log = map(cfg.get, ("corpus", "checkpoint", "epoch_log"))
+    if corpus is None:
         raise ConfigError("no corpus configured (corpus=PATH or --corpus)")
-    if cfg.checkpoint is None:
+    if checkpoint is None:
         raise ConfigError("no checkpoint output configured (checkpoint=PATH or --out)")
-    san_cfg = cfg.san_config()
-    tcfg = cfg.train_config()
-    _check_writable(cfg.checkpoint)
-    _check_writable(cfg.epoch_log)
+    san_cfg = _config(SanConfig, cfg)
+    tcfg = _config(TrainConfig, cfg)
+    _check_writable(checkpoint)
+    _check_writable(epoch_log)
 
-    records = load_corpus(cfg.corpus)
+    records = load_corpus(corpus)
     labeled = [r for r in records if r.labeled]
     if not labeled:
-        raise ConfigError(f"{cfg.corpus}: no labeled records to train on")
+        raise ConfigError(f"{corpus}: no labeled records to train on")
     if len(labeled) < len(records):
-        log.info("ignoring %d unlabeled records in %s", len(records) - len(labeled), cfg.corpus)
+        log.info("ignoring %d unlabeled records in %s", len(records) - len(labeled), corpus)
 
-    banks = _resolve_banks(labeled, cfg.corpus, cfg.pool, cfg.bank_cache, _bank_size(san_cfg))
-    if cfg.embeddings:
-        pretrained = load_embeddings(cfg.embeddings)
+    banks = _resolve_banks(labeled, corpus, cfg.get("pool"), cfg.get("bank_cache"),
+                           _bank_size(san_cfg))
+    if cfg.get("embeddings"):
+        pretrained = load_embeddings(cfg["embeddings"])
         vocab = pretrained.vocab
         if pretrained.dim != san_cfg.embedding_dim:
             log.info("embedding file is %d-dimensional; overriding embedding_dim %d",
@@ -286,7 +261,7 @@ def cmd_train(args) -> int:
     log.info("split sizes: train=%d validation=%d test=%d",
              len(data_split.train), len(data_split.validation), len(data_split.test))
 
-    log_fh = open(cfg.epoch_log, "w", encoding="utf-8") if cfg.epoch_log else None
+    log_fh = open(epoch_log, "w", encoding="utf-8") if epoch_log else None
     try:
         def sink(entry):
             line = entry.to_json()
@@ -302,10 +277,10 @@ def cmd_train(args) -> int:
     finally:
         if log_fh is not None:
             log_fh.close()
-    save_model(cfg.checkpoint, params, san_cfg, vocab)
+    save_model(checkpoint, params, san_cfg, vocab)
     best = max((entry.val_metrics.span_f1 for entry in logs), default=0.0)
     log.info("checkpoint written to %s (best validation span-F1 %.4f)",
-             cfg.checkpoint, best)
+             checkpoint, best)
     if data_split.test:
         final = evaluate(params, san_cfg, data_split.test)
         print(json.dumps({"test": final.to_dict()}, sort_keys=True))

@@ -196,10 +196,7 @@ def train_skipgram(raw_corpus: Iterable[Sequence[str]], cfg: SgnsConfig,
             f"vocabulary of {len(vocab)} tokens is too small for {cfg.negatives} negatives")
 
     encoded = [np.asarray(vocab.encode(seq), dtype=np.int64) for seq in sequences if seq]
-    counts = np.zeros(len(vocab), dtype=np.int64)
-    for ids in encoded:
-        np.add.at(counts, ids, 1)
-    cum = _negative_table(counts)
+    cum = _negative_table(np.bincount(np.concatenate(encoded), minlength=len(vocab)))
 
     w_in = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
     w_out = np.zeros((len(vocab), cfg.dim))

@@ -182,19 +182,15 @@ class Bm25Index:
         cat = self._categories.get(category)
         if cat is None or top_k == 0:
             return []
-        query_len = sum(t != EOS_TOKEN for t in query_tokens)
-        query_norm = None
-        scores = self.score(query_tokens, category)
+        terms = _match_tokens(query_tokens)
+        scores = self.score(terms, category)   # folding is idempotent
         m = min(top_k + 1, len(scores))
         while True:
             out = []
             for i in _ranked_prefix(scores, m):
                 doc = cat.docs[i]
-                if cat.dl[i] == query_len:
-                    if query_norm is None:
-                        query_norm = _match_tokens(query_tokens)
-                    if _match_tokens(doc.question_tokens) == query_norm:
-                        continue
+                if cat.dl[i] == len(terms) and _match_tokens(doc.question_tokens) == terms:
+                    continue
                 out.append(doc)
                 if len(out) == top_k:
                     return out

@@ -57,8 +57,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if not 0 < self.patience < self.max_epochs:
-            raise ValueError("patience must satisfy 0 < patience < max_epochs")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
         check_lr(self.lr)
 
 

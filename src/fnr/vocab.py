@@ -53,9 +53,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return normalize(token) in self.token_to_id
-
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(normalize(token), UNK_ID)
 

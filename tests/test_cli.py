@@ -406,7 +406,7 @@ class TestRunConfig:
 
         cfg = load({"lr": 1, "dropout": 0.5, "max_len": 7,
                     "variant": "sblstm", "pool": None, "corpus": "c.jsonl"})
-        assert cfg.settings["lr"] == 1 and cfg.pool is None and cfg.corpus == "c.jsonl"
+        assert cfg["lr"] == 1 and cfg["pool"] is None and cfg["corpus"] == "c.jsonl"
         for bad in ({"max_len": True}, {"seed": None},
                     {"variant": None}, {"corpus": 5}, {"lr": "fast"}):
             with pytest.raises(ConfigError):
@@ -414,8 +414,8 @@ class TestRunConfig:
 
     def test_defaults_are_the_config_classes_defaults(self):
         cfg = load_run_config(None, {})
-        assert cfg.san_config() == SanConfig()
-        assert cfg.train_config() == TrainConfig()
+        assert cli._config(SanConfig, cfg) == SanConfig()
+        assert cli._config(TrainConfig, cfg) == TrainConfig()
 
 
 class TestTrain:
@@ -439,7 +439,7 @@ class TestTrain:
     @pytest.mark.parametrize("name, variant", [("SAN", "san"), ("sblstm", "sblstm"),
                                                ("San-NoBLSTM2", "san-noblstm2")])
     def test_documented_variant_names_load(self, name, variant):
-        assert load_run_config(None, {"variant": name}).san_config().variant == variant
+        assert cli._config(SanConfig, load_run_config(None, {"variant": name})).variant == variant
 
     @pytest.mark.parametrize("name", ["s-blstm", "san-minus-blstm2", "san_noblstm2"])
     def test_undocumented_variant_alias_exit_3(self, tmp_path, corpus_path, name):
@@ -616,6 +616,12 @@ class TestTrain:
         epochs = [json.loads(l) for l in lines if "epoch" in json.loads(l)]
         assert epochs and epochs[0]["epoch"] == 1
         assert "val" in epochs[0]
+
+    def test_one_epoch_run_logs_one_epoch(self, tmp_path, corpus_path):
+        epoch_log = tmp_path / "epochs.jsonl"
+        assert main(train_args(corpus_path, tmp_path / "model.npz", max_epochs=1)
+                    + ["--epoch-log", str(epoch_log)]) == 0
+        assert [json.loads(l)["epoch"] for l in epoch_log.read_text().splitlines()] == [1]
 
 
 @pytest.fixture(scope="module")

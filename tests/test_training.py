@@ -176,8 +176,9 @@ class TestTrainConfig:
         assert tcfg.batch_size == 256
         assert SanConfig().dropout == 0.2
 
-    def test_patience_must_be_less_than_epochs(self):
+    def test_patience_must_be_positive(self):
+        assert TrainConfig(max_epochs=5, patience=5).patience == 5
         with pytest.raises(ValueError):
-            TrainConfig(max_epochs=5, patience=5)
+            TrainConfig(patience=0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)

@@ -18,7 +18,7 @@ class TestBuildVocab:
 
     def test_min_freq_cutoff(self):
         v = build_vocab([["a", "a", "b"]], min_freq=2)
-        assert "b" not in v
+        assert "b" not in v.token_to_id
         assert v.lookup("b") == UNK_ID
 
     def test_frequency_then_lexicographic(self):
