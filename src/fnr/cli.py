@@ -6,8 +6,8 @@ command-line overrides, overrides winning; unknown keys are rejected.
 All randomness flows from one seed: --seed beats the config file, which
 beats the default (13).  Output paths are checked before any data is read.
 
-Exit codes: 0 success, 2 I/O error, 3 config/validation error, 4 numeric
-failure.
+Exit codes: 0 success, 2 I/O error (and argparse's usage errors), 3
+config/validation error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -84,33 +84,38 @@ def _apply(cfg: dict, updates: dict) -> None:
         cfg[key] = _coerce(key, value)
 
 
+def _key_values(lines) -> dict:
+    """The text settings of (where, line) pairs, by the ``key=value`` rule
+    of config files and ``--set``: blank and ``#`` lines are skipped, and
+    keys and values are stripped."""
+    values = {}
+    for where, line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{where}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
+    return values
+
+
 def load_run_config(path: str | None, overrides: dict) -> dict:
     """The settings that were set, by key: config file values first, then
-    overrides on top."""
+    overrides on top.  A file whose text starts with ``{`` is a JSON
+    object, which is all that such text can decode to."""
     cfg: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
+        if text.lstrip().startswith("{"):
             try:
-                values = json.loads(text)
+                _apply(cfg, json.loads(text))
             except json.JSONDecodeError as err:
                 raise ConfigError(f"{path}: invalid JSON config ({err.msg})") from err
-            if not isinstance(values, dict):
-                raise ConfigError(f"{path}: config must be a JSON object")
-            _apply(cfg, values)
         else:
-            values = {}
-            for line_no, line in enumerate(text.splitlines(), start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected key=value")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
-            _apply(cfg, values)
+            _apply(cfg, _key_values((f"{path}:{n}", line)
+                                   for n, line in enumerate(text.splitlines(), start=1)))
     _apply(cfg, overrides)
     return cfg
 
@@ -221,7 +226,8 @@ def _check_writable(path: str | None) -> None:
 
 def cmd_train(args) -> int:
     flags = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v is not None}
-    cfg = load_run_config(args.config, {**dict(args.set or []), **flags})
+    sets = _key_values(("--set", line) for line in args.set or [])
+    cfg = load_run_config(args.config, {**sets, **flags})
     corpus, checkpoint, epoch_log = map(cfg.get, ("corpus", "checkpoint", "epoch_log"))
     if corpus is None:
         raise ConfigError("no corpus configured (corpus=PATH or --corpus)")
@@ -377,13 +383,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _parse_set(value: str) -> tuple[str, str]:
-    if "=" not in value:
-        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {value!r}")
-    key, _, val = value.partition("=")
-    return key.strip(), val.strip()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fnr",
@@ -417,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank-cache", dest="bank_cache", default=None)
     p.add_argument("--epoch-log", dest="epoch_log", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--set", action="append", type=_parse_set, metavar="KEY=VALUE",
+    p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config key")
     p.set_defaults(func=cmd_train)
 

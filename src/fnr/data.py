@@ -250,7 +250,7 @@ def make_example(record: QaRecord, bank_records: Sequence[QaRecord],
 class Batch:
     ids: np.ndarray          # (B, T)
     mask: np.ndarray         # (B, T)
-    gold: np.ndarray | None  # (B, T, |L|) one-hot at valid rows, zero at padding
+    gold: np.ndarray | None  # (B, T) int64 tag ids, O at padding
     bank_ids: np.ndarray     # (B, U, T)
     bank_mask: np.ndarray    # (B, U, T)
     examples: list[Example]
@@ -260,14 +260,12 @@ class Batch:
 
 
 def collate(examples: Sequence[Example]) -> Batch:
-    ids = np.stack([e.ids for e in examples])
-    mask = np.stack([e.mask for e in examples])
+    """Stack the examples' rows; ``gold`` stacks their ``tag_ids`` if all have them."""
     gold = None
     if all(e.tag_ids is not None for e in examples):
-        gold = np.zeros((*ids.shape, len(LABELS)))
-        valid = mask > 0
-        gold[valid, np.stack([e.tag_ids for e in examples])[valid]] = 1.0
-    return Batch(ids=ids, mask=mask, gold=gold,
+        gold = np.stack([e.tag_ids for e in examples])
+    return Batch(ids=np.stack([e.ids for e in examples]),
+                 mask=np.stack([e.mask for e in examples]), gold=gold,
                  bank_ids=np.stack([e.bank_ids for e in examples]),
                  bank_mask=np.stack([e.bank_mask for e in examples]),
                  examples=list(examples))

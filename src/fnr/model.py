@@ -274,7 +274,8 @@ def forward_batch(batch: Batch, params: SanParams, cfg: SanConfig,
 def batch_loss(probs: Probabilities, gold: np.ndarray, valid: np.ndarray) -> Tensor:
     """Summed cross entropy over examples and their valid positions, as
     one node on ``probs.logits``: per token the max-shifted log-sum-exp of
-    its logits minus its gold logit, with gradient p - y, p from ``probs``.
+    its logits minus the logit its ``gold`` label id picks (``Batch.gold``,
+    (B, T), read at valid positions only), with gradient p less 1 there.
 
     Padding never contributes; teaching the model the pad label would
     distort the class balance.  There is no clamp and no division by a
@@ -286,15 +287,15 @@ def batch_loss(probs: Probabilities, gold: np.ndarray, valid: np.ndarray) -> Ten
     valid = np.asarray(valid) > 0
     if not np.array_equal(valid, probs.valid):
         raise ValueError("valid is not the mask the logits were packed from")
-    y = np.asarray(gold, dtype=float)[valid]
-    if not (np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=-1) == 1.0)):
-        raise ValueError("gold labels must be one-hot over the label set")
+    y = np.asarray(gold)[valid]
+    if y.dtype.kind not in "iu" or np.any((y < 0) | (y >= len(LABELS))):
+        raise ValueError(f"gold must hold integer ids of the labels {LABELS}")
     logits = probs.logits.data
-    y = y.astype(logits.dtype)
     top = logits.max(axis=-1, keepdims=True)
     z = np.exp(logits - top).sum(axis=-1, keepdims=True)
-    loss = (top + np.log(z) - (logits * y).sum(axis=-1, keepdims=True)).sum()
-    delta = probs.data[valid] - y
+    loss = (top + np.log(z) - np.take_along_axis(logits, y[:, None], axis=-1)).sum()
+    delta = probs.data[valid]
+    delta[np.arange(len(y)), y] -= 1.0
     return record(Tensor(loss), (probs.logits,), lambda g: (g * delta,))
 
 

@@ -26,17 +26,6 @@ from .model import SanConfig, SanParams, batch_loss, forward_batch, predict_tags
 from .optim import adam_step, check_lr
 from .vocab import Vocabulary
 
-# Published P/R/F1 reference targets for this task.  Informational only:
-# absolute numbers depend on a ~1M-question pretraining crawl and retrieval
-# settings that do not ship with this package.  The CRF row is a
-# feature-engineered non-neural baseline that is never computed here.
-PUBLISHED_RESULTS = {
-    "crf": {"precision": 0.798, "recall": 0.611, "f1": 0.692},
-    "sblstm": {"precision": 0.844, "recall": 0.673, "f1": 0.749},
-    "san-noblstm2": {"precision": 0.83, "recall": 0.7, "f1": 0.759},
-    "san": {"precision": 0.839, "recall": 0.721, "f1": 0.776},
-}
-
 # Examples per forward in ``predict``/``evaluate``; metrics do not depend on it.
 EVAL_BATCH_SIZE = 64
 
@@ -134,8 +123,7 @@ def train(cfg: SanConfig, tcfg: TrainConfig, split: CorpusSplit, vocab: Vocabula
         raise ValueError("validation split is empty")
     params = SanParams.build(cfg, len(vocab), np.random.default_rng(cfg.seed), pretrained)
     rng = np.random.default_rng(cfg.seed)
-    best_values = params.group.copy_values()
-    best_f1: float | None = None
+    best_values = best_f1 = None   # set by epoch 1, which always runs
     stale = 0
     logs: list[EpochLog] = []
     for epoch in range(1, tcfg.max_epochs + 1):

@@ -115,6 +115,13 @@ class TestPretrainEmbeddings:
         assert "vocabulary size" in printed
         assert "final mean objective" in printed
 
+    def test_empty_corpus_exit_3_no_file(self, tmp_path, caplog):
+        corpus, out = tmp_path / "empty.jsonl", tmp_path / "emb.txt"
+        corpus.write_text("\n")
+        assert main(["pretrain-embeddings", "--corpus", str(corpus), "--out", str(out)]) == 3
+        assert f"{corpus}: corpus is empty" in caplog.text
+        assert not out.exists()
+
     def test_defaults_are_the_config_classes_defaults(self, tmp_path, corpus_path,
                                                       monkeypatch):
         seen = []
@@ -226,6 +233,13 @@ class TestBuildBank:
         assert set(header) == {"sha256"}
         assert len(entries) == 8
         assert all(e["bank_lines"] == [] for e in entries)
+
+    def test_no_labeled_record_exit_3_no_file(self, tmp_path, pool_path, caplog):
+        out = tmp_path / "bank.jsonl"
+        assert main(["build-bank", "--labeled", str(pool_path), "--pool", str(pool_path),
+                     "--out", str(out)]) == 3
+        assert f"{pool_path}: no labeled records" in caplog.text
+        assert not out.exists()
 
     def test_negative_top_k_exit_3(self, tmp_path, corpus_path, pool_path):
         out = tmp_path / "bank.jsonl"
@@ -412,6 +426,16 @@ class TestRunConfig:
             with pytest.raises(ConfigError):
                 load(bad)
 
+    @pytest.mark.parametrize("text", ['[{"seed": 1}]', '"seed=1"', "\x0c{}"],
+                             ids=["array", "string", "form_feed_object"])
+    def test_config_that_is_not_a_json_object_rejected(self, tmp_path, text):
+        # Text starting with "{" decodes to an object or not at all; any
+        # other text is key=value lines.
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_run_config(str(path), {})
+
     def test_defaults_are_the_config_classes_defaults(self):
         cfg = load_run_config(None, {})
         assert cli._config(SanConfig, cfg) == SanConfig()
@@ -481,6 +505,23 @@ class TestTrain:
         assert code == 3
         assert f"{emb}:3:" in caplog.text
 
+    def test_no_labeled_record_exit_3(self, tmp_path, pool_path, caplog):
+        ckpt = tmp_path / "model.npz"
+        assert main(train_args(pool_path, ckpt)) == 3
+        assert f"{pool_path}: no labeled records to train on" in caplog.text
+        assert not ckpt.exists()
+
+    def test_vector_file_width_overrides_embedding_dim(self, tmp_path, corpus_path, caplog):
+        emb, ckpt = tmp_path / "emb.txt", tmp_path / "model.npz"
+        vocab = Vocabulary(list(RESERVED) + [w.lower() for w in WORDS])
+        vectors = np.random.default_rng(0).normal(size=(len(vocab), 5))
+        save_embeddings(EmbeddingMatrix(vocab, vectors), emb)
+        caplog.set_level("INFO", logger="fnr")
+        assert main(train_args(corpus_path, ckpt) + ["--embeddings", str(emb)]) == 0
+        assert "embedding file is 5-dimensional; overriding embedding_dim 8" in caplog.text
+        params, cfg, _ = load_model(ckpt)
+        assert cfg.embedding_dim == 5 and params.embedding.shape == (len(vocab), 5)
+
     def test_bank_cache_without_pool_rejected(self, tmp_path, corpus_path, pool_path, caplog):
         cache = tmp_path / "bank.jsonl"
         assert main(["build-bank", "--labeled", str(corpus_path), "--pool", str(pool_path),
@@ -546,6 +587,26 @@ class TestTrain:
                                         "checkpoint": str(ckpt)}))
         assert main(["train", "--config", str(cfg_file)]) == 3
         assert not ckpt.exists()
+
+    def test_set_without_equals_exit_3_as_in_a_config_file(self, tmp_path, corpus_path,
+                                                          caplog):
+        # --set lines follow the config file's key=value rule, and break it
+        # with the same exit code.
+        ckpt, cfg_file = tmp_path / "model.npz", tmp_path / "run.cfg"
+        cfg_file.write_text("novalue\n")
+        assert main(train_args(corpus_path, ckpt) + ["--config", str(cfg_file)]) == 3
+        assert f"{cfg_file}:1: expected key=value" in caplog.text
+        assert main(train_args(corpus_path, ckpt) + ["--set", "novalue"]) == 3
+        assert "--set: expected key=value, got 'novalue'" in caplog.text
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("argv", [["train", "--bogus"], ["train", "--seed"],
+                                      ["evaluate", "--data", "x.jsonl"]],
+                             ids=["unknown_flag", "flag_without_value", "missing_required"])
+    def test_usage_errors_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_report_key_exit_3(self, tmp_path, corpus_path):
         ckpt = tmp_path / "model.npz"
@@ -666,6 +727,12 @@ class TestEvaluate:
         assert_exit_2_before_reading(monkeypatch, caplog, [
             "evaluate", "--model", str(ckpt), "--data", str(corpus),
             "--report", str(report)], report)
+
+    def test_no_labeled_record_exit_3_before_reading_a_model(self, tmp_path, pool_path,
+                                                              caplog):
+        assert main(["evaluate", "--model", str(tmp_path / "none.npz"),
+                     "--data", str(pool_path)]) == 3
+        assert f"{pool_path}: no labeled records to evaluate" in caplog.text
 
     def test_report_schema(self, tmp_path, overfit_ckpt):
         corpus, ckpt = overfit_ckpt
@@ -1444,6 +1511,23 @@ class TestExtract:
         assert main(["extract", "--model", str(ckpt), "--question", "does it play video ?",
                      "--bank", str(pool_path), "--category", "lptop"]) == 3
         assert "'lptop'" in caplog.text and "['laptop']" in caplog.text
+
+    @pytest.mark.parametrize("question", ["", "  \t "])
+    def test_question_empty_after_tokenizing_exit_3(self, overfit_ckpt, caplog, question):
+        _, ckpt = overfit_ckpt
+        assert main(["extract", "--model", str(ckpt), "--question", question]) == 3
+        assert "question is empty after tokenization" in caplog.text
+
+    def test_pool_of_several_categories_needs_category_exit_3(self, tmp_path, overfit_ckpt,
+                                                               caplog):
+        _, ckpt = overfit_ckpt
+        pool = tmp_path / "pool.jsonl"
+        laptop = pool_records()
+        save_corpus(pool, laptop + [dataclasses.replace(r, category="phone") for r in laptop])
+        assert main(["extract", "--model", str(ckpt), "--question", "does it play video ?",
+                     "--bank", str(pool)]) == 3
+        assert "pool spans categories ['laptop', 'phone']; pick one with --category" \
+            in caplog.text
 
     def test_missing_model_exit_2(self, tmp_path):
         code = main(["extract", "--model", str(tmp_path / "none.npz"),

@@ -328,10 +328,10 @@ class TestRowsGoldAndTags:
         examples = [make_example(rec, bank, vocab, max_len=self.T, bank_size=self.U)
                     for rec, bank in cases if rec.labeled]
         gold = collate(examples).gold
-        want = np.zeros((len(examples), self.T, len(LABELS)))
+        want = np.full((len(examples), self.T), O_INDEX)
         for i, e in enumerate(examples):
             valid = int(e.mask.sum())
-            want[i, np.arange(valid), e.tag_ids[:valid]] = 1.0
+            want[i, :valid] = e.tag_ids[:valid]
         assert gold.dtype == want.dtype
         assert np.array_equal(gold, want)
 
@@ -370,14 +370,19 @@ class TestMakeExample:
         assert len(ex.bank) == 5
         assert ex.bank_mask.any(axis=1).sum() == 5
 
+    def test_gold_tags_of_unlabeled_example_rejected(self):
+        ex = make_example(QaRecord("p", "c", ["a"]), [], build_vocab([["a"]]))
+        assert ex.tag_ids is None
+        with pytest.raises(ValueError, match="example is unlabeled"):
+            ex.gold_tags()
+
     def test_collate_shapes(self, tiny_vocab, fig_example):
         batch = collate([fig_example, fig_example])
         assert batch.ids.shape == (2, 6)
-        assert batch.gold.shape == (2, 6, 2)
+        assert batch.gold.shape == (2, 6)
         assert batch.bank_ids.shape == (2, 2, 6)
-        # one-hot exactly at valid rows, zero rows at padding
-        assert np.array_equal(batch.gold[0, :4].sum(axis=-1), np.ones(4))
-        assert np.array_equal(batch.gold[0, 4:], np.zeros((2, 2)))
+        # the tags' label ids at valid rows, O at padding
+        assert batch.gold[0].tolist() == [F_INDEX] * 3 + [O_INDEX] * 3
 
 
 class TestSplit:

@@ -366,6 +366,12 @@ class TestNegativeSampler:
         ids = embeddings._draw_negatives(cum, np.array([0.0, np.nextafter(1.0, 0.0)]))
         assert ids.tolist() == [2, 3]
 
+    def test_no_drawable_token_rejected(self):
+        # Only PAD counted.  train_skipgram cannot get here: it refuses an
+        # empty corpus, and no token encodes to PAD.
+        with pytest.raises(ValueError, match="no tokens available"):
+            embeddings._negative_table(np.array([4, 0, 0]))
+
     def test_random_counts_stay_in_range(self):
         rng = np.random.default_rng(11)
         edges = np.array([0.0, np.nextafter(1.0, 0.0)])

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from fnr.attention import bank_attend_batch, init_attention, transform_bank
 from fnr.autodiff import Tape, gather_rows, linear
-from fnr.data import LABELS
+from fnr.data import LABELS, O_INDEX
 from fnr.lstm import blstm_forward, init_blstm
 from fnr.model import Probabilities, batch_loss
 from fnr.optim import ParamGroup, grad_check
@@ -170,8 +170,8 @@ def test_head_and_loss_gradcheck(data):
     labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="gold")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
 
-    gold = np.zeros(mask.shape + (len(LABELS),))
-    gold[mask > 0, labels] = 1.0
+    gold = np.full(mask.shape, O_INDEX)
+    gold[mask > 0] = labels
     group = ParamGroup()
     x = group.add("x", rng.normal(size=(n, width)))
     w = group.add("w", rng.normal(size=(len(LABELS), width)))

@@ -11,6 +11,7 @@ import pytest
 from fnr import autodiff, model as fmodel
 from fnr.autodiff import Tape, Tensor, gather_rows
 from fnr.data import F_INDEX, O_INDEX, QaRecord, collate, make_example
+from fnr.embeddings import EmbeddingMatrix
 from fnr.model import (CheckpointError, Probabilities, SanConfig, SanParams, batch_loss,
                        extract_spans, forward_batch, load_model, predict_tags,
                        save_model)
@@ -354,7 +355,7 @@ class TestSaturatedLogits:
             probs, _ = forward_batch(batch, params, cfg)
             loss = batch_loss(probs, batch.gold, batch.mask)
         grads = tape.gradients(loss)
-        n_o = int(batch.gold[batch.mask > 0, O_INDEX].sum())
+        n_o = int(np.sum(batch.gold[batch.mask > 0] == O_INDEX))
         assert 0 < n_o < batch.mask.sum()
         assert loss.item() == gap * n_o
         assert grads[params.proj_b].tolist() == [n_o, -n_o]
@@ -434,27 +435,26 @@ class TestLoss:
     # valid rows' logits: log-probabilities, or +-40 for a perfect one.
     def test_perfect_predictions_zero_loss(self):
         probs = Probabilities(Tensor(np.array([[40.0, -40.0], [-40.0, 40.0]])), np.ones((1, 2)))
-        gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        gold = np.array([[F_INDEX, O_INDEX]])
         loss = batch_loss(probs, gold, np.ones((1, 2)))
         assert loss.item() < 1e-6
 
     def test_uniform_probs_ln2_per_token(self):
         n = 5
         probs = Probabilities(Tensor(np.log(np.full((n, 2), 0.5))), np.ones((1, n)))
-        gold = np.zeros((1, n, 2))
-        gold[..., 0] = 1.0
+        gold = np.full((1, n), F_INDEX)
         loss = batch_loss(probs, gold, np.ones((1, n)))
         assert abs(loss.item() - n * math.log(2)) < 1e-9
 
     def test_hand_case(self):
         probs = Probabilities(Tensor(np.log([[0.9, 0.1], [0.2, 0.8]])), np.ones((1, 2)))
-        gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        gold = np.array([[F_INDEX, O_INDEX]])
         loss = batch_loss(probs, gold, np.ones((1, 2)))
         assert abs(loss.item() - (-(math.log(0.9) + math.log(0.8)))) < 1e-12
 
     def test_padding_excluded(self):
         probs = Probabilities(Tensor(np.log([[0.9, 0.1]])), np.array([[1.0, 0.0]]))
-        gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        gold = np.array([[F_INDEX, O_INDEX]])
         loss = batch_loss(probs, gold, np.array([[1.0, 0.0]]))
         assert abs(loss.item() - (-math.log(0.9))) < 1e-12
 
@@ -463,20 +463,20 @@ class TestLoss:
         # 1e-12, yet the loss must be the full -log p(O) and the logit
         # gradient p - y, not a clamped constant with zero gradient.
         logits = Tensor(np.array([[30.0, 0.0]]))
-        gold = np.array([[[0.0, 1.0]]])
+        gold = np.array([[O_INDEX]])
         with Tape() as tape:
             probs = Probabilities(logits, np.ones((1, 1)))
             loss = batch_loss(probs, gold, np.ones((1, 1)))
         grad = tape.gradients(loss)[logits]
         assert abs(loss.item() - 30.0) <= 1e-12 * 30.0
-        assert np.allclose(grad, probs.data - gold, rtol=1e-12, atol=0)
+        assert np.allclose(grad, probs.data - np.eye(2)[gold], rtol=1e-12, atol=0)
 
     def test_gradcheck_through_softmax(self):
         # One token per regime: saturated wrong, saturated right, ordinary,
         # and a padded position that must not contribute.
         group = ParamGroup()
         group.add("logits", np.array([[[30.0, 0.0], [0.0, 25.0], [0.3, -0.2], [4.0, 1.0]]])[0])
-        gold = np.array([[[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]])
+        gold = np.array([[O_INDEX, O_INDEX, F_INDEX, F_INDEX]])
         valid = np.array([[1.0, 1.0, 1.0, 0.0]])
         rows = np.flatnonzero(valid)
         err = grad_check(
@@ -485,22 +485,31 @@ class TestLoss:
             group, h=1e-6)
         assert err < 1e-6
 
-    def test_gold_not_one_hot_rejected(self):
+    def test_gold_id_outside_the_labels_rejected(self):
+        probs = Probabilities(Tensor(np.zeros((1, 2))), np.array([[1.0, 0.0]]))
+        for bad in (-1, 2):
+            with pytest.raises(ValueError, match="ids of the labels"):
+                batch_loss(probs, np.array([[bad, O_INDEX]]), probs.valid)
+        # An id at padding is never read.
+        loss = batch_loss(probs, np.array([[F_INDEX, 7]]), probs.valid)
+        assert abs(loss.item() - math.log(2)) < 1e-12
+
+    def test_non_integer_gold_rejected(self):
+        # A one-hot float array, the gold of old, and a float array of ids.
         probs = Probabilities(Tensor(np.zeros((2, 2))), np.ones((1, 2)))
-        gold = np.array([[[1.0, 1.0], [0.0, 1.0]]])
-        with pytest.raises(ValueError, match="one-hot"):
-            batch_loss(probs, gold, np.ones((1, 2)))
+        for gold in (np.array([[[1.0, 0.0], [0.0, 1.0]]]), np.array([[0.0, 1.0]])):
+            with pytest.raises(ValueError, match="integer ids"):
+                batch_loss(probs, gold, np.ones((1, 2)))
 
     def test_batch_loss_sums_over_examples(self):
         probs = Probabilities(Tensor(np.zeros((6, 2))), np.ones((3, 2)))
-        gold = np.zeros((3, 2, 2))
-        gold[:, :, 1] = 1.0
+        gold = np.full((3, 2), O_INDEX)
         loss = batch_loss(probs, gold, np.ones((3, 2)))
         assert abs(loss.item() - 6 * math.log(2)) < 1e-9
 
     def test_plain_tensor_rejected(self):
         # Probabilities alone carry the logits the loss differentiates.
-        gold = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        gold = np.array([[F_INDEX, O_INDEX]])
         with pytest.raises(TypeError, match="Probabilities"):
             batch_loss(Tensor(np.full((1, 2, 2), 0.5)), gold, np.ones((1, 2)))
 
@@ -785,6 +794,18 @@ class TestConfig:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             SanConfig(variant="crf")
+
+    def test_pretrained_matrix_must_fit_the_config_and_vocabulary(self, tiny_cfg, tiny_vocab):
+        rng, n, dim = np.random.default_rng(0), len(tiny_vocab), tiny_cfg.embedding_dim
+        fits = EmbeddingMatrix(tiny_vocab, np.ones((n, dim)))
+        assert np.array_equal(SanParams.build(tiny_cfg, n, rng, fits).embedding.data,
+                              fits.vectors)
+        wide = EmbeddingMatrix(tiny_vocab, np.ones((n, dim + 1)))
+        with pytest.raises(ValueError, match=f"pretrained dim {dim + 1} != config "
+                                             f"embedding_dim {dim}"):
+            SanParams.build(tiny_cfg, n, rng, wide)
+        with pytest.raises(ValueError, match="pretrained embedding rows != vocabulary size"):
+            SanParams.build(tiny_cfg, n + 1, rng, fits)
 
     def test_from_dict_rejects_unknown_keys(self, tmp_path, tiny_cfg, tiny_vocab):
         # load_model names every key SanConfig lacks, sorted, in one error.

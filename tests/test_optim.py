@@ -87,6 +87,15 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(g, ZeroGrads(), lr=0.0)
 
+    def test_parameter_non_finite_after_the_update_rejected(self):
+        # A finite lr and gradient can still carry a parameter past the
+        # largest double: the first step moves it by about lr.
+        g = ParamGroup()
+        p = g.add("p", [1.7e308])
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError,
+                                                       match="'p' became non-finite"):
+            adam_step(g, {p: np.array([-1.0])}, lr=1e308)
+
     def test_moment_shapes_track_parameters(self):
         g = ParamGroup()
         g.add("w", np.ones((3, 2)))
